@@ -67,7 +67,7 @@ def main() -> None:
     #    precision, communication-free.
     op = WilsonCloverOperator(gauge, mass=mass, csw=csw)
     solver = GCRDDSolver(
-        op, ProcessGrid((1, 1, 2, 2)), GCRDDConfig(tol=1e-6, mr_steps=10)
+        op, ProcessGrid((1, 1, 2, 2)), GCRDDConfig(tol=1e-6, precond_steps=10)
     )
     with tally() as t:
         res_dd = solver.solve(b)

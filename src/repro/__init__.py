@@ -82,15 +82,11 @@ from repro.dd import (
     TwoLevelSchwarzPreconditioner,
 )
 from repro.core import (
-    DistributedGCRDDSolver,
     GCRDDConfig,
     GCRDDSolver,
     SPMDGCRDDSolver,
     SolveRequest,
     solve,
-    solve_asqtad,
-    solve_asqtad_multishift,
-    solve_wilson_clover,
     tune_dslash_partitioning,
     tune_precision_policy,
     tune_wilson_solver,
@@ -151,13 +147,9 @@ __all__ = [
     "TwoLevelSchwarzPreconditioner",
     "GCRDDConfig",
     "GCRDDSolver",
-    "DistributedGCRDDSolver",
     "SPMDGCRDDSolver",
     "SolveRequest",
     "solve",
-    "solve_wilson_clover",
-    "solve_asqtad",
-    "solve_asqtad_multishift",
     "tune_dslash_partitioning",
     "tune_wilson_solver",
     "tune_precision_policy",

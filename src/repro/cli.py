@@ -391,7 +391,7 @@ def _cmd_bench_spmd(args) -> int:
         "mass": args.mass,
         "csw": args.csw,
         "tol": args.tol,
-        "mr_steps": args.mr_steps,
+        "precond_steps": args.mr_steps,
         "epsilon": args.epsilon,
         "seed": args.seed,
         "repeats": args.repeats,
@@ -606,7 +606,8 @@ def _cmd_trace(args) -> int:
     solve, with the modeled Fig. 4 timeline as a parallel track."""
     from repro import trace as tracelib
     from repro.comm.grid import ProcessGrid
-    from repro.core.gcrdd import DistributedGCRDDSolver, GCRDDConfig
+    from repro.core.gcrdd import GCRDDConfig
+    from repro.core.spmd import SPMDGCRDDSolver
     from repro.lattice import GaugeField, Geometry, SpinorField
     from repro.perfmodel.kernels import KernelModel, OperatorKind
     from repro.perfmodel.machines import EDGE
@@ -626,30 +627,19 @@ def _cmd_trace(args) -> int:
         return 2
 
     # The split (interior/exterior) execution path is what the paper's
-    # Fig. 4 schedules, so a trace always uses it; --backend traces the
-    # SPMD rank programs instead of the global-view driver, and --overlap
-    # the live overlapped schedule.
+    # Fig. 4 schedules, so a trace always uses it; the rank programs run
+    # under --backend (default: the deterministic sequential backend),
+    # and --overlap traces the live overlapped schedule.
     tracer = tracelib.Tracer()
     with tracelib.tracing(tracer), tally() as t:
-        if args.backend:
-            from repro.core.spmd import SPMDGCRDDSolver
-
-            solver = SPMDGCRDDSolver(
-                gauge, args.mass, args.csw, grid,
-                config=GCRDDConfig(tol=args.tol, precond=args.precond,
-                                   precond_steps=args.mr_steps),
-                backend=args.backend, schedule="split",
-                overlap=args.overlap, kernel=args.kernel,
-            )
-            res = solver.solve(b)
-        else:
-            solver = DistributedGCRDDSolver(
-                gauge, args.mass, args.csw, grid,
-                config=GCRDDConfig(tol=args.tol, precond=args.precond,
-                                   precond_steps=args.mr_steps),
-                schedule="split", kernel=args.kernel,
-            )
-            res = solver.solve(b)
+        solver = SPMDGCRDDSolver(
+            gauge, args.mass, args.csw, grid,
+            config=GCRDDConfig(tol=args.tol, precond=args.precond,
+                               precond_steps=args.mr_steps),
+            backend=args.backend or "sequential", schedule="split",
+            overlap=args.overlap, kernel=args.kernel,
+        )
+        res = solver.solve(b)
     events = list(tracer.events)
     status = "converged" if res.converged else "FAILED"
     mode = f" backend={args.backend}" if args.backend else ""
@@ -830,67 +820,51 @@ def _cmd_scaling_sweep(args) -> int:
     return 0 if all(p.converged for p in points) else 1
 
 
-def _cmd_precond(args) -> int:
-    """Print the preconditioner capability matrix (registry-derived)."""
-    from repro.precond import availability_note, capability_matrix
+def _print_capability_matrix(title, columns, rows, note) -> int:
+    """Print a registry's capability matrix: identity/availability, the
+    named capability ``columns`` of each row, then the availability note."""
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if isinstance(value, list):
+            return ",".join(v.replace("complex", "c") for v in value)
+        return str(value)
 
-    rows = capability_matrix()
-    header = ("precond", "prio", "available", "operators", "batched",
-              "spmd", "overlapping", "dtypes")
-    table = [header]
+    keys = ("name", "priority", "available") + columns
+    table = [(title, "prio", "available") + columns]
     for row in rows:
-        table.append((
-            row["name"],
-            str(row["priority"]),
-            "yes" if row["available"] else "no",
-            ",".join(row["operators"]),
-            "yes" if row["batched"] else "no",
-            "yes" if row["spmd"] else "no",
-            "yes" if row["overlapping"] else "no",
-            ",".join(row["dtypes"]),
-        ))
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+        table.append(tuple(cell(row[key]) for key in keys))
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
     for i, r in enumerate(table):
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
         if i == 0:
             print("  ".join("-" * w for w in widths))
     print()
-    print(availability_note())
+    print(note)
     for row in rows:
         if not row["available"]:
             print(f"  {row['name']}: {row['unavailable_reason']}")
     return 0
 
 
+def _cmd_precond(args) -> int:
+    """Print the preconditioner capability matrix (registry-derived)."""
+    from repro.precond import availability_note, capability_matrix
+
+    return _print_capability_matrix(
+        "precond", ("operators", "batched", "spmd", "overlapping", "dtypes"),
+        capability_matrix(), availability_note(),
+    )
+
+
 def _cmd_kernels(args) -> int:
     """Print the kernel-backend capability matrix (registry-derived)."""
     from repro.kernels import availability_note, capability_matrix
 
-    rows = capability_matrix()
-    header = ("backend", "prio", "available", "operators", "batched",
-              "split", "dtypes")
-    table = [header]
-    for row in rows:
-        table.append((
-            row["name"],
-            str(row["priority"]),
-            "yes" if row["available"] else "no",
-            ",".join(row["operators"]),
-            "yes" if row["batched"] else "no",
-            "yes" if row["split"] else "no",
-            ",".join(d.replace("complex", "c") for d in row["dtypes"]),
-        ))
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    for i, r in enumerate(table):
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        if i == 0:
-            print("  ".join("-" * w for w in widths))
-    print()
-    print(availability_note())
-    unavailable = [r for r in rows if not r["available"]]
-    for row in unavailable:
-        print(f"  {row['name']}: {row['unavailable_reason']}")
-    return 0
+    return _print_capability_matrix(
+        "backend", ("operators", "batched", "split", "dtypes"),
+        capability_matrix(), availability_note(),
+    )
 
 
 def _cmd_info(args) -> int:
@@ -1058,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["sequential", "threads", "processes"],
                    default=None,
                    help="trace the SPMD rank programs under this backend "
-                        "(default: global-view driver)")
+                        "(default: sequential)")
     p.add_argument("--overlap", action="store_true",
                    help="overlapped halo schedule (needs --backend)")
     p.add_argument("--kernel", type=str, default="auto",

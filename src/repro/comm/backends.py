@@ -103,7 +103,7 @@ class ReduceState:
             return slot is not None and len(slot["parts"]) == self.size
 
     def describe(self, gen: int) -> str:
-        with self.cond:
+        with self.cond:  # re-entrant: collect() calls this holding it
             slot = self._slots.get(gen, {"parts": {}})
             missing = sorted(set(range(self.size)) - set(slot["parts"]))
             return f"waiting on contributions from ranks {missing}"
@@ -120,7 +120,7 @@ class ReduceState:
                 )
                 if remaining is not None and remaining <= 0:
                     raise DeadlockError(
-                        f"allreduce #{gen} timed out: {self._describe_locked(gen)}"
+                        f"allreduce #{gen} timed out: {self.describe(gen)}"
                     )
                 self.cond.wait(remaining)
             if "result" not in slot:
@@ -132,11 +132,6 @@ class ReduceState:
             if len(slot["read"]) == self.size:
                 del self._slots[gen]
             return result
-
-    def _describe_locked(self, gen: int) -> str:
-        slot = self._slots.get(gen, {"parts": {}})
-        missing = sorted(set(range(self.size)) - set(slot["parts"]))
-        return f"waiting on contributions from ranks {missing}"
 
 
 # ----------------------------------------------------------------------
@@ -251,33 +246,37 @@ class RankOutcome:
     metrics: MetricsRegistry | None = None
 
 
-def _rank_body(program, comm, payload, tracer, outcome: RankOutcome,
-               metrics_on: bool = False):
+def describe_error(exc: BaseException) -> str:
+    """The one-line ``Type: message`` text a failed rank reports."""
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
+
+
+def run_rank_job(program, comm, payload, tracer, metrics_on: bool):
     """Run one rank program under its own tally — and, when the caller
-    has a metrics registry active, its own registry — recording the
-    result into ``outcome``."""
+    has a metrics registry active, its own registry; when ``tracer`` is
+    given, under it inside a ``rank_program`` span.  Both the thread and
+    the process backends run their ranks through here.  Never raises:
+    returns ``(value, tally, exception-or-None, registry-or-None)``."""
     from contextlib import nullcontext
 
     from repro.trace import span, tracing
 
     registry = MetricsRegistry() if metrics_on else None
-    scope = metrics_scope(registry) if registry is not None else nullcontext()
-    try:
-        with tally() as t, scope:
-            if tracer is not None:
-                with tracing(tracer):
-                    with span("rank_program", kind="rank", rank=comm.rank,
-                              stream="compute"):
-                        outcome.value = program(comm, payload)
+    scope = metrics_scope(registry) if metrics_on else nullcontext()
+    value = error = None
+    with tally() as t, scope:
+        try:
+            if tracer is None:
+                value = program(comm, payload)
             else:
-                outcome.value = program(comm, payload)
-        outcome.tally = t
-        outcome.metrics = registry
-    except BaseException as exc:  # noqa: BLE001 - reported to the caller
-        outcome.error = "".join(
-            traceback.format_exception_only(type(exc), exc)
-        ).strip()
-        raise
+                with tracing(tracer), span(
+                    "rank_program", kind="rank", rank=comm.rank,
+                    stream="compute",
+                ):
+                    value = program(comm, payload)
+        except BaseException as exc:  # noqa: BLE001 - reported to the caller
+            error = exc
+    return value, t, error, registry
 
 
 def _merge_outcomes(outcomes: list[RankOutcome]) -> None:
@@ -333,16 +332,17 @@ def _run_in_threads(
             reducer=reducer,
             scheduler=scheduler,
         )
+        outcome = outcomes[rank]
         try:
             if scheduler is not None:
                 scheduler.start(rank)
-            _rank_body(program, comm, payloads[rank], tracer, outcomes[rank],
-                       metrics_on=metrics_on)
+            outcome.value, outcome.tally, error, outcome.metrics = (
+                run_rank_job(program, comm, payloads[rank], tracer, metrics_on)
+            )
+            if error is not None:
+                raise error
         except BaseException as exc:  # noqa: BLE001
-            if outcomes[rank].error is None:
-                outcomes[rank].error = "".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip()
+            outcome.error = describe_error(exc)
             if scheduler is not None:
                 scheduler.fail(rank, exc)
         else:
@@ -387,18 +387,6 @@ def process_backend_available() -> bool:
         return False
 
 
-def _run_in_processes(
-    program, size, payloads, timeout, metrics_on: bool = False
-) -> tuple[list[RankOutcome], None]:
-    from repro.comm.shm import run_in_processes
-
-    return (
-        run_in_processes(program, size, payloads, timeout,
-                         metrics_on=metrics_on),
-        None,
-    )
-
-
 def run_rank_programs(
     program: Callable,
     size: int,
@@ -436,7 +424,10 @@ def run_rank_programs(
                 "the multiprocess backend needs the POSIX 'fork' start "
                 "method; use backend='threads' or 'sequential' instead"
             )
-        outcomes, mailbox = _run_in_processes(
+        from repro.comm.shm import run_in_processes
+
+        mailbox = None
+        outcomes = run_in_processes(
             program, size, payloads, timeout, metrics_on=metrics_on
         )
         tracer = active_tracer()

@@ -34,7 +34,6 @@ program may leave undelivered messages behind.  Requires the POSIX
 from __future__ import annotations
 
 import time
-import traceback
 from collections import deque
 from queue import Empty
 
@@ -49,7 +48,7 @@ from repro.comm.communicator import (
 )
 from repro.metrics.registry import current_registry
 from repro.metrics.straggler import ALLREDUCE_WAIT, BARRIER_WAIT, RECV_WAIT
-from repro.util.counters import record, tally
+from repro.util.counters import record
 
 #: Payloads at or below this many bytes ride inline in the queue envelope
 #: (a shared-memory segment per tiny scalar message would cost more than
@@ -309,38 +308,30 @@ class ShmCommunicator(Communicator):
 # ----------------------------------------------------------------------
 # the process runner
 # ----------------------------------------------------------------------
-def _run_rank_job(comm, program, rank, payload, epoch, metrics_on):
-    """Run one rank program against an existing communicator; returns
-    ``(value, tally, trace events, error, metrics snapshot)``."""
-    from contextlib import nullcontext
+def _run_rank_job(comm, program, payload, epoch, metrics_on):
+    """Run one rank program in this worker via the shared
+    :func:`~repro.comm.backends.run_rank_job`; returns the picklable
+    ``(value, tally, trace events, error text, metrics snapshot)``."""
+    from repro.comm.backends import describe_error, run_rank_job
+    from repro.trace import Tracer
 
-    from repro.metrics.registry import MetricsRegistry, metrics_scope
-    from repro.trace import Tracer, span, tracing
-
-    value, events, error, t = None, [], None, None
-    registry = MetricsRegistry() if metrics_on else None
-    scope = metrics_scope(registry) if registry is not None else nullcontext()
-    try:
-        with tally() as t, scope:
-            if epoch is not None:
-                tracer = Tracer()
-                # perf_counter is CLOCK_MONOTONIC system-wide on Linux, so
-                # rebasing to the parent's epoch puts child spans on the
-                # parent's timeline.
-                tracer.epoch = epoch
-                with tracing(tracer):
-                    with span("rank_program", kind="rank", rank=rank,
-                              stream="compute"):
-                        value = program(comm, payload)
-                events = tracer.events
-            else:
-                value = program(comm, payload)
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        error = "".join(
-            traceback.format_exception_only(type(exc), exc)
-        ).strip()
-    metrics_doc = registry.to_dict() if registry is not None else None
-    return value, t, events, error, metrics_doc
+    tracer = None
+    if epoch is not None:
+        tracer = Tracer()
+        # perf_counter is CLOCK_MONOTONIC system-wide on Linux, so
+        # rebasing to the parent's epoch puts child spans on the
+        # parent's timeline.
+        tracer.epoch = epoch
+    value, t, exc, registry = run_rank_job(
+        program, comm, payload, tracer, metrics_on
+    )
+    return (
+        value,
+        t,
+        tracer.events if tracer is not None else [],
+        None if exc is None else describe_error(exc),
+        registry.to_dict() if registry is not None else None,
+    )
 
 
 def _child_main(program, rank, size, inboxes, payload, epoch, timeout,
@@ -348,10 +339,9 @@ def _child_main(program, rank, size, inboxes, payload, epoch, timeout,
     """Fork-per-call worker entry (the legacy path, kept for rank
     programs that cannot be pickled into the persistent pool)."""
     comm = ShmCommunicator(rank, size, inboxes, timeout=timeout)
-    value, t, events, error, metrics_doc = _run_rank_job(
-        comm, program, rank, payload, epoch, metrics_on
+    results.put(
+        (rank, *_run_rank_job(comm, program, payload, epoch, metrics_on))
     )
-    results.put((rank, value, t, events, error, metrics_doc))
 
 
 def _pool_worker(rank, size, inboxes, jobs, results):
@@ -374,10 +364,10 @@ def _pool_worker(rank, size, inboxes, jobs, results):
             pickle.loads(blob)
         )
         comm.timeout = timeout
-        value, t, events, error, metrics_doc = _run_rank_job(
-            comm, program, rank, payload, epoch, metrics_on
+        results.put(
+            (job_id, rank,
+             *_run_rank_job(comm, program, payload, epoch, metrics_on))
         )
-        results.put((job_id, rank, value, t, events, error, metrics_doc))
 
 
 class _RankPool:

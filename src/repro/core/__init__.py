@@ -3,15 +3,9 @@ mixed-precision GCR solver (GCR-DD), the baseline mixed-precision
 BiCGstab, the two-stage asqtad multi-shift solver, and high-level solve
 entry points."""
 
-from repro.core.gcrdd import DistributedGCRDDSolver, GCRDDConfig, GCRDDSolver
+from repro.core.gcrdd import GCRDDConfig, GCRDDSolver
 from repro.core.spmd import SPMDGCRDDSolver
-from repro.core.api import (
-    SolveRequest,
-    solve,
-    solve_wilson_clover,
-    solve_asqtad,
-    solve_asqtad_multishift,
-)
+from repro.core.api import SolveRequest, solve
 from repro.core.tune import (
     tune_dslash_partitioning,
     tune_precision_policy,
@@ -21,13 +15,9 @@ from repro.core.tune import (
 __all__ = [
     "GCRDDConfig",
     "GCRDDSolver",
-    "DistributedGCRDDSolver",
     "SPMDGCRDDSolver",
     "SolveRequest",
     "solve",
-    "solve_wilson_clover",
-    "solve_asqtad",
-    "solve_asqtad_multishift",
     "tune_dslash_partitioning",
     "tune_wilson_solver",
     "tune_precision_policy",

@@ -7,16 +7,11 @@ right-hand side(s), method, precisions, tolerances) and hand it to
 leading multi-RHS axis, in which case the batched execution path is used
 end-to-end: one stencil application, one reduction, and one halo message
 per neighbor serve all right-hand sides at once.
-
-The old per-operator entry points (``solve_wilson_clover``,
-``solve_asqtad``, ``solve_asqtad_multishift``) remain as thin deprecated
-shims over :func:`solve`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -33,7 +28,7 @@ from repro.kernels import KernelUnavailableError, resolve_kernel
 from repro.lattice.fields import GaugeField
 from repro.metrics.registry import metrics_scope
 from repro.metrics.solve_report import build_solve_report
-from repro.precision import Precision, SINGLE
+from repro.precision import Precision
 from repro.precond import (
     PrecondSettings,
     PrecondUnavailableError,
@@ -117,9 +112,9 @@ class SolveRequest:
         ``"gcr-dd"`` only: run the solve as SPMD rank programs under the
         named execution backend (``"sequential"``, ``"threads"``, or
         ``"processes"`` — see :mod:`repro.comm.backends`) instead of the
-        default global-view driver.  All backends are bit-identical to
-        the global-view solver; ``"processes"`` actually runs the ranks
-        on separate cores.
+        default global-array :class:`GCRDDSolver`.  All backends are
+        bit-identical to one another; ``"processes"`` actually runs the
+        ranks on separate cores.
     overlap:
         SPMD ``"gcr-dd"`` only (requires ``backend``): run the overlapped
         halo schedule — pre-posted receives, interior kernel while faces
@@ -342,13 +337,6 @@ def _resolved(value, default):
     return default if value is None else value
 
 
-def resolved_schedule(schedule: str, overlap: bool) -> str:
-    """Concrete rank-program schedule for a (schedule, overlap) pair."""
-    if schedule == "auto":
-        return "split" if overlap else "fused"
-    return schedule
-
-
 def _rel_residuals(op, x, b, lead: int):
     """Relative true residual(s): a float, or a ``(B,)`` array if batched."""
     r = b - op.apply(x)
@@ -393,8 +381,6 @@ def _solve_wilson(request: SolveRequest):
     method = "bicgstab" if request.method == "auto" else request.method
 
     if method == "gcr-dd":
-        if request.grid is None:
-            raise ValueError("gcr-dd needs a process grid (the Schwarz blocks)")
         cfg = _gcrdd_config(request)
         if request.backend is not None:
             from repro.core.spmd import SPMDGCRDDSolver
@@ -403,25 +389,9 @@ def _solve_wilson(request: SolveRequest):
                 request.gauge, request.mass, request.csw, request.grid,
                 boundary=request.boundary, config=cfg,
                 backend=request.backend, overlap=request.overlap,
-                kernel=request.kernel,
-                schedule=resolved_schedule(request.schedule, request.overlap),
+                kernel=request.kernel, schedule=request.schedule,
             ).solve(b)
-        if request.overlap:
-            raise ValueError(
-                "overlap=True needs an SPMD backend (backend='sequential'/"
-                "'threads'/'processes'); the global-view driver has no "
-                "overlapped schedule"
-            )
         return GCRDDSolver(op, request.grid, cfg).solve(b)
-    if request.backend is not None:
-        raise ValueError("backend= is only meaningful for method='gcr-dd'")
-    if request.overlap:
-        raise ValueError("overlap= is only meaningful for method='gcr-dd'")
-    if method != "bicgstab":
-        raise ValueError(
-            f"unknown method {method!r} for wilson_clover; "
-            "expected bicgstab/gcr-dd"
-        )
 
     tol = _resolved(request.tol, _DEFAULT_TOL)
     maxiter = _resolved(request.maxiter, _DEFAULT_MAXITER)
@@ -472,10 +442,6 @@ def _asqtad_operator(
 
 
 def _solve_asqtad(request: SolveRequest):
-    if request.method not in ("auto", "cg"):
-        raise ValueError(
-            f"unknown method {request.method!r} for asqtad; expected cg"
-        )
     op = _asqtad_operator(
         request.gauge, request.mass, request.boundary, request.u0,
         kernel=request.kernel,
@@ -544,8 +510,6 @@ def _solve_asqtad(request: SolveRequest):
 
 
 def _solve_asqtad_multishift(request: SolveRequest) -> MultishiftRefineResult:
-    if request.shifts is None:
-        raise ValueError("asqtad_multishift needs shifts")
     b = np.asarray(request.rhs)
     op = _asqtad_operator(
         request.gauge, request.mass, request.boundary, request.u0,
@@ -565,16 +529,13 @@ def _solve_asqtad_multishift(request: SolveRequest) -> MultishiftRefineResult:
     )
 
 
-def _dispatch(request: SolveRequest):
-    if request.operator == "wilson_clover":
-        return _solve_wilson(request)
-    if request.operator == "asqtad":
-        return _solve_asqtad(request)
-    if request.operator == "asqtad_multishift":
-        return _solve_asqtad_multishift(request)
-    raise ValueError(
-        f"unknown operator {request.operator!r}; expected one of {_OPERATORS}"
-    )
+#: One solver routine per operator (``validate_request`` has already
+#: rejected anything outside ``_OPERATORS``).
+_DISPATCH = {
+    "wilson_clover": _solve_wilson,
+    "asqtad": _solve_asqtad,
+    "asqtad_multishift": _solve_asqtad_multishift,
+}
 
 
 def solve(
@@ -613,152 +574,9 @@ def solve(
     validate_request(request)
     start = time.perf_counter()
     with tally() as t, metrics_scope() as registry:
-        result = _dispatch(request)
+        result = _DISPATCH[request.operator](request)
     result.report = build_solve_report(
         request, result, t, time.perf_counter() - start, registry
     )
     return result
 
-
-# ----------------------------------------------------------------------
-# Deprecated per-operator shims.
-# ----------------------------------------------------------------------
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; use repro.core.api.solve(SolveRequest(...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def solve_wilson_clover(
-    gauge: GaugeField,
-    b: np.ndarray,
-    mass: float,
-    csw: float = 1.0,
-    method: str = "bicgstab",
-    tol: float | None = 1e-8,
-    maxiter: int | None = 2000,
-    boundary: BoundarySpec = PERIODIC,
-    grid: ProcessGrid | None = None,
-    config: GCRDDConfig | None = None,
-    even_odd: bool = False,
-    inner_precision=None,
-) -> SolverResult:
-    """Deprecated shim: solve ``M_WC x = b`` via :func:`solve`.
-
-    Note: when ``config`` is provided, ``tol``/``maxiter`` arguments left
-    at their defaults no longer clobber the config's values (and the
-    caller's config object is never mutated).
-
-    Args:
-        gauge: Thin-link gauge configuration.
-        b: Right-hand side spinor array (single or leading-batch).
-        mass: Bare quark mass; remaining arguments mirror the
-            :class:`SolveRequest` fields of the same name.
-
-    Returns:
-        The :func:`solve` result for the equivalent request.
-    """
-    _deprecated("solve_wilson_clover")
-    if config is not None:
-        # Legacy callers passing a config own tol/maxiter through it.
-        tol = None if tol == 1e-8 else tol
-        maxiter = None if maxiter == 2000 else maxiter
-    return solve(
-        SolveRequest(
-            operator="wilson_clover",
-            gauge=gauge,
-            rhs=b,
-            mass=mass,
-            csw=csw,
-            method=method,
-            tol=tol,
-            maxiter=maxiter,
-            boundary=boundary,
-            grid=grid,
-            config=config,
-            even_odd=even_odd,
-            inner_precision=inner_precision,
-        )
-    )
-
-
-def solve_asqtad(
-    source: "GaugeField | AsqtadLinks",
-    b: np.ndarray,
-    mass: float,
-    tol: float = 1e-8,
-    maxiter: int = 2000,
-    boundary: BoundarySpec = PERIODIC,
-    u0: float = 1.0,
-    inner_precision=SINGLE,
-) -> SolverResult:
-    """Deprecated shim: solve ``M_IS x = b`` (normal equations) via
-    :func:`solve`.
-
-    Args:
-        source: Thin-link gauge field or prebuilt
-            :class:`~repro.gauge.asqtad.AsqtadLinks`.
-        b: Right-hand side staggered array (single or leading-batch).
-        mass: Bare quark mass; remaining arguments mirror the
-            :class:`SolveRequest` fields of the same name.
-
-    Returns:
-        The :func:`solve` result for the equivalent request.
-    """
-    _deprecated("solve_asqtad")
-    return solve(
-        SolveRequest(
-            operator="asqtad",
-            gauge=source,
-            rhs=b,
-            mass=mass,
-            method="cg",
-            tol=tol,
-            maxiter=maxiter,
-            boundary=boundary,
-            u0=u0,
-            inner_precision=inner_precision,
-        )
-    )
-
-
-def solve_asqtad_multishift(
-    source: "GaugeField | AsqtadLinks",
-    b: np.ndarray,
-    mass: float,
-    shifts: Sequence[float],
-    tol: float = 1e-10,
-    maxiter: int = 2000,
-    boundary: BoundarySpec = PERIODIC,
-    u0: float = 1.0,
-) -> MultishiftRefineResult:
-    """Deprecated shim: multi-shift solve + refinement via :func:`solve`.
-
-    Args:
-        source: Thin-link gauge field or prebuilt
-            :class:`~repro.gauge.asqtad.AsqtadLinks`.
-        b: Right-hand side staggered array (unbatched).
-        mass: Bare quark mass.
-        shifts: The shifted-mass offsets (Eq. 4); remaining arguments
-            mirror the :class:`SolveRequest` fields of the same name.
-
-    Returns:
-        The :class:`~repro.solvers.refine.MultishiftRefineResult`.
-    """
-    _deprecated("solve_asqtad_multishift")
-    return solve(
-        SolveRequest(
-            operator="asqtad_multishift",
-            gauge=source,
-            rhs=b,
-            mass=mass,
-            tol=tol,
-            maxiter=maxiter,
-            boundary=boundary,
-            u0=u0,
-            shifts=list(shifts),
-        )
-    )

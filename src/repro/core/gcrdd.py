@@ -13,7 +13,6 @@ Assembles the pieces the paper combines:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +46,7 @@ class GCRDDConfig:
 
     The preconditioner knobs are the ``precond_*`` fields, resolved
     through the :mod:`repro.precond` registry; ``precond_overlap`` only
-    affects the overlapping entries (``"ras"``, ``"multisplit"``).  The
-    pre-registry spellings ``mr_steps=`` / ``omega=`` are accepted as
-    deprecated constructor aliases of ``precond_steps=`` /
-    ``precond_omega=``.
+    affects the overlapping entries (``"ras"``, ``"multisplit"``).
     """
 
     precond: str = "auto"
@@ -71,51 +67,6 @@ class GCRDDConfig:
             overlap=self.precond_overlap,
             precision=self.policy.preconditioner,
         )
-
-
-# --- deprecation shims -------------------------------------------------
-# The pre-registry constructor kwargs (and attribute reads) map centrally
-# onto the precond_* fields with a DeprecationWarning.  The shims are
-# attached after class creation so the dataclass machinery neither
-# captures the properties as field defaults nor copies the legacy
-# spellings through dataclasses.replace().
-
-_LEGACY_CONFIG_FIELDS = {"mr_steps": "precond_steps", "omega": "precond_omega"}
-
-_dataclass_init = GCRDDConfig.__init__
-
-
-def _config_init(self, *args, **kwargs):
-    for old, new in _LEGACY_CONFIG_FIELDS.items():
-        if old in kwargs:
-            warnings.warn(
-                f"GCRDDConfig({old}=...) is deprecated. use {new}=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if new in kwargs:
-                raise TypeError(
-                    f"GCRDDConfig() got both {old}= and its replacement {new}="
-                )
-            kwargs[new] = kwargs.pop(old)
-    _dataclass_init(self, *args, **kwargs)
-
-
-def _deprecated_alias(old: str, new: str) -> property:
-    def get(self):
-        warnings.warn(
-            f"GCRDDConfig.{old} is deprecated. use {new}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, new)
-
-    return property(get)
-
-
-GCRDDConfig.__init__ = _config_init
-GCRDDConfig.mr_steps = _deprecated_alias("mr_steps", "precond_steps")
-GCRDDConfig.omega = _deprecated_alias("omega", "precond_omega")
 
 
 class GCRDDSolver:
@@ -200,154 +151,3 @@ class GCRDDSolver:
             f"GCRDDSolver({self.op.name}, grid={self.grid.label}, "
             f"blocks={self.partition.n_ranks}, policy={self.config.policy.label()})"
         )
-
-
-class DistributedGCRDDSolver:
-    """GCR-DD executing end-to-end on the virtual cluster.
-
-    Where :class:`GCRDDSolver` emulates the algorithm on global arrays
-    (mathematically identical, convenient for studies), this variant runs
-    the paper's deployment shape literally: fields live as per-rank
-    blocks, the outer matvec is the halo-exchanging
-    :class:`~repro.multigpu.ddop.DistributedOperator`, inner products are
-    genuine global reductions, and the Schwarz preconditioner acts on
-    each rank's own block with *zero* inter-rank data movement — the
-    communication ledger (CommLog) then shows ghost traffic only from the
-    outer Krylov matvecs.
-
-    Currently implemented for Wilson-clover (the paper's GCR-DD target).
-    """
-
-    def __init__(
-        self,
-        gauge,
-        mass: float,
-        csw: float,
-        grid: ProcessGrid,
-        boundary=None,
-        config: GCRDDConfig | None = None,
-        log=None,
-        kernel: str = "auto",
-        schedule: str = "auto",
-        use_split: bool | None = None,
-    ):
-        from repro.dirac.base import PERIODIC
-        from repro.dirac.wilson import WilsonCloverOperator
-        from repro.multigpu.ddop import DistributedOperator
-        from repro.multigpu.rank_op import _resolve_schedule
-        from repro.multigpu.space import DistributedSpace
-
-        boundary = boundary or PERIODIC
-        self.config = config or GCRDDConfig()
-        cfg = self.config
-        # The distributed driver applies the preconditioner rank-locally
-        # (zero inter-rank data movement), so only rank-local entries
-        # resolve here — same constraint as the SPMD rank programs.
-        self.precond_entry = resolve_precond(
-            cfg.precond, operator="wilson", spmd=True
-        )
-        self.precond = self.precond_entry.name
-        self.grid = grid
-        self.dist_op = DistributedOperator.wilson_clover(
-            gauge, mass, csw, grid, boundary=boundary, log=log, kernel=kernel
-        )
-        # The resolved tier name (never "auto").
-        self.kernel = self.dist_op.local_ops[0].kernel
-        # ``schedule="split"`` routes every outer matvec through the
-        # interior/exterior kernel decomposition of Sec. 6.2 — the
-        # execution shape whose gather/comm/interior/exterior spans a
-        # trace (docs/observability.md) is meant to exhibit.
-        self.schedule = _resolve_schedule(
-            "DistributedGCRDDSolver", schedule, False, use_split
-        )
-        self.dist_op.schedule = self.schedule
-        self.partition = self.dist_op.partition
-        self.space = DistributedSpace(self.partition, site_axes=2)
-        # Per-rank Schwarz blocks: the Dirichlet-cut serial operator
-        # restricted to each rank's (unpadded) sub-domain.
-        serial = WilsonCloverOperator(
-            gauge, mass=mass, csw=csw, boundary=boundary, kernel=kernel
-        )
-        self._blocks = [
-            serial.restrict_to_block(self.partition, rank)
-            for rank in range(self.partition.n_ranks)
-        ]
-        self._block_space = ArraySpace(site_axes=2)
-        self._batched_block_space = BatchedArraySpace(site_axes=2)
-
-    # ------------------------------------------------------------------
-    def _precondition(self, xs: list, batched: bool = False) -> list:
-        from repro.precond import schwarz_block_solve
-        from repro.util.counters import record_operator
-
-        record_operator(self.precond_entry.record_name)
-        cfg = self.config
-        block_space = self._batched_block_space if batched else self._block_space
-        # The block solve is the work the paper keeps entirely on one
-        # GPU (Sec. 8.1).  In the batched path one MR sweep relaxes
-        # every RHS's block system simultaneously.
-        return [
-            schwarz_block_solve(
-                block_op,
-                r_loc,
-                steps=cfg.precond_steps,
-                omega=cfg.precond_omega,
-                precision=cfg.policy.preconditioner,
-                space=block_space,
-                batched=batched,
-                rank=rank,
-            )
-            for rank, (block_op, r_loc) in enumerate(zip(self._blocks, xs))
-        ]
-
-    def solve(self, b, x0=None) -> SolverResult | BatchedSolverResult:
-        """Solve M x = b; accepts/returns *global* arrays for convenience
-        (scattered/gathered internally).  A leading multi-RHS axis on
-        ``b`` selects the batched execution path: one halo message per
-        neighbor carries every RHS's faces, and each global reduction
-        carries B scalars."""
-        import numpy as np
-
-        from repro.multigpu.space import BatchedDistributedSpace
-
-        cfg = self.config
-        b = np.asarray(b)
-        batched = self.dist_op._field_lead([b]) == 1
-        space = (
-            BatchedDistributedSpace(
-                self.partition, site_axes=2, mailbox=self.space.mailbox
-            )
-            if batched
-            else self.space
-        )
-        bs = space.scatter(b)
-        x0s = None if x0 is None else space.scatter(np.asarray(x0))
-
-        def inner_op(xs):
-            out = self.dist_op.apply(space.convert(xs, cfg.policy.inner))
-            return space.convert(out, cfg.policy.inner)
-
-        if self.precond == "none":
-            preconditioner = None
-        else:
-            def preconditioner(xs):
-                return self._precondition(xs, batched=batched)
-
-        solver = batched_gcr if batched else gcr
-        result = solver(
-            self.dist_op.apply,
-            bs,
-            x0=x0s,
-            preconditioner=preconditioner,
-            tol=cfg.tol,
-            kmax=cfg.kmax,
-            delta=cfg.delta,
-            maxiter=cfg.maxiter,
-            outer_precision=cfg.policy.outer,
-            inner_precision=cfg.policy.inner,
-            inner_op=inner_op,
-            space=space,
-        )
-        result.x = space.asarray(result.x)
-        result.extras["precond"] = self.precond
-        return result

@@ -1,16 +1,16 @@
 """SPMD GCR-DD: every rank runs the same rank-local solver program.
 
-Where :class:`repro.core.gcrdd.DistributedGCRDDSolver` drives the whole
-virtual cluster from one global-view loop, :class:`SPMDGCRDDSolver` runs
-the paper's actual execution model (Secs. 6-8): each rank executes
+Where :class:`repro.core.gcrdd.GCRDDSolver` emulates the algorithm on
+global arrays, :class:`SPMDGCRDDSolver` runs the paper's actual
+execution model (Secs. 6-8): each rank executes
 :func:`_gcrdd_rank_program` — an unmodified flexible GCR
 (:func:`repro.solvers.gcr.gcr`) over a rank-local vector space, a
 rank-local halo-exchanging operator, and a rank-local Schwarz block
 preconditioner — and the only inter-rank interactions are the halo
 point-to-points and the allreduce behind every inner product.  Because
 the allreduce returns the identical, rank-order-folded scalar to every
-rank, all ranks take the same branches and the iteration is bit-identical
-to the global-view solver.
+rank, all ranks take the same branches and the iteration is
+bit-reproducible.
 
 The ``backend`` argument selects how the rank programs execute
 (:mod:`repro.comm.backends`): ``sequential`` (deterministic round-robin,
@@ -75,9 +75,8 @@ class _RankTask:
 
 
 def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
-    """One rank's entire GCR-DD solve (mirrors
-    :meth:`repro.core.gcrdd.DistributedGCRDDSolver.solve` step for step —
-    the bit-parity tests depend on the exact operation sequence)."""
+    """One rank's entire GCR-DD solve (the bit-parity tests depend on
+    the exact operation sequence)."""
     from repro.precond import schwarz_block_solve
     from repro.util.counters import record_operator
 
@@ -117,7 +116,7 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
     else:
         def preconditioner(r_loc):
             # The single collective preconditioner event is charged to
-            # rank 0 (merged tallies then match the global-view count).
+            # rank 0 (merged tallies then count one event per apply).
             if comm.rank == 0:
                 record_operator(task.precond_record)
             # The block solve is the work the paper keeps entirely on one
@@ -169,11 +168,14 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
 class SPMDGCRDDSolver:
     """GCR-DD executed as per-rank SPMD programs over a pluggable backend.
 
-    Parameters mirror :class:`repro.core.gcrdd.DistributedGCRDDSolver`,
-    plus ``backend`` (``sequential`` / ``threads`` / ``processes``),
-    ``operator`` (``wilson_clover`` or ``staggered``; staggered ignores
-    ``csw``), and ``timeout`` (seconds a blocked receive may wait under
-    the concurrent backends before raising the deadlock diagnostic).
+    Takes the gauge field and operator parameters rather than a built
+    operator (each rank builds its own local stencil), the process
+    ``grid`` and :class:`GCRDDConfig`, plus ``backend`` (``sequential``
+    / ``threads`` / ``processes``), ``operator`` (``wilson_clover`` or
+    ``staggered``; staggered ignores ``csw``), ``kernel``/``schedule``/
+    ``overlap`` for the rank stencils, and ``timeout`` (seconds a
+    blocked receive may wait under the concurrent backends before
+    raising the deadlock diagnostic).
     """
 
     def __init__(
@@ -190,7 +192,6 @@ class SPMDGCRDDSolver:
         schedule: str = "auto",
         overlap: bool = False,
         timeout: float | None = 60.0,
-        use_split: bool | None = None,
     ):
         from repro.dirac.clover import build_clover_field
         from repro.dirac.staggered import NaiveStaggeredOperator
@@ -214,9 +215,7 @@ class SPMDGCRDDSolver:
             spmd=True,
         )
         self.precond = self.precond_entry.name
-        self.schedule = _resolve_schedule(
-            "SPMDGCRDDSolver", schedule, bool(overlap), use_split
-        )
+        self.schedule = _resolve_schedule(schedule, bool(overlap))
         self.overlap = bool(overlap)
         self.timeout = timeout
         self.boundary = boundary or PERIODIC
@@ -227,8 +226,8 @@ class SPMDGCRDDSolver:
 
         # Parent-built shared pieces.  The gauge field is scattered here;
         # its ghost exchange is part of each rank's program.  The Schwarz
-        # blocks are the same Dirichlet-cut operators the global-view
-        # solver builds — bit-parity requires identical block systems.
+        # blocks are the same Dirichlet-cut operators GCRDDSolver's
+        # preconditioner builds.
         self._gauge_blocks = self.partition.split(gauge.data, lead=1)
         if operator == "wilson_clover":
             serial = WilsonCloverOperator(

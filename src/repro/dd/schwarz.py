@@ -23,10 +23,9 @@ import numpy as np
 from repro.dirac.base import LatticeOperator
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
-from repro.solvers.mr import mr
-from repro.solvers.multirhs import batched_mr
+from repro.precond.rank_local import schwarz_block_solve
 from repro.solvers.space import ArraySpace, BatchedArraySpace
-from repro.util.counters import domain_local, record_operator
+from repro.util.counters import record_operator
 
 
 class AdditiveSchwarzPreconditioner:
@@ -70,16 +69,6 @@ class AdditiveSchwarzPreconditioner:
         self._space = ArraySpace(site_axes=2 if op.nspin == 4 else 1)
         self._bspace = BatchedArraySpace(site_axes=2 if op.nspin == 4 else 1)
 
-    def _block_apply(self, block_op: LatticeOperator, space):
-        prec = self.precision
-        if prec is None:
-            return block_op.apply
-
-        def apply(v):
-            return space.convert(block_op.apply(space.convert(v, prec)), prec)
-
-        return apply
-
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Approximately solve ``M z = r`` block-by-block; returns z.
 
@@ -91,23 +80,19 @@ class AdditiveSchwarzPreconditioner:
         lead = r.ndim - (6 if self.op.nspin == 4 else 5)
         if lead not in (0, 1):
             raise ValueError(f"unexpected residual rank {r.ndim}")
-        space = self._bspace if lead else self._space
-        solver = batched_mr if lead else mr
         z = np.zeros_like(r)
         for rank, block_op in enumerate(self.block_ops):
             sl = (slice(None),) * lead + self.partition.slices(rank)
-            r_loc = np.ascontiguousarray(r[sl])
-            if self.precision is not None:
-                r_loc = space.convert(r_loc, self.precision)
-            with domain_local():
-                result = solver(
-                    self._block_apply(block_op, space),
-                    r_loc,
-                    steps=self.mr_steps,
-                    omega=self.omega,
-                    space=space,
-                )
-            z[sl] = result.x
+            z[sl] = schwarz_block_solve(
+                block_op,
+                np.ascontiguousarray(r[sl]),
+                steps=self.mr_steps,
+                omega=self.omega,
+                precision=self.precision,
+                space=self._bspace if lead else self._space,
+                batched=bool(lead),
+                rank=rank,
+            )
         return z
 
     @property

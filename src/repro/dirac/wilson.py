@@ -22,7 +22,7 @@ Dslash execution is delegated to a pluggable kernel backend
   per operator, not per application.
 * ``"numpy_ref"`` — the seed's full 4-spin formulation, kept verbatim as
   the numerical baseline the equivalence tests and the hot-path
-  regression benchmark compare against (the old ``use_projection=False``).
+  regression benchmark compare against.
 * ``"numba"`` — opt-in compiled site loops, when numba is installed.
 
 All tiers agree to rounding (they evaluate the same exact contraction
@@ -30,8 +30,6 @@ in a different association order).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -103,9 +101,6 @@ class WilsonCloverOperator(LatticeOperator):
     kernel:
         Kernel backend name for the dslash (``"auto"`` resolves through
         :func:`repro.kernels.resolve_kernel`; see :mod:`repro.kernels`).
-    use_projection:
-        Deprecated — use ``kernel="numpy"`` (True) / ``kernel="numpy_ref"``
-        (False).
     """
 
     nspin = 4
@@ -118,7 +113,6 @@ class WilsonCloverOperator(LatticeOperator):
         boundary: BoundarySpec = PERIODIC,
         clover: np.ndarray | None = None,
         kernel: str = "auto",
-        use_projection: bool | None = None,
         _link_cache: "tuple[np.ndarray, np.ndarray] | None" = None,
     ):
         super().__init__(gauge.geometry)
@@ -126,16 +120,6 @@ class WilsonCloverOperator(LatticeOperator):
         self.mass = float(mass)
         self.csw = float(csw)
         self.boundary = boundary
-        if use_projection is not None:
-            warnings.warn(
-                "WilsonCloverOperator(use_projection=...) is deprecated. "
-                "use kernel='numpy' (use_projection=True) or "
-                "kernel='numpy_ref' (use_projection=False)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if kernel == "auto":
-                kernel = "numpy" if use_projection else "numpy_ref"
         self._backend = resolve_kernel(kernel, operator="wilson")
         self.kernel = self._backend.name
         if csw != 0.0 and clover is None:
@@ -279,17 +263,6 @@ class WilsonCloverOperator(LatticeOperator):
     def _dslash(self, x: np.ndarray) -> np.ndarray:
         with timed("wilson_dslash", kind="dslash"):
             return self._backend.wilson_dslash(self, x)
-
-    @property
-    def use_projection(self) -> bool:
-        """Deprecated alias for ``kernel != "numpy_ref"``."""
-        warnings.warn(
-            "WilsonCloverOperator.use_projection is deprecated. "
-            "use kernel= (the .kernel attribute holds the resolved name)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.kernel != "numpy_ref"
 
     def _dslash_projected(self, x: np.ndarray) -> np.ndarray:
         """Spin-projected dslash: 8 half-spinor hops.

@@ -10,7 +10,7 @@ Two backends wrap the two in-tree NumPy dslash paths:
   ``kernel="auto"`` solves are bitwise identical to this path.
 * ``"numpy_ref"`` — the seed's full-4-spin Wilson formulation, kept as
   the slow cross-check the fast path itself is equivalence-tested
-  against (it subsumes the old ``use_projection=False`` knob).
+  against.
 """
 
 from __future__ import annotations

@@ -1,162 +1,36 @@
-"""Kernel-backend registry and resolver.
+"""Kernel-backend registry: one :class:`~repro.util.registry.Registry`.
 
-One global registry maps backend names to :class:`KernelBackend`
-instances.  Operators and the request validators resolve through
-:func:`resolve_kernel`:
-
-* ``"auto"`` picks the highest-priority *available* backend that
-  supports the requested operator family (NumPy registers at priority 0
-  and always supports everything, so ``"auto"`` degrades to the
-  bit-reference when nothing faster is installed);
-* a concrete name must exist, be available, and support the family —
-  otherwise :class:`~repro.kernels.base.KernelUnavailableError` is
-  raised carrying the names that *would* work, so field-named
-  validation errors can list actionable choices.
-
-:func:`capability_matrix` derives the ``python -m repro kernels`` table
-from the same registry the resolver reads, so the printed matrix cannot
-drift from what resolution actually does.
+Operators and the request validators resolve ``kernel=`` values through
+:func:`resolve_kernel`.  NumPy registers at priority 0 and serves every
+family, so ``"auto"`` degrades to the bit-reference when nothing faster
+is installed; :func:`capability_matrix` is the data behind
+``python -m repro kernels``.
 """
 
 from __future__ import annotations
 
-from repro.kernels.base import KernelBackend, KernelUnavailableError
+from repro.kernels.base import KernelUnavailableError
+from repro.util.registry import AUTO, Registry
 
-_REGISTRY: dict[str, KernelBackend] = {}
+KERNELS = Registry(
+    noun="kernel", title="kernel backend", item="backend",
+    error=KernelUnavailableError,
+)
 
-#: The resolver wildcard; always a valid ``kernel=`` value.
-AUTO = "auto"
-
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Register (or replace) a backend under ``backend.name``."""
-    if not backend.name or backend.name == AUTO:
-        raise ValueError(f"invalid backend name {backend.name!r}")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> KernelBackend:
-    """The registered backend, available or not (KeyError when absent)."""
-    return _REGISTRY[name]
-
-
-def backend_names() -> tuple[str, ...]:
-    """All registered backend names, resolution order (priority desc)."""
-    return tuple(
-        b.name
-        for b in sorted(
-            _REGISTRY.values(), key=lambda b: (-b.priority, b.name)
-        )
-    )
-
-
-def available_backends(operator: str | None = None) -> tuple[str, ...]:
-    """Names of available backends (optionally for one family), in
-    resolution order."""
-    return tuple(
-        name
-        for name in backend_names()
-        if _REGISTRY[name].available and _REGISTRY[name].supports(operator)
-    )
-
-
-def kernel_choices() -> tuple[str, ...]:
-    """Valid ``kernel=`` values: ``"auto"`` plus every registered name
-    (including unavailable ones — selecting those fails with a reason)."""
-    return (AUTO,) + backend_names()
-
-
-def resolve_kernel(
-    name: str = AUTO, operator: str | None = None
-) -> KernelBackend:
-    """Resolve a ``kernel=`` value to a live backend.
-
-    Args:
-        name: ``"auto"`` or a registered backend name.
-        operator: Operator family the kernels must serve (``"wilson"``
-            or ``"staggered"``); ``None`` skips the family check.
-
-    Returns:
-        The resolved :class:`KernelBackend` (always available).
-
-    Raises:
-        KernelUnavailableError: Unknown name, unavailable backend, or a
-            backend that does not serve ``operator``.  The error's
-            ``choices`` lists the values that would have worked.
-    """
-    usable = (AUTO,) + available_backends(operator)
-    if name == AUTO:
-        for candidate in backend_names():
-            backend = _REGISTRY[candidate]
-            if backend.available and backend.supports(operator):
-                return backend
-        raise KernelUnavailableError(
-            f"no available kernel backend supports operator {operator!r}",
-            choices=usable,
-        )
-    if name not in _REGISTRY:
-        raise KernelUnavailableError(
-            f"unknown kernel {name!r}", choices=usable
-        )
-    backend = _REGISTRY[name]
-    if not backend.available:
-        raise KernelUnavailableError(
-            f"kernel {name!r} is not available on this host "
-            f"({backend.unavailable_reason})",
-            choices=usable,
-        )
-    if not backend.supports(operator):
-        raise KernelUnavailableError(
-            f"kernel {name!r} does not support operator {operator!r}",
-            choices=usable,
-        )
-    return backend
+register_backend = KERNELS.register
+get_backend = KERNELS.get
+backend_names = KERNELS.names
+available_backends = KERNELS.available
+kernel_choices = KERNELS.choices
+resolve_kernel = KERNELS.resolve
+availability_note = KERNELS.availability_note
 
 
 def capability_matrix() -> list[dict]:
-    """One row per registered backend, resolution order — the data
-    behind ``python -m repro kernels`` (and therefore drift-proof)."""
-    rows = []
-    for name in backend_names():
-        b = _REGISTRY[name]
-        rows.append(
-            {
-                "name": b.name,
-                "priority": b.priority,
-                "available": b.available,
-                "unavailable_reason": b.unavailable_reason,
-                "operators": list(b.capabilities.operators),
-                "batched": b.capabilities.batched,
-                "split": b.capabilities.split,
-                "dtypes": list(b.capabilities.dtypes),
-                "fused_batched_apply": b.fuses_batched_wilson_apply,
-            }
-        )
+    """The registry's matrix plus each backend's fused-batched-apply flag."""
+    rows = KERNELS.capability_matrix()
+    for row in rows:
+        row["fused_batched_apply"] = get_backend(
+            row["name"]
+        ).fuses_batched_wilson_apply
     return rows
-
-
-def availability_note() -> str:
-    """One line summarizing backend availability (``--help`` epilog)."""
-    parts = []
-    for name in backend_names():
-        b = _REGISTRY[name]
-        parts.append(
-            name if b.available else f"{name} (unavailable: "
-            f"{b.unavailable_reason})"
-        )
-    return "kernel backends: " + ", ".join(parts)
-
-
-__all__ = [
-    "AUTO",
-    "KernelUnavailableError",
-    "availability_note",
-    "available_backends",
-    "backend_names",
-    "capability_matrix",
-    "get_backend",
-    "kernel_choices",
-    "register_backend",
-    "resolve_kernel",
-]

@@ -26,8 +26,6 @@ beginning of a solve".
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.comm.grid import ProcessGrid
@@ -42,7 +40,7 @@ from repro.lattice.fields import GaugeField
 from repro.multigpu.halo import HaloExchanger
 from repro.multigpu.layout import local_boundary as _local_boundary
 from repro.multigpu.partition import BlockPartition
-from repro.multigpu.rank_op import _warn_use_split, fused_apply, split_apply
+from repro.multigpu.rank_op import fused_apply, split_apply
 from repro.util.counters import record, record_operator
 
 
@@ -72,17 +70,6 @@ class DistributedOperator:
         # of the fused single-stencil path.  Both agree to rounding.
         self.schedule = "fused"
 
-    @property
-    def use_split(self) -> bool:
-        """Deprecated alias for ``schedule == "split"``."""
-        _warn_use_split("DistributedOperator")
-        return self.schedule == "split"
-
-    @use_split.setter
-    def use_split(self, value: bool) -> None:
-        _warn_use_split("DistributedOperator")
-        self.schedule = "split" if value else "fused"
-
     # ------------------------------------------------------------------
     # constructors for each discretization
     # ------------------------------------------------------------------
@@ -98,18 +85,7 @@ class DistributedOperator:
         log: CommLog | None = None,
         halo_precision=None,
         kernel: str = "auto",
-        use_projection: bool | None = None,
     ) -> "DistributedOperator":
-        if use_projection is not None:
-            warnings.warn(
-                "DistributedOperator.wilson_clover(use_projection=...) is "
-                "deprecated. use kernel='numpy' (use_projection=True) or "
-                "kernel='numpy_ref' (use_projection=False)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if kernel == "auto":
-                kernel = "numpy" if use_projection else "numpy_ref"
         partition = BlockPartition(gauge.geometry, grid)
         exchanger = HaloExchanger(
             partition, depth=1, boundary=boundary, mailbox=mailbox, log=log,

@@ -30,8 +30,6 @@ parent builds it globally and passes each rank its (unpadded) block.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.dirac.base import BoundarySpec, LatticeOperator, PERIODIC
@@ -124,24 +122,8 @@ def split_apply_overlapped(
 # ----------------------------------------------------------------------
 # the SPMD rank operator
 # ----------------------------------------------------------------------
-def _warn_use_split(owner: str) -> None:
-    warnings.warn(
-        f"{owner}(use_split=...) is deprecated. use schedule='split' "
-        "(use_split=True) or schedule='fused' (use_split=False)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _resolve_schedule(
-    owner: str, schedule: str, overlap: bool, use_split: bool | None
-) -> str:
-    """Fold the deprecated ``use_split`` flag and ``overlap`` into a
-    concrete ``"fused"``/``"split"`` schedule."""
-    if use_split is not None:
-        _warn_use_split(owner)
-        if schedule == "auto":
-            schedule = "split" if use_split else "auto"
+def _resolve_schedule(schedule: str, overlap: bool) -> str:
+    """Fold ``overlap`` into a concrete ``"fused"``/``"split"`` schedule."""
     if schedule == "auto":
         # Overlapping halo comm with the interior kernel requires the
         # split interior/exterior path.
@@ -171,25 +153,16 @@ class RankOperator:
         nspin: int,
         schedule: str = "auto",
         overlap: bool = False,
-        use_split: bool | None = None,
     ):
         self.engine = engine
         self.local_op = local_op
         self.name = name
         self.flops_per_site = flops_per_site
         self.nspin = nspin
-        self.schedule = _resolve_schedule(
-            "RankOperator", schedule, overlap, use_split
-        )
+        self.schedule = _resolve_schedule(schedule, overlap)
         self.overlap = overlap
         self.rank = engine.rank
         self.local_volume = engine.layout.partition.local_volume
-
-    @property
-    def use_split(self) -> bool:
-        """Deprecated alias for ``schedule == "split"``."""
-        _warn_use_split("RankOperator")
-        return self.schedule == "split"
 
     def _field_lead(self, x: np.ndarray) -> int:
         expected = 4 + (2 if self.nspin == 4 else 1)
@@ -247,7 +220,6 @@ def rank_wilson_clover(
     kernel: str = "auto",
     schedule: str = "auto",
     overlap: bool = False,
-    use_split: bool | None = None,
 ) -> RankOperator:
     """Build this rank's Wilson-clover endpoint from its (unpadded) local
     gauge block; ``clover_block`` is the rank's slice of the *globally
@@ -276,7 +248,7 @@ def rank_wilson_clover(
     )
     return RankOperator(
         engine, local_op, local_op.name, local_op.flops_per_site, 4,
-        schedule=schedule, overlap=overlap, use_split=use_split,
+        schedule=schedule, overlap=overlap,
     )
 
 
@@ -288,7 +260,6 @@ def rank_naive_staggered(
     kernel: str = "auto",
     schedule: str = "auto",
     overlap: bool = False,
-    use_split: bool | None = None,
 ) -> RankOperator:
     """Build this rank's naive-staggered endpoint from its (unpadded)
     local gauge block; the padded origin keeps the Kogut-Susskind phases
@@ -305,7 +276,7 @@ def rank_naive_staggered(
     )
     return RankOperator(
         engine, local_op, local_op.name, local_op.flops_per_site, 1,
-        schedule=schedule, overlap=overlap, use_split=use_split,
+        schedule=schedule, overlap=overlap,
     )
 
 

@@ -9,10 +9,10 @@ throttles traditional Krylov methods at scale, Sec. 3.2).
 Because the allreduce folds contributions in fixed rank order and
 returns the identical scalar to every rank, a Krylov solver written
 against this space executes the *same* control flow on every rank — and
-bit-identically to the global-view solver run over
-``DistributedSpace``.  To keep the merged per-rank tallies equal to the
-global-view tallies, the recording here mirrors ``DistributedSpace``
-exactly (raw ``np.vdot`` partials plus explicit ``record`` — NOT the
+bit-identically to the same solver (e.g. :func:`repro.solvers.gcr.gcr`)
+run global-view over ``DistributedSpace``.  To keep the merged per-rank
+tallies equal to the global-view tallies, the recording here mirrors
+``DistributedSpace`` exactly (raw ``np.vdot`` partials plus explicit ``record`` — NOT the
 :mod:`repro.linalg.blas` reduction helpers, which would charge an extra
 ``reductions=1`` on top of the communicator's collective accounting).
 """

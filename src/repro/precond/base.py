@@ -63,7 +63,7 @@ class PrecondCapabilities:
     spmd:
         Can be applied *rank-locally*: each rank preconditions its own
         block with zero inter-rank data movement, so the SPMD rank
-        programs (and the distributed global-view driver) can host it.
+        programs can host it.
         Overlapping-domain entries need neighbor data to assemble their
         extended residuals and therefore declare ``False``.
     overlapping:

@@ -1,19 +1,19 @@
 """The rank-local Schwarz block solve shared by every GCR-DD driver.
 
-Both execution shapes of the distributed solver — the global-view
-:class:`~repro.core.gcrdd.DistributedGCRDDSolver` loop and the per-rank
-SPMD programs of :mod:`repro.core.spmd` — precondition by solving each
-rank's own Dirichlet-cut block with a fixed number of MR steps in the
-policy's preconditioner precision (Sec. 8.1: the work the paper keeps
-entirely on one GPU, zero comm spans inside).  Before the
-:mod:`repro.precond` registry existed each driver carried its own copy
-of this loop; this module is the single implementation both call.
+Both GCR-DD drivers — the global-array
+:class:`~repro.core.gcrdd.GCRDDSolver` (through
+:class:`~repro.dd.schwarz.AdditiveSchwarzPreconditioner`, one call per
+block) and the per-rank SPMD programs of :mod:`repro.core.spmd` —
+precondition by solving each rank's own Dirichlet-cut block with a fixed
+number of MR steps in the policy's preconditioner precision (Sec. 8.1:
+the work the paper keeps entirely on one GPU, zero comm spans inside).
+This module is the single implementation both call.
 
-Bit-parity contract: the backend-parity tests assert the SPMD backends
-reproduce the global-view solver bit for bit, so the exact operation
-order here — precision conversion of the residual first, then the
-wrapped block operator converting around every application, the MR
-recurrence under ``domain_local()`` — must not change.
+Bit-parity contract: the backend-parity tests and the benchmark's exact
+counts pin the operation order here — precision conversion of the
+residual first, then the wrapped block operator converting around every
+application, the MR recurrence under ``domain_local()`` — so it must not
+change.
 """
 
 from __future__ import annotations

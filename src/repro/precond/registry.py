@@ -1,185 +1,36 @@
-"""Preconditioner registry and resolver — one source of truth.
+"""Preconditioner registry: one :class:`~repro.util.registry.Registry`.
 
-One global registry maps entry names to :class:`PrecondEntry`
-instances, exactly as :mod:`repro.kernels.registry` does for dslash
-backends.  The solvers and request validators resolve through
-:func:`resolve_precond`:
-
-* ``"auto"`` picks the highest-priority *available* entry that supports
-  the requested operator family (and, when ``spmd=True`` is demanded,
-  rank-local application) — additive Schwarz registers at the top
-  priority, so ``"auto"`` reproduces the paper's GCR-DD preconditioner
-  bit for bit;
-* a concrete name must exist, be available, and support the request —
-  otherwise :class:`~repro.precond.base.PrecondUnavailableError` is
-  raised carrying the names that *would* work, so field-named
-  validation errors can list actionable choices.
-
-:func:`capability_matrix` derives the ``python -m repro precond`` table
-from the same registry the resolver reads, so the printed matrix cannot
-drift from what resolution actually does.
+The solvers and request validators resolve ``precond=`` values through
+:func:`resolve_precond`.  Additive Schwarz registers at the top
+priority, so ``"auto"`` reproduces the paper's GCR-DD preconditioner bit
+for bit.  ``spmd=True`` demands rank-local application: the SPMD rank
+programs precondition each rank's own block with zero inter-rank data
+movement, which overlapping entries cannot do.  :func:`capability_matrix`
+is the data behind ``python -m repro precond``.
 """
 
 from __future__ import annotations
 
-from repro.precond.base import PrecondEntry, PrecondUnavailableError
+from repro.precond.base import PrecondUnavailableError
+from repro.util.registry import AUTO, Registry
 
-_REGISTRY: dict[str, PrecondEntry] = {}
+PRECONDS = Registry(
+    noun="preconditioner", title="preconditioner", item="precond entry",
+    error=PrecondUnavailableError,
+    requirements={
+        "spmd": (
+            " rank-locally (SPMD)",
+            "cannot be applied rank-locally: its domains need neighbor "
+            "data the SPMD blocks do not hold",
+        ),
+    },
+)
 
-#: The resolver wildcard; always a valid ``precond=`` value.
-AUTO = "auto"
-
-
-def register_precond(entry: PrecondEntry) -> PrecondEntry:
-    """Register (or replace) an entry under ``entry.name``."""
-    if not entry.name or entry.name == AUTO:
-        raise ValueError(f"invalid precond entry name {entry.name!r}")
-    _REGISTRY[entry.name] = entry
-    return entry
-
-
-def get_precond(name: str) -> PrecondEntry:
-    """The registered entry, available or not (KeyError when absent)."""
-    return _REGISTRY[name]
-
-
-def precond_names() -> tuple[str, ...]:
-    """All registered entry names, resolution order (priority desc)."""
-    return tuple(
-        e.name
-        for e in sorted(
-            _REGISTRY.values(), key=lambda e: (-e.priority, e.name)
-        )
-    )
-
-
-def available_preconds(
-    operator: str | None = None, spmd: bool = False
-) -> tuple[str, ...]:
-    """Names of available entries (optionally for one family and/or
-    rank-local application), in resolution order."""
-    return tuple(
-        name
-        for name in precond_names()
-        if _REGISTRY[name].available
-        and _REGISTRY[name].supports(operator)
-        and (not spmd or _REGISTRY[name].capabilities.spmd)
-    )
-
-
-def precond_choices() -> tuple[str, ...]:
-    """Valid ``precond=`` values: ``"auto"`` plus every registered name
-    (including unavailable ones — selecting those fails with a reason)."""
-    return (AUTO,) + precond_names()
-
-
-def resolve_precond(
-    name: str = AUTO, operator: str | None = None, spmd: bool = False
-) -> PrecondEntry:
-    """Resolve a ``precond=`` value to a live entry.
-
-    Args:
-        name: ``"auto"`` or a registered entry name.
-        operator: Operator family the preconditioner must serve
-            (``"wilson"`` or ``"staggered"``); ``None`` skips the
-            family check.
-        spmd: Require rank-local application (the SPMD rank programs
-            and the distributed driver apply the preconditioner on each
-            rank's own block with zero inter-rank data movement;
-            overlapping entries cannot).
-
-    Returns:
-        The resolved :class:`PrecondEntry` (always available).
-
-    Raises:
-        PrecondUnavailableError: Unknown name, unavailable entry, or an
-            entry that does not serve the request.  The error's
-            ``choices`` lists the values that would have worked.
-    """
-    usable = (AUTO,) + available_preconds(operator, spmd=spmd)
-    if name == AUTO:
-        for candidate in precond_names():
-            entry = _REGISTRY[candidate]
-            if (
-                entry.available
-                and entry.supports(operator)
-                and (not spmd or entry.capabilities.spmd)
-            ):
-                return entry
-        raise PrecondUnavailableError(
-            f"no available preconditioner supports operator {operator!r}"
-            + (" rank-locally (SPMD)" if spmd else ""),
-            choices=usable,
-        )
-    if name not in _REGISTRY:
-        raise PrecondUnavailableError(
-            f"unknown preconditioner {name!r}", choices=usable
-        )
-    entry = _REGISTRY[name]
-    if not entry.available:
-        raise PrecondUnavailableError(
-            f"preconditioner {name!r} is not available on this host "
-            f"({entry.unavailable_reason})",
-            choices=usable,
-        )
-    if not entry.supports(operator):
-        raise PrecondUnavailableError(
-            f"preconditioner {name!r} does not support operator "
-            f"{operator!r}",
-            choices=usable,
-        )
-    if spmd and not entry.capabilities.spmd:
-        raise PrecondUnavailableError(
-            f"preconditioner {name!r} cannot be applied rank-locally: "
-            "its domains need neighbor data the SPMD blocks do not hold",
-            choices=usable,
-        )
-    return entry
-
-
-def capability_matrix() -> list[dict]:
-    """One row per registered entry, resolution order — the data behind
-    ``python -m repro precond`` (and therefore drift-proof)."""
-    rows = []
-    for name in precond_names():
-        e = _REGISTRY[name]
-        rows.append(
-            {
-                "name": e.name,
-                "priority": e.priority,
-                "available": e.available,
-                "unavailable_reason": e.unavailable_reason,
-                "operators": list(e.capabilities.operators),
-                "batched": e.capabilities.batched,
-                "spmd": e.capabilities.spmd,
-                "overlapping": e.capabilities.overlapping,
-                "dtypes": list(e.capabilities.dtypes),
-            }
-        )
-    return rows
-
-
-def availability_note() -> str:
-    """One line summarizing entry availability (``--help`` epilog)."""
-    parts = []
-    for name in precond_names():
-        e = _REGISTRY[name]
-        parts.append(
-            name if e.available else f"{name} (unavailable: "
-            f"{e.unavailable_reason})"
-        )
-    return "preconditioners: " + ", ".join(parts)
-
-
-__all__ = [
-    "AUTO",
-    "PrecondUnavailableError",
-    "availability_note",
-    "available_preconds",
-    "capability_matrix",
-    "get_precond",
-    "precond_choices",
-    "precond_names",
-    "register_precond",
-    "resolve_precond",
-]
+register_precond = PRECONDS.register
+get_precond = PRECONDS.get
+precond_names = PRECONDS.names
+available_preconds = PRECONDS.available
+precond_choices = PRECONDS.choices
+resolve_precond = PRECONDS.resolve
+capability_matrix = PRECONDS.capability_matrix
+availability_note = PRECONDS.availability_note

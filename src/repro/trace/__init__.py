@@ -5,11 +5,13 @@ bytes, reductions, kernel seconds.  This package answers *when*: it records
 spans (rank/stream/kind-tagged intervals) from the instrumented hot paths —
 
 * halo gather/pack, per-dimension send/recv, scatter
-  (:class:`repro.multigpu.halo.HaloExchanger`, Secs. 6.1/6.3),
+  (:class:`repro.multigpu.rank_halo.RankHaloEngine` and the global-view
+  :class:`repro.multigpu.halo.HaloExchanger`, Secs. 6.1/6.3),
 * interior and exterior dslash kernels
-  (:meth:`repro.multigpu.ddop.DistributedOperator.apply_split`, Sec. 6.2),
+  (:func:`repro.multigpu.rank_op.split_apply`, Sec. 6.2),
 * the GCR-DD outer/inner solver phases (:mod:`repro.solvers.gcr`,
-  :mod:`repro.core.gcrdd`, Sec. 8.1 / Algorithm 1),
+  :mod:`repro.core.spmd`, :func:`repro.precond.schwarz_block_solve`,
+  Sec. 8.1 / Algorithm 1),
 * BLAS global reductions (:mod:`repro.linalg.blas`, Sec. 3.2),
 
 — and exports them as Chrome/Perfetto ``trace_event`` JSON together with

@@ -15,8 +15,6 @@ from repro.comm.backends import (
 from repro.comm.communicator import reduce_in_rank_order
 from repro.util.counters import tally
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 backend_param = pytest.mark.parametrize(
     "backend",
     [

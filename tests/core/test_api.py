@@ -1,20 +1,12 @@
-"""High-level solve entry points (the deprecated per-operator shims).
-
-These tests exercise the legacy ``solve_wilson_clover`` /
-``solve_asqtad`` / ``solve_asqtad_multishift`` wrappers, so the
-deprecation warning that is an error everywhere else is silenced here.
-The facade itself is covered in test_solve_facade.py.
-"""
+"""Single-RHS behaviour of ``solve(SolveRequest)`` per operator: even-odd,
+mixed precision, gcr-dd, prebuilt links, multishift, config handling
+(the batched paths are covered in test_solve_facade.py)."""
 
 import numpy as np
 import pytest
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated. use repro.core.api.solve.*:DeprecationWarning"
-)
-
 from repro.comm import ProcessGrid
-from repro.core import solve_asqtad, solve_asqtad_multishift, solve_wilson_clover
+from repro.core import SolveRequest, solve
 from repro.dirac import AsqtadOperator, StaggeredNormalOperator, WilsonCloverOperator
 from repro.gauge.asqtad import build_asqtad_links
 from repro.lattice import GaugeField, Geometry, SpinorField
@@ -37,10 +29,18 @@ def staggered_setup():
     return geom, gauge, b
 
 
+def run(operator, gauge, b, **kw):
+    return solve(SolveRequest(operator=operator, gauge=gauge, rhs=b, **kw))
+
+
+def solve_wilson(gauge, b, **kw):
+    return run("wilson_clover", gauge, b, **kw)
+
+
 class TestWilsonCloverAPI:
     def test_bicgstab_default(self, wilson_setup):
         geom, gauge, b = wilson_setup
-        res = solve_wilson_clover(gauge, b, mass=0.2, csw=1.0, tol=1e-8)
+        res = solve_wilson(gauge, b, mass=0.2, csw=1.0, tol=1e-8)
         assert res.converged
         op = WilsonCloverOperator(gauge, mass=0.2, csw=1.0)
         r = b - op.apply(res.x)
@@ -48,7 +48,7 @@ class TestWilsonCloverAPI:
 
     def test_even_odd_path(self, wilson_setup):
         geom, gauge, b = wilson_setup
-        res = solve_wilson_clover(
+        res = solve_wilson(
             gauge, b, mass=0.2, csw=1.0, tol=1e-8, even_odd=True
         )
         assert res.converged
@@ -56,15 +56,15 @@ class TestWilsonCloverAPI:
 
     def test_even_odd_matches_full(self, wilson_setup):
         geom, gauge, b = wilson_setup
-        full = solve_wilson_clover(gauge, b, mass=0.2, csw=1.0, tol=1e-10)
-        eo = solve_wilson_clover(
+        full = solve_wilson(gauge, b, mass=0.2, csw=1.0, tol=1e-10)
+        eo = solve_wilson(
             gauge, b, mass=0.2, csw=1.0, tol=1e-10, even_odd=True
         )
         assert np.linalg.norm(full.x - eo.x) / np.linalg.norm(full.x) < 1e-7
 
     def test_mixed_precision_bicgstab(self, wilson_setup):
         geom, gauge, b = wilson_setup
-        res = solve_wilson_clover(
+        res = solve_wilson(
             gauge, b, mass=0.2, csw=1.0, tol=1e-9, inner_precision=SINGLE
         )
         assert res.converged
@@ -72,7 +72,7 @@ class TestWilsonCloverAPI:
 
     def test_gcr_dd_method(self, wilson_setup):
         geom, gauge, b = wilson_setup
-        res = solve_wilson_clover(
+        res = solve_wilson(
             gauge, b, mass=0.2, csw=1.0, method="gcr-dd", tol=1e-6,
             grid=ProcessGrid((1, 1, 2, 2)),
         )
@@ -81,33 +81,34 @@ class TestWilsonCloverAPI:
     def test_gcr_dd_requires_grid(self, wilson_setup):
         geom, gauge, b = wilson_setup
         with pytest.raises(ValueError):
-            solve_wilson_clover(gauge, b, mass=0.2, method="gcr-dd")
+            solve_wilson(gauge, b, mass=0.2, method="gcr-dd")
 
     def test_unknown_method(self, wilson_setup):
         geom, gauge, b = wilson_setup
         with pytest.raises(ValueError):
-            solve_wilson_clover(gauge, b, mass=0.2, method="gmres")
+            solve_wilson(gauge, b, mass=0.2, method="gmres")
 
 
 class TestAsqtadAPI:
     def test_solve_asqtad(self, staggered_setup):
         geom, gauge, b = staggered_setup
-        res = solve_asqtad(gauge, b, mass=0.2, tol=1e-8)
+        res = run("asqtad", gauge, b, mass=0.2, tol=1e-8,
+                  inner_precision=SINGLE)
         assert res.converged
         assert res.residual < 1e-6
 
     def test_solve_asqtad_accepts_prebuilt_links(self, staggered_setup):
         geom, gauge, b = staggered_setup
         links = build_asqtad_links(gauge)
-        res = solve_asqtad(links, b, mass=0.2, tol=1e-8)
+        res = run("asqtad", links, b, mass=0.2, tol=1e-8, method="cg")
         assert res.converged
 
     def test_multishift(self, staggered_setup):
         geom, gauge, b = staggered_setup
         be = b * geom.even_mask[..., None]
         shifts = [0.0, 0.05, 0.3]
-        out = solve_asqtad_multishift(gauge, be, mass=0.15, shifts=shifts,
-                                      tol=1e-10)
+        out = run("asqtad_multishift", gauge, be, mass=0.15, shifts=shifts,
+                  tol=1e-10)
         assert out.converged
         links = build_asqtad_links(gauge)
         op = AsqtadOperator(links, mass=0.15)
@@ -117,20 +118,14 @@ class TestAsqtadAPI:
 
 
 class TestShimBehaviour:
-    def test_shims_emit_deprecation_warning(self, wilson_setup):
-        geom, gauge, b = wilson_setup
-        with pytest.warns(DeprecationWarning,
-                          match="deprecated; use repro.core.api.solve"):
-            solve_wilson_clover(gauge, b, mass=0.2, csw=1.0, tol=1e-6)
-
     def test_gcr_dd_config_not_mutated(self, wilson_setup):
-        """Regression: the shim used to clobber the caller's config with
-        its own tol/maxiter arguments."""
+        """Regression (first seen in the removed ``solve_*`` shims): the
+        caller's config is never clobbered by the request's tol/maxiter."""
         from repro.core import GCRDDConfig
 
         geom, gauge, b = wilson_setup
         cfg = GCRDDConfig(tol=1e-4, maxiter=55, precond_steps=4)
-        res = solve_wilson_clover(
+        res = solve_wilson(
             gauge, b, mass=0.2, csw=1.0, method="gcr-dd",
             grid=ProcessGrid((1, 1, 2, 2)), config=cfg,
         )
@@ -139,7 +134,7 @@ class TestShimBehaviour:
 
     def test_gcr_dd_explicit_tol_overrides_config(self, wilson_setup):
         from repro.core import GCRDDConfig
-        from repro.core.api import SolveRequest, _gcrdd_config
+        from repro.core.api import _gcrdd_config
 
         resolved = _gcrdd_config(SolveRequest(
             operator="wilson_clover", gauge=None, rhs=None, mass=0.0,

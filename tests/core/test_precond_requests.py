@@ -153,25 +153,14 @@ class TestValidation:
 
 
 class TestConfigShims:
-    def test_mr_steps_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="precond_steps"):
-            cfg = GCRDDConfig(tol=1e-6, mr_steps=8)
-        assert cfg.precond_steps == 8
-
-    def test_omega_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="precond_omega"):
-            cfg = GCRDDConfig(tol=1e-6, omega=0.9)
-        assert cfg.precond_omega == 0.9
-
-    def test_legacy_read_property_warns(self):
-        cfg = GCRDDConfig(tol=1e-6, precond_steps=8)
-        with pytest.warns(DeprecationWarning, match="precond_steps"):
-            assert cfg.mr_steps == 8
-
     def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError, match="both"):
-            with pytest.warns(DeprecationWarning):
-                GCRDDConfig(mr_steps=8, precond_steps=8)
+        """One spelling per knob: the removed ``mr_steps=``/``omega=`` are
+        unknown kwargs, alone or beside their replacement."""
+        for kwargs in ({"mr_steps": 8}, {"omega": 0.9},
+                       {"mr_steps": 8, "precond_steps": 8}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                GCRDDConfig(**kwargs)
+        assert not hasattr(GCRDDConfig(), "mr_steps")
 
     def test_replace_round_trips_without_warning(self, recwarn):
         cfg = GCRDDConfig(tol=1e-6, precond_steps=8)

@@ -140,30 +140,26 @@ class TestAsqtadFacade:
 
 
 class TestDistributedBatched:
-    def test_distributed_gcrdd_batched(self, wilson_setup):
-        from repro.core import DistributedGCRDDSolver
+    def _solver(self, gauge, **kw):
+        from repro.core import SPMDGCRDDSolver
 
-        geom, gauge, batch = wilson_setup
-        solver = DistributedGCRDDSolver(
-            gauge, 0.2, 1.0, ProcessGrid((1, 1, 2, 2)),
-            config=GCRDDConfig(tol=1e-6, precond_steps=6),
+        return SPMDGCRDDSolver(
+            gauge, 0.2, 1.0, ProcessGrid((1, 1, 2, 2)), backend="sequential",
+            config=GCRDDConfig(tol=1e-6, precond_steps=6), **kw,
         )
-        res = solver.solve(batch)
+
+    def test_distributed_gcrdd_batched(self, wilson_setup):
+        geom, gauge, batch = wilson_setup
+        res = self._solver(gauge).solve(batch)
         assert res.all_converged
-        op = WilsonCloverOperator(gauge, mass=0.2, csw=1.0)
+        op = WilsonCloverOperator(gauge, mass=0.2, csw=1.0, kernel="numpy_ref")
         for i in range(B):
             r = batch[i] - op.apply(res.x[i])
             assert np.linalg.norm(r) / np.linalg.norm(batch[i]) < 1e-5
 
     def test_distributed_split_path_batched(self, wilson_setup):
-        from repro.core import DistributedGCRDDSolver
-
         geom, gauge, batch = wilson_setup
-        solver = DistributedGCRDDSolver(
-            gauge, 0.2, 1.0, ProcessGrid((1, 1, 2, 2)),
-            config=GCRDDConfig(tol=1e-6, precond_steps=6), schedule="split",
-        )
-        res = solver.solve(batch)
+        res = self._solver(gauge, schedule="split").solve(batch)
         assert res.all_converged
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro import trace
 from repro.cli import main
 from repro.comm.grid import ProcessGrid
-from repro.core.gcrdd import DistributedGCRDDSolver, GCRDDConfig
+from repro.core import GCRDDConfig, SPMDGCRDDSolver
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.util.counters import tally
 
@@ -26,9 +26,10 @@ def traced_solve():
     gauge = GaugeField.weak(geom, epsilon=0.25, rng=11)
     b = SpinorField.random(geom, rng=12).data
     with trace.tracing() as tr, tally() as t:
-        solver = DistributedGCRDDSolver(
+        solver = SPMDGCRDDSolver(
             gauge, mass=0.1, csw=1.0, grid=ProcessGrid((2, 1, 1, 1)),
-            config=GCRDDConfig(tol=1e-5, precond_steps=4), schedule="split",
+            config=GCRDDConfig(tol=1e-5, precond_steps=4),
+            backend="sequential", schedule="split",
         )
         result = solver.solve(b)
     return tr.events, t, result, solver
@@ -124,9 +125,9 @@ class TestTraceCLI:
         gauge = GaugeField.weak(geom, epsilon=0.2, rng=3)
         b = SpinorField.random(geom, rng=4).data
         tr = trace.Tracer()
-        solver = DistributedGCRDDSolver(
+        solver = SPMDGCRDDSolver(
             gauge, mass=0.2, csw=0.0, grid=ProcessGrid((2, 1, 1, 1)),
-            config=GCRDDConfig(tol=1e-4, precond_steps=2),
+            config=GCRDDConfig(tol=1e-4, precond_steps=2), backend="sequential",
         )
         solver.solve(b)
         assert tr.events == []

@@ -23,28 +23,21 @@ from repro.kernels import registry as registry_mod
 @pytest.fixture()
 def scratch_registry():
     """Snapshot/restore the global registry around mutation tests."""
-    saved = dict(registry_mod._REGISTRY)
-    yield registry_mod._REGISTRY
-    registry_mod._REGISTRY.clear()
-    registry_mod._REGISTRY.update(saved)
+    entries = registry_mod.KERNELS.entries
+    saved = dict(entries)
+    yield entries
+    entries.clear()
+    entries.update(saved)
 
 
 class _Fake(KernelBackend):
     capabilities = KernelCapabilities(operators=("wilson",))
+    available, unavailable_reason = True, None  # plain attributes here
 
     def __init__(self, name, priority, available=True, reason=None):
-        self.name = name
-        self.priority = priority
-        self._available = available
-        self._reason = reason
-
-    @property
-    def available(self):
-        return self._available
-
-    @property
-    def unavailable_reason(self):
-        return None if self._available else self._reason
+        self.name, self.priority = name, priority
+        self.available = available
+        self.unavailable_reason = None if available else reason
 
 
 class TestRegistryContents:
@@ -167,45 +160,3 @@ class TestOperatorIntegration:
         with pytest.raises(KernelUnavailableError):
             WilsonCloverOperator(weak_gauge, mass=0.1, kernel="stag_only")
 
-
-class TestDeprecationShims:
-    def test_use_projection_constructor_warns_and_maps(self, weak_gauge):
-        from repro.dirac import WilsonCloverOperator
-
-        with pytest.warns(DeprecationWarning, match="use kernel="):
-            fast = WilsonCloverOperator(
-                weak_gauge, mass=0.1, use_projection=True
-            )
-        assert fast.kernel == "numpy"
-        with pytest.warns(DeprecationWarning, match="use kernel="):
-            ref = WilsonCloverOperator(
-                weak_gauge, mass=0.1, use_projection=False
-            )
-        assert ref.kernel == "numpy_ref"
-
-    def test_use_projection_property_warns(self, weak_gauge):
-        from repro.dirac import WilsonCloverOperator
-
-        op = WilsonCloverOperator(weak_gauge, mass=0.1, kernel="numpy")
-        with pytest.warns(DeprecationWarning, match="use kernel="):
-            assert op.use_projection is True
-
-    def test_use_split_solver_shim_warns_and_maps(self, weak_gauge448):
-        from repro.comm import ProcessGrid
-        from repro.core import SPMDGCRDDSolver
-
-        with pytest.warns(DeprecationWarning, match="use schedule="):
-            solver = SPMDGCRDDSolver(
-                weak_gauge448, 0.2, 1.0, ProcessGrid((1, 1, 1, 2)),
-                use_split=True,
-            )
-        assert solver.schedule == "split"
-
-    def test_explicit_kernel_wins_over_shim(self, weak_gauge):
-        from repro.dirac import WilsonCloverOperator
-
-        with pytest.warns(DeprecationWarning, match="use kernel="):
-            op = WilsonCloverOperator(
-                weak_gauge, mass=0.1, kernel="numpy", use_projection=False
-            )
-        assert op.kernel == "numpy"
