@@ -96,50 +96,68 @@ def link_apply(links: np.ndarray, x: np.ndarray, batched: bool = False) -> np.nd
     raise ValueError(f"incompatible shapes {links.shape} and {x.shape}")
 
 
-def link_apply_cols(
-    link_cols: np.ndarray,
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
-    batched: bool = False,
-) -> np.ndarray:
-    """Apply per-site color matrices stored in *column-major* layout.
+def lattice_last_links(links: np.ndarray) -> np.ndarray:
+    """Site-contiguous link cache ``(2, mu, b, a) + lattice``.
 
-    ``link_cols`` holds ``U^T`` per site (``link_cols[..., b, a] = U_ab``),
-    so column ``b`` of ``U`` is the contiguous row ``link_cols[..., b, :]``.
-    The contraction ``y_a = sum_b U_ab x_b`` is then three fused
-    broadcast multiply-adds over the whole field instead of one tiny
-    matmul per site — substantially faster for the small (2, 3) and
-    (4, 3) per-site operands of the dslash hot loop, where batched BLAS
-    dispatch overhead dominates.
-
-    ``out`` and ``tmp`` are optional preallocated result/scratch arrays
-    of the result shape (they must not alias ``x``): at hot-loop field
-    sizes the product temporaries are tens of MB each, so reusing
-    buffers avoids allocator/page-fault churn.
-
-    ``batched=True`` marks a leading multi-RHS batch axis on ``x`` (and
-    ``out``/``tmp``); the per-site links broadcast over it.
+    ``[0, mu, b, a] = U_mu(x)_{ab}`` and ``[1, mu, b, a] = (U_mu(x)^+)_{ab}
+    = conj(U_mu(x))_{ba}``, so column ``b`` of either matrix is three
+    whole-lattice arrays whose fastest axis is the site axis — the order
+    :func:`link_apply_sites` consumes.  Built once per operator: it is the
+    per-call ``su3.dagger`` of the reference path amortized away.
     """
-    spinor_ndim = link_cols.ndim + (1 if batched else 0)
-    if x.ndim == spinor_ndim:  # (..., nspin, 3)
-        if out is None:
-            out = x[..., :, 0, None] * link_cols[..., None, 0, :]
+    out = np.empty((2, 4, 3, 3) + links.shape[1:5], links.dtype)
+    out[0] = links.transpose(0, 6, 5, 1, 2, 3, 4)
+    np.conjugate(links.transpose(0, 5, 6, 1, 2, 3, 4), out=out[1])
+    return out
+
+
+def link_apply_sites(
+    links: np.ndarray, x: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """``out[s, a] = sum_b x[s, b] * links[b, a]`` on lattice-last fields.
+
+    ``links`` is one ``(b, a) + lattice`` slab of :func:`lattice_last_links`
+    and ``x`` is ``(spin, color) + lattice``: three broadcast multiply-adds
+    whose inner loop runs over contiguous sites (not over the 3 colors with
+    a stride-0 operand, as a lattice-first layout forces).  ``out`` and
+    ``tmp`` are result-shaped scratch that must not alias ``x``; their dtype
+    is the caller's choice of ``np.result_type`` for the product.
+    """
+    np.multiply(x[:, 0, None], links[None, 0], out=out)
+    for b in (1, 2):
+        np.multiply(x[:, b, None], links[None, b], out=tmp)
+        out += tmp
+    return out
+
+
+def shift_sites(
+    dst: np.ndarray, src: np.ndarray, axis: int, steps: int, boundary: str
+) -> np.ndarray:
+    """``dst[x] = src[x + steps]`` along ``axis`` as two slice-writes.
+
+    Same values as :meth:`repro.lattice.geometry.Geometry.shift` (periodic
+    wrap, sign-flipped wrap, or zeroed wrap) without the ``np.roll``
+    temporary; ``dst`` must not alias ``src``.
+    """
+    n = src.shape[axis]
+    if abs(steps) >= n and boundary != "periodic":
+        if boundary != "zero":
+            raise ValueError(f"antiperiodic shift by {steps} exceeds extent {n}")
+        dst.fill(0)
+        return dst
+    s = steps % n
+    pre = (slice(None),) * (axis % src.ndim)
+    dst[pre + (slice(0, n - s),)] = src[pre + (slice(s, n),)]
+    dst[pre + (slice(n - s, n),)] = src[pre + (slice(0, s),)]
+    if boundary != "periodic":
+        # The sites whose neighbor crossed the boundary: the high end for
+        # a forward shift, the low end for a backward one.
+        wrapped = dst[pre + (slice(n - s, n) if steps > 0 else slice(0, n - s),)]
+        if boundary == "zero":
+            wrapped.fill(0)
         else:
-            np.multiply(x[..., :, 0, None], link_cols[..., None, 0, :], out=out)
-        for b in (1, 2):
-            if tmp is None:
-                out += x[..., :, b, None] * link_cols[..., None, b, :]
-            else:
-                np.multiply(x[..., :, b, None], link_cols[..., None, b, :], out=tmp)
-                out += tmp
-        return out
-    if x.ndim == spinor_ndim - 1:  # (..., 3)
-        y = x[..., 0, None] * link_cols[..., 0, :]
-        for b in (1, 2):
-            y += x[..., b, None] * link_cols[..., b, :]
-        return y
-    raise ValueError(f"incompatible shapes {link_cols.shape} and {x.shape}")
+            np.negative(wrapped, out=wrapped)
+    return dst
 
 
 class LatticeOperator(abc.ABC):
@@ -277,7 +295,7 @@ class ShiftedOperator(LatticeOperator):
         return self.base._apply(x) + self.sigma * x
 
     def _apply_dagger(self, x: np.ndarray) -> np.ndarray:
-        return self.base._apply_dagger(x) + np.conj(self.sigma) * x
+        return self.base._apply_dagger(x) + self.sigma * x  # sigma is real
 
     def _record(self, x: np.ndarray) -> None:
         self.base._record(x)

@@ -11,6 +11,11 @@ Kogut-Susskind phases that carry the spin structure.  D_IS is
 anti-Hermitian and connects only opposite parities, so ``M^+ M =
 m^2 - D^2/4`` decouples even from odd sites — the property the multi-shift
 CG solver relies on (Sec. 3.1).
+
+The ``"numpy"`` kernel tier evaluates the stencil *lattice-last* (color in
+front of the site axes, links cached as ``(2, mu, b, a) + lattice``), so
+each whole-lattice ufunc streams contiguous sites; see
+:func:`repro.dirac.base.link_apply_sites`.
 """
 
 from __future__ import annotations
@@ -22,12 +27,14 @@ from repro.dirac.base import (
     BoundarySpec,
     LatticeOperator,
     PERIODIC,
-    link_apply_cols,
+    lattice_last_links,
+    link_apply_sites,
+    shift_sites,
 )
 from repro.gauge.asqtad import AsqtadLinks, build_asqtad_links
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
-from repro.lattice.geometry import Geometry
+from repro.lattice.geometry import Geometry, axis_of_mu
 from repro.util.counters import record, record_operator, timed
 
 
@@ -77,28 +84,17 @@ class _StaggeredBase(LatticeOperator):
         self._backend = resolve_kernel(kernel, operator="staggered")
         self.kernel = self._backend.name
         self.eta = staggered_phases(geometry, origin=self.origin)
-        # Column-layout link caches (lazy): the daggered links are
+        # Lattice-last link caches (lazy): the daggered links are
         # precomputed once per operator instead of per dslash call.
-        self._fat_cols: np.ndarray | None = None
-        self._fat_dag_cols: np.ndarray | None = None
-        self._long_cols: np.ndarray | None = None
-        self._long_dag_cols: np.ndarray | None = None
+        self._fat_soa: np.ndarray | None = None
+        self._long_soa: np.ndarray | None = None
 
-    def _caches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-        if self._fat_cols is None:
-            self._fat_cols = np.ascontiguousarray(np.swapaxes(self.fat, -1, -2))
-            self._fat_dag_cols = np.conj(self.fat)  # (F^dagger)^T
+    def _soa_links(self) -> tuple[np.ndarray, np.ndarray | None]:
+        if self._fat_soa is None:
+            self._fat_soa = lattice_last_links(self.fat)
             if self.long is not None:
-                self._long_cols = np.ascontiguousarray(
-                    np.swapaxes(self.long, -1, -2)
-                )
-                self._long_dag_cols = np.conj(self.long)
-        return (
-            self._fat_cols,
-            self._fat_dag_cols,
-            self._long_cols,
-            self._long_dag_cols,
-        )
+                self._long_soa = lattice_last_links(self.long)
+        return self._fat_soa, self._long_soa
 
     @property
     def ghost_depth(self) -> int:
@@ -120,36 +116,44 @@ class _StaggeredBase(LatticeOperator):
             return self._backend.staggered_dslash(self, x)
 
     def _dslash_numpy(self, x: np.ndarray) -> np.ndarray:
-        """The vectorized NumPy stencil (the ``"numpy"`` backend body)."""
-        geom = self.geometry
+        """The vectorized NumPy stencil (the ``"numpy"`` backend body).
+
+        Runs lattice-last like the Wilson kernel: the field becomes a
+        one-spin ``(1, color, [batch,] T, Z, Y, X)`` array so every ufunc
+        streams contiguous sites.  The products carry ``np.result_type`` of
+        field and links — a complex64 field against complex128 links is
+        multiplied and accumulated per direction in complex128, exactly as
+        un-``out=``-ed lattice-first temporaries promote — so the result is
+        bit-identical to ``tests/dirac/_aos_oracle.py``.
+        """
         lead = self.field_lead(x)
-        batched = bool(lead)
-        fat_cols, fat_dag_cols, long_cols, long_dag_cols = self._caches()
-        out = np.zeros_like(x)
+        fat, long_links = self._soa_links()
+        xs = np.ascontiguousarray(np.moveaxis(x, -1, 0))[None]
+        # A batch axis sits between color and lattice; links broadcast over it.
+        bx = (slice(None), slice(None), None) if lead else ()
+        sh = np.empty_like(xs)
+        wide = np.result_type(x.dtype, fat.dtype)
+        hop, uh, tmp, back = (np.empty(xs.shape, wide) for _ in range(4))
+        out = np.zeros_like(xs)
         for mu in range(4):
             bc = self.boundary[mu]
-            eta = self.eta[mu][..., None]
-            hop = link_apply_cols(
-                fat_cols[mu],
-                geom.shift(x, mu, +1, boundary=bc, lead=lead),
-                batched=batched,
+            axis = axis_of_mu(mu) - 4
+            link_apply_sites(
+                fat[0, mu][bx], shift_sites(sh, xs, axis, +1, bc), hop, tmp
             )
-            hop -= geom.shift(
-                link_apply_cols(fat_dag_cols[mu], x, batched=batched),
-                mu, -1, boundary=bc, lead=lead,
+            hop -= shift_sites(
+                back, link_apply_sites(fat[1, mu][bx], xs, uh, tmp), axis, -1, bc
             )
-            if self.long is not None:
-                hop += link_apply_cols(
-                    long_cols[mu],
-                    geom.shift(x, mu, +3, boundary=bc, lead=lead),
-                    batched=batched,
+            if long_links is not None:
+                hop += link_apply_sites(
+                    long_links[0, mu][bx], shift_sites(sh, xs, axis, +3, bc), uh, tmp
                 )
-                hop -= geom.shift(
-                    link_apply_cols(long_dag_cols[mu], x, batched=batched),
-                    mu, -3, boundary=bc, lead=lead,
+                hop -= shift_sites(
+                    back, link_apply_sites(long_links[1, mu][bx], xs, uh, tmp),
+                    axis, -3, bc,
                 )
-            out += eta * hop
-        return out
+            out += np.multiply(self.eta[mu], hop, out=hop)
+        return np.ascontiguousarray(np.moveaxis(out[0], 0, -1))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return self.mass * x - 0.5 * self._dslash(x)

@@ -19,7 +19,11 @@ Dslash execution is delegated to a pluggable kernel backend
   exactly the structure QUDA's kernels exploit (Sec. 4;
   arXiv:1011.0024).  This halves the SU(3) matvec work and the data
   shifted between neighbor sites.  Daggered links are precomputed once
-  per operator, not per application.
+  per operator, not per application.  A single right-hand side runs
+  *lattice-last* — the field is transposed once to ``(spin, color, T, Z,
+  Y, X)`` so every ufunc streams contiguous sites, QUDA's coalesced
+  field order in NumPy terms — and is bit-identical to the lattice-first
+  formulation it replaced; a batch of them runs as one stacked GEMM.
 * ``"numpy_ref"`` — the seed's full 4-spin formulation, kept verbatim as
   the numerical baseline the equivalence tests and the hot-path
   regression benchmark compare against.
@@ -38,8 +42,10 @@ from repro.dirac.base import (
     BoundarySpec,
     LatticeOperator,
     PERIODIC,
+    lattice_last_links,
     link_apply,
-    link_apply_cols,
+    link_apply_sites,
+    shift_sites,
 )
 from repro.dirac.clover import apply_clover, build_clover_field
 from repro.kernels import resolve_kernel
@@ -58,6 +64,10 @@ from repro.util.counters import record, record_operator, timed
 #: clover field is stored in and the color-major index ``c*4 + s`` of the
 #: batched GEMM layout.
 _COLOR_MAJOR_PERM = np.array([s * 3 + c for c in range(3) for s in range(4)])
+
+#: Index broadcasting a ``(2, 1)`` spin-coefficient table over the four
+#: lattice axes of a lattice-last ``(spin, color, T, Z, Y, X)`` field.
+_OVER_SITES = (Ellipsis, None, None, None, None)
 
 
 def _to_batch_last(x: np.ndarray) -> np.ndarray:
@@ -113,7 +123,7 @@ class WilsonCloverOperator(LatticeOperator):
         boundary: BoundarySpec = PERIODIC,
         clover: np.ndarray | None = None,
         kernel: str = "auto",
-        _link_cache: "tuple[np.ndarray, np.ndarray] | None" = None,
+        _link_cache: np.ndarray | None = None,
     ):
         super().__init__(gauge.geometry)
         self.gauge = gauge
@@ -163,12 +173,10 @@ class WilsonCloverOperator(LatticeOperator):
                 for i, (_, tab, _) in enumerate(self._hop_plan)
             ]
         )
-        # Operator-level link caches, built lazily on first dslash (they
-        # are boundary-independent, so ``with_boundary`` shares them).
-        self._link_cols: np.ndarray | None = None
-        self._link_dag_cols: np.ndarray | None = None
-        if _link_cache is not None:
-            self._link_cols, self._link_dag_cols = _link_cache
+        # Operator-level lattice-last link cache, built lazily on first
+        # dslash (it is boundary-independent, so ``with_boundary`` shares
+        # it).
+        self._links_soa: np.ndarray | None = _link_cache
         # Batched-path caches: the stacked hop links for the GEMM dslash,
         # the site-diagonal matrices in the color-major site index, and
         # reusable field-sized scratch buffers keyed by (batch, dtype).
@@ -182,21 +190,12 @@ class WilsonCloverOperator(LatticeOperator):
         return 4.0 + self.mass
 
     # ------------------------------------------------------------------
-    def _link_caches(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column-layout links and daggered links, computed once per gauge.
-
-        ``_link_cols[mu][..., b, a] = U_mu(x)_{ab}`` (i.e. ``U^T``) and
-        ``_link_dag_cols[mu][..., b, a] = (U_mu(x)^+)_{ab} = conj(U)_{ba}``
-        — the per-call ``su3.dagger`` of the reference path amortized into
-        operator construction, in the contiguous-column layout
-        :func:`repro.dirac.base.link_apply_cols` consumes.
-        """
-        if self._link_cols is None:
-            u = self.gauge.data
-            self._link_cols = np.ascontiguousarray(np.swapaxes(u, -1, -2))
-            # (U^dagger)^T is plain elementwise conjugation of U.
-            self._link_dag_cols = np.conj(u)
-        return self._link_cols, self._link_dag_cols
+    def _soa_links(self) -> np.ndarray:
+        """Links and daggered links in lattice-last order, computed once
+        per gauge (:func:`repro.dirac.base.lattice_last_links`)."""
+        if self._links_soa is None:
+            self._links_soa = lattice_last_links(self.gauge.data)
+        return self._links_soa
 
     def _batched_link_stack(self) -> np.ndarray:
         """The ``(8,) + lattice + (3, 3)`` link stack driving the batched
@@ -273,14 +272,21 @@ class WilsonCloverOperator(LatticeOperator):
         components, and accumulate upper/lower spin blocks separately so
         the reconstruction is two scaled adds instead of a 4x2 matmul.
 
+        The single-RHS kernel runs *lattice-last*: the field is transposed
+        once to ``(spin, color, T, Z, Y, X)`` so each of those steps is a
+        whole-lattice ufunc call over contiguous sites — the NumPy
+        analogue of QUDA's coalesced field order (Sec. 4-5) — and
+        transposed back at the end.  Transposes and slice-writes only move
+        data, so the per-site IEEE operation sequence (and hence every bit
+        of the result) is that of the lattice-first formulation kept in
+        ``tests/dirac/_aos_oracle.py``.
+
         Batched (multi-RHS) fields take the GEMM path of
-        :meth:`_dslash_projected_bl`; it evaluates the same contraction in
-        a different association order, so batched and single-RHS results
+        :meth:`_batched_hopping`; it evaluates the same contraction in a
+        different association order, so batched and single-RHS results
         agree to rounding rather than bit-for-bit.
         """
-        geom = self.geometry
-        lead = self.field_lead(x)
-        if lead:
+        if self.field_lead(x):
             bufs = self._batched_scratch(x.shape[0], x.dtype)
             xt, out = bufs["xt"], bufs["out"]
             xt[...] = x.transpose(1, 2, 3, 4, 6, 5, 0)
@@ -288,42 +294,40 @@ class WilsonCloverOperator(LatticeOperator):
             self._batched_hopping(xt, out[..., :2, :], out[..., 2:, :], bufs)
             out *= -2.0  # undo the -1/2 folded into the link stack
             return _from_batch_last(out)
-        batched = False
-        u_cols, udag_cols = self._link_caches()
-        xu = x[..., :2, :]
-        # Preallocated half-spinor scratch: at hot-loop volumes each
-        # temporary is tens of MB, so reusing four buffers across the 8
-        # hops (instead of ~7 fresh allocations per hop) removes most of
-        # the allocator/page-fault cost of the stencil.
-        h = np.empty_like(xu)
-        uh = np.empty_like(xu)
-        tmp = np.empty_like(xu)
-        upper = np.zeros_like(xu)
-        lower = np.zeros_like(xu)
+        u, udag = self._soa_links()
+        # The one layout change in: (T, Z, Y, X, spin, color) -> (spin,
+        # color, T, Z, Y, X), so every ufunc below streams contiguous sites.
+        xs = np.ascontiguousarray(x.transpose(4, 5, 0, 1, 2, 3))
+        xu = xs[:2]
+        # Four half-spinor buffers reused across the 8 hops (instead of ~7
+        # fresh temporaries per hop).
+        h, sh, uh, tmp = (np.empty_like(xu) for _ in range(4))
+        acc = np.zeros_like(xs)
+        upper, lower = acc[:2], acc[2:]
         for mu in range(4):
             bc = self.boundary[mu]
-            for tab, cols, fwd in (
-                (self._tab_fwd[mu], u_cols[mu], True),
-                (self._tab_bwd[mu], udag_cols[mu], False),
+            axis = 2 + axis_of_mu(mu)
+            for tab, links, fwd in (
+                (self._tab_fwd[mu], u[mu], True),
+                (self._tab_bwd[mu], udag[mu], False),
             ):
-                # Project: h = x_upper + coeff * x_lower (views, one pass).
-                np.multiply(tab.project_coeff, x[..., tab.lower, :], out=tmp)
+                # Project: h = x_upper + coeff * x_lower.
+                np.multiply(tab.project_coeff[_OVER_SITES], xs[tab.lower], out=tmp)
                 np.add(xu, tmp, out=h)
                 if fwd:
                     # U_mu(x) [P x](x+mu): shift first, then multiply.
-                    sh = geom.shift(h, mu, +1, boundary=bc, lead=lead)
-                    link_apply_cols(cols, sh, out=uh, tmp=tmp, batched=batched)
+                    hop = link_apply_sites(
+                        links, shift_sites(sh, h, axis, +1, bc), uh, tmp
+                    )
                 else:
                     # U_mu(x-mu)^+ [P x](x-mu): multiply, then shift.
-                    link_apply_cols(cols, h, out=uh, tmp=tmp, batched=batched)
-                    uh = geom.shift(uh, mu, -1, boundary=bc, lead=lead)
-                upper += uh
-                np.multiply(tab.recon_coeff, uh[..., tab.source, :], out=tmp)
+                    hop = shift_sites(
+                        sh, link_apply_sites(links, h, uh, tmp), axis, -1, bc
+                    )
+                upper += hop
+                np.multiply(tab.recon_coeff[_OVER_SITES], hop[tab.source], out=tmp)
                 lower += tmp
-        out = np.empty_like(x)
-        out[..., :2, :] = upper
-        out[..., 2:, :] = lower
-        return out
+        return np.ascontiguousarray(acc.transpose(2, 3, 4, 5, 0, 1))
 
     def _batched_scratch(self, nb: int, dtype) -> dict:
         """Reusable batched-path buffers, allocated once per (batch,
@@ -448,16 +452,18 @@ class WilsonCloverOperator(LatticeOperator):
 
     def _apply_dagger(self, x: np.ndarray) -> np.ndarray:
         # gamma5-Hermiticity: M^+ = g5 M g5 (holds for real +-1/0 boundary
-        # factors, i.e. all supported BoundarySpec entries).
-        g5x = apply_spin_matrix(GAMMA5, x)
-        return apply_spin_matrix(GAMMA5, self._apply(g5x))
+        # factors, i.e. all supported BoundarySpec entries).  gamma5 is a
+        # +-1 diagonal, exact in any precision: cast it to the field's
+        # dtype so a complex64 dagger is not silently computed in double.
+        g5 = GAMMA5.astype(x.dtype)
+        return apply_spin_matrix(g5, self._apply(apply_spin_matrix(g5, x)))
 
     def apply_site_diagonal(self, x: np.ndarray) -> np.ndarray:
         """The site-diagonal part (4 + m + A) x (used by even-odd forms and
         the interior/exterior kernel split)."""
         out = self.diagonal_coefficient * x
         if self.clover is not None:
-            out = out + apply_clover(self.clover, x)
+            out += apply_clover(self.clover, x)  # in place: keeps x's dtype
         return out
 
     # Backwards-compatible alias used by the even-odd module.
@@ -469,9 +475,6 @@ class WilsonCloverOperator(LatticeOperator):
 
     # ------------------------------------------------------------------
     def with_boundary(self, boundary: BoundarySpec) -> "WilsonCloverOperator":
-        link_cache = None
-        if self._link_cols is not None:
-            link_cache = (self._link_cols, self._link_dag_cols)
         return WilsonCloverOperator(
             self.gauge,
             mass=self.mass,
@@ -479,7 +482,7 @@ class WilsonCloverOperator(LatticeOperator):
             boundary=boundary,
             clover=self.clover,
             kernel=self.kernel,
-            _link_cache=link_cache,
+            _link_cache=self._links_soa,
         )
 
     def restrict_to_block(self, partition, rank: int) -> "WilsonCloverOperator":

@@ -3,10 +3,13 @@ equivalence-tested against.
 
 Two backends wrap the two in-tree NumPy dslash paths:
 
-* ``"numpy"`` — the spin-projected Wilson fast path of PR 1 (cached
-  daggered links, half-spinor hops, stacked-GEMM batching) plus the
-  vectorized staggered stencil.  This is the default resolution target
-  and the numerical baseline: with no compiled tier installed,
+* ``"numpy"`` — the spin-projected Wilson fast path (cached daggered
+  links, half-spinor hops, stacked-GEMM batching) plus the vectorized
+  staggered stencil.  Single-RHS fields run *lattice-last*: one
+  transpose to ``(spin, color, T, Z, Y, X)`` so every ufunc streams
+  contiguous sites, bit-identical to the lattice-first formulation kept
+  as a test oracle.  This is the default resolution target and the
+  numerical baseline: with no compiled tier installed,
   ``kernel="auto"`` solves are bitwise identical to this path.
 * ``"numpy_ref"`` — the seed's full-4-spin Wilson formulation, kept as
   the slow cross-check the fast path itself is equivalence-tested
@@ -21,7 +24,7 @@ from repro.kernels.base import KernelBackend, KernelCapabilities
 
 
 class NumpyBackend(KernelBackend):
-    """Vectorized NumPy stencils (the PR 1 fast path) — always available."""
+    """Vectorized NumPy stencils (the fast path) — always available."""
 
     name = "numpy"
     priority = 0
