@@ -69,12 +69,7 @@ from repro.solvers import (
     multishift_with_refinement,
 )
 from repro.comm import ProcessGrid, choose_grid
-from repro.multigpu import (
-    BlockPartition,
-    DistributedOperator,
-    DistributedSpace,
-    HaloExchanger,
-)
+from repro.multigpu import BlockPartition, HaloExchanger
 from repro.dd import (
     AdditiveSchwarzPreconditioner,
     OverlappingSchwarzPreconditioner,
@@ -139,8 +134,6 @@ __all__ = [
     "choose_grid",
     "BlockPartition",
     "HaloExchanger",
-    "DistributedOperator",
-    "DistributedSpace",
     "AdditiveSchwarzPreconditioner",
     "OverlappingSchwarzPreconditioner",
     "SAPPreconditioner",

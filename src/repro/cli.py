@@ -621,11 +621,6 @@ def _cmd_trace(args) -> int:
     gauge = GaugeField.weak(geometry, epsilon=args.epsilon, rng=args.seed)
     b = SpinorField.random(geometry, rng=args.seed + 1).data
 
-    if args.overlap and not args.backend:
-        print("--overlap needs --backend (the overlapped halo schedule "
-              "is an SPMD execution path)", file=sys.stderr)
-        return 2
-
     # The split (interior/exterior) execution path is what the paper's
     # Fig. 4 schedules, so a trace always uses it; the rank programs run
     # under --backend (default: the deterministic sequential backend),

@@ -22,9 +22,9 @@ Rank programs (:mod:`repro.multigpu.rank_halo`,
 interchangeable backends in :mod:`repro.comm.backends` (sequential /
 threads / processes) supply concrete endpoints.
 
-Cost accounting convention (kept consistent with the global-view
-:meth:`repro.comm.mailbox.Mailbox.allreduce_sum` so that merged per-rank
-tallies reproduce the global-view numbers exactly):
+Cost accounting convention (merged per-rank tallies are the cost of the
+whole collective, the same numbers
+:meth:`repro.comm.mailbox.Mailbox.allreduce_sum` charges in one call):
 
 * every point-to-point send charges ``messages=1`` and its *wire* bytes
   to the sender's tally — the logical ``CommEvent.nbytes`` when an event
@@ -36,7 +36,7 @@ tallies reproduce the global-view numbers exactly):
   (``comm_bytes = nbytes``, ``messages = 1``) while the single collective
   ``reductions=1`` is charged to rank 0 — summing the per-rank tallies
   therefore gives ``reductions=1, messages=size, comm_bytes=nbytes*size``
-  per collective, exactly the global-view accounting.
+  per collective.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ BACKENDS = ("sequential", "threads", "processes")
 def reduce_in_rank_order(parts: list):
     """The canonical allreduce fold: ``((p0 + p1) + p2) + ...``.
 
-    Every backend (and the global-view
+    Every backend (and
     :meth:`~repro.comm.mailbox.Mailbox.allreduce_sum`) combines per-rank
     contributions with this exact left fold, which is what makes residual
     histories bit-identical across sequential, threaded and multiprocess
@@ -212,10 +212,10 @@ class MailboxCommunicator(Communicator):
 
     Two modes:
 
-    * ``blocking=False`` (default) — the *driver* mode used by the
-      global-view :class:`~repro.multigpu.halo.HaloExchanger`, whose
-      single thread orders all sends before the matching receives; a
-      missing message is a bug and raises immediately.
+    * ``blocking=False`` (default) — the *driver* mode used by
+      :class:`~repro.multigpu.halo.HaloExchanger`, whose single thread
+      orders all sends before the matching receives; a missing message
+      is a bug and raises immediately.
     * ``blocking=True`` — the threaded SPMD mode: ``recv`` waits on the
       mailbox's condition variable (bounded by ``timeout``).
 

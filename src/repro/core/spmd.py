@@ -38,7 +38,7 @@ from repro.dirac.base import PERIODIC, BoundarySpec
 from repro.multigpu.layout import HaloLayout
 from repro.multigpu.partition import BlockPartition
 from repro.multigpu.rank_halo import RankHaloEngine
-from repro.multigpu.rank_op import rank_naive_staggered, rank_wilson_clover
+from repro.multigpu.rank_op import RANK_BUILDERS
 from repro.multigpu.rank_space import BatchedRankSpace, RankSpace
 from repro.solvers.base import SolverResult
 from repro.solvers.gcr import gcr
@@ -56,12 +56,11 @@ class _RankTask:
 
     rank: int
     partition: BlockPartition
-    operator: str
-    gauge_block: np.ndarray       # unpadded local links, lead=1
-    clover_block: np.ndarray | None
+    operator: str                 # a RANK_BUILDERS kind
+    links: tuple                  # unpadded local link blocks, lead=1
+    family: dict                  # builder keywords (csw, clover_block)
     block_op: object              # Dirichlet-cut Schwarz block operator
     mass: float
-    csw: float
     boundary: BoundarySpec
     config: GCRDDConfig
     kernel: str
@@ -81,22 +80,16 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
     from repro.util.counters import record_operator
 
     cfg = task.config
-    site_axes = 2 if task.operator == "wilson_clover" else 1
-    layout = HaloLayout(task.partition, depth=1)
+    builder, depth, site_axes = RANK_BUILDERS[task.operator]
     engine = RankHaloEngine(
-        layout, comm, boundary=task.boundary, site_axes=site_axes
+        HaloLayout(task.partition, depth), comm, boundary=task.boundary,
+        site_axes=site_axes,
     )
-    if task.operator == "wilson_clover":
-        rank_op = rank_wilson_clover(
-            engine, task.gauge_block, task.mass, task.csw,
-            boundary=task.boundary, clover_block=task.clover_block,
-            kernel=task.kernel, schedule=task.schedule, overlap=task.overlap,
-        )
-    else:
-        rank_op = rank_naive_staggered(
-            engine, task.gauge_block, task.mass, boundary=task.boundary,
-            kernel=task.kernel, schedule=task.schedule, overlap=task.overlap,
-        )
+    rank_op = builder(
+        engine, *task.links, task.mass, boundary=task.boundary,
+        kernel=task.kernel, schedule=task.schedule, overlap=task.overlap,
+        **task.family,
+    )
 
     batched = task.batched
     space = (
@@ -236,16 +229,20 @@ class SPMDGCRDDSolver:
             )
             # The clover field is built globally (its leaves read corner
             # sites ghost exchange never fills) and scattered per rank.
-            self._clover_blocks = (
+            clover_blocks = (
                 self.partition.split(build_clover_field(gauge, csw))
                 if csw != 0.0
                 else [None] * self.partition.n_ranks
             )
+            self._family = [
+                {"csw": self.csw, "clover_block": block}
+                for block in clover_blocks
+            ]
         else:
             serial = NaiveStaggeredOperator(
                 gauge, mass=mass, boundary=self.boundary, kernel=kernel
             )
-            self._clover_blocks = [None] * self.partition.n_ranks
+            self._family = [{}] * self.partition.n_ranks
         # The *resolved* tier name (never "auto"): rank programs, the
         # extras dict and bench config labels all report the backend
         # that actually ran.
@@ -289,11 +286,10 @@ class SPMDGCRDDSolver:
                 rank=rank,
                 partition=self.partition,
                 operator=self.operator,
-                gauge_block=self._gauge_blocks[rank],
-                clover_block=self._clover_blocks[rank],
+                links=(self._gauge_blocks[rank],),
+                family=self._family[rank],
                 block_op=self._blocks[rank],
                 mass=self.mass,
-                csw=self.csw,
                 boundary=self.boundary,
                 config=self.config,
                 kernel=self.kernel,

@@ -12,7 +12,7 @@ Concretely here: splitting ``l`` is the Dirichlet-cut operator on block
 ``l`` of the :class:`~repro.multigpu.partition.BlockPartition`, grown by
 ``overlap`` sites into its neighbors along every partitioned direction
 (periodically wrapped — the same extended regions RAS uses, built by
-:func:`repro.dd.overlapping.restrict_operator_to_region`).  Each
+:func:`repro.dd.overlapping.extended_blocks`).  Each
 extended system is relaxed with a fixed number of MR steps, and the
 corrections are *blended* rather than restricted: every global site's
 correction is the average of the solutions of all the splittings that
@@ -30,15 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dd.overlapping import extract_region, restrict_operator_to_region
+from repro.dd.overlapping import extended_blocks, extract_region
 from repro.dirac.base import LatticeOperator
-from repro.lattice.geometry import axis_of_mu
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
-from repro.solvers.mr import mr
-from repro.solvers.multirhs import batched_mr
+from repro.precond.rank_local import schwarz_block_solve
 from repro.solvers.space import ArraySpace, BatchedArraySpace
-from repro.util.counters import domain_local, record_operator
+from repro.util.counters import record_operator
 
 
 class MultiSplittingPreconditioner:
@@ -62,15 +60,9 @@ class MultiSplittingPreconditioner:
         omega: float = 1.0,
         precision: Precision | None = HALF,
     ):
-        if partition.geometry != op.geometry:
-            raise ValueError("partition geometry does not match operator")
-        if overlap < 0:
-            raise ValueError("overlap must be >= 0")
-        for mu in partition.grid.partitioned_dims:
-            if partition.local_dims[mu] + 2 * overlap > partition.geometry.dims[mu]:
-                raise ValueError(
-                    f"overlap {overlap} wraps the lattice in direction {mu}"
-                )
+        self._ext_dims, self._origins, self.block_ops = extended_blocks(
+            op, partition, overlap
+        )
         self.op = op
         self.partition = partition
         self.overlap = int(overlap)
@@ -81,42 +73,21 @@ class MultiSplittingPreconditioner:
         self._site_axes = site_axes
         self._space = ArraySpace(site_axes=site_axes)
         self._bspace = BatchedArraySpace(site_axes=site_axes)
-        self._build_splittings()
+        self._build_weights()
 
     # ------------------------------------------------------------------
-    def _extended_dims(self) -> tuple[int, int, int, int]:
-        dims = list(self.partition.local_dims)
-        for mu in self.partition.grid.partitioned_dims:
-            dims[mu] += 2 * self.overlap
-        return tuple(dims)
-
-    def _extended_origin(self, rank: int) -> tuple[int, int, int, int]:
-        origin = list(self.partition.origin(rank))
-        for mu in self.partition.grid.partitioned_dims:
-            origin[mu] -= self.overlap
-        return tuple(origin)
-
     def _region_index(self, rank: int) -> tuple[np.ndarray, ...]:
         """Open-mesh index selecting splitting ``rank``'s (wrapped)
         region inside a global site array, axis order (t, z, y, x)."""
-        ext_dims = self._extended_dims()
-        origin = self._extended_origin(rank)
+        origin = self._origins[rank]
         per_axis = []
         for axis in range(4):
             mu = 3 - axis  # inverse of axis_of_mu
             n = self.partition.geometry.dims[mu]
-            per_axis.append((np.arange(ext_dims[mu]) + origin[mu]) % n)
+            per_axis.append((np.arange(self._ext_dims[mu]) + origin[mu]) % n)
         return np.ix_(*per_axis)
 
-    def _build_splittings(self) -> None:
-        ext_dims = self._extended_dims()
-        partitioned = self.partition.grid.partitioned_dims
-        self.block_ops: list[LatticeOperator] = [
-            restrict_operator_to_region(
-                self.op, self._extended_origin(rank), ext_dims, partitioned
-            )
-            for rank in range(self.partition.n_ranks)
-        ]
+    def _build_weights(self) -> None:
         # Partition-of-unity weights: each global site is covered by one
         # or more splittings; E_l's diagonal entry is 1/coverage, so the
         # blended correction sums the splitting solutions with weights
@@ -133,16 +104,6 @@ class MultiSplittingPreconditioner:
         ]
 
     # ------------------------------------------------------------------
-    def _wrap(self, block_op: LatticeOperator, space):
-        prec = self.precision
-        if prec is None:
-            return block_op.apply
-
-        def apply(v):
-            return space.convert(block_op.apply(space.convert(v, prec)), prec)
-
-        return apply
-
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Apply the weighted multi-splitting correction to ``r``.
 
@@ -154,27 +115,20 @@ class MultiSplittingPreconditioner:
         lead = r.ndim - (4 + self._site_axes)
         if lead not in (0, 1):
             raise ValueError(f"unexpected residual rank {r.ndim}")
-        space = self._bspace if lead else self._space
-        solver = batched_mr if lead else mr
-        ext_dims = self._extended_dims()
         z = np.zeros_like(r)
         for rank, block_op in enumerate(self.block_ops):
-            origin = self._extended_origin(rank)
             r_ext = extract_region(
-                r, self.op.geometry, origin, ext_dims, lead=lead
+                r, self.op.geometry, self._origins[rank], self._ext_dims,
+                lead=lead,
             )
-            if self.precision is not None:
-                r_ext = space.convert(r_ext, self.precision)
-            with domain_local():
-                result = solver(
-                    self._wrap(block_op, space),
-                    r_ext,
-                    steps=self.mr_steps,
-                    omega=self.omega,
-                    space=space,
-                )
+            z_ext = schwarz_block_solve(
+                block_op, r_ext, steps=self.mr_steps, omega=self.omega,
+                precision=self.precision,
+                space=self._bspace if lead else self._space,
+                batched=bool(lead), rank=rank,
+            )
             index = (slice(None),) * lead + self._region_index(rank)
-            z[index] += self._weights[rank] * result.x
+            z[index] += self._weights[rank] * z_ext
         return z
 
     @property
@@ -184,7 +138,4 @@ class MultiSplittingPreconditioner:
     @property
     def redundancy(self) -> float:
         """Extra computation factor: extended volume over block volume."""
-        ext = 1
-        for d in self._extended_dims():
-            ext *= d
-        return ext / self.partition.local_volume
+        return float(np.prod(self._ext_dims)) / self.partition.local_volume

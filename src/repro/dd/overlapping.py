@@ -23,9 +23,9 @@ from repro.dirac.base import LatticeOperator
 from repro.lattice.geometry import Geometry, axis_of_mu
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
-from repro.solvers.mr import mr
+from repro.precond.rank_local import schwarz_block_solve
 from repro.solvers.space import ArraySpace
-from repro.util.counters import domain_local, record_operator
+from repro.util.counters import record_operator
 
 
 def extract_region(
@@ -118,6 +118,41 @@ def _restrict_staggered_to_region(op, origin, ext_dims, local_bc):
     return out
 
 
+def extended_blocks(op: LatticeOperator, partition: BlockPartition, overlap: int):
+    """The extended regions shared by the RAS and multi-splitting
+    preconditioners: every block of ``partition`` grown by ``overlap``
+    sites into its neighbors along each *partitioned* direction.
+
+    Returns ``(ext_dims, origins, block_ops)``: the regions' common
+    extents, each rank's (possibly negative, periodically wrapped) region
+    origin, and the Dirichlet-cut operator on each region.
+    """
+    if partition.geometry != op.geometry:
+        raise ValueError("partition geometry does not match operator")
+    if overlap < 0:
+        raise ValueError("overlap must be >= 0")
+    partitioned = partition.grid.partitioned_dims
+    ext_dims = list(partition.local_dims)
+    for mu in partitioned:
+        ext_dims[mu] += 2 * overlap
+        if ext_dims[mu] > partition.geometry.dims[mu]:
+            raise ValueError(
+                f"overlap {overlap} wraps the lattice in direction {mu}"
+            )
+    ext_dims = tuple(ext_dims)
+    origins = []
+    for rank in range(partition.n_ranks):
+        origin = list(partition.origin(rank))
+        for mu in partitioned:
+            origin[mu] -= overlap
+        origins.append(tuple(origin))
+    block_ops = [
+        restrict_operator_to_region(op, origin, ext_dims, partitioned)
+        for origin in origins
+    ]
+    return ext_dims, origins, block_ops
+
+
 class OverlappingSchwarzPreconditioner:
     """Restricted additive Schwarz with tunable overlap.
 
@@ -140,15 +175,9 @@ class OverlappingSchwarzPreconditioner:
         omega: float = 1.0,
         precision: Precision | None = HALF,
     ):
-        if partition.geometry != op.geometry:
-            raise ValueError("partition geometry does not match operator")
-        if overlap < 0:
-            raise ValueError("overlap must be >= 0")
-        for mu in partition.grid.partitioned_dims:
-            if partition.local_dims[mu] + 2 * overlap > partition.geometry.dims[mu]:
-                raise ValueError(
-                    f"overlap {overlap} wraps the lattice in direction {mu}"
-                )
+        self._ext_dims, self._origins, self.block_ops = extended_blocks(
+            op, partition, overlap
+        )
         self.op = op
         self.partition = partition
         self.overlap = int(overlap)
@@ -156,20 +185,6 @@ class OverlappingSchwarzPreconditioner:
         self.omega = float(omega)
         self.precision = precision
         self._space = ArraySpace(site_axes=2 if op.nspin == 4 else 1)
-        self._build_blocks()
-
-    # ------------------------------------------------------------------
-    def _extended_dims(self) -> tuple[int, int, int, int]:
-        dims = list(self.partition.local_dims)
-        for mu in self.partition.grid.partitioned_dims:
-            dims[mu] += 2 * self.overlap
-        return tuple(dims)
-
-    def _extended_origin(self, rank: int) -> tuple[int, int, int, int]:
-        origin = list(self.partition.origin(rank))
-        for mu in self.partition.grid.partitioned_dims:
-            origin[mu] -= self.overlap
-        return tuple(origin)
 
     def _core_slices(self) -> tuple[slice, ...]:
         """Slicing of the extended block that selects the original block."""
@@ -181,51 +196,21 @@ class OverlappingSchwarzPreconditioner:
             )
         return tuple(site)
 
-    def _build_blocks(self) -> None:
-        """Construct the Dirichlet-cut operator on each extended region
-        via the shared region-restriction helper."""
-        ext_dims = self._extended_dims()
-        self._ext_geometry = Geometry(ext_dims)
-        partitioned = self.partition.grid.partitioned_dims
-        self.block_ops: list[LatticeOperator] = [
-            restrict_operator_to_region(
-                self.op, self._extended_origin(rank), ext_dims, partitioned
-            )
-            for rank in range(self.partition.n_ranks)
-        ]
-
-    # ------------------------------------------------------------------
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Apply the RAS correction: solve extended blocks, restrict."""
         record_operator("schwarz_precond_overlap")
         z = np.zeros_like(r)
-        ext_dims = self._extended_dims()
         core = self._core_slices()
         for rank, block_op in enumerate(self.block_ops):
-            origin = self._extended_origin(rank)
-            r_ext = extract_region(r, self.op.geometry, origin, ext_dims)
-            if self.precision is not None:
-                r_ext = self._space.convert(r_ext, self.precision)
-            with domain_local():
-                result = mr(
-                    self._wrap(block_op),
-                    r_ext,
-                    steps=self.mr_steps,
-                    omega=self.omega,
-                    space=self._space,
-                )
-            z[self.partition.slices(rank)] = result.x[core]
+            r_ext = extract_region(
+                r, self.op.geometry, self._origins[rank], self._ext_dims
+            )
+            z_ext = schwarz_block_solve(
+                block_op, r_ext, steps=self.mr_steps, omega=self.omega,
+                precision=self.precision, space=self._space, rank=rank,
+            )
+            z[self.partition.slices(rank)] = z_ext[core]
         return z
-
-    def _wrap(self, block_op: LatticeOperator):
-        if self.precision is None:
-            return block_op.apply
-        prec, space = self.precision, self._space
-
-        def apply(v):
-            return space.convert(block_op.apply(space.convert(v, prec)), prec)
-
-        return apply
 
     @property
     def n_blocks(self) -> int:
@@ -234,7 +219,4 @@ class OverlappingSchwarzPreconditioner:
     @property
     def redundancy(self) -> float:
         """Extra computation factor: extended volume over block volume."""
-        ext = 1
-        for d in self._extended_dims():
-            ext *= d
-        return ext / self.partition.local_volume
+        return float(np.prod(self._ext_dims)) / self.partition.local_volume

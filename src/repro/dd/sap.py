@@ -17,9 +17,9 @@ import numpy as np
 from repro.dirac.base import LatticeOperator
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
-from repro.solvers.mr import mr
+from repro.precond.rank_local import schwarz_block_solve
 from repro.solvers.space import ArraySpace
-from repro.util.counters import domain_local, record_operator
+from repro.util.counters import record_operator
 
 
 class SAPPreconditioner:
@@ -58,22 +58,6 @@ class SAPPreconditioner:
         coords = self.partition.grid.coords(rank)
         return sum(coords) % 2
 
-    def _solve_block(self, block_op: LatticeOperator, r_loc: np.ndarray):
-        if self.precision is not None:
-            r_loc = self._space.convert(r_loc, self.precision)
-        prec, space = self.precision, self._space
-
-        def apply(v):
-            if prec is None:
-                return block_op.apply(v)
-            return space.convert(block_op.apply(space.convert(v, prec)), prec)
-
-        with domain_local():
-            return mr(
-                apply, r_loc, steps=self.mr_steps, omega=self.omega,
-                space=self._space,
-            ).x
-
     def __call__(self, b: np.ndarray) -> np.ndarray:
         """Approximate ``M^{-1} b`` with ``cycles`` alternating sweeps."""
         record_operator("sap_precond")
@@ -85,10 +69,12 @@ class SAPPreconditioner:
                     if self.colors[rank] != color:
                         continue
                     sl = self.partition.slices(rank)
-                    dz = self._solve_block(
-                        block_op, np.ascontiguousarray(r[sl])
+                    z[sl] += schwarz_block_solve(
+                        block_op, np.ascontiguousarray(r[sl]),
+                        steps=self.mr_steps, omega=self.omega,
+                        precision=self.precision, space=self._space,
+                        rank=rank,
                     )
-                    z[sl] += dz
                 # Multiplicative step: refresh the residual with the new
                 # corrections before the other color solves (one global
                 # operator application = one halo exchange per color).

@@ -21,7 +21,7 @@ from repro.comm.grid import ProcessGrid
 from repro.dirac.base import LatticeOperator
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
-from repro.solvers.mr import mr
+from repro.precond.rank_local import schwarz_block_solve
 from repro.solvers.space import ArraySpace
 from repro.util.counters import domain_local, record_operator
 
@@ -83,30 +83,19 @@ class TwoLevelSchwarzPreconditioner:
             )
 
     # ------------------------------------------------------------------
-    def _wrap(self, some_op: LatticeOperator):
-        if self.precision is None:
-            return some_op.apply
-        prec, space = self.precision, self._space
-
-        def apply(v):
-            return space.convert(some_op.apply(space.convert(v, prec)), prec)
-
-        return apply
-
     def _inner_precondition(self, rank: int, r: np.ndarray) -> np.ndarray:
         """Block Jacobi over the sub-blocks of outer block ``rank``."""
         sub_part = self.inner_partitions[rank]
         z = np.zeros_like(r)
         for sub_rank, sub_op in enumerate(self.inner_block_ops[rank]):
             sl = sub_part.slices(sub_rank)
-            r_loc = np.ascontiguousarray(r[sl])
-            if self.precision is not None:
-                r_loc = self._space.convert(r_loc, self.precision)
-            result = mr(
-                self._wrap(sub_op), r_loc, steps=self.inner_mr_steps,
-                space=self._space,
+            # The inner MR sweeps keep the default relaxation; ``omega``
+            # is the Richardson damping of the outer sweeps.
+            z[sl] = schwarz_block_solve(
+                sub_op, np.ascontiguousarray(r[sl]),
+                steps=self.inner_mr_steps, omega=1.0,
+                precision=self.precision, space=self._space, rank=rank,
             )
-            z[sl] = result.x
         return z
 
     def _solve_outer_block(

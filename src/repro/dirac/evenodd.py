@@ -79,9 +79,11 @@ class EvenOddPreconditionedWilson(LatticeOperator):
 
     # -- site-diagonal helpers ------------------------------------------
     def _mul_site(self, mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # complex128 site matrices: the product is rounded to the
+        # field's dtype on store, like the clover term of the full matrix.
         flat = x.reshape(x.shape[:-2] + (12,))
         out = np.squeeze(mats @ flat[..., None], axis=-1)
-        return out.reshape(x.shape)
+        return out.reshape(x.shape).astype(x.dtype, copy=False)
 
     def apply_c(self, x: np.ndarray) -> np.ndarray:
         """(4 + m + A) x."""
@@ -103,9 +105,10 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         return parity_project(geom, out, 0, lead=lead)
 
     def _apply_dagger(self, x: np.ndarray) -> np.ndarray:
-        # Mhat inherits gamma5-Hermiticity from M.
-        g5x = apply_spin_matrix(GAMMA5, x)
-        return apply_spin_matrix(GAMMA5, self._apply(g5x))
+        # Mhat inherits gamma5-Hermiticity from M; gamma5 (a +-1
+        # diagonal) is cast to the field's dtype, as in the full matrix.
+        g5 = GAMMA5.astype(x.dtype)
+        return apply_spin_matrix(g5, self._apply(apply_spin_matrix(g5, x)))
 
     # -- full-system conversion ---------------------------------------------
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:

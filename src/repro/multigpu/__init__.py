@@ -1,11 +1,10 @@
 """Multi-dimensional lattice partitioning across the virtual GPU cluster
 (Sec. 6 of the paper): block decomposition, ghost-zone halo exchange,
-interior/exterior kernel split, and distributed operators/fields — in
-both the global-view form (:class:`HaloExchanger`,
-:class:`DistributedOperator`, :class:`DistributedSpace`) and the
-per-rank SPMD form (:class:`RankHaloEngine`, :class:`RankOperator`,
-:class:`RankSpace`) that shares the same layout arithmetic
-(:class:`HaloLayout`) and stencil kernels."""
+interior/exterior kernel split, and the per-rank operator and vector
+space a rank program runs on (:class:`RankHaloEngine`,
+:class:`RankOperator`, :class:`RankSpace`) over the shared layout
+arithmetic (:class:`HaloLayout`).  :class:`HaloExchanger` drives one
+engine per rank from a single thread, for ledgers and timing."""
 
 from repro.multigpu.partition import BlockPartition
 from repro.multigpu.layout import HaloLayout
@@ -13,8 +12,6 @@ from repro.multigpu.halo import HaloExchanger
 from repro.multigpu.rank_halo import RankHaloEngine
 from repro.multigpu.rank_op import RankOperator
 from repro.multigpu.rank_space import BatchedRankSpace, RankSpace
-from repro.multigpu.space import DistributedSpace
-from repro.multigpu.ddop import DistributedOperator
 
 __all__ = [
     "BlockPartition",
@@ -24,6 +21,4 @@ __all__ = [
     "RankOperator",
     "RankSpace",
     "BatchedRankSpace",
-    "DistributedSpace",
-    "DistributedOperator",
 ]

@@ -15,15 +15,16 @@ For every partitioned dimension, each rank
 The per-rank mechanics — staging, face gather/boundary/quantize, send,
 receive, scatter, all the cost accounting and trace spans — live in
 :class:`~repro.multigpu.rank_halo.RankHaloEngine`; the slicing arithmetic
-lives in :class:`~repro.multigpu.layout.HaloLayout`.  This module's
-:class:`HaloExchanger` is the *global-view driver*: it owns one engine
-per rank (each with a driver-mode
-:class:`~repro.comm.communicator.MailboxCommunicator` endpoint) and
-iterates them from a single thread in a fixed order — all sends of a
-(dimension, direction) pair posted before any receive, exactly the
-non-blocking discipline of the SPMD execution model
-(docs/architecture.md, "Execution model"), which runs the same engines
-concurrently instead.
+lives in :class:`~repro.multigpu.layout.HaloLayout` (``exchanger.layout``).
+This module's :class:`HaloExchanger` has no arithmetic of its own: it is
+a single-thread *driver* that owns one engine per rank (each with a
+driver-mode :class:`~repro.comm.communicator.MailboxCommunicator`
+endpoint) and steps them in a fixed order — all sends of a (dimension,
+direction) pair posted before any receive, the non-blocking discipline
+of the SPMD execution model (docs/architecture.md, "Execution model"),
+which runs the same engines concurrently instead.  It exists for what
+wants every rank's padded array in one place: the per-message
+:class:`~repro.comm.traffic.CommLog` ledger and exchange timing.
 
 Ghost zones are only allocated and exchanged for partitioned dimensions
 ("so as to ensure that GPU memory as well as PCI-E and interconnect
@@ -46,7 +47,6 @@ from repro.comm.communicator import MailboxCommunicator
 from repro.comm.mailbox import Mailbox
 from repro.comm.traffic import CommLog
 from repro.dirac.base import BoundarySpec, PERIODIC
-from repro.lattice.geometry import Geometry
 from repro.multigpu.layout import HaloLayout, halo_logical_nbytes  # noqa: F401
 from repro.multigpu.partition import BlockPartition
 from repro.multigpu.rank_halo import RankHaloEngine
@@ -56,8 +56,9 @@ __all__ = ["HaloExchanger", "halo_logical_nbytes"]
 
 
 class HaloExchanger:
-    """Global-view ghost-zone exchange: one rank engine per virtual rank,
-    driven sequentially for one partition / stencil depth / boundary."""
+    """Single-thread ghost-zone exchange driver: one rank engine per
+    virtual rank, stepped in a fixed order for one partition / stencil
+    depth / boundary."""
 
     def __init__(
         self,
@@ -94,34 +95,6 @@ class HaloExchanger:
             )
             for rank in range(partition.n_ranks)
         ]
-
-    @property
-    def partitioned_dims(self) -> tuple[int, ...]:
-        return self.partition.grid.partitioned_dims
-
-    # ------------------------------------------------------------------
-    # padded layout (delegated to the shared HaloLayout)
-    # ------------------------------------------------------------------
-    @property
-    def padded_dims(self) -> tuple[int, int, int, int]:
-        """Local extents grown by 2*depth in each partitioned dimension."""
-        return self.layout.padded_dims
-
-    @property
-    def padded_geometry(self) -> Geometry:
-        return self.layout.padded_geometry
-
-    def padded_origin(self, rank: int) -> tuple[int, int, int, int]:
-        """Global coordinate of the padded array's (0,0,0,0) site."""
-        return self.layout.padded_origin(rank)
-
-    def interior_slices(self, lead: int = 0) -> tuple[slice, ...]:
-        """Slicing of the padded array that selects the true local block."""
-        return self.layout.interior_slices(lead)
-
-    def _ghost_slices(self, mu: int, side: int, lead: int = 0) -> tuple[slice, ...]:
-        """Ghost slab of the padded array beyond the ``side`` face in mu."""
-        return self.layout.ghost_slices(mu, side, lead)
 
     # ------------------------------------------------------------------
     # the exchange itself
@@ -165,7 +138,7 @@ class HaloExchanger:
             # Post all sends first (non-blocking semantics), then receive:
             # the gather kernel extracts the *opposite* face to the ghost
             # it fills on the neighbor.
-            for mu in self.partitioned_dims:
+            for mu in self.layout.partitioned_dims:
                 for sign in (+1, -1):
                     for engine, field in zip(self.engines, local_fields):
                         engine.send_faces(
@@ -193,17 +166,3 @@ class HaloExchanger:
         return self.exchange(
             local_links, lead=1, kind="gauge", apply_boundary=False
         )
-
-    # ------------------------------------------------------------------
-    def extract_interior(self, padded: np.ndarray, lead: int = 0) -> np.ndarray:
-        return self.layout.extract_interior(padded, lead)
-
-    def zero_ghosts(self, padded: np.ndarray, lead: int = 0) -> np.ndarray:
-        """Copy of a padded array with every ghost slab zeroed (the input
-        the *interior kernel* effectively sees)."""
-        return self.layout.zero_ghosts(padded, lead)
-
-    def only_ghost(self, padded: np.ndarray, mu: int, lead: int = 0) -> np.ndarray:
-        """Array with only dimension-mu ghost slabs kept (the input the
-        mu *exterior kernel* effectively sees)."""
-        return self.layout.only_ghost(padded, mu, lead)

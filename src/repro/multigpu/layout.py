@@ -1,9 +1,9 @@
 """The padded ghost-zone layout of one rank's sub-lattice (Fig. 2).
 
 Pure geometry, shared by every component that touches padded arrays: the
-global-view :class:`~repro.multigpu.halo.HaloExchanger` driver, the
-per-rank :class:`~repro.multigpu.rank_halo.RankHaloEngine` of the SPMD
-execution model, and the distributed operators.  A :class:`HaloLayout`
+per-rank :class:`~repro.multigpu.rank_halo.RankHaloEngine`, the rank
+operators built on it, and the single-thread
+:class:`~repro.multigpu.halo.HaloExchanger` driver.  A :class:`HaloLayout`
 binds a :class:`~repro.multigpu.partition.BlockPartition` to a stencil
 ``depth`` and answers every slicing question about the padded local
 array: where the interior block sits, where each ghost slab sits, and

@@ -8,17 +8,15 @@ faces it receives into its ghost slabs.  The engine follows the eager
 non-blocking send discipline — *every* send is posted before any receive
 — so the exchange can never deadlock regardless of rank scheduling.
 
-The same engine serves both execution models:
+SPMD rank programs (:mod:`repro.core.spmd`) call the composite
+:meth:`exchange` concurrently, one engine per thread or process; the
+:class:`~repro.multigpu.halo.HaloExchanger` driver steps one engine per
+rank from a single thread through the granular
+``stage``/``send_faces``/``recv_face`` phases in a fixed order.
 
-* the global-view :class:`~repro.multigpu.halo.HaloExchanger` drives one
-  engine per rank from a single thread (calling the granular
-  ``stage``/``send_faces``/``recv_face`` phases in its fixed order), and
-* SPMD rank programs (:mod:`repro.core.spmd`) call the composite
-  :meth:`exchange` concurrently, one engine per thread or process.
-
-Cost accounting and trace spans are emitted here, per rank, identically
-in both models — which is what makes merged per-rank tallies reproduce
-the global-view numbers exactly (the backend-parity tests assert this).
+Cost accounting and trace spans are emitted here, per rank, so the
+merged per-rank tallies are identical whichever way the engines are
+driven (the backend-parity tests assert this).
 
 Spinor exchanges reuse their padded staging array and slice tuples
 across calls (one allocation per shape/dtype for the engine's lifetime);
@@ -73,7 +71,7 @@ class RankHaloEngine:
 
     # ------------------------------------------------------------------
     # exchange phases (driven either by self.exchange or by the
-    # global-view HaloExchanger, in the same order)
+    # HaloExchanger driver, in the same order)
     # ------------------------------------------------------------------
     def stage(self, field: np.ndarray, lead: int = 0, reuse: bool = True) -> np.ndarray:
         """Copy the local field into the interior of a padded array."""

@@ -2,30 +2,29 @@
 
 One rank's share of a distributed operator application is: halo-exchange
 the rank's spinor block, run the stencil on the padded array, extract
-the interior.  This module holds that per-rank logic once, in two
-forms:
+the interior.  This module holds that per-rank logic, in two forms:
 
 * the *kernel functions* (:func:`fused_apply`, :func:`split_apply`) —
-  one rank's stencil body on an already-exchanged padded array, with the
-  trace spans of Sec. 6.2 (``fused_stencil`` or ``interior_kernel`` +
-  per-dimension ``exterior_*``).  The global-view
-  :class:`~repro.multigpu.ddop.DistributedOperator` loops these over all
-  ranks; SPMD rank programs call them for their own rank only.
+  one rank's ghost exchange and stencil body on its padded array, with
+  the trace spans of Sec. 6.2 (``fused_stencil`` or ``interior_kernel``
+  + per-dimension ``exterior_*``).
 * :class:`RankOperator` — a rank program's local operator endpoint: it
   owns the rank's padded local stencil and halo engine and exposes
-  ``apply``/``apply_dagger`` on rank-local (unpadded) fields, the
-  per-rank mirror of ``DistributedOperator.apply``.
+  ``apply``/``apply_dagger`` on rank-local (unpadded) fields.
 
-Cost accounting convention (merged per-rank tallies must equal the
-global-view tallies exactly): each rank charges the stencil flops of its
+Cost accounting convention (the merged per-rank tallies are the cost of
+the global application): each rank charges the stencil flops of its
 *local* volume — the per-rank shares sum to the global count — while the
 single ``dist_*`` operator-application event is charged to rank 0 only.
 
-Constructors (:func:`rank_wilson_clover`, :func:`rank_naive_staggered`)
-perform the one-time SPMD gauge ghost exchange through the rank's own
-engine.  The clover field cannot be built rank-locally: its field-
-strength leaves read corner sites the halo exchange never fills, so the
-parent builds it globally and passes each rank its (unpadded) block.
+The builders (:func:`rank_wilson_clover`, :func:`rank_naive_staggered`,
+:func:`rank_asqtad`; :data:`RANK_BUILDERS` maps an operator kind to its
+builder, ghost depth and per-site axes) perform the one-time SPMD link
+ghost exchange through the rank's own engine — "the gauge field ... must
+only be transfered once at the beginning of a solve".  The clover field
+cannot be built rank-locally: its field-strength leaves read corner
+sites the halo exchange never fills, so the parent builds it globally
+and passes each rank its (unpadded) block.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dirac.base import BoundarySpec, LatticeOperator, PERIODIC
-from repro.dirac.staggered import NaiveStaggeredOperator
+from repro.dirac.staggered import AsqtadOperator, NaiveStaggeredOperator
 from repro.dirac.wilson import WilsonCloverOperator
+from repro.gauge.asqtad import AsqtadLinks
 from repro.lattice.fields import GaugeField
 from repro.lattice.geometry import DIR_NAMES
 from repro.multigpu.layout import local_boundary
@@ -44,26 +44,24 @@ from repro.util.counters import record, record_operator
 
 
 # ----------------------------------------------------------------------
-# one rank's stencil body on a padded array (shared by both models)
+# one rank's exchange + stencil body
 # ----------------------------------------------------------------------
 def fused_apply(
-    op: LatticeOperator, exch, pad: np.ndarray, lead: int, rank: int,
+    op: LatticeOperator, engine: RankHaloEngine, x: np.ndarray, lead: int,
     dagger: bool = False,
 ) -> np.ndarray:
-    """Fused path: one local stencil on the padded array, interior out.
-
-    ``exch`` is anything with ``extract_interior`` — the global
-    :class:`~repro.multigpu.halo.HaloExchanger` or a per-rank
-    :class:`~repro.multigpu.rank_halo.RankHaloEngine`.
-    """
+    """Fused path: exchange ghosts, one local stencil on the padded
+    array, interior out."""
+    pad = engine.exchange_spinor(x, lead=lead)
     name = "fused_stencil_dagger" if dagger else "fused_stencil"
-    with span(name, kind="interior", rank=rank, stream="compute"):
+    with span(name, kind="interior", rank=engine.rank, stream="compute"):
         applied = op._apply_dagger(pad) if dagger else op._apply(pad)
-        return exch.extract_interior(applied, lead=lead)
+        return engine.extract_interior(applied, lead=lead)
 
 
 def split_apply(
-    op: LatticeOperator, exch, pad: np.ndarray, lead: int, rank: int
+    op: LatticeOperator, engine: RankHaloEngine, x: np.ndarray, lead: int,
+    overlap: bool = False,
 ) -> np.ndarray:
     """Interior/exterior kernel path (Sec. 6.2) for one rank.
 
@@ -73,45 +71,30 @@ def split_apply(
     sourced from that dimension's ghost zones.  Sites on corners receive
     updates from several exterior kernels, reproducing the data
     dependency the paper serializes the exterior kernels over.
+
+    ``overlap=True`` is the live schedule of Fig. 4: start the exchange
+    (pre-posted receives, eager sends), run the interior kernel while
+    faces are in flight, and drain each partitioned dimension just before
+    its exterior kernel.  Bit-identical to the exchange-first order: the
+    interior kernel reads a zero-ghost *copy* of the padded array, face
+    scatters land in disjoint ghost slabs, and the exterior contributions
+    are summed in the same fixed dimension order.
     """
-    with span("interior_kernel", kind="interior", rank=rank,
-              stream="compute"):
-        interior_in = exch.zero_ghosts(pad, lead=lead)
-        out = exch.extract_interior(op._apply(interior_in), lead=lead)
-    for mu in exch.partitioned_dims:
-        with span(f"exterior_{DIR_NAMES[mu]}", kind="exterior",
-                  rank=rank, stream="compute", mu=mu):
-            ghost_in = exch.only_ghost(pad, mu, lead=lead)
-            out = out + exch.extract_interior(
-                op.apply_hopping(ghost_in), lead=lead
-            )
-    return out
-
-
-def split_apply_overlapped(
-    op: LatticeOperator, engine: RankHaloEngine, x: np.ndarray, lead: int,
-    rank: int,
-) -> np.ndarray:
-    """The overlapped interior/exterior schedule of Fig. 4, live.
-
-    Starts the halo exchange (pre-posted receives, eager sends), runs the
-    interior kernel while faces are in flight, then drains each
-    partitioned dimension and applies its exterior kernel.  Bit-identical
-    to exchange-then-:func:`split_apply`: the interior kernel reads a
-    zero-ghost *copy* of the padded array, face scatters land in disjoint
-    ghost slabs, and the exterior contributions are summed in the same
-    fixed dimension order.
-    """
-    pending = engine.begin_exchange(x, lead=lead, kind="spinor")
-    pad = pending.padded
-    with span("interior_kernel", kind="interior", rank=rank,
+    pending = None
+    if overlap:
+        pending = engine.begin_exchange(x, lead=lead, kind="spinor")
+        pad = pending.padded
+    else:
+        pad = engine.exchange_spinor(x, lead=lead)
+    with span("interior_kernel", kind="interior", rank=engine.rank,
               stream="compute"):
         interior_in = engine.zero_ghosts(pad, lead=lead)
         out = engine.extract_interior(op._apply(interior_in), lead=lead)
     for mu in engine.partitioned_dims:
-        pending.complete_dim(mu)
+        if pending is not None:
+            pending.complete_dim(mu)
         with span(f"exterior_{DIR_NAMES[mu]}", kind="exterior",
-                  rank=rank, stream="compute", mu=mu):
+                  rank=engine.rank, stream="compute", mu=mu):
             ghost_in = engine.only_ghost(pad, mu, lead=lead)
             out = out + engine.extract_interior(
                 op.apply_hopping(ghost_in), lead=lead
@@ -142,30 +125,26 @@ def _resolve_schedule(schedule: str, overlap: bool) -> str:
 
 
 class RankOperator:
-    """One rank's endpoint of a distributed Dirac operator."""
+    """One rank's endpoint of a distributed Dirac operator: the rank's
+    padded local stencil behind its halo engine."""
 
     def __init__(
         self,
         engine: RankHaloEngine,
         local_op: LatticeOperator,
-        name: str,
-        flops_per_site: int,
-        nspin: int,
         schedule: str = "auto",
         overlap: bool = False,
     ):
         self.engine = engine
         self.local_op = local_op
-        self.name = name
-        self.flops_per_site = flops_per_site
-        self.nspin = nspin
+        self.name = local_op.name
         self.schedule = _resolve_schedule(schedule, overlap)
         self.overlap = overlap
         self.rank = engine.rank
         self.local_volume = engine.layout.partition.local_volume
 
     def _field_lead(self, x: np.ndarray) -> int:
-        expected = 4 + (2 if self.nspin == 4 else 1)
+        expected = 4 + self.engine.site_axes
         extra = x.ndim - expected
         if extra in (0, 1):
             return extra
@@ -174,41 +153,36 @@ class RankOperator:
             f"(or +1 batch axis), got shape {x.shape}"
         )
 
-    def _record(self, batch: int = 1) -> None:
+    def _record(self, x: np.ndarray, lead: int) -> None:
         # The collective event is counted once (on rank 0); the flops are
         # each rank's own local-volume share.
         if self.rank == 0:
             record_operator(f"dist_{self.name}")
-        record(flops=self.flops_per_site * self.local_volume * batch)
+        batch = x.shape[0] if lead else 1
+        record(flops=self.local_op.flops_per_site * self.local_volume * batch)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Exchange ghosts, apply this rank's stencil, return the interior
         (or the interior/exterior path under ``schedule="split"``)."""
         lead = self._field_lead(x)
-        self._record(batch=x.shape[0] if lead else 1)
-        if self.overlap:
-            return split_apply_overlapped(
-                self.local_op, self.engine, x, lead, self.rank
-            )
-        pad = self.engine.exchange_spinor(x, lead=lead)
+        self._record(x, lead)
         if self.schedule == "split":
-            return split_apply(self.local_op, self.engine, pad, lead, self.rank)
-        return fused_apply(self.local_op, self.engine, pad, lead, self.rank)
+            return split_apply(
+                self.local_op, self.engine, x, lead, overlap=self.overlap
+            )
+        return fused_apply(self.local_op, self.engine, x, lead)
 
     def apply_dagger(self, x: np.ndarray) -> np.ndarray:
         lead = self._field_lead(x)
-        self._record(batch=x.shape[0] if lead else 1)
-        pad = self.engine.exchange_spinor(x, lead=lead)
-        return fused_apply(
-            self.local_op, self.engine, pad, lead, self.rank, dagger=True
-        )
+        self._record(x, lead)
+        return fused_apply(self.local_op, self.engine, x, lead, dagger=True)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
 
 # ----------------------------------------------------------------------
-# constructors (one-time SPMD gauge ghost exchange per rank)
+# builders (one-time SPMD link ghost exchange per rank)
 # ----------------------------------------------------------------------
 def rank_wilson_clover(
     engine: RankHaloEngine,
@@ -231,25 +205,22 @@ def rank_wilson_clover(
             "read corner sites the halo exchange never fills"
         )
     layout = engine.layout
-    local_bc = local_boundary(boundary, engine.partitioned_dims)
-    padded_links = engine.exchange_gauge(gauge_block)
     padded_clover = None
     if clover_block is not None:
+        # Ghost sites keep zero clover, which is harmless because ghost
+        # outputs are discarded.
         shape = tuple(reversed(layout.padded_dims)) + clover_block.shape[4:]
         padded_clover = np.zeros(shape, dtype=clover_block.dtype)
         padded_clover[layout.interior_slices()] = clover_block
     local_op = WilsonCloverOperator(
-        GaugeField(layout.padded_geometry, padded_links),
+        GaugeField(layout.padded_geometry, engine.exchange_gauge(gauge_block)),
         mass=mass,
         csw=csw,
-        boundary=local_bc,
+        boundary=local_boundary(boundary, engine.partitioned_dims),
         clover=padded_clover,
         kernel=kernel,
     )
-    return RankOperator(
-        engine, local_op, local_op.name, local_op.flops_per_site, 4,
-        schedule=schedule, overlap=overlap,
-    )
+    return RankOperator(engine, local_op, schedule=schedule, overlap=overlap)
 
 
 def rank_naive_staggered(
@@ -265,26 +236,68 @@ def rank_naive_staggered(
     local gauge block; the padded origin keeps the Kogut-Susskind phases
     globally consistent."""
     layout = engine.layout
-    local_bc = local_boundary(boundary, engine.partitioned_dims)
-    padded = engine.exchange_gauge(gauge_block)
     local_op = NaiveStaggeredOperator(
-        GaugeField(layout.padded_geometry, padded),
+        GaugeField(layout.padded_geometry, engine.exchange_gauge(gauge_block)),
         mass=mass,
-        boundary=local_bc,
+        boundary=local_boundary(boundary, engine.partitioned_dims),
         origin=layout.padded_origin(engine.rank),
         kernel=kernel,
     )
-    return RankOperator(
-        engine, local_op, local_op.name, local_op.flops_per_site, 1,
-        schedule=schedule, overlap=overlap,
+    return RankOperator(engine, local_op, schedule=schedule, overlap=overlap)
+
+
+def rank_asqtad(
+    engine: RankHaloEngine,
+    fat_block: np.ndarray,
+    long_block: np.ndarray,
+    mass: float,
+    boundary: BoundarySpec = PERIODIC,
+    kernel: str = "auto",
+    schedule: str = "auto",
+    overlap: bool = False,
+) -> RankOperator:
+    """Build this rank's asqtad endpoint from its (unpadded) blocks of the
+    precomputed fat and long links.  The 3-hop Naik term needs an engine
+    on a depth-3 layout — the "decreased locality of the asqtad operator"
+    that makes its strong scaling harder — and blocks at least that
+    thick (:class:`~repro.multigpu.layout.HaloLayout` rejects thinner
+    ones)."""
+    layout = engine.layout
+    if layout.depth < 3:
+        raise ValueError(
+            f"asqtad needs depth-3 ghost zones, engine has depth {layout.depth}"
+        )
+    local_op = AsqtadOperator(
+        AsqtadLinks(
+            geometry=layout.padded_geometry,
+            fat=engine.exchange_gauge(fat_block),
+            long=engine.exchange_gauge(long_block),
+        ),
+        mass=mass,
+        boundary=local_boundary(boundary, engine.partitioned_dims),
+        origin=layout.padded_origin(engine.rank),
+        kernel=kernel,
     )
+    return RankOperator(engine, local_op, schedule=schedule, overlap=overlap)
+
+
+#: Operator kind -> (builder, ghost depth, per-site axes): what a rank
+#: program needs to set up ``RankHaloEngine(HaloLayout(partition, depth),
+#: comm, site_axes=...)`` and call ``builder(engine, *link_blocks, mass,
+#: ...)``.
+RANK_BUILDERS = {
+    "wilson_clover": (rank_wilson_clover, 1, 2),
+    "staggered": (rank_naive_staggered, 1, 1),
+    "asqtad": (rank_asqtad, 3, 1),
+}
 
 
 __all__ = [
+    "RANK_BUILDERS",
     "RankOperator",
     "fused_apply",
+    "rank_asqtad",
     "rank_naive_staggered",
     "rank_wilson_clover",
     "split_apply",
-    "split_apply_overlapped",
 ]

@@ -1,20 +1,19 @@
 """Rank-local vector space: one rank's share of a distributed vector.
 
-The SPMD mirror of :class:`repro.multigpu.space.DistributedSpace`: a
-vector is this rank's *block* (a plain numpy array), updates are local,
-and every inner product is a genuine two-step global reduction — a local
-partial sum followed by ``comm.allreduce_sum`` (the communication that
-throttles traditional Krylov methods at scale, Sec. 3.2).
+A vector is this rank's *block* (a plain numpy array), updates are
+local, and every inner product is a genuine two-step global reduction —
+a local partial sum followed by ``comm.allreduce_sum`` (the
+communication that throttles traditional Krylov methods at scale,
+Sec. 3.2).  The space gives the Krylov solvers the same interface as
+:class:`repro.solvers.space.ArraySpace`.
 
 Because the allreduce folds contributions in fixed rank order and
 returns the identical scalar to every rank, a Krylov solver written
-against this space executes the *same* control flow on every rank — and
-bit-identically to the same solver (e.g. :func:`repro.solvers.gcr.gcr`)
-run global-view over ``DistributedSpace``.  To keep the merged per-rank
-tallies equal to the global-view tallies, the recording here mirrors
-``DistributedSpace`` exactly (raw ``np.vdot`` partials plus explicit ``record`` — NOT the
+against this space (e.g. :func:`repro.solvers.gcr.gcr`) executes the
+*same* control flow on every rank, bit-identically on every backend.
+Partials are raw ``np.vdot`` plus an explicit ``record`` — NOT the
 :mod:`repro.linalg.blas` reduction helpers, which would charge an extra
-``reductions=1`` on top of the communicator's collective accounting).
+``reductions=1`` on top of the communicator's collective accounting.
 """
 
 from __future__ import annotations
@@ -82,8 +81,11 @@ class BatchedRankSpace(RankSpace):
     """Multi-RHS rank-local vectors: blocks ``(B,) + local lattice + site``.
 
     Reductions compute per-RHS partial sums and combine them in ONE
-    allreduce carrying B scalars, mirroring
-    :class:`repro.multigpu.space.BatchedDistributedSpace`.
+    allreduce carrying B scalars — N right-hand sides cost the same
+    number of global synchronizations as one, which is the whole point
+    of batching for the reduction-latency-bound strong-scaling regime of
+    Sec. 3.2.  Update coefficients are per-RHS ``(B,)`` vectors broadcast
+    over the block.
     """
 
     @staticmethod

@@ -5,8 +5,8 @@ provides inner products, norms and axpy-family updates.  This lets the same
 solver source run on
 
 * plain numpy arrays (:class:`ArraySpace`, the default), and
-* distributed fields of the virtual cluster
-  (:class:`repro.multigpu.space.DistributedSpace`), where inner products
+* one rank's block of a distributed field
+  (:class:`repro.multigpu.rank_space.RankSpace`), where inner products
   become genuine global reductions over per-rank partial sums.
 
 Spaces also expose :meth:`convert`, the precision hook used by the

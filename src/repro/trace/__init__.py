@@ -5,8 +5,7 @@ bytes, reductions, kernel seconds.  This package answers *when*: it records
 spans (rank/stream/kind-tagged intervals) from the instrumented hot paths —
 
 * halo gather/pack, per-dimension send/recv, scatter
-  (:class:`repro.multigpu.rank_halo.RankHaloEngine` and the global-view
-  :class:`repro.multigpu.halo.HaloExchanger`, Secs. 6.1/6.3),
+  (:class:`repro.multigpu.rank_halo.RankHaloEngine`, Secs. 6.1/6.3),
 * interior and exterior dslash kernels
   (:func:`repro.multigpu.rank_op.split_apply`, Sec. 6.2),
 * the GCR-DD outer/inner solver phases (:mod:`repro.solvers.gcr`,

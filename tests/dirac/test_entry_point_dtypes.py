@@ -1,13 +1,14 @@
 """Every public operator entry point returns the dtype it was given: a
 complex64 field must not be silently promoted (and computed) in double by
-a complex128 table — gamma5, the clover matrices, a numpy scalar — on any
-path, batched or not."""
+a complex128 table — gamma5, the clover matrices, the even-odd site
+matrices, a numpy scalar — on any path, batched or not."""
 
 import numpy as np
 import pytest
 
 from repro.dirac import (
     AsqtadOperator,
+    EvenOddPreconditionedWilson,
     NaiveStaggeredOperator,
     WilsonCloverOperator,
 )
@@ -20,7 +21,12 @@ CASES = [
     for entry in (
         "apply", "apply_dagger", "dslash", "apply_hopping", "apply_site_diagonal"
     )
-] + [(name, entry) for name in _COMPOSITES for entry in ("apply", "apply_dagger")]
+] + [
+    (name, entry) for name in _COMPOSITES for entry in ("apply", "apply_dagger")
+] + [
+    ("eo(wilson_clover)", entry)
+    for entry in ("apply", "apply_dagger", "prepare_rhs", "reconstruct")
+]
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +41,7 @@ def operators(weak_gauge):
         "normal(wilson_clover)": clover.normal(),
         "normal(asqtad)": asqtad.normal(),
         "shifted(wilson_clover)": clover.shifted(0.25),
+        "eo(wilson_clover)": EvenOddPreconditionedWilson(clover),
     }
 
 
@@ -47,6 +54,7 @@ def test_entry_point_returns_input_dtype(operators, name, entry, batch, dtype, r
     if batch:
         shape = (batch,) + shape
     x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
-    out = getattr(op, entry)(x)
+    # reconstruct(x_e, b) takes the even solution and the full source.
+    out = getattr(op, entry)(*((x, x) if entry == "reconstruct" else (x,)))
     assert out.shape == x.shape
     assert out.dtype == np.dtype(dtype)

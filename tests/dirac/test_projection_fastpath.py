@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rank_stack import rank_apply
 from repro.comm import ProcessGrid
 from repro.dirac import (
     BoundarySpec,
@@ -21,7 +22,7 @@ from repro.dirac import (
 from repro.dirac.evenodd import parity_project
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.linalg.gamma import projector, projector_factors, projector_tables
-from repro.multigpu import BlockPartition, DistributedOperator
+from repro.multigpu import BlockPartition
 
 SETTINGS = dict(max_examples=15, deadline=None)
 
@@ -121,18 +122,17 @@ class TestDistributedEquivalence:
         geom = Geometry((4, 4, 4, 8))
         gauge = GaugeField.weak(geom, epsilon=0.3, rng=23)
         grid = ProcessGrid((1, 1, 2, 2))
-        fast = DistributedOperator.wilson_clover(
-            gauge, 0.1, 1.0, grid, boundary=PHYSICAL, kernel="numpy"
-        )
-        ref = DistributedOperator.wilson_clover(
-            gauge, 0.1, 1.0, grid, boundary=PHYSICAL, kernel="numpy_ref"
-        )
         x = SpinorField.random(geom, rng=rng).data
-        run = (lambda op: op.apply_split(op.scatter(x))) if split else (
-            lambda op: op.apply(op.scatter(x))
-        )
-        out = fast.gather(run(fast))
-        expected = ref.gather(run(ref))
+
+        def run(kernel):
+            return rank_apply(
+                "wilson_clover", gauge, 0.1, grid, x, csw=1.0,
+                boundary=PHYSICAL, kernel=kernel,
+                schedule="split" if split else "fused",
+            )
+
+        out = run("numpy")
+        expected = run("numpy_ref")
         assert np.abs(out - expected).max() < TOL * np.abs(expected).max()
 
 

@@ -20,11 +20,17 @@ from repro import (
     solve,
     tally,
 )
-from repro.comm import CommLog
+from rank_stack import rank_apply, rank_space
 from repro.dirac import PHYSICAL, AsqtadOperator, StaggeredNormalOperator
-from repro.multigpu import DistributedOperator, DistributedSpace
 from repro.solvers import cg, gcr
 from repro.solvers.space import STAGGERED_SPACE
+
+
+def _converged_gcr(op, b_loc):
+    """One rank's share of an unpreconditioned distributed GCR solve."""
+    res = gcr(op.apply, b_loc, tol=1e-6, maxiter=600, space=rank_space(op))
+    assert res.converged
+    return res.x
 
 
 @pytest.mark.slow
@@ -47,14 +53,10 @@ class TestDistributedGCRDDAgreement:
         res = GCRDDSolver(op, grid, GCRDDConfig(tol=1e-6, precond_steps=8)).solve(b)
         assert res.converged
         # Unpreconditioned GCR on the distributed operator.
-        dist = DistributedOperator.wilson_clover(
-            gauge, 0.2, 1.0, grid, boundary=PHYSICAL
+        x_dist = rank_apply(
+            "wilson_clover", gauge, 0.2, grid, b, csw=1.0, boundary=PHYSICAL,
+            body=_converged_gcr,
         )
-        space = DistributedSpace(dist.partition, site_axes=2)
-        dres = gcr(dist.apply, space.scatter(b), tol=1e-6, maxiter=600,
-                   space=space)
-        assert dres.converged
-        x_dist = space.asarray(dres.x)
         rel = np.linalg.norm(res.x - x_dist) / np.linalg.norm(x_dist)
         assert rel < 1e-4
 
@@ -64,13 +66,12 @@ class TestDistributedGCRDDAgreement:
         in one number."""
         geom, gauge, op, b = system
         grid = ProcessGrid((1, 1, 2, 2))
-        log = CommLog()
-        dist = DistributedOperator.wilson_clover(
-            gauge, 0.2, 1.0, grid, boundary=PHYSICAL, log=log
-        )
-        space = DistributedSpace(dist.partition, site_axes=2)
-        gcr(dist.apply, space.scatter(b), tol=1e-6, maxiter=600, space=space)
-        spinor_bytes = sum(e.nbytes for e in log.events if e.kind == "spinor")
+        with tally() as t_dist:
+            rank_apply(
+                "wilson_clover", gauge, 0.2, grid, b, csw=1.0,
+                boundary=PHYSICAL, body=_converged_gcr,
+            )
+        spinor_bytes = t_dist.comm_bytes
 
         with tally() as t:
             res = GCRDDSolver(

@@ -118,6 +118,22 @@ class TestTraceCLI:
         assert {"gather", "comm", "interior", "exterior"} <= kinds
         assert any(ev.rank == trace.MODEL_RANK for ev in loaded)
 
+    def test_trace_overlap_needs_no_explicit_backend(self, tmp_path, capsys):
+        """``trace`` always runs the SPMD solver (sequential by default),
+        so ``--overlap`` alone traces the live overlapped schedule."""
+        out_path = tmp_path / "cli_overlap.json"
+        rc = main([
+            "trace", "--dims", "4", "4", "4", "8", "--grid", "2", "1", "1",
+            "1", "--tol", "1e-5", "--mr-steps", "4", "--overlap",
+            "--output", str(out_path),
+        ])
+        assert rc == 0
+        assert "converged" in capsys.readouterr().out
+        names = {ev.name for ev in trace.load_chrome_trace(out_path)}
+        # The overlapped exchange drains in-flight faces after the
+        # interior kernel: its wait spans exist on no other schedule.
+        assert {"wait_face", "interior_kernel", "exterior_X"} <= names
+
     def test_tracing_disabled_during_normal_solve(self):
         """A plain solve outside a tracing() scope must emit nothing."""
         assert trace.active_tracer() is None

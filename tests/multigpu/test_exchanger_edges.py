@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from rank_stack import rank_apply
 from repro.comm import ProcessGrid
 from repro.dirac import PHYSICAL, WilsonCloverOperator
 from repro.lattice import GaugeField, Geometry, SpinorField
-from repro.multigpu import BlockPartition, DistributedOperator, HaloExchanger
+from repro.multigpu import BlockPartition, HaloExchanger
 
 
 class TestSerialGrid:
@@ -17,17 +18,17 @@ class TestSerialGrid:
         padded = ex.exchange_spinor([x])
         assert padded[0].shape == x.shape  # nothing partitioned: no pad
         assert ex.mailbox.pending() == 0
-        assert np.array_equal(ex.extract_interior(padded[0]), x)
+        assert np.array_equal(ex.layout.extract_interior(padded[0]), x)
 
     def test_distributed_op_on_one_rank_equals_serial(self, geom44, rng):
         gauge = GaugeField.weak(geom44, epsilon=0.25, rng=2)
         serial = WilsonCloverOperator(gauge, mass=0.2, csw=1.0,
                                       boundary=PHYSICAL)
-        dist = DistributedOperator.wilson_clover(
-            gauge, 0.2, 1.0, ProcessGrid((1, 1, 1, 1)), boundary=PHYSICAL
-        )
         x = SpinorField.random(geom44, rng=rng).data
-        out = dist.gather(dist.apply(dist.scatter(x)))
+        out = rank_apply(
+            "wilson_clover", gauge, 0.2, ProcessGrid((1, 1, 1, 1)), x,
+            csw=1.0, boundary=PHYSICAL,
+        )
         assert np.abs(out - serial.apply(x)).max() < 1e-13
 
 
@@ -63,7 +64,7 @@ class TestRepeatedUse:
             assert ex.mailbox.pending() == 0
             for rank, pad in enumerate(padded):
                 assert np.array_equal(
-                    ex.extract_interior(pad), part.split(x)[rank]
+                    ex.layout.extract_interior(pad), part.split(x)[rank]
                 )
 
     def test_mismatched_rank_count_rejected(self, geom448, rng):

@@ -23,16 +23,16 @@ class TestLayout:
     def test_padded_dims(self, setup):
         geom, part, ex, log = setup
         assert part.local_dims == (4, 4, 2, 4)
-        assert ex.padded_dims == (4, 4, 4, 6)  # +2 in z and t only
+        assert ex.layout.padded_dims == (4, 4, 4, 6)  # +2 in z and t only
 
     def test_padding_only_on_partitioned_dims(self, setup):
         geom, part, ex, log = setup
-        assert ex.padded_dims[0] == part.local_dims[0]
-        assert ex.padded_dims[1] == part.local_dims[1]
+        assert ex.layout.padded_dims[0] == part.local_dims[0]
+        assert ex.layout.padded_dims[1] == part.local_dims[1]
 
     def test_padded_origin(self, setup):
         geom, part, ex, log = setup
-        assert ex.padded_origin(0) == (0, 0, -1, -1)
+        assert ex.layout.padded_origin(0) == (0, 0, -1, -1)
 
     def test_depth_validation(self, setup):
         geom, part, ex, log = setup
@@ -47,7 +47,7 @@ class TestLayout:
         blocks = part.split(x)
         padded = ex.exchange_spinor(blocks)
         for blk, pad in zip(blocks, padded):
-            assert np.array_equal(ex.extract_interior(pad), blk)
+            assert np.array_equal(ex.layout.extract_interior(pad), blk)
 
 
 class TestGhostContents:
@@ -169,7 +169,7 @@ class TestBufferReuse:
         padded = ex.exchange_spinor(part.split(y))
         locals_y = part.split(y)
         for rank, pad in enumerate(padded):
-            assert np.array_equal(pad[ex.interior_slices()], locals_y[rank])
+            assert np.array_equal(pad[ex.layout.interior_slices()], locals_y[rank])
             # z/t corner of the padded array was never written by either
             # exchange and must still be zero.
             assert np.abs(pad[0, 0, 0, 0]).max() == 0.0

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from rank_stack import build_rank_op, rank_apply, rank_jobs, rank_space
 from repro.comm import CommLog, ProcessGrid
+from repro.comm.backends import run_rank_programs
 from repro.dirac import WilsonCloverOperator
 from repro.lattice import GaugeField, Geometry, SpinorField
-from repro.multigpu import BlockPartition, DistributedOperator, DistributedSpace, HaloExchanger
+from repro.multigpu import BlockPartition, HaloExchanger
 from repro.multigpu.halo import halo_logical_nbytes
 from repro.precision import HALF, SINGLE
 
@@ -58,7 +60,7 @@ class TestHaloPrecision:
         padded = ex.exchange_gauge(part.split(u.data, lead=1))
         # Gauge ghosts are exchanged once per solve, in full precision.
         # Block 0 covers t=0..3; its backward-t ghost wraps to global t=7.
-        ghost = padded[0][(slice(None),) + ex._ghost_slices(3, -1)]
+        ghost = padded[0][(slice(None),) + ex.layout.ghost_slices(3, -1)]
         interior_src = u.data[:, 7, ...]
         assert np.abs(np.squeeze(ghost, axis=1) - interior_src).max() == 0
 
@@ -66,11 +68,11 @@ class TestHaloPrecision:
         """The distributed operator with half-precision halos matches the
         serial operator to the fixed-point format's accuracy."""
         serial = WilsonCloverOperator(gauge, mass=0.1, csw=1.0)
-        dist = DistributedOperator.wilson_clover(
-            gauge, 0.1, 1.0, ProcessGrid((1, 1, 2, 2)), halo_precision=HALF
-        )
         x = SpinorField.random(geom, rng=rng).data
-        out = dist.gather(dist.apply(dist.scatter(x)))
+        out = rank_apply(
+            "wilson_clover", gauge, 0.1, ProcessGrid((1, 1, 2, 2)), x,
+            csw=1.0, halo_precision=HALF,
+        )
         ref = serial.apply(x)
         err = np.abs(out - ref).max()
         assert 0 < err < 1e-3 * np.abs(ref).max()
@@ -80,19 +82,24 @@ class TestHaloPrecision:
         solve with half halos still reaches single-level accuracy."""
         from repro.solvers import gcr
 
-        dist = DistributedOperator.wilson_clover(
-            gauge, 0.2, 1.0, ProcessGrid((1, 1, 1, 2)), halo_precision=HALF
+        def program(comm, job):
+            # Quantized-halo operator builds the Krylov space; the exact
+            # one computes the restart residuals (the QUDA pattern).
+            exact = build_rank_op(comm, job)
+            quantized = build_rank_op(comm, job, halo_precision=HALF)
+            (b,) = job.fields
+            res = gcr(
+                exact.apply, b, inner_op=quantized.apply, tol=1e-6,
+                maxiter=400, space=rank_space(exact),
+            )
+            return res.converged, res.residual
+
+        b = SpinorField.random(geom, rng=rng).data
+        partition, jobs = rank_jobs(
+            "wilson_clover", gauge, 0.2, ProcessGrid((1, 1, 1, 2)), b, csw=1.0
         )
-        exact = DistributedOperator.wilson_clover(
-            gauge, 0.2, 1.0, ProcessGrid((1, 1, 1, 2))
-        )
-        space = DistributedSpace(dist.partition, site_axes=2)
-        b = space.scatter(SpinorField.random(geom, rng=rng).data)
-        # Quantized-halo operator builds the Krylov space; the exact one
-        # computes the restart residuals (the QUDA pattern).
-        res = gcr(
-            exact.apply, b, inner_op=dist.apply, tol=1e-6, maxiter=400,
-            space=space,
-        )
-        assert res.converged
-        assert res.residual < 2e-6
+        outcomes = run_rank_programs(program, partition.n_ranks, jobs)
+        for outcome in outcomes:
+            converged, residual = outcome.value
+            assert converged
+            assert residual < 2e-6

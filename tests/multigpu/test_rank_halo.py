@@ -43,14 +43,20 @@ def _exchange_program(comm, task):
 
 class TestLayoutEquivalence:
     def test_layout_matches_exchanger_geometry(self, geom448):
+        """The arrays the exchanger hands back are laid out as a fresh
+        HaloLayout says: padded in the partitioned (z, t) directions
+        only, one ghost site before each block's origin."""
         partition = _partition(geom448)
         exch = HaloExchanger(partition, depth=1)
         layout = HaloLayout(partition, depth=1)
-        assert layout.padded_dims == exch.padded_dims
-        assert layout.padded_geometry.dims == exch.padded_geometry.dims
-        assert layout.partitioned_dims == exch.partitioned_dims
-        for rank in range(partition.n_ranks):
-            assert layout.padded_origin(rank) == exch.padded_origin(rank)
+        assert layout.partitioned_dims == (2, 3)
+        assert layout.padded_dims == exch.layout.padded_dims == (4, 4, 4, 6)
+        assert layout.padded_geometry.dims == layout.padded_dims
+        blocks = partition.split(SpinorField.random(geom448, rng=3).data)
+        for rank, pad in enumerate(exch.exchange_spinor(blocks)):
+            assert pad.shape[:4] == tuple(reversed(layout.padded_dims))
+            x0, y0, z0, t0 = partition.origin(rank)
+            assert layout.padded_origin(rank) == (x0, y0, z0 - 1, t0 - 1)
 
     def test_interior_roundtrip(self, geom448):
         partition = _partition(geom448)

@@ -1,11 +1,13 @@
-"""DistributedSpace: global reductions over per-rank blocks."""
+"""RankSpace: global reductions over per-rank blocks, run as rank
+programs under the sequential backend."""
 
 import numpy as np
 import pytest
 
 from repro.comm import ProcessGrid
+from repro.comm.backends import run_rank_programs
 from repro.lattice import Geometry, SpinorField
-from repro.multigpu import BlockPartition, DistributedSpace
+from repro.multigpu import BlockPartition, RankSpace
 from repro.util.counters import tally
 
 
@@ -13,76 +15,95 @@ from repro.util.counters import tally
 def setup():
     geom = Geometry((4, 4, 4, 8))
     part = BlockPartition(geom, ProcessGrid((1, 1, 2, 2)))
-    return geom, part, DistributedSpace(part)
+    return geom, part
+
+
+def on_space(part, body, *fields):
+    """Per-rank values of ``body(space, *local_blocks)``."""
+    blocks = [part.split(f) for f in fields]
+    payloads = [tuple(b[rank] for b in blocks) for rank in range(part.n_ranks)]
+    outcomes = run_rank_programs(
+        lambda comm, local: body(RankSpace(comm), *local),
+        part.n_ranks, payloads, backend="sequential",
+    )
+    return [o.value for o in outcomes]
+
+
+def gathered(part, body, *fields):
+    return part.assemble(on_space(part, body, *fields))
 
 
 class TestReductions:
     def test_dot_matches_global(self, setup, rng):
-        geom, part, space = setup
+        geom, part = setup
         x = SpinorField.random(geom, rng=rng).data
         y = SpinorField.random(geom, rng=rng).data
-        assert space.dot(space.scatter(x), space.scatter(y)) == pytest.approx(
-            complex(np.vdot(x, y))
-        )
+        values = on_space(part, lambda s, a, b: s.dot(a, b), x, y)
+        assert values[0] == pytest.approx(complex(np.vdot(x, y)))
+        assert all(v == values[0] for v in values)  # same scalar everywhere
 
     def test_norm2_matches_global(self, setup, rng):
-        geom, part, space = setup
+        geom, part = setup
         x = SpinorField.random(geom, rng=rng).data
-        assert space.norm2(space.scatter(x)) == pytest.approx(
-            float(np.vdot(x, x).real)
-        )
+        values = on_space(part, lambda s, a: s.norm2(a), x)
+        assert values[0] == pytest.approx(float(np.vdot(x, x).real))
+        assert all(v == values[0] for v in values)
 
     def test_rdot(self, setup, rng):
-        geom, part, space = setup
+        geom, part = setup
         x = SpinorField.random(geom, rng=rng).data
         y = SpinorField.random(geom, rng=rng).data
-        assert space.rdot(space.scatter(x), space.scatter(y)) == pytest.approx(
-            float(np.vdot(x, y).real)
-        )
+        values = on_space(part, lambda s, a, b: s.rdot(a, b), x, y)
+        assert values[0] == pytest.approx(float(np.vdot(x, y).real))
 
     def test_each_reduction_counted_once(self, setup, rng):
-        geom, part, space = setup
-        xs = space.scatter(SpinorField.random(geom, rng=rng).data)
+        geom, part = setup
+        x = SpinorField.random(geom, rng=rng).data
         with tally() as t:
-            space.norm2(xs)
-            space.dot(xs, xs)
+            on_space(part, lambda s, a: (s.norm2(a), s.dot(a, a)), x)
         assert t.reductions == 2
 
 
 class TestUpdates:
     def test_axpy(self, setup, rng):
-        geom, part, space = setup
+        geom, part = setup
         x = SpinorField.random(geom, rng=rng).data
         y = SpinorField.random(geom, rng=rng).data
-        out = space.asarray(space.axpy(2.0, space.scatter(x), space.scatter(y)))
+        out = gathered(part, lambda s, a, b: s.axpy(2.0, a, b), x, y)
         assert np.allclose(out, y + 2 * x)
 
     def test_xpay_scale_copy(self, setup, rng):
-        geom, part, space = setup
+        geom, part = setup
         x = SpinorField.random(geom, rng=rng).data
         y = SpinorField.random(geom, rng=rng).data
-        xs, ys = space.scatter(x), space.scatter(y)
-        assert np.allclose(space.asarray(space.xpay(xs, -1.5, ys)), x - 1.5 * y)
-        assert np.allclose(space.asarray(space.scale(1j, xs)), 1j * x)
-        copied = space.copy(xs)
-        copied[0][...] = 0
-        assert np.allclose(space.asarray(xs), x)
+        assert np.allclose(
+            gathered(part, lambda s, a, b: s.xpay(a, -1.5, b), x, y),
+            x - 1.5 * y,
+        )
+        assert np.allclose(gathered(part, lambda s, a: s.scale(1j, a), x), 1j * x)
+
+        def copy_then_clobber(s, a):
+            s.copy(a)[...] = 0
+            return a
+
+        assert np.array_equal(gathered(part, copy_then_clobber, x), x)
 
     def test_zeros_like(self, setup, rng):
-        geom, part, space = setup
-        xs = space.scatter(SpinorField.random(geom, rng=rng).data)
-        assert space.norm2(space.zeros_like(xs)) == 0.0
+        geom, part = setup
+        x = SpinorField.random(geom, rng=rng).data
+        values = on_space(part, lambda s, a: s.norm2(s.zeros_like(a)), x)
+        assert values == [0.0] * part.n_ranks
 
     def test_convert_precision(self, setup, rng):
         from repro.precision import HALF
 
-        geom, part, space = setup
+        geom, part = setup
         x = SpinorField.random(geom, rng=rng).data
-        out = space.convert(space.scatter(x), HALF)
-        assert out[0].dtype == np.complex64
-        assert np.abs(space.asarray(out) - x).max() < 1e-3 * np.abs(x).max()
+        out = gathered(part, lambda s, a: s.convert(a, HALF), x)
+        assert out.dtype == np.complex64
+        assert np.abs(out - x).max() < 1e-3 * np.abs(x).max()
 
     def test_scatter_asarray_roundtrip(self, setup, rng):
-        geom, part, space = setup
+        geom, part = setup
         x = SpinorField.random(geom, rng=rng).data
-        assert np.array_equal(space.asarray(space.scatter(x)), x)
+        assert np.array_equal(gathered(part, lambda s, a: s.asarray(a), x), x)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from rank_stack import on_ranks, rank_space
 from repro.comm import CommLog, ProcessGrid
 from repro.comm.traffic import CommEvent
 from repro.dirac import WilsonCloverOperator
 from repro.lattice import GaugeField, Geometry, SpinorField
-from repro.multigpu import DistributedOperator, DistributedSpace
+from repro.multigpu import HaloExchanger
 from repro.perfmodel.device import M2050
 from repro.perfmodel.interconnect import InterconnectSpec
 from repro.perfmodel.kernels import KernelModel, OperatorKind
@@ -53,19 +54,32 @@ class TestReplayComm:
 class TestReplaySolve:
     @pytest.fixture(scope="class")
     def measured(self):
-        """A real distributed solve with full instrumentation."""
-        geom = Geometry((4, 4, 4, 8))
-        gauge = GaugeField.weak(geom, epsilon=0.25, rng=717)
-        log = CommLog()
-        grid = ProcessGrid((1, 1, 2, 2))
-        dist = DistributedOperator.wilson_clover(gauge, 0.2, 1.0, grid, log=log)
-        space = DistributedSpace(dist.partition, site_axes=2)
-        b = space.scatter(SpinorField.random(geom, rng=5).data)
+        """A real distributed solve with full instrumentation: the tally
+        of the rank programs, plus the per-message ledger of its spinor
+        traffic (one exchange per operator application, logged by the
+        single-thread exchanger driver)."""
         from repro.solvers import gcr
 
+        geom = Geometry((4, 4, 4, 8))
+        gauge = GaugeField.weak(geom, epsilon=0.25, rng=717)
+        grid = ProcessGrid((1, 1, 2, 2))
+        b = SpinorField.random(geom, rng=5).data
+
+        def body(op, b_loc):
+            res = gcr(op.apply, b_loc, tol=1e-6, maxiter=300,
+                      space=rank_space(op))
+            return res.converged
+
         with tally() as t:
-            res = gcr(dist.apply, b, tol=1e-6, maxiter=300, space=space)
-        assert res.converged
+            partition, converged = on_ranks(
+                "wilson_clover", gauge, 0.2, grid, b, csw=1.0, body=body
+            )
+        assert all(converged)
+        log = CommLog()
+        exchanger = HaloExchanger(partition, log=log)
+        blocks = partition.split(b)
+        for _ in range(t.operator_applications["dist_wilson_clover"]):
+            exchanger.exchange_spinor(blocks)
         return t, log, geom
 
     def test_replay_produces_breakdown(self, measured):

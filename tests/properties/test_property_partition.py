@@ -4,10 +4,11 @@ valid grid, scatter->exchange->stencil == serial stencil."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from rank_stack import rank_apply
 from repro.comm import ProcessGrid
 from repro.dirac import PHYSICAL, WilsonCloverOperator
 from repro.lattice import GaugeField, Geometry, SpinorField
-from repro.multigpu import BlockPartition, DistributedOperator
+from repro.multigpu import BlockPartition
 
 SETTINGS = dict(max_examples=10, deadline=None)
 
@@ -52,11 +53,10 @@ class TestDistributedEqualsSerial:
     def test_wilson_clover_any_grid(self, dims, seed):
         grid = ProcessGrid(dims)
         serial = WilsonCloverOperator(GAUGE, mass=0.1, csw=1.0, boundary=PHYSICAL)
-        dist = DistributedOperator.wilson_clover(
-            GAUGE, 0.1, 1.0, grid, boundary=PHYSICAL
-        )
         x = SpinorField.random(GEOM, rng=seed).data
-        out = dist.gather(dist.apply(dist.scatter(x)))
+        out = rank_apply(
+            "wilson_clover", GAUGE, 0.1, grid, x, csw=1.0, boundary=PHYSICAL
+        )
         assert np.abs(out - serial.apply(x)).max() < 1e-11
 
     @given(st.sampled_from(VALID_GRIDS), st.integers(0, 10**6))
@@ -64,7 +64,8 @@ class TestDistributedEqualsSerial:
     def test_split_kernels_any_grid(self, dims, seed):
         grid = ProcessGrid(dims)
         serial = WilsonCloverOperator(GAUGE, mass=0.1, csw=1.0)
-        dist = DistributedOperator.wilson_clover(GAUGE, 0.1, 1.0, grid)
         x = SpinorField.random(GEOM, rng=seed).data
-        out = dist.gather(dist.apply_split(dist.scatter(x)))
+        out = rank_apply(
+            "wilson_clover", GAUGE, 0.1, grid, x, csw=1.0, schedule="split"
+        )
         assert np.abs(out - serial.apply(x)).max() < 1e-11
