@@ -5,7 +5,11 @@
 #    small Wilson-clover system, timing the batched execution path
 #    against the same solves run sequentially, and writes the JSON
 #    report to BENCH_multirhs.json at the repo root.
-# 2. Runs the fast test lane (`-m "not slow"`), which includes the
+# 2. Gates what is deterministic (scripts/check_multirhs.py: every lane
+#    converged, per-lane iterations unchanged by batching, reductions
+#    1152 -> 313 at batch 4 and 3526 -> 318 at batch 12); the wall-clock
+#    speedup is recorded and printed, not asserted.
+# 3. Runs the fast test lane (`-m "not slow"`), which includes the
 #    batched-kernel equality, multi-RHS solver, and batched-halo tests,
 #    so the batched path cannot silently rot.
 set -euo pipefail
@@ -19,20 +23,6 @@ python -m repro bench-multirhs \
 
 python -m repro.metrics.bench_schema BENCH_multirhs.json
 
-python - <<'PY'
-import json
-
-with open("BENCH_multirhs.json") as fh:
-    report = json.load(fh)
-by_batch = {e["batch"]: e for e in report["results"]}
-assert all(e["all_converged"] for e in report["results"])
-big = by_batch[max(by_batch)]
-assert big["speedup"] >= 2.0, (
-    f"batch-{big['batch']} speedup {big['speedup']:.2f}x < 2x"
-)
-print(f"bench OK: batch-{big['batch']} speedup {big['speedup']:.2f}x, "
-      f"reductions {big['sequential_reductions']} -> "
-      f"{big['batched_reductions']}")
-PY
+python scripts/check_multirhs.py BENCH_multirhs.json
 
 python -m pytest -q -m "not slow"

@@ -707,7 +707,6 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         max_wait=args.max_wait,
         capacity=args.queue_limit,
-        pad_to=args.pad_to,
         default_timeout=args.default_timeout or None,
     ).start()
     server = ServeServer(
@@ -715,8 +714,7 @@ def _cmd_serve(args) -> int:
     )
     print(
         f"repro serve on {server.url} — max_batch={args.max_batch} "
-        f"max_wait={args.max_wait}s queue_limit={args.queue_limit} "
-        f"pad_to={service.pad_to}"
+        f"max_wait={args.max_wait}s queue_limit={args.queue_limit}"
     )
     print("routes: POST /v1/solve, POST /v1/solve/jsonl, GET /metrics, "
           "GET /v1/stats, GET /healthz")
@@ -1081,9 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=int, default=64,
                    help="bounded queue capacity; submits beyond it are "
                         "rejected with 429 (default 64)")
-    p.add_argument("--pad-to", type=int, default=None,
-                   help="canonical padded batch size for bit-reproducible "
-                        "results (default: max-batch; 0 disables padding)")
     p.add_argument("--default-timeout", type=float, default=0.0,
                    help="queue deadline in seconds for requests without "
                         "their own timeout_seconds (0 = none)")

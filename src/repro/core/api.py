@@ -372,27 +372,27 @@ def _gcrdd_config(request: SolveRequest) -> GCRDDConfig:
 
 
 def _solve_wilson(request: SolveRequest):
+    b = np.asarray(request.rhs)
+    method = "bicgstab" if request.method == "auto" else request.method
+    if method == "gcr-dd" and request.backend is not None:
+        from repro.core.spmd import SPMDGCRDDSolver
+
+        # The rank solver builds its own operator (and clover field).
+        return SPMDGCRDDSolver(
+            request.gauge, request.mass, request.csw, request.grid,
+            boundary=request.boundary, config=_gcrdd_config(request),
+            backend=request.backend, overlap=request.overlap,
+            kernel=request.kernel, schedule=request.schedule,
+        ).solve(b)
+
     op = WilsonCloverOperator(
         request.gauge, mass=request.mass, csw=request.csw,
         boundary=request.boundary, kernel=request.kernel,
     )
-    b = np.asarray(request.rhs)
-    lead = op.field_lead(b)
-    method = "bicgstab" if request.method == "auto" else request.method
-
     if method == "gcr-dd":
-        cfg = _gcrdd_config(request)
-        if request.backend is not None:
-            from repro.core.spmd import SPMDGCRDDSolver
+        return GCRDDSolver(op, request.grid, _gcrdd_config(request)).solve(b)
 
-            return SPMDGCRDDSolver(
-                request.gauge, request.mass, request.csw, request.grid,
-                boundary=request.boundary, config=cfg,
-                backend=request.backend, overlap=request.overlap,
-                kernel=request.kernel, schedule=request.schedule,
-            ).solve(b)
-        return GCRDDSolver(op, request.grid, cfg).solve(b)
-
+    lead = op.field_lead(b)
     tol = _resolved(request.tol, _DEFAULT_TOL)
     maxiter = _resolved(request.maxiter, _DEFAULT_MAXITER)
     space = batched_space_for_nspin(4) if lead else WILSON_SPACE

@@ -186,7 +186,6 @@ class SPMDGCRDDSolver:
         overlap: bool = False,
         timeout: float | None = 60.0,
     ):
-        from repro.dirac.clover import build_clover_field
         from repro.dirac.staggered import NaiveStaggeredOperator
         from repro.dirac.wilson import WilsonCloverOperator
         from repro.multigpu.rank_op import _resolve_schedule
@@ -228,10 +227,11 @@ class SPMDGCRDDSolver:
                 kernel=kernel,
             )
             # The clover field is built globally (its leaves read corner
-            # sites ghost exchange never fills) and scattered per rank.
+            # sites ghost exchange never fills), once, by the serial
+            # operator; the same array is scattered per rank.
             clover_blocks = (
-                self.partition.split(build_clover_field(gauge, csw))
-                if csw != 0.0
+                self.partition.split(serial.clover)
+                if serial.clover is not None
                 else [None] * self.partition.n_ranks
             )
             self._family = [

@@ -19,11 +19,12 @@ Dslash execution is delegated to a pluggable kernel backend
   exactly the structure QUDA's kernels exploit (Sec. 4;
   arXiv:1011.0024).  This halves the SU(3) matvec work and the data
   shifted between neighbor sites.  Daggered links are precomputed once
-  per operator, not per application.  A single right-hand side runs
-  *lattice-last* — the field is transposed once to ``(spin, color, T, Z,
-  Y, X)`` so every ufunc streams contiguous sites, QUDA's coalesced
-  field order in NumPy terms — and is bit-identical to the lattice-first
-  formulation it replaced; a batch of them runs as one stacked GEMM.
+  per operator, not per application.  The stencil runs *lattice-last*
+  — the field is transposed once to ``(spin, color, [batch,] T, Z, Y,
+  X)`` so every ufunc streams contiguous sites, QUDA's coalesced field
+  order in NumPy terms — and is bit-identical to the lattice-first
+  formulation it replaced; a multi-RHS batch rides the same body as
+  extra elementwise lanes, each bit-identical to its single-RHS apply.
 * ``"numpy_ref"`` — the seed's full 4-spin formulation, kept verbatim as
   the numerical baseline the equivalence tests and the hot-path
   regression benchmark compare against.
@@ -59,35 +60,6 @@ from repro.linalg.gamma import (
     projector_tables,
 )
 from repro.util.counters import record, record_operator, timed
-
-#: Permutation between the spin-major per-site flat index ``s*3 + c`` the
-#: clover field is stored in and the color-major index ``c*4 + s`` of the
-#: batched GEMM layout.
-_COLOR_MAJOR_PERM = np.array([s * 3 + c for c in range(3) for s in range(4)])
-
-#: Index broadcasting a ``(2, 1)`` spin-coefficient table over the four
-#: lattice axes of a lattice-last ``(spin, color, T, Z, Y, X)`` field.
-_OVER_SITES = (Ellipsis, None, None, None, None)
-
-
-def _to_batch_last(x: np.ndarray) -> np.ndarray:
-    """Batch-first ``(B, X, Y, Z, T, 4, 3)`` -> contiguous color-major
-    batch-last ``(X, Y, Z, T, 3, 4, B)``.
-
-    The batched dslash runs in this internal layout so the per-site SU(3)
-    multiply becomes one GEMM per direction — ``U(x) @ H(x)`` with the
-    (spin, batch) pairs as the ``2B`` columns of ``H`` — instead of 2B
-    strided broadcast passes.  The GEMM reuses each link for all columns
-    while it is in registers, which is exactly the arithmetic-intensity
-    gain multi-RHS batching buys on a GPU (Sec. 7 of the paper); here it
-    buys BLAS-3 efficiency instead of broadcast-chain memory traffic.
-    """
-    return np.ascontiguousarray(x.transpose(1, 2, 3, 4, 6, 5, 0))
-
-
-def _from_batch_last(xt: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_to_batch_last`."""
-    return np.ascontiguousarray(xt.transpose(6, 0, 1, 2, 3, 5, 4))
 
 
 class WilsonCloverOperator(LatticeOperator):
@@ -151,38 +123,10 @@ class WilsonCloverOperator(LatticeOperator):
         # Rank-2 (project/reconstruct) tables for the fast path.
         self._tab_fwd = [projector_tables(mu, -1) for mu in range(4)]
         self._tab_bwd = [projector_tables(mu, +1) for mu in range(4)]
-        # Batched-path hop plan: the 8 (direction, orientation) hops in
-        # (forward, backward) pairs, ordered so hops whose reconstruction
-        # reads the half-spinor in order come first and hops that read it
-        # reversed come last.  The grouping lets the batched kernel build
-        # each group's lower spin block as ONE weighted sum over
-        # contiguous slabs of the stacked hop buffer.
-        ident, swapped = [], []
-        for mu in range(4):
-            pair = [(mu, self._tab_fwd[mu], -1), (mu, self._tab_bwd[mu], +1)]
-            group = ident if self._tab_fwd[mu].source == slice(0, 2) else swapped
-            group.extend(pair)
-        self._hop_plan = ident + swapped
-        self._n_ident = len(ident)
-        # Reconstruction weights per hop, swapped-group rows pre-reversed
-        # so both groups reduce to plain weighted slab sums.
-        self._recon_weights = np.array(
-            [
-                tab.recon_coeff[::-1, 0] if i >= self._n_ident
-                else tab.recon_coeff[:, 0]
-                for i, (_, tab, _) in enumerate(self._hop_plan)
-            ]
-        )
         # Operator-level lattice-last link cache, built lazily on first
         # dslash (it is boundary-independent, so ``with_boundary`` shares
         # it).
         self._links_soa: np.ndarray | None = _link_cache
-        # Batched-path caches: the stacked hop links for the GEMM dslash,
-        # the site-diagonal matrices in the color-major site index, and
-        # reusable field-sized scratch buffers keyed by (batch, dtype).
-        self._link_stack: np.ndarray | None = None
-        self._clover_cm: np.ndarray | None = None
-        self._scratch: dict = {}
 
     @property
     def diagonal_coefficient(self) -> float:
@@ -196,57 +140,6 @@ class WilsonCloverOperator(LatticeOperator):
         if self._links_soa is None:
             self._links_soa = lattice_last_links(self.gauge.data)
         return self._links_soa
-
-    def _batched_link_stack(self) -> np.ndarray:
-        """The ``(8,) + lattice + (3, 3)`` link stack driving the batched
-        stencil as ONE stacked GEMM over all 8 hops.
-
-        The batched kernel writes each hop's projected half-spinor
-        *already shifted to the neighbor site* (a two-slice write costs
-        the same as an aligned one), so forward slabs hold the plain
-        ``U_mu(x)`` and backward slabs the pre-shifted dagger
-        ``U_mu(x - mu)^+`` — after the GEMM every product is
-        site-aligned and the accumulation needs no rolls at all.  The
-        hop scale ``-1/2`` and the fermion boundary factor of the
-        wrapping face (``-1`` antiperiodic, ``0`` Dirichlet) are folded
-        into the link entries themselves.
-        """
-        if self._link_stack is None:
-            slabs = []
-            for mu, _, step in self._hop_plan:
-                ax = axis_of_mu(mu)
-                if step == -1:  # forward hop
-                    mat = self.gauge.data[mu].copy()
-                    # The shifted projection wraps h(0) around to the
-                    # x_mu = N - 1 sites.
-                    wrap_face = -1
-                else:  # backward hop
-                    mat = np.roll(
-                        np.conj(np.swapaxes(self.gauge.data[mu], -1, -2)),
-                        1,
-                        axis=ax,
-                    )
-                    wrap_face = 0  # backward wrap lands on x_mu = 0
-                bc = self.boundary[mu]
-                if bc != "periodic":
-                    face = [slice(None)] * mat.ndim
-                    face[ax] = wrap_face
-                    mat[tuple(face)] *= 0.0 if bc == "zero" else -1.0
-                slabs.append(mat)
-            self._link_stack = -0.5 * np.stack(slabs)
-        return self._link_stack
-
-    def _site_matrices_cm(self) -> np.ndarray:
-        """Per-site ``(4 + m) I + A`` matrices re-indexed to the
-        color-major layout of the batched path, so the whole site-diagonal
-        term is one ``12 x 12 @ 12 x B`` GEMM with no field transpose."""
-        if self._clover_cm is None:
-            p = _COLOR_MAJOR_PERM
-            cm = self.clover[..., p[:, None], p[None, :]]
-            self._clover_cm = np.ascontiguousarray(
-                cm + self.diagonal_coefficient * np.eye(12)
-            )
-        return self._clover_cm
 
     # ------------------------------------------------------------------
     def dslash(self, x: np.ndarray) -> np.ndarray:
@@ -272,8 +165,8 @@ class WilsonCloverOperator(LatticeOperator):
         components, and accumulate upper/lower spin blocks separately so
         the reconstruction is two scaled adds instead of a 4x2 matmul.
 
-        The single-RHS kernel runs *lattice-last*: the field is transposed
-        once to ``(spin, color, T, Z, Y, X)`` so each of those steps is a
+        The kernel runs *lattice-last*: the field is transposed once to
+        ``(spin, color, [batch,] T, Z, Y, X)`` so each of those steps is a
         whole-lattice ufunc call over contiguous sites — the NumPy
         analogue of QUDA's coalesced field order (Sec. 4-5) — and
         transposed back at the end.  Transposes and slice-writes only move
@@ -281,23 +174,19 @@ class WilsonCloverOperator(LatticeOperator):
         of the result) is that of the lattice-first formulation kept in
         ``tests/dirac/_aos_oracle.py``.
 
-        Batched (multi-RHS) fields take the GEMM path of
-        :meth:`_batched_hopping`; it evaluates the same contraction in a
-        different association order, so batched and single-RHS results
-        agree to rounding rather than bit-for-bit.
+        A multi-RHS batch rides the same body as one more elementwise
+        axis between color and lattice (the links broadcast over it), so
+        every lane of a batched result is bit-identical to the single-RHS
+        apply of that lane, whatever the batch size or its other lanes.
         """
-        if self.field_lead(x):
-            bufs = self._batched_scratch(x.shape[0], x.dtype)
-            xt, out = bufs["xt"], bufs["out"]
-            xt[...] = x.transpose(1, 2, 3, 4, 6, 5, 0)
-            out.fill(0.0)
-            self._batched_hopping(xt, out[..., :2, :], out[..., 2:, :], bufs)
-            out *= -2.0  # undo the -1/2 folded into the link stack
-            return _from_batch_last(out)
+        lead = self.field_lead(x)
         u, udag = self._soa_links()
-        # The one layout change in: (T, Z, Y, X, spin, color) -> (spin,
-        # color, T, Z, Y, X), so every ufunc below streams contiguous sites.
-        xs = np.ascontiguousarray(x.transpose(4, 5, 0, 1, 2, 3))
+        # The one layout change in: (..., spin, color) -> (spin, color, ...),
+        # so every ufunc below streams contiguous sites.
+        xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+        # A batch axis sits between color and lattice; links broadcast over it.
+        bx = (slice(None), slice(None), None) if lead else ()
+        over_sites = (Ellipsis,) + (None,) * (4 + lead)
         xu = xs[:2]
         # Four half-spinor buffers reused across the 8 hops (instead of ~7
         # fresh temporaries per hop).
@@ -306,13 +195,13 @@ class WilsonCloverOperator(LatticeOperator):
         upper, lower = acc[:2], acc[2:]
         for mu in range(4):
             bc = self.boundary[mu]
-            axis = 2 + axis_of_mu(mu)
+            axis = axis_of_mu(mu) - 4
             for tab, links, fwd in (
-                (self._tab_fwd[mu], u[mu], True),
-                (self._tab_bwd[mu], udag[mu], False),
+                (self._tab_fwd[mu], u[mu][bx], True),
+                (self._tab_bwd[mu], udag[mu][bx], False),
             ):
                 # Project: h = x_upper + coeff * x_lower.
-                np.multiply(tab.project_coeff[_OVER_SITES], xs[tab.lower], out=tmp)
+                np.multiply(tab.project_coeff[over_sites], xs[tab.lower], out=tmp)
                 np.add(xu, tmp, out=h)
                 if fwd:
                     # U_mu(x) [P x](x+mu): shift first, then multiply.
@@ -325,102 +214,9 @@ class WilsonCloverOperator(LatticeOperator):
                         sh, link_apply_sites(links, h, uh, tmp), axis, -1, bc
                     )
                 upper += hop
-                np.multiply(tab.recon_coeff[_OVER_SITES], hop[tab.source], out=tmp)
+                np.multiply(tab.recon_coeff[over_sites], hop[tab.source], out=tmp)
                 lower += tmp
-        return np.ascontiguousarray(acc.transpose(2, 3, 4, 5, 0, 1))
-
-    def _batched_scratch(self, nb: int, dtype) -> dict:
-        """Reusable batched-path buffers, allocated once per (batch,
-        dtype): repeatedly allocating the ~8x-field-size hop slabs costs
-        more in page faults than the arithmetic they carry."""
-        key = (int(nb), np.dtype(dtype))
-        bufs = self._scratch.get(key)
-        if bufs is None:
-            lat = self.geometry.shape
-            bufs = {
-                "xt": np.empty(lat + (3, 4, nb), dtype),
-                "out": np.empty(lat + (3, 4, nb), dtype),
-                "h": np.empty((8,) + lat + (3, 2 * nb), dtype),
-                "uh": np.empty((8,) + lat + (3, 2 * nb), dtype),
-                "p": np.empty(lat + (3, 2, nb), dtype),
-            }
-            self._scratch[key] = bufs
-        return bufs
-
-    def _batched_hopping(
-        self, xt: np.ndarray, ou: np.ndarray, ol: np.ndarray, bufs: dict
-    ) -> None:
-        """Accumulate the scaled hopping term ``-1/2 D x`` into the
-        upper/lower spin blocks ``ou``/``ol`` of a batched output.
-
-        Operates in the color-major batch-last layout ``(X, Y, Z, T, 3, 4,
-        B)`` of :func:`_to_batch_last`: the 8 spin projections fill one
-        half-spinor slab buffer whose ``(spin, batch)`` pairs are the
-        ``2B`` GEMM columns, and the link stack of
-        :meth:`_batched_link_stack` (scale and boundary factors
-        pre-folded) multiplies all slabs in a single stacked ``matmul``.
-        Each projection is written *pre-shifted to the hop's neighbor
-        site* — a two-slice write along the hop axis, no more data than
-        an aligned one — so every GEMM product is already site-aligned
-        and the accumulation is roll-free.
-        """
-        plan = self._hop_plan
-        links = self._batched_link_stack()
-        xu = xt[..., :2, :]
-        nb = xt.shape[-1]
-        lat = xt.shape[:4]
-        h, p = bufs["h"], bufs["p"]
-        hv = h.reshape((8,) + lat + (3, 2, nb))
-        for k in range(0, 8, 2):
-            # Forward/backward projections of the same direction share the
-            # phase product: h_fwd(x) = (x_u + p)(x + mu) and
-            # h_bwd(x) = (x_u - p)(x - mu).  The (2, 1) spin coefficients
-            # broadcast over the trailing batch axis, and the shifted
-            # destinations make the wrap faces line up with the boundary
-            # factors folded into the link stack.
-            mu = plan[k][0]
-            tab = plan[k][1]
-            np.multiply(tab.project_coeff, xt[..., tab.lower, :], out=p)
-            pre = (slice(None),) * axis_of_mu(mu)
-            lo = pre + (slice(None, -1),)
-            hi = pre + (slice(-1, None),)
-            first = pre + (slice(None, 1),)
-            rest = pre + (slice(1, None),)
-            np.add(xu[rest], p[rest], out=hv[k][lo])
-            np.add(xu[first], p[first], out=hv[k][hi])
-            np.subtract(xu[lo], p[lo], out=hv[k + 1][rest])
-            np.subtract(xu[hi], p[hi], out=hv[k + 1][first])
-        uhv = np.matmul(links, h, out=bufs["uh"]).reshape(hv.shape)
-        ou += uhv.sum(axis=0)
-        # Lower spin block: each hop contributes its reconstruction phases
-        # times an (optionally half-spinor-reversed) slab.  With the plan
-        # grouped by reversal and the reversed rows' weights pre-flipped,
-        # that is one weighted slab sum per group.
-        na = self._n_ident
-        w = self._recon_weights
-        ol += np.einsum("kt,k...tb->...tb", w[:na], uhv[:na])
-        ol += np.einsum("kt,k...tb->...tb", w[na:], uhv[na:])[..., ::-1, :]
-
-    def _apply_batched(self, x: np.ndarray) -> np.ndarray:
-        """Full batched matrix application fused in the batch-last layout:
-        one layout round-trip covers the diagonal, hopping, and clover
-        terms (the site-diagonal GEMM uses the color-major matrices of
-        :meth:`_site_matrices_cm`)."""
-        bufs = self._batched_scratch(x.shape[0], x.dtype)
-        xt, out = bufs["xt"], bufs["out"]
-        xt[...] = x.transpose(1, 2, 3, 4, 6, 5, 0)
-        if self.clover is not None:
-            flat_shape = xt.shape[:4] + (12, xt.shape[-1])
-            np.matmul(
-                self._site_matrices_cm(),
-                xt.reshape(flat_shape),
-                out=out.reshape(flat_shape),
-            )
-        else:
-            np.multiply(self.diagonal_coefficient, xt, out=out)
-        with timed("wilson_dslash", kind="dslash"):
-            self._batched_hopping(xt, out[..., :2, :], out[..., 2:, :], bufs)
-        return _from_batch_last(out)
+        return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
 
     def _dslash_reference(self, x: np.ndarray) -> np.ndarray:
         """The seed's full 4-spin dslash, kept as the numerical baseline."""
@@ -443,8 +239,6 @@ class WilsonCloverOperator(LatticeOperator):
         return out
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        if self._backend.fuses_batched_wilson_apply and self.field_lead(x):
-            return self._apply_batched(x)
         out = self.diagonal_coefficient * x - 0.5 * self._dslash(x)
         if self.clover is not None:
             out += apply_clover(self.clover, x)
@@ -465,9 +259,6 @@ class WilsonCloverOperator(LatticeOperator):
         if self.clover is not None:
             out += apply_clover(self.clover, x)  # in place: keeps x's dtype
         return out
-
-    # Backwards-compatible alias used by the even-odd module.
-    apply_diagonal = apply_site_diagonal
 
     def apply_hopping(self, x: np.ndarray) -> np.ndarray:
         """The hopping part, ``-1/2 D x``."""

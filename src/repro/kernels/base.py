@@ -90,11 +90,6 @@ class KernelBackend:
     #: backend that supports the request; ties break by name.
     priority: int = 0
     capabilities: KernelCapabilities = KernelCapabilities(operators=())
-    #: True when the backend's batched Wilson path fuses the diagonal,
-    #: clover and hopping terms in one layout round-trip (the stacked-
-    #: GEMM fast path); the operator then routes whole applications —
-    #: not just the hop term — through the backend-side fused kernel.
-    fuses_batched_wilson_apply: bool = False
 
     @property
     def available(self) -> bool:

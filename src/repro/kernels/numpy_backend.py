@@ -4,12 +4,13 @@ equivalence-tested against.
 Two backends wrap the two in-tree NumPy dslash paths:
 
 * ``"numpy"`` — the spin-projected Wilson fast path (cached daggered
-  links, half-spinor hops, stacked-GEMM batching) plus the vectorized
-  staggered stencil.  Single-RHS fields run *lattice-last*: one
-  transpose to ``(spin, color, T, Z, Y, X)`` so every ufunc streams
-  contiguous sites, bit-identical to the lattice-first formulation kept
-  as a test oracle.  This is the default resolution target and the
-  numerical baseline: with no compiled tier installed,
+  links, half-spinor hops) plus the vectorized staggered stencil.  Both
+  run *lattice-last*: one transpose to ``(spin, color, [batch,] T, Z, Y,
+  X)`` so every ufunc streams contiguous sites, bit-identical to the
+  lattice-first formulation kept as a test oracle; a multi-RHS batch is
+  one more elementwise axis of the same body, so each lane equals its
+  single-RHS apply bit for bit.  This is the default resolution target
+  and the numerical baseline: with no compiled tier installed,
   ``kernel="auto"`` solves are bitwise identical to this path.
 * ``"numpy_ref"`` — the seed's full-4-spin Wilson formulation, kept as
   the slow cross-check the fast path itself is equivalence-tested
@@ -34,7 +35,6 @@ class NumpyBackend(KernelBackend):
         split=True,
         dtypes=("complex128", "complex64"),
     )
-    fuses_batched_wilson_apply = True
 
     def wilson_dslash(self, op, x: np.ndarray) -> np.ndarray:
         return op._dslash_projected(x)

@@ -24,13 +24,4 @@ available_backends = KERNELS.available
 kernel_choices = KERNELS.choices
 resolve_kernel = KERNELS.resolve
 availability_note = KERNELS.availability_note
-
-
-def capability_matrix() -> list[dict]:
-    """The registry's matrix plus each backend's fused-batched-apply flag."""
-    rows = KERNELS.capability_matrix()
-    for row in rows:
-        row["fused_batched_apply"] = get_backend(
-            row["name"]
-        ).fuses_batched_wilson_apply
-    return rows
+capability_matrix = KERNELS.capability_matrix

@@ -9,16 +9,15 @@ the paper's economics ask for: many small solves become one big,
 well-scheduled computation, with operator setup (gauge construction,
 asqtad link fattening) cached across requests.
 
-**Bit-reproducibility contract.**  Every batch is zero-padded to a
-canonical lane count (``pad_to``, default ``max_batch``) before the
-solve.  The batched kernels are bitwise insensitive to the *content* and
-*position* of other lanes at a fixed batch shape (asserted in
-``tests/serve/test_service.py``), so the result a request receives is
-bitwise identical whether it was coalesced with neighbors or served
-alone — and equal to a solo ``solve(SolveRequest)`` call on the same
-padded batch.  Set ``pad_to=0`` to disable padding (slightly less work
-per sparse batch, but results then vary at the ~1e-15 level with batch
-occupancy).
+**Bit-reproducibility contract.**  A lane's result is independent of
+the batch shape: every batched kernel and solver treats the batch axis
+as elementwise lanes, so a lane is bitwise insensitive to how many
+other lanes ride with it, to what they contain and to its position
+among them (asserted per served configuration in
+``tests/dirac/test_batched_lanes.py``).  The result a request receives
+is therefore bitwise identical whether it was coalesced with neighbors
+or served alone — and equal to a solo ``solve(SolveRequest)`` call on
+a batch of one holding that right-hand side.
 
 Every served request carries the full flight-recorder
 :class:`~repro.metrics.SolveReport` of its batch, and the service
@@ -74,11 +73,9 @@ class ServedResult:
     converged, iterations, residual:
         This lane's outcome (scalars).
     lane:
-        Which lane of the padded batch carried this request.
+        Which lane of the batch carried this request.
     occupancy:
-        Real (non-padding) requests in the batch.
-    lanes:
-        Total lanes solved (occupancy + zero padding).
+        Requests in the batch (the lanes solved).
     report:
         The batch's shared :class:`~repro.metrics.SolveReport`.
     queue_seconds, coalesce_wait_seconds, solve_seconds,
@@ -95,7 +92,6 @@ class ServedResult:
     residual: float
     lane: int
     occupancy: int
-    lanes: int
     report: object
     queue_seconds: float
     coalesce_wait_seconds: float
@@ -120,7 +116,7 @@ class ServedResult:
             "batch": {
                 "lane": self.lane,
                 "occupancy": self.occupancy,
-                "lanes": self.lanes,
+                "lanes": self.occupancy,
                 "coalesced": self.occupancy > 1,
             },
             "timing": {
@@ -145,7 +141,6 @@ class SolveService:
         max_batch: int = 4,
         max_wait: float = 0.05,
         capacity: int = 64,
-        pad_to: int | None = None,
         default_timeout: float | None = None,
         tracer=None,
     ) -> None:
@@ -158,8 +153,6 @@ class SolveService:
                 open for compatible requests after its leader arrives.
             capacity: Bounded queue size; submits beyond it are rejected
                 with :class:`~repro.serve.errors.QueueFullError`.
-            pad_to: Canonical padded lane count for bit-reproducibility
-                (``None`` -> ``max_batch``; ``0`` disables padding).
             default_timeout: Deadline applied to requests that carry no
                 ``timeout_seconds`` of their own (``None`` = none).
             tracer: Optional :class:`~repro.trace.core.Tracer`; when
@@ -168,22 +161,11 @@ class SolveService:
                 and runs every batched solve under this tracer, so the
                 solver's kernel spans land in the same Perfetto export
                 (docs/serving.md, "Request lifecycle").
-
-        Raises:
-            ValueError: ``pad_to`` smaller than ``max_batch`` (a batch
-                would not fit its own padding target).
         """
-        if pad_to is None:
-            pad_to = max_batch
-        if pad_to and pad_to < max_batch:
-            raise ValueError(
-                f"pad_to ({pad_to}) must be 0 or >= max_batch ({max_batch})"
-            )
         self.queue = SolveQueue(capacity=capacity)
         self.coalescer = Coalescer(
             self.queue, max_batch=max_batch, max_wait=max_wait
         )
-        self.pad_to = int(pad_to)
         self.default_timeout = default_timeout
         self.tracer = tracer
         self._gauges: dict[str, tuple] = {}
@@ -397,9 +379,6 @@ class SolveService:
             return
 
         n_real = len(lanes)
-        n_lanes = max(n_real, self.pad_to) if self.pad_to else n_real
-        for _ in range(n_lanes - n_real):
-            lanes.append(np.zeros_like(lanes[0]))
         rhs = np.stack(lanes)
 
         solve_gauge = gauge
@@ -437,7 +416,7 @@ class SolveService:
         solve_seconds = t1 - t0
         emit_batched_solve(
             [e.request.id for e in good], t0, t1,
-            lanes=n_lanes, occupancy=n_real,
+            lanes=n_real, occupancy=n_real,
         )
 
         now = time.monotonic()
@@ -473,7 +452,6 @@ class SolveService:
                     residual=float(result.residuals[lane]),
                     lane=lane,
                     occupancy=n_real,
-                    lanes=n_lanes,
                     report=report,
                     queue_seconds=queue_seconds,
                     coalesce_wait_seconds=waited,
@@ -635,7 +613,9 @@ class SolveService:
             "capacity": self.queue.capacity,
             "max_batch": self.coalescer.max_batch,
             "max_wait_seconds": self.coalescer.max_wait,
-            "pad_to": self.pad_to,
+            # Batches are never padded.  The key stays for /stats readers
+            # that divide by it to get the fill of a batch (e2e_bench).
+            "pad_to": self.coalescer.max_batch,
             "requests": outcomes,
             "batches_total": int(batches),
             "batched_requests_total": int(batched_requests),

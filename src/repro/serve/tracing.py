@@ -130,8 +130,9 @@ def emit_batched_solve(
         request_ids: Ids of every request served by this solve.
         start_pc: perf_counter just before the batched solve call.
         end_pc: perf_counter just after it returned.
-        lanes: Total lanes solved (occupancy + zero padding).
-        occupancy: Real (non-padding) requests in the batch.
+        lanes: Lanes solved.
+        occupancy: Requests in the batch (equal to ``lanes``: batches
+            are not padded).
     """
     emit_complete(
         "batched_solve",

@@ -86,6 +86,35 @@ class TestWilsonFacade:
             r = batch[i] - op.apply(res.x[i])
             assert np.linalg.norm(r) / np.linalg.norm(batch[i]) < 1e-5
 
+    @pytest.mark.parametrize("backend", [None, "sequential"])
+    def test_gcr_dd_builds_the_clover_field_once(
+        self, wilson_setup, backend, monkeypatch
+    ):
+        import repro.dirac.clover
+        import repro.dirac.wilson
+
+        calls = []
+        build = repro.dirac.clover.build_clover_field
+
+        def counting(gauge, csw=1.0):
+            calls.append(csw)
+            return build(gauge, csw)
+
+        # Both bindings: the module-level import in wilson.py and any
+        # function-level ``from repro.dirac.clover import ...``.
+        monkeypatch.setattr(repro.dirac.clover, "build_clover_field", counting)
+        monkeypatch.setattr(repro.dirac.wilson, "build_clover_field", counting)
+        geom, gauge, batch = wilson_setup
+        res = solve(
+            wilson_request(
+                gauge, batch[0], method="gcr-dd", backend=backend,
+                grid=ProcessGrid((1, 1, 2, 2)),
+                config=GCRDDConfig(tol=1e-6, precond_steps=6), tol=None,
+            )
+        )
+        assert res.converged
+        assert calls == [1.0]
+
     def test_unknown_operator_and_method(self, wilson_setup):
         geom, gauge, batch = wilson_setup
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """The full bit-identity matrix of the lattice-last stencils against the
 lattice-first oracle: every operator family x any per-direction boundary
-combination x dtype x lattice shape x random field (and a batch axis for
-the staggered family).  The fast lane runs a deterministic subset
+combination x dtype x lattice shape x random field, with and without a
+batch axis.  The fast lane runs a deterministic subset
 (``tests/dirac/test_lattice_last.py``)."""
 
 import importlib.util
@@ -30,6 +30,4 @@ _BCS = st.sampled_from(["periodic", "antiperiodic", "zero"])
     batch=st.sampled_from([0, 0, 2]),
 )
 def test_lattice_last_is_bit_identical(kind, dims, conditions, dtype, seed, batch):
-    if kind.startswith("wilson"):
-        batch = 0  # batched Wilson takes the stacked-GEMM path (rounding-equal)
     oracle.assert_bit_identical(kind, dims, conditions, dtype, seed, batch)

@@ -81,8 +81,9 @@ class TestCoalescing:
 class TestBitReproducibility:
     def test_coalesced_lane_equals_solo_padded_solve(self):
         """The service contract: a request's solution is bitwise the
-        same whether it coalesced with neighbors or ran alone."""
-        svc = make_service(max_batch=4)  # pad_to defaults to 4
+        same whether it coalesced with neighbors or ran alone — in a
+        batch of one or among zero lanes."""
+        svc = make_service(max_batch=4)
         tickets = [svc.submit(payload(seed=s)) for s in (1, 2, 3)]
         svc.start()
         results = [t.result(timeout=60) for t in tickets]
@@ -94,23 +95,18 @@ class TestBitReproducibility:
         gauge = GaugeField.unit(geo)
         for seed, served in zip((1, 2, 3), results):
             lane = SpinorField.random(geo, nspin=1, rng=seed).data
-            rhs = np.stack([lane] + [np.zeros_like(lane)] * 3)
-            solo = solve(SolveRequest(
-                operator="asqtad", gauge=gauge, rhs=rhs,
-                mass=0.05, method="cg", tol=1e-8,
-            ))
-            assert np.array_equal(served.x, np.asarray(solo.x)[0]), (
-                f"seed {seed}: served lane differs from solo padded solve"
-            )
-
-    def test_single_request_is_padded_to_canonical_shape(self):
-        svc = make_service(max_batch=4, max_wait=0.0)
-        t = svc.submit(payload())
-        svc.start()
-        result = t.result(timeout=60)
-        svc.shutdown()
-        assert result.occupancy == 1
-        assert result.lanes == 4  # padded, so batch shape is canonical
+            for rhs in (
+                np.stack([lane] + [np.zeros_like(lane)] * 3),
+                lane[None],
+            ):
+                solo = solve(SolveRequest(
+                    operator="asqtad", gauge=gauge, rhs=rhs,
+                    mass=0.05, method="cg", tol=1e-8,
+                ))
+                assert np.array_equal(served.x, np.asarray(solo.x)[0]), (
+                    f"seed {seed}: served lane differs from the solo "
+                    f"batch-of-{len(rhs)} solve"
+                )
 
 
 class TestBackpressureAndDeadlines:
