@@ -44,7 +44,7 @@ from repro.solvers.base import SolverResult
 from repro.solvers.gcr import gcr
 from repro.precond import resolve_precond
 from repro.solvers.multirhs import BatchedSolverResult, batched_gcr
-from repro.solvers.space import ArraySpace, BatchedArraySpace
+from repro.solvers.space import ArraySpace
 
 #: Operators the SPMD solver can run.
 OPERATORS = ("wilson_clover", "staggered")
@@ -97,11 +97,7 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
         if batched
         else RankSpace(comm, site_axes=site_axes)
     )
-    block_space = (
-        BatchedArraySpace(site_axes=site_axes)
-        if batched
-        else ArraySpace(site_axes=site_axes)
-    )
+    block_space = ArraySpace(site_axes=site_axes)
     block_op = task.block_op
 
     if task.precond == "none":
@@ -122,7 +118,6 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
                 omega=cfg.precond_omega,
                 precision=cfg.policy.preconditioner,
                 space=block_space,
-                batched=batched,
                 rank=comm.rank,
             )
 

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dd.overlapping import extended_blocks, extract_region
+from repro.dd.overlapping import extended_blocks
 from repro.dirac.base import LatticeOperator
+from repro.lattice.geometry import stack_regions
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
 from repro.precond.rank_local import schwarz_block_solve
-from repro.solvers.space import ArraySpace, BatchedArraySpace
+from repro.solvers.space import space_for_nspin
 from repro.util.counters import record_operator
 
 
@@ -60,7 +61,7 @@ class MultiSplittingPreconditioner:
         omega: float = 1.0,
         precision: Precision | None = HALF,
     ):
-        self._ext_dims, self._origins, self.block_ops = extended_blocks(
+        self._ext_dims, self._origins, self.blocks = extended_blocks(
             op, partition, overlap
         )
         self.op = op
@@ -69,10 +70,8 @@ class MultiSplittingPreconditioner:
         self.mr_steps = int(mr_steps)
         self.omega = float(omega)
         self.precision = precision
-        site_axes = 2 if op.nspin == 4 else 1
-        self._site_axes = site_axes
-        self._space = ArraySpace(site_axes=site_axes)
-        self._bspace = BatchedArraySpace(site_axes=site_axes)
+        self._space = space_for_nspin(op.nspin)
+        self._site_axes = self._space.site_axes
         self._build_weights()
 
     # ------------------------------------------------------------------
@@ -112,23 +111,23 @@ class MultiSplittingPreconditioner:
         solution of splitting ``l``'s extended Dirichlet system.
         """
         record_operator("multisplit_precond")
-        lead = r.ndim - (4 + self._site_axes)
-        if lead not in (0, 1):
-            raise ValueError(f"unexpected residual rank {r.ndim}")
+        lead = self.op.field_lead(r)
+        batch = (slice(None),) * lead
+        z_ext = schwarz_block_solve(
+            self.blocks,
+            stack_regions(
+                r, self.op.geometry, self._origins, self._ext_dims, lead=lead
+            ),
+            steps=self.mr_steps, omega=self.omega,
+            precision=self.precision, space=self._space,
+        )
+        # Blended in rank order: where splittings overlap, the sum's
+        # rounding depends on it.
         z = np.zeros_like(r)
-        for rank, block_op in enumerate(self.block_ops):
-            r_ext = extract_region(
-                r, self.op.geometry, self._origins[rank], self._ext_dims,
-                lead=lead,
+        for rank in range(self.partition.n_ranks):
+            z[batch + self._region_index(rank)] += (
+                self._weights[rank] * z_ext[batch + (rank,)]
             )
-            z_ext = schwarz_block_solve(
-                block_op, r_ext, steps=self.mr_steps, omega=self.omega,
-                precision=self.precision,
-                space=self._bspace if lead else self._space,
-                batched=bool(lead), rank=rank,
-            )
-            index = (slice(None),) * lead + self._region_index(rank)
-            z[index] += self._weights[rank] * z_ext
         return z
 
     @property

@@ -20,102 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dirac.base import LatticeOperator
-from repro.lattice.geometry import Geometry, axis_of_mu
+from repro.lattice.geometry import axis_of_mu, stack_regions
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
 from repro.precond.rank_local import schwarz_block_solve
-from repro.solvers.space import ArraySpace
+from repro.solvers.space import space_for_nspin
 from repro.util.counters import record_operator
-
-
-def extract_region(
-    array: np.ndarray,
-    geometry: Geometry,
-    origin: tuple[int, int, int, int],
-    extents: tuple[int, int, int, int],
-    lead: int = 0,
-) -> np.ndarray:
-    """Copy a (periodically wrapped) rectangular region of a global field.
-
-    ``origin`` is the physics-order (x, y, z, t) coordinate of the
-    region's first site (may be negative); ``extents`` its size.
-    """
-    out = array
-    for mu in range(4):
-        axis = lead + axis_of_mu(mu)
-        n = geometry.dims[mu]
-        idx = (np.arange(extents[mu]) + origin[mu]) % n
-        out = np.take(out, idx, axis=axis)
-    return np.ascontiguousarray(out)
-
-
-def restrict_operator_to_region(
-    op: LatticeOperator,
-    origin: tuple[int, int, int, int],
-    ext_dims: tuple[int, int, int, int],
-    partitioned: tuple[int, ...],
-) -> LatticeOperator:
-    """Build the Dirichlet-cut operator on one (possibly overlapping,
-    periodically wrapped) rectangular region of the global lattice.
-
-    The region generalization of ``restrict_to_block``: links (and the
-    clover field) are region-extracted rather than sliced, the
-    ``partitioned`` directions get zero boundaries, and the resolved
-    kernel tier is inherited from the global operator so the block
-    stencils are evaluated by the same backend.  Shared by the RAS and
-    multi-splitting preconditioners.
-    """
-    geom = Geometry(ext_dims)
-    # Dispatch on the operator families that support block restriction.
-    from repro.dirac.staggered import _StaggeredBase, StaggeredNormalOperator
-    from repro.dirac.wilson import WilsonCloverOperator
-
-    boundary_owner = op.base if isinstance(op, StaggeredNormalOperator) else op
-    local_bc = boundary_owner.boundary.with_dirichlet(partitioned)
-
-    if isinstance(op, WilsonCloverOperator):
-        from repro.lattice.fields import GaugeField
-
-        links = extract_region(
-            op.gauge.data, op.geometry, origin, ext_dims, lead=1
-        )
-        clover = None
-        if op.clover is not None:
-            clover = extract_region(op.clover, op.geometry, origin, ext_dims)
-        return WilsonCloverOperator(
-            GaugeField(geom, links),
-            mass=op.mass,
-            csw=op.csw,
-            boundary=local_bc,
-            clover=clover,
-            kernel=op.kernel,
-        )
-    if isinstance(op, StaggeredNormalOperator):
-        base = _restrict_staggered_to_region(op.base, origin, ext_dims, local_bc)
-        return StaggeredNormalOperator(base, op.sigma)
-    if isinstance(op, _StaggeredBase):
-        return _restrict_staggered_to_region(op, origin, ext_dims, local_bc)
-    raise TypeError(
-        f"{type(op).__name__} does not support overlapping restriction"
-    )
-
-
-def _restrict_staggered_to_region(op, origin, ext_dims, local_bc):
-    from repro.dirac.staggered import _StaggeredBase
-
-    geom = Geometry(ext_dims)
-    fat = extract_region(op.fat, op.geometry, origin, ext_dims, lead=1)
-    long_links = (
-        extract_region(op.long, op.geometry, origin, ext_dims, lead=1)
-        if op.long is not None
-        else None
-    )
-    out = _StaggeredBase.__new__(type(op))
-    _StaggeredBase.__init__(
-        out, geom, fat, long_links, op.mass, local_bc, origin=origin,
-        kernel=op.kernel,
-    )
-    return out
 
 
 def extended_blocks(op: LatticeOperator, partition: BlockPartition, overlap: int):
@@ -123,9 +33,12 @@ def extended_blocks(op: LatticeOperator, partition: BlockPartition, overlap: int
     preconditioners: every block of ``partition`` grown by ``overlap``
     sites into its neighbors along each *partitioned* direction.
 
-    Returns ``(ext_dims, origins, block_ops)``: the regions' common
-    extents, each rank's (possibly negative, periodically wrapped) region
-    origin, and the Dirichlet-cut operator on each region.
+    Returns ``(ext_dims, origins, blocks)``: the regions' common extents,
+    each rank's (possibly negative, periodically wrapped) region origin,
+    and the Dirichlet-cut operators on all regions as one lane stack
+    (``op.restrict_to_regions``: links and the clover field are
+    region-extracted, the partitioned directions get zero boundaries, the
+    kernel tier is the global operator's).
     """
     if partition.geometry != op.geometry:
         raise ValueError("partition geometry does not match operator")
@@ -146,11 +59,7 @@ def extended_blocks(op: LatticeOperator, partition: BlockPartition, overlap: int
         for mu in partitioned:
             origin[mu] -= overlap
         origins.append(tuple(origin))
-    block_ops = [
-        restrict_operator_to_region(op, origin, ext_dims, partitioned)
-        for origin in origins
-    ]
-    return ext_dims, origins, block_ops
+    return ext_dims, origins, op.restrict_to_regions(origins, ext_dims, partitioned)
 
 
 class OverlappingSchwarzPreconditioner:
@@ -175,7 +84,7 @@ class OverlappingSchwarzPreconditioner:
         omega: float = 1.0,
         precision: Precision | None = HALF,
     ):
-        self._ext_dims, self._origins, self.block_ops = extended_blocks(
+        self._ext_dims, self._origins, self.blocks = extended_blocks(
             op, partition, overlap
         )
         self.op = op
@@ -184,7 +93,7 @@ class OverlappingSchwarzPreconditioner:
         self.mr_steps = int(mr_steps)
         self.omega = float(omega)
         self.precision = precision
-        self._space = ArraySpace(site_axes=2 if op.nspin == 4 else 1)
+        self._space = space_for_nspin(op.nspin)
 
     def _core_slices(self) -> tuple[slice, ...]:
         """Slicing of the extended block that selects the original block."""
@@ -197,20 +106,17 @@ class OverlappingSchwarzPreconditioner:
         return tuple(site)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Apply the RAS correction: solve extended blocks, restrict."""
+        """Apply the RAS correction: solve the extended blocks (the lanes
+        of one block solve), restrict each to its core."""
         record_operator("schwarz_precond_overlap")
-        z = np.zeros_like(r)
-        core = self._core_slices()
-        for rank, block_op in enumerate(self.block_ops):
-            r_ext = extract_region(
-                r, self.op.geometry, self._origins[rank], self._ext_dims
-            )
-            z_ext = schwarz_block_solve(
-                block_op, r_ext, steps=self.mr_steps, omega=self.omega,
-                precision=self.precision, space=self._space, rank=rank,
-            )
-            z[self.partition.slices(rank)] = z_ext[core]
-        return z
+        z_ext = schwarz_block_solve(
+            self.blocks,
+            stack_regions(r, self.op.geometry, self._origins, self._ext_dims),
+            steps=self.mr_steps, omega=self.omega,
+            precision=self.precision, space=self._space,
+        )
+        core = (slice(None),) + self._core_slices()
+        return self.partition.unstack(z_ext[core], dtype=r.dtype)
 
     @property
     def n_blocks(self) -> int:

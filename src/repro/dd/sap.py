@@ -18,7 +18,7 @@ from repro.dirac.base import LatticeOperator
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
 from repro.precond.rank_local import schwarz_block_solve
-from repro.solvers.space import ArraySpace
+from repro.solvers.space import space_for_nspin
 from repro.util.counters import record_operator
 
 
@@ -47,12 +47,16 @@ class SAPPreconditioner:
         self.cycles = int(cycles)
         self.omega = float(omega)
         self.precision = precision
-        self._space = ArraySpace(site_axes=2 if op.nspin == 4 else 1)
-        self.block_ops = [
-            op.restrict_to_block(partition, rank)
-            for rank in range(partition.n_ranks)
-        ]
+        self._space = space_for_nspin(op.nspin)
         self.colors = [self._block_color(rank) for rank in range(partition.n_ranks)]
+        # Per color: its ranks and their Dirichlet-cut block operators as
+        # one lane stack (the blocks of a color are solved side by side).
+        self._sweeps = []
+        for color in (0, 1):
+            ranks = [r for r, c in enumerate(self.colors) if c == color]
+            self._sweeps.append(
+                (ranks, op.restrict_to_blocks(partition, ranks) if ranks else None)
+            )
 
     def _block_color(self, rank: int) -> int:
         coords = self.partition.grid.coords(rank)
@@ -64,17 +68,15 @@ class SAPPreconditioner:
         z = np.zeros_like(b)
         r = b.copy()
         for _ in range(self.cycles):
-            for color in (0, 1):
-                for rank, block_op in enumerate(self.block_ops):
-                    if self.colors[rank] != color:
-                        continue
-                    sl = self.partition.slices(rank)
-                    z[sl] += schwarz_block_solve(
-                        block_op, np.ascontiguousarray(r[sl]),
+            for ranks, blocks in self._sweeps:
+                if ranks:
+                    corrections = schwarz_block_solve(
+                        blocks, self.partition.stack(r)[ranks],
                         steps=self.mr_steps, omega=self.omega,
                         precision=self.precision, space=self._space,
-                        rank=rank,
                     )
+                    for rank, z_block in zip(ranks, corrections):
+                        z[self.partition.slices(rank)] += z_block
                 # Multiplicative step: refresh the residual with the new
                 # corrections before the other color solves (one global
                 # operator application = one halo exchange per color).

@@ -18,13 +18,15 @@ through rounding), which is why the outer solver must be flexible (GCR).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.dirac.base import LatticeOperator
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
 from repro.precond.rank_local import schwarz_block_solve
-from repro.solvers.space import ArraySpace, BatchedArraySpace
+from repro.solvers.space import space_for_nspin
 from repro.util.counters import record_operator
 
 
@@ -34,7 +36,7 @@ class AdditiveSchwarzPreconditioner:
     Parameters
     ----------
     op:
-        The *global* operator M (must support ``restrict_to_block``).
+        The *global* operator M (must support ``restrict_to_regions``).
     partition:
         Block decomposition; blocks coincide with the virtual-GPU
         sub-domains, "match[ing] the sub-domain assigned to each processor".
@@ -62,38 +64,40 @@ class AdditiveSchwarzPreconditioner:
         self.mr_steps = int(mr_steps)
         self.omega = float(omega)
         self.precision = precision
-        self.block_ops = [
-            op.restrict_to_block(partition, rank)
-            for rank in range(partition.n_ranks)
+        #: All the Dirichlet-cut block operators as one lane stack: the
+        #: blocks of a partition share a shape, so they are solved side
+        #: by side as the lanes of ONE block solve per application.
+        self.blocks = op.restrict_to_blocks(partition)
+        self._space = space_for_nspin(op.nspin)
+
+    @cached_property
+    def block_ops(self) -> list[LatticeOperator]:
+        """The blocks as standalone per-rank operators, built on first
+        use (applying the preconditioner only ever runs :attr:`blocks`)."""
+        return [
+            self.op.restrict_to_block(self.partition, rank)
+            for rank in range(self.partition.n_ranks)
         ]
-        self._space = ArraySpace(site_axes=2 if op.nspin == 4 else 1)
-        self._bspace = BatchedArraySpace(site_axes=2 if op.nspin == 4 else 1)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Approximately solve ``M z = r`` block-by-block; returns z.
+        """Approximately solve ``M z = r`` on every block at once; returns z.
 
         Accepts both a single residual and a batched one with a leading
-        RHS axis; the batched path runs one vectorized MR sweep per block
-        that relaxes all N right-hand sides at once.
+        RHS axis: gather the blocks into lanes, one lane-stacked MR solve
+        (which relaxes all N right-hand sides of all blocks in the same
+        sweep), scatter the corrections back.
         """
         record_operator("schwarz_precond")
-        lead = r.ndim - (6 if self.op.nspin == 4 else 5)
-        if lead not in (0, 1):
-            raise ValueError(f"unexpected residual rank {r.ndim}")
-        z = np.zeros_like(r)
-        for rank, block_op in enumerate(self.block_ops):
-            sl = (slice(None),) * lead + self.partition.slices(rank)
-            z[sl] = schwarz_block_solve(
-                block_op,
-                np.ascontiguousarray(r[sl]),
-                steps=self.mr_steps,
-                omega=self.omega,
-                precision=self.precision,
-                space=self._bspace if lead else self._space,
-                batched=bool(lead),
-                rank=rank,
-            )
-        return z
+        lead = self.op.field_lead(r)
+        z = schwarz_block_solve(
+            self.blocks,
+            self.partition.stack(r, lead),
+            steps=self.mr_steps,
+            omega=self.omega,
+            precision=self.precision,
+            space=self._space,
+        )
+        return self.partition.unstack(z, lead, dtype=r.dtype)
 
     @property
     def n_blocks(self) -> int:

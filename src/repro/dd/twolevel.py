@@ -22,7 +22,7 @@ from repro.dirac.base import LatticeOperator
 from repro.multigpu.partition import BlockPartition
 from repro.precision import HALF, Precision
 from repro.precond.rank_local import schwarz_block_solve
-from repro.solvers.space import ArraySpace
+from repro.solvers.space import space_for_nspin
 from repro.util.counters import domain_local, record_operator
 
 
@@ -61,53 +61,33 @@ class TwoLevelSchwarzPreconditioner:
         self.outer_sweeps = int(outer_sweeps)
         self.omega = float(omega)
         self.precision = precision
-        self._space = ArraySpace(site_axes=2 if op.nspin == 4 else 1)
+        self._space = space_for_nspin(op.nspin)
 
-        # Outer level: Dirichlet-cut per-rank operators.
-        self.block_ops = [
-            op.restrict_to_block(partition, rank)
-            for rank in range(partition.n_ranks)
-        ]
-        # Inner level: each outer block gets its own sub-partition and
-        # sub-block (doubly Dirichlet-cut) operators.
-        self.inner_partitions = []
-        self.inner_block_ops = []
-        for block_op in self.block_ops:
-            sub_part = BlockPartition(block_op.geometry, inner_grid)
-            self.inner_partitions.append(sub_part)
-            self.inner_block_ops.append(
-                [
-                    block_op.restrict_to_block(sub_part, r)
-                    for r in range(sub_part.n_ranks)
-                ]
-            )
+        # Outer level: the Dirichlet-cut per-rank operators, one lane
+        # stack.  Inner level: every outer block gets the same
+        # sub-partition, so all the (doubly Dirichlet-cut) sub-blocks of
+        # all outer blocks are one lane stack too, outer-block-major.
+        self.blocks = op.restrict_to_blocks(partition)
+        self.inner_partition = BlockPartition(
+            partition.local_geometry, inner_grid
+        )
+        self.inner_blocks = self.blocks.restrict_to_blocks(self.inner_partition)
 
     # ------------------------------------------------------------------
-    def _inner_precondition(self, rank: int, r: np.ndarray) -> np.ndarray:
-        """Block Jacobi over the sub-blocks of outer block ``rank``."""
-        sub_part = self.inner_partitions[rank]
-        z = np.zeros_like(r)
-        for sub_rank, sub_op in enumerate(self.inner_block_ops[rank]):
-            sl = sub_part.slices(sub_rank)
-            # The inner MR sweeps keep the default relaxation; ``omega``
-            # is the Richardson damping of the outer sweeps.
-            z[sl] = schwarz_block_solve(
-                sub_op, np.ascontiguousarray(r[sl]),
-                steps=self.inner_mr_steps, omega=1.0,
-                precision=self.precision, space=self._space, rank=rank,
-            )
-        return z
-
-    def _solve_outer_block(
-        self, rank: int, block_op: LatticeOperator, b: np.ndarray
-    ) -> np.ndarray:
-        """Preconditioned Richardson: z += omega * K_inner(b - A z)."""
-        z = np.zeros_like(b)
-        r = b
-        for _ in range(self.outer_sweeps):
-            z = z + self.omega * self._inner_precondition(rank, r)
-            r = b - block_op.apply(z)
-        return z
+    def _inner_precondition(self, r: np.ndarray) -> np.ndarray:
+        """Block Jacobi over the sub-blocks of every outer block (``r``
+        is the outer lane stack)."""
+        sub = self.inner_partition.stack(r, lead=1)
+        # The inner MR sweeps keep the default relaxation; ``omega``
+        # is the Richardson damping of the outer sweeps.
+        z = schwarz_block_solve(
+            self.inner_blocks, sub.reshape((-1,) + sub.shape[2:]),
+            steps=self.inner_mr_steps, omega=1.0,
+            precision=self.precision, space=self._space,
+        )
+        return self.inner_partition.unstack(
+            z.reshape(sub.shape), lead=1, dtype=r.dtype
+        )
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Apply the two-level correction.
@@ -119,22 +99,21 @@ class TwoLevelSchwarzPreconditioner:
         the fixed sweep counts used here).
         """
         record_operator("schwarz_precond_two_level")
-        lead = r.ndim - (4 + (2 if self.op.nspin == 4 else 1))
-        if lead not in (0, 1):
-            raise ValueError(f"unexpected residual rank {r.ndim}")
-        if lead:
+        if self.op.field_lead(r):
             return np.stack([self._apply_single(lane) for lane in r])
         return self._apply_single(r)
 
     def _apply_single(self, r: np.ndarray) -> np.ndarray:
-        z = np.zeros_like(r)
-        for rank, block_op in enumerate(self.block_ops):
-            sl = self.partition.slices(rank)
-            with domain_local():
-                z[sl] = self._solve_outer_block(
-                    rank, block_op, np.ascontiguousarray(r[sl])
-                )
-        return z
+        """Preconditioned Richardson on every outer block at once:
+        ``z += omega * K_inner(b - A z)``."""
+        b = self.partition.stack(r)
+        with domain_local():
+            z = np.zeros_like(b)
+            res = b
+            for _ in range(self.outer_sweeps):
+                z = z + self.omega * self._inner_precondition(res)
+                res = b - self.blocks.apply(z)
+        return self.partition.unstack(z, dtype=r.dtype)
 
     @property
     def n_blocks(self) -> int:

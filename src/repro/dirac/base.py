@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lattice.geometry import Geometry
+from repro.lattice.geometry import Geometry, stack_regions
 from repro.util.counters import record, record_operator
 
 # ----------------------------------------------------------------------
@@ -103,11 +103,13 @@ def lattice_last_links(links: np.ndarray) -> np.ndarray:
     = conj(U_mu(x))_{ba}``, so column ``b`` of either matrix is three
     whole-lattice arrays whose fastest axis is the site axis — the order
     :func:`link_apply_sites` consumes.  Built once per operator: it is the
-    per-call ``su3.dagger`` of the reference path amortized away.
+    per-call ``su3.dagger`` of the reference path amortized away.  A lane
+    axis in front of the lattice axes (``links`` of shape ``(4, L, T, Z, Y,
+    X, 3, 3)``) is carried through unchanged.
     """
-    out = np.empty((2, 4, 3, 3) + links.shape[1:5], links.dtype)
-    out[0] = links.transpose(0, 6, 5, 1, 2, 3, 4)
-    np.conjugate(links.transpose(0, 5, 6, 1, 2, 3, 4), out=out[1])
+    out = np.empty((2, 4, 3, 3) + links.shape[1:-2], links.dtype)
+    out[0] = np.moveaxis(links, (-1, -2), (1, 2))
+    np.conjugate(np.moveaxis(links, (-2, -1), (1, 2)), out=out[1])
     return out
 
 
@@ -174,6 +176,14 @@ class LatticeOperator(abc.ABC):
     nspin: int = 4
     #: Standard flops per lattice site per application.
     flops_per_site: int = 0
+    #: ``None`` for an ordinary operator on one lattice.  A *lane stack*
+    #: (from :meth:`restrict_to_regions`) sets it to the number L of
+    #: same-shape Dirichlet-cut blocks it applies side by side: its link
+    #: and site-diagonal arrays, and the fields it acts on, carry one lane
+    #: axis of that length directly in front of the lattice axes —
+    #: ``([B,] L, T, Z, Y, X, ...)`` — and ``geometry`` is one block's.
+    #: Lanes never mix: every stencil shift runs along a lattice axis.
+    lanes: int | None = None
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
@@ -201,9 +211,14 @@ class LatticeOperator(abc.ABC):
     @property
     def field_ndim(self) -> int:
         """ndim of an unbatched field this operator acts on: 4 lattice
-        axes plus ``(spin, color)`` for Wilson or ``(color,)`` for
-        staggered."""
-        return 4 + (2 if self.nspin == 4 else 1)
+        axes (behind the lane axis of a lane stack) plus ``(spin, color)``
+        for Wilson or ``(color,)`` for staggered."""
+        return (self.lanes is not None) + 4 + (2 if self.nspin == 4 else 1)
+
+    @property
+    def sites(self) -> int:
+        """Lattice sites one application touches (all lanes)."""
+        return self.geometry.volume * (self.lanes or 1)
 
     def field_lead(self, x: np.ndarray) -> int:
         """Number of leading batch axes of ``x`` (0 or 1).
@@ -221,15 +236,21 @@ class LatticeOperator(abc.ABC):
             f"(or +1 batch axis), got shape {x.shape}"
         )
 
+    def site_lead(self, x: np.ndarray) -> int:
+        """Number of axes of ``x`` in front of the lattice axes: the batch
+        axis and, on a lane stack, the lane axis."""
+        return self.field_lead(x) + (self.lanes is not None)
+
     def batch_size(self, x: np.ndarray) -> int:
         """Number of right-hand sides carried by ``x`` (1 if unbatched)."""
         return x.shape[0] if self.field_lead(x) else 1
 
     def _record(self, x: np.ndarray) -> None:
         batch = self.batch_size(x)
-        record_operator(self.name)
+        # A lane stack applies ``lanes`` block operators at once.
+        record_operator(self.name, self.lanes or 1)
         record(
-            flops=self.flops_per_site * self.geometry.volume * batch,
+            flops=self.flops_per_site * self.sites * batch,
             bytes_moved=self.bytes_per_application(x.dtype, batch=batch),
         )
 
@@ -246,7 +267,7 @@ class LatticeOperator(abc.ABC):
         # 8 neighbor spinor reads + 1 write per RHS + 8 link reads
         # (9 complex each) shared across the batch.
         per_site = 9 * site_complex * itemsize * batch + 8 * 9 * itemsize
-        return per_site * self.geometry.volume
+        return per_site * self.sites
 
     def apply_hopping(self, x: np.ndarray) -> np.ndarray:
         """The off-diagonal (nearest/third-neighbor) part of the operator.
@@ -273,6 +294,51 @@ class LatticeOperator(abc.ABC):
             f"{type(self).__name__} does not support boundary changes"
         )
 
+    # -- Schwarz blocks ------------------------------------------------------
+    def restrict_to_regions(
+        self, origins, extents, cut_dims: tuple[int, ...]
+    ) -> "LatticeOperator":
+        """The Dirichlet-cut operators on same-shape rectangular regions of
+        this lattice, as ONE lane stack (see :attr:`lanes`).
+
+        ``origins`` are the regions' (x, y, z, t) first sites (may be
+        negative: regions wrap periodically), ``extents`` their common
+        size; the ``cut_dims`` directions get zero boundaries, the rest
+        keep this operator's condition.  Restricting a lane stack cuts
+        every lane, lane-major (the two-level sub-blocks).
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support block restriction"
+        )
+
+    def _region_stack(self, array, origins, extents, lead: int) -> np.ndarray:
+        """Regions of one of this operator's arrays (``lead`` axes in
+        front of its lattice axes) as a lane axis in that position; a
+        lane stack's own lane axis is merged in, lane-major."""
+        laned = self.lanes is not None
+        out = stack_regions(
+            array, self.geometry, origins, extents, lead=lead + laned
+        )
+        if laned:
+            out = out.reshape(out.shape[:lead] + (-1,) + out.shape[lead + 2:])
+        return out
+
+    def restrict_to_blocks(self, partition, ranks=None) -> "LatticeOperator":
+        """All blocks of ``partition`` (or just ``ranks``) as one lane
+        stack — the stacked sibling of ``restrict_to_block``."""
+        ranks = partition.grid.all_ranks() if ranks is None else ranks
+        return self.restrict_to_regions(
+            [partition.origin(rank) for rank in ranks],
+            partition.local_dims,
+            partition.grid.partitioned_dims,
+        )
+
+    def take_lanes(self, lanes) -> "LatticeOperator":
+        """The lane stack holding only the given lanes of this one."""
+        raise NotImplementedError(
+            f"{type(self).__name__} is not a lane stack"
+        )
+
     def normal(self) -> "NormalOperator":
         return NormalOperator(self)
 
@@ -289,6 +355,7 @@ class ShiftedOperator(LatticeOperator):
         self.sigma = float(sigma)
         self.name = f"{base.name}+{sigma:g}"
         self.nspin = base.nspin
+        self.lanes = base.lanes
         self.flops_per_site = base.flops_per_site + 4 * 3 * base.nspin
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -309,6 +376,7 @@ class NormalOperator(LatticeOperator):
         self.base = base
         self.name = f"{base.name}^+{base.name}"
         self.nspin = base.nspin
+        self.lanes = base.lanes
         self.flops_per_site = 2 * base.flops_per_site
 
     def _apply(self, x: np.ndarray) -> np.ndarray:

@@ -68,6 +68,7 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     def __init__(self, wilson: WilsonCloverOperator):
         super().__init__(wilson.geometry)
         self.wilson = wilson
+        self.lanes = wilson.lanes
         self.name = f"eo_{wilson.name}"
         # Schur applies two half-lattice dslashes (= one full) plus the
         # site-diagonal terms; use the full-matrix count as the standard.
@@ -96,7 +97,7 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     # -- the Schur complement ---------------------------------------------
     def _apply(self, x: np.ndarray) -> np.ndarray:
         geom = self.geometry
-        lead = self.field_lead(x)
+        lead = self.site_lead(x)
         x = parity_project(geom, x, 0, lead=lead)
         d1 = self.wilson._dslash(x)  # supported on odd sites
         t = self.apply_cinv(d1)
@@ -114,7 +115,7 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
         """Even-site right-hand side ``b_e + 1/2 D C^{-1} b_o |_e``."""
         geom = self.geometry
-        lead = self.field_lead(b)
+        lead = self.site_lead(b)
         b_e = parity_project(geom, b, 0, lead=lead)
         b_o = parity_project(geom, b, 1, lead=lead)
         lifted = 0.5 * self.wilson._dslash(self.apply_cinv(b_o))
@@ -123,7 +124,7 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     def reconstruct(self, x_e: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Back-substitute the odd sites: full solution of ``M x = b``."""
         geom = self.geometry
-        lead = self.field_lead(b)
+        lead = self.site_lead(b)
         x_e = parity_project(geom, x_e, 0, lead=lead)
         b_o = parity_project(geom, b, 1, lead=lead)
         rhs_o = b_o + parity_project(
@@ -146,3 +147,19 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         return EvenOddPreconditionedWilson(
             self.wilson.restrict_to_block(partition, rank)
         )
+
+    def restrict_to_regions(self, origins, extents, cut_dims):
+        """The cut Schur complements on even-origin regions as one lane
+        stack (the parity mask is each region's own, so an odd origin —
+        an odd overlap — would swap the checkerboards)."""
+        if any(sum(origin) % 2 for origin in origins):
+            raise TypeError(
+                "EvenOddPreconditionedWilson cannot be restricted to "
+                "regions of odd origin"
+            )
+        return EvenOddPreconditionedWilson(
+            self.wilson.restrict_to_regions(origins, extents, cut_dims)
+        )
+
+    def take_lanes(self, lanes) -> "EvenOddPreconditionedWilson":
+        return EvenOddPreconditionedWilson(self.wilson.take_lanes(lanes))

@@ -80,10 +80,20 @@ class _StaggeredBase(LatticeOperator):
         self.long = long_links
         self.mass = float(mass)
         self.boundary = boundary
-        self.origin = tuple(origin)
         self._backend = resolve_kernel(kernel, operator="staggered")
         self.kernel = self._backend.name
-        self.eta = staggered_phases(geometry, origin=self.origin)
+        if fat.ndim == 7:
+            self.origin = tuple(origin)
+            self.eta = staggered_phases(geometry, origin=self.origin)
+        else:
+            # A lane stack: links ``(4, L, T, Z, Y, X, 3, 3)`` and one
+            # global origin — hence one set of phases — per lane.
+            self.lanes = fat.shape[1]
+            self.origin = tuple(tuple(o) for o in origin)
+            self.eta = np.stack(
+                [staggered_phases(geometry, origin=o) for o in self.origin],
+                axis=1,
+            )
         # Lattice-last link caches (lazy): the daggered links are
         # precomputed once per operator instead of per dslash call.
         self._fat_soa: np.ndarray | None = None
@@ -106,7 +116,7 @@ class _StaggeredBase(LatticeOperator):
         batch = self.batch_size(x)
         record_operator(f"{self.name}_dslash")
         record(
-            flops=self.dslash_flops_per_site * self.geometry.volume * batch,
+            flops=self.dslash_flops_per_site * self.sites * batch,
             bytes_moved=self.bytes_per_application(x.dtype, batch=batch),
         )
         return self._dslash(x)
@@ -119,12 +129,14 @@ class _StaggeredBase(LatticeOperator):
         """The vectorized NumPy stencil (the ``"numpy"`` backend body).
 
         Runs lattice-last like the Wilson kernel: the field becomes a
-        one-spin ``(1, color, [batch,] T, Z, Y, X)`` array so every ufunc
-        streams contiguous sites.  The products carry ``np.result_type`` of
-        field and links — a complex64 field against complex128 links is
-        multiplied and accumulated per direction in complex128, exactly as
-        un-``out=``-ed lattice-first temporaries promote — so the result is
-        bit-identical to ``tests/dirac/_aos_oracle.py``.
+        one-spin ``(1, color, [batch,] [lanes,] T, Z, Y, X)`` array so every
+        ufunc streams contiguous sites (the lane axis of a lane stack is a
+        leading lattice axis no shift runs along).  The products carry
+        ``np.result_type`` of field and links — a complex64 field against
+        complex128 links is multiplied and accumulated per direction in
+        complex128, exactly as un-``out=``-ed lattice-first temporaries
+        promote — so the result is bit-identical to
+        ``tests/dirac/_aos_oracle.py``.
         """
         lead = self.field_lead(x)
         fat, long_links = self._soa_links()
@@ -178,6 +190,15 @@ class _StaggeredBase(LatticeOperator):
             else base.STAGGERED_DSLASH_FLOPS
         )
 
+    def _restricted(self, geometry, fat, long_links, boundary, origin):
+        """An operator of this type and mass on other (sliced) links."""
+        out = _StaggeredBase.__new__(type(self))
+        _StaggeredBase.__init__(
+            out, geometry, fat, long_links, self.mass, boundary,
+            origin=origin, kernel=self.kernel,
+        )
+        return out
+
     def restrict_to_block(self, partition, rank: int):
         """Dirichlet-cut block operator for the Schwarz preconditioner.
 
@@ -185,23 +206,36 @@ class _StaggeredBase(LatticeOperator):
         global origin keeps the Kogut-Susskind phases consistent.
         """
         sl = partition.slices(rank, lead=1)
-        fat = np.ascontiguousarray(self.fat[sl])
-        long_links = (
-            np.ascontiguousarray(self.long[sl]) if self.long is not None else None
-        )
-        local_bc = self.boundary.with_dirichlet(partition.grid.partitioned_dims)
-        out = _StaggeredBase.__new__(type(self))
-        _StaggeredBase.__init__(
-            out,
+        return self._restricted(
             partition.local_geometry,
-            fat,
-            long_links,
-            self.mass,
-            local_bc,
-            origin=partition.origin(rank),
-            kernel=self.kernel,
+            np.ascontiguousarray(self.fat[sl]),
+            np.ascontiguousarray(self.long[sl]) if self.long is not None else None,
+            self.boundary.with_dirichlet(partition.grid.partitioned_dims),
+            partition.origin(rank),
         )
-        return out
+
+    def restrict_to_regions(self, origins, extents, cut_dims):
+        """One lane stack of Dirichlet-cut region operators; every lane
+        keeps its own global origin for the Kogut-Susskind phases."""
+        here = [self.origin] if self.lanes is None else self.origin
+        return self._restricted(
+            Geometry(extents),
+            self._region_stack(self.fat, origins, extents, lead=1),
+            None if self.long is None
+            else self._region_stack(self.long, origins, extents, lead=1),
+            self.boundary.with_dirichlet(cut_dims),
+            [tuple(a + b for a, b in zip(base, origin))
+             for base in here for origin in origins],
+        )
+
+    def take_lanes(self, lanes):
+        return self._restricted(
+            self.geometry,
+            self.fat[:, lanes],
+            None if self.long is None else self.long[:, lanes],
+            self.boundary,
+            [self.origin[lane] for lane in lanes],
+        )
 
 
 class NaiveStaggeredOperator(_StaggeredBase):
@@ -284,6 +318,7 @@ class StaggeredNormalOperator(LatticeOperator):
     def __init__(self, base_op: _StaggeredBase, sigma: float = 0.0):
         super().__init__(base_op.geometry)
         self.base = base_op
+        self.lanes = base_op.lanes
         self.sigma = float(sigma)
         self.name = f"{base_op.name}_normal"
         if self.sigma:
@@ -308,3 +343,11 @@ class StaggeredNormalOperator(LatticeOperator):
         return StaggeredNormalOperator(
             self.base.restrict_to_block(partition, rank), self.sigma
         )
+
+    def restrict_to_regions(self, origins, extents, cut_dims):
+        return StaggeredNormalOperator(
+            self.base.restrict_to_regions(origins, extents, cut_dims), self.sigma
+        )
+
+    def take_lanes(self, lanes) -> "StaggeredNormalOperator":
+        return StaggeredNormalOperator(self.base.take_lanes(lanes), self.sigma)

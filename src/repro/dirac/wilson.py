@@ -51,7 +51,7 @@ from repro.dirac.base import (
 from repro.dirac.clover import apply_clover, build_clover_field
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
-from repro.lattice.geometry import axis_of_mu
+from repro.lattice.geometry import Geometry, axis_of_mu
 from repro.linalg import su3
 from repro.linalg.gamma import (
     GAMMA5,
@@ -97,15 +97,29 @@ class WilsonCloverOperator(LatticeOperator):
         kernel: str = "auto",
         _link_cache: np.ndarray | None = None,
     ):
-        super().__init__(gauge.geometry)
+        if csw != 0.0 and clover is None:
+            clover = build_clover_field(gauge, csw)
+        self._setup(
+            gauge, gauge.geometry, mass, csw, boundary, clover, kernel,
+            _link_cache,
+        )
+
+    def _setup(
+        self, gauge, geometry, mass, csw, boundary, clover, kernel, links_soa,
+        lanes=None,
+    ):
+        """Everything but building the clover field.  A lane stack
+        (:meth:`restrict_to_regions`) comes through here without a gauge
+        field of its own: it lives on ``links_soa``, the lattice-last link
+        cache with the lane axis in front of the lattice axes."""
+        LatticeOperator.__init__(self, geometry)
         self.gauge = gauge
+        self.lanes = lanes
         self.mass = float(mass)
         self.csw = float(csw)
         self.boundary = boundary
         self._backend = resolve_kernel(kernel, operator="wilson")
         self.kernel = self._backend.name
-        if csw != 0.0 and clover is None:
-            clover = build_clover_field(gauge, csw)
         self.clover = clover if csw != 0.0 else None
         self.name = "wilson_clover" if self.clover is not None else "wilson"
         self.flops_per_site = (
@@ -120,13 +134,10 @@ class WilsonCloverOperator(LatticeOperator):
         # has eigenvalue m.
         self._proj_fwd = [2.0 * projector(mu, -1) for mu in range(4)]
         self._proj_bwd = [2.0 * projector(mu, +1) for mu in range(4)]
-        # Rank-2 (project/reconstruct) tables for the fast path.
-        self._tab_fwd = [projector_tables(mu, -1) for mu in range(4)]
-        self._tab_bwd = [projector_tables(mu, +1) for mu in range(4)]
         # Operator-level lattice-last link cache, built lazily on first
         # dslash (it is boundary-independent, so ``with_boundary`` shares
         # it).
-        self._links_soa: np.ndarray | None = _link_cache
+        self._links_soa: np.ndarray | None = links_soa
 
     @property
     def diagonal_coefficient(self) -> float:
@@ -141,13 +152,21 @@ class WilsonCloverOperator(LatticeOperator):
             self._links_soa = lattice_last_links(self.gauge.data)
         return self._links_soa
 
+    def _aos_links(self) -> np.ndarray:
+        """Links in ``GaugeField.data`` order ``(mu, [L,] T, Z, Y, X, a,
+        b)``, for the kernel tiers that consume them site by site; a lane
+        stack serves a view of its lattice-last cache."""
+        if self.gauge is not None:
+            return self.gauge.data
+        return np.moveaxis(self._links_soa[0], (1, 2), (-1, -2))
+
     # ------------------------------------------------------------------
     def dslash(self, x: np.ndarray) -> np.ndarray:
         """The hopping term D of Eq. (2) (records its own tally entry)."""
         batch = self.batch_size(x)
         record_operator("wilson_dslash")
         record(
-            flops=base.WILSON_DSLASH_FLOPS * self.geometry.volume * batch,
+            flops=base.WILSON_DSLASH_FLOPS * self.sites * batch,
             bytes_moved=self.bytes_per_application(x.dtype, batch=batch),
         )
         return self._dslash(x)
@@ -178,6 +197,13 @@ class WilsonCloverOperator(LatticeOperator):
         axis between color and lattice (the links broadcast over it), so
         every lane of a batched result is bit-identical to the single-RHS
         apply of that lane, whatever the batch size or its other lanes.
+        The block lanes of a lane stack ride it the same way, as a leading
+        lattice axis no shift runs along (the shift axes are counted from
+        the end).
+
+        The +-1 / +-i projector phases are taken in the field's dtype: the
+        products are exact either way, and a complex64 field is spared
+        NumPy's buffered complex128 cast loop on 16 passes per apply.
         """
         lead = self.field_lead(x)
         u, udag = self._soa_links()
@@ -186,7 +212,7 @@ class WilsonCloverOperator(LatticeOperator):
         xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
         # A batch axis sits between color and lattice; links broadcast over it.
         bx = (slice(None), slice(None), None) if lead else ()
-        over_sites = (Ellipsis,) + (None,) * (4 + lead)
+        over_sites = (Ellipsis,) + (None,) * (xs.ndim - 2)
         xu = xs[:2]
         # Four half-spinor buffers reused across the 8 hops (instead of ~7
         # fresh temporaries per hop).
@@ -197,8 +223,8 @@ class WilsonCloverOperator(LatticeOperator):
             bc = self.boundary[mu]
             axis = axis_of_mu(mu) - 4
             for tab, links, fwd in (
-                (self._tab_fwd[mu], u[mu][bx], True),
-                (self._tab_bwd[mu], udag[mu][bx], False),
+                (projector_tables(mu, -1, xs.dtype), u[mu][bx], True),
+                (projector_tables(mu, +1, xs.dtype), udag[mu][bx], False),
             ):
                 # Project: h = x_upper + coeff * x_lower.
                 np.multiply(tab.project_coeff[over_sites], xs[tab.lower], out=tmp)
@@ -221,12 +247,12 @@ class WilsonCloverOperator(LatticeOperator):
     def _dslash_reference(self, x: np.ndarray) -> np.ndarray:
         """The seed's full 4-spin dslash, kept as the numerical baseline."""
         geom = self.geometry
-        lead = self.field_lead(x)
-        batched = bool(lead)
+        batched = bool(self.field_lead(x))
+        lead = self.site_lead(x)
         out = np.zeros_like(x)
         for mu in range(4):
             bc = self.boundary[mu]
-            u = self.gauge.data[mu]
+            u = self._aos_links()[mu]
             fwd = link_apply(
                 u, geom.shift(x, mu, +1, boundary=bc, lead=lead), batched=batched
             )
@@ -274,6 +300,39 @@ class WilsonCloverOperator(LatticeOperator):
             clover=self.clover,
             kernel=self.kernel,
             _link_cache=self._links_soa,
+        )
+
+    def _lane_stack(self, geometry, boundary, links_soa, clover):
+        """A lane stack with this operator's parameters on ``links_soa``
+        ``(2, mu, b, a, L, T, Z, Y, X)`` / ``clover`` ``(L, T, Z, Y, X, 12,
+        12)``."""
+        out = object.__new__(type(self))
+        out._setup(
+            None, geometry, self.mass, self.csw, boundary, clover,
+            self.kernel, links_soa, lanes=links_soa.shape[4],
+        )
+        return out
+
+    def restrict_to_regions(self, origins, extents, cut_dims):
+        """One lane stack of Dirichlet-cut region operators, gathered
+        straight from the lattice-last link cache and the clover field
+        (which, being site-diagonal, is unaffected by the cuts)."""
+        clover = None
+        if self.clover is not None:
+            clover = self._region_stack(self.clover, origins, extents, lead=0)
+        return self._lane_stack(
+            Geometry(extents),
+            self.boundary.with_dirichlet(cut_dims),
+            self._region_stack(self._soa_links(), origins, extents, lead=4),
+            clover,
+        )
+
+    def take_lanes(self, lanes) -> "WilsonCloverOperator":
+        return self._lane_stack(
+            self.geometry,
+            self.boundary,
+            self._links_soa[:, :, :, :, lanes],
+            None if self.clover is None else self.clover[lanes],
         )
 
     def restrict_to_block(self, partition, rank: int) -> "WilsonCloverOperator":

@@ -17,6 +17,10 @@ of :mod:`repro.kernels._numba_kernels`: per operator and dtype it builds
   boundary semantics (antiperiodic sign, Dirichlet zero) *by
   construction* rather than by re-implementing them.
 
+A lane stack (``op.lanes``: L Schwarz blocks side by side) is to the flat
+kernels one lattice of ``V = L * block volume`` sites: the block tables
+repeat per lane, the neighbor indices offset into their own lane.
+
 The kernels evaluate the identical contraction as the reference NumPy
 stencils (same association order per site), so agreement is at rounding
 level, ~1e-15 in double precision.
@@ -42,21 +46,22 @@ except Exception as exc:  # pragma: no cover - the no-numba environment
 _CACHE_ATTR = "_numba_kernel_cache"
 
 
-def _neighbor_table(geometry, mu: int, steps: int) -> np.ndarray:
+def _neighbor_table(geometry, mu: int, steps: int, lanes: int = 1) -> np.ndarray:
     """Flat index of ``site + steps * mu-hat`` for every site, int64 (V,)."""
     idx = np.arange(geometry.volume, dtype=np.int64).reshape(geometry.shape)
-    return np.ascontiguousarray(
-        np.roll(idx, -steps, axis=axis_of_mu(mu)).ravel()
-    )
+    block = np.roll(idx, -steps, axis=axis_of_mu(mu)).ravel()
+    offsets = geometry.volume * np.arange(lanes, dtype=np.int64)
+    return np.ascontiguousarray((offsets[:, None] + block).ravel())
 
 
-def _phase_table(geometry, mu: int, steps: int, bc: str, real_dtype):
+def _phase_table(geometry, mu: int, steps: int, bc: str, real_dtype,
+                 lanes: int = 1):
     """Boundary factor of the ``steps``-hop in direction ``mu`` at every
     destination site: shift a ones-field exactly as the field itself is
     shifted, so wrap faces pick up the same -1/0 factor."""
     ones = np.ones(geometry.shape, dtype=np.float64)
     ph = geometry.shift(ones, mu, steps, boundary=bc)
-    return np.ascontiguousarray(ph.ravel().astype(real_dtype))
+    return np.ascontiguousarray(np.tile(ph.ravel(), lanes).astype(real_dtype))
 
 
 def _flat_links(links: np.ndarray, volume: int, dtype) -> tuple:
@@ -68,15 +73,19 @@ def _flat_links(links: np.ndarray, volume: int, dtype) -> tuple:
 
 def _hop_tables(op, steps: int, real_dtype) -> tuple:
     """Neighbor and phase tables for a +-``steps`` hop family, (4, V)."""
-    geom = op.geometry
-    nfwd = np.stack([_neighbor_table(geom, mu, +steps) for mu in range(4)])
-    nbwd = np.stack([_neighbor_table(geom, mu, -steps) for mu in range(4)])
+    geom, lanes = op.geometry, op.lanes or 1
+    nfwd = np.stack(
+        [_neighbor_table(geom, mu, +steps, lanes) for mu in range(4)]
+    )
+    nbwd = np.stack(
+        [_neighbor_table(geom, mu, -steps, lanes) for mu in range(4)]
+    )
     phf = np.stack(
-        [_phase_table(geom, mu, +steps, op.boundary[mu], real_dtype)
+        [_phase_table(geom, mu, +steps, op.boundary[mu], real_dtype, lanes)
          for mu in range(4)]
     )
     phb = np.stack(
-        [_phase_table(geom, mu, -steps, op.boundary[mu], real_dtype)
+        [_phase_table(geom, mu, -steps, op.boundary[mu], real_dtype, lanes)
          for mu in range(4)]
     )
     return nfwd, nbwd, phf, phb
@@ -121,7 +130,7 @@ class NumbaBackend(KernelBackend):
     def _wilson_cache(self, op, dtype) -> dict:
         def build():
             real = np.zeros(0, dtype=dtype).real.dtype
-            u, udag = _flat_links(op.gauge.data, op.geometry.volume, dtype)
+            u, udag = _flat_links(op._aos_links(), op.sites, dtype)
             nfwd, nbwd, phf, phb = _hop_tables(op, 1, real)
             return {
                 "u": u,
@@ -143,7 +152,7 @@ class NumbaBackend(KernelBackend):
     def _staggered_cache(self, op, dtype) -> dict:
         def build():
             real = np.zeros(0, dtype=dtype).real.dtype
-            vol = op.geometry.volume
+            vol = op.sites
             fat, fatdag = _flat_links(op.fat, vol, dtype)
             nfwd, nbwd, phf, phb = _hop_tables(op, 1, real)
             cache = {
@@ -176,7 +185,7 @@ class NumbaBackend(KernelBackend):
     # ------------------------------------------------------------------
     def wilson_dslash(self, op, x: np.ndarray) -> np.ndarray:
         cache = self._wilson_cache(op, x.dtype)
-        vol = op.geometry.volume
+        vol = op.sites
         xr = np.ascontiguousarray(x).reshape(-1, vol, 4, 3)
         out = np.empty_like(xr)
         _kernels.wilson_dslash(
@@ -188,7 +197,7 @@ class NumbaBackend(KernelBackend):
 
     def staggered_dslash(self, op, x: np.ndarray) -> np.ndarray:
         cache = self._staggered_cache(op, x.dtype)
-        vol = op.geometry.volume
+        vol = op.sites
         xr = np.ascontiguousarray(x).reshape(-1, vol, 3)
         out = np.zeros_like(xr)
         _kernels.staggered_hops(

@@ -203,3 +203,47 @@ class Geometry:
         """Total two-sided halo surface over local volume, for scaling analysis."""
         surface = sum(2 * self.face_volume(mu, depth) for mu in partitioned)
         return surface / self.volume
+
+
+def extract_region(
+    array: np.ndarray,
+    geometry: Geometry,
+    origin: tuple[int, int, int, int],
+    extents: tuple[int, int, int, int],
+    lead: int = 0,
+) -> np.ndarray:
+    """Copy a (periodically wrapped) rectangular region of a global field.
+
+    ``origin`` is the physics-order (x, y, z, t) coordinate of the
+    region's first site (may be negative); ``extents`` its size.
+    """
+    out = array
+    for mu in range(4):
+        axis = lead + axis_of_mu(mu)
+        n = geometry.dims[mu]
+        idx = (np.arange(extents[mu]) + origin[mu]) % n
+        out = np.take(out, idx, axis=axis)
+    return np.ascontiguousarray(out)
+
+
+def stack_regions(
+    array: np.ndarray,
+    geometry: Geometry,
+    origins,
+    extents: tuple[int, int, int, int],
+    lead: int = 0,
+) -> np.ndarray:
+    """Copy same-shape regions of a global field into one array, the
+    regions becoming a *lane* axis in front of the lattice axes:
+    ``array.shape[:lead] + (len(origins),) + region shape + site axes``.
+    """
+    out = np.empty(
+        array.shape[:lead] + (len(origins),) + tuple(extents[::-1])
+        + array.shape[lead + 4:],
+        dtype=array.dtype,
+    )
+    for lane, origin in enumerate(origins):
+        out[(slice(None),) * lead + (lane,)] = extract_region(
+            array, geometry, origin, extents, lead=lead
+        )
+    return out

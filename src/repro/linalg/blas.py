@@ -119,6 +119,17 @@ def zero_like(x: np.ndarray) -> np.ndarray:
 # reduction — one allreduce carrying N scalars instead of N allreduces,
 # the latency amortization the multi-RHS execution path is built for.
 # Update routines take a ``(B,)`` coefficient vector applied per RHS.
+#
+# Dtype contract (the scalar family's, row by row): reductions come back
+# in double (``float64`` / ``complex128``) whatever the field's dtype, as
+# ``norm2``/``cdot`` return Python scalars; update coefficients are
+# rounded to the field's dtype before the multiply, which is what NEP 50
+# does to the scalar family's Python scalars, so a complex64 field stays
+# complex64 and every row's bits are those of the scalar routine.
+#
+# The Schwarz block solve stacks its blocks on the same axis; there a
+# call stands for one domain-local reduction *per block*, which the
+# ``reductions`` argument records.
 # ----------------------------------------------------------------------
 
 
@@ -127,29 +138,35 @@ def _bflat(x: np.ndarray) -> np.ndarray:
 
 
 def _bcoeff(a, x: np.ndarray) -> np.ndarray:
-    """Broadcast a per-RHS ``(B,)`` coefficient over the field axes."""
-    a = np.asarray(a)
-    if a.ndim == 0:
-        return a
-    return a.reshape(a.shape + (1,) * (x.ndim - 1))
+    """A per-RHS ``(B,)`` coefficient (or one scalar) in the field's
+    dtype, shaped to broadcast over the field axes."""
+    a = np.asarray(a, dtype=x.dtype)
+    return a.reshape(a.shape + (1,) * (x.ndim - a.ndim))
 
 
-def bnorm2(x: np.ndarray) -> np.ndarray:
-    """Per-RHS squared 2-norms, shape ``(B,)`` (ONE global reduction)."""
+def _add_into(ax: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``ax + y``, reusing the product's storage when it already has the
+    sum's dtype (a complex64 correction added to a complex128 iterate
+    must come back complex128, as ``y + a*x`` does)."""
+    return np.add(ax, y, out=ax if np.can_cast(y.dtype, ax.dtype) else None)
+
+
+def bnorm2(x: np.ndarray, reductions: int = 1) -> np.ndarray:
+    """Per-RHS squared 2-norms, float64 ``(B,)`` (ONE global reduction)."""
     with span("bnorm2", kind="reduction", batch=x.shape[0]):
         flat = _bflat(x)
         # vecdot conjugates its first operand internally — no
         # materialized conj() pass over the field.
         val = np.vecdot(flat, flat).real.astype(np.float64)
-    record(flops=4 * x.size, bytes_moved=_nbytes(x), reductions=1)
+    record(flops=4 * x.size, bytes_moved=_nbytes(x), reductions=reductions)
     return val
 
 
-def bcdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-RHS complex inner products ``<x_b, y_b>`` (ONE reduction)."""
+def bcdot(x: np.ndarray, y: np.ndarray, reductions: int = 1) -> np.ndarray:
+    """Per-RHS inner products ``<x_b, y_b>``, complex128 (ONE reduction)."""
     with span("bcdot", kind="reduction", batch=x.shape[0]):
-        val = np.vecdot(_bflat(x), _bflat(y))
-    record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=1)
+        val = np.vecdot(_bflat(x), _bflat(y)).astype(np.complex128)
+    record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=reductions)
     return val
 
 
@@ -163,16 +180,14 @@ def brdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def baxpy(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y + a*x with a per-RHS ``(B,)`` coefficient vector."""
-    out = _bcoeff(a, x) * x
-    out += y
+    out = _add_into(_bcoeff(a, x) * x, y)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 
 
 def bxpay(x: np.ndarray, a, y: np.ndarray) -> np.ndarray:
     """x + a*y with a per-RHS ``(B,)`` coefficient vector."""
-    out = _bcoeff(a, y) * y
-    out += x
+    out = _add_into(_bcoeff(a, y) * y, x)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 

@@ -187,14 +187,15 @@ def _one_nonzero_per_row(mat: np.ndarray) -> tuple[list[int], list[complex]]:
 
 
 @lru_cache(maxsize=None)
-def projector_tables(mu: int, sign: int) -> ProjectorTables:
-    """Cached :class:`ProjectorTables` for ``1 + sign*gamma_mu``."""
+def projector_tables(mu: int, sign: int, dtype=np.complex128) -> ProjectorTables:
+    """Cached :class:`ProjectorTables` for ``1 + sign*gamma_mu``, phases
+    in ``dtype`` (they are only +-1 and +-i: exact in any precision)."""
     b = gamma(mu)[:2, 2:]
     cols, vals = _one_nonzero_per_row(b)
     lower = slice(2, 4) if cols == [0, 1] else slice(3, 1, -1)
-    project_coeff = sign * np.array(vals, dtype=np.complex128)[:, None]
+    project_coeff = sign * np.array(vals, dtype=dtype)[:, None]
     bh = b.conj().T
     cols2, vals2 = _one_nonzero_per_row(bh)
     source = slice(0, 2) if cols2 == [0, 1] else slice(1, None, -1)
-    recon_coeff = sign * np.array(vals2, dtype=np.complex128)[:, None]
+    recon_coeff = sign * np.array(vals2, dtype=dtype)[:, None]
     return ProjectorTables(mu, sign, lower, project_coeff, source, recon_coeff)

@@ -78,8 +78,11 @@ class BlockPartition:
             for rank in self.grid.all_ranks()
         ]
 
-    def assemble(self, locals_: list[np.ndarray], lead: int = 0) -> np.ndarray:
-        """Gather per-rank blocks back into one global array."""
+    def assemble(
+        self, locals_: list[np.ndarray], lead: int = 0, dtype=None
+    ) -> np.ndarray:
+        """Gather per-rank blocks back into one global array (of the
+        blocks' dtype unless ``dtype`` says otherwise)."""
         if len(locals_) != self.n_ranks:
             raise ValueError(
                 f"need {self.n_ranks} local blocks, got {len(locals_)}"
@@ -90,10 +93,26 @@ class BlockPartition:
             + self.geometry.shape
             + sample.shape[lead + 4 :]
         )
-        out = np.empty(global_shape, dtype=sample.dtype)
+        out = np.empty(global_shape, dtype=dtype or sample.dtype)
         for rank, block in enumerate(locals_):
             out[self.slices(rank, lead)] = block
         return out
+
+    def stack(self, array: np.ndarray, lead: int = 0) -> np.ndarray:
+        """Scatter a global array into ONE array whose blocks are a *lane*
+        axis in front of the lattice axes: ``array.shape[:lead] +
+        (n_ranks,) + local shape + site axes`` (lane ``r`` is
+        ``split(array, lead)[r]``)."""
+        self._check_global(array, lead)
+        return np.stack(
+            [array[self.slices(rank, lead)] for rank in self.grid.all_ranks()],
+            axis=lead,
+        )
+
+    def unstack(self, stacked: np.ndarray, lead: int = 0, dtype=None) -> np.ndarray:
+        """Gather a lane-stacked array (see :meth:`stack`) back into one
+        global array."""
+        return self.assemble(list(np.moveaxis(stacked, lead, 0)), lead, dtype)
 
     def split_gauge(self, gauge: GaugeField) -> list[GaugeField]:
         """Scatter a gauge field into per-rank local gauge fields."""

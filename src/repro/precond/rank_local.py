@@ -1,26 +1,45 @@
-"""The rank-local Schwarz block solve shared by every GCR-DD driver.
+"""The Schwarz block solve shared by every GCR-DD driver and every member
+of the :mod:`repro.dd` family.
 
-Both GCR-DD drivers — the global-array
-:class:`~repro.core.gcrdd.GCRDDSolver` (through
-:class:`~repro.dd.schwarz.AdditiveSchwarzPreconditioner`, one call per
-block) and the per-rank SPMD programs of :mod:`repro.core.spmd` —
-precondition by solving each rank's own Dirichlet-cut block with a fixed
-number of MR steps in the policy's preconditioner precision (Sec. 8.1:
-the work the paper keeps entirely on one GPU, zero comm spans inside).
-This module is the single implementation both call.
+All of them precondition by solving Dirichlet-cut block systems with a
+fixed number of MR steps in the policy's preconditioner precision (Sec.
+8.1: the work the paper keeps entirely on one GPU, zero comm spans
+inside).  This module is the single implementation they call, and it
+solves all the same-shape blocks it is handed *at once*: the blocks are
+the lanes of one lane-stacked operator (``LatticeOperator.lanes``) and of
+one stacked residual ``([B,] L, t, z, y, x, ...)``, so an MR step is one
+stencil application, one half-precision round trip and one set of BLAS
+passes over every block — the NumPy form of recasting the block
+preconditioner as one batched kernel (Tu et al., arXiv:2104.05615).  The
+SPMD rank program, which owns a single block, is the one-lane case.
 
 Bit-parity contract: the backend-parity tests and the benchmark's exact
-counts pin the operation order here — precision conversion of the
-residual first, then the wrapped block operator converting around every
-application, the MR recurrence under ``domain_local()`` — so it must not
-change.
+counts pin both the numbers and the ledger, lane by lane, to a per-block
+loop of scalar :func:`~repro.solvers.mr.mr` solves (batched:
+:func:`~repro.solvers.multirhs.batched_mr`; the loop itself is kept as
+``tests/dd/_block_loop_oracle.py``):
+
+* the operation order is that loop's — precision conversion of the
+  residual first, then the wrapped block operator converting around every
+  application, the MR recurrence under ``domain_local()``;
+* every pass is elementwise over lanes, every reduction runs over one
+  lane's own contiguous row, and the step lengths are computed lane by
+  lane in the scalar solver's arithmetic, so a lane's bits depend on
+  nothing but that lane;
+* a stacked call records what the loop's calls sum to: L operator
+  applications per apply, one local reduction per block per reduction;
+* a block whose ``A r`` vanishes (an all-zero residual block under a point
+  source) has reached the scalar solver's early exit: it *leaves the
+  stack*, so neither the arithmetic nor the ledger sees it again.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.linalg import blas
 from repro.precision import Precision
-from repro.solvers.mr import mr
-from repro.solvers.multirhs import batched_mr
+from repro.solvers.multirhs import mr_coefficients
 from repro.trace import span
 from repro.util.counters import domain_local
 
@@ -33,49 +52,96 @@ def schwarz_block_solve(
     omega: float,
     precision: Precision | None,
     space,
-    batched: bool = False,
-    rank: int = 0,
+    rank: int | None = None,
 ):
-    """Approximately solve one rank's block system ``A_rank z = r_loc``.
+    """Approximately solve the block systems ``A_l z_l = r_l``.
 
     Args:
-        block_op: The rank's Dirichlet-cut operator (from
-            ``restrict_to_block``).
-        r_loc: The rank-local residual (leading batch axis iff
-            ``batched``).
+        block_op: The Dirichlet-cut block operators: a lane stack (from
+            ``restrict_to_blocks``/``restrict_to_regions``), or one
+            rank's own block (from ``restrict_to_block``).
+        r_loc: The block residuals, ``([B,] L) + block shape`` for a lane
+            stack, ``([B,]) + block shape`` for a single block; a leading
+            multi-RHS axis is relaxed in the same sweep.
         steps, omega: MR step count and relaxation.
         precision: Block-solve storage precision (``None`` = working).
-        space: The rank-local :class:`~repro.solvers.space.ArraySpace`
-            (batched variant iff ``batched``).
-        batched: Whether ``r_loc`` carries a leading multi-RHS axis (one
-            vectorized MR sweep then relaxes every RHS at once).
-        rank: The rank id, recorded on the trace span.
+        space: The rank-local space supplying the precision conversion
+            (``convert``) of the block fields.
+        rank: The owning rank, recorded on the trace span (an SPMD rank
+            program's single block); a stack of every rank's block
+            belongs to no one rank and stays on the caller's lane.
 
     Returns:
-        The block correction ``z`` (same shape as ``r_loc``).
+        The block corrections ``z`` (same shape as ``r_loc``).
     """
-    block_solver = batched_mr if batched else mr
+    batch = r_loc.shape[: block_op.field_lead(r_loc)]
+    nb = batch[0] if batch else 1
+    one_block = block_op.lanes is None
+    n_lanes = 1 if one_block else block_op.lanes
+    block_shape = r_loc.shape[len(batch) + (not one_block):]
     if precision is not None:
         r_loc = space.convert(r_loc, precision)
 
-    def apply(v):
+    # The iterates are kept as (RHS x lane) rows of one block each — what
+    # the batched BLAS family reduces over and scales row by row.
+    def rows(v):
+        return v.reshape((-1,) + block_shape)
+
+    def lanes_of(v):
+        """Rows (or per-row scalars) as ``(RHS, lane, ...)``."""
+        return v.reshape((nb, -1) + v.shape[1:])
+
+    def apply(op, v):
+        v = v.reshape(batch + (() if one_block else (-1,)) + block_shape)
         if precision is None:
-            return block_op.apply(v)
-        return space.convert(
-            block_op.apply(space.convert(v, precision)), precision
-        )
+            return rows(op.apply(v))
+        return rows(space.convert(
+            op.apply(space.convert(v, precision)), precision
+        ))
 
     # The block solve's spans sit on the rank's compute stream with zero
     # comm spans inside; every inner product is domain-restricted
     # (tallied as local_reductions).
     with span("schwarz_block_solve", kind="precond", rank=rank,
-              stream="compute", mr_steps=steps,
-              batch=(r_loc.shape[0] if batched else 1)):
+              stream="compute", mr_steps=steps, batch=nb, lanes=n_lanes):
         with domain_local():
-            result = block_solver(
-                apply, r_loc, steps=steps, omega=omega, space=space,
-            )
-    return result.x
+            b = rows(r_loc)
+            x = blas.zero_like(b)
+            r = blas.copy(b)
+            # The norms of b and of the running residual are MR's
+            # convergence record; a fixed-step preconditioner never tests
+            # them, but they are work the recurrence does (and counts).
+            blas.bnorm2(b, reductions=n_lanes)
+            op, live, z = block_op, np.arange(n_lanes), None
+            for _ in range(int(steps)):
+                ar = apply(op, r)
+                ar2 = blas.bnorm2(ar, reductions=live.size)
+                moving = (lanes_of(ar2) > 0.0).any(axis=0)
+                if not moving.all():
+                    # The scalar early exit, block by block: a stalled
+                    # block keeps the iterate it has and leaves the stack.
+                    if z is None:
+                        z = np.empty((nb, n_lanes) + block_shape, x.dtype)
+                    z[:, live[~moving]] = lanes_of(x)[:, ~moving]
+                    live = live[moving]
+                    if not live.size:
+                        break
+                    x, r, ar, ar2 = (
+                        lanes_of(v)[:, moving].reshape((-1,) + v.shape[1:])
+                        for v in (x, r, ar, ar2)
+                    )
+                    op = block_op.take_lanes(live)
+                coef = mr_coefficients(
+                    omega, blas.bcdot(ar, r, reductions=live.size), ar2
+                )
+                x = blas.baxpy(coef, r, x)
+                r = blas.baxpy(-coef, ar, r)
+                blas.bnorm2(r, reductions=live.size)
+            if z is None:
+                z = x
+            elif live.size:
+                z[:, live] = lanes_of(x)
+    return z.reshape(r_loc.shape)
 
 
 __all__ = ["schwarz_block_solve"]

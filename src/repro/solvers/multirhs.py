@@ -331,6 +331,24 @@ def batched_bicgstab(
     )
 
 
+def mr_coefficients(omega: float, dot: np.ndarray, ar2: np.ndarray) -> np.ndarray:
+    """Per-lane MR step lengths ``omega * <Ar, r> / |Ar|^2`` (0 for a
+    stalled lane), complex128.
+
+    Evaluated lane by lane in the scalar solver's own Python double
+    arithmetic: NumPy's vectorized complex division multiplies by a
+    reciprocal and would differ from :func:`~repro.solvers.mr.mr` in the
+    last bit.
+    """
+    return np.array(
+        [
+            omega * complex(d) / float(n) if n > 0.0 else 0.0
+            for d, n in zip(dot, ar2)
+        ],
+        dtype=np.complex128,
+    )
+
+
 def batched_mr(
     op: Operator,
     b,
@@ -341,10 +359,12 @@ def batched_mr(
 ) -> BatchedSolverResult:
     """Fixed-step minimum residual over a leading batch axis.
 
-    The Schwarz block sweep of the batched GCR-DD: all B block systems
-    advance through the same MR recurrence in one vectorized pass (one
-    stencil application and one pair of reductions per step for the whole
-    batch).
+    All B systems advance through the same MR recurrence in one
+    vectorized pass (one operator application and one set of reductions
+    per step for the whole batch), each lane bit for bit the iterate
+    :func:`~repro.solvers.mr.mr` produces alone.  A lane whose ``A r``
+    vanishes has reached the scalar solver's early exit: it is frozen
+    (zero step length) and reports the step it stalled at.
     """
     space = space or BatchedArraySpace()
     if x0 is None:
@@ -356,15 +376,19 @@ def batched_mr(
     b_norm2 = space.norm2(b)
     nb = len(b_norm2)
     safe_b = _safe(b_norm2)
+    live = np.ones(nb, dtype=bool)
+    iterations = np.zeros(nb, dtype=np.int64)
     history = []
     matvecs = 0
     for _ in range(int(steps)):
         ar = op(r)
         matvecs += 1
+        iterations[live] = matvecs
         ar2 = space.norm2(ar)
-        if not (ar2 > 0.0).any():
+        live = ar2 > 0.0
+        if not live.any():
             break
-        coef = np.where(ar2 > 0.0, omega * space.dot(ar, r) / _safe(ar2), 0.0)
+        coef = mr_coefficients(omega, space.dot(ar, r), ar2)
         x = space.axpy(coef, r, x)
         r = space.axpy(-coef, ar, r)
         history.append(np.sqrt(space.norm2(r) / safe_b))
@@ -375,7 +399,7 @@ def batched_mr(
     return BatchedSolverResult(
         x,
         converged=np.ones(nb, dtype=bool),  # fixed-step preconditioner
-        iterations=np.full(nb, matvecs, dtype=np.int64),
+        iterations=iterations,
         residuals=residuals,
         residual_history=history,
         matvecs=matvecs,

@@ -8,7 +8,7 @@ from repro.dd import (
     AdditiveSchwarzPreconditioner,
     OverlappingSchwarzPreconditioner,
 )
-from repro.dd.overlapping import extract_region
+from repro.lattice.geometry import extract_region, stack_regions
 from repro.dirac import NaiveStaggeredOperator, StaggeredNormalOperator, WilsonCloverOperator
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.multigpu import BlockPartition
@@ -44,6 +44,18 @@ class TestExtractRegion:
         out = extract_region(a, geom44, (1, 1, 1, 1), (2, 2, 2, 2), lead=1)
         assert out.shape == (4, 2, 2, 2, 2)
         assert np.array_equal(out, a[:, 1:3, 1:3, 1:3, 1:3])
+
+
+    def test_stacked_regions_are_lanes(self, geom44, rng):
+        a = rng.standard_normal((3,) + geom44.shape + (2,))
+        origins = [(0, 0, 0, 0), (-1, 2, 0, 3), (3, 3, 3, 3)]
+        out = stack_regions(a, geom44, origins, (2, 4, 2, 2), lead=1)
+        assert out.shape == (3, 3, 2, 2, 4, 2, 2) and out.flags.c_contiguous
+        for lane, origin in enumerate(origins):
+            assert np.array_equal(
+                out[:, lane],
+                extract_region(a, geom44, origin, (2, 4, 2, 2), lead=1),
+            )
 
 
 class TestOverlap:

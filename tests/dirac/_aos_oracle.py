@@ -22,6 +22,7 @@ from repro.dirac import (
     WilsonCloverOperator,
 )
 from repro.lattice import GaugeField, Geometry
+from repro.linalg.gamma import projector_tables
 
 
 def link_apply_cols(
@@ -72,8 +73,9 @@ def wilson_dslash_aos(op, x: np.ndarray) -> np.ndarray:
     for mu in range(4):
         bc = op.boundary[mu]
         for tab, cols, fwd in (
-            (op._tab_fwd[mu], u_cols[mu], True),
-            (op._tab_bwd[mu], udag_cols[mu], False),
+            # complex128 phases whatever the field's dtype, as before PR 17.
+            (projector_tables(mu, -1), u_cols[mu], True),
+            (projector_tables(mu, +1), udag_cols[mu], False),
         ):
             np.multiply(tab.project_coeff, x[..., tab.lower, :], out=tmp)
             np.add(xu, tmp, out=h)

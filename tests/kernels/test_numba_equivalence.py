@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import ProcessGrid
 from repro.dirac import (
     AsqtadOperator,
     BoundarySpec,
@@ -29,6 +30,7 @@ from repro.dirac import (
 from repro.kernels import get_backend
 from repro.kernels.numba_backend import NumbaBackend
 from repro.lattice import GaugeField, Geometry, SpinorField
+from repro.multigpu import BlockPartition
 
 HAVE_NUMBA = get_backend("numba").available
 needs_numba = pytest.mark.skipif(
@@ -106,6 +108,36 @@ class TestTableLayer:
         got = _mirror_wilson(cache, xb, geom.volume)
         assert np.abs(got - expected).max() < TOL * np.abs(expected).max()
 
+    def test_lane_stack_tables(self, weak_gauge448, rng):
+        """A lane stack (the Schwarz blocks side by side) is one lattice
+        of L x block-volume sites to the flat kernels: block tables per
+        lane, neighbors offset into their own lane."""
+        geom = weak_gauge448.geometry
+        part = BlockPartition(geom, ProcessGrid((1, 1, 2, 2)))
+        wilson = WilsonCloverOperator(
+            weak_gauge448, mass=0.1, csw=1.0, boundary=PHYSICAL, kernel="numpy"
+        ).restrict_to_blocks(part)
+        xb = part.stack(np.stack(
+            [SpinorField.random(geom, rng=rng).data for _ in range(2)]
+        ), lead=1)
+        expected = wilson._dslash_reference(xb)
+        cache = NumbaBackend()._wilson_cache(wilson, np.complex128)
+        got = _mirror_wilson(cache, xb, wilson.sites)
+        assert np.abs(got - expected).max() < TOL * np.abs(expected).max()
+
+        asqtad = AsqtadOperator.from_gauge(
+            weak_gauge448, mass=0.1, boundary=PHYSICAL, kernel="numpy"
+        ).restrict_to_blocks(part)
+        x = part.stack(SpinorField.random(geom, nspin=1, rng=rng).data)
+        expected = asqtad._dslash_numpy(x)
+        cache = NumbaBackend()._staggered_cache(asqtad, np.complex128)
+        out = np.zeros_like(x).reshape(1, asqtad.sites, 3)
+        part_fat = dict(cache, lk=cache["fat"], lkdag=cache["fatdag"])
+        _mirror_staggered_hops(part_fat, cache["eta"], x, asqtad.sites, out)
+        _mirror_staggered_hops(cache["long"], cache["eta"], x, asqtad.sites, out)
+        got = out.reshape(x.shape)
+        assert np.abs(got - expected).max() < TOL * np.abs(expected).max()
+
     @pytest.mark.parametrize("bc", BCS, ids=BC_IDS)
     def test_naive_staggered_tables_match(self, weak_gauge, bc, rng):
         geom = weak_gauge.geometry
@@ -180,6 +212,26 @@ class TestCompiledWilson:
         expected = ref.apply(xb)
         scale = np.abs(expected).max()
         assert np.abs(jit.apply(xb) - expected).max() < TOL * scale
+
+    def test_lane_stack(self, weak_gauge448, rng):
+        """The Schwarz blocks side by side, single and batched."""
+        geom = weak_gauge448.geometry
+        part = BlockPartition(geom, ProcessGrid((1, 1, 2, 2)))
+        ref, jit = (
+            WilsonCloverOperator(
+                weak_gauge448, mass=0.1, csw=1.0, boundary=PHYSICAL,
+                kernel=kernel,
+            ).restrict_to_blocks(part)
+            for kernel in ("numpy", "numba")
+        )
+        assert jit.kernel == "numba"
+        xb = part.stack(np.stack(
+            [SpinorField.random(geom, rng=rng).data for _ in range(2)]
+        ), lead=1)
+        for x in (xb, xb[0]):
+            expected = ref.apply(x)
+            scale = np.abs(expected).max()
+            assert np.abs(jit.apply(x) - expected).max() < TOL * scale
 
     def test_boundary_rebuild_after_with_boundary(self, weak_gauge, rng):
         ref = WilsonCloverOperator(weak_gauge, mass=0.1, kernel="numpy")

@@ -99,3 +99,35 @@ class TestSplitAssemble:
         geom, grid, part = setup
         with pytest.raises(ValueError):
             part.split(np.zeros((2, 2, 2, 2)))
+
+
+class TestLaneStack:
+    """``stack``/``unstack``: the blocks as one lane axis, in rank order."""
+
+    @pytest.mark.parametrize(
+        "dims,grid",
+        [((4, 4, 8, 8), (1, 1, 2, 4)), ((8, 4, 4, 4), (2, 1, 1, 1)),
+         ((4, 8, 4, 8), (2, 2, 1, 2)), ((4, 4, 4, 4), (1, 1, 1, 1))],
+    )
+    @pytest.mark.parametrize("lead,tail", [(0, (4, 3)), (1, (3,)), (4, ())])
+    def test_lanes_are_the_split_blocks(self, dims, grid, lead, tail, rng):
+        geom = Geometry(dims)
+        part = BlockPartition(geom, ProcessGrid(grid))
+        a = rng.standard_normal((2, 3, 2, 2)[:lead] + geom.shape + tail)
+        stacked = part.stack(a, lead)
+        assert stacked.flags.c_contiguous
+        assert np.array_equal(stacked, np.stack(part.split(a, lead), axis=lead))
+        back = part.unstack(stacked, lead)
+        assert back.flags.c_contiguous and np.array_equal(back, a)
+
+    def test_unstack_to_a_wider_dtype(self, setup, rng):
+        """A complex64 correction gathered into the residual's dtype."""
+        geom, grid, part = setup
+        a = rng.standard_normal(geom.shape).astype(np.float32)
+        back = part.unstack(part.stack(a), dtype=np.float64)
+        assert back.dtype == np.float64 and np.array_equal(back, a)
+
+    def test_stack_wrong_shape(self, setup):
+        geom, grid, part = setup
+        with pytest.raises(ValueError):
+            part.stack(np.zeros((2, 2, 2, 2)))

@@ -114,15 +114,27 @@ class TestBatchedBiCGstab:
 
 class TestBatchedMR:
     def test_matches_scalar_per_lane(self, wilson_op, wilson_batch):
-        res = batched_mr(
-            wilson_op.apply, wilson_batch, steps=8, omega=0.9,
-            space=BatchedArraySpace(),
-        )
-        for i in range(B):
-            ref = mr(wilson_op.apply, wilson_batch[i], steps=8, omega=0.9,
-                     space=WILSON_SPACE)
-            rel = np.linalg.norm(res.x[i] - ref.x) / np.linalg.norm(ref.x)
-            assert rel < 1e-12
+        """Every lane is the scalar solver's iterate bit for bit, in the
+        field's own dtype (a zero lane takes the scalar early exit)."""
+        for dtype in (np.complex128, np.complex64):
+            batch = wilson_batch.astype(dtype)
+            batch[1] = 0.0
+            for omega in (1.0, 0.9):
+                res = batched_mr(
+                    wilson_op.apply, batch, steps=8, omega=omega,
+                    space=BatchedArraySpace(),
+                )
+                assert res.x.dtype == dtype
+                for i in range(B):
+                    ref = mr(wilson_op.apply, batch[i], steps=8, omega=omega,
+                             space=WILSON_SPACE)
+                    assert ref.x.dtype == dtype
+                    assert np.array_equal(res.x[i], ref.x)
+                    assert res.iterations[i] == ref.iterations
+                    assert res.residuals[i] == ref.residual
+                    lane_history = [float(h[i]) for h in res.residual_history]
+                    n = len(ref.residual_history)
+                    assert lane_history[:n] == ref.residual_history
 
 
 class TestBatchedGCR:

@@ -122,8 +122,10 @@ class TestQuantizeHalfOnePass:
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize(
         "shape,site_axes",
-        [((6, 5, 4, 3), 2), ((6, 5, 3), 1), ((3, 6, 5, 4, 3), 2), ((2, 7, 3), 1)],
-        ids=["wilson", "staggered", "batched-wilson", "batched-staggered"],
+        [((6, 5, 4, 3), 2), ((6, 5, 3), 1), ((3, 6, 5, 4, 3), 2), ((2, 7, 3), 1),
+         ((2, 4, 3, 2, 5, 4, 3), 2), ((2, 4, 3, 5, 3), 1), ((7, 3, 3), 2)],
+        ids=["wilson", "staggered", "batched-wilson", "batched-staggered",
+             "lane-stacked-wilson", "lane-stacked-staggered", "links"],
     )
     def test_bit_identical_to_oracle(self, shape, site_axes, dtype, rng):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -146,6 +148,34 @@ class TestQuantizeHalfOnePass:
         assert np.array_equal(
             np.signbit(got.view(np.float32)), np.signbit(expected.view(np.float32))
         )
+
+    def test_nonfinite_sites_propagate_as_max_does(self, rng):
+        """The site max is folded in halves, not reduced: the same scale
+        at every site of a lane-stacked field, NaN and Inf sites included,
+        and no other site disturbed."""
+        from repro.precision import _site_max
+
+        shape = (2, 4, 3, 5, 4, 3)  # (batch, lanes, sites..., spin, color)
+        x = (rng.standard_normal(shape)
+             + 1j * rng.standard_normal(shape)).astype(np.complex64)
+        nan_site, inf_site = (0, 1, 2, 3), (1, 3, 0, 0)
+        x[nan_site + (1, 0)] = np.nan
+        x[inf_site + (3, 2)] = complex(np.inf, 1.0)
+        reals = x.view(np.float32).reshape(shape[:-2] + (24,))
+        assert np.array_equal(
+            _site_max(np.abs(reals)),
+            np.abs(reals).max(axis=-1, keepdims=True),
+            equal_nan=True,
+        )
+        with np.errstate(invalid="ignore"):  # inf / inf at the Inf site
+            got = quantize_half(x)
+        assert np.isnan(got[nan_site + (1, 0)])
+        assert not np.isfinite(got[inf_site]).all()
+        clean = x.copy()
+        clean[nan_site] = clean[inf_site] = 0.0
+        expected = _quantize_half_oracle(clean)
+        got[nan_site] = got[inf_site] = 0.0
+        assert np.array_equal(got, expected)
 
     def test_noncontiguous_and_real_inputs(self, rng):
         x = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
