@@ -62,7 +62,7 @@ class MultiSplittingPreconditioner:
         precision: Precision | None = HALF,
     ):
         self._ext_dims, self._origins, self.blocks = extended_blocks(
-            op, partition, overlap
+            op, partition, overlap, precision
         )
         self.op = op
         self.partition = partition

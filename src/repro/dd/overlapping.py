@@ -28,7 +28,10 @@ from repro.solvers.space import space_for_nspin
 from repro.util.counters import record_operator
 
 
-def extended_blocks(op: LatticeOperator, partition: BlockPartition, overlap: int):
+def extended_blocks(
+    op: LatticeOperator, partition: BlockPartition, overlap: int,
+    precision: Precision | None = None,
+):
     """The extended regions shared by the RAS and multi-splitting
     preconditioners: every block of ``partition`` grown by ``overlap``
     sites into its neighbors along each *partitioned* direction.
@@ -38,7 +41,8 @@ def extended_blocks(op: LatticeOperator, partition: BlockPartition, overlap: int
     and the Dirichlet-cut operators on all regions as one lane stack
     (``op.restrict_to_regions``: links and the clover field are
     region-extracted, the partitioned directions get zero boundaries, the
-    kernel tier is the global operator's).
+    kernel tier is the global operator's, the storage is the block
+    ``precision``).
     """
     if partition.geometry != op.geometry:
         raise ValueError("partition geometry does not match operator")
@@ -59,7 +63,8 @@ def extended_blocks(op: LatticeOperator, partition: BlockPartition, overlap: int
         for mu in partitioned:
             origin[mu] -= overlap
         origins.append(tuple(origin))
-    return ext_dims, origins, op.restrict_to_regions(origins, ext_dims, partitioned)
+    blocks = op.restrict_to_regions(origins, ext_dims, partitioned, precision)
+    return ext_dims, origins, blocks
 
 
 class OverlappingSchwarzPreconditioner:
@@ -85,7 +90,7 @@ class OverlappingSchwarzPreconditioner:
         precision: Precision | None = HALF,
     ):
         self._ext_dims, self._origins, self.blocks = extended_blocks(
-            op, partition, overlap
+            op, partition, overlap, precision
         )
         self.op = op
         self.partition = partition

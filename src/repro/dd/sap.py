@@ -55,7 +55,9 @@ class SAPPreconditioner:
         for color in (0, 1):
             ranks = [r for r, c in enumerate(self.colors) if c == color]
             self._sweeps.append(
-                (ranks, op.restrict_to_blocks(partition, ranks) if ranks else None)
+                (ranks,
+                 op.restrict_to_blocks(partition, ranks, precision)
+                 if ranks else None)
             )
 
     def _block_color(self, rank: int) -> int:

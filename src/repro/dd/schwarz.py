@@ -66,8 +66,9 @@ class AdditiveSchwarzPreconditioner:
         self.precision = precision
         #: All the Dirichlet-cut block operators as one lane stack: the
         #: blocks of a partition share a shape, so they are solved side
-        #: by side as the lanes of ONE block solve per application.
-        self.blocks = op.restrict_to_blocks(partition)
+        #: by side as the lanes of ONE block solve per application, in the
+        #: block precision the stack is stored in.
+        self.blocks = op.restrict_to_blocks(partition, precision=precision)
         self._space = space_for_nspin(op.nspin)
 
     @cached_property

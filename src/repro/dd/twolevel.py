@@ -64,14 +64,18 @@ class TwoLevelSchwarzPreconditioner:
         self._space = space_for_nspin(op.nspin)
 
         # Outer level: the Dirichlet-cut per-rank operators, one lane
-        # stack.  Inner level: every outer block gets the same
+        # stack in working precision (the Richardson residual is not
+        # rounded).  Inner level: every outer block gets the same
         # sub-partition, so all the (doubly Dirichlet-cut) sub-blocks of
-        # all outer blocks are one lane stack too, outer-block-major.
+        # all outer blocks are one lane stack too, outer-block-major,
+        # stored in the block precision their MR sweeps run in.
         self.blocks = op.restrict_to_blocks(partition)
         self.inner_partition = BlockPartition(
             partition.local_geometry, inner_grid
         )
-        self.inner_blocks = self.blocks.restrict_to_blocks(self.inner_partition)
+        self.inner_blocks = self.blocks.restrict_to_blocks(
+            self.inner_partition, precision=precision
+        )
 
     # ------------------------------------------------------------------
     def _inner_precondition(self, r: np.ndarray) -> np.ndarray:

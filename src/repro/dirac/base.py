@@ -13,11 +13,13 @@ against) live here as well.
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.lattice.geometry import Geometry, stack_regions
+from repro.precision import Precision
 from repro.util.counters import record, record_operator
 
 # ----------------------------------------------------------------------
@@ -184,6 +186,13 @@ class LatticeOperator(abc.ABC):
     #: ``([B,] L, T, Z, Y, X, ...)`` — and ``geometry`` is one block's.
     #: Lanes never mix: every stencil shift runs along a lattice axis.
     lanes: int | None = None
+    #: ``None`` for an operator that works in the precision of the field it
+    #: is handed.  A *stored* operator (:meth:`stored`, or a restriction
+    #: given a ``precision``) lives in that storage format instead:
+    #: ``apply`` rounds its argument to the format on the way in and its
+    #: result on the way out, so a fixed-precision block solve needs no
+    #: conversion of its own around the operator.
+    storage: Precision | None = None
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
@@ -198,14 +207,45 @@ class LatticeOperator(abc.ABC):
     # -- public interface --------------------------------------------------
     def apply(self, x: np.ndarray) -> np.ndarray:
         self._record(x)
-        return self._apply(x)
+        return self._apply(x) if self.storage is None else self._apply_stored(x)
 
     def apply_dagger(self, x: np.ndarray) -> np.ndarray:
         self._record(x)
-        return self._apply_dagger(x)
+        if self.storage is None:
+            return self._apply_dagger(x)
+        return self._rounded(self._apply_dagger, x)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
+
+    # -- storage precision ---------------------------------------------------
+    def _rounded(self, fn, x: np.ndarray) -> np.ndarray:
+        """``round(fn(round(x)))`` in the storage format (one scale per
+        site for half): the generic form of a stored application, with the
+        links and the arithmetic of ``fn`` left as they are."""
+        site_axes = 2 if self.nspin == 4 else 1
+        convert = self.storage.convert
+        return convert(fn(convert(x, site_axes)), site_axes)
+
+    def _apply_stored(self, x: np.ndarray) -> np.ndarray:
+        return self._rounded(self._apply, x)
+
+    def stored(self, precision: Precision | None) -> "LatticeOperator":
+        """This operator living in ``precision`` (see :attr:`storage`);
+        ``None`` is the operator itself.  Built once per precision and
+        kept, so resolving it on every block solve costs a lookup."""
+        if precision is None or precision == self.storage:
+            return self
+        memo = self.__dict__.setdefault("_stored", {})
+        if precision not in memo:
+            memo[precision] = self._in_storage(precision)
+        return memo[precision]
+
+    def _in_storage(self, precision: Precision) -> "LatticeOperator":
+        out = copy.copy(self)
+        out.__dict__.pop("_stored", None)
+        out.storage = precision
+        return out
 
     # -- multi-RHS (batched) layout ----------------------------------------
     @property
@@ -296,7 +336,8 @@ class LatticeOperator(abc.ABC):
 
     # -- Schwarz blocks ------------------------------------------------------
     def restrict_to_regions(
-        self, origins, extents, cut_dims: tuple[int, ...]
+        self, origins, extents, cut_dims: tuple[int, ...],
+        precision: Precision | None = None,
     ) -> "LatticeOperator":
         """The Dirichlet-cut operators on same-shape rectangular regions of
         this lattice, as ONE lane stack (see :attr:`lanes`).
@@ -306,24 +347,42 @@ class LatticeOperator(abc.ABC):
         size; the ``cut_dims`` directions get zero boundaries, the rest
         keep this operator's condition.  Restricting a lane stack cuts
         every lane, lane-major (the two-level sub-blocks).
+
+        ``precision`` is the block-solve precision the stack is stored in
+        (see :attr:`storage`); ``None`` keeps this operator's own storage.
+        A family whose arrays do not depend on the storage implements
+        :meth:`_cut_to_regions` / :meth:`_pick_lanes` and is stored here,
+        generically; one that gathers in the storage dtype overrides the
+        public pair.
         """
+        return self._cut_to_regions(origins, extents, cut_dims).stored(
+            self.storage if precision is None else precision
+        )
+
+    def _cut_to_regions(self, origins, extents, cut_dims) -> "LatticeOperator":
         raise NotImplementedError(
             f"{type(self).__name__} does not support block restriction"
         )
 
-    def _region_stack(self, array, origins, extents, lead: int) -> np.ndarray:
+    def _region_stack(
+        self, array, origins, extents, lead: int, dtype=None
+    ) -> np.ndarray:
         """Regions of one of this operator's arrays (``lead`` axes in
-        front of its lattice axes) as a lane axis in that position; a
-        lane stack's own lane axis is merged in, lane-major."""
+        front of its lattice axes) as a lane axis in that position, cast
+        to ``dtype`` as they are gathered; a lane stack's own lane axis
+        is merged in, lane-major."""
         laned = self.lanes is not None
         out = stack_regions(
-            array, self.geometry, origins, extents, lead=lead + laned
+            array, self.geometry, origins, extents, lead=lead + laned,
+            dtype=dtype,
         )
         if laned:
             out = out.reshape(out.shape[:lead] + (-1,) + out.shape[lead + 2:])
         return out
 
-    def restrict_to_blocks(self, partition, ranks=None) -> "LatticeOperator":
+    def restrict_to_blocks(
+        self, partition, ranks=None, precision: Precision | None = None
+    ) -> "LatticeOperator":
         """All blocks of ``partition`` (or just ``ranks``) as one lane
         stack — the stacked sibling of ``restrict_to_block``."""
         ranks = partition.grid.all_ranks() if ranks is None else ranks
@@ -331,10 +390,15 @@ class LatticeOperator(abc.ABC):
             [partition.origin(rank) for rank in ranks],
             partition.local_dims,
             partition.grid.partitioned_dims,
+            precision,
         )
 
     def take_lanes(self, lanes) -> "LatticeOperator":
-        """The lane stack holding only the given lanes of this one."""
+        """The lane stack holding only the given lanes of this one, in
+        this one's storage."""
+        return self._pick_lanes(lanes).stored(self.storage)
+
+    def _pick_lanes(self, lanes) -> "LatticeOperator":
         raise NotImplementedError(
             f"{type(self).__name__} is not a lane stack"
         )

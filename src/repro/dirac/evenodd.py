@@ -66,6 +66,11 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     nspin = 4
 
     def __init__(self, wilson: WilsonCloverOperator):
+        if wilson.csw != 0.0 and wilson.clover is None:
+            raise TypeError(
+                "the Schur complement inverts the dense clover field: wrap "
+                "the working-precision operator and store the complement"
+            )
         super().__init__(wilson.geometry)
         self.wilson = wilson
         self.lanes = wilson.lanes
@@ -148,10 +153,12 @@ class EvenOddPreconditionedWilson(LatticeOperator):
             self.wilson.restrict_to_block(partition, rank)
         )
 
-    def restrict_to_regions(self, origins, extents, cut_dims):
+    def _cut_to_regions(self, origins, extents, cut_dims):
         """The cut Schur complements on even-origin regions as one lane
         stack (the parity mask is each region's own, so an odd origin —
-        an odd overlap — would swap the checkerboards)."""
+        an odd overlap — would swap the checkerboards).  Stored, it rounds
+        around the complement; the Wilson matrix inside stays in working
+        precision."""
         if any(sum(origin) % 2 for origin in origins):
             raise TypeError(
                 "EvenOddPreconditionedWilson cannot be restricted to "
@@ -161,5 +168,5 @@ class EvenOddPreconditionedWilson(LatticeOperator):
             self.wilson.restrict_to_regions(origins, extents, cut_dims)
         )
 
-    def take_lanes(self, lanes) -> "EvenOddPreconditionedWilson":
+    def _pick_lanes(self, lanes) -> "EvenOddPreconditionedWilson":
         return EvenOddPreconditionedWilson(self.wilson.take_lanes(lanes))

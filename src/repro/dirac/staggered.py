@@ -214,7 +214,7 @@ class _StaggeredBase(LatticeOperator):
             partition.origin(rank),
         )
 
-    def restrict_to_regions(self, origins, extents, cut_dims):
+    def _cut_to_regions(self, origins, extents, cut_dims):
         """One lane stack of Dirichlet-cut region operators; every lane
         keeps its own global origin for the Kogut-Susskind phases."""
         here = [self.origin] if self.lanes is None else self.origin
@@ -228,7 +228,7 @@ class _StaggeredBase(LatticeOperator):
              for base in here for origin in origins],
         )
 
-    def take_lanes(self, lanes):
+    def _pick_lanes(self, lanes):
         return self._restricted(
             self.geometry,
             self.fat[:, lanes],
@@ -344,10 +344,10 @@ class StaggeredNormalOperator(LatticeOperator):
             self.base.restrict_to_block(partition, rank), self.sigma
         )
 
-    def restrict_to_regions(self, origins, extents, cut_dims):
+    def _cut_to_regions(self, origins, extents, cut_dims):
         return StaggeredNormalOperator(
             self.base.restrict_to_regions(origins, extents, cut_dims), self.sigma
         )
 
-    def take_lanes(self, lanes) -> "StaggeredNormalOperator":
+    def _pick_lanes(self, lanes) -> "StaggeredNormalOperator":
         return StaggeredNormalOperator(self.base.take_lanes(lanes), self.sigma)

@@ -32,6 +32,14 @@ Dslash execution is delegated to a pluggable kernel backend
 
 All tiers agree to rounding (they evaluate the same exact contraction
 in a different association order).
+
+A *stored* operator (``op.stored(precision)``, or a block restriction
+given the block ``precision``) on the ``"numpy"`` tier carries its links
+and its clover term — as the two packed 6x6 chiral blocks — lattice-last in
+the storage dtype, and applies M in one lattice-last body with the
+rounding to the format inside (:meth:`WilsonCloverOperator._apply_sites`):
+the paper's block solves "exclusively in half precision" (Sec. 5, 8.1).
+The other tiers keep the generic form, rounding around ``_apply``.
 """
 
 from __future__ import annotations
@@ -48,7 +56,12 @@ from repro.dirac.base import (
     link_apply_sites,
     shift_sites,
 )
-from repro.dirac.clover import apply_clover, build_clover_field
+from repro.dirac.clover import (
+    apply_chiral_sites,
+    apply_clover,
+    build_clover_field,
+    chiral_blocks,
+)
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
 from repro.lattice.geometry import Geometry, axis_of_mu
@@ -106,25 +119,33 @@ class WilsonCloverOperator(LatticeOperator):
 
     def _setup(
         self, gauge, geometry, mass, csw, boundary, clover, kernel, links_soa,
-        lanes=None,
+        lanes=None, storage=None,
     ):
         """Everything but building the clover field.  A lane stack
-        (:meth:`restrict_to_regions`) comes through here without a gauge
-        field of its own: it lives on ``links_soa``, the lattice-last link
-        cache with the lane axis in front of the lattice axes."""
+        (:meth:`restrict_to_regions`) or a packed stored operator comes
+        through here without a gauge field of its own: it lives on
+        ``links_soa``, the lattice-last link cache (with the lane axis in
+        front of the lattice axes), and a packed one's ``clover`` is the
+        two chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)``, both in the
+        storage dtype."""
         LatticeOperator.__init__(self, geometry)
         self.gauge = gauge
         self.lanes = lanes
+        self.storage = storage
         self.mass = float(mass)
         self.csw = float(csw)
         self.boundary = boundary
         self._backend = resolve_kernel(kernel, operator="wilson")
         self.kernel = self._backend.name
-        self.clover = clover if csw != 0.0 else None
-        self.name = "wilson_clover" if self.clover is not None else "wilson"
+        if csw == 0.0:
+            clover = None
+        self.clover, self._chiral = (
+            (None, clover) if self._packed else (clover, None)
+        )
+        self.name = "wilson_clover" if clover is not None else "wilson"
         self.flops_per_site = (
             base.WILSON_CLOVER_MATVEC_FLOPS
-            if self.clover is not None
+            if clover is not None
             else base.WILSON_MATVEC_FLOPS
         )
         # Spin projection matrices P^{-}_mu (forward hop) and P^{+}_mu
@@ -138,6 +159,17 @@ class WilsonCloverOperator(LatticeOperator):
         # dslash (it is boundary-independent, so ``with_boundary`` shares
         # it).
         self._links_soa: np.ndarray | None = links_soa
+
+    def _packs(self, storage) -> bool:
+        """Whether ``storage`` is carried packed — storage-dtype links and
+        chiral clover blocks under one lattice-last body — which is what
+        the ``"numpy"`` tier does with any storage; the other tiers keep
+        their arrays and round around ``_apply``."""
+        return storage is not None and self.kernel == "numpy"
+
+    @property
+    def _packed(self) -> bool:
+        return self._packs(self.storage)
 
     @property
     def diagonal_coefficient(self) -> float:
@@ -192,9 +224,19 @@ class WilsonCloverOperator(LatticeOperator):
         data, so the per-site IEEE operation sequence (and hence every bit
         of the result) is that of the lattice-first formulation kept in
         ``tests/dirac/_aos_oracle.py``.
+        """
+        # The one layout change in: (..., spin, color) -> (spin, color, ...),
+        # so every ufunc of the stencil streams contiguous sites.
+        xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+        acc = self._hop_sites(xs, bool(self.field_lead(x)))
+        return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
 
-        A multi-RHS batch rides the same body as one more elementwise
-        axis between color and lattice (the links broadcast over it), so
+    def _hop_sites(self, xs: np.ndarray, batched: bool) -> np.ndarray:
+        """The 8-hop stencil core on a lattice-last field ``(spin, color,
+        [batch,] [lanes,] T, Z, Y, X)``.
+
+        A multi-RHS batch rides the body as one more elementwise axis
+        between color and lattice (the links broadcast over it), so
         every lane of a batched result is bit-identical to the single-RHS
         apply of that lane, whatever the batch size or its other lanes.
         The block lanes of a lane stack ride it the same way, as a leading
@@ -205,13 +247,9 @@ class WilsonCloverOperator(LatticeOperator):
         products are exact either way, and a complex64 field is spared
         NumPy's buffered complex128 cast loop on 16 passes per apply.
         """
-        lead = self.field_lead(x)
         u, udag = self._soa_links()
-        # The one layout change in: (..., spin, color) -> (spin, color, ...),
-        # so every ufunc below streams contiguous sites.
-        xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
         # A batch axis sits between color and lattice; links broadcast over it.
-        bx = (slice(None), slice(None), None) if lead else ()
+        bx = (slice(None), slice(None), None) if batched else ()
         over_sites = (Ellipsis,) + (None,) * (xs.ndim - 2)
         xu = xs[:2]
         # Four half-spinor buffers reused across the 8 hops (instead of ~7
@@ -242,7 +280,36 @@ class WilsonCloverOperator(LatticeOperator):
                 upper += hop
                 np.multiply(tab.recon_coeff[over_sites], hop[tab.source], out=tmp)
                 lower += tmp
-        return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
+        return acc
+
+    def _apply_sites(self, x: np.ndarray, rounding) -> np.ndarray:
+        """M x of a packed stored operator in ONE lattice-last body:
+        transpose in -> round to the storage format -> the 8 hops ->
+        ``(4 + m) x - 1/2 D x`` and the chiral clover blocks as
+        whole-lattice multiply-adds -> round -> transpose out.
+
+        Everything between the transposes runs in the storage dtype on
+        contiguous sites (``rounding`` is the storage precision, or
+        ``None`` for the unrounded matrix).  The stencil stays the timed
+        ``wilson_dslash`` leaf; the diagonal + clover pass and the two
+        roundings are leaves of their own beside it.
+        """
+        batched = bool(self.field_lead(x))
+        xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+        if rounding is not None:
+            with timed("wilson_rounding", kind="convert"):
+                xs = rounding.convert(xs, leading=True)
+        with timed("wilson_dslash", kind="dslash"):
+            out = self._hop_sites(xs, batched)
+        with timed("wilson_site_diagonal", kind="clover"):
+            out *= -0.5
+            out += self.diagonal_coefficient * xs
+            if self._chiral is not None:
+                apply_chiral_sites(self._chiral, xs, out, batched)
+        if rounding is not None:
+            with timed("wilson_rounding", kind="convert"):
+                out = rounding.convert(out, leading=True)
+        return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
     def _dslash_reference(self, x: np.ndarray) -> np.ndarray:
         """The seed's full 4-spin dslash, kept as the numerical baseline."""
@@ -265,10 +332,17 @@ class WilsonCloverOperator(LatticeOperator):
         return out
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
+        if self._packed:
+            return self._apply_sites(x, None)
         out = self.diagonal_coefficient * x - 0.5 * self._dslash(x)
         if self.clover is not None:
             out += apply_clover(self.clover, x)
         return out
+
+    def _apply_stored(self, x: np.ndarray) -> np.ndarray:
+        if self._packed:
+            return self._apply_sites(x, self.storage)
+        return super()._apply_stored(x)
 
     def _apply_dagger(self, x: np.ndarray) -> np.ndarray:
         # gamma5-Hermiticity: M^+ = g5 M g5 (holds for real +-1/0 boundary
@@ -302,37 +376,72 @@ class WilsonCloverOperator(LatticeOperator):
             _link_cache=self._links_soa,
         )
 
-    def _lane_stack(self, geometry, boundary, links_soa, clover):
-        """A lane stack with this operator's parameters on ``links_soa``
-        ``(2, mu, b, a, L, T, Z, Y, X)`` / ``clover`` ``(L, T, Z, Y, X, 12,
-        12)``."""
+    def _on_links(self, geometry, boundary, links_soa, clover, storage):
+        """An operator with this one's parameters living on ``links_soa``
+        ``(2, mu, b, a, [L,] T, Z, Y, X)`` and, for the clover term, the
+        dense field ``([L,] T, Z, Y, X, 12, 12)`` or — for a stored
+        operator of the NumPy tier — its chiral blocks ``(2, 6, 6, [L,]
+        T, Z, Y, X)``."""
         out = object.__new__(type(self))
         out._setup(
             None, geometry, self.mass, self.csw, boundary, clover,
-            self.kernel, links_soa, lanes=links_soa.shape[4],
+            self.kernel, links_soa,
+            lanes=links_soa.shape[4] if links_soa.ndim == 9 else None,
+            storage=storage,
         )
         return out
 
-    def restrict_to_regions(self, origins, extents, cut_dims):
+    def _chiral_blocks(self) -> np.ndarray:
+        return self._chiral if self._packed else chiral_blocks(self.clover)
+
+    def _in_storage(self, precision):
+        """The packed form on the NumPy tier (links and chiral blocks cast
+        to the storage dtype), the generic one elsewhere."""
+        if not self._packs(precision):
+            return super()._in_storage(precision)
+        dtype = precision.dtype
+        clover = None
+        if self.csw != 0.0:
+            clover = np.ascontiguousarray(self._chiral_blocks(), dtype=dtype)
+        return self._on_links(
+            self.geometry, self.boundary,
+            self._soa_links().astype(dtype, copy=False), clover, precision,
+        )
+
+    def restrict_to_regions(self, origins, extents, cut_dims, precision=None):
         """One lane stack of Dirichlet-cut region operators, gathered
         straight from the lattice-last link cache and the clover field
-        (which, being site-diagonal, is unaffected by the cuts)."""
+        (which, being site-diagonal, is unaffected by the cuts).  This
+        family builds the stack *in* its storage (hence the public
+        override): packed, the regions are cast to the storage dtype as
+        they are gathered, the clover as its chiral blocks, so no
+        working-precision copy of the stack ever exists."""
+        storage = self.storage if precision is None else precision
+        packed = self._packs(storage)
+        dtype = storage.dtype if packed else None
         clover = None
-        if self.clover is not None:
-            clover = self._region_stack(self.clover, origins, extents, lead=0)
-        return self._lane_stack(
+        if self.csw != 0.0:
+            field, lead = (self._chiral_blocks(), 3) if packed else (self.clover, 0)
+            clover = self._region_stack(
+                field, origins, extents, lead=lead, dtype=dtype
+            )
+        return self._on_links(
             Geometry(extents),
             self.boundary.with_dirichlet(cut_dims),
-            self._region_stack(self._soa_links(), origins, extents, lead=4),
+            self._region_stack(
+                self._soa_links(), origins, extents, lead=4, dtype=dtype
+            ),
             clover,
+            storage,
         )
 
     def take_lanes(self, lanes) -> "WilsonCloverOperator":
-        return self._lane_stack(
-            self.geometry,
-            self.boundary,
-            self._links_soa[:, :, :, :, lanes],
-            None if self.clover is None else self.clover[lanes],
+        clover = self._chiral if self._packed else self.clover
+        if clover is not None:
+            clover = np.take(clover, lanes, axis=3 if self._packed else 0)
+        return self._on_links(
+            self.geometry, self.boundary, self._links_soa[:, :, :, :, lanes],
+            clover, self.storage,
         )
 
     def restrict_to_block(self, partition, rank: int) -> "WilsonCloverOperator":

@@ -232,15 +232,18 @@ def stack_regions(
     origins,
     extents: tuple[int, int, int, int],
     lead: int = 0,
+    dtype=None,
 ) -> np.ndarray:
     """Copy same-shape regions of a global field into one array, the
     regions becoming a *lane* axis in front of the lattice axes:
     ``array.shape[:lead] + (len(origins),) + region shape + site axes``.
+    ``dtype`` (default: the field's) is what the regions are cast to as
+    they are written, so no full-size copy in the field's own dtype exists.
     """
     out = np.empty(
         array.shape[:lead] + (len(origins),) + tuple(extents[::-1])
         + array.shape[lead + 4:],
-        dtype=array.dtype,
+        dtype=array.dtype if dtype is None else dtype,
     )
     for lane, origin in enumerate(origins):
         out[(slice(None),) * lead + (lane,)] = extract_region(

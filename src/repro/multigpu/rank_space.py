@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.communicator import Communicator
+from repro.linalg.blas import _bcoeff
 from repro.precision import Precision
 from repro.util.counters import record
 
@@ -85,7 +86,7 @@ class BatchedRankSpace(RankSpace):
     number of global synchronizations as one, which is the whole point
     of batching for the reduction-latency-bound strong-scaling regime of
     Sec. 3.2.  Update coefficients are per-RHS ``(B,)`` vectors broadcast
-    over the block.
+    over the block, in the block's dtype.
     """
 
     @staticmethod
@@ -95,13 +96,6 @@ class BatchedRankSpace(RankSpace):
         return np.einsum(
             "bi,bi->b", x.reshape(nb, -1).conj(), y.reshape(nb, -1)
         )
-
-    @staticmethod
-    def _bcoeff(a, x: np.ndarray):
-        a = np.asarray(a)
-        if a.ndim == 0:
-            return a
-        return a.reshape(a.shape + (1,) * (x.ndim - 1))
 
     def batch(self, x) -> int:
         return x.shape[0]
@@ -123,17 +117,22 @@ class BatchedRankSpace(RankSpace):
         return np.asarray(self.comm.allreduce_sum(part))
 
     # -- updates (per-RHS coefficients) ----------------------------------
+    # The coefficient is rounded to the field's dtype before the multiply
+    # (``linalg.blas``'s batched contract): a complex64 field stays
+    # complex64, every lane's bits are :class:`RankSpace`'s for that
+    # lane's Python scalar, and ``y + a*x`` still promotes when a
+    # complex64 correction meets a complex128 iterate.
     def axpy(self, a, x, y):
         record(flops=8 * x.size)
-        return y + self._bcoeff(a, x) * x
+        return y + _bcoeff(a, x) * x
 
     def xpay(self, x, a, y):
         record(flops=8 * x.size)
-        return x + self._bcoeff(a, y) * y
+        return x + _bcoeff(a, y) * y
 
     def scale(self, a, x):
         record(flops=6 * x.size)
-        return self._bcoeff(a, x) * x
+        return _bcoeff(a, x) * x
 
 
 __all__ = ["BatchedRankSpace", "RankSpace"]

@@ -56,22 +56,28 @@ class Precision:
             return float(np.finfo(np.float32).eps)
         return 1.0 / _INT16_MAX
 
-    def convert(self, array: np.ndarray, site_axes: int = 2) -> np.ndarray:
+    def convert(
+        self, array: np.ndarray, site_axes: int = 2, leading: bool = False
+    ) -> np.ndarray:
         """Round ``array`` to this precision (returns a new array).
 
-        ``site_axes`` is the number of trailing axes that belong to a single
-        site (2 for ``(spin, color)`` spinors or ``(3, 3)`` links, 1 for
+        ``site_axes`` is the number of axes that belong to a single site
+        (2 for ``(spin, color)`` spinors or ``(3, 3)`` links, 1 for
         staggered ``(color,)`` spinors); the half format computes one scale
-        per site over exactly those axes.
+        per site over exactly those axes.  They are the trailing axes, or
+        with ``leading=True`` the leading ones (the lattice-last layout
+        the stencils run in).
         """
         if self.name == "double":
             return np.ascontiguousarray(array, dtype=np.complex128)
         if self.name == "single":
             return np.ascontiguousarray(array, dtype=np.complex64)
-        return quantize_half(array, site_axes=site_axes)
+        return quantize_half(array, site_axes=site_axes, leading=leading)
 
 
-def quantize_half(array: np.ndarray, site_axes: int = 2) -> np.ndarray:
+def quantize_half(
+    array: np.ndarray, site_axes: int = 2, leading: bool = False
+) -> np.ndarray:
     """Emulate QUDA's 16-bit fixed-point storage round-trip.
 
     Each site's components are divided by the site max-norm (stored as a
@@ -81,15 +87,30 @@ def quantize_half(array: np.ndarray, site_axes: int = 2) -> np.ndarray:
     Runs in one pass over a *real view* of the input — real and imaginary
     parts are just ``2 * components`` reals per site — in the input's own
     real dtype (casting complex128 down first would change the rounding).
+
+    The ``site_axes`` component axes are the trailing ones, or with
+    ``leading=True`` the leading ones: a lattice-last field ``(spin, color,
+    ..., T, Z, Y, X)`` is rounded where it lies, every pass streaming
+    contiguous sites.  Only the site max is taken along other axes; the
+    per-element arithmetic — and so every bit — is the trailing form's.
     """
     a = np.ascontiguousarray(array)
     if not np.iscomplexobj(a):
         a = a.astype(np.result_type(a.dtype, np.complex64))
-    site_shape = a.shape[a.ndim - site_axes :]
-    reals = a.view(a.real.dtype).reshape(
-        a.shape[: a.ndim - site_axes] + (2 * math.prod(site_shape),)
-    )
-    scale = _site_max(np.abs(reals)).astype(np.float32)
+    reals = a.view(a.real.dtype)
+    if leading:
+        # (component, site re/im pairs): a site's reals are two columns,
+        # which share the one scale.
+        reals = reals.reshape(math.prod(a.shape[:site_axes]), -1)
+        mag = _site_max(np.abs(reals).T).reshape(-1, 2)
+        scale = np.repeat(np.maximum(mag[:, 0], mag[:, 1]), 2)
+    else:
+        site_shape = a.shape[a.ndim - site_axes :]
+        reals = reals.reshape(
+            a.shape[: a.ndim - site_axes] + (2 * math.prod(site_shape),)
+        )
+        scale = _site_max(np.abs(reals))
+    scale = scale.astype(np.float32)
     safe = np.where(scale > 0, scale, 1.0)
     q = reals / safe
     q *= _INT16_MAX

@@ -8,20 +8,32 @@ inside).  This module is the single implementation they call, and it
 solves all the same-shape blocks it is handed *at once*: the blocks are
 the lanes of one lane-stacked operator (``LatticeOperator.lanes``) and of
 one stacked residual ``([B,] L, t, z, y, x, ...)``, so an MR step is one
-stencil application, one half-precision round trip and one set of BLAS
-passes over every block — the NumPy form of recasting the block
-preconditioner as one batched kernel (Tu et al., arXiv:2104.05615).  The
-SPMD rank program, which owns a single block, is the one-lane case.
+stencil application and one set of BLAS passes over every block — the
+NumPy form of recasting the block preconditioner as one batched kernel
+(Tu et al., arXiv:2104.05615).  The SPMD rank program, which owns a
+single block, is the one-lane case.
+
+The block operator *lives in the block precision*
+(``LatticeOperator.storage``): it rounds its argument and its result to
+the format itself, so nothing here converts around an application — the
+Wilson-clover stack of the NumPy tier does it inside one lattice-last
+body on storage-dtype links and chiral clover blocks, every other family
+and tier around its working-precision ``_apply`` (Clark et al.'s inner
+solver that never leaves its storage precision, arXiv:0911.3191).
 
 Bit-parity contract: the backend-parity tests and the benchmark's exact
 counts pin both the numbers and the ledger, lane by lane, to a per-block
 loop of scalar :func:`~repro.solvers.mr.mr` solves (batched:
-:func:`~repro.solvers.multirhs.batched_mr`; the loop itself is kept as
-``tests/dd/_block_loop_oracle.py``):
+:func:`~repro.solvers.multirhs.batched_mr`) on each block's own *stored*
+operator, ``restrict_to_block(...).stored(precision)`` (the loop itself
+is kept as ``tests/dd/_block_loop_oracle.py``):
 
 * the operation order is that loop's — precision conversion of the
-  residual first, then the wrapped block operator converting around every
+  residual first, then the stored block operator rounding around every
   application, the MR recurrence under ``domain_local()``;
+* a stack built stored, a working-precision stack stored afterwards and
+  a single block stored on its own are the same arithmetic: the storage
+  cast is elementwise and the half format keeps one scale per site;
 * every pass is elementwise over lanes, every reduction runs over one
   lane's own contiguous row, and the step lengths are computed lane by
   lane in the scalar solver's arithmetic, so a lane's bits depend on
@@ -59,14 +71,16 @@ def schwarz_block_solve(
     Args:
         block_op: The Dirichlet-cut block operators: a lane stack (from
             ``restrict_to_blocks``/``restrict_to_regions``), or one
-            rank's own block (from ``restrict_to_block``).
+            rank's own block (from ``restrict_to_block``); solved in its
+            ``stored(precision)`` form, which a stack built with that
+            ``precision`` already is.
         r_loc: The block residuals, ``([B,] L) + block shape`` for a lane
             stack, ``([B,]) + block shape`` for a single block; a leading
             multi-RHS axis is relaxed in the same sweep.
         steps, omega: MR step count and relaxation.
         precision: Block-solve storage precision (``None`` = working).
         space: The rank-local space supplying the precision conversion
-            (``convert``) of the block fields.
+            (``convert``) of the block residual.
         rank: The owning rank, recorded on the trace span (an SPMD rank
             program's single block); a stack of every rank's block
             belongs to no one rank and stays on the caller's lane.
@@ -74,6 +88,10 @@ def schwarz_block_solve(
     Returns:
         The block corrections ``z`` (same shape as ``r_loc``).
     """
+    # The operator itself lives in the block precision and rounds around
+    # its own application (a lookup: the dd/ members build it stored, an
+    # SPMD rank's working-precision block keeps its stored form).
+    block_op = block_op.stored(precision)
     batch = r_loc.shape[: block_op.field_lead(r_loc)]
     nb = batch[0] if batch else 1
     one_block = block_op.lanes is None
@@ -93,11 +111,7 @@ def schwarz_block_solve(
 
     def apply(op, v):
         v = v.reshape(batch + (() if one_block else (-1,)) + block_shape)
-        if precision is None:
-            return rows(op.apply(v))
-        return rows(space.convert(
-            op.apply(space.convert(v, precision)), precision
-        ))
+        return rows(op.apply(v))
 
     # The block solve's spans sit on the rank's compute stream with zero
     # comm spans inside; every inner product is domain-restricted

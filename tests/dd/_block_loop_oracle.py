@@ -5,9 +5,17 @@ stood in ``src/`` before the block solves became lanes of one stacked MR
 (PR 17): a Python loop that builds one standalone Dirichlet-cut operator
 per block (``restrict_to_block``, or a region extracted with ``np.take``
 for the overlapping members) and runs one scalar ``mr`` — ``batched_mr``
-for a multi-RHS residual — per block, in the block precision.  Slow, but
-it is the operation sequence *and the count ledger* the lane-stacked
+for a multi-RHS residual — per block, on that block's operator *stored*
+in the block precision (``block_op.stored(precision)``, PR 18: the
+operator rounds around its own application).  Slow, but it is the
+operation sequence *and the count ledger* the lane-stacked
 ``schwarz_block_solve`` must reproduce bit for bit and count for count.
+
+``block_solve_pr17`` is the block solve as PR 17 left it — a
+working-precision operator inside a ``convert(apply(convert(v)))``
+sandwich.  The generic storage (every family and tier but the NumPy-tier
+Wilson-clover operator, which is packed) must still return its bits:
+tests swap it in with ``monkeypatch.setattr(oracle, "block_solve", ...)``.
 Nothing in ``src/`` may import this module.
 """
 
@@ -27,6 +35,21 @@ from repro.util.counters import domain_local, record_operator
 
 
 def block_solve(block_op, r_loc, *, steps, omega, precision, batched=False):
+    """One block's MR solve on the block's stored operator."""
+    site_axes = 2 if block_op.nspin == 4 else 1
+    space = (BatchedArraySpace if batched else ArraySpace)(site_axes=site_axes)
+    if precision is not None:
+        r_loc = space.convert(r_loc, precision)
+    with span("schwarz_block_solve", kind="precond"):
+        with domain_local():
+            result = (batched_mr if batched else mr)(
+                block_op.stored(precision).apply, r_loc, steps=steps,
+                omega=omega, space=space,
+            )
+    return result.x
+
+
+def block_solve_pr17(block_op, r_loc, *, steps, omega, precision, batched=False):
     """One block's MR solve: the pre-lanes ``schwarz_block_solve``."""
     site_axes = 2 if block_op.nspin == 4 else 1
     space = (BatchedArraySpace if batched else ArraySpace)(site_axes=site_axes)
@@ -226,6 +249,6 @@ def _twolevel_single(op, partition, r, inner_grid, inner_steps, outer_sweeps,
 
 
 __all__ = [
-    "block_solve", "multisplit", "ras", "region_operator", "sap", "schwarz",
+    "block_solve", "block_solve_pr17", "multisplit", "ras", "region_operator", "sap", "schwarz",
     "twolevel",
 ]

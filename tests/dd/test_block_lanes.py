@@ -1,12 +1,18 @@
 """The lane-stacked Schwarz block solve against the per-block loop it
 replaced (``_block_loop_oracle``): every member of the ``dd/`` family must
-return the loop's bits and record the loop's ledger."""
+return the loop's bits and record the loop's ledger — the loop over the
+blocks' operators *stored* in the block precision, which is what the
+stack is built as (the storage contract is pinned here too)."""
+
+import functools
+import pickle
 
 import numpy as np
 import pytest
 
 import _block_loop_oracle as oracle
 from repro.comm import ProcessGrid
+from repro.comm.backends import run_rank_programs
 from repro.dd import (
     AdditiveSchwarzPreconditioner,
     MultiSplittingPreconditioner,
@@ -40,10 +46,14 @@ LEDGER = (
 )
 
 
+@functools.cache
 def build_operator(kind):
     gauge = GaugeField.weak(GEOM, epsilon=0.3, rng=77)
-    if kind == "wilson_clover":
-        return WilsonCloverOperator(gauge, mass=0.1, csw=1.0, boundary=PHYSICAL)
+    if kind.startswith("wilson_clover"):
+        return WilsonCloverOperator(
+            gauge, mass=0.1, csw=1.0, boundary=PHYSICAL,
+            kernel="numpy_ref" if kind.endswith("numpy_ref") else "auto",
+        )
     if kind == "staggered":
         return NaiveStaggeredOperator(gauge, 0.2, boundary=PHYSICAL)
     return StaggeredNormalOperator(
@@ -234,15 +244,230 @@ def test_even_odd_blocks_ride_the_lanes():
 
 
 def test_block_ops_are_the_lanes(system):
-    """The per-rank operators handed out on request act as their lanes."""
+    """The per-rank operators handed out on request are the working-
+    precision blocks; stored in the block precision they act as their
+    lanes."""
     op, part = system
     k = AdditiveSchwarzPreconditioner(op, part)
+    assert k.blocks.storage is k.precision is HALF
     x = part.stack(residual(op, 0))
     stacked = k.blocks.apply(x)
     assert len(k.block_ops) == k.n_blocks == k.blocks.lanes
     for rank, block_op in enumerate(k.block_ops):
-        assert block_op.lanes is None
-        assert np.array_equal(block_op.apply(x[rank]), stacked[rank])
+        assert block_op.lanes is None and block_op.storage is None
+        assert np.array_equal(block_op.stored(HALF).apply(x[rank]), stacked[rank])
+
+
+# ----------------------------------------------------------------------
+# the storage contract
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("precision", ["half", "single"])
+def test_three_ways_to_a_stored_block_agree(system, precision):
+    """A stack built with ``precision=``, a working-precision stack
+    stored afterwards and each block stored on its own are the same
+    arithmetic, lane by lane, single and batched."""
+    op, part = system
+    p = PRECISIONS[precision]
+    built = op.restrict_to_blocks(part, precision=p)
+    cast = op.restrict_to_blocks(part).stored(p)
+    assert built.storage is cast.storage is p
+    for batch in (0, 2):
+        x = part.stack(residual(op, batch), lead=bool(batch))
+        expected = built.apply(x)
+        assert np.array_equal(cast.apply(x), expected)
+        for rank in range(part.n_ranks):
+            one = op.restrict_to_block(part, rank).stored(p)
+            assert one.lanes is None and one.storage is p
+            lane = (slice(None),) * bool(batch) + (rank,)
+            assert np.array_equal(one.apply(x[lane]), expected[lane])
+
+
+def test_stored_is_idempotent_and_memoised(system):
+    op, part = system
+    block = op.restrict_to_block(part, 0)
+    assert block.stored(None) is block
+    half = block.stored(HALF)
+    assert half is not block
+    assert half.storage is HALF and block.storage is None
+    assert block.stored(HALF) is half
+    assert half.stored(HALF) is half and half.stored(None) is half
+    single = block.stored(SINGLE)
+    assert single is not half and single.storage is SINGLE
+    assert block.stored(SINGLE) is single
+    # What the members build resolves to itself inside the block solve.
+    stack = op.restrict_to_blocks(part, precision=HALF)
+    assert stack.stored(HALF) is stack
+
+
+def test_storage_follows_lanes_and_restriction(system):
+    """``take_lanes`` (the early exit) and a further restriction (the
+    two-level sub-blocks) of a stored stack are stored, with the bits of
+    the same stack cut in working precision and stored last."""
+    op, part = system
+    stack = op.restrict_to_blocks(part, precision=HALF)
+    working = op.restrict_to_blocks(part)
+    x = part.stack(residual(op, 0))
+    some = stack.take_lanes([2, 0])
+    assert some.storage is HALF and some.lanes == 2
+    assert np.array_equal(some.apply(x[[2, 0]]), stack.apply(x)[[2, 0]])
+    inner = BlockPartition(part.local_geometry, INNER)
+    sub = stack.restrict_to_blocks(inner)
+    assert sub.storage is HALF and sub.lanes == part.n_ranks * inner.n_ranks
+    xs = inner.stack(x, lead=1).reshape((sub.lanes,) + sub.geometry.shape + x.shape[5:])
+    expected = working.restrict_to_blocks(inner, precision=HALF).apply(xs)
+    assert np.array_equal(sub.apply(xs), expected)
+    assert np.array_equal(
+        working.restrict_to_blocks(inner).stored(HALF).apply(xs), expected
+    )
+    # An explicit precision wins over the stack's own.
+    assert stack.restrict_to_blocks(inner, precision=SINGLE).storage is SINGLE
+
+
+def test_wilson_stack_lives_in_the_storage_dtype():
+    """The NumPy tier packs: lattice-last links and the two chiral clover
+    blocks in the storage dtype, no dense clover, nothing complex128.  The
+    other tiers keep their arrays and round around ``_apply``."""
+    op, part = build_operator("wilson_clover"), BlockPartition(GEOM, GRID)
+    lattice = (part.n_ranks,) + part.local_geometry.shape
+    for p in (HALF, SINGLE):
+        stack = op.restrict_to_blocks(part, precision=p)
+        assert stack.gauge is None and stack.clover is None
+        for array, lead in ((stack._links_soa, (2, 4, 3, 3)),
+                            (stack._chiral, (2, 6, 6))):
+            assert array.shape == lead + lattice
+            assert array.dtype == p.dtype == np.complex64
+            assert array.flags.c_contiguous
+        one = op.restrict_to_block(part, 1).stored(p)
+        assert np.array_equal(one._links_soa, stack._links_soa[:, :, :, :, 1])
+        assert np.array_equal(one._chiral, stack._chiral[:, :, :, 1])
+    assert stack.name == op.name and stack.flops_per_site == op.flops_per_site
+    ref = build_operator("wilson_clover_numpy_ref").restrict_to_blocks(
+        part, precision=HALF
+    )
+    assert ref.storage is HALF and ref._chiral is None
+    assert ref._links_soa.dtype == ref.clover.dtype == np.complex128
+    # Without a clover term there is nothing to pack.
+    plain = WilsonCloverOperator(op.gauge, mass=0.1, boundary=PHYSICAL)
+    bare = plain.restrict_to_blocks(part, precision=HALF)
+    assert bare._chiral is None and bare.name == "wilson"
+    x = part.stack(residual(op, 0))
+    assert np.array_equal(
+        bare.apply(x)[0], plain.restrict_to_block(part, 0).stored(HALF).apply(x[0])
+    )
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "numpy_ref"])
+@pytest.mark.parametrize("precision, bound", [("single", 5e-6), ("half", 2e-4)])
+def test_stored_wilson_apply_is_the_rounded_apply(kernel, precision, bound):
+    """Storing the links and the clover term moves the result of round ->
+    working-precision apply -> round at the level of the format (the
+    reference tier, which rounds around ``_apply``, not at all)."""
+    op = build_operator(
+        "wilson_clover" if kernel == "numpy" else "wilson_clover_numpy_ref"
+    )
+    part = BlockPartition(GEOM, GRID)
+    p = PRECISIONS[precision]
+    working = op.restrict_to_blocks(part)
+    for batch in (0, 2):
+        x = part.stack(residual(op, batch), lead=bool(batch))
+        expected = p.convert(working.apply(p.convert(x)))
+        got = working.stored(p).apply(x)
+        assert got.dtype == expected.dtype == np.complex64
+        moved = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+        assert moved <= bound
+        assert (kernel == "numpy") == bool(moved)
+
+
+def test_packed_wilson_matrix_without_the_rounding(rng):
+    """``_apply`` of a packed operator is the same body with the rounding
+    left out, so the dagger and the composition helpers keep working."""
+    op, part = build_operator("wilson_clover"), BlockPartition(GEOM, GRID)
+    working = op.restrict_to_block(part, 0)
+    packed = working.stored(SINGLE)
+    x, y = (SpinorField.random(part.local_geometry, rng=rng).data for _ in "xy")
+    assert np.allclose(packed._apply(x), working._apply(x), rtol=0, atol=2e-6)
+    lhs = np.vdot(y, packed.apply_dagger(x))
+    rhs = np.vdot(packed.apply(y), x)
+    assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
+    with pytest.raises(TypeError, match="dense clover"):
+        EvenOddPreconditionedWilson(packed)
+
+
+def test_correction_moves_at_rounding_level(monkeypatch):
+    """One application of the paper's preconditioner (10 MR steps, half)
+    against the PR 17 arithmetic — complex128 links and dense clover under
+    complex64 fields: the correction moves, by less than 1e-4."""
+    op, part = build_operator("wilson_clover"), BlockPartition(GEOM, GRID)
+    r = residual(op, 0).astype(np.complex64)
+    z = AdditiveSchwarzPreconditioner(op, part, mr_steps=10)(r)
+    monkeypatch.setattr(oracle, "block_solve", oracle.block_solve_pr17)
+    parent = oracle.schwarz(op, part, r, steps=10, omega=1.0, precision=HALF)
+    moved = np.linalg.norm(z - parent) / np.linalg.norm(parent)
+    assert 0.0 < moved <= 1e-4
+
+
+#: Where the storage is the generic one (or none): every family but the
+#: NumPy-tier Wilson-clover operator in a reduced precision.
+GENERIC = [
+    pytest.param(kind, precision, id=f"{kind}-{precision}")
+    for kind in ("wilson_clover", "wilson_clover_numpy_ref", "staggered",
+                 "asqtad_normal")
+    for precision in sorted(PRECISIONS)
+    if kind != "wilson_clover" or precision == "none"
+]
+
+
+@pytest.mark.parametrize("kind, precision", GENERIC)
+@pytest.mark.parametrize(
+    "name, batch", [c for c in CASES if not c.values[1] or c.values[0] == "schwarz"]
+)
+def test_generic_storage_keeps_the_pr17_bits(
+    kind, precision, name, batch, monkeypatch
+):
+    """Rounding on the operator instead of around it changes no bit and
+    no count where the links were not touched: the members still return
+    what the PR 17 block solve (kept verbatim in the oracle) returns."""
+    op, part = build_operator(kind), BlockPartition(GEOM, GRID)
+    build, loop = FAMILY[name]
+    r = residual(op, batch)
+    monkeypatch.setattr(oracle, "block_solve", oracle.block_solve_pr17)
+    with tally() as t_lanes:
+        z = build(op, part, PRECISIONS[precision])(r)
+    with tally() as t_loop:
+        expected = loop(op, part, r, PRECISIONS[precision])
+    assert np.array_equal(z, expected)
+    assert_same_ledger(t_lanes, t_loop)
+
+
+def _block_solve_on_rank(comm, payload):
+    block_op, r_loc = payload
+    return schwarz_block_solve(
+        block_op, r_loc, steps=3, omega=1.0, precision=HALF,
+        space=space_for_nspin(block_op.nspin), rank=comm.rank,
+    )
+
+
+def test_stored_block_survives_the_trip_to_a_rank_process(system):
+    """The SPMD rank program is handed one working-precision block; its
+    stored form is resolved where it lands (and travels with it once it
+    exists)."""
+    op, part = system
+    x = part.stack(residual(op, 0))
+    kw = dict(steps=3, omega=1.0, precision=HALF, space=space_for_nspin(op.nspin))
+    expected = schwarz_block_solve(
+        op.restrict_to_blocks(part, precision=HALF), x, **kw
+    )
+    blocks = [op.restrict_to_block(part, rank) for rank in (0, 1)]
+    warm = blocks[1].stored(HALF)
+    clone = pickle.loads(pickle.dumps(blocks[1]))
+    assert clone.storage is None and clone.stored(HALF).storage == HALF
+    assert np.array_equal(clone.stored(HALF).apply(x[1]), warm.apply(x[1]))
+    outcomes = run_rank_programs(
+        _block_solve_on_rank, 2, [(b, x[i]) for i, b in enumerate(blocks)],
+        backend="processes",
+    )
+    for rank, outcome in enumerate(outcomes):
+        assert np.array_equal(outcome.value, expected[rank])
 
 
 def test_kernel_tier_is_inherited_by_the_stack():

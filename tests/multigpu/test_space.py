@@ -107,3 +107,79 @@ class TestUpdates:
         geom, part = setup
         x = SpinorField.random(geom, rng=rng).data
         assert np.array_equal(gathered(part, lambda s, a: s.asarray(a), x), x)
+
+
+class TestBatchedUpdates:
+    """``BatchedRankSpace`` updates follow the batched BLAS dtype
+    contract: the per-RHS coefficient is rounded to the field's dtype, so
+    a complex64 block is not promoted and every lane is the scalar
+    space's update of that lane."""
+
+    COEFFS = (
+        np.array([0.5 - 1.25j, -2.0 + 0.125j, 1e-3j]),   # complex128 (B,)
+        np.array([1.5, -0.75, 3.0]),                     # float64 (B,)
+        np.complex128(0.3 - 0.7j),                       # one NumPy scalar
+    )
+
+    @staticmethod
+    def fields(rng, dtype, batch=3):
+        shape = (batch, 2, 2, 2, 4, 4, 3)
+        return tuple(
+            (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            .astype(dtype) for _ in "xy"
+        )
+
+    @staticmethod
+    def spaces():
+        """The batched and the scalar space of one rank (the updates are
+        rank-local: no collective is entered)."""
+        from repro.multigpu import BatchedRankSpace
+
+        (outcome,) = run_rank_programs(
+            lambda comm, _: (BatchedRankSpace(comm), RankSpace(comm)),
+            1, [None], backend="sequential",
+        )
+        return outcome.value
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("update", ["axpy", "xpay", "scale"])
+    def test_dtype_is_preserved(self, update, dtype, rng):
+        batched, _ = self.spaces()
+        x, y = self.fields(rng, dtype)
+        for a in self.COEFFS:
+            out = {
+                "axpy": lambda: batched.axpy(a, x, y),
+                "xpay": lambda: batched.xpay(x, a, y),
+                "scale": lambda: batched.scale(a, x),
+            }[update]()
+            assert out.dtype == dtype
+            assert out.shape == x.shape
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_lane_equals_rank_space(self, dtype, rng):
+        """Lane ``b`` of a batched update == the scalar space's update of
+        that lane with the Python scalar ``a[b]``, bit for bit."""
+        batched, scalar = self.spaces()
+        x, y = self.fields(rng, dtype)
+        for a in self.COEFFS[:2]:
+            got = (batched.axpy(a, x, y), batched.xpay(x, a, y),
+                   batched.scale(a, x))
+            for b, coeff in enumerate(a.tolist()):
+                expected = (scalar.axpy(coeff, x[b], y[b]),
+                            scalar.xpay(x[b], coeff, y[b]),
+                            scalar.scale(coeff, x[b]))
+                for g, e in zip(got, expected):
+                    assert g.dtype == e.dtype == dtype
+                    assert np.array_equal(g[b], e)
+
+    def test_single_correction_into_a_double_iterate_stays_double(self, rng):
+        """``y + a*x`` keeps its result dtype when a complex64 correction
+        meets a complex128 iterate (defect correction's accumulate)."""
+        batched, scalar = self.spaces()
+        x, _ = self.fields(rng, np.complex64)
+        _, y = self.fields(rng, np.complex128)
+        a = self.COEFFS[0]
+        out = batched.axpy(a, x, y)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out[1], scalar.axpy(complex(a[1]), x[1], y[1]))
+        assert batched.xpay(y, a, x).dtype == np.complex128

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.comm import ProcessGrid
 from repro.dd import AdditiveSchwarzPreconditioner, MultiSplittingPreconditioner
+from repro.dd.overlapping import extended_blocks
 from repro.dirac import NaiveStaggeredOperator, PHYSICAL, WilsonCloverOperator
 from repro.lattice import GaugeField, Geometry, SpinorField
+from repro.lattice.geometry import stack_regions
 from repro.multigpu import BlockPartition
 from repro.precision import HALF, SINGLE
 from repro.util.counters import tally
@@ -88,3 +90,59 @@ def test_lanes_are_the_block_loop(
     assert np.array_equal(z, expected)
     for name in LEDGER:
         assert getattr(t_lanes, name) == getattr(t_loop, name), name
+
+
+@pytest.mark.slow
+@settings(max_examples=25, deadline=None)
+@given(
+    layout=st.sampled_from(LAYOUTS),
+    wilson=st.booleans(),
+    precision=st.sampled_from([HALF, SINGLE]),
+    batch=st.sampled_from([0, 0, 2]),
+    overlap=st.sampled_from([0, 0, 1]),
+    seed=st.integers(0, 10**6),
+)
+def test_stored_stack_is_the_stored_blocks(
+    layout, wilson, precision, batch, overlap, seed
+):
+    """The storage contract on generated layouts: a stack built in the
+    block precision, the working-precision stack stored afterwards and
+    every region's own stored operator apply the same bits; against the
+    rounding sandwich around the working-precision stack the generic
+    storage (staggered) moves nothing and the packed Wilson-clover one
+    stays inside the format's bound."""
+    dims, grid = layout
+    geom = Geometry(dims)
+    part = BlockPartition(geom, ProcessGrid(grid))
+    gauge = GaugeField.weak(geom, epsilon=0.3, rng=seed)
+    if wilson:
+        op = WilsonCloverOperator(gauge, 0.1, 1.0, boundary=PHYSICAL)
+    else:
+        op = NaiveStaggeredOperator(gauge, 0.2, boundary=PHYSICAL)
+    site_axes = 2 if wilson else 1
+    ext_dims, origins, built = extended_blocks(op, part, overlap, precision)
+    working = extended_blocks(op, part, overlap)[2]
+    assert built.storage is precision and working.storage is None
+    r = np.stack([
+        SpinorField.random(geom, nspin=op.nspin, rng=seed + 1 + i).data
+        for i in range(max(batch, 1))
+    ])
+    x = stack_regions(r, geom, origins, ext_dims, lead=1)
+    if not batch:
+        x = x[0]
+    got = built.apply(x)
+    assert got.dtype == np.complex64
+    assert np.array_equal(working.stored(precision).apply(x), got)
+    partitioned = part.grid.partitioned_dims
+    for lane, origin in enumerate(origins):
+        one = oracle.region_operator(op, origin, ext_dims, partitioned)
+        index = (slice(None),) * bool(batch) + (lane,)
+        assert np.array_equal(one.stored(precision).apply(x[index]), got[index])
+    sandwich = precision.convert(
+        working.apply(precision.convert(x, site_axes)), site_axes
+    )
+    if wilson:
+        bound = 2e-4 if precision is HALF else 5e-6
+        assert np.linalg.norm(got - sandwich) <= bound * np.linalg.norm(sandwich)
+    else:
+        assert np.array_equal(got, sandwich)

@@ -116,8 +116,23 @@ def _quantize_half_oracle(array, site_axes=2):
     return out.astype(np.complex64)
 
 
+def _quantize(x, site_axes=2, leading=False):
+    """``quantize_half`` in either axis convention, on a field given (and
+    returned) site-axes-trailing: the leading form sees the lattice-last
+    transpose the stencils hold."""
+    if not leading:
+        return quantize_half(x, site_axes=site_axes)
+    trailing = tuple(range(-site_axes, 0))
+    front = tuple(range(site_axes))
+    xs = np.ascontiguousarray(np.moveaxis(x, trailing, front))
+    out = quantize_half(xs, site_axes=site_axes, leading=True)
+    assert out.shape == xs.shape and out.flags.c_contiguous
+    return np.ascontiguousarray(np.moveaxis(out, front, trailing))
+
+
 class TestQuantizeHalfOnePass:
-    """The one-pass real-view body reproduces the oracle bit for bit."""
+    """The one-pass real-view body reproduces the oracle bit for bit, in
+    the trailing and in the leading (lattice-last) axis convention."""
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize(
@@ -139,15 +154,17 @@ class TestQuantizeHalfOnePass:
         x[(-1,) * len(lead)] = 0.0
         x = x.astype(dtype)
         expected = _quantize_half_oracle(x, site_axes=site_axes)
-        got = quantize_half(x, site_axes=site_axes)
-        assert got.dtype == expected.dtype == np.complex64
-        assert np.array_equal(got, expected)
-        # array_equal treats -0.0 == 0.0; the int16 trip never emits -0.0.
-        assert not np.signbit(got.real[got.real == 0]).any()
-        assert not np.signbit(got.imag[got.imag == 0]).any()
-        assert np.array_equal(
-            np.signbit(got.view(np.float32)), np.signbit(expected.view(np.float32))
-        )
+        for leading in (False, True):
+            got = _quantize(x, site_axes, leading)
+            assert got.dtype == expected.dtype == np.complex64
+            assert np.array_equal(got, expected)
+            # array_equal treats -0.0 == 0.0; the int16 trip never emits -0.0.
+            assert not np.signbit(got.real[got.real == 0]).any()
+            assert not np.signbit(got.imag[got.imag == 0]).any()
+            assert np.array_equal(
+                np.signbit(got.view(np.float32)),
+                np.signbit(expected.view(np.float32)),
+            )
 
     def test_nonfinite_sites_propagate_as_max_does(self, rng):
         """The site max is folded in halves, not reduced: the same scale
@@ -167,21 +184,42 @@ class TestQuantizeHalfOnePass:
             np.abs(reals).max(axis=-1, keepdims=True),
             equal_nan=True,
         )
-        with np.errstate(invalid="ignore"):  # inf / inf at the Inf site
-            got = quantize_half(x)
-        assert np.isnan(got[nan_site + (1, 0)])
-        assert not np.isfinite(got[inf_site]).all()
         clean = x.copy()
         clean[nan_site] = clean[inf_site] = 0.0
         expected = _quantize_half_oracle(clean)
-        got[nan_site] = got[inf_site] = 0.0
-        assert np.array_equal(got, expected)
+        for leading in (False, True):
+            with np.errstate(invalid="ignore"):  # inf / inf at the Inf site
+                got = _quantize(x, leading=leading)
+            assert np.isnan(got[nan_site + (1, 0)])
+            assert not np.isfinite(got[inf_site]).all()
+            got[nan_site] = got[inf_site] = 0.0
+            assert np.array_equal(got, expected)
 
     def test_noncontiguous_and_real_inputs(self, rng):
         x = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
         xt = x.transpose(2, 0, 1)  # (6, 4, 3), not C-contiguous
         assert np.array_equal(quantize_half(xt), _quantize_half_oracle(xt))
         assert np.array_equal(quantize_half(x.real), _quantize_half_oracle(x.real))
+        # The same field handed over lattice-last without a copy.
+        assert np.array_equal(
+            quantize_half(x, leading=True).transpose(2, 0, 1),
+            _quantize_half_oracle(xt),
+        )
+
+    def test_leading_form_of_an_empty_field(self):
+        empty = np.zeros((4, 3, 0), dtype=np.complex64)
+        assert quantize_half(empty, leading=True).shape == (4, 3, 0)
+
+    def test_precisions_convert_lattice_last(self, rng):
+        """``convert(..., leading=True)`` is the same rounding for every
+        format: only half looks at the site axes at all."""
+        x = rng.standard_normal((4, 3, 5, 6)) + 1j * rng.standard_normal((4, 3, 5, 6))
+        for p in (HALF, SINGLE, DOUBLE):
+            assert np.array_equal(
+                p.convert(x, leading=True),
+                np.moveaxis(p.convert(np.moveaxis(x, (0, 1), (-2, -1))),
+                            (-2, -1), (0, 1)),
+            )
 
 
 class TestPolicy:
