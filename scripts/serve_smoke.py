@@ -9,7 +9,9 @@ CI job cares about:
 2. both clients' solves converge;
 3. at least one batch coalesced (coalesce ratio > 1, occupancy > 1);
 4. the Prometheus endpoint exports the ``serve_*`` series;
-5. SIGINT produces a graceful drain and a zero exit code.
+5. the Python client is answered packed arrays, a header-less client
+   nested lists, and both decode to the same bits;
+6. SIGINT produces a graceful drain and a zero exit code.
 
 Usage::
 
@@ -21,6 +23,7 @@ output echoed for diagnosis).
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -28,6 +31,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -58,7 +62,7 @@ def wait_healthy(client, deadline: float) -> None:
 def main() -> int:
     """Run the smoke sequence; return the process exit code."""
     sys.path.insert(0, str(REPO / "src"))
-    from repro.serve import ServeClient
+    from repro.serve import ServeClient, decode_array
 
     port = free_port()
     env = dict(os.environ)
@@ -119,6 +123,16 @@ def main() -> int:
         for series in ("serve_requests_total", "serve_batch_occupancy",
                        "serve_request_latency_seconds"):
             assert series in metrics, f"missing {series} in /metrics"
+
+        asked = dict(payloads[0], return_solution=True)
+        packed = client.solve(asked)["solution"]
+        bare = urllib.request.Request(  # no Accept header: what curl sends
+            client.base_url + "/v1/solve", data=json.dumps(asked).encode())
+        with urllib.request.urlopen(bare, timeout=120) as resp:
+            nested = json.load(resp)["solution"]
+        assert "b64" in packed and "real" in nested and (
+            decode_array(packed).tobytes() == decode_array(nested).tobytes()
+        ), f"array forms disagree: {sorted(packed)} vs {sorted(nested)}"
 
         print(f"serve smoke: {len(docs)} solves from {N_CLIENTS} clients, "
               f"coalesce ratio {ratio:.2f}, occupancies {occupancies}")

@@ -13,6 +13,11 @@ in-process and over-the-wire callers handle failures identically:
 ...                     "rhs": {"kind": "random", "seed": 1}})
 >>> doc["converged"], doc["batch"]["occupancy"]
 (True, 3)
+
+The client always asks for the packed array form (``Accept:
+...;arrays=base64``, docs/serving.md "Arrays on the wire") and returns
+the response documents as received; ``decode_array(doc["solution"])``
+turns either form into the array.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import urllib.error
 import urllib.request
 
 from repro.serve.errors import ServeError, error_from_dict
+from repro.serve.request import PACKED_ARRAYS
 from repro.serve.tracing import new_request_id
 
 
@@ -87,7 +93,8 @@ class ServeClient:
         Returns:
             The ``status="ok"`` response dict (converged, iterations,
             residual, batch placement, timing, report, and — when
-            ``return_solution`` was set — the solution array).
+            ``return_solution`` was set — the solution as a packed wire
+            array for :func:`~repro.serve.request.decode_array`).
 
         Raises:
             ServeError: The typed failure the server reported
@@ -99,7 +106,8 @@ class ServeClient:
             payload["id"] = new_request_id()
         status, body = self._request(
             "/v1/solve", json.dumps(payload).encode(),
-            headers={"X-Request-Id": str(payload["id"])},
+            headers={"X-Request-Id": str(payload["id"]),
+                     "Accept": f"application/json;{PACKED_ARRAYS}"},
         )
         doc = json.loads(body)
         if doc.get("status") == "error":
@@ -130,7 +138,8 @@ class ServeClient:
         ]
         body = "".join(json.dumps(p) + "\n" for p in payloads).encode()
         _, raw = self._request(
-            "/v1/solve/jsonl", body, content_type="application/jsonl"
+            "/v1/solve/jsonl", body, content_type="application/jsonl",
+            headers={"Accept": f"application/jsonl;{PACKED_ARRAYS}"},
         )
         return [
             json.loads(ln) for ln in raw.decode().splitlines() if ln.strip()

@@ -25,6 +25,15 @@ HTTP status (400 validation, 429 queue full, 503 draining, 504 deadline,
 500 solve failure) with a JSON body carrying the machine-readable
 ``code``/``field``/``choices``.
 
+**Array form.**  A solve response carries its solution as nested
+``real``/``imag`` lists unless the request's ``Accept`` header names the
+packed form with a media-type parameter — ``Accept:
+application/json;arrays=base64`` (``application/jsonl;arrays=base64`` on
+the JSONL route) — in which case every array of the response is
+``{"b64", "dtype", "shape"}`` and the response ``Content-Type`` echoes
+the parameter (:func:`~repro.serve.request.encode_array`;
+docs/serving.md, "Arrays on the wire").
+
 **Request correlation.**  ``POST /v1/solve`` accepts an
 ``X-Request-Id`` header as an id fallback when the body carries no
 ``id``, and every solve response — success or typed error — echoes the
@@ -38,15 +47,31 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serve.errors import ServeError
+from repro.serve.request import PACKED_ARRAYS
 from repro.serve.service import SolveService
 
 #: Upper bound on how long one HTTP handler waits for its ticket; a
 #: request that is admitted but unresolved past this (dispatcher wedged)
 #: fails with 500 rather than holding the socket forever.
 RESULT_TIMEOUT = 600.0
+
+
+def _accepts_packed(accept: str | None) -> bool:
+    """Whether an ``Accept`` header carries :data:`PACKED_ARRAYS` on any
+    of its media ranges (absent or anything else: nested lists)."""
+    return any(
+        PACKED_ARRAYS in (p.strip().lower() for p in media.split(";")[1:])
+        for media in (accept or "").split(",")
+    )
+
+
+def _media_type(base: str, packed: bool) -> str:
+    """The response ``Content-Type``: the echo of what was negotiated."""
+    return f"{base};{PACKED_ARRAYS}" if packed else base
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -85,6 +110,14 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         return self.rfile.read(length) if length else b""
 
+    def _encode(self, result, packed: bool) -> str:
+        """One served result as its response line, timed into
+        ``serve_encode_seconds``."""
+        t0 = time.perf_counter()
+        line = json.dumps(result.to_wire(packed)) + "\n"
+        self.service.observe_encode(time.perf_counter() - t0)
+        return line
+
     # -- routes --------------------------------------------------------
     def do_GET(self):  # noqa: N802 - stdlib naming
         """Serve the read-only routes: metrics, stats, health."""
@@ -122,6 +155,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _solve_one(self):
         raw = self._read_body()
         header_id = self.headers.get("X-Request-Id")
+        packed = _accepts_packed(self.headers.get("Accept"))
+        t0 = time.perf_counter()
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -133,6 +168,7 @@ class _Handler(BaseHTTPRequestHandler):
                 request_id=header_id,
             )
             return
+        parse_seconds = time.perf_counter() - t0
         # The X-Request-Id header is an id fallback for payloads that do
         # not carry one in the body; the body's ``id`` wins on conflict.
         if isinstance(payload, dict) and header_id \
@@ -140,7 +176,9 @@ class _Handler(BaseHTTPRequestHandler):
             payload["id"] = header_id
         rid = payload.get("id") if isinstance(payload, dict) else header_id
         try:
-            result = self.service.submit(payload).result(RESULT_TIMEOUT)
+            result = self.service.submit(payload, parse_seconds).result(
+                RESULT_TIMEOUT
+            )
         except ServeError as exc:
             if exc.request_id is None:
                 exc.request_id = rid
@@ -159,17 +197,22 @@ class _Handler(BaseHTTPRequestHandler):
                 request_id=rid,
             )
             return
-        self._send_json(200, result.to_wire(),
-                        request_id=result.request.id)
+        self._send_json(
+            200, self._encode(result, packed),
+            content_type=_media_type("application/json", packed),
+            request_id=result.request.id,
+        )
 
     def _solve_jsonl(self):
         lines = [
             ln for ln in self._read_body().decode().splitlines() if ln.strip()
         ]
+        packed = _accepts_packed(self.headers.get("Accept"))
         # Submit everything before awaiting anything: requests from one
         # client coalesce with each other (and with other clients').
         pending = []
         for ln in lines:
+            t0 = time.perf_counter()
             try:
                 payload = json.loads(ln)
             except json.JSONDecodeError as exc:
@@ -180,9 +223,12 @@ class _Handler(BaseHTTPRequestHandler):
                                 "message": f"line is not valid JSON: {exc}"}})
                 )
                 continue
+            parse_seconds = time.perf_counter() - t0
             rid = payload.get("id") if isinstance(payload, dict) else None
             try:
-                pending.append((self.service.submit(payload), rid))
+                pending.append(
+                    (self.service.submit(payload, parse_seconds), rid)
+                )
             except ServeError as exc:
                 if exc.request_id is None:
                     exc.request_id = rid
@@ -193,23 +239,25 @@ class _Handler(BaseHTTPRequestHandler):
         out = []
         for first, second in pending:
             if first is None:
-                out.append(second)
+                out.append(json.dumps(second) + "\n")
                 continue
             try:
-                out.append(first.result(RESULT_TIMEOUT).to_wire())
+                out.append(self._encode(first.result(RESULT_TIMEOUT), packed))
             except ServeError as exc:
                 if exc.request_id is None:
                     exc.request_id = second
-                out.append(
+                out.append(json.dumps(
                     {"id": second, "status": "error", "error": exc.to_dict()}
-                )
+                ) + "\n")
             except TimeoutError as exc:
-                out.append(
+                out.append(json.dumps(
                     {"id": second, "status": "error",
                      "error": {"code": "serve_error", "message": str(exc)}}
-                )
-        body = "".join(json.dumps(doc) + "\n" for doc in out)
-        self._send_json(200, body, content_type="application/jsonl")
+                ) + "\n")
+        self._send_json(
+            200, "".join(out),
+            content_type=_media_type("application/jsonl", packed),
+        )
 
 
 class ServeServer:

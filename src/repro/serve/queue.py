@@ -104,6 +104,10 @@ class QueuedRequest:
         The request's :class:`~repro.serve.tracing.RequestTrace`
         lifecycle marks (perf_counter clock), or ``None`` when the
         entry was built outside :meth:`SolveService.submit`.
+    decode_seconds:
+        Seconds spent turning the request's wire bytes into a lane so
+        far (parse, validation, rhs build) — the
+        ``serve_decode_seconds`` sample.
     """
 
     request: object
@@ -112,6 +116,7 @@ class QueuedRequest:
     enqueued_at: float = field(default_factory=time.monotonic)
     deadline: float | None = None
     trace: object | None = None
+    decode_seconds: float = 0.0
 
     @property
     def priority(self) -> int:

@@ -19,9 +19,13 @@ configuration, and may therefore ride in one batched multi-RHS solve.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -195,12 +199,19 @@ def _validate_rhs(spec) -> dict:
             )
         out["site"] = [int(s) for s in site]
         return out
-    real = spec.get("real")
-    if real is None:
-        raise _invalid("rhs.real", "is required for kind='data'")
-    out = {"kind": "data", "real": real}
-    if spec.get("imag") is not None:
-        out["imag"] = spec["imag"]
+    # Either array form of :func:`decode_array`, which decodes it (and
+    # names what is wrong with it) in materialize_rhs, off the admission
+    # path.
+    if spec.get("real") is None and spec.get("b64") is None:
+        raise _invalid(
+            "rhs.real", "is required for kind='data' (or the packed rhs.b64)"
+        )
+    out = {"kind": "data"}
+    out.update(
+        (key, spec[key])
+        for key in ("real", "imag", "b64", "dtype", "shape")
+        if spec.get(key) is not None
+    )
     return out
 
 
@@ -270,7 +281,8 @@ class ServiceRequest:
         :class:`~repro.serve.errors.DeadlineExpiredError` if no batch
         picks it up in time.  ``None`` means no deadline.
     return_solution:
-        Include the solution field (``real``/``imag`` nested lists) in
+        Include the solution array (either form of
+        :func:`encode_array`; the request's ``Accept`` header picks) in
         the wire response.
     """
 
@@ -461,10 +473,12 @@ class ServiceRequest:
             "boundary": self.boundary,
         }
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         """sha256 of :meth:`operator_spec` canonical JSON — the
-        coalescing key (see the module docstring)."""
+        coalescing key (see the module docstring).  Hashed once per
+        request: the queue compares it for every entry on every group.
+        """
         return hashlib.sha256(
             json.dumps(self.operator_spec(), sort_keys=True).encode()
         ).hexdigest()
@@ -482,8 +496,11 @@ class ServiceRequest:
             shape.
 
         Raises:
-            RequestValidationError: Inline data whose shape does not
-                match the lattice, or a point-source site/spin/color out
+            RequestValidationError: Inline data that does not decode
+                (see :func:`decode_array`), does not match the lattice
+                or holds NaN/Infinity — naming ``rhs.real``,
+                ``rhs.imag``, ``rhs.b64``, ``rhs.dtype`` or
+                ``rhs.shape`` — or a point-source site/spin/color out
                 of range.
         """
         from repro.lattice import SpinorField
@@ -505,55 +522,170 @@ class ServiceRequest:
                 ).data
             except (IndexError, ValueError) as exc:
                 raise _invalid("rhs", f"point source out of range: {exc}")
-        try:
-            real = np.asarray(spec["real"], dtype=np.float64)
-            data = real.astype(np.complex128)
-            if "imag" in spec:
-                data = data + 1j * np.asarray(spec["imag"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise _invalid("rhs.real", f"not a numeric array: {exc}")
+        data = decode_array(spec, field="rhs")
         if data.shape != expected:
             raise _invalid(
-                "rhs.real",
+                "rhs.shape" if "shape" in spec else "rhs.real",
                 f"shape {list(data.shape)} does not match the lattice; "
                 f"expected {list(expected)}",
+            )
+        if not np.isfinite(data).all():
+            if "b64" in spec:
+                part = "b64"
+            else:
+                part = "real" if not np.isfinite(data.real).all() else "imag"
+            raise _invalid(
+                f"rhs.{part}",
+                "holds NaN or Infinity; a right-hand side must be finite",
             )
         return data
 
 
-def encode_array(x: np.ndarray) -> dict:
-    """Encode a complex array for the wire as nested ``real``/``imag``
-    lists.
+#: ``dtype`` tags of the packed array form: little-endian IEEE real and
+#: complex, single and double.
+PACKED_DTYPES = ("<f4", "<f8", "<c8", "<c16")
 
-    JSON floats round-trip ``float64`` exactly (``repr`` encoding), so
-    decode → re-encode is bitwise lossless — the service's
-    bit-reproducibility contract survives the wire.
+#: The media-type parameter that names the packed form: a request asks
+#: for it in ``Accept``, the response echoes it in ``Content-Type``.
+PACKED_ARRAYS = "arrays=base64"
+
+
+def encode_array(x: np.ndarray, packed: bool = False) -> dict:
+    """Encode a real or complex array for the wire, in one of the two
+    self-describing forms :func:`decode_array` reads.
+
+    **Losslessness contract, both forms.**  ``decode_array(
+    json.loads(json.dumps(encode_array(x, packed))))`` is
+    ``tobytes``-equal to ``x.astype(complex128)`` for float32, float64,
+    complex64 and complex128 input of any memory layout — signed zeros,
+    subnormals and non-finite values included — so the service's
+    bit-reproducibility contract survives the wire.  (Nested: JSON
+    floats are ``repr`` encoded, which round-trips ``float64`` exactly.
+    Packed: the bytes themselves.  Other dtypes travel as double.)
 
     Args:
-        x: Any complex (or real) numpy array.
+        x: The array.
+        packed: ``False`` for nested lists (readable, ~21 bytes a real
+            number, every element a boxed Python float on both sides);
+            ``True`` for base64 of the buffer (1.33 bytes a byte, no
+            per-element work).
 
     Returns:
         ``{"real": ..., "imag": ..., "shape": [...]}`` with nested
-        lists.
+        lists, or ``{"b64": ..., "dtype": ..., "shape": [...]}``: base64
+        of the C-contiguous little-endian buffer and its
+        :data:`PACKED_DTYPES` tag.
     """
     x = np.asarray(x)
+    shape = list(x.shape)
+    if not packed:
+        return {
+            "real": np.real(x).tolist(),
+            "imag": np.imag(x).tolist(),
+            "shape": shape,
+        }
+    if x.dtype.kind == "c":
+        dtype = "<c8" if x.dtype == np.complex64 else "<c16"
+    else:
+        dtype = "<f4" if x.dtype == np.float32 else "<f8"
+    raw = x.astype(dtype, copy=False).tobytes()
     return {
-        "real": np.real(x).tolist(),
-        "imag": np.imag(x).tolist(),
-        "shape": list(x.shape),
+        "b64": base64.b64encode(raw).decode("ascii"),
+        "dtype": dtype,
+        "shape": shape,
     }
 
 
-def decode_array(doc: dict) -> np.ndarray:
-    """Inverse of :func:`encode_array`.
+def _decode_shape(doc: dict, field_: str) -> tuple[int, ...]:
+    """The validated ``shape`` entry of a wire array."""
+    shape = doc.get("shape")
+    if not isinstance(shape, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0
+        for n in shape
+    ):
+        raise _invalid(
+            f"{field_}.shape",
+            f"must be a list of non-negative integers, got {shape!r}",
+        )
+    return tuple(shape)
+
+
+def decode_array(doc: dict, field: str = "array") -> np.ndarray:
+    """Inverse of :func:`encode_array`, for either form — the one place
+    wire data becomes an array (responses on the client, ``rhs.kind =
+    "data"`` on the server).
 
     Args:
-        doc: A dict with ``real`` and optional ``imag`` nested lists.
+        doc: ``{"b64", "dtype", "shape"}`` (packed) or ``{"real"[,
+            "imag"][, "shape"]}`` (nested lists; the nesting gives the
+            shape, ``shape`` only disambiguates empty arrays).
+        field: Dotted path of ``doc`` in its request, for error messages
+            (``"rhs"`` names ``rhs.b64``, ``rhs.real``, ...).
 
     Returns:
-        The complex128 array.
+        A fresh, writable complex128 array.
+
+    Raises:
+        RequestValidationError: Naming the offending key — an unknown or
+            big-endian ``dtype``, invalid base64, a byte length that is
+            not ``itemsize x prod(shape)``, a ``shape`` that is not a
+            list of non-negative integers or does not fit the data,
+            ``real``/``imag`` that are missing, ragged, non-numeric or
+            of different shapes.
     """
-    data = np.asarray(doc["real"], dtype=np.float64).astype(np.complex128)
-    if doc.get("imag") is not None:
-        data = data + 1j * np.asarray(doc["imag"], dtype=np.float64)
-    return data
+    if not isinstance(doc, dict):
+        raise _invalid(field, f"must be an object, got {type(doc).__name__}")
+    if doc.get("b64") is not None:
+        dtype = doc.get("dtype")
+        if dtype not in PACKED_DTYPES:
+            raise _invalid(
+                f"{field}.dtype", f"unknown value {dtype!r}", PACKED_DTYPES
+            )
+        shape = _decode_shape(doc, field)
+        try:
+            raw = base64.b64decode(doc["b64"], validate=True)
+        except (binascii.Error, TypeError, ValueError) as exc:
+            raise _invalid(f"{field}.b64", f"not valid base64: {exc}")
+        need = np.dtype(dtype).itemsize * math.prod(shape)
+        if len(raw) != need:
+            raise _invalid(
+                f"{field}.b64",
+                f"holds {len(raw)} bytes; dtype {dtype} and shape "
+                f"{list(shape)} need {need}",
+            )
+        return (
+            np.frombuffer(raw, dtype=dtype).reshape(shape)
+            .astype(np.complex128)
+        )
+    parts = {}
+    for key in ("real", "imag"):
+        if doc.get(key) is None:
+            continue
+        try:
+            parts[key] = np.asarray(doc[key], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise _invalid(f"{field}.{key}", f"not a numeric array: {exc}")
+    if "real" not in parts:
+        raise _invalid(f"{field}.real", "is required")
+    real, imag = parts["real"], parts.get("imag")
+    if imag is not None and imag.shape != real.shape:
+        raise _invalid(
+            f"{field}.imag",
+            f"shape {list(imag.shape)} differs from real's "
+            f"{list(real.shape)}",
+        )
+    # Filled part by part: ``real + 1j * imag`` would turn an imaginary
+    # -0.0 into +0.0 and smear a non-finite part into the other.
+    out = np.empty(real.shape, dtype=np.complex128)
+    out.real = real
+    out.imag = 0.0 if imag is None else imag
+    if doc.get("shape") is not None:
+        shape = _decode_shape(doc, field)
+        if math.prod(shape) != out.size:
+            raise _invalid(
+                f"{field}.shape",
+                f"{list(shape)} does not fit the {out.size} elements of "
+                f"real (nested shape {list(out.shape)})",
+            )
+        out = out.reshape(shape)
+    return out

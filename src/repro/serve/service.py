@@ -98,8 +98,13 @@ class ServedResult:
     solve_seconds: float
     latency_seconds: float
 
-    def to_wire(self) -> dict:
+    def to_wire(self, packed: bool = False) -> dict:
         """The JSON-ready response object for this result.
+
+        Args:
+            packed: The array form of the solution
+                (:func:`~repro.serve.request.encode_array`); the HTTP
+                front takes it from the request's ``Accept`` header.
 
         Returns:
             A dict with ``status="ok"``, the per-lane outcome, batch
@@ -129,7 +134,7 @@ class ServedResult:
             "report": self.report.to_dict() if self.report else None,
         }
         if self.request.return_solution:
-            doc["solution"] = encode_array(self.x)
+            doc["solution"] = encode_array(self.x, packed)
         return doc
 
 
@@ -228,13 +233,17 @@ class SolveService:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def submit(self, request) -> Ticket:
+    def submit(self, request, decode_seconds: float = 0.0) -> Ticket:
         """Admit one request and return the ticket to wait on.
 
         Args:
             request: A decoded wire payload (``dict``) or an
                 already-validated
                 :class:`~repro.serve.request.ServiceRequest`.
+            decode_seconds: What the caller already spent decoding this
+                request (the HTTP front's ``json.loads``); validation
+                and the rhs build are added to it and the sum is
+                observed once, in ``serve_decode_seconds``.
 
         Returns:
             A :class:`~repro.serve.queue.Ticket`; ``ticket.result()``
@@ -246,11 +255,13 @@ class SolveService:
             ServiceClosedError: The service is draining or stopped.
         """
         if not isinstance(request, ServiceRequest):
+            t0 = time.perf_counter()
             try:
                 request = ServiceRequest.from_wire(request)
             except RequestValidationError:
                 self._count_request("invalid")
                 raise
+            decode_seconds += time.perf_counter() - t0
         if request.id is None:
             with self._id_lock:
                 request.id = f"req-{self._next_id}"
@@ -266,6 +277,7 @@ class SolveService:
                 None if timeout is None else time.monotonic() + timeout
             ),
             trace=RequestTrace(request_id=request.id),
+            decode_seconds=decode_seconds,
         )
         try:
             self.queue.put(entry)
@@ -367,6 +379,7 @@ class SolveService:
         lanes: list[np.ndarray] = []
         good: list[QueuedRequest] = []
         for entry in group:
+            t0 = time.perf_counter()
             try:
                 lanes.append(entry.request.materialize_rhs(geometry))
             except ServeError as exc:
@@ -374,6 +387,7 @@ class SolveService:
                 entry.ticket.set_error(exc)
                 self._count_request("invalid")
                 continue
+            entry.decode_seconds += time.perf_counter() - t0
             good.append(entry)
         if not good:
             return
@@ -546,10 +560,20 @@ class SolveService:
                 reg.histogram("serve_request_latency_seconds").observe(
                     now - entry.enqueued_at
                 )
+                reg.histogram("serve_decode_seconds").observe(
+                    entry.decode_seconds
+                )
                 reg.counter("serve_requests_total", outcome="completed").inc()
             report = getattr(result, "report", None)
             if report is not None and report.metrics:
                 reg.merge(MetricsRegistry.from_dict(report.metrics))
+
+    def observe_encode(self, seconds: float) -> None:
+        """Record what one response cost to put on the wire
+        (``to_wire`` + ``json.dumps``, timed by the front that did it)
+        in ``serve_encode_seconds``."""
+        with self._metrics_lock:
+            self._registry.histogram("serve_encode_seconds").observe(seconds)
 
     def _percentiles(self, name: str) -> dict | None:
         """p50/p90/p99 of one serve histogram, or ``None`` before any

@@ -9,15 +9,19 @@ import urllib.request
 import numpy as np
 import pytest
 
+from _malformed_arrays import MALFORMED, good_field
 from repro.serve import (
     QueueFullError,
     RequestValidationError,
     ServeClient,
     ServeServer,
     SolveService,
+    decode_array,
+    encode_array,
 )
 
 DIMS = [4, 4, 4, 4]
+PACKED = "arrays=base64"
 
 
 def payload(seed=1, **overrides):
@@ -170,7 +174,205 @@ class TestJsonlRoute:
         assert docs[1]["error"]["field"] == "mass"
 
 
+def post(server, path, body, accept=None):
+    """One raw POST: ``(status, Content-Type, response text)``."""
+    if not isinstance(body, (bytes, str)):
+        body = json.dumps(body)
+    headers = {"Content-Type": "application/json"}
+    if accept is not None:
+        headers["Accept"] = accept
+    req = urllib.request.Request(
+        server.url + path, data=body.encode(), headers=headers, method="POST"
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            return resp.status, resp.headers["Content-Type"], resp.read().decode()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers["Content-Type"], exc.read().decode()
+
+
+def jsonl(payloads):
+    return "".join(json.dumps(p) + "\n" for p in payloads)
+
+
+class TestArrayNegotiation:
+    """The form of a response's arrays is its request's ``Accept``."""
+
+    def test_header_less_solve_answers_nested_lists(self, server):
+        status, ctype, text = post(
+            server, "/v1/solve", payload(return_solution=True))
+        assert (status, ctype) == (200, "application/json")
+        assert set(json.loads(text)["solution"]) == {"real", "imag", "shape"}
+
+    def test_header_less_jsonl_answers_nested_lists(self, server):
+        status, ctype, text = post(
+            server, "/v1/solve/jsonl",
+            jsonl([payload(seed=s, return_solution=True) for s in (1, 2)]))
+        assert (status, ctype) == (200, "application/jsonl")
+        for line in text.splitlines():
+            assert set(json.loads(line)["solution"]) == {
+                "real", "imag", "shape"}
+
+    @pytest.mark.parametrize("accept", [
+        "application/json", "*/*", "application/json;arrays=lists",
+        "application/json;q=0.9, text/plain", "arrays=base64",
+        "application/json;arrays=base64x",
+    ])
+    def test_anything_else_answers_nested_lists(self, server, accept):
+        status, ctype, text = post(
+            server, "/v1/solve", payload(return_solution=True), accept)
+        assert (status, ctype) == (200, "application/json")
+        assert "real" in json.loads(text)["solution"]
+
+    @pytest.mark.parametrize("accept", [
+        f"application/json;{PACKED}",
+        "application/json; Arrays=Base64 ; q=1",
+        f"text/plain, application/json;{PACKED}",
+    ])
+    def test_parameter_answers_packed_on_solve(self, server, accept):
+        status, ctype, text = post(
+            server, "/v1/solve", payload(return_solution=True), accept)
+        assert (status, ctype) == (200, f"application/json;{PACKED}")
+        assert set(json.loads(text)["solution"]) == {"b64", "dtype", "shape"}
+
+    def test_parameter_answers_packed_on_jsonl(self, server):
+        status, ctype, text = post(
+            server, "/v1/solve/jsonl",
+            jsonl([payload(seed=s, return_solution=True) for s in (1, 2)]),
+            f"application/jsonl;{PACKED}")
+        assert (status, ctype) == (200, f"application/jsonl;{PACKED}")
+        for line in text.splitlines():
+            assert set(json.loads(line)["solution"]) == {
+                "b64", "dtype", "shape"}
+
+    def test_two_forms_of_one_request_decode_to_the_same_bits(self, server):
+        docs = [
+            json.loads(post(server, "/v1/solve",
+                            payload(return_solution=True), accept)[2])
+            for accept in (None, f"application/json;{PACKED}")
+        ]
+        nested, packed = (decode_array(d["solution"]) for d in docs)
+        assert nested.tobytes() == packed.tobytes()
+        assert docs[1]["solution"]["dtype"] == "<c16"
+        # Nothing else of the document depends on the form.
+        for doc in docs:
+            for key in ("id", "timing", "report", "solution"):
+                doc.pop(key)
+        assert docs[0] == docs[1]
+
+    def test_without_return_solution_there_is_no_array_either_way(
+            self, server):
+        for accept in (None, f"application/json;{PACKED}"):
+            doc = json.loads(post(server, "/v1/solve", payload(), accept)[2])
+            assert doc["status"] == "ok" and "solution" not in doc
+
+    def test_error_bodies_are_unaffected(self, server):
+        bad = payload(mass="heavy", id="e1")
+        plain, asked = (
+            post(server, "/v1/solve", bad, accept)
+            for accept in (None, f"application/json;{PACKED}")
+        )
+        assert plain == asked
+        assert plain[:2] == (400, "application/json")
+        assert post(server, "/v1/solve", "{not json",
+                    f"application/json;{PACKED}")[:2] == (
+            400, "application/json")
+
+    def test_the_python_client_asks_for_packed(self, server):
+        client = ServeClient(server.url)
+        one = client.solve(payload(return_solution=True))
+        many = client.solve_many(
+            [payload(seed=s, return_solution=True) for s in (1, 2)])
+        for doc in [one] + many:
+            assert set(doc["solution"]) == {"b64", "dtype", "shape"}
+        plain = json.loads(post(server, "/v1/solve",
+                                payload(return_solution=True))[2])
+        assert (decode_array(one["solution"]).tobytes()
+                == decode_array(many[0]["solution"]).tobytes()
+                == decode_array(plain["solution"]).tobytes())
+
+    def test_a_received_solution_posts_back_as_it_came(self, server):
+        """Packed or nested, ``solution`` is a valid ``rhs`` of
+        ``kind="data"``; the same array in either form is the same
+        request: equal fingerprints, bitwise-equal solutions."""
+        client = ServeClient(server.url)
+        first = client.solve(payload(return_solution=True))
+        nested = encode_array(decode_array(first["solution"]))
+        docs = client.solve_many([
+            payload(rhs={"kind": "data", **wire}, return_solution=True)
+            for wire in (first["solution"], nested)
+        ])
+        assert [d["status"] for d in docs] == ["ok", "ok"]
+        assert docs[0]["fingerprint"] == docs[1]["fingerprint"]
+        assert docs[0]["batch"]["occupancy"] == 2
+        assert docs[0]["solution"] == docs[1]["solution"]
+
+
+class TestMalformedArrays:
+    """ROADMAP "bounded failure": a malformed wire array is a 400 naming
+    the field, on its own line only — never a dispatcher exception."""
+
+    @pytest.fixture()
+    def server(self):
+        # Six lanes: the whole post is one batch, the bad line inside it.
+        svc = SolveService(max_batch=6, max_wait=0.2).start()
+        srv = ServeServer(svc, port=0).start()
+        yield srv
+        srv.stop()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_solve_route_answers_400_naming_the_field(self, server, case):
+        rhs, where = MALFORMED[case]
+        status, ctype, text = post(
+            server, "/v1/solve", payload(rhs=rhs, id="bad-1"))
+        doc = json.loads(text)  # strict enough: no NaN in an error body
+        assert (status, ctype) == (400, "application/json")
+        assert doc["status"] == "error" and doc["id"] == "bad-1"
+        assert doc["error"]["code"] == "invalid_request"
+        assert doc["error"]["field"] == where
+        assert doc["error"]["request_id"] == "bad-1"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_bad_line_leaves_its_batch_mates_bits_alone(self, server, case):
+        rhs, where = MALFORMED[case]
+        client = ServeClient(server.url)
+        good = [payload(seed=s, id=f"g{s}", return_solution=True)
+                for s in range(1, 5)]
+        good.append(payload(id="g5", return_solution=True, rhs={
+            "kind": "data", **encode_array(good_field(), packed=True)}))
+        mixed = good[:2] + [payload(rhs=rhs, id="bad")] + good[2:]
+        docs = client.solve_many(mixed)
+        alone = client.solve_many(good)
+        bad = docs.pop(2)
+        assert bad["status"] == "error" and bad["id"] == "bad"
+        assert bad["error"]["field"] == where
+        assert [d["status"] for d in docs] == ["ok"] * 5
+        assert all(d["batch"]["occupancy"] == 5 for d in docs + alone)
+        assert [d["solution"] for d in docs] == [
+            d["solution"] for d in alone]
+        assert server.service.running
+        assert "failed" not in client.stats()["requests"]
+
+    def test_non_finite_rhs_used_to_be_answered_ok(self, server):
+        """The defect this class pins: NaN in, ``"residual": NaN`` out
+        with ``status: "ok"`` — not even JSON for a strict parser."""
+        rhs, _ = MALFORMED["nan_real"]
+        _, _, text = post(server, "/v1/solve", payload(rhs=rhs))
+        json.loads(text, parse_constant=lambda name: pytest.fail(
+            f"response holds the non-JSON constant {name}"))
+
+
 class TestObservabilityRoutes:
+    def test_wire_cost_histograms_are_exported(self, server):
+        client = ServeClient(server.url)
+        client.solve_many([payload(seed=s, return_solution=True)
+                           for s in (1, 2, 3)])
+        post(server, "/v1/solve", payload())
+        post(server, "/v1/solve", payload(mass="heavy"))  # never admitted
+        text = client.metrics_text()
+        assert "serve_encode_seconds_count 4" in text
+        assert "serve_decode_seconds_count 4" in text
+
     def test_metrics_stats_health(self, server):
         client = ServeClient(server.url)
         client.solve(payload())

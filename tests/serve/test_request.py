@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,18 @@ class TestFingerprint:
         b = ServiceRequest.from_wire(payload(kernel="numpy_ref"))
         assert a.fingerprint != b.fingerprint
 
+    def test_fingerprint_is_hashed_once_per_request(self, monkeypatch):
+        req = ServiceRequest.from_wire(payload())
+        first = req.fingerprint
+        monkeypatch.setattr(
+            ServiceRequest, "operator_spec",
+            lambda self: pytest.fail("fingerprint was recomputed"),
+        )
+        assert req.fingerprint is first
+        # ... per request: a second one hashes for itself.
+        monkeypatch.undo()
+        assert ServiceRequest.from_wire(payload(tol=1e-3)).fingerprint != first
+
     def test_delivery_metadata_does_not_change_fingerprint(self):
         a = ServiceRequest.from_wire(payload())
         b = ServiceRequest.from_wire(
@@ -178,14 +192,89 @@ class TestRhsMaterialization:
     def test_inline_data_round_trips_bitwise(self):
         geo = Geometry((2, 2, 2, 2))
         field = SpinorField.random(geo, nspin=1, rng=7).data
-        doc = encode_array(field)
+        # Signed zeros: ``real + 1j * imag`` loses the imaginary -0.0.
+        field[0, 0, 0, 0] = [complex(0.0, -0.0), complex(-0.0, 0.0),
+                             complex(-0.0, -0.0)]
+        nested = encode_array(field)
+        for doc in ({"real": nested["real"], "imag": nested["imag"]},
+                    nested, encode_array(field, packed=True)):
+            req = ServiceRequest.from_wire(
+                payload(operator="asqtad",
+                        rhs={"kind": "data", **doc},
+                        gauge={"kind": "unit", "dims": [2, 2, 2, 2]})
+            )
+            assert req.materialize_rhs(geo).tobytes() == field.tobytes()
+
+    def test_packed_and_nested_rhs_are_one_request(self):
+        """Same array, either form: same lane bits, same coalescing key,
+        and a received solution posts back as it came."""
+        geo = Geometry((2, 2, 2, 2))
+        field = SpinorField.random(geo, nspin=1, rng=7).data
+        reqs = [
+            ServiceRequest.from_wire(
+                payload(operator="asqtad",
+                        rhs={"kind": "data", **encode_array(field, packed)},
+                        gauge={"kind": "unit", "dims": [2, 2, 2, 2]})
+            )
+            for packed in (False, True)
+        ]
+        assert reqs[0].fingerprint == reqs[1].fingerprint
+        assert "b64" in reqs[1].rhs and "real" not in reqs[1].rhs
+        assert (reqs[0].materialize_rhs(geo).tobytes()
+                == reqs[1].materialize_rhs(geo).tobytes()
+                == field.tobytes())
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"real": [[1.0, float("nan")]]}, "rhs.real"),
+        ({"real": [[1.0, 2.0]], "imag": [[0.0, float("inf")]]}, "rhs.imag"),
+        ({"real": [[1.0, 2.0]], "imag": [[0.0, float("-inf")]]},
+         "rhs.imag"),
+    ])
+    def test_non_finite_inline_data_names_the_part(self, spec, field):
+        geo = Geometry((2, 2, 2, 2))
+        shape = geo.shape + SpinorField.site_shape(1)
+        spec = {k: np.broadcast_to(np.asarray(v).ravel()[-1], shape).tolist()
+                for k, v in spec.items()}
         req = ServiceRequest.from_wire(
-            payload(operator="asqtad",
-                    rhs={"kind": "data", "real": doc["real"],
-                         "imag": doc["imag"]},
+            payload(operator="asqtad", rhs={"kind": "data", **spec},
                     gauge={"kind": "unit", "dims": [2, 2, 2, 2]})
         )
-        assert np.array_equal(req.materialize_rhs(geo), field)
+        with pytest.raises(RequestValidationError) as exc:
+            req.materialize_rhs(geo)
+        assert exc.value.field == field
+        assert "NaN or Infinity" in str(exc.value)
+
+    def test_non_finite_packed_data_names_b64(self):
+        geo = Geometry((2, 2, 2, 2))
+        field = SpinorField.random(geo, nspin=1, rng=7).data
+        field[1, 0, 1, 0, 2] = complex(0.0, np.nan)
+        req = ServiceRequest.from_wire(
+            payload(operator="asqtad",
+                    rhs={"kind": "data", **encode_array(field, packed=True)},
+                    gauge={"kind": "unit", "dims": [2, 2, 2, 2]})
+        )
+        with pytest.raises(RequestValidationError) as exc:
+            req.materialize_rhs(geo)
+        assert exc.value.field == "rhs.b64"
+
+    def test_packed_data_wrong_lattice_names_shape(self):
+        geo = Geometry((4, 4, 4, 4))
+        small = SpinorField.random(Geometry((2, 2, 2, 2)), nspin=1, rng=7)
+        req = ServiceRequest.from_wire(
+            payload(operator="asqtad",
+                    gauge={"kind": "unit", "dims": [4, 4, 4, 4]},
+                    rhs={"kind": "data",
+                         **encode_array(small.data, packed=True)})
+        )
+        with pytest.raises(RequestValidationError) as exc:
+            req.materialize_rhs(geo)
+        assert exc.value.field == "rhs.shape"
+
+    def test_data_rhs_needs_one_of_the_two_forms(self):
+        with pytest.raises(RequestValidationError) as exc:
+            ServiceRequest.from_wire(payload(rhs={"kind": "data",
+                                                  "imag": [1.0]}))
+        assert exc.value.field == "rhs.real"
 
     def test_inline_data_wrong_shape_names_field(self):
         geo = Geometry((4, 4, 4, 4))
@@ -199,14 +288,134 @@ class TestRhsMaterialization:
         assert exc.value.field == "rhs.real"
 
 
+def _codec_case(name: str, dtype) -> np.ndarray:
+    """One input of the codec property matrix, in ``dtype``."""
+    rng = np.random.default_rng(5)
+    kind = np.dtype(dtype).kind
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        if kind == "c":
+            x = x + 1j * rng.standard_normal(shape)
+        return x.astype(dtype)
+
+    if name == "contiguous":
+        return draw((3, 4, 2))
+    if name == "transposed":
+        return draw((3, 4, 2)).transpose(2, 0, 1)
+    if name == "zero_dim":
+        return draw(())
+    if name == "empty":
+        return draw((0, 3))
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = {
+        "signed_zero": [0.0, -0.0],
+        "subnormal": [tiny, -tiny, 3 * tiny],
+    }[name]
+    if kind == "c":
+        values = [complex(a, b) for a in values for b in values]
+    return np.array(values, dtype=dtype)
+
+
+CODEC_CASES = ("contiguous", "transposed", "zero_dim", "empty",
+               "signed_zero", "subnormal")
+CODEC_DTYPES = (np.float32, np.float64, np.complex64, np.complex128)
+
+
 class TestArrayCodec:
     def test_json_round_trip_is_bitwise(self):
-        import json
-
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        x[0] = [complex(0.0, -0.0), complex(-0.0, 0.0),
+                complex(-0.0, -0.0), complex(0.0, 0.0)]
         wire = json.loads(json.dumps(encode_array(x)))
         assert np.array_equal(decode_array(wire), x)
+        assert decode_array(wire).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("case", CODEC_CASES)
+    @pytest.mark.parametrize("dtype", CODEC_DTYPES)
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_both_forms_are_tobytes_lossless(self, packed, dtype, case):
+        x = _codec_case(case, dtype)
+        if case == "transposed":
+            assert not x.flags.c_contiguous
+        wire = json.loads(json.dumps(encode_array(x, packed)))
+        back = decode_array(wire)
+        want = x.astype(np.complex128)
+        assert back.dtype == np.complex128 and back.shape == want.shape
+        assert back.tobytes() == want.tobytes()
+        assert back.flags.writeable
+
+    def test_one_positional_argument_is_the_nested_form(self):
+        x = np.arange(6.0).reshape(2, 3) * (1 - 2j)
+        doc = encode_array(x)
+        assert set(doc) == {"real", "imag", "shape"}
+        assert doc["real"] == x.real.tolist()
+        assert doc["imag"] == x.imag.tolist()
+        assert doc["shape"] == [2, 3]
+
+    def test_packed_form_carries_the_native_dtype(self):
+        for dtype, tag in zip(CODEC_DTYPES, ("<f4", "<f8", "<c8", "<c16")):
+            doc = encode_array(np.ones((2, 3), dtype=dtype), packed=True)
+            assert set(doc) == {"b64", "dtype", "shape"}
+            assert doc["dtype"] == tag
+            assert len(doc["b64"]) == 4 * -(-6 * np.dtype(dtype).itemsize // 3)
+        # anything else travels as double
+        assert encode_array(np.arange(3), packed=True)["dtype"] == "<f8"
+
+    def test_non_finite_values_stay_where_they_are(self):
+        """The old ``real + 1j * imag`` made ``nan+nanj`` of ``1+infj``."""
+        x = np.array([complex(1.0, np.inf), complex(-np.inf, 2.0),
+                      complex(np.nan, 0.0)])
+        for packed in (False, True):
+            wire = json.loads(json.dumps(encode_array(x, packed)))
+            assert decode_array(wire).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("key, doc", [
+        pytest.param(key, doc, id=f"{key}-{why}") for why, key, doc in [
+            ("big_endian", "dtype",
+             {"b64": "AAAAAA==", "dtype": ">f4", "shape": [1]}),
+            ("numpy_name", "dtype",
+             {"b64": "AAAAAA==", "dtype": "float32", "shape": [1]}),
+            ("missing", "dtype", {"b64": "AAAAAA==", "shape": [1]}),
+            ("bad_alphabet", "b64",
+             {"b64": "AA*AAA==", "dtype": "<f4", "shape": [1]}),
+            ("bad_padding", "b64",
+             {"b64": "AAAAAA", "dtype": "<f4", "shape": [1]}),
+            ("not_a_string", "b64", {"b64": 7, "dtype": "<f4", "shape": [1]}),
+            ("three_bytes_for_f4", "b64",
+             {"b64": "AAAA", "dtype": "<f4", "shape": [1]}),
+            ("four_bytes_for_two_f4", "b64",
+             {"b64": "AAAAAA==", "dtype": "<f4", "shape": [2]}),
+            ("float_entry", "shape",
+             {"b64": "AAAAAA==", "dtype": "<f4", "shape": [1.0]}),
+            ("negative_entry", "shape",
+             {"b64": "AAAAAA==", "dtype": "<f4", "shape": [-1]}),
+            ("bool_entry", "shape",
+             {"b64": "AAAAAA==", "dtype": "<f4", "shape": [True]}),
+            ("not_a_list", "shape",
+             {"b64": "AAAAAA==", "dtype": "<f4", "shape": 1}),
+            ("missing", "shape", {"b64": "AAAAAA==", "dtype": "<f4"}),
+            ("missing", "real", {"imag": [1.0]}),
+            ("ragged", "real", {"real": [[1.0, 2.0], [3.0]]}),
+            ("not_numeric", "real", {"real": [1.0, "x"]}),
+            ("not_numeric", "imag",
+             {"real": [1.0, 2.0], "imag": {"a": 1}}),
+            ("another_shape", "imag", {"real": [1.0, 2.0], "imag": [1.0]}),
+            ("does_not_fit", "shape", {"real": [1.0, 2.0], "shape": [3]}),
+            ("string_entry", "shape", {"real": [1.0, 2.0], "shape": ["2"]}),
+        ]
+    ])
+    def test_malformed_array_names_its_key(self, key, doc):
+        with pytest.raises(RequestValidationError) as exc:
+            decode_array(doc, field="rhs")
+        assert exc.value.field == f"rhs.{key}"
+        assert f"rhs.{key}" in str(exc.value)
+
+    def test_not_an_object_names_the_array(self):
+        with pytest.raises(RequestValidationError) as exc:
+            decode_array([1.0, 2.0], field="solution")
+        assert exc.value.field == "solution"
 
 
 def asqtad_payload(**overrides):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _malformed_arrays import MALFORMED, good_field
 from repro.core.api import SolveRequest, solve
 from repro.lattice import Geometry, SpinorField
 from repro.serve import (
@@ -18,6 +19,8 @@ from repro.serve import (
     RequestValidationError,
     ServiceClosedError,
     SolveService,
+    decode_array,
+    encode_array,
 )
 
 DIMS = [4, 4, 4, 4]
@@ -109,6 +112,66 @@ class TestBitReproducibility:
                 )
 
 
+class TestWireArrays:
+    def test_packed_and_nested_rhs_solve_to_the_same_bits(self):
+        field = good_field()
+        svc = make_service()
+        tickets = [
+            svc.submit(payload(
+                rhs={"kind": "data", **encode_array(field, packed)},
+                return_solution=True,
+            ))
+            for packed in (False, True)
+        ]
+        svc.start()
+        nested, packed = [t.result(timeout=60) for t in tickets]
+        svc.shutdown()
+        assert nested.occupancy == 2  # one fingerprint, one batch
+        assert nested.request.fingerprint == packed.request.fingerprint
+        assert nested.x.tobytes() == packed.x.tobytes()
+        # ... and either response form carries exactly those bits.
+        for form in (False, True):
+            wire = nested.to_wire(form)["solution"]
+            assert decode_array(wire).tobytes() == nested.x.tobytes()
+        assert "b64" in nested.to_wire(packed=True)["solution"]
+        assert "real" in nested.to_wire()["solution"]
+
+    @pytest.fixture(scope="class")
+    def mates(self):
+        """Three good requests solved without any bad batch-mate."""
+        svc = make_service()
+        tickets = [svc.submit(payload(seed=s)) for s in (1, 2, 3)]
+        svc.start()
+        results = [t.result(timeout=60) for t in tickets]
+        svc.shutdown()
+        return [r.x for r in results]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_array_fails_its_own_request_only(self, case, mates):
+        rhs, where = MALFORMED[case]
+        svc = make_service()
+        tickets = [svc.submit(payload(seed=s)) for s in (1, 2)]
+        bad = svc.submit(payload(rhs=rhs, id="bad-line"))
+        tickets.append(svc.submit(payload(seed=3)))
+        svc.start()
+        with pytest.raises(RequestValidationError) as exc:
+            bad.result(timeout=60)
+        results = [t.result(timeout=60) for t in tickets]
+        # The dispatcher survived it and still serves.
+        after = svc.submit(payload(seed=1)).result(timeout=60)
+        svc.shutdown()
+        assert exc.value.field == where
+        assert exc.value.http_status == 400
+        assert exc.value.request_id == "bad-line"
+        assert where in str(exc.value)
+        assert all(r.converged and r.occupancy == 3 for r in results)
+        for r, alone in zip(results + [after], mates + mates[:1]):
+            assert r.x.tobytes() == alone.tobytes()
+        counts = svc.stats()["requests"]
+        assert counts["invalid"] == 1 and counts["completed"] == 4
+        assert "failed" not in counts
+
+
 class TestBackpressureAndDeadlines:
     def test_full_queue_rejects_not_blocks(self):
         import time
@@ -188,6 +251,26 @@ class TestMetrics:
             assert name in text, f"missing {name} in export"
         # Occupancy histogram recorded one 2-lane batch.
         assert 'serve_batch_occupancy_bucket{le="2.0"} 1' in text
+
+    def test_wire_cost_histograms(self):
+        """serve_decode_seconds: one sample per completed request (the
+        caller's parse time + validation + rhs build); serve_encode_
+        seconds: whatever the front reports per response."""
+        svc = make_service()
+        tickets = [svc.submit(payload(seed=1)),
+                   svc.submit(payload(seed=2), decode_seconds=5.0)]
+        svc.start()
+        for t in tickets:
+            t.result(timeout=60)
+        svc.shutdown()
+        svc.observe_encode(0.25)
+        text = svc.prometheus()
+        assert "serve_decode_seconds_count 2" in text
+        assert "serve_encode_seconds_count 1" in text
+        assert "serve_encode_seconds_sum 0.25" in text
+        (total,) = [float(ln.split()[1]) for ln in text.splitlines()
+                    if ln.startswith("serve_decode_seconds_sum")]
+        assert 5.0 < total < 6.0
 
     def test_stats_reports_latency_percentiles(self):
         svc = make_service()
