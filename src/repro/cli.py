@@ -18,6 +18,7 @@ ASCII charts, and ``info`` prints the hardware/calibration summary.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -690,6 +691,20 @@ def _cmd_trace(args) -> int:
     return 0 if res.converged else 1
 
 
+def _status(line: str) -> None:
+    """Print a status line of a long-running command.  Whoever was
+    reading stdout may be gone by now (a supervisor that closed the
+    pipe), and that must not take the process down: the line is dropped
+    and stdout pointed at the null device, so the interpreter's flush at
+    exit has somewhere to go."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_serve(args) -> int:
     """Run the coalescing solve daemon (docs/serving.md).
 
@@ -719,13 +734,12 @@ def _cmd_serve(args) -> int:
     print("routes: POST /v1/solve, POST /v1/solve/jsonl, GET /metrics, "
           "GET /v1/stats, GET /healthz")
 
-    stop = threading.Event()
-
     def _signal(signum, frame):
-        print(f"\nsignal {signal.Signals(signum).name}: draining...")
-        stop.set()
-        # shutdown() joins the dispatcher; run it off the signal frame.
+        # Stop first, then say so: nothing the report does may keep the
+        # drain from starting.  shutdown() joins the dispatcher; run it
+        # off the signal frame.
         threading.Thread(target=server.stop, daemon=True).start()
+        _status(f"\nsignal {signal.Signals(signum).name}: draining...")
 
     signal.signal(signal.SIGINT, _signal)
     signal.signal(signal.SIGTERM, _signal)
@@ -735,7 +749,7 @@ def _cmd_serve(args) -> int:
         server.stop()
     stats = service.stats()
     ratio = stats["coalesce_ratio"]
-    print(
+    _status(
         f"drained: {stats['batches_total']} batches, "
         f"{stats['batched_requests_total']} requests"
         + (f", coalesce ratio {ratio:.2f}" if ratio else "")

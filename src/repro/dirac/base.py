@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import abc
 import copy
+import hashlib
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,87 @@ ASQTAD_DSLASH_FLOPS = 1146
 ASQTAD_MATVEC_FLOPS = ASQTAD_DSLASH_FLOPS + 12
 #: Naive (unimproved) staggered dslash.
 STAGGERED_DSLASH_FLOPS = 570
+
+
+# ----------------------------------------------------------------------
+# Operator state that depends on the gauge configuration alone
+# ----------------------------------------------------------------------
+class DerivedState:
+    """Everything operators have built from one set of links, so that the
+    hundreds of solves on a configuration build each once: the
+    lattice-last link cache and its storage-dtype casts under ``("links",
+    dtype)``, and two child states — ``child("csw", csw)`` holding the
+    clover field and its chiral blocks per dtype, ``child("regions",
+    (origins, extents))`` holding the same again for the lane stack of a
+    set of Schwarz regions.  Arrays are handed out read-only: every holder
+    shares them.
+
+    ``opened_on`` is what the state stands for — the digest of the links,
+    the coefficient, the regions.  A state built directly is private to
+    whoever holds it.
+    """
+
+    def __init__(self, opened_on=None):
+        self.opened_on = opened_on
+        self._entries: dict = {}
+
+    def get(self, key, build):
+        """The array under ``key``, built by ``build()`` on first request.
+        Two threads asking at once may both build; both get the first
+        to land."""
+        try:
+            return self._entries[key]
+        except KeyError:
+            value = build()
+        value.setflags(write=False)
+        return self._entries.setdefault(key, value)
+
+    def child(self, slot: str, opened_on) -> "DerivedState":
+        """The one state in ``slot``, for what also depends on a
+        coefficient or a blocking.  Asking for another drops the one held,
+        with all it holds: a configuration keeps the arrays of the last
+        kind of solve run on it, however many coefficients and blockings
+        its clients sweep (operators still alive keep what they took)."""
+        with _STATES_LOCK:
+            held = self._entries.get(slot)
+            if held is None or held.opened_on != opened_on:
+                held = self._entries[slot] = DerivedState(opened_on)
+        return held
+
+
+#: gauge -> its :class:`DerivedState`.  Weakly keyed, and no entry refers
+#: back to the gauge, so a state dies with its configuration.
+_STATES: "weakref.WeakKeyDictionary[object, DerivedState]" = (
+    weakref.WeakKeyDictionary()
+)
+_STATES_LOCK = threading.Lock()
+
+
+def configuration_state(gauge) -> DerivedState:
+    """The state of a gauge configuration, validated against its links as
+    they are now (the heatbath and the gauge fixing update them in place):
+    one sha256 of the field, about a hundredth of a clover build, and a
+    state opened on other links is dropped for a fresh one.  An operator
+    validates once, at construction, and stands for the configuration as
+    it was then: what it derives later is filed with that state, so the
+    links must not change under a live operator."""
+    data = np.ascontiguousarray(gauge.data)
+    sha = hashlib.sha256(f"{data.dtype.str}{data.shape}".encode())
+    sha.update(data)
+    digest = sha.digest()
+    with _STATES_LOCK:
+        state = _STATES.get(gauge)
+        if state is None or state.opened_on != digest:
+            state = _STATES[gauge] = DerivedState(digest)
+    return state
+
+
+def validated_state(gauge) -> DerivedState:
+    """The state :func:`configuration_state` has just validated, for a
+    caller holding an array handed out on that validation (no second
+    digest)."""
+    with _STATES_LOCK:
+        return _STATES[gauge]
 
 
 @dataclass(frozen=True)
@@ -104,8 +188,8 @@ def lattice_last_links(links: np.ndarray) -> np.ndarray:
     ``[0, mu, b, a] = U_mu(x)_{ab}`` and ``[1, mu, b, a] = (U_mu(x)^+)_{ab}
     = conj(U_mu(x))_{ba}``, so column ``b`` of either matrix is three
     whole-lattice arrays whose fastest axis is the site axis — the order
-    :func:`link_apply_sites` consumes.  Built once per operator: it is the
-    per-call ``su3.dagger`` of the reference path amortized away.  A lane
+    :func:`link_apply_sites` consumes.  Built once per configuration: it is
+    the per-call ``su3.dagger`` of the reference path amortized away.  A lane
     axis in front of the lattice axes (``links`` of shape ``(4, L, T, Z, Y,
     X, 3, 3)``) is carried through unchanged.
     """

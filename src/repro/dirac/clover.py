@@ -13,29 +13,14 @@ vectorized per-site inversion.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import threading
-import weakref
 
 import numpy as np
 
+from repro.dirac.base import configuration_state
 from repro.gauge.observables import field_strength
 from repro.lattice.fields import GaugeField
 from repro.linalg.gamma import sigma
-
-
-#: ``gauge -> (csw, digest of the links, A_x)``: the field last built on
-#: each live gauge configuration.  Weakly keyed, so it dies with the gauge.
-_BUILT: "weakref.WeakKeyDictionary[GaugeField, tuple]" = weakref.WeakKeyDictionary()
-_BUILT_LOCK = threading.Lock()
-
-
-def _links_digest(gauge: GaugeField) -> bytes:
-    data = np.ascontiguousarray(gauge.data)
-    digest = hashlib.sha256(f"{data.dtype.str}{data.shape}".encode())
-    digest.update(data)
-    return digest.digest()
 
 
 def build_clover_field(gauge: GaugeField, csw: float = 1.0) -> np.ndarray:
@@ -43,30 +28,29 @@ def build_clover_field(gauge: GaugeField, csw: float = 1.0) -> np.ndarray:
 
     Vanishes identically on the free (unit-gauge) field.
 
-    The field is built once per gauge configuration and ``csw`` and handed
-    out read-only after that: every solve on one configuration asks for
-    it again, and hashing the links to see they are still the ones it was
-    built from (the heatbath and the gauge fixing update them in place)
-    costs about a hundredth of the build.
+    The field is built once per gauge configuration and handed out
+    read-only after that (:func:`repro.dirac.base.configuration_state`):
+    every solve on one configuration asks for it again.  A configuration
+    keeps the field of the last ``csw`` asked for.
     """
     csw = float(csw)
-    digest = _links_digest(gauge)
-    with _BUILT_LOCK:
-        built = _BUILT.get(gauge)
-    if built is not None and built[:2] == (csw, digest):
-        return built[2]
+    return configuration_state(gauge).child("csw", csw).get(
+        "clover", lambda: _clover_field(gauge, csw)
+    )
+
+
+def _clover_field(gauge: GaugeField, csw: float) -> np.ndarray:
     shape = gauge.geometry.shape
     a = np.zeros(shape + (12, 12), dtype=np.complex128)
     for mu, nu in itertools.combinations(range(4), 2):
-        f = field_strength(gauge, mu, nu)  # anti-Hermitian 3x3
-        s = sigma(mu, nu)  # Hermitian 4x4
-        # sigma (x) (iF): Hermitian. Indices: (s,a),(t,b) -> 12x12.
-        block = np.einsum("st,...ab->...satb", s, 1j * f)
-        a += block.reshape(shape + (12, 12))
-    a = csw * a
-    a.setflags(write=False)
-    with _BUILT_LOCK:
-        _BUILT[gauge] = (csw, digest, a)
+        # sigma (x) (iF), Hermitian 4x4 (x) anti-Hermitian 3x3 times i:
+        # Hermitian.  Indices: (s,a),(t,b) -> 12x12.  One expression, so
+        # no plane's temporaries outlive it: this transient, not the
+        # solve, is a Wilson-clover process's peak memory.
+        a += np.einsum(
+            "st,...ab->...satb", sigma(mu, nu), 1j * field_strength(gauge, mu, nu)
+        ).reshape(shape + (12, 12))
+    a *= csw
     return a
 
 

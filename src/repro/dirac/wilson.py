@@ -19,7 +19,7 @@ Dslash execution is delegated to a pluggable kernel backend
   exactly the structure QUDA's kernels exploit (Sec. 4;
   arXiv:1011.0024).  This halves the SU(3) matvec work and the data
   shifted between neighbor sites.  Daggered links are precomputed once
-  per operator, not per application.  The stencil runs *lattice-last*
+  per configuration, not per application.  The stencil runs *lattice-last*
   — the field is transposed once to ``(spin, color, [batch,] T, Z, Y,
   X)`` so every ufunc streams contiguous sites, QUDA's coalesced field
   order in NumPy terms — and is bit-identical to the lattice-first
@@ -49,12 +49,15 @@ import numpy as np
 from repro.dirac import base
 from repro.dirac.base import (
     BoundarySpec,
+    DerivedState,
     LatticeOperator,
     PERIODIC,
+    configuration_state,
     lattice_last_links,
     link_apply,
     link_apply_sites,
     shift_sites,
+    validated_state,
 )
 from repro.dirac.clover import (
     apply_chiral_sites,
@@ -91,8 +94,10 @@ class WilsonCloverOperator(LatticeOperator):
         Per-direction fermion boundary conditions; ``"zero"`` entries give
         the Dirichlet-cut operator used as a Schwarz block.
     clover:
-        Optional precomputed clover field (reused by ``with_boundary``;
-        the clover term is site-diagonal so it is unaffected by cuts).
+        Optional precomputed clover field (a slice of a globally built
+        one: the clover term is site-diagonal so it is unaffected by
+        cuts).  It is not the gauge's own, so what this operator derives
+        is kept to itself instead of with the configuration.
     kernel:
         Kernel backend name for the dslash (``"auto"`` resolves through
         :func:`repro.kernels.resolve_kernel`; see :mod:`repro.kernels`).
@@ -108,28 +113,38 @@ class WilsonCloverOperator(LatticeOperator):
         boundary: BoundarySpec = PERIODIC,
         clover: np.ndarray | None = None,
         kernel: str = "auto",
-        _link_cache: np.ndarray | None = None,
     ):
-        if csw != 0.0 and clover is None:
+        # One validation of the configuration's state against its links
+        # per operator: inside ``build_clover_field`` when there is a
+        # clover term.
+        if clover is not None:
+            state = DerivedState()
+        elif csw != 0.0:
             clover = build_clover_field(gauge, csw)
+            state = validated_state(gauge)
+        else:
+            state = configuration_state(gauge)
         self._setup(
-            gauge, gauge.geometry, mass, csw, boundary, clover, kernel,
-            _link_cache,
+            gauge, gauge.geometry, mass, csw, boundary, clover, kernel, state
         )
 
     def _setup(
-        self, gauge, geometry, mass, csw, boundary, clover, kernel, links_soa,
-        lanes=None, storage=None,
+        self, gauge, geometry, mass, csw, boundary, clover, kernel, state,
+        links_soa=None, lanes=None, storage=None,
     ):
-        """Everything but building the clover field.  A lane stack
-        (:meth:`restrict_to_regions`) or a packed stored operator comes
-        through here without a gauge field of its own: it lives on
-        ``links_soa``, the lattice-last link cache (with the lane axis in
-        front of the lattice axes), and a packed one's ``clover`` is the
-        two chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)``, both in the
-        storage dtype."""
+        """Everything but building the clover field.  ``state`` is where
+        the arrays this operator derives from its links and clover field
+        are kept (:class:`repro.dirac.base.DerivedState`): the
+        configuration's, shared, as long as these are the unrounded ones.
+        A lane stack (:meth:`restrict_to_regions`) or a packed stored
+        operator comes through here without a gauge field of its own: it
+        lives on ``links_soa``, the lattice-last link cache (with the lane
+        axis in front of the lattice axes), and a packed one's ``clover``
+        is the two chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)``, both in
+        the storage dtype."""
         LatticeOperator.__init__(self, geometry)
         self.gauge = gauge
+        self._state = state
         self.lanes = lanes
         self.storage = storage
         self.mass = float(mass)
@@ -155,9 +170,7 @@ class WilsonCloverOperator(LatticeOperator):
         # has eigenvalue m.
         self._proj_fwd = [2.0 * projector(mu, -1) for mu in range(4)]
         self._proj_bwd = [2.0 * projector(mu, +1) for mu in range(4)]
-        # Operator-level lattice-last link cache, built lazily on first
-        # dslash (it is boundary-independent, so ``with_boundary`` shares
-        # it).
+        # The lattice-last link cache, taken from the state on first dslash.
         self._links_soa: np.ndarray | None = links_soa
 
     def _packs(self, storage) -> bool:
@@ -181,7 +194,9 @@ class WilsonCloverOperator(LatticeOperator):
         """Links and daggered links in lattice-last order, computed once
         per gauge (:func:`repro.dirac.base.lattice_last_links`)."""
         if self._links_soa is None:
-            self._links_soa = lattice_last_links(self.gauge.data)
+            self._links_soa = self._state.get(
+                ("links", None), lambda: lattice_last_links(self.gauge.data)
+            )
         return self._links_soa
 
     def _aos_links(self) -> np.ndarray:
@@ -366,26 +381,30 @@ class WilsonCloverOperator(LatticeOperator):
 
     # ------------------------------------------------------------------
     def with_boundary(self, boundary: BoundarySpec) -> "WilsonCloverOperator":
-        return WilsonCloverOperator(
-            self.gauge,
-            mass=self.mass,
-            csw=self.csw,
-            boundary=boundary,
-            clover=self.clover,
-            kernel=self.kernel,
-            _link_cache=self._links_soa,
+        # Links, clover and state are boundary-independent: shared.  Set
+        # up afresh, not copied: what a kernel tier has attached to this
+        # instance (the numba tier's boundary-phase tables) stays here.
+        out = object.__new__(type(self))
+        out._setup(
+            self.gauge, self.geometry, self.mass, self.csw, boundary,
+            self._chiral if self._packed else self.clover, self.kernel,
+            self._state, self._links_soa, self.lanes, self.storage,
         )
+        return out
 
-    def _on_links(self, geometry, boundary, links_soa, clover, storage):
+    def _on_links(
+        self, geometry, boundary, links_soa, clover, storage, state=None
+    ):
         """An operator with this one's parameters living on ``links_soa``
         ``(2, mu, b, a, [L,] T, Z, Y, X)`` and, for the clover term, the
         dense field ``([L,] T, Z, Y, X, 12, 12)`` or — for a stored
         operator of the NumPy tier — its chiral blocks ``(2, 6, 6, [L,]
-        T, Z, Y, X)``."""
+        T, Z, Y, X)``.  Without a ``state`` to share, what it derives in
+        turn is its own."""
         out = object.__new__(type(self))
         out._setup(
             None, geometry, self.mass, self.csw, boundary, clover,
-            self.kernel, links_soa,
+            self.kernel, state or DerivedState(), links_soa,
             lanes=links_soa.shape[4] if links_soa.ndim == 9 else None,
             storage=storage,
         )
@@ -396,16 +415,23 @@ class WilsonCloverOperator(LatticeOperator):
 
     def _in_storage(self, precision):
         """The packed form on the NumPy tier (links and chiral blocks cast
-        to the storage dtype), the generic one elsewhere."""
+        to the storage dtype), the generic one elsewhere.  The casts are
+        rounded, so the packed operator gets a state of its own: a cast
+        of a cast never lands among the configuration's."""
         if not self._packs(precision):
             return super()._in_storage(precision)
         dtype = precision.dtype
         clover = None
         if self.csw != 0.0:
-            clover = np.ascontiguousarray(self._chiral_blocks(), dtype=dtype)
+            clover = self._state.child("csw", self.csw).get(
+                ("chiral", dtype),
+                lambda: np.ascontiguousarray(self._chiral_blocks(), dtype=dtype),
+            )
+        links = self._state.get(
+            ("links", dtype), lambda: self._soa_links().astype(dtype, copy=False)
+        )
         return self._on_links(
-            self.geometry, self.boundary,
-            self._soa_links().astype(dtype, copy=False), clover, precision,
+            self.geometry, self.boundary, links, clover, precision
         )
 
     def restrict_to_regions(self, origins, extents, cut_dims, precision=None):
@@ -419,20 +445,32 @@ class WilsonCloverOperator(LatticeOperator):
         storage = self.storage if precision is None else precision
         packed = self._packs(storage)
         dtype = storage.dtype if packed else None
+        # The stack's arrays depend on the regions and the dtype alone
+        # (not on the cuts, the mass or the rounding): gathered once per
+        # configuration, in the regions' own state under this one's — the
+        # state of an unrounded stack in turn.
+        origins = tuple(tuple(origin) for origin in origins)
+        regions = self._state.child("regions", (origins, tuple(extents)))
+
+        def gather(array, lead):
+            return self._region_stack(array, origins, extents, lead, dtype)
+
         clover = None
-        if self.csw != 0.0:
-            field, lead = (self._chiral_blocks(), 3) if packed else (self.clover, 0)
-            clover = self._region_stack(
-                field, origins, extents, lead=lead, dtype=dtype
+        if self.csw != 0.0 and packed:
+            clover = regions.child("csw", self.csw).get(
+                ("chiral", dtype), lambda: gather(self._chiral_blocks(), 3)
+            )
+        elif self.csw != 0.0:
+            clover = regions.child("csw", self.csw).get(
+                "clover", lambda: gather(self.clover, 0)
             )
         return self._on_links(
             Geometry(extents),
             self.boundary.with_dirichlet(cut_dims),
-            self._region_stack(
-                self._soa_links(), origins, extents, lead=4, dtype=dtype
-            ),
+            regions.get(("links", dtype), lambda: gather(self._soa_links(), 4)),
             clover,
             storage,
+            None if packed else regions,
         )
 
     def take_lanes(self, lanes) -> "WilsonCloverOperator":

@@ -6,10 +6,26 @@ that needs to mutate a field makes its own copy.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.lattice import Geometry, GaugeField, SpinorField
+
+
+@pytest.fixture()
+def child_env() -> dict:
+    """Environment for a ``python -m repro`` / ``python -c`` child: the
+    ``src`` this session imported ``repro`` from, first on its path."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.fixture()

@@ -1,0 +1,308 @@
+"""Operator state that depends on the gauge configuration alone — the
+clover field, the lattice-last link cache and its storage-dtype cast, the
+chiral clover blocks and the Schwarz region stacks — is built once per
+configuration (``repro.dirac.base.DerivedState``), not once per solve:
+the analysis phase is hundreds of solves on one configuration.
+
+Every operator here is pinned to the NumPy tier, whose arrays these are
+(where the compiled tier is installed, ``"auto"`` is not NumPy)."""
+
+from __future__ import annotations
+
+import collections
+import gc
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+import repro.dirac.base
+import repro.dirac.clover
+import repro.dirac.wilson
+from repro import (
+    GaugeField, Geometry, ProcessGrid, SolveRequest, SpinorField, solve,
+)
+from repro.dirac import PHYSICAL, WilsonCloverOperator
+from repro.gauge.heatbath import HeatbathUpdater
+from repro.multigpu import BlockPartition
+from repro.precision import DOUBLE, HALF, SINGLE
+from repro.serve import SolveService
+
+GEOM = Geometry((4, 4, 4, 8))
+GRID = ProcessGrid((1, 1, 2, 2))
+CASES = {
+    "bicgstab": dict(method="bicgstab"),
+    **{
+        f"gcr-dd-{precond}": dict(method="gcr-dd", grid=GRID, precond=precond)
+        for precond in ("auto", "ras", "twolevel", "multisplit")
+    },
+}
+LEDGER = ("flops", "bytes_moved", "reductions", "local_reductions",
+          "operator_applications")
+
+
+def weak_gauge(seed=0):
+    return GaugeField.weak(GEOM, epsilon=0.25, rng=seed)
+
+
+def wilson_clover(gauge, csw=1.0, **how):
+    return WilsonCloverOperator(
+        gauge, mass=0.1, csw=csw, **{"kernel": "numpy", **how}
+    )
+
+
+def run(gauge, **how):
+    result = solve(SolveRequest(
+        operator="wilson_clover", gauge=gauge, mass=0.1, csw=1.0, tol=1e-6,
+        kernel="numpy", rhs=SpinorField.random(GEOM, rng=1).data, **how,
+    ))
+    tally = result.report.to_dict()["tally"]
+    return result, {key: tally[key] for key in LEDGER}
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Counts of everything that derives an array from the links: the
+    link transpose, the chiral view (and its check), an operator's region
+    gather and the field strengths under the clover build."""
+    counts = collections.Counter()
+
+    def spy(module, name):
+        inner = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    spy(repro.dirac.wilson, "lattice_last_links")
+    spy(repro.dirac.wilson, "chiral_blocks")
+    spy(repro.dirac.base, "stack_regions")
+    spy(repro.dirac.clover, "field_strength")
+    return counts
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_second_solve_builds_nothing_and_moves_no_bit(case, builds):
+    gauge = weak_gauge()
+    first, first_ledger = run(gauge, **CASES[case])
+    assert first.converged
+    assert builds["lattice_last_links"] == 1 and builds["field_strength"] == 6
+    if case != "bicgstab":
+        assert builds["stack_regions"] >= 2 and builds["chiral_blocks"] == 1
+    builds.clear()
+    second, second_ledger = run(gauge, **CASES[case])
+    assert not builds, dict(builds)
+    fresh, fresh_ledger = run(gauge.copy(), **CASES[case])
+    assert first.x.tobytes() == second.x.tobytes() == fresh.x.tobytes()
+    assert first_ledger == second_ledger == fresh_ledger
+    assert first.iterations == second.iterations == fresh.iterations
+
+
+def test_second_batch_of_a_live_service_builds_nothing(builds):
+    def payload(seed):
+        return {
+            "operator": "wilson_clover", "mass": 0.1, "csw": 1.0, "tol": 1e-6,
+            "kernel": "numpy",
+            "gauge": {"kind": "weak", "dims": [4, 4, 4, 4],
+                      "epsilon": 0.25, "seed": 3},
+            "rhs": {"kind": "random", "seed": seed},
+        }
+
+    service = SolveService(max_batch=2, max_wait=0.05)
+    tickets = [service.submit(payload(seed)) for seed in (1, 2)]
+    service.start()
+    try:
+        first = [t.result(timeout=120) for t in tickets]
+        assert builds["lattice_last_links"] == 1
+        assert builds["field_strength"] == 6
+        builds.clear()
+        second = [
+            t.result(timeout=120)
+            for t in [service.submit(payload(seed)) for seed in (1, 2)]
+        ]
+    finally:
+        service.shutdown()
+    assert not builds, dict(builds)
+    assert service.stats()["batches_total"] == 2
+    for a, b in zip(first, second):
+        assert a.converged and a.x.tobytes() == b.x.tobytes()
+
+
+def derived_arrays(gauge):
+    """What a GCR-DD solve takes from the store, by name."""
+    op = wilson_clover(gauge, boundary=PHYSICAL)
+    stack = op.restrict_to_blocks(BlockPartition(GEOM, GRID), precision=HALF)
+    whole = op.stored(HALF)
+    return {
+        "clover": op.clover, "links": op._soa_links(),
+        "links_c64": whole._links_soa, "chiral_c64": whole._chiral,
+        "block_links": stack._links_soa, "block_chiral": stack._chiral,
+    }
+
+
+def test_in_place_link_update_rebuilds_and_a_no_op_does_not(builds):
+    gauge = weak_gauge()
+    before = derived_arrays(gauge)
+    gauge.data[...] *= 1
+    builds.clear()
+    same = derived_arrays(gauge)
+    assert not builds, dict(builds)
+    assert all(same[name] is before[name] for name in before)
+
+    updater = HeatbathUpdater(beta=5.8, rng_seed=3)
+    updater._sweep_links(gauge, updater._heatbath_subgroup)
+    after = derived_arrays(gauge)
+    expected = derived_arrays(gauge.copy())
+    for name in before:
+        assert after[name] is not before[name]
+        assert not np.array_equal(after[name], before[name])
+        assert after[name].tobytes() == expected[name].tobytes()
+    changed, _ = run(gauge, **CASES["gcr-dd-auto"])
+    reference, _ = run(gauge.copy(), **CASES["gcr-dd-auto"])
+    assert changed.x.tobytes() == reference.x.tobytes()
+
+
+def test_entries_die_with_the_gauge():
+    gauge = weak_gauge()
+    handed_out = [weakref.ref(a) for a in derived_arrays(gauge).values()]
+    gc.collect()
+    assert all(ref() is not None for ref in handed_out)
+    del gauge
+    gc.collect()
+    assert all(ref() is None for ref in handed_out)
+
+
+def test_a_configuration_keeps_one_coefficient_and_one_blocking():
+    """``csw`` and the blocking are client request fields and a daemon
+    pins its gauges: a sweep over either must not pile up fields.  The
+    state keeps the arrays of the last one asked for."""
+    gauge = weak_gauge()
+
+    def taken(csw, grid):
+        op = wilson_clover(gauge, csw)
+        stack = op.restrict_to_blocks(BlockPartition(GEOM, grid), precision=HALF)
+        arrays = (op.clover, op.stored(HALF)._chiral,
+                  stack._links_soa, stack._chiral)
+        return [weakref.ref(a) for a in arrays]
+
+    first = taken(1.0, GRID)
+    other_csw = taken(1.5, GRID)
+    gc.collect()
+    clover, chiral, block_links, block_chiral = first
+    assert clover() is chiral() is block_chiral() is None
+    assert block_links() is not None  # the links know no csw
+    assert all(ref() is not None for ref in other_csw)
+    other_grid = taken(1.5, ProcessGrid((1, 2, 2, 1)))
+    gc.collect()
+    assert other_csw[2]() is other_csw[3]() is None
+    assert other_csw[0]() is other_grid[0]() is not None
+    assert all(ref() is not None for ref in other_grid)
+
+
+def test_a_rounded_operator_derives_privately():
+    """A packed operator's arrays are rounded to its storage: a cast of
+    them, or a stack gathered from them, stays with that operator and
+    never lands among the configuration's."""
+    gauge = weak_gauge()
+    partition = BlockPartition(GEOM, GRID)
+    op = wilson_clover(gauge)
+    single = op.stored(SINGLE)
+    twice = single.stored(DOUBLE)
+    assert twice._links_soa.dtype == np.complex128
+    assert np.array_equal(twice._links_soa, single._links_soa)
+    coarse = single.restrict_to_blocks(partition, precision=DOUBLE)
+
+    again = wilson_clover(gauge)
+    double = again.stored(DOUBLE)
+    assert double._links_soa.tobytes() == again._soa_links().tobytes()
+    assert double._chiral.tobytes() == np.ascontiguousarray(
+        repro.dirac.clover.chiral_blocks(again.clover)
+    ).tobytes()
+    stack = again.restrict_to_blocks(partition, precision=DOUBLE)
+    assert not np.array_equal(stack._links_soa, coarse._links_soa)
+    assert stack._links_soa.tobytes() == wilson_clover(
+        gauge.copy()
+    ).restrict_to_blocks(partition, precision=DOUBLE)._links_soa.tobytes()
+
+
+def test_with_boundary_carries_nothing_attached_to_the_instance():
+    """What a kernel tier or ``stored`` attaches lazily to an operator
+    instance was built for that operator's boundary (the numba tier's
+    phase tables): a ``with_boundary`` copy shares links, clover and
+    state, and none of that."""
+    from repro.kernels.numba_backend import _CACHE_ATTR
+
+    gauge = weak_gauge()
+    for kernel in ("numpy", "numpy_ref"):
+        op = wilson_clover(gauge, kernel=kernel)
+        op.stored(HALF)
+        setattr(op, _CACHE_ATTR, {"complex128": "tables for op.boundary"})
+        for source in (op, op.stored(HALF)):
+            cut = source.with_boundary(op.boundary.with_dirichlet((2, 3)))
+            assert not hasattr(cut, _CACHE_ATTR) and "_stored" not in vars(cut)
+            assert cut.storage == source.storage and cut.kernel == kernel
+            assert cut._soa_links() is source._soa_links()
+            assert cut.stored(HALF).boundary == cut.boundary != op.boundary
+            x = SpinorField.random(GEOM, rng=5).data
+            fresh = wilson_clover(
+                gauge.copy(), kernel=kernel, boundary=cut.boundary
+            ).stored(source.storage)
+            assert cut.apply(x).tobytes() == fresh.apply(x).tobytes()
+
+
+def test_handed_out_arrays_are_read_only():
+    for name, array in derived_arrays(weak_gauge()).items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+
+
+def test_a_foreign_clover_field_stays_out_of_the_configuration():
+    """An operator handed a clover field (a slice of a globally built
+    one) derives privately: the next operator on the same gauge gets the
+    configuration's own arrays."""
+    gauge = weak_gauge()
+    foreign = 2.0 * wilson_clover(gauge).clover
+    private = wilson_clover(gauge, clover=foreign)
+    assert private.clover is foreign
+    private_half = private.stored(HALF)
+    own = wilson_clover(gauge)
+    assert own.clover is not foreign
+    assert np.array_equal(private_half._chiral, 2.0 * own.stored(HALF)._chiral)
+    assert private_half._links_soa is not own.stored(HALF)._links_soa
+
+
+def test_threads_constructing_at_once_share_one_set_of_arrays():
+    gauge = weak_gauge()
+    n_threads = 6
+    results, barrier = [None] * n_threads, threading.Barrier(n_threads)
+
+    def construct(i):
+        barrier.wait(timeout=60)
+        results[i] = derived_arrays(gauge)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=construct, args=(i,))
+            for i in range(n_threads)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    expected = derived_arrays(gauge.copy())
+    for name, array in expected.items():
+        for got in results:
+            assert got[name] is results[0][name]
+            assert np.shares_memory(got[name], results[0][name])
+            assert not got[name].flags.writeable
+        assert results[0][name].tobytes() == array.tobytes()
