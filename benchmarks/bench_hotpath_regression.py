@@ -3,18 +3,22 @@
 Times the Wilson dslash on each registered kernel backend — the
 ``"numpy_ref"`` full-spinor seed path, the spin-projected ``"numpy"``
 tier (project -> half-spinor SU(3) multiply -> reconstruct, cached
-daggered links), and the compiled ``"numba"`` tier when that optional
-extra is installed — asserts every tier agrees with the reference to
-double-precision rounding, and writes the measurements to
-``BENCH_hotpath.json`` at the repository root.  One command:
+daggered links), and the compiled ``"c"`` tier (the same lattice-last
+body with its 8-hop core run from ``kernels/wilson_hop.c``) where the
+host can build it — asserts the NumPy tier agrees with the reference to
+double-precision rounding and the compiled tier with the NumPy tier *bit
+for bit*, and writes the measurements to ``BENCH_hotpath.json`` at the
+repository root.  One command:
 
     PYTHONPATH=src python -m benchmarks.bench_hotpath_regression
 
-Options: ``--dims X Y Z T`` (default 32 32 32 32), ``--reps N`` and
-``--output PATH``.  The committed JSON is the regression reference: the
-projected path must stay at >= 2x the reference at the default
-32^4-class volume.  Numba metrics are honestly ``null`` on hosts where
-the extra is not installed — the gate only reads them where present.
+Options: ``--dims X Y Z T [X Y Z T ...]`` (default 8^4 and 16^4: the
+committed artifact's volumes), ``--reps N`` and ``--output PATH``.  The
+committed JSON is the regression reference: at every volume the projected
+path stays at >= 2x the reference and the compiled tier at >= 2x the
+projected one.  The ``c_*`` metrics are ``null`` on a host that cannot
+build the tier — the gates only read them where present.  The top-level
+metrics are those of the last volume given.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 TIERS = (
     ("reference", "numpy_ref"),
     ("projected", "numpy"),
-    ("numba", "numba"),
+    ("c", "c"),
 )
 
 
@@ -63,14 +67,15 @@ def run(dims: tuple[int, int, int, int], reps: int) -> dict:
         if kernel in usable
     }
     out_ref = ops["reference"]._dslash(x)
+    out_numpy = ops["projected"]._dslash(x)
     scale = np.abs(out_ref).max()
 
-    # Cross-tier agreement, then warm-up (cache/JIT builds) and sustained
-    # same-path timing blocks, alternating the tiers over two rounds so
-    # slow environmental drift (frequency scaling, a background process
-    # on a shared core) averages out.  Per-rep *means* are reported:
-    # allocator churn recurs on every application, so it belongs in the
-    # number.
+    # Cross-tier agreement, then warm-up (caches, the library load) and
+    # sustained same-path timing blocks, alternating the tiers over two
+    # rounds so slow environmental drift (frequency scaling, a background
+    # process on a shared core) averages out.  Per-rep *means* are
+    # reported: allocator churn recurs on every application, so it
+    # belongs in the number.
     errors: dict[str, float | None] = {}
     for tier, op in ops.items():
         err = float(np.abs(op._dslash(x) - out_ref).max() / scale)
@@ -79,6 +84,9 @@ def run(dims: tuple[int, int, int, int], reps: int) -> dict:
             f"{op.kernel} kernel diverged from the reference "
             f"(max rel err {err:.3e})"
         )
+    c_err = None
+    if "c" in ops:
+        c_err = float(np.abs(ops["c"]._dslash(x) - out_numpy).max() / scale)
 
     rounds = 2
     seconds = {tier: 0.0 for tier in ops}
@@ -101,14 +109,17 @@ def run(dims: tuple[int, int, int, int], reps: int) -> dict:
         "projected_seconds": seconds["projected"],
         "speedup": t_ref / seconds["projected"],
         "max_rel_err": errors["projected"],
-        "numba_seconds": seconds.get("numba"),
-        "numba_speedup": (
-            t_ref / seconds["numba"] if "numba" in seconds else None
+        "c_seconds": seconds.get("c"),
+        "c_speedup": t_ref / seconds["c"] if "c" in seconds else None,
+        "c_speedup_vs_numpy": (
+            seconds["projected"] / seconds["c"] if "c" in seconds else None
         ),
-        "numba_max_rel_err": errors.get("numba"),
+        # Against the NumPy tier, not the reference: exactly zero.
+        "c_max_rel_err": c_err,
     }
     result["results"] = [
         {
+            "dims": list(dims),
             "tier": tier,
             "kernel": op.kernel,
             "seconds_per_apply": seconds[tier],
@@ -122,19 +133,20 @@ def run(dims: tuple[int, int, int, int], reps: int) -> dict:
 
 def test_fast_path_faster_and_exact():
     """Collectable smoke version at a small volume: numerically identical
-    and clearly faster (the full regression gate runs at 32^4 via main)."""
+    and clearly faster (the full regression gate runs via main)."""
     result = run((16, 16, 16, 16), reps=2)
     assert result["max_rel_err"] < 1e-13
     assert result["speedup"] > 1.3
-    if result["numba_seconds"] is not None:
-        assert result["numba_max_rel_err"] < 1e-13
+    if result["c_seconds"] is not None:
+        assert result["c_max_rel_err"] == 0.0
+        assert result["c_speedup_vs_numpy"] > 1.3
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--dims", type=int, nargs=4, default=[32, 32, 32, 32],
-        metavar=("X", "Y", "Z", "T"),
+        "--dims", type=int, nargs="+", default=[8] * 4 + [16] * 4,
+        metavar="N", help="X Y Z T of each volume, in turn",
     )
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument(
@@ -144,28 +156,36 @@ def main() -> None:
     args = parser.parse_args()
     if args.reps < 1:
         parser.error("--reps must be >= 1")
+    if len(args.dims) % 4:
+        parser.error("--dims takes four extents per volume")
     if any(n < 2 for n in args.dims):
         parser.error("--dims entries must be >= 2 (even-odd structure)")
+    volumes = [tuple(args.dims[i:i + 4]) for i in range(0, len(args.dims), 4)]
 
-    result = run(tuple(args.dims), args.reps)
+    runs = [run(dims, args.reps) for dims in volumes]
+    for result in runs:
+        if result["c_seconds"] is not None:
+            assert result["c_max_rel_err"] == 0.0, result["dims"]
+    last = runs[-1]
     report = wrap_bench(
         "wilson_dslash_hotpath",
         config={
-            "dims": result["dims"],
-            "sites": result["sites"],
-            "reps": result["reps"],
-            "rounds": result["rounds"],
-            "kernels": result["kernels"],
+            "dims": [result["dims"] for result in runs],
+            "sites": [result["sites"] for result in runs],
+            "reps": last["reps"],
+            "rounds": last["rounds"],
+            "kernels": last["kernels"],
         },
         metrics={
-            key: result[key]
+            key: last[key]
             for key in (
                 "reference_seconds", "projected_seconds",
                 "speedup", "max_rel_err",
-                "numba_seconds", "numba_speedup", "numba_max_rel_err",
+                "c_seconds", "c_speedup", "c_speedup_vs_numpy",
+                "c_max_rel_err",
             )
         },
-        results=result["results"],
+        results=[row for result in runs for row in result["results"]],
     )
     out_path = Path(args.output)
     out_path.write_text(json.dumps(report, indent=2) + "\n")

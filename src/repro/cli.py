@@ -865,13 +865,19 @@ def _cmd_precond(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    """Print the kernel-backend capability matrix (registry-derived)."""
-    from repro.kernels import availability_note, capability_matrix
+    """Print the kernel-backend capability matrix (registry-derived).
+    This is where the compiled tier may build: the matrix asks every
+    backend whether it is available."""
+    from repro.kernels import availability_note, capability_matrix, get_backend
 
-    return _print_capability_matrix(
-        "backend", ("operators", "batched", "split", "dtypes"),
+    _print_capability_matrix(
+        "backend", ("operators", "batched", "split", "packed", "dtypes"),
         capability_matrix(), availability_note(),
     )
+    compiled = get_backend("c")
+    if compiled.available:
+        print(f"  c: {compiled.library_path} (multiply probe passed)")
+    return 0
 
 
 def _cmd_info(args) -> int:

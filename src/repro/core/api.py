@@ -123,9 +123,10 @@ class SolveRequest:
         lands in the solve report.
     kernel:
         Dslash kernel backend: ``"auto"`` (highest-priority available
-        tier — NumPy unless the compiled tier is installed), or a
-        concrete registered name (``"numpy"``, ``"numpy_ref"`` for
-        Wilson, ``"numba"`` where installed).  Resolved through
+        tier — the compiled ``"c"`` tier for Wilson where the host can
+        build it, NumPy otherwise and for staggered), or a concrete
+        registered name (``"c"``, ``"numpy"``, ``"numpy_ref"``; the
+        first and last serve Wilson only).  Resolved through
         :func:`repro.kernels.resolve_kernel`; requesting an unavailable
         tier fails validation with the available choices listed.
     schedule:
@@ -326,6 +327,13 @@ def validate_request(request: SolveRequest) -> None:
     if request.even_odd and request.operator != "wilson_clover":
         raise _invalid(
             "even_odd", "is only meaningful for operator='wilson_clover'"
+        )
+    if request.even_odd and request.method == "gcr-dd":
+        raise _invalid(
+            "even_odd",
+            "is not applied by method='gcr-dd' (it selects the red-black "
+            "BiCGstab solve); for GCR-DD on the Schur system build "
+            "GCRDDSolver over EvenOddPreconditionedWilson yourself",
         )
     if request.tol is not None and request.tol <= 0:
         raise _invalid("tol", f"must be > 0, got {request.tol!r}")

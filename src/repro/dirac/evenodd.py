@@ -58,9 +58,9 @@ class EvenOddPreconditionedWilson(LatticeOperator):
 
     Every dslash here delegates to ``wilson._dslash``, so the Schur
     complement inherits the underlying operator's kernel backend — the
-    spin-projected ``"numpy"`` tier and its cached daggered links by
-    default, the ``"numpy_ref"`` bit-reference (or compiled ``"numba"``
-    tier) when built from the matching ``kernel=`` value.
+    spin-projected stencil and its cached daggered links (``"numpy"``, or
+    its compiled twin ``"c"``) by default, the ``"numpy_ref"``
+    bit-reference when built from that ``kernel=`` value.
     """
 
     nspin = 4

@@ -12,8 +12,8 @@ gamma5-Hermitian (``M^+ = g5 M g5``), which supplies the dagger.
 Dslash execution is delegated to a pluggable kernel backend
 (:mod:`repro.kernels`), selected by the ``kernel=`` parameter:
 
-* ``"numpy"`` — the **spin-projected fast path** (the default ``"auto"``
-  resolution when no compiled tier is installed): each ``P^{+-}_mu = 1
+* ``"numpy"`` — the **spin-projected fast path** (the ``"auto"``
+  resolution wherever the compiled tier cannot be built): each ``P^{+-}_mu = 1
   +- gamma_mu`` is rank 2, so the hop is computed as project -> SU(3)
   multiply on a *half-spinor* (2 spin components) -> reconstruct,
   exactly the structure QUDA's kernels exploit (Sec. 4;
@@ -28,18 +28,22 @@ Dslash execution is delegated to a pluggable kernel backend
 * ``"numpy_ref"`` — the seed's full 4-spin formulation, kept verbatim as
   the numerical baseline the equivalence tests and the hot-path
   regression benchmark compare against.
-* ``"numba"`` — opt-in compiled site loops, when numba is installed.
+* ``"c"`` — the ``"numpy"`` path with its lattice-last stencil core (and
+  the packed tail below) run from ``kernels/wilson_hop.c``, compiled on
+  first use: the same per-site IEEE sequence, so equal bit for bit, and
+  what ``"auto"`` resolves to when the host can build it.
 
-All tiers agree to rounding (they evaluate the same exact contraction
-in a different association order).
+``"numpy"`` and ``"c"`` agree bit for bit; ``"numpy_ref"`` agrees with
+them to rounding (the same exact contraction in a different association
+order).
 
 A *stored* operator (``op.stored(precision)``, or a block restriction
-given the block ``precision``) on the ``"numpy"`` tier carries its links
+given the block ``precision``) on those two tiers carries its links
 and its clover term — as the two packed 6x6 chiral blocks — lattice-last in
 the storage dtype, and applies M in one lattice-last body with the
 rounding to the format inside (:meth:`WilsonCloverOperator._apply_sites`):
 the paper's block solves "exclusively in half precision" (Sec. 5, 8.1).
-The other tiers keep the generic form, rounding around ``_apply``.
+``"numpy_ref"`` keeps the generic form, rounding around ``_apply``.
 """
 
 from __future__ import annotations
@@ -176,9 +180,9 @@ class WilsonCloverOperator(LatticeOperator):
     def _packs(self, storage) -> bool:
         """Whether ``storage`` is carried packed — storage-dtype links and
         chiral clover blocks under one lattice-last body — which is what
-        the ``"numpy"`` tier does with any storage; the other tiers keep
-        their arrays and round around ``_apply``."""
-        return storage is not None and self.kernel == "numpy"
+        the tiers that run the lattice-last body do with any storage; the
+        others keep their arrays and round around ``_apply``."""
+        return storage is not None and self._backend.capabilities.packed
 
     @property
     def _packed(self) -> bool:
@@ -201,8 +205,8 @@ class WilsonCloverOperator(LatticeOperator):
 
     def _aos_links(self) -> np.ndarray:
         """Links in ``GaugeField.data`` order ``(mu, [L,] T, Z, Y, X, a,
-        b)``, for the kernel tiers that consume them site by site; a lane
-        stack serves a view of its lattice-last cache."""
+        b)``, for the reference tier, which consumes them site by site; a
+        lane stack serves a view of its lattice-last cache."""
         if self.gauge is not None:
             return self.gauge.data
         return np.moveaxis(self._links_soa[0], (1, 2), (-1, -2))
@@ -261,8 +265,15 @@ class WilsonCloverOperator(LatticeOperator):
         The +-1 / +-i projector phases are taken in the field's dtype: the
         products are exact either way, and a complex64 field is spared
         NumPy's buffered complex128 cast loop on 16 passes per apply.
+
+        A tier with a compiled core for these arrays runs that instead:
+        same bits, so what follows is its reference and its fallback.
         """
-        u, udag = self._soa_links()
+        links = self._soa_links()
+        acc = self._backend.wilson_hop_sites(links, xs, batched, self.boundary)
+        if acc is not None:
+            return acc
+        u, udag = links
         # A batch axis sits between color and lattice; links broadcast over it.
         bx = (slice(None), slice(None), None) if batched else ()
         over_sites = (Ellipsis,) + (None,) * (xs.ndim - 2)
@@ -317,10 +328,13 @@ class WilsonCloverOperator(LatticeOperator):
         with timed("wilson_dslash", kind="dslash"):
             out = self._hop_sites(xs, batched)
         with timed("wilson_site_diagonal", kind="clover"):
-            out *= -0.5
-            out += self.diagonal_coefficient * xs
-            if self._chiral is not None:
-                apply_chiral_sites(self._chiral, xs, out, batched)
+            if not self._backend.wilson_site_tail(
+                out, xs, self.diagonal_coefficient, self._chiral
+            ):
+                out *= -0.5
+                out += self.diagonal_coefficient * xs
+                if self._chiral is not None:
+                    apply_chiral_sites(self._chiral, xs, out, batched)
         if rounding is not None:
             with timed("wilson_rounding", kind="convert"):
                 out = rounding.convert(out, leading=True)
@@ -382,8 +396,7 @@ class WilsonCloverOperator(LatticeOperator):
     # ------------------------------------------------------------------
     def with_boundary(self, boundary: BoundarySpec) -> "WilsonCloverOperator":
         # Links, clover and state are boundary-independent: shared.  Set
-        # up afresh, not copied: what a kernel tier has attached to this
-        # instance (the numba tier's boundary-phase tables) stays here.
+        # up afresh, not copied: ``stored()`` memoises on the instance.
         out = object.__new__(type(self))
         out._setup(
             self.gauge, self.geometry, self.mass, self.csw, boundary,
@@ -397,8 +410,8 @@ class WilsonCloverOperator(LatticeOperator):
     ):
         """An operator with this one's parameters living on ``links_soa``
         ``(2, mu, b, a, [L,] T, Z, Y, X)`` and, for the clover term, the
-        dense field ``([L,] T, Z, Y, X, 12, 12)`` or — for a stored
-        operator of the NumPy tier — its chiral blocks ``(2, 6, 6, [L,]
+        dense field ``([L,] T, Z, Y, X, 12, 12)`` or — for a packed
+        stored operator — its chiral blocks ``(2, 6, 6, [L,]
         T, Z, Y, X)``.  Without a ``state`` to share, what it derives in
         turn is its own."""
         out = object.__new__(type(self))
@@ -414,7 +427,7 @@ class WilsonCloverOperator(LatticeOperator):
         return self._chiral if self._packed else chiral_blocks(self.clover)
 
     def _in_storage(self, precision):
-        """The packed form on the NumPy tier (links and chiral blocks cast
+        """The packed form on a packing tier (links and chiral blocks cast
         to the storage dtype), the generic one elsewhere.  The casts are
         rounded, so the packed operator gets a state of its own: a cast
         of a cast never lands among the configuration's."""

@@ -4,8 +4,10 @@ Importing this package registers the built-in tiers:
 
 * ``"numpy"`` — the vectorized bit-reference (always available),
 * ``"numpy_ref"`` — the seed's full-spinor Wilson formulation,
-* ``"numba"`` — opt-in compiled site loops; registers as unavailable
-  (and ``"auto"`` falls back to NumPy) when numba is not installed.
+* ``"c"`` — the Wilson stencil core compiled from ``wilson_hop.c`` with
+  the host's C compiler on first use, bit-identical to ``"numpy"``;
+  registers as unavailable with the reason (and ``"auto"`` is NumPy)
+  where it cannot be built or its multiply probe fails.
 
 ``SolveRequest(kernel=...)``, the operators' ``kernel=`` parameter, and
 the CLI ``--kernel`` flag all resolve through :func:`resolve_kernel`.
@@ -17,7 +19,7 @@ from repro.kernels.base import (
     KernelUnavailableError,
     OPERATOR_FAMILIES,
 )
-from repro.kernels.numba_backend import NumbaBackend
+from repro.kernels.c_backend import CBackend
 from repro.kernels.numpy_backend import NumpyBackend, NumpyReferenceBackend
 from repro.kernels.registry import (
     AUTO,
@@ -33,14 +35,14 @@ from repro.kernels.registry import (
 
 register_backend(NumpyBackend())
 register_backend(NumpyReferenceBackend())
-register_backend(NumbaBackend())
+register_backend(CBackend())
 
 __all__ = [
     "AUTO",
+    "CBackend",
     "KernelBackend",
     "KernelCapabilities",
     "KernelUnavailableError",
-    "NumbaBackend",
     "NumpyBackend",
     "NumpyReferenceBackend",
     "OPERATOR_FAMILIES",

@@ -11,9 +11,9 @@ leading multi-RHS batch axis, whether it is valid under the
 interior/exterior split schedule, which complex dtypes it accepts).
 
 Backends register with :mod:`repro.kernels.registry`; operators resolve
-a name (``"auto"``, ``"numpy"``, ``"numba"``, ...) to a backend once at
-construction and route every ``_dslash`` through it.  A backend whose
-runtime dependency is missing still registers — with ``available`` False
+a name (``"auto"``, ``"c"``, ``"numpy"``, ...) to a backend once at
+construction and route every ``_dslash`` through it.  A backend that
+cannot run on this host still registers — with ``available`` False
 and a human-readable ``unavailable_reason`` — so the capability matrix
 (``python -m repro kernels``) and validation errors can say *why* a tier
 cannot be selected instead of pretending it does not exist.
@@ -61,12 +61,18 @@ class KernelCapabilities:
         ghost-only applications sum to the fused result).
     dtypes:
         Complex dtype names the kernels accept (e.g. ``"complex128"``).
+    packed:
+        A stored Wilson-clover operator of this tier carries its links and
+        chiral clover blocks in the storage dtype and applies M in one
+        lattice-last body (the tier runs that body); the others keep
+        their arrays and round around ``_apply``.
     """
 
     operators: tuple[str, ...]
     batched: bool = True
     split: bool = True
     dtypes: tuple[str, ...] = ("complex128", "complex64")
+    packed: bool = False
 
     def supports_dtype(self, dtype) -> bool:
         return np.dtype(dtype).name in self.dtypes
@@ -115,6 +121,22 @@ class KernelBackend:
         raise NotImplementedError(
             f"backend {self.name!r} does not implement the staggered family"
         )
+
+    # ------------------------------------------------------------------
+    # the Wilson family's lattice-last body: a tier with a core of its own
+    # for the arrays at hand runs it; ``None`` / ``False`` hands them back
+    # to the NumPy body, which any such core must equal bit for bit
+    # ------------------------------------------------------------------
+    def wilson_hop_sites(self, links, xs, batched: bool, boundary):
+        """The 8-hop core of ``WilsonCloverOperator._hop_sites`` on the
+        lattice-last field ``xs`` and link cache ``links``, or ``None``."""
+        return None
+
+    def wilson_site_tail(self, out, xs, diagonal: float, chiral) -> bool:
+        """``out = -1/2 out + diagonal xs + A xs`` in place (the tail of
+        ``_apply_sites``; ``chiral`` the packed clover blocks or ``None``),
+        or ``False`` with ``out`` untouched."""
+        return False
 
     # ------------------------------------------------------------------
     def supports(self, operator: str | None = None) -> bool:

@@ -1,0 +1,391 @@
+"""The compiled tier: the Wilson stencil core in C, loaded with ctypes.
+
+``wilson_hop.c`` (beside this module) holds the lattice-last 8-hop core of
+``WilsonCloverOperator._hop_sites`` and the packed site-diagonal tail of
+``_apply_sites`` for complex128 and complex64, written to reproduce the
+NumPy body's per-site IEEE operation sequence: the results are equal bit
+for bit, so the NumPy body stays both the reference and the fallback for
+whatever the C entries do not take (non-contiguous arrays, a field whose
+dtype is not the links').  The tier serves the Wilson family only.
+
+The library is built on first use with the host's ``cc`` into the user
+cache directory and loaded from there ever after:
+
+* **where** — ``$XDG_CACHE_HOME`` (default ``~/.cache``) ``/repro``, mode
+  0700; when that cannot be had, ``repro-<uid>`` under the system temp
+  directory; otherwise the tier is unavailable.  A directory that is not
+  this user's alone is refused.
+* **key** — sha256 of the source, the flags, the compiler's identity
+  (resolved path, size, mtime: what changes when the compiler does,
+  without starting a process per process) and the CPU's feature flags
+  (``-march=native`` code is host code; home directories are shared).
+* **publish** — each builder compiles to a unique temporary name and
+  ``os.replace``\\ s it in, so racing processes never load half a file.
+* **probe** — NumPy's complex multiply is the *fused* form ``re = fma(ar,
+  br, -(ai*bi)), im = fma(ar, bi, ai*br)`` on this project's hosts, and
+  the C spells exactly that with ``fma()`` under ``-ffp-contract=off``.
+  At load a fixed vector goes through ``np.multiply`` and through the
+  library's multiply in both dtypes; any differing bit — a NumPy that
+  does not fuse, a miscompile — makes the tier unavailable.
+
+Unavailable, for any reason, means ``kernel="auto"`` is the NumPy tier and
+an explicit ``kernel="c"`` is refused with the reason.  ``available``
+builds; :meth:`CBackend.availability_hint` (the ``--help`` epilog) never
+does.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import threading
+from pathlib import Path
+
+import numpy as np
+
+from repro.kernels.base import KernelBackend, KernelCapabilities
+from repro.linalg.gamma import projector_tables
+
+SOURCE = Path(__file__).with_name("wilson_hop.c")
+#: ``-ffp-contract=off`` alone would *lose* bit-identity: NumPy fuses.  The
+#: source calls ``fma()`` where NumPy does and nothing else may fuse.
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+_BOUNDARY_CODES = {"periodic": 0, "antiperiodic": 1, "zero": 2}
+_SUFFIX = {"complex128": "c128", "complex64": "c64"}
+
+
+class _Unavailable(Exception):
+    """Why the library cannot be had on this host."""
+
+
+def cache_directories():
+    """Where the library may live, in order of preference.  (Lazily, and
+    ``_which`` below instead of ``shutil.which``: ``tempfile`` and
+    ``shutil`` are half a megabyte of every process that loads the
+    library, for a fallback and a PATH walk.)"""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    yield Path(base) / "repro"
+    import tempfile
+
+    yield Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"
+
+
+def _which(command: str) -> str | None:
+    """The executable ``command`` names: a path, or a name on ``PATH``."""
+    if os.path.dirname(command):
+        candidates = [command]
+    else:
+        path = os.environ.get("PATH", os.defpath)
+        candidates = [os.path.join(d, command) for d in path.split(os.pathsep) if d]
+    return next(
+        (c for c in candidates if os.path.isfile(c) and os.access(c, os.X_OK)),
+        None,
+    )
+
+
+def _private_directory(path: Path, create: bool) -> bool:
+    """Whether ``path`` is a directory of this user's that nobody else can
+    write to, made first (mode 0700) if ``create``."""
+    try:
+        if create:
+            path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        status = path.stat()
+    except OSError:
+        return False
+    return (
+        status.st_uid == os.getuid()
+        and not status.st_mode & 0o022
+        and os.access(path, os.W_OK | os.X_OK)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _boundary_codes(conditions: tuple) -> np.ndarray:
+    """The C side's code per direction (built once per boundary spec: this
+    sits on the path of every stencil call)."""
+    return np.array([_BOUNDARY_CODES[c] for c in conditions], np.int32)
+
+
+def _cpu_features() -> str:
+    try:
+        with open("/proc/cpuinfo") as lines:
+            for line in lines:
+                if line.startswith(("flags", "Features")):
+                    return line
+    except OSError:
+        pass
+    import platform
+
+    return platform.machine() + platform.processor()
+
+
+def _probe_vectors(dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed operands whose products round differently fused and unfused
+    (about half of them do); odd length, to cover NumPy's loop tail."""
+    k = np.arange(1, 258, dtype=np.float64)
+    a = np.sin(0.7 * k) * k + 1j * np.cos(1.3 * k) / k
+    b = np.cos(2.1 * k) / 3.0 + 1j * np.sin(0.3 * k) * 7.0
+    return a.astype(dtype), b.astype(dtype)
+
+
+class _Library:
+    """The loaded shared object: typed entry points per complex dtype."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        lib = ctypes.CDLL(str(path))
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        self.multiply, self.hop, self.tail = {}, {}, {}
+        for name, suffix in _SUFFIX.items():
+            f = getattr(lib, f"repro_multiply_{suffix}")
+            f.argtypes, f.restype = (i64, ptr, ptr, ptr), None
+            self.multiply[name] = f
+            f = getattr(lib, f"repro_wilson_hop_{suffix}")
+            f.argtypes = (ptr,) * 5 + (i64,) * 6 + (ptr,)
+            f.restype = ctypes.c_int
+            self.hop[name] = f
+            f = getattr(lib, f"repro_wilson_tail_{suffix}")
+            f.argtypes = (ptr, ptr, ptr, ctypes.c_double, i64, i64)
+            f.restype = None
+            self.tail[name] = f
+
+    def probe(self) -> None:
+        """Raise unless the library multiplies as ``np.multiply`` does."""
+        for name in _SUFFIX:
+            a, b = _probe_vectors(name)
+            got = np.empty_like(a)
+            self.multiply[name](
+                a.size, a.ctypes.data, b.ctypes.data, got.ctypes.data
+            )
+            if got.tobytes() != np.multiply(a, b).tobytes():
+                raise _Unavailable(
+                    f"multiply probe failed for {name}: this NumPy's complex "
+                    "multiply and the library's fused form differ, so the "
+                    "compiled stencil would not be bit-identical"
+                )
+
+
+class CBackend(KernelBackend):
+    """``wilson_hop.c`` behind the Wilson family's lattice-last body.
+
+    ``compiler`` and ``source`` are for tests (a compiler that does not
+    exist, a source that multiplies differently), not settings.
+    """
+
+    name = "c"
+    priority = 10
+    capabilities = KernelCapabilities(operators=("wilson",), packed=True)
+
+    def __init__(self, compiler: str = "cc", source: Path = SOURCE):
+        self._compiler = compiler
+        self._source = Path(source)
+        self._lock = threading.Lock()
+        self._library: _Library | None = None
+        self._reason: str | None = None
+        self._tables: dict = {}
+
+    def __reduce__(self):
+        # An operator sent to a rank process carries its backend: the
+        # other side loads the cached library for itself.
+        return type(self), (self._compiler, self._source)
+
+    # ------------------------------------------------------------------
+    # locating, building, loading
+    # ------------------------------------------------------------------
+    def _resolve(self, build: bool) -> _Library | None:
+        """The library, loaded once per process; ``None`` with
+        ``_reason`` set when it cannot be had, ``None`` without one when
+        it would have to be built first and ``build`` is off."""
+        with self._lock:
+            if self._library is None and self._reason is None:
+                try:
+                    self._library = self._open(build)
+                except _Unavailable as exc:
+                    self._reason = str(exc)
+            return self._library
+
+    def _open(self, build: bool) -> _Library | None:
+        compiler = _which(self._compiler)
+        if compiler is None:
+            raise _Unavailable(
+                f"no C compiler: {self._compiler!r} is not on PATH"
+            )
+        try:
+            source = self._source.read_bytes()
+            binary = os.stat(os.path.realpath(compiler))
+        except OSError as exc:
+            raise _Unavailable(f"cannot read {exc.filename}: {exc.strerror}")
+        identity = (
+            f"{os.path.realpath(compiler)} {binary.st_size} {binary.st_mtime_ns}"
+        )
+        key = hashlib.sha256(
+            b"\0".join(
+                [source, " ".join(FLAGS).encode(), identity.encode(),
+                 _cpu_features().encode()]
+            )
+        ).hexdigest()[:20]
+        directory = next(
+            (d for d in cache_directories()
+             if _private_directory(d, create=build)),
+            None,
+        )
+        if directory is None:
+            if not build:  # nothing cached; the build finds out the rest
+                return None
+            raise _Unavailable(
+                "no private writable cache directory (tried "
+                + ", ".join(map(str, cache_directories())) + ")"
+            )
+        path = directory / f"wilson_hop-{key}.so"
+        if not path.is_file():
+            if not build:
+                return None
+            self._build(compiler, path)
+        try:
+            library = _Library(path)
+        except (OSError, AttributeError) as exc:
+            raise _Unavailable(f"cannot load {path}: {exc}")
+        library.probe()
+        return library
+
+    def _build(self, compiler: str, path: Path) -> None:
+        """Compile to a unique name beside ``path``, then rename: a racing
+        process builds its own copy and neither loads a partial file."""
+        import subprocess
+        import tempfile
+
+        handle, scratch = tempfile.mkstemp(
+            dir=path.parent, prefix=path.stem, suffix=".tmp"
+        )
+        os.close(handle)
+        try:
+            done = subprocess.run(
+                [compiler, *FLAGS, "-o", scratch, str(self._source), "-lm"],
+                capture_output=True, text=True, timeout=300,
+            )
+            if done.returncode != 0:
+                raise _Unavailable(
+                    f"{compiler} failed: "
+                    + " | ".join(done.stderr.strip().splitlines()[:3])
+                )
+            os.replace(scratch, path)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise _Unavailable(f"building {path.name} failed: {exc}")
+        finally:
+            if os.path.exists(scratch):
+                os.unlink(scratch)
+
+    @property
+    def available(self) -> bool:
+        return self._resolve(build=True) is not None
+
+    @property
+    def unavailable_reason(self) -> str | None:
+        self._resolve(build=True)
+        return self._reason
+
+    @property
+    def library_path(self) -> Path | None:
+        """The loaded library's file (``None`` until it is loaded)."""
+        return self._library.path if self._library else None
+
+    def availability_hint(self) -> str:
+        """This tier's words in the one-line availability note, answered
+        without compiling: from the cached library when there is one,
+        else from whether a compiler and a cache directory are there."""
+        if self._resolve(build=False) is not None:
+            return self.name
+        if self._reason is not None:
+            return f"{self.name} (unavailable: {self._reason})"
+        return f"{self.name} (builds on first use)"
+
+    # ------------------------------------------------------------------
+    # the kernels
+    # ------------------------------------------------------------------
+    def _projection(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Per hop (mu forward, mu backward, ...): the spin rows the
+        projection and the reconstruction read, and their +-1 / +-i
+        phases, from the same tables the NumPy body uses."""
+        if dtype.name not in self._tables:
+            spins = np.empty((8, 4), np.int32)
+            phases = np.empty((8, 4), dtype)
+            for hop in range(8):
+                tab = projector_tables(hop // 2, +1 if hop % 2 else -1, dtype)
+                spins[hop] = list(range(4))[tab.lower] + list(range(2))[tab.source]
+                phases[hop, :2] = tab.project_coeff[:, 0]
+                phases[hop, 2:] = tab.recon_coeff[:, 0]
+            self._tables[dtype.name] = spins, phases
+        return self._tables[dtype.name]
+
+    def wilson_dslash(self, op, x: np.ndarray) -> np.ndarray:
+        return op._dslash_projected(x)
+
+    def wilson_hop_sites(self, links, xs, batched, boundary):
+        library = self._library or self._resolve(build=True)
+        lattice = xs.shape[-4:]
+        if (
+            library is None
+            or xs.dtype != links.dtype
+            or xs.dtype.name not in _SUFFIX
+            or not (xs.flags.c_contiguous and links.flags.c_contiguous)
+            or links.shape[:4] != (2, 4, 3, 3)
+            or xs.shape[:2] != (4, 3)
+            or xs.shape[2 + batched:] != links.shape[4:]
+        ):
+            return None
+        # An antiperiodic hop across an extent of 1 is the NumPy body's
+        # error to raise.
+        if any(condition == "antiperiodic" and lattice[3 - mu] == 1
+               for mu, condition in enumerate(boundary.conditions)):
+            return None
+        codes = _boundary_codes(boundary.conditions)
+        spins, phases = self._projection(xs.dtype)
+        out = np.empty_like(xs)
+        failed = library.hop[xs.dtype.name](
+            xs.ctypes.data, links.ctypes.data, out.ctypes.data,
+            spins.ctypes.data, phases.ctypes.data,
+            xs.shape[2] if batched else 1,
+            links.shape[4] if links.ndim == 9 else 1,
+            *lattice, codes.ctypes.data,
+        )
+        return None if failed else out
+
+    def wilson_site_tail(self, out, xs, diagonal, chiral) -> bool:
+        library = self._library or self._resolve(build=True)
+        name = xs.dtype.name
+        if (
+            library is None
+            or name not in _SUFFIX
+            or out.dtype != xs.dtype
+            or out.shape != xs.shape
+            or xs.shape[:2] != (4, 3)
+            or not (out.flags.c_contiguous and xs.flags.c_contiguous)
+        ):
+            return False
+        sites = xs[0, 0].size
+        if chiral is not None:
+            # The blocks broadcast over a batch: (2, 6, 6) + the trailing
+            # [lanes +] lattice axes of the field.
+            inner = chiral.shape[3:]
+            if (
+                chiral.dtype != xs.dtype
+                or not chiral.flags.c_contiguous
+                or chiral.shape[:3] != (2, 6, 6)
+                or xs.shape[xs.ndim - len(inner):] != inner
+                or xs.ndim - len(inner) not in (2, 3)
+            ):
+                return False
+            sites = chiral[0, 0, 0].size
+        library.tail[name](
+            out.ctypes.data, xs.ctypes.data,
+            None if chiral is None else chiral.ctypes.data,
+            diagonal, xs[0, 0].size // sites, sites,
+        )
+        return True
+
+
+__all__ = ["CBackend", "cache_directories"]

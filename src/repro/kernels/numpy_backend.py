@@ -34,6 +34,7 @@ class NumpyBackend(KernelBackend):
         batched=True,
         split=True,
         dtypes=("complex128", "complex64"),
+        packed=True,
     )
 
     def wilson_dslash(self, op, x: np.ndarray) -> np.ndarray:

@@ -140,12 +140,17 @@ class Registry:
         return rows
 
     def availability_note(self) -> str:
-        """One line summarizing availability (``--help`` epilog)."""
-        return f"{self.title}s: " + ", ".join(
-            e.name if e.available
-            else f"{e.name} (unavailable: {e.unavailable_reason})"
-            for e in self._ordered()
-        )
+        """One line summarizing availability (``--help`` epilog, so
+        formatted on every CLI start: an entry whose ``available`` is
+        expensive answers through ``availability_hint()`` instead)."""
+        def words(e) -> str:
+            if hasattr(e, "availability_hint"):
+                return e.availability_hint()
+            if e.available:
+                return e.name
+            return f"{e.name} (unavailable: {e.unavailable_reason})"
+
+        return f"{self.title}s: " + ", ".join(map(words, self._ordered()))
 
 
 __all__ = ["AUTO", "Registry"]

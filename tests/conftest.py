@@ -33,6 +33,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture()
+def missing_compiler():
+    """The host without a C compiler: the registered ``"c"`` tier is one
+    built around a compiler path that does not exist, so it is unavailable
+    with the reason and ``"auto"`` is NumPy (the degrade path of a host
+    that cannot build the library)."""
+    from repro.kernels import CBackend
+    from repro.kernels.registry import KERNELS
+
+    saved = KERNELS.entries["c"]
+    broken = KERNELS.register(CBackend(compiler="/nonexistent/bin/cc"))
+    yield broken
+    KERNELS.entries["c"] = saved
+
+
 @pytest.fixture(scope="session")
 def geom44() -> Geometry:
     """The smallest asqtad-capable lattice: 4^4."""

@@ -68,16 +68,16 @@ class TestFieldNamedErrors:
         assert msg.startswith("SolveRequest.kernel:")
         assert "valid choices" in msg and "auto" in msg and "numpy" in msg
 
-    def test_unavailable_kernel_reports_reason_and_choices(self, base):
-        from repro.kernels import get_backend
-
-        if get_backend("numba").available:
-            pytest.skip("numba installed: the tier is selectable here")
+    def test_unavailable_kernel_reports_reason_and_choices(
+        self, base, missing_compiler
+    ):
         with pytest.raises(ValueError, match="not available") as exc:
-            validate_request(request(base, kernel="numba"))
+            validate_request(request(base, kernel="c"))
         msg = str(exc.value)
         assert msg.startswith("SolveRequest.kernel:")
-        assert "valid choices" in msg and "numpy" in msg
+        assert "no C compiler" in msg
+        assert msg.endswith("valid choices: auto, numpy, numpy_ref")
+        validate_request(request(base, kernel="auto"))
 
     def test_wilson_only_kernel_rejected_for_staggered(self, base):
         gauge, _ = base
@@ -133,6 +133,21 @@ class TestFieldNamedErrors:
                         even_odd=True)
             )
         assert str(exc.value).startswith("SolveRequest.even_odd:")
+
+    @pytest.mark.parametrize("backend", [None, "sequential"])
+    def test_even_odd_is_not_silently_dropped_by_gcr_dd(self, base, backend):
+        """Both gcr-dd routes returned before ``even_odd`` was read."""
+        from repro.comm.grid import ProcessGrid
+        from repro.core.api import solve
+
+        bad = request(base, method="gcr-dd", grid=ProcessGrid((1, 1, 1, 2)),
+                      backend=backend, even_odd=True)
+        for check in (validate_request, solve):
+            with pytest.raises(ValueError, match="gcr-dd") as exc:
+                check(bad)
+            assert str(exc.value).startswith("SolveRequest.even_odd:")
+            assert "EvenOddPreconditionedWilson" in str(exc.value)
+        validate_request(request(base, method="bicgstab", even_odd=True))
 
 
 class TestSolveIntegration:

@@ -29,6 +29,7 @@ from repro.dirac import (
     WilsonCloverOperator,
 )
 from repro.dirac.evenodd import parity_project
+from repro.kernels import get_backend
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.multigpu import BlockPartition
 from repro.precision import HALF, SINGLE
@@ -468,6 +469,33 @@ def test_stored_block_survives_the_trip_to_a_rank_process(system):
     )
     for rank, outcome in enumerate(outcomes):
         assert np.array_equal(outcome.value, expected[rank])
+
+
+@pytest.mark.skipif(not get_backend("c").available, reason="no compiled tier")
+@pytest.mark.parametrize("precision", sorted(PRECISIONS))
+@pytest.mark.parametrize("name", ["schwarz", "ras", "twolevel"])
+def test_compiled_lanes_match_the_numpy_block_loop(name, precision):
+    """The loop oracle once more across tiers: the lane stack with
+    ``kernel="c"`` named against the per-block loop on ``"numpy"`` — bits
+    and ledger (working precision: the compiled hop core; half / single:
+    the packed body, core and tail)."""
+    gauge = GaugeField.weak(GEOM, epsilon=0.3, rng=77)
+    compiled, numpy_tier = (
+        WilsonCloverOperator(
+            gauge, mass=0.1, csw=1.0, boundary=PHYSICAL, kernel=kernel
+        )
+        for kernel in ("c", "numpy")
+    )
+    part = BlockPartition(GEOM, GRID)
+    build, loop = FAMILY[name]
+    for batch in (0, 2) if resolve_precond(name).capabilities.batched else (0,):
+        r = residual(compiled, batch)
+        with tally() as t_lanes:
+            z = build(compiled, part, PRECISIONS[precision])(r)
+        with tally() as t_loop:
+            expected = loop(numpy_tier, part, r, PRECISIONS[precision])
+        assert np.array_equal(z, expected)
+        assert_same_ledger(t_lanes, t_loop)
 
 
 def test_kernel_tier_is_inherited_by_the_stack():

@@ -149,23 +149,24 @@ BOUNDARIES = {
 
 
 @lru_cache(maxsize=None)
-def _periodic_operator(kind: str, dims: tuple):
+def _periodic_operator(kind: str, dims: tuple, kernel: str = "numpy"):
     gauge = GaugeField.weak(Geometry(dims), epsilon=0.3, rng=11)
     if kind in ("wilson", "wilson_clover"):
         csw = 1.1 if kind == "wilson_clover" else 0.0
-        return WilsonCloverOperator(gauge, 0.1, csw, kernel="numpy")
+        return WilsonCloverOperator(gauge, 0.1, csw, kernel=kernel)
     if kind == "staggered":
-        return NaiveStaggeredOperator(gauge, 0.1, kernel="numpy")
-    return AsqtadOperator.from_gauge(gauge, 0.1, kernel="numpy")
+        return NaiveStaggeredOperator(gauge, 0.1, kernel=kernel)
+    return AsqtadOperator.from_gauge(gauge, 0.1, kernel=kernel)
 
 
 def assert_bit_identical(
-    kind: str, dims, conditions, dtype, seed: int = 5, batch: int = 0
+    kind: str, dims, conditions, dtype, seed: int = 5, batch: int = 0,
+    kernel: str = "numpy",
 ) -> None:
     """``np.array_equal`` (values *and* dtype) between the in-tree
-    ``kernel="numpy"`` hopping term and the lattice-first oracle on one
-    random field (``batch`` > 0 adds a leading multi-RHS axis)."""
-    op = _periodic_operator(kind, tuple(dims)).with_boundary(
+    hopping term of the ``kernel`` tier and the lattice-first oracle on
+    one random field (``batch`` > 0 adds a leading multi-RHS axis)."""
+    op = _periodic_operator(kind, tuple(dims), kernel).with_boundary(
         BoundarySpec(tuple(conditions))
     )
     rng = np.random.default_rng(seed)

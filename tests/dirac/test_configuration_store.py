@@ -230,20 +230,16 @@ def test_a_rounded_operator_derives_privately():
 
 
 def test_with_boundary_carries_nothing_attached_to_the_instance():
-    """What a kernel tier or ``stored`` attaches lazily to an operator
-    instance was built for that operator's boundary (the numba tier's
-    phase tables): a ``with_boundary`` copy shares links, clover and
-    state, and none of that."""
-    from repro.kernels.numba_backend import _CACHE_ATTR
-
+    """What ``stored`` attaches lazily to an operator instance was built
+    for that operator's boundary: a ``with_boundary`` copy shares links,
+    clover and state, and none of that."""
     gauge = weak_gauge()
     for kernel in ("numpy", "numpy_ref"):
         op = wilson_clover(gauge, kernel=kernel)
         op.stored(HALF)
-        setattr(op, _CACHE_ATTR, {"complex128": "tables for op.boundary"})
         for source in (op, op.stored(HALF)):
             cut = source.with_boundary(op.boundary.with_dirichlet((2, 3)))
-            assert not hasattr(cut, _CACHE_ATTR) and "_stored" not in vars(cut)
+            assert "_stored" not in vars(cut)
             assert cut.storage == source.storage and cut.kernel == kernel
             assert cut._soa_links() is source._soa_links()
             assert cut.stored(HALF).boundary == cut.boundary != op.boundary

@@ -20,6 +20,7 @@ from _aos_oracle import (
 )
 
 from repro.dirac.base import shift_sites
+from repro.kernels import get_backend
 from repro.lattice import Geometry
 
 _DTYPE_IDS = [np.dtype(d).name for d in DTYPES]
@@ -38,6 +39,22 @@ def test_hopping_term_matches_lattice_first_oracle(kind, boundary, dtype):
 @pytest.mark.parametrize("kind", OPERATORS)
 def test_asymmetric_and_padded_shapes(kind, dims, boundary, dtype):
     assert_bit_identical(kind, dims, BOUNDARIES[boundary], dtype)
+
+
+@pytest.mark.skipif(not get_backend("c").available, reason="no compiled tier")
+@pytest.mark.parametrize("dtype", DTYPES, ids=_DTYPE_IDS)
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dims", DIMS, ids=["4^4", "asymmetric", "ghost-padded"])
+def test_compiled_tier_matches_lattice_first_oracle(dims, boundary, dtype):
+    """The oracle once more with ``kernel="c"`` named: the compiled hop
+    core against the lattice-first formulation directly, not through the
+    NumPy body it stands in for (single and batched; a complex64 field on
+    these complex128 links is the core's fall-through case)."""
+    for batch in (0, 3):
+        assert_bit_identical(
+            "wilson_clover", dims, BOUNDARIES[boundary], dtype, batch=batch,
+            kernel="c",
+        )
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=_DTYPE_IDS)

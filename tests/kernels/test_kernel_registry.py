@@ -44,13 +44,13 @@ class TestRegistryContents:
     def test_builtin_backends_registered(self):
         names = backend_names()
         assert "numpy" in names and "numpy_ref" in names
-        assert "numba" in names  # registered even when uninstallable
+        assert "c" in names  # registered even where it cannot be built
 
     def test_names_in_resolution_order(self):
         names = backend_names()
         prios = [get_backend(n).priority for n in names]
         assert prios == sorted(prios, reverse=True)
-        assert names.index("numba") < names.index("numpy")
+        assert names.index("c") < names.index("numpy")
         assert names.index("numpy") < names.index("numpy_ref")
 
     def test_kernel_choices_lead_with_auto(self):
@@ -73,10 +73,19 @@ class TestRegistryContents:
         assert np_row["batched"] and np_row["split"]
         ref_row = rows["numpy_ref"]
         assert ref_row["operators"] == ["wilson"]
-        numba_row = rows["numba"]
-        assert numba_row["available"] == get_backend("numba").available
-        if not numba_row["available"]:
-            assert "numba" in numba_row["unavailable_reason"]
+        c_row = rows["c"]
+        assert c_row["operators"] == ["wilson"] and c_row["packed"]
+        assert c_row["available"] == get_backend("c").available
+        assert (c_row["unavailable_reason"] is None) == c_row["available"]
+
+    def test_capability_matrix_names_the_missing_compiler(
+        self, missing_compiler
+    ):
+        (c_row,) = (r for r in capability_matrix() if r["name"] == "c")
+        assert c_row["available"] is False
+        assert "no C compiler" in c_row["unavailable_reason"]
+        assert "/nonexistent/bin/cc" in c_row["unavailable_reason"]
+        assert "c (unavailable: no C compiler" in availability_note()
 
     def test_availability_note_names_every_backend(self):
         note = availability_note()
@@ -107,14 +116,13 @@ class TestResolution:
         assert "staggered" in str(exc.value)
         assert "numpy_ref" not in exc.value.choices
 
-    def test_unavailable_backend_rejected_with_reason(self):
-        numba = get_backend("numba")
-        if numba.available:
-            pytest.skip("numba installed: the tier is selectable here")
+    def test_unavailable_backend_rejected_with_reason(self, missing_compiler):
         with pytest.raises(KernelUnavailableError) as exc:
-            resolve_kernel("numba", operator="wilson")
+            resolve_kernel("c", operator="wilson")
         assert "not available" in str(exc.value)
-        assert "numba" in str(exc.value)
+        assert "no C compiler" in str(exc.value)
+        assert exc.value.choices == ("auto", "numpy", "numpy_ref")
+        assert resolve_kernel("auto", operator="wilson").name == "numpy"
 
     def test_auto_skips_unavailable_high_priority(self, scratch_registry):
         register_backend(

@@ -75,22 +75,32 @@ class TestValidation:
             )
         assert exc.value.field == "even_odd"
 
+    def test_even_odd_with_gcr_dd_cannot_be_asked_for(self):
+        """``SolveRequest(method="gcr-dd", even_odd=True)`` used to drop
+        the flag silently; ``validate_request`` now refuses it naming
+        ``even_odd``.  The wire never carries the pair that far: gcr-dd is
+        library-only, so the 400 names ``method``, with or without the flag."""
+        for extra in ({}, {"even_odd": True}):
+            with pytest.raises(RequestValidationError) as exc:
+                ServiceRequest.from_wire(payload(method="gcr-dd", **extra))
+            assert exc.value.field == "method"
+            assert "bicgstab" in exc.value.choices
+        assert ServiceRequest.from_wire(payload(even_odd=True)).even_odd
+
     def test_unknown_kernel_names_field_and_choices(self):
         with pytest.raises(RequestValidationError) as exc:
             ServiceRequest.from_wire(payload(kernel="cuda"))
         assert exc.value.field == "kernel"
         assert "auto" in exc.value.choices
 
-    def test_unavailable_kernel_reports_reason(self):
-        from repro.kernels import get_backend
-
-        if get_backend("numba").available:
-            pytest.skip("numba installed: the tier is selectable here")
+    def test_unavailable_kernel_reports_reason(self, missing_compiler):
         with pytest.raises(RequestValidationError) as exc:
-            ServiceRequest.from_wire(payload(kernel="numba"))
+            ServiceRequest.from_wire(payload(kernel="c"))
         assert exc.value.field == "kernel"
         assert "not available" in str(exc.value)
-        assert "numpy" in exc.value.choices
+        assert "no C compiler" in str(exc.value)
+        assert "numpy" in exc.value.choices and "c" not in exc.value.choices
+        assert ServiceRequest.from_wire(payload()).kernel == "numpy"
 
     def test_error_is_wire_round_trippable(self):
         from repro.serve.errors import error_from_dict

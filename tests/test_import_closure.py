@@ -13,10 +13,10 @@ import sys
 import pytest
 
 #: Importing the library, the serve package (client and daemon) and the
-#: CLI may load NumPy and none of these.  (Where the opt-in compiled tier
-#: is installed, ``repro.kernels`` registers it at import and so loads
-#: numba: that is the tier's price, paid only by who installed it.)
-FORBIDDEN = ("scipy", "matplotlib", "pytest")
+#: CLI may load NumPy and none of these.  ``subprocess`` is the compiled
+#: kernel tier's: registering the tier at import neither builds nor loads
+#: anything, so only the one process per host that compiles imports it.
+FORBIDDEN = ("scipy", "matplotlib", "pytest", "subprocess")
 
 CLOSURE = f"""
 import sys, time
