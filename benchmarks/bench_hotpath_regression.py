@@ -1,13 +1,15 @@
 """Hot-path regression benchmark across the kernel-backend tiers.
 
-Times the Wilson dslash on each registered kernel backend — the
-``"numpy_ref"`` full-spinor seed path, the spin-projected ``"numpy"``
-tier (project -> half-spinor SU(3) multiply -> reconstruct, cached
-daggered links), and the compiled ``"c"`` tier (the same lattice-last
-body with its 8-hop core run from ``kernels/wilson_hop.c``) where the
-host can build it — asserts the NumPy tier agrees with the reference to
-double-precision rounding and the compiled tier with the NumPy tier *bit
-for bit*, and writes the measurements to ``BENCH_hotpath.json`` at the
+Times the Wilson dslash — and, beside it, the whole Wilson-clover matrix
+``M x`` in working precision (``matrix``) and stored in half precision
+(``matrix_half``: the Schwarz block operator) — on each registered kernel
+backend: the ``"numpy_ref"`` full-spinor seed path, the spin-projected
+``"numpy"`` tier (project -> half-spinor SU(3) multiply -> reconstruct,
+cached daggered links, one lattice-last body for ``M x``), and the
+compiled ``"c"`` tier (the same body run from ``kernels/wilson_hop.c``)
+where the host can build it — asserts the NumPy tier agrees with the
+reference to rounding and the compiled tier with the NumPy tier *bit for
+bit*, and writes the measurements to ``BENCH_hotpath.json`` at the
 repository root.  One command:
 
     PYTHONPATH=src python -m benchmarks.bench_hotpath_regression
@@ -18,7 +20,9 @@ committed JSON is the regression reference: at every volume the projected
 path stays at >= 2x the reference and the compiled tier at >= 2x the
 projected one.  The ``c_*`` metrics are ``null`` on a host that cannot
 build the tier — the gates only read them where present.  The top-level
-metrics are those of the last volume given.
+metrics are those of the last volume given: the dslash ones under their
+historical names, the whole-matrix ones prefixed ``matrix_`` /
+``matrix_half_``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.dirac import WilsonCloverOperator
 from repro.kernels import available_backends
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.metrics.bench_schema import wrap_bench
+from repro.precision import HALF
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,28 +51,43 @@ TIERS = (
 )
 
 
-def _time_block(op: WilsonCloverOperator, x: np.ndarray, reps: int) -> float:
+#: Alternating timing rounds per tier.
+ROUNDS = 2
+
+#: What is timed: label -> (csw, storage, field dtype, the call, the
+#: agreement with the reference tier asserted of every tier).  The half
+#: rows agree at the level of the format: the reference tier rounds
+#: around complex128 arithmetic, the others compute in complex64.
+APPLIES = {
+    "dslash": (0.0, None, np.complex128, lambda op, x: op._dslash(x), 1e-12),
+    "matrix": (1.0, None, np.complex128, lambda op, x: op.apply(x), 1e-12),
+    "matrix_half": (1.0, HALF, np.complex64, lambda op, x: op.apply(x), 1e-3),
+}
+
+
+def _time_block(call, op, x: np.ndarray, reps: int) -> float:
     """Total seconds for ``reps`` consecutive applications (a sustained
     same-path block, the way a solver loop actually runs the kernel)."""
     start = time.perf_counter()
     for _ in range(reps):
-        op._dslash(x)
+        call(op, x)
     return time.perf_counter() - start
 
 
-def run(dims: tuple[int, int, int, int], reps: int) -> dict:
-    geom = Geometry(dims)
-    gauge = GaugeField.weak(geom, epsilon=0.25, rng=2024)
-    x = SpinorField.random(geom, rng=7).data
-
-    usable = available_backends(operator="wilson")
+def _measure(gauge, x, apply: str, reps: int, usable) -> dict:
+    """Seconds per application and cross-tier agreement of one of
+    :data:`APPLIES` on every usable tier."""
+    csw, storage, dtype, call, bound = APPLIES[apply]
+    x = x.astype(dtype)
     ops = {
-        tier: WilsonCloverOperator(gauge, mass=0.1, kernel=kernel)
+        tier: WilsonCloverOperator(
+            gauge, mass=0.1, csw=csw, kernel=kernel
+        ).stored(storage)
         for tier, kernel in TIERS
         if kernel in usable
     }
-    out_ref = ops["reference"]._dslash(x)
-    out_numpy = ops["projected"]._dslash(x)
+    out_ref = call(ops["reference"], x)
+    out_numpy = call(ops["projected"], x)
     scale = np.abs(out_ref).max()
 
     # Cross-tier agreement, then warm-up (caches, the library load) and
@@ -76,59 +96,88 @@ def run(dims: tuple[int, int, int, int], reps: int) -> dict:
     # process on a shared core) averages out.  Per-rep *means* are
     # reported: allocator churn recurs on every application, so it
     # belongs in the number.
-    errors: dict[str, float | None] = {}
+    errors: dict[str, float] = {}
     for tier, op in ops.items():
-        err = float(np.abs(op._dslash(x) - out_ref).max() / scale)
+        err = float(np.abs(call(op, x) - out_ref).max() / scale)
         errors[tier] = err
-        assert err < 1e-12, (
-            f"{op.kernel} kernel diverged from the reference "
+        assert err < bound, (
+            f"{op.kernel} kernel diverged from the reference on {apply} "
             f"(max rel err {err:.3e})"
         )
     c_err = None
     if "c" in ops:
-        c_err = float(np.abs(ops["c"]._dslash(x) - out_numpy).max() / scale)
+        # Against the NumPy tier, not the reference: exactly zero.
+        c_err = float(np.abs(call(ops["c"], x) - out_numpy).max() / scale)
 
-    rounds = 2
     seconds = {tier: 0.0 for tier in ops}
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         for tier, op in ops.items():
-            seconds[tier] += _time_block(op, x, reps) / (rounds * reps)
+            seconds[tier] += _time_block(call, op, x, reps) / (ROUNDS * reps)
+    return {
+        "seconds": seconds, "errors": errors, "c_max_rel_err": c_err,
+        "kernels": {tier: op.kernel for tier, op in ops.items()},
+    }
 
-    t_ref = seconds["reference"]
+
+def run(dims: tuple[int, int, int, int], reps: int) -> dict:
+    geom = Geometry(dims)
+    gauge = GaugeField.weak(geom, epsilon=0.25, rng=2024)
+    x = SpinorField.random(geom, rng=7).data
+    usable = available_backends(operator="wilson")
+
     result = {
         "benchmark": "wilson_dslash_hotpath",
         "dims": list(dims),
         "sites": geom.volume,
         "reps": reps,
-        "rounds": rounds,
+        "rounds": ROUNDS,
         "kernels": {
             tier: (kernel if kernel in usable else None)
             for tier, kernel in TIERS
         },
-        "reference_seconds": t_ref,
-        "projected_seconds": seconds["projected"],
-        "speedup": t_ref / seconds["projected"],
-        "max_rel_err": errors["projected"],
-        "c_seconds": seconds.get("c"),
-        "c_speedup": t_ref / seconds["c"] if "c" in seconds else None,
-        "c_speedup_vs_numpy": (
-            seconds["projected"] / seconds["c"] if "c" in seconds else None
-        ),
-        # Against the NumPy tier, not the reference: exactly zero.
-        "c_max_rel_err": c_err,
+        "results": [],
     }
-    result["results"] = [
-        {
-            "dims": list(dims),
-            "tier": tier,
-            "kernel": op.kernel,
-            "seconds_per_apply": seconds[tier],
-            "speedup_vs_reference": t_ref / seconds[tier],
-            "max_rel_err": errors[tier],
-        }
-        for tier, op in ops.items()
-    ]
+    for apply in APPLIES:
+        measured = _measure(gauge, x, apply, reps, usable)
+        seconds, errors = measured["seconds"], measured["errors"]
+        t_ref = seconds["reference"]
+        prefix = "" if apply == "dslash" else f"{apply}_"
+        result.update({
+            f"{prefix}reference_seconds": t_ref,
+            f"{prefix}projected_seconds": seconds["projected"],
+            f"{prefix}speedup": t_ref / seconds["projected"],
+            f"{prefix}max_rel_err": errors["projected"],
+            f"{prefix}c_seconds": seconds.get("c"),
+            f"{prefix}c_speedup": t_ref / seconds["c"] if "c" in seconds else None,
+            f"{prefix}c_speedup_vs_numpy": (
+                seconds["projected"] / seconds["c"] if "c" in seconds else None
+            ),
+            f"{prefix}c_max_rel_err": measured["c_max_rel_err"],
+        })
+        result["results"] += [
+            {
+                "dims": list(dims),
+                "apply": apply,
+                "tier": tier,
+                "kernel": kernel,
+                "seconds_per_apply": seconds[tier],
+                "speedup_vs_reference": t_ref / seconds[tier],
+                "max_rel_err": errors[tier],
+            }
+            for tier, kernel in measured["kernels"].items()
+        ]
     return result
+
+
+#: The flat headline metrics: per apply the same eight numbers.
+METRICS = tuple(
+    ("" if apply == "dslash" else f"{apply}_") + name
+    for apply in APPLIES
+    for name in (
+        "reference_seconds", "projected_seconds", "speedup", "max_rel_err",
+        "c_seconds", "c_speedup", "c_speedup_vs_numpy", "c_max_rel_err",
+    )
+)
 
 
 def test_fast_path_faster_and_exact():
@@ -140,6 +189,8 @@ def test_fast_path_faster_and_exact():
     if result["c_seconds"] is not None:
         assert result["c_max_rel_err"] == 0.0
         assert result["c_speedup_vs_numpy"] > 1.3
+        assert result["matrix_c_max_rel_err"] == 0.0
+        assert result["matrix_half_c_max_rel_err"] == 0.0
 
 
 def main() -> None:
@@ -165,7 +216,9 @@ def main() -> None:
     runs = [run(dims, args.reps) for dims in volumes]
     for result in runs:
         if result["c_seconds"] is not None:
-            assert result["c_max_rel_err"] == 0.0, result["dims"]
+            for key in METRICS:
+                if key.endswith("c_max_rel_err"):
+                    assert result[key] == 0.0, (result["dims"], key)
     last = runs[-1]
     report = wrap_bench(
         "wilson_dslash_hotpath",
@@ -176,15 +229,7 @@ def main() -> None:
             "rounds": last["rounds"],
             "kernels": last["kernels"],
         },
-        metrics={
-            key: last[key]
-            for key in (
-                "reference_seconds", "projected_seconds",
-                "speedup", "max_rel_err",
-                "c_seconds", "c_speedup", "c_speedup_vs_numpy",
-                "c_max_rel_err",
-            )
-        },
+        metrics={key: last[key] for key in METRICS},
         results=[row for result in runs for row in result["results"]],
     )
     out_path = Path(args.output)

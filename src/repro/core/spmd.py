@@ -221,12 +221,14 @@ class SPMDGCRDDSolver:
                 gauge, mass=mass, csw=csw, boundary=self.boundary,
                 kernel=kernel,
             )
-            # The clover field is built globally (its leaves read corner
+            # The clover term is built globally (its leaves read corner
             # sites ghost exchange never fills), once, by the serial
-            # operator; the same array is scattered per rank.
+            # operator; its dense form, expanded here for the scatter and
+            # dropped after it, is what the rank builders take.
+            clover = serial.clover
             clover_blocks = (
-                self.partition.split(serial.clover)
-                if serial.clover is not None
+                self.partition.split(clover)
+                if clover is not None
                 else [None] * self.partition.n_ranks
             )
             self._family = [

@@ -23,35 +23,61 @@ from repro.lattice.fields import GaugeField
 from repro.linalg.gamma import sigma
 
 
-def build_clover_field(gauge: GaugeField, csw: float = 1.0) -> np.ndarray:
-    """Compute ``A_x`` at every site; shape ``geometry.shape + (12, 12)``.
+def build_clover_blocks(gauge: GaugeField, csw: float = 1.0) -> np.ndarray:
+    """``A_x`` at every site as its two Hermitian 6x6 chirality blocks,
+    lattice-last: ``(2, 6, 6) + geometry.shape``, contiguous complex128
+    (the paper's 72 reals a site).  Vanishes identically on the free
+    (unit-gauge) field.
 
-    Vanishes identically on the free (unit-gauge) field.
-
-    The field is built once per gauge configuration and handed out
-    read-only after that (:func:`repro.dirac.base.configuration_state`):
-    every solve on one configuration asks for it again.  A configuration
-    keeps the field of the last ``csw`` asked for.
+    This is the one form a configuration keeps of its clover term: built
+    once per gauge configuration and handed out read-only after that
+    (:func:`repro.dirac.base.configuration_state`), because every solve on
+    one configuration asks for it again.  A configuration keeps the blocks
+    of the last ``csw`` asked for.
     """
     csw = float(csw)
     return configuration_state(gauge).child("csw", csw).get(
-        "clover", lambda: _clover_field(gauge, csw)
+        ("chiral", None), lambda: _clover_blocks(gauge, csw)
     )
 
 
-def _clover_field(gauge: GaugeField, csw: float) -> np.ndarray:
-    shape = gauge.geometry.shape
-    a = np.zeros(shape + (12, 12), dtype=np.complex128)
+def _clover_blocks(gauge: GaugeField, csw: float) -> np.ndarray:
+    sites = gauge.geometry.shape
+    a = np.zeros((2, 2, 3, 2, 3) + sites, dtype=np.complex128)
     for mu, nu in itertools.combinations(range(4), 2):
         # sigma (x) (iF), Hermitian 4x4 (x) anti-Hermitian 3x3 times i:
-        # Hermitian.  Indices: (s,a),(t,b) -> 12x12.  One expression, so
-        # no plane's temporaries outlive it: this transient, not the
-        # solve, is a Wilson-clover process's peak memory.
-        a += np.einsum(
-            "st,...ab->...satb", sigma(mu, nu), 1j * field_strength(gauge, mu, nu)
-        ).reshape(shape + (12, 12))
+        # Hermitian, and sigma is block-diagonal in chirality, so only its
+        # two 2x2 blocks are multiplied out.  Indices: (s,a),(t,b) -> 6x6.
+        # A quarter of the dense field per expression: this transient, not
+        # the solve, was a Wilson-clover process's peak memory.
+        i_f = np.moveaxis(1j * field_strength(gauge, mu, nu), (-2, -1), (0, 1))
+        spin = sigma(mu, nu)
+        for c in (0, 1):
+            a[c] += np.einsum(
+                "st,ab...->satb...", spin[2 * c : 2 * c + 2, 2 * c : 2 * c + 2], i_f
+            )
     a *= csw
-    return a
+    return a.reshape((2, 6, 6) + sites)
+
+
+def build_clover_field(gauge: GaugeField, csw: float = 1.0) -> np.ndarray:
+    """``A_x`` at every site as dense matrices; shape ``geometry.shape +
+    (12, 12)``.  A derived form: expanded afresh from
+    :func:`build_clover_blocks` on every call (the blocks are what is
+    cached), writable, the caller's to keep.
+    """
+    return dense_clover(build_clover_blocks(gauge, csw))
+
+
+def dense_clover(chiral: np.ndarray) -> np.ndarray:
+    """The dense ``sites + (12, 12)`` field of chiral blocks ``(2, 6, 6) +
+    sites`` — the inverse of :func:`chiral_blocks`: a zero fill and two
+    block writes."""
+    sites = chiral.shape[3:]
+    out = np.zeros(sites + (2, 6, 2, 6), dtype=chiral.dtype)
+    for c in (0, 1):
+        out[..., c, :, c, :] = np.moveaxis(chiral[c], (0, 1), (-2, -1))
+    return out.reshape(sites + (12, 12))
 
 
 def chiral_blocks(clover: np.ndarray) -> np.ndarray:
@@ -89,6 +115,23 @@ def apply_chiral_sites(
             np.multiply(chiral[c, :, j][column], x6[c, j], out=tmp)
             out6[c] += tmp
     return out
+
+
+def apply_chiral(chiral: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x`` on a site-major Wilson spinor field ``([B,] sites..., 4, 3)``
+    from the chiral blocks ``(2, 6, 6) + sites``: per chirality one 6x6
+    matrix-vector product a site, read through a site-major view of the
+    blocks (so NumPy's own sequential ``matmul`` loop, not the BLAS: the
+    reference tier's bits do not depend on the BLAS build)."""
+    x6 = x.reshape(x.shape[:-2] + (2, 6, 1))
+    out = np.stack(
+        [
+            np.moveaxis(chiral[c], (0, 1), (-2, -1)) @ x6[..., c, :, :]
+            for c in (0, 1)
+        ],
+        axis=-3,
+    )
+    return out.reshape(x.shape)
 
 
 def apply_clover(clover: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -66,7 +66,8 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     nspin = 4
 
     def __init__(self, wilson: WilsonCloverOperator):
-        if wilson.csw != 0.0 and wilson.clover is None:
+        clover = wilson.clover  # derived: expanded here, once
+        if wilson.csw != 0.0 and clover is None:
             raise TypeError(
                 "the Schur complement inverts the dense clover field: wrap "
                 "the working-precision operator and store the complement"
@@ -79,7 +80,7 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         # site-diagonal terms; use the full-matrix count as the standard.
         self.flops_per_site = wilson.flops_per_site
         self._c = clover_site_matrices(
-            wilson.clover, wilson.diagonal_coefficient, wilson.geometry.shape
+            clover, wilson.diagonal_coefficient, wilson.geometry.shape
         )
         self._cinv = invert_site_matrices(self._c)
 

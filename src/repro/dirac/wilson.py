@@ -28,25 +28,34 @@ Dslash execution is delegated to a pluggable kernel backend
 * ``"numpy_ref"`` — the seed's full 4-spin formulation, kept verbatim as
   the numerical baseline the equivalence tests and the hot-path
   regression benchmark compare against.
-* ``"c"`` — the ``"numpy"`` path with its lattice-last stencil core (and
-  the packed tail below) run from ``kernels/wilson_hop.c``, compiled on
-  first use: the same per-site IEEE sequence, so equal bit for bit, and
-  what ``"auto"`` resolves to when the host can build it.
+* ``"c"`` — the ``"numpy"`` path run from ``kernels/wilson_hop.c``,
+  compiled on first use — the stencil core alone for a bare ``D x``, the
+  whole matrix (below) for ``M x`` —: the same per-site IEEE sequence, so
+  equal bit for bit, and what ``"auto"`` resolves to when the host can
+  build it.
 
 ``"numpy"`` and ``"c"`` agree bit for bit; ``"numpy_ref"`` agrees with
-them to rounding (the same exact contraction in a different association
+them to rounding (the same exact contractions in a different association
 order).
 
-A *stored* operator (``op.stored(precision)``, or a block restriction
-given the block ``precision``) on those two tiers carries its links
-and its clover term — as the two packed 6x6 chiral blocks — lattice-last in
-the storage dtype, and applies M in one lattice-last body with the
-rounding to the format inside (:meth:`WilsonCloverOperator._apply_sites`):
-the paper's block solves "exclusively in half precision" (Sec. 5, 8.1).
-``"numpy_ref"`` keeps the generic form, rounding around ``_apply``.
+An operator has ONE representation: lattice-last links and the clover
+term as its two Hermitian 6x6 chiral blocks (the paper's "72 reals" a
+site); the dense 12x12 field is a derived form (``op.clover``).  On those
+two tiers it has ONE apply as well: both arrays in the operator's own
+dtype — complex128, or the storage dtype of a *stored* operator
+(``op.stored(precision)``, or a block restriction given the block
+``precision``) — and M applied in one lattice-last body
+(:meth:`WilsonCloverOperator._apply_sites`) with the rounding to the
+storage format, if any, inside: the paper's block solves "exclusively in
+half precision" (Sec. 5, 8.1).  The storage decides dtype and rounding,
+nothing else.  ``"numpy_ref"`` keeps the seed's site-major ``(4 + m) x -
+D x / 2 + A x`` on complex128 arrays and the generic stored form,
+rounding around ``_apply``.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -64,10 +73,11 @@ from repro.dirac.base import (
     validated_state,
 )
 from repro.dirac.clover import (
+    apply_chiral,
     apply_chiral_sites,
-    apply_clover,
-    build_clover_field,
+    build_clover_blocks,
     chiral_blocks,
+    dense_clover,
 )
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
@@ -79,7 +89,22 @@ from repro.linalg.gamma import (
     projector,
     projector_tables,
 )
-from repro.util.counters import record, record_operator, timed
+from repro.util.counters import (
+    record,
+    record_operator,
+    record_timed,
+    timed,
+    timing,
+)
+
+#: The timed leaves of one ``M x``, (name, kind): the conversion between
+#: the caller's field and the body's (layout, width, storage rounding; in
+#: and out), the 8 hops, the site-diagonal tail.
+_CONVERT, _HOPS, _TAIL = (
+    ("wilson_rounding", "convert"),
+    ("wilson_dslash", "dslash"),
+    ("wilson_site_diagonal", "clover"),
+)
 
 
 class WilsonCloverOperator(LatticeOperator):
@@ -98,10 +123,11 @@ class WilsonCloverOperator(LatticeOperator):
         Per-direction fermion boundary conditions; ``"zero"`` entries give
         the Dirichlet-cut operator used as a Schwarz block.
     clover:
-        Optional precomputed clover field (a slice of a globally built
-        one: the clover term is site-diagonal so it is unaffected by
-        cuts).  It is not the gauge's own, so what this operator derives
-        is kept to itself instead of with the configuration.
+        Optional precomputed dense clover field ``sites + (12, 12)`` (a
+        slice of a globally built one: the clover term is site-diagonal so
+        it is unaffected by cuts).  It is not the gauge's own, so what this
+        operator derives is kept to itself instead of with the
+        configuration.
     kernel:
         Kernel backend name for the dslash (``"auto"`` resolves through
         :func:`repro.kernels.resolve_kernel`; see :mod:`repro.kernels`).
@@ -119,12 +145,13 @@ class WilsonCloverOperator(LatticeOperator):
         kernel: str = "auto",
     ):
         # One validation of the configuration's state against its links
-        # per operator: inside ``build_clover_field`` when there is a
+        # per operator: inside ``build_clover_blocks`` when there is a
         # clover term.
         if clover is not None:
+            clover = np.ascontiguousarray(chiral_blocks(clover))
             state = DerivedState()
         elif csw != 0.0:
-            clover = build_clover_field(gauge, csw)
+            clover = build_clover_blocks(gauge, csw)
             state = validated_state(gauge)
         else:
             state = configuration_state(gauge)
@@ -136,16 +163,16 @@ class WilsonCloverOperator(LatticeOperator):
         self, gauge, geometry, mass, csw, boundary, clover, kernel, state,
         links_soa=None, lanes=None, storage=None,
     ):
-        """Everything but building the clover field.  ``state`` is where
-        the arrays this operator derives from its links and clover field
-        are kept (:class:`repro.dirac.base.DerivedState`): the
-        configuration's, shared, as long as these are the unrounded ones.
-        A lane stack (:meth:`restrict_to_regions`) or a packed stored
-        operator comes through here without a gauge field of its own: it
+        """Everything but building the clover term.  ``clover`` is the
+        chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)`` in the operator's
+        dtype.  ``state`` is where the arrays this operator derives from
+        its links and clover term are kept
+        (:class:`repro.dirac.base.DerivedState`): the configuration's,
+        shared, as long as these are the unrounded ones.  A lane stack
+        (:meth:`restrict_to_regions`) or a stored operator of a packing
+        tier comes through here without a gauge field of its own: it
         lives on ``links_soa``, the lattice-last link cache (with the lane
-        axis in front of the lattice axes), and a packed one's ``clover``
-        is the two chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)``, both in
-        the storage dtype."""
+        axis in front of the lattice axes)."""
         LatticeOperator.__init__(self, geometry)
         self.gauge = gauge
         self._state = state
@@ -158,9 +185,7 @@ class WilsonCloverOperator(LatticeOperator):
         self.kernel = self._backend.name
         if csw == 0.0:
             clover = None
-        self.clover, self._chiral = (
-            (None, clover) if self._packed else (clover, None)
-        )
+        self._chiral: np.ndarray | None = clover
         self.name = "wilson_clover" if clover is not None else "wilson"
         self.flops_per_site = (
             base.WILSON_CLOVER_MATVEC_FLOPS
@@ -177,16 +202,21 @@ class WilsonCloverOperator(LatticeOperator):
         # The lattice-last link cache, taken from the state on first dslash.
         self._links_soa: np.ndarray | None = links_soa
 
-    def _packs(self, storage) -> bool:
-        """Whether ``storage`` is carried packed — storage-dtype links and
-        chiral clover blocks under one lattice-last body — which is what
-        the tiers that run the lattice-last body do with any storage; the
-        others keep their arrays and round around ``_apply``."""
-        return storage is not None and self._backend.capabilities.packed
-
     @property
     def _packed(self) -> bool:
-        return self._packs(self.storage)
+        """Whether this operator's tier runs the lattice-last body — and
+        so carries a storage in its arrays' dtype."""
+        return self._backend.capabilities.packed
+
+    @property
+    def clover(self) -> np.ndarray | None:
+        """The dense clover field ``([L,] T, Z, Y, X, 12, 12)``: a derived
+        form, expanded from the chiral blocks for whoever asks (and theirs
+        to keep: ask once).  A stored operator of a packing tier has
+        rounded blocks and no dense field."""
+        if self._chiral is None or (self.storage is not None and self._packed):
+            return None
+        return dense_clover(self._chiral)
 
     @property
     def diagonal_coefficient(self) -> float:
@@ -309,36 +339,57 @@ class WilsonCloverOperator(LatticeOperator):
         return acc
 
     def _apply_sites(self, x: np.ndarray, rounding) -> np.ndarray:
-        """M x of a packed stored operator in ONE lattice-last body:
-        transpose in -> round to the storage format -> the 8 hops ->
-        ``(4 + m) x - 1/2 D x`` and the chiral clover blocks as
-        whole-lattice multiply-adds -> round -> transpose out.
+        """M x in ONE lattice-last body: transpose in -> round to the
+        storage format -> the 8 hops -> ``(4 + m) x - 1/2 D x`` and the
+        chiral clover blocks as whole-lattice multiply-adds -> round ->
+        transpose out.
 
-        Everything between the transposes runs in the storage dtype on
+        Everything between the transposes runs in the operator's dtype on
         contiguous sites (``rounding`` is the storage precision, or
-        ``None`` for the unrounded matrix).  The stencil stays the timed
-        ``wilson_dslash`` leaf; the diagonal + clover pass and the two
-        roundings are leaves of their own beside it.
+        ``None`` for the unrounded matrix).  A field narrower than the
+        operator (a complex64 iterate on the complex128 matrix) is
+        widened on the way in and rounded once, on the way out.  Three
+        timed leaves partition the call: the conversions in and out
+        (``wilson_rounding``), the stencil (``wilson_dslash``: the hops
+        alone) and the diagonal + clover pass (``wilson_site_diagonal``).
+
+        A tier with a compiled body for these arrays runs that instead,
+        clocking the leaves itself: same bits, so what follows is its
+        reference and its fallback.
         """
         batched = bool(self.field_lead(x))
-        xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
-        if rounding is not None:
-            with timed("wilson_rounding", kind="convert"):
+        links = self._soa_links()
+        seconds = np.zeros(3) if timing() else None
+        start = time.perf_counter()
+        out = self._backend.wilson_apply_sites(
+            links, self._chiral, self.diagonal_coefficient, x, batched,
+            self.boundary, rounding, seconds,
+        )
+        if out is not None:
+            if seconds is not None:
+                for leaf, elapsed in zip((_CONVERT, _HOPS, _TAIL), seconds):
+                    record_timed(*leaf, start, elapsed)
+                    start += elapsed
+            return out
+        dtype = links.dtype
+        with timed(*_CONVERT):
+            xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+            if rounding is not None:
                 xs = rounding.convert(xs, leading=True)
-        with timed("wilson_dslash", kind="dslash"):
+            xs = xs.astype(dtype, copy=False)
+        with timed(*_HOPS):
             out = self._hop_sites(xs, batched)
-        with timed("wilson_site_diagonal", kind="clover"):
-            if not self._backend.wilson_site_tail(
-                out, xs, self.diagonal_coefficient, self._chiral
-            ):
-                out *= -0.5
-                out += self.diagonal_coefficient * xs
-                if self._chiral is not None:
-                    apply_chiral_sites(self._chiral, xs, out, batched)
-        if rounding is not None:
-            with timed("wilson_rounding", kind="convert"):
+        with timed(*_TAIL):
+            out *= -0.5
+            out += self.diagonal_coefficient * xs
+            if self._chiral is not None:
+                apply_chiral_sites(self._chiral, xs, out, batched)
+        with timed(*_CONVERT):
+            if rounding is not None:
                 out = rounding.convert(out, leading=True)
-        return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+            narrower = min(x.dtype, dtype, key=lambda d: d.itemsize)
+            out = out.astype(narrower, copy=False)
+            return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
     def _dslash_reference(self, x: np.ndarray) -> np.ndarray:
         """The seed's full 4-spin dslash, kept as the numerical baseline."""
@@ -360,13 +411,18 @@ class WilsonCloverOperator(LatticeOperator):
             out += np.einsum("st,...tc->...sc", self._proj_bwd[mu], bwd)
         return out
 
+    def _apply_reference(self, x: np.ndarray) -> np.ndarray:
+        """The seed's site-major matrix (``numpy_ref``): three passes and
+        the clover term as per-site matrix-vector products."""
+        out = self.diagonal_coefficient * x - 0.5 * self._dslash(x)
+        if self._chiral is not None:
+            out += apply_chiral(self._chiral, x)
+        return out
+
     def _apply(self, x: np.ndarray) -> np.ndarray:
         if self._packed:
             return self._apply_sites(x, None)
-        out = self.diagonal_coefficient * x - 0.5 * self._dslash(x)
-        if self.clover is not None:
-            out += apply_clover(self.clover, x)
-        return out
+        return self._apply_reference(x)
 
     def _apply_stored(self, x: np.ndarray) -> np.ndarray:
         if self._packed:
@@ -385,8 +441,8 @@ class WilsonCloverOperator(LatticeOperator):
         """The site-diagonal part (4 + m + A) x (used by even-odd forms and
         the interior/exterior kernel split)."""
         out = self.diagonal_coefficient * x
-        if self.clover is not None:
-            out += apply_clover(self.clover, x)  # in place: keeps x's dtype
+        if self._chiral is not None:
+            out += apply_chiral(self._chiral, x)  # in place: keeps x's dtype
         return out
 
     def apply_hopping(self, x: np.ndarray) -> np.ndarray:
@@ -400,8 +456,8 @@ class WilsonCloverOperator(LatticeOperator):
         out = object.__new__(type(self))
         out._setup(
             self.gauge, self.geometry, self.mass, self.csw, boundary,
-            self._chiral if self._packed else self.clover, self.kernel,
-            self._state, self._links_soa, self.lanes, self.storage,
+            self._chiral, self.kernel, self._state, self._links_soa,
+            self.lanes, self.storage,
         )
         return out
 
@@ -410,10 +466,8 @@ class WilsonCloverOperator(LatticeOperator):
     ):
         """An operator with this one's parameters living on ``links_soa``
         ``(2, mu, b, a, [L,] T, Z, Y, X)`` and, for the clover term, the
-        dense field ``([L,] T, Z, Y, X, 12, 12)`` or — for a packed
-        stored operator — its chiral blocks ``(2, 6, 6, [L,]
-        T, Z, Y, X)``.  Without a ``state`` to share, what it derives in
-        turn is its own."""
+        chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)``.  Without a ``state``
+        to share, what it derives in turn is its own."""
         out = object.__new__(type(self))
         out._setup(
             None, geometry, self.mass, self.csw, boundary, clover,
@@ -423,22 +477,20 @@ class WilsonCloverOperator(LatticeOperator):
         )
         return out
 
-    def _chiral_blocks(self) -> np.ndarray:
-        return self._chiral if self._packed else chiral_blocks(self.clover)
-
     def _in_storage(self, precision):
-        """The packed form on a packing tier (links and chiral blocks cast
-        to the storage dtype), the generic one elsewhere.  The casts are
-        rounded, so the packed operator gets a state of its own: a cast
-        of a cast never lands among the configuration's."""
-        if not self._packs(precision):
+        """On a packing tier the links and chiral blocks cast to the
+        storage dtype (the operator's own arrays when that is its dtype
+        already), the generic form elsewhere.  The casts are rounded, so
+        the stored operator gets a state of its own: a cast of a cast
+        never lands among the configuration's."""
+        if not self._packed:
             return super()._in_storage(precision)
         dtype = precision.dtype
         clover = None
-        if self.csw != 0.0:
+        if self._chiral is not None:
             clover = self._state.child("csw", self.csw).get(
                 ("chiral", dtype),
-                lambda: np.ascontiguousarray(self._chiral_blocks(), dtype=dtype),
+                lambda: np.ascontiguousarray(self._chiral, dtype=dtype),
             )
         links = self._state.get(
             ("links", dtype), lambda: self._soa_links().astype(dtype, copy=False)
@@ -449,15 +501,15 @@ class WilsonCloverOperator(LatticeOperator):
 
     def restrict_to_regions(self, origins, extents, cut_dims, precision=None):
         """One lane stack of Dirichlet-cut region operators, gathered
-        straight from the lattice-last link cache and the clover field
+        straight from the lattice-last link cache and the clover term
         (which, being site-diagonal, is unaffected by the cuts).  This
         family builds the stack *in* its storage (hence the public
-        override): packed, the regions are cast to the storage dtype as
-        they are gathered, the clover as its chiral blocks, so no
-        working-precision copy of the stack ever exists."""
+        override): on a packing tier the regions are cast to the storage
+        dtype as they are gathered, so no working-precision copy of a
+        stored stack ever exists."""
         storage = self.storage if precision is None else precision
-        packed = self._packs(storage)
-        dtype = storage.dtype if packed else None
+        rounded = storage is not None and self._packed
+        dtype = storage.dtype if rounded else None
         # The stack's arrays depend on the regions and the dtype alone
         # (not on the cuts, the mass or the rounding): gathered once per
         # configuration, in the regions' own state under this one's — the
@@ -469,13 +521,9 @@ class WilsonCloverOperator(LatticeOperator):
             return self._region_stack(array, origins, extents, lead, dtype)
 
         clover = None
-        if self.csw != 0.0 and packed:
+        if self._chiral is not None:
             clover = regions.child("csw", self.csw).get(
-                ("chiral", dtype), lambda: gather(self._chiral_blocks(), 3)
-            )
-        elif self.csw != 0.0:
-            clover = regions.child("csw", self.csw).get(
-                "clover", lambda: gather(self.clover, 0)
+                ("chiral", dtype), lambda: gather(self._chiral, 3)
             )
         return self._on_links(
             Geometry(extents),
@@ -483,13 +531,13 @@ class WilsonCloverOperator(LatticeOperator):
             regions.get(("links", dtype), lambda: gather(self._soa_links(), 4)),
             clover,
             storage,
-            None if packed else regions,
+            None if rounded else regions,
         )
 
     def take_lanes(self, lanes) -> "WilsonCloverOperator":
-        clover = self._chiral if self._packed else self.clover
+        clover = self._chiral
         if clover is not None:
-            clover = np.take(clover, lanes, axis=3 if self._packed else 0)
+            clover = np.take(clover, lanes, axis=3)
         return self._on_links(
             self.geometry, self.boundary, self._links_soa[:, :, :, :, lanes],
             clover, self.storage,
@@ -499,7 +547,7 @@ class WilsonCloverOperator(LatticeOperator):
         """The Dirichlet-cut operator on one rank's sub-domain — the block
         system of the additive Schwarz preconditioner (Sec. 8.1).
 
-        The local gauge links (and the site-diagonal clover field, which is
+        The local gauge links (and the site-diagonal clover term, which is
         unaffected by the cut) are sliced from the global fields; the
         partitioned directions get zero boundaries, the rest keep the
         global condition.  Link caches are rebuilt for the sliced gauge.
@@ -508,17 +556,13 @@ class WilsonCloverOperator(LatticeOperator):
             partition.local_geometry,
             np.ascontiguousarray(self.gauge.data[partition.slices(rank, lead=1)]),
         )
-        local_clover = None
-        if self.clover is not None:
-            local_clover = np.ascontiguousarray(
-                self.clover[partition.slices(rank)]
-            )
-        local_bc = self.boundary.with_dirichlet(partition.grid.partitioned_dims)
-        return WilsonCloverOperator(
-            local_gauge,
-            mass=self.mass,
-            csw=self.csw,
-            boundary=local_bc,
-            clover=local_clover,
-            kernel=self.kernel,
+        clover = self._chiral
+        if clover is not None:
+            clover = np.ascontiguousarray(clover[partition.slices(rank, lead=3)])
+        out = object.__new__(type(self))
+        out._setup(
+            local_gauge, partition.local_geometry, self.mass, self.csw,
+            self.boundary.with_dirichlet(partition.grid.partitioned_dims),
+            clover, self.kernel, DerivedState(),
         )
+        return out

@@ -4,8 +4,9 @@ Importing this package registers the built-in tiers:
 
 * ``"numpy"`` — the vectorized bit-reference (always available),
 * ``"numpy_ref"`` — the seed's full-spinor Wilson formulation,
-* ``"c"`` — the Wilson stencil core compiled from ``wilson_hop.c`` with
-  the host's C compiler on first use, bit-identical to ``"numpy"``;
+* ``"c"`` — the Wilson stencil core and the whole Wilson-clover matrix
+  around it, compiled from ``wilson_hop.c`` with the host's C compiler on
+  first use, bit-identical to ``"numpy"``;
   registers as unavailable with the reason (and ``"auto"`` is NumPy)
   where it cannot be built or its multiply probe fails.
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 #: Operator families a backend may implement.  ``"wilson"`` covers the
-#: Wilson and Wilson-clover hopping term (the clover/diagonal parts are
-#: site-local and stay with the operator); ``"staggered"`` covers the
-#: naive 1-hop and asqtad 1+3-hop derivative.
+#: Wilson and Wilson-clover hopping term (and, for a tier that runs the
+#: lattice-last body, the whole matrix around it); ``"staggered"`` covers
+#: the naive 1-hop and asqtad 1+3-hop derivative.
 OPERATOR_FAMILIES = ("wilson", "staggered")
 
 
@@ -62,10 +62,11 @@ class KernelCapabilities:
     dtypes:
         Complex dtype names the kernels accept (e.g. ``"complex128"``).
     packed:
-        A stored Wilson-clover operator of this tier carries its links and
-        chiral clover blocks in the storage dtype and applies M in one
-        lattice-last body (the tier runs that body); the others keep
-        their arrays and round around ``_apply``.
+        A Wilson-clover operator of this tier carries lattice-last links
+        and its clover term as the two chiral blocks, in the storage dtype
+        when stored, and applies M in one lattice-last body with the
+        storage rounding inside (the tier runs that body); the others keep
+        the dense clover field and round around ``_apply``.
     """
 
     operators: tuple[str, ...]
@@ -87,7 +88,9 @@ class KernelBackend:
     boundary conditions and any per-operator caches) and the input
     field, and return the bare derivative term — ``D x`` for Wilson,
     ``D_IS x`` for staggered — exactly as the in-tree NumPy stencils do;
-    scaling by ``-1/2`` and adding diagonal terms stays in the operator.
+    scaling by ``-1/2`` and adding diagonal terms stays in the operator
+    (whose lattice-last body a tier may take whole:
+    :meth:`wilson_apply_sites`).
     """
 
     #: Registry key and the value of ``SolveRequest.kernel``.
@@ -124,19 +127,25 @@ class KernelBackend:
 
     # ------------------------------------------------------------------
     # the Wilson family's lattice-last body: a tier with a core of its own
-    # for the arrays at hand runs it; ``None`` / ``False`` hands them back
-    # to the NumPy body, which any such core must equal bit for bit
+    # for the arrays at hand runs it; ``None`` hands them back to the
+    # NumPy body, which any such core must equal bit for bit
     # ------------------------------------------------------------------
     def wilson_hop_sites(self, links, xs, batched: bool, boundary):
         """The 8-hop core of ``WilsonCloverOperator._hop_sites`` on the
         lattice-last field ``xs`` and link cache ``links``, or ``None``."""
         return None
 
-    def wilson_site_tail(self, out, xs, diagonal: float, chiral) -> bool:
-        """``out = -1/2 out + diagonal xs + A xs`` in place (the tail of
-        ``_apply_sites``; ``chiral`` the packed clover blocks or ``None``),
-        or ``False`` with ``out`` untouched."""
-        return False
+    def wilson_apply_sites(
+        self, links, chiral, diagonal: float, x, batched: bool, boundary,
+        rounding, seconds,
+    ):
+        """All of ``WilsonCloverOperator._apply_sites`` on the caller's
+        site-major field ``x`` — layout change and rounding in, the hops,
+        ``-1/2 D x + diagonal x + A x`` (``chiral`` the clover blocks or
+        ``None``), rounding and layout change out — or ``None``.
+        ``seconds``, unless ``None``, is a float64 triple that gains the
+        time spent converting, hopping and in the site-diagonal tail."""
+        return None
 
     # ------------------------------------------------------------------
     def supports(self, operator: str | None = None) -> bool:

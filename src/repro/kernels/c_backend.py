@@ -1,12 +1,14 @@
 """The compiled tier: the Wilson stencil core in C, loaded with ctypes.
 
 ``wilson_hop.c`` (beside this module) holds the lattice-last 8-hop core of
-``WilsonCloverOperator._hop_sites`` and the packed site-diagonal tail of
-``_apply_sites`` for complex128 and complex64, written to reproduce the
-NumPy body's per-site IEEE operation sequence: the results are equal bit
-for bit, so the NumPy body stays both the reference and the fallback for
-whatever the C entries do not take (non-contiguous arrays, a field whose
-dtype is not the links').  The tier serves the Wilson family only.
+``WilsonCloverOperator._hop_sites`` and the whole of ``_apply_sites``
+around it — site-major field in, layout change, storage rounding, hops,
+site-diagonal tail, rounding, site-major field out, no NumPy pass in
+between — for complex128 and complex64, written to reproduce the NumPy
+body's per-site IEEE operation sequence: the results are equal bit for
+bit, so the NumPy body stays both the reference and the fallback for
+whatever the C entries do not take (a non-contiguous lattice-last field,
+a field wider than the operator).  The tier serves the Wilson family only.
 
 The library is built on first use with the host's ``cc`` into the user
 cache directory and loaded from there ever after:
@@ -103,6 +105,15 @@ def _private_directory(path: Path, create: bool) -> bool:
     )
 
 
+def _antiperiodic_unit_extent(boundary, lattice) -> bool:
+    """An antiperiodic hop across an extent of 1: the NumPy body's error
+    to raise.  ``lattice`` ends in ``(T, Z, Y, X)``."""
+    return any(
+        condition == "antiperiodic" and lattice[-1 - mu] == 1
+        for mu, condition in enumerate(boundary.conditions)
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _boundary_codes(conditions: tuple) -> np.ndarray:
     """The C side's code per direction (built once per boundary spec: this
@@ -139,7 +150,10 @@ class _Library:
         self.path = path
         lib = ctypes.CDLL(str(path))
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-        self.multiply, self.hop, self.tail = {}, {}, {}
+        self.multiply, self.hop, self.apply = {}, {}, {}
+        # The half format is float32 arithmetic: its one instance.
+        self.quantize = lib.repro_quantize_half_c64
+        self.quantize.argtypes, self.quantize.restype = (ptr, ptr) + (i64,) * 3, None
         for name, suffix in _SUFFIX.items():
             f = getattr(lib, f"repro_multiply_{suffix}")
             f.argtypes, f.restype = (i64, ptr, ptr, ptr), None
@@ -148,10 +162,13 @@ class _Library:
             f.argtypes = (ptr,) * 5 + (i64,) * 6 + (ptr,)
             f.restype = ctypes.c_int
             self.hop[name] = f
-            f = getattr(lib, f"repro_wilson_tail_{suffix}")
-            f.argtypes = (ptr, ptr, ptr, ctypes.c_double, i64, i64)
-            f.restype = None
-            self.tail[name] = f
+            f = getattr(lib, f"repro_wilson_apply_{suffix}")
+            f.argtypes = (
+                (ptr,) * 3 + (ctypes.c_double, ptr) + (ctypes.c_int,) * 2
+                + (ptr,) * 2 + (i64,) * 6 + (ptr,) * 2
+            )
+            f.restype = ctypes.c_int
+            self.apply[name] = f
 
     def probe(self) -> None:
         """Raise unless the library multiplies as ``np.multiply`` does."""
@@ -335,12 +352,8 @@ class CBackend(KernelBackend):
             or links.shape[:4] != (2, 4, 3, 3)
             or xs.shape[:2] != (4, 3)
             or xs.shape[2 + batched:] != links.shape[4:]
+            or _antiperiodic_unit_extent(boundary, lattice)
         ):
-            return None
-        # An antiperiodic hop across an extent of 1 is the NumPy body's
-        # error to raise.
-        if any(condition == "antiperiodic" and lattice[3 - mu] == 1
-               for mu, condition in enumerate(boundary.conditions)):
             return None
         codes = _boundary_codes(boundary.conditions)
         spins, phases = self._projection(xs.dtype)
@@ -354,38 +367,69 @@ class CBackend(KernelBackend):
         )
         return None if failed else out
 
-    def wilson_site_tail(self, out, xs, diagonal, chiral) -> bool:
+    def wilson_apply_sites(
+        self, links, chiral, diagonal, x, batched, boundary, rounding, seconds
+    ):
         library = self._library or self._resolve(build=True)
-        name = xs.dtype.name
+        name = links.dtype.name
+        lattice = links.shape[4:]
+        narrow = x.dtype != links.dtype
         if (
             library is None
             or name not in _SUFFIX
-            or out.dtype != xs.dtype
-            or out.shape != xs.shape
-            or xs.shape[:2] != (4, 3)
-            or not (out.flags.c_contiguous and xs.flags.c_contiguous)
+            # a field of the operator's dtype, or the narrower one
+            or (narrow and (x.dtype.name, name) != ("complex64", "complex128"))
+            # the half format is float32 arithmetic; single and double
+            # storage are the operator's dtype and round nothing
+            or (rounding is not None and rounding.dtype != links.dtype)
+            or not links.flags.c_contiguous
+            or links.shape[:4] != (2, 4, 3, 3)
+            or x.shape[batched:] != lattice + (4, 3)
+            or _antiperiodic_unit_extent(boundary, lattice)
         ):
-            return False
-        sites = xs[0, 0].size
-        if chiral is not None:
-            # The blocks broadcast over a batch: (2, 6, 6) + the trailing
-            # [lanes +] lattice axes of the field.
-            inner = chiral.shape[3:]
-            if (
-                chiral.dtype != xs.dtype
-                or not chiral.flags.c_contiguous
-                or chiral.shape[:3] != (2, 6, 6)
-                or xs.shape[xs.ndim - len(inner):] != inner
-                or xs.ndim - len(inner) not in (2, 3)
-            ):
-                return False
-            sites = chiral[0, 0, 0].size
-        library.tail[name](
-            out.ctypes.data, xs.ctypes.data,
+            return None
+        if chiral is not None and (
+            chiral.dtype != links.dtype
+            or not chiral.flags.c_contiguous
+            or chiral.shape != (2, 6, 6) + lattice
+        ):
+            return None
+        x = np.ascontiguousarray(x)
+        codes = _boundary_codes(boundary.conditions)
+        spins, phases = self._projection(links.dtype)
+        out = np.empty_like(x)
+        failed = library.apply[name](
+            x.ctypes.data, links.ctypes.data,
             None if chiral is None else chiral.ctypes.data,
-            diagonal, xs[0, 0].size // sites, sites,
+            diagonal, out.ctypes.data, narrow,
+            rounding is not None and rounding.name == "half",
+            spins.ctypes.data, phases.ctypes.data,
+            x.shape[0] if batched else 1,
+            lattice[0] if len(lattice) == 5 else 1,
+            *lattice[-4:], codes.ctypes.data,
+            None if seconds is None else seconds.ctypes.data,
         )
-        return True
+        return None if failed else out
+
+    def quantize_half(self, array: np.ndarray, leading: bool = False):
+        """``repro.precision.quantize_half`` of a Wilson field (site axes
+        ``(4, 3)``, trailing or ``leading``) by the library's own per-site
+        quantiser — the one inside the whole apply —, or ``None``."""
+        library = self._library or self._resolve(build=True)
+        if (
+            library is None
+            or array.dtype != np.complex64  # the format's own arithmetic
+            or not array.flags.c_contiguous
+            or (array.shape[:2] if leading else array.shape[-2:]) != (4, 3)
+        ):
+            return None
+        sites = array.size // 12
+        out = np.empty_like(array)
+        library.quantize(
+            array.ctypes.data, out.ctypes.data, sites,
+            *((sites, 1) if leading else (1, 12)),
+        )
+        return out
 
 
 __all__ = ["CBackend", "cache_directories"]

@@ -119,11 +119,14 @@ class Coalescer:
             if len(group) >= self.max_batch:
                 break
             remaining = window_end - time.monotonic()
-            if remaining <= 0:
+            # A closed queue admits nothing more: a drain dispatches what
+            # was gathered instead of sitting out the window.
+            if remaining <= 0 or self.queue.closed:
                 break
             self.queue.wait_for_arrival(remaining)
-            # Re-check after every wake: either a compatible request
-            # landed (taken on the next loop) or the window ran out.
+            # Re-check after every wake: a compatible request landed
+            # (taken on the next loop), the window ran out or the queue
+            # closed.
         waited = time.monotonic() - window_start
         window_closed_pc = time.perf_counter()
 

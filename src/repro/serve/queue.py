@@ -273,16 +273,18 @@ class SolveQueue:
             return taken
 
     def wait_for_arrival(self, timeout: float) -> None:
-        """Park the caller until a ``put`` lands or ``timeout`` elapses
-        (the coalescing-window wait).
+        """Park the caller until a ``put`` lands, the queue closes or
+        ``timeout`` elapses (the coalescing-window wait).
 
         Args:
-            timeout: Seconds to wait (non-positive returns at once).
+            timeout: Seconds to wait (non-positive returns at once, as
+                does a closed queue: nothing can arrive).
         """
         if timeout <= 0:
             return
         with self._lock:
-            self._nonempty.wait(timeout)
+            if not self._closed:
+                self._nonempty.wait(timeout)
 
     def expire_due(self, now: float | None = None) -> list[QueuedRequest]:
         """Remove every entry whose deadline has passed.

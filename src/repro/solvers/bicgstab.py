@@ -13,6 +13,15 @@ from repro.solvers.base import Operator, SolverResult, compute_residual
 from repro.solvers.space import ArraySpace
 
 
+def _finite(value) -> bool:
+    return math.isfinite(abs(value))
+
+
+def _breakdown(value):
+    """What ``extras["breakdown"]`` says of a stop on this reduction."""
+    return True if _finite(value) else "non-finite"
+
+
 def bicgstab(
     op: Operator,
     b,
@@ -23,8 +32,12 @@ def bicgstab(
 ) -> SolverResult:
     """Solve the non-Hermitian ``A x = b``.
 
-    Returns with ``converged=False`` on breakdown (rho or omega ~ 0) or when
-    ``maxiter`` is exhausted; callers wanting restarts should wrap this (see
+    Returns with ``converged=False`` on breakdown (rho or omega ~ 0), when
+    ``maxiter`` is exhausted, or — within the iteration, ``extras
+    ["breakdown"] == "non-finite"`` — when ``rho``, the ``r_hat . v`` pivot
+    or the residual norm comes back NaN or infinite (an operator or a
+    right-hand side gone bad: nothing further can converge).  Callers
+    wanting restarts should wrap this (see
     :func:`repro.solvers.mixed.reliable_bicgstab` for the mixed-precision
     production variant).
     """
@@ -54,8 +67,8 @@ def bicgstab(
     broke_down = False
     while not converged and not broke_down and it < maxiter:
         rho_new = space.dot(r_hat, r)
-        if abs(rho_new) == 0.0:
-            broke_down = True
+        if abs(rho_new) == 0.0 or not _finite(rho_new):
+            broke_down = _breakdown(rho_new)
             break
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
@@ -65,8 +78,8 @@ def bicgstab(
         v = op(p)
         matvecs += 1
         denom = space.dot(r_hat, v)
-        if abs(denom) == 0.0:
-            broke_down = True
+        if abs(denom) == 0.0 or not _finite(denom):
+            broke_down = _breakdown(denom)
             break
         alpha = rho / denom
         s = space.axpy(-alpha, v, r)
@@ -90,8 +103,8 @@ def bicgstab(
         it += 1
         history.append(math.sqrt(r2 / b_norm2))
         converged = r2 <= target
-        if abs(omega) == 0.0:
-            broke_down = True
+        if abs(omega) == 0.0 or not _finite(r2):
+            broke_down = _breakdown(r2)
 
     true_r = compute_residual(op, x, b, space)
     matvecs += 1

@@ -247,7 +247,10 @@ def batched_bicgstab(
     Per-RHS iterates match :func:`repro.solvers.bicgstab.bicgstab` (to
     rounding); systems that converge or break down (``rho``, the
     ``r_hat . v`` pivot, or ``omega`` vanishing) are frozen by zeroing
-    their coefficients.
+    their coefficients.  So is a lane whose ``rho``, pivot or residual
+    norm comes back NaN or infinite, within the iteration
+    (``extras["breakdown"]`` says ``"non-finite"`` for it): the checks
+    ride the reductions already made, and no batch-mate's bits move.
     """
     space = space or BatchedArraySpace()
     b_norm2 = space.norm2(b)
@@ -274,13 +277,15 @@ def batched_bicgstab(
     iterations = np.zeros(nb, dtype=np.int64)
     active = (r2 > target) & (b_norm2 > 0.0)
     broke_down = np.zeros(nb, dtype=bool)
+    poisoned = np.zeros(nb, dtype=bool)  # a non-finite reduction
 
     it = 0
     while active.any() and it < maxiter:
         rho_new = space.dot(r_hat, r)
         failed = active & (np.abs(rho_new) == 0.0)
+        poisoned |= active & ~np.isfinite(rho_new)
         broke_down |= failed
-        active &= ~failed
+        active &= ~failed & ~poisoned
         beta = np.where(active, (rho_new / _safe(rho)) * (alpha / _safe(omega)), 0.0)
         rho = np.where(active, rho_new, rho)
         # p = r + beta*(p - omega*v), frozen lanes collapse to p = r.
@@ -290,8 +295,9 @@ def batched_bicgstab(
         matvecs += 1
         denom = space.dot(r_hat, v)
         failed = active & (np.abs(denom) == 0.0)
+        poisoned |= active & ~np.isfinite(denom)
         broke_down |= failed
-        active &= ~failed
+        active &= ~failed & ~poisoned
         alpha_new = np.where(active, rho / _safe(denom), 0.0)
         s = space.axpy(-alpha_new, v, r)
         t = op(s)
@@ -313,8 +319,9 @@ def batched_bicgstab(
         omega = np.where(active, omega_new, omega)
         converged_now = r2 <= target
         failed = active & ~converged_now & (np.abs(omega_new) == 0.0)
+        poisoned |= active & ~np.isfinite(r2)
         broke_down |= failed
-        active &= ~converged_now & ~failed
+        active &= ~converged_now & ~failed & ~poisoned
 
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
@@ -327,8 +334,16 @@ def batched_bicgstab(
         residuals=residuals,
         residual_history=history,
         matvecs=matvecs,
-        extras={"breakdown": broke_down},
+        extras={"breakdown": _breakdown_reasons(broke_down, poisoned)},
     )
+
+
+def _breakdown_reasons(broke_down: np.ndarray, poisoned: np.ndarray) -> np.ndarray:
+    """Per lane ``False``, ``True`` (a vanishing coefficient) or
+    ``"non-finite"``."""
+    reasons = (broke_down | poisoned).astype(object)
+    reasons[poisoned] = "non-finite"
+    return reasons
 
 
 def mr_coefficients(omega: float, dot: np.ndarray, ar2: np.ndarray) -> np.ndarray:

@@ -208,6 +208,19 @@ def record_seconds(name: str, seconds: float) -> None:
         t.add_seconds(name, seconds)
 
 
+def timing() -> bool:
+    """Whether a timed region would be recorded anywhere right now."""
+    return current_tally() is not None or active_tracer() is not None
+
+
+def record_timed(name: str, kind: str, start: float, elapsed: float) -> None:
+    """Charge an interval measured elsewhere — a leaf clocked by the
+    native code that ran it — to the tally and the trace, as :func:`timed`
+    charges the ones it measures."""
+    record_seconds(name, elapsed)
+    emit_complete(name, kind, start, elapsed, source="timed")
+
+
 @contextmanager
 def timed(name: str, kind: str = "kernel", rank: int | None = None,
           stream: str | None = None):

@@ -94,7 +94,7 @@ class TestWilsonFacade:
         import repro.dirac.wilson
 
         calls = []
-        build = repro.dirac.clover.build_clover_field
+        build = repro.dirac.clover.build_clover_blocks
 
         def counting(gauge, csw=1.0):
             calls.append(csw)
@@ -102,8 +102,8 @@ class TestWilsonFacade:
 
         # Both bindings: the module-level import in wilson.py and any
         # function-level ``from repro.dirac.clover import ...``.
-        monkeypatch.setattr(repro.dirac.clover, "build_clover_field", counting)
-        monkeypatch.setattr(repro.dirac.wilson, "build_clover_field", counting)
+        monkeypatch.setattr(repro.dirac.clover, "build_clover_blocks", counting)
+        monkeypatch.setattr(repro.dirac.wilson, "build_clover_blocks", counting)
         geom, gauge, batch = wilson_setup
         res = solve(
             wilson_request(

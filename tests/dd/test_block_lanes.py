@@ -325,9 +325,10 @@ def test_storage_follows_lanes_and_restriction(system):
 
 
 def test_wilson_stack_lives_in_the_storage_dtype():
-    """The NumPy tier packs: lattice-last links and the two chiral clover
-    blocks in the storage dtype, no dense clover, nothing complex128.  The
-    other tiers keep their arrays and round around ``_apply``."""
+    """The packing tiers store: lattice-last links and the two chiral
+    clover blocks in the storage dtype, no dense clover, nothing
+    complex128.  The reference tier keeps its complex128 arrays and
+    rounds around ``_apply``."""
     op, part = build_operator("wilson_clover"), BlockPartition(GEOM, GRID)
     lattice = (part.n_ranks,) + part.local_geometry.shape
     for p in (HALF, SINGLE):
@@ -345,8 +346,9 @@ def test_wilson_stack_lives_in_the_storage_dtype():
     ref = build_operator("wilson_clover_numpy_ref").restrict_to_blocks(
         part, precision=HALF
     )
-    assert ref.storage is HALF and ref._chiral is None
-    assert ref._links_soa.dtype == ref.clover.dtype == np.complex128
+    assert ref.storage is HALF
+    assert ref._links_soa.dtype == ref._chiral.dtype == np.complex128
+    assert ref.clover.shape == lattice + (12, 12)  # derived, on demand
     # Without a clover term there is nothing to pack.
     plain = WilsonCloverOperator(op.gauge, mass=0.1, boundary=PHYSICAL)
     bare = plain.restrict_to_blocks(part, precision=HALF)
@@ -380,13 +382,16 @@ def test_stored_wilson_apply_is_the_rounded_apply(kernel, precision, bound):
 
 
 def test_packed_wilson_matrix_without_the_rounding(rng):
-    """``_apply`` of a packed operator is the same body with the rounding
-    left out, so the dagger and the composition helpers keep working."""
+    """``_apply`` of a stored operator is the same body with the rounding
+    left out — in the operator's dtype, whatever the field's —, so the
+    dagger and the composition helpers keep working."""
     op, part = build_operator("wilson_clover"), BlockPartition(GEOM, GRID)
     working = op.restrict_to_block(part, 0)
     packed = working.stored(SINGLE)
     x, y = (SpinorField.random(part.local_geometry, rng=rng).data for _ in "xy")
-    assert np.allclose(packed._apply(x), working._apply(x), rtol=0, atol=2e-6)
+    got, expected = packed._apply(x), working._apply(x)
+    assert got.dtype == np.complex64
+    assert np.linalg.norm(got - expected) <= 2e-6 * np.linalg.norm(expected)
     lhs = np.vdot(y, packed.apply_dagger(x))
     rhs = np.vdot(packed.apply(y), x)
     assert abs(lhs - rhs) <= 1e-5 * abs(rhs)

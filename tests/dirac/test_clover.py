@@ -8,9 +8,11 @@ import pytest
 from repro.dirac.clover import (
     apply_chiral_sites,
     apply_clover,
+    build_clover_blocks,
     build_clover_field,
     chiral_blocks,
     clover_site_matrices,
+    dense_clover,
     invert_site_matrices,
 )
 from repro.gauge.heatbath import HeatbathUpdater
@@ -60,60 +62,73 @@ class TestCloverField:
 
 
 class TestBuiltOncePerGauge:
-    """``build_clover_field`` hands the field it built back as long as the
-    links it was built from are still there."""
+    """``build_clover_blocks`` — the one form a configuration keeps of its
+    clover term — hands the blocks it built back as long as the links they
+    were built from are still there; the dense field is expanded from
+    them afresh for whoever asks."""
 
     @pytest.fixture()
     def gauge(self):
         return GaugeField.weak(Geometry((4, 4, 4, 4)), epsilon=0.3, rng=7)
 
     def test_second_build_is_the_same_read_only_array(self, gauge):
-        first = build_clover_field(gauge, csw=1.1)
-        assert build_clover_field(gauge, csw=1.1) is first
+        first = build_clover_blocks(gauge, csw=1.1)
+        assert build_clover_blocks(gauge, csw=1.1) is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
-            first[0, 0, 0, 0, 0, 0] = 1.0
+            first[0, 0, 0, 0, 0, 0, 0] = 1.0
+
+    def test_the_dense_field_is_derived_and_the_callers_own(self, gauge):
+        blocks = build_clover_blocks(gauge, csw=1.1)
+        assert blocks.shape == (2, 6, 6, 4, 4, 4, 4)
+        assert blocks.dtype == np.complex128 and blocks.flags.c_contiguous
+        dense = build_clover_field(gauge, csw=1.1)
+        assert dense is not build_clover_field(gauge, csw=1.1)
+        assert dense.flags.writeable
+        assert np.array_equal(chiral_blocks(dense), blocks)
+        assert np.array_equal(dense_clover(blocks), dense)
+        assert build_clover_blocks(gauge, csw=1.1) is blocks
 
     def test_equal_links_on_another_object_build_their_own(self, gauge):
-        first = build_clover_field(gauge, csw=1.1)
-        other = build_clover_field(gauge.copy(), csw=1.1)
+        first = build_clover_blocks(gauge, csw=1.1)
+        other = build_clover_blocks(gauge.copy(), csw=1.1)
         assert other is not first and np.array_equal(other, first)
 
     def test_different_csw_misses(self, gauge):
-        a1 = build_clover_field(gauge, csw=1.0)
-        a2 = build_clover_field(gauge, csw=2.0)
+        a1 = build_clover_blocks(gauge, csw=1.0)
+        a2 = build_clover_blocks(gauge, csw=2.0)
         assert a2 is not a1 and np.array_equal(a2, 2.0 * a1)
-        assert np.array_equal(build_clover_field(gauge, csw=1.0), a1)
+        assert np.array_equal(build_clover_blocks(gauge, csw=1.0), a1)
 
     def test_in_place_link_update_invalidates(self, gauge):
-        stale = build_clover_field(gauge, csw=1.0)
+        stale = build_clover_blocks(gauge, csw=1.0)
         gauge.data[0, 1, 2, 3, 0] = gauge.data[1, 1, 2, 3, 0]
-        fresh = build_clover_field(gauge, csw=1.0)
+        fresh = build_clover_blocks(gauge, csw=1.0)
         assert fresh is not stale and not np.array_equal(fresh, stale)
-        assert np.array_equal(fresh, build_clover_field(gauge.copy(), csw=1.0))
+        assert np.array_equal(fresh, build_clover_blocks(gauge.copy(), csw=1.0))
 
     def test_heatbath_sweep_invalidates(self, gauge):
         """The sweep primitive updates links in place (``sweep`` copies
         first; HMC-style callers do not have to)."""
-        stale = build_clover_field(gauge, csw=1.0)
+        stale = build_clover_blocks(gauge, csw=1.0)
         updater = HeatbathUpdater(beta=5.8, rng_seed=3)
         updater._sweep_links(gauge, updater._heatbath_subgroup)
-        fresh = build_clover_field(gauge, csw=1.0)
+        fresh = build_clover_blocks(gauge, csw=1.0)
         assert fresh is not stale
-        assert np.array_equal(fresh, build_clover_field(gauge.copy(), csw=1.0))
+        assert np.array_equal(fresh, build_clover_blocks(gauge.copy(), csw=1.0))
 
     def test_replaced_link_array_invalidates(self, gauge):
-        stale = build_clover_field(gauge, csw=1.0)
+        stale = build_clover_blocks(gauge, csw=1.0)
         gauge.data = GaugeField.weak(gauge.geometry, epsilon=0.3, rng=8).data
-        assert not np.array_equal(build_clover_field(gauge, csw=1.0), stale)
+        assert not np.array_equal(build_clover_blocks(gauge, csw=1.0), stale)
 
     def test_concurrent_builds_agree(self, gauge):
-        reference = build_clover_field(gauge.copy(), csw=1.0)
+        reference = build_clover_blocks(gauge.copy(), csw=1.0)
         results, barrier = [None] * 4, threading.Barrier(4)
 
         def build(i):
             barrier.wait(timeout=30)
-            results[i] = build_clover_field(gauge, csw=1.0)
+            results[i] = build_clover_blocks(gauge, csw=1.0)
 
         threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
         for t in threads:
@@ -130,7 +145,7 @@ class TestBuiltOncePerGauge:
         import weakref
 
         gauge = GaugeField.weak(Geometry((4, 4, 4, 4)), epsilon=0.3, rng=9)
-        field = weakref.ref(build_clover_field(gauge, csw=1.0))
+        field = weakref.ref(build_clover_blocks(gauge, csw=1.0))
         del gauge
         gc.collect()
         assert field() is None

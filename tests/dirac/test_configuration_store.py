@@ -1,8 +1,9 @@
 """Operator state that depends on the gauge configuration alone — the
-clover field, the lattice-last link cache and its storage-dtype cast, the
-chiral clover blocks and the Schwarz region stacks — is built once per
-configuration (``repro.dirac.base.DerivedState``), not once per solve:
-the analysis phase is hundreds of solves on one configuration.
+chiral clover blocks (the one form a configuration keeps of its clover
+term), the lattice-last link cache, their storage-dtype casts and the
+Schwarz region stacks — is built once per configuration
+(``repro.dirac.base.DerivedState``), not once per solve: the analysis
+phase is hundreds of solves on one configuration.
 
 Every operator here is pinned to the NumPy tier, whose arrays these are
 (where the compiled tier is installed, ``"auto"`` is not NumPy)."""
@@ -65,8 +66,10 @@ def run(gauge, **how):
 @pytest.fixture()
 def builds(monkeypatch):
     """Counts of everything that derives an array from the links: the
-    link transpose, the chiral view (and its check), an operator's region
-    gather and the field strengths under the clover build."""
+    link transpose, an operator's region gather, the field strengths
+    under the clover build, and the two conversions between the chiral
+    blocks and the dense field, neither of which a solve on a packing
+    tier has any use for."""
     counts = collections.Counter()
 
     def spy(module, name):
@@ -80,9 +83,20 @@ def builds(monkeypatch):
 
     spy(repro.dirac.wilson, "lattice_last_links")
     spy(repro.dirac.wilson, "chiral_blocks")
+    spy(repro.dirac.wilson, "dense_clover")
+    spy(repro.dirac.clover, "dense_clover")
     spy(repro.dirac.base, "stack_regions")
     spy(repro.dirac.clover, "field_strength")
     return counts
+
+
+def held(state):
+    """Every array a state holds, its children's included."""
+    for value in state._entries.values():
+        if isinstance(value, repro.dirac.base.DerivedState):
+            yield from held(value)
+        else:
+            yield value
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -92,10 +106,17 @@ def test_second_solve_builds_nothing_and_moves_no_bit(case, builds):
     assert first.converged
     assert builds["lattice_last_links"] == 1 and builds["field_strength"] == 6
     if case != "bicgstab":
-        assert builds["stack_regions"] >= 2 and builds["chiral_blocks"] == 1
+        assert builds["stack_regions"] >= 2
+    assert not builds["chiral_blocks"] and not builds["dense_clover"]
     builds.clear()
     second, second_ledger = run(gauge, **CASES[case])
     assert not builds, dict(builds)
+    # One full-precision clover array of the lattice per configuration and
+    # csw, and it is the chiral blocks: nothing dense is held.
+    arrays = list(held(repro.dirac.base.configuration_state(gauge)))
+    assert not [a for a in arrays if a.shape[-2:] == (12, 12)]
+    assert len([a for a in arrays if a.dtype == np.complex128
+                and a.shape == (2, 6, 6) + GEOM.shape]) == 1
     fresh, fresh_ledger = run(gauge.copy(), **CASES[case])
     assert first.x.tobytes() == second.x.tobytes() == fresh.x.tobytes()
     assert first_ledger == second_ledger == fresh_ledger
@@ -138,7 +159,7 @@ def derived_arrays(gauge):
     stack = op.restrict_to_blocks(BlockPartition(GEOM, GRID), precision=HALF)
     whole = op.stored(HALF)
     return {
-        "clover": op.clover, "links": op._soa_links(),
+        "chiral": op._chiral, "links": op._soa_links(),
         "links_c64": whole._links_soa, "chiral_c64": whole._chiral,
         "block_links": stack._links_soa, "block_chiral": stack._chiral,
     }
@@ -185,7 +206,7 @@ def test_a_configuration_keeps_one_coefficient_and_one_blocking():
     def taken(csw, grid):
         op = wilson_clover(gauge, csw)
         stack = op.restrict_to_blocks(BlockPartition(GEOM, grid), precision=HALF)
-        arrays = (op.clover, op.stored(HALF)._chiral,
+        arrays = (op._chiral, op.stored(HALF)._chiral,
                   stack._links_soa, stack._chiral)
         return [weakref.ref(a) for a in arrays]
 
@@ -218,10 +239,9 @@ def test_a_rounded_operator_derives_privately():
 
     again = wilson_clover(gauge)
     double = again.stored(DOUBLE)
-    assert double._links_soa.tobytes() == again._soa_links().tobytes()
-    assert double._chiral.tobytes() == np.ascontiguousarray(
-        repro.dirac.clover.chiral_blocks(again.clover)
-    ).tobytes()
+    # Double storage is the working operator's own arrays.
+    assert double._links_soa is again._soa_links()
+    assert double._chiral is again._chiral
     stack = again.restrict_to_blocks(partition, precision=DOUBLE)
     assert not np.array_equal(stack._links_soa, coarse._links_soa)
     assert stack._links_soa.tobytes() == wilson_clover(
@@ -264,10 +284,10 @@ def test_a_foreign_clover_field_stays_out_of_the_configuration():
     gauge = weak_gauge()
     foreign = 2.0 * wilson_clover(gauge).clover
     private = wilson_clover(gauge, clover=foreign)
-    assert private.clover is foreign
+    assert np.array_equal(private.clover, foreign)
     private_half = private.stored(HALF)
     own = wilson_clover(gauge)
-    assert own.clover is not foreign
+    assert not np.array_equal(own.clover, foreign)
     assert np.array_equal(private_half._chiral, 2.0 * own.stored(HALF)._chiral)
     assert private_half._links_soa is not own.stored(HALF)._links_soa
 

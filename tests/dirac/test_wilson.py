@@ -110,7 +110,8 @@ class TestBoundaries:
         op = make_op(weak_gauge, csw=1.0)
         cut = op.with_boundary(op.boundary.with_dirichlet((0, 1)))
         assert cut.boundary[0] == "zero"
-        assert cut.clover is op.clover  # clover field reused, not rebuilt
+        # the clover term is reused, not rebuilt
+        assert cut._chiral is op._chiral is not None
 
 
 class TestDiagonalHoppingSplit:

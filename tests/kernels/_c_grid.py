@@ -2,11 +2,13 @@
 deterministic subset (``test_c_kernel_grid.py``) and the hypothesis
 cross-product (``tests/properties/test_property_c_kernel.py``).
 
-The lattice-last hop core and the packed tail are driven directly on
-arrays — random "links" and "clover blocks" of any extents, 1 and odd
-included, which no ``Geometry`` would take — through a bare operator that
-carries only what ``_hop_sites`` reads.  Comparisons are on the bytes, so
-the sign of a zero counts.
+The lattice-last hop core and the whole compiled ``M x`` (layout change,
+storage rounding, hops, site-diagonal tail) are driven directly on arrays
+— random "links" and "clover blocks" of any extents, 1 and odd included,
+which no ``Geometry`` would take — through a bare operator that carries
+only what ``_hop_sites`` / ``_apply_sites`` read.  Comparisons are on the
+bytes, so the sign of a zero counts; NaNs compare by position (which of
+two NaN operands an instruction hands on is the compiler's choice).
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ import numpy as np
 import pytest
 
 from repro.dirac import BoundarySpec, WilsonCloverOperator
-from repro.dirac.clover import apply_chiral_sites
 from repro.kernels import get_backend
+from repro.precision import DOUBLE, HALF, SINGLE, quantize_half
 
 EXTENTS = (1, 2, 3, 4, 6, 8)
 CONDITIONS = ("periodic", "antiperiodic", "zero")
-FILLS = ("dense", "point", "zero", "negative-zero")
+FILLS = ("dense", "point", "zero", "negative-zero", "nan", "inf")
 DTYPES = (np.complex128, np.complex64)
+#: What ``_apply_sites`` is handed as its rounding, per operator dtype:
+#: none, and the storages that live in that dtype.
+STORAGES = {np.complex128: (None, DOUBLE), np.complex64: (None, SINGLE, HALF)}
 
 needs_c = pytest.mark.skipif(
     not get_backend("c").available,
@@ -29,13 +34,29 @@ needs_c = pytest.mark.skipif(
 )
 
 
-def bare_operator(links, conditions, kernel):
-    """What ``_hop_sites`` reads of an operator, and nothing else."""
+def bare_operator(links, conditions, kernel, chiral=None, mass=0.1):
+    """What ``_hop_sites`` and ``_apply_sites`` read of an operator, and
+    nothing else."""
     op = object.__new__(WilsonCloverOperator)
     op._links_soa = links
+    op._chiral = chiral
+    op.lanes = links.shape[4] if links.ndim == 9 else None
+    op.mass = mass
     op.boundary = BoundarySpec(tuple(conditions))
     op._backend = get_backend(kernel)
     return op
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes, NaNs matched by position."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    a, b = (np.ascontiguousarray(v).view(v.real.dtype) for v in (a, b))
+    nan = np.isnan(a)
+    return (
+        np.array_equal(nan, np.isnan(b))
+        and np.where(nan, 0, a).tobytes() == np.where(nan, 0, b).tobytes()
+    )
 
 
 def random_complex(rng, shape, dtype):
@@ -50,19 +71,37 @@ def field(rng, shape, dtype, fill):
         x[(0,) * len(shape)] = 1.0
         return x
     x = random_complex(rng, shape, dtype)
+    parts = x.view(x.real.dtype)
     if fill == "negative-zero":
         # Zeros of both signs in both parts, scattered through the field.
-        parts = x.view(x.real.dtype)
         where = rng.integers(0, 4, parts.shape)
         parts[where == 0] = -0.0
         parts[where == 1] = 0.0
+    elif fill in ("nan", "inf"):
+        # A few poisoned reals (infinities of both signs) among finite ones.
+        where = rng.integers(0, 40, parts.shape)
+        parts[where == 0] = np.nan if fill == "nan" else np.inf
+        parts[where == 1] = np.nan if fill == "nan" else -np.inf
     return x
 
 
+def site_major(xs):
+    """A lattice-last field ``(4, 3, ...)`` as the caller's ``(..., 4, 3)``."""
+    return np.ascontiguousarray(np.moveaxis(xs, (0, 1), (-2, -1)))
+
+
 def assert_case(dims, dtype, conditions, batch, lanes, fill, seed=0):
-    """C hop core == NumPy body, C tail == NumPy tail, and every lane of a
-    batched C apply == its single-RHS apply, on one generated case.
+    """C hop core == NumPy body; the whole compiled ``M x`` == the NumPy
+    ``_apply_sites`` in every storage of the dtype, with and without a
+    clover term, and on a complex64 field under the complex128 operator;
+    every lane of a batched C result == its single-RHS one; the C
+    quantiser == ``quantize_half`` in both layouts — on one generated case.
     ``dims`` is (X, Y, Z, T); ``batch`` / ``lanes`` 0 leave the axis out."""
+    with np.errstate(invalid="ignore"):  # the nan / inf fills
+        _assert_case(dims, dtype, conditions, batch, lanes, fill, seed)
+
+
+def _assert_case(dims, dtype, conditions, batch, lanes, fill, seed):
     rng = np.random.default_rng(seed)
     lattice = tuple(reversed(dims))
     lane_axes = ((lanes,) if lanes else ()) + lattice
@@ -70,31 +109,48 @@ def assert_case(dims, dtype, conditions, batch, lanes, fill, seed=0):
     links = random_complex(rng, (2, 4, 3, 3) + lane_axes, dtype)
     xs = field(rng, (4, 3) + batch_axes, dtype, fill)
     ops = {k: bare_operator(links, conditions, k) for k in ("numpy", "c")}
+    backend = get_backend("c")
     batched = bool(batch)
+    x = site_major(xs)
 
     if any(c == "antiperiodic" and n == 1 for c, n in zip(conditions, dims)):
         for op in ops.values():
             with pytest.raises(ValueError, match="exceeds extent"):
                 op._hop_sites(xs, batched)
+            with pytest.raises(ValueError, match="exceeds extent"):
+                op._apply_sites(x, None)
         return
     expected = ops["numpy"]._hop_sites(xs, batched)
-    got = get_backend("c").wilson_hop_sites(
-        links, xs, batched, ops["c"].boundary
-    )
+    got = backend.wilson_hop_sites(links, xs, batched, ops["c"].boundary)
     assert got is not None, "the C entry refused a contiguous same-dtype case"
-    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    assert ops["c"]._hop_sites(xs, batched).tobytes() == expected.tobytes()
+    assert same_bits(got, expected)
+    assert same_bits(ops["c"]._hop_sites(xs, batched), expected)
     for lane in range(batch):
         single = ops["c"]._hop_sites(np.ascontiguousarray(xs[:, :, lane]), False)
-        assert single.tobytes() == got[:, :, lane].tobytes()
+        assert same_bits(single, got[:, :, lane])
 
-    diagonal = 4.0 + 0.1 * (seed % 7)
+    mass = 0.1 * (seed % 7)
+    fields = [x] + ([x.astype(np.complex64)] if dtype is np.complex128 else [])
     for chiral in (None, random_complex(rng, (2, 6, 6) + lane_axes, dtype)):
-        tail = expected.copy()
-        tail *= -0.5
-        tail += diagonal * xs
-        if chiral is not None:
-            apply_chiral_sites(chiral, xs, tail, batched)
-        out = expected.copy()
-        assert get_backend("c").wilson_site_tail(out, xs, diagonal, chiral)
-        assert out.tobytes() == tail.tobytes()
+        for op in ops.values():
+            op._chiral, op.mass = chiral, mass
+        for rounding in STORAGES[dtype]:
+            for y in fields:
+                expected = ops["numpy"]._apply_sites(y, rounding)
+                got = backend.wilson_apply_sites(
+                    links, chiral, 4.0 + mass, y, batched, ops["c"].boundary,
+                    rounding, None,
+                )
+                assert got is not None, "the C entry refused the case"
+                assert got.dtype == y.dtype and same_bits(got, expected)
+                assert same_bits(ops["c"]._apply_sites(y, rounding), expected)
+                for lane in range(batch):
+                    assert same_bits(
+                        ops["c"]._apply_sites(y[lane], rounding), got[lane]
+                    )
+
+    if dtype is np.complex64:
+        for array, leading in ((x, False), (xs, True)):
+            got = backend.quantize_half(array, leading)
+            assert got is not None
+            assert same_bits(got, quantize_half(array, leading=leading))

@@ -77,15 +77,18 @@ class TestCompiledWilson:
                              ids=["double", "single", "half"])
     def test_lane_stack(self, weak_gauge448, rng, precision):
         """The Schwarz blocks side by side, single and batched, in the
-        working precision and packed in a storage format (hop core and
-        site-diagonal tail both compiled)."""
+        working precision and in a storage format: one body, whose dtype
+        the storage decides."""
         geom = weak_gauge448.geometry
         part = BlockPartition(geom, ProcessGrid((1, 1, 2, 2)))
         ref, comp = (
             op.restrict_to_blocks(part, precision=precision)
             for op in pair(weak_gauge448, boundary=PHYSICAL)
         )
-        assert comp.kernel == "c" and comp._packed == (precision is not None)
+        assert comp.kernel == "c" and comp.storage is precision
+        assert comp._chiral.dtype == comp._links_soa.dtype == (
+            precision.dtype if precision else np.complex128
+        )
         xb = part.stack(np.stack(
             [SpinorField.random(geom, rng=rng).data for _ in range(2)]
         ), lead=1)
@@ -113,13 +116,13 @@ class TestCompiledWilson:
         )
 
     def test_falls_through_to_the_numpy_body(self, weak_gauge, rng):
-        """What the C entry does not take runs the NumPy body: a field
-        whose dtype is not the links' (GCR's complex64 matvec on
-        complex128 links), a non-contiguous lattice-last field."""
+        """What the C entries do not take runs the NumPy body: a
+        lattice-last field whose dtype is not the links' or that is not
+        contiguous (the bare hop core), a field wider than the operator
+        (the whole matrix).  A *narrower* field is the whole entry's own
+        case: GCR's complex64 matvec on the complex128 operator."""
         ref, comp = pair(weak_gauge)
         x = SpinorField.random(weak_gauge.geometry, rng=rng).data
-        x32 = x.astype(np.complex64)
-        assert np.array_equal(comp.apply(x32), ref.apply(x32))
         backend = get_backend("c")
         links = comp._soa_links()
         xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
@@ -132,9 +135,30 @@ class TestCompiledWilson:
         assert backend.wilson_hop_sites(links, strided, False, PERIODIC) is None
         assert np.array_equal(comp._hop_sites(strided, False),
                               ref._hop_sites(strided, False))
-        out = np.zeros_like(xs)
-        assert not backend.wilson_site_tail(out[:, :, ::2], xs[:, :, ::2], 4.1, None)
-        assert not out.any()
+
+        def whole(op, field, rounding=None):
+            return backend.wilson_apply_sites(
+                op._soa_links(), op._chiral, op.diagonal_coefficient, field,
+                False, op.boundary, rounding, None,
+            )
+
+        x32 = x.astype(np.complex64)
+        got = whole(comp, x32)
+        assert got.dtype == np.complex64
+        assert got.tobytes() == ref.apply(x32).tobytes() == comp.apply(x32).tobytes()
+        # ... widened, applied in double, rounded once:
+        assert got.tobytes() == comp.apply(x32.astype(np.complex128)).astype(
+            np.complex64).tobytes()
+        single = comp.stored(SINGLE)
+        assert whole(single, x32, SINGLE) is not None
+        assert whole(single, x, SINGLE) is None
+        assert whole(comp, x32, HALF) is None  # half is float32 arithmetic
+        assert single.apply(x).tobytes() == ref.stored(SINGLE).apply(x).tobytes()
+        # a strided site-major field is copied, not refused
+        assert whole(comp, np.stack([x, x])[:, ::2][0]) is None  # wrong shape
+        assert whole(comp, np.stack([x, x], axis=-1)[..., 0]).tobytes() == (
+            comp.apply(x).tobytes()
+        )
 
 
 class TestStaggeredStaysNumpy:
@@ -168,6 +192,24 @@ class TestStaggeredStaysNumpy:
         )
 
 
+GRID = ProcessGrid((1, 1, 2, 2))
+SOLVES = {
+    "bicgstab-even-odd": dict(method="bicgstab", even_odd=True),
+    "bicgstab-batched": dict(method="bicgstab", batch=3),
+    **{
+        f"gcr-dd-{precond}": dict(method="gcr-dd", grid=GRID, precond=precond)
+        for precond in ("auto", "ras", "none")
+    },
+    **{
+        f"gcr-dd-{backend}{'-overlap' if overlap else ''}": dict(
+            method="gcr-dd", grid=GRID, backend=backend, overlap=overlap
+        )
+        for backend in ("sequential", "threads", "processes")
+        for overlap in (False, True)
+    },
+}
+
+
 @needs_c
 class TestCompiledSolve:
     def test_bicgstab_solution_equals_the_numpy_tier(self):
@@ -186,3 +228,102 @@ class TestCompiledSolve:
         assert results[0].converged
         assert results[0].iterations == results[1].iterations
         assert np.array_equal(results[0].x, results[1].x)
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(name, marks=pytest.mark.slow) if "processes" in name else name
+        for name in SOLVES
+    ])
+    def test_solves_equal_the_numpy_tier(self, case):
+        """Every route of ``solve`` — the Schur system, a batch, the three
+        preconditioner kinds, the three SPMD backends with and without
+        the overlapped schedule — bit for bit and count for count."""
+        from repro.core.api import SolveRequest, solve
+
+        how = dict(SOLVES[case])
+        geom = Geometry((4, 4, 4, 8))
+        gauge = GaugeField.weak(geom, epsilon=0.25, rng=5)
+        rhs = SpinorField.random(geom, rng=6).data
+        batch = how.pop("batch", 0)
+        if batch:
+            rhs = np.stack([(k + 1) * np.roll(rhs, k, axis=0) for k in range(batch)])
+        results = [
+            solve(SolveRequest(
+                operator="wilson_clover", gauge=gauge, rhs=rhs, mass=0.1,
+                csw=1.0, tol=1e-6, kernel=kernel, **how,
+            ))
+            for kernel in ("c", "numpy")
+        ]
+        assert np.all(results[0].converged)
+        assert np.array_equal(results[0].iterations, results[1].iterations)
+        assert results[0].x.tobytes() == results[1].x.tobytes()
+        tallies = [r.report.to_dict()["tally"] for r in results]
+        for key in ("flops", "bytes_moved", "reductions", "operator_applications"):
+            assert tallies[0][key] == tallies[1][key]
+
+    def test_a_live_daemon_batch_equals_the_numpy_tier(self):
+        from repro.serve import SolveService
+
+        def payload(seed, kernel):
+            return {
+                "operator": "wilson_clover", "mass": 0.1, "csw": 1.0,
+                "tol": 1e-6, "kernel": kernel,
+                "gauge": {"kind": "weak", "dims": [4, 4, 4, 4],
+                          "epsilon": 0.25, "seed": 3},
+                "rhs": {"kind": "random", "seed": seed},
+            }
+
+        service = SolveService(max_batch=3, max_wait=0.05)
+        tickets = {
+            kernel: [service.submit(payload(seed, kernel)) for seed in (1, 2, 3)]
+            for kernel in ("c", "numpy")
+        }
+        service.start()
+        try:
+            served = {
+                kernel: [t.result(timeout=120) for t in batch]
+                for kernel, batch in tickets.items()
+            }
+        finally:
+            service.shutdown()
+        for compiled, reference in zip(served["c"], served["numpy"]):
+            assert compiled.converged and compiled.occupancy == 3
+            assert compiled.iterations == reference.iterations
+            assert compiled.x.tobytes() == reference.x.tobytes()
+
+    def test_no_gated_solve_falls_back_to_the_numpy_body(self, monkeypatch):
+        """Every stencil of the benchmark's Wilson rows — BiCGstab, single
+        and batched; GCR-DD with its half-precision block solves and its
+        complex64 matvec on the complex128 operator — reaches a compiled
+        entry: the NumPy body's link multiply and clover columns are never
+        called (counted, not switched)."""
+        import repro.dirac.wilson
+        from repro.core.api import SolveRequest, solve
+
+        calls = []
+        for name in ("link_apply_sites", "apply_chiral_sites"):
+            inner = getattr(repro.dirac.wilson, name)
+            monkeypatch.setattr(
+                repro.dirac.wilson, name,
+                lambda *a, _inner=inner, _name=name: (
+                    calls.append(_name), _inner(*a))[1],
+            )
+        geom = Geometry((4, 4, 4, 8))
+        gauge = GaugeField.weak(geom, epsilon=0.25, rng=5)
+        rhs = SpinorField.random(geom, rng=6).data
+
+        def run(kernel, **how):
+            return solve(SolveRequest(
+                operator="wilson_clover", gauge=gauge, mass=0.1, csw=1.0,
+                tol=1e-6, kernel=kernel, **{"rhs": rhs, **how},
+            ))
+
+        cases = (
+            dict(method="bicgstab"),
+            dict(method="bicgstab", rhs=np.stack([rhs, 2 * rhs, rhs[::-1]])),
+            dict(method="gcr-dd", grid=ProcessGrid((1, 1, 2, 2))),
+        )
+        for how in cases:
+            assert np.all(run("c", **how).converged)
+        assert not calls
+        run("numpy", **cases[-1])
+        assert set(calls) == {"link_apply_sites", "apply_chiral_sites"}

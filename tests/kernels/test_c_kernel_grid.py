@@ -1,7 +1,8 @@
 """The compiled tier's bit-identity grid, fast lane: a deterministic walk
 that meets every extent, boundary, fill and batch/lane shape at least once
-per dtype (``_c_grid.assert_case``; the hypothesis cross-product is
-``tests/properties/test_property_c_kernel.py``), then re-entrancy."""
+per dtype — the hop core and the whole compiled ``M x`` in every storage
+(``_c_grid.assert_case``; the hypothesis cross-product is
+``tests/properties/test_property_c_kernel.py``) —, then re-entrancy."""
 
 from __future__ import annotations
 
@@ -14,11 +15,13 @@ from _c_grid import (
     CONDITIONS,
     DTYPES,
     FILLS,
+    STORAGES,
     assert_case,
     bare_operator,
     field,
     needs_c,
     random_complex,
+    site_major,
 )
 
 pytestmark = needs_c
@@ -49,19 +52,29 @@ def test_grid_walk(dims, batch, lanes, dtype):
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["c128", "c64"])
 def test_four_threads_at_once_equal_the_serial_results(dtype):
-    """The call releases the GIL and the kernel keeps no shared mutable
-    state: ``threads``-backend ranks apply concurrently."""
+    """The calls release the GIL and the kernels keep no shared mutable
+    state: ``threads``-backend ranks apply concurrently — the bare hop
+    core and the whole matrix in the dtype's last storage (half, for
+    complex64)."""
     rng = np.random.default_rng(3)
     lattice = (4, 6, 4, 8)
     links = random_complex(rng, (2, 4, 3, 3) + lattice, dtype)
-    op = bare_operator(links, ("periodic", "zero", "antiperiodic", "periodic"), "c")
+    chiral = random_complex(rng, (2, 6, 6) + lattice, dtype)
+    op = bare_operator(
+        links, ("periodic", "zero", "antiperiodic", "periodic"), "c", chiral
+    )
+    rounding = STORAGES[dtype][-1]
     fields = [field(rng, (4, 3) + lattice, dtype, "dense") for _ in range(4)]
-    serial = [op._hop_sites(x, False) for x in fields]
+
+    def both(xs):
+        return op._hop_sites(xs, False), op._apply_sites(site_major(xs), rounding)
+
+    serial = [both(x) for x in fields]
     results = [[] for _ in fields]
 
     def work(i):
         for _ in range(25):
-            results[i].append(op._hop_sites(fields[i], False))
+            results[i].append(both(fields[i]))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     for t in threads:
@@ -71,4 +84,6 @@ def test_four_threads_at_once_equal_the_serial_results(dtype):
         assert not t.is_alive()
     for expected, got in zip(serial, results):
         assert len(got) == 25
-        assert all(g.tobytes() == expected.tobytes() for g in got)
+        assert all(
+            g.tobytes() == e.tobytes() for pair in got for g, e in zip(pair, expected)
+        )

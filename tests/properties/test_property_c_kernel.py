@@ -1,10 +1,14 @@
 """The compiled tier's bit-identity grid as a generated cross-product:
 unequal extents from {1, 2, 3, 4, 6, 8} per axis x dtype x each axis's
 boundary x {single, batch, block lanes, batch x lanes} x dense / point /
-all-zero / negative-zero-seeded inputs — C hop core == ``_hop_sites``,
-packed tail == the NumPy tail, every batched lane == its single-RHS apply
-(``tests/kernels/_c_grid.py``; the fast lane walks a deterministic subset
-in ``tests/kernels/test_c_kernel_grid.py``)."""
+all-zero / negative-zero-seeded / NaN- / Inf-seeded inputs — C hop core ==
+``_hop_sites``; the whole compiled ``M x`` == the NumPy ``_apply_sites``
+in every storage of the dtype (none / double / single / half), with and
+without a clover term, and on a complex64 field under the complex128
+operator; every batched lane == its single-RHS apply; the C quantiser ==
+``quantize_half`` in both layouts (``tests/kernels/_c_grid.py``; the fast
+lane walks a deterministic subset in
+``tests/kernels/test_c_kernel_grid.py``)."""
 
 import importlib.util
 from pathlib import Path

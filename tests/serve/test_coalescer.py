@@ -94,6 +94,27 @@ class TestWindow:
         assert time.monotonic() - t0 < 1.0
 
 
+    @pytest.mark.parametrize("close_after", [None, 0.05],
+                             ids=["closed-before", "closed-during"])
+    def test_a_closed_queue_ends_the_window(self, close_after):
+        """Nothing can arrive once the queue is closed: a drain dispatches
+        what was gathered instead of sitting out ``max_wait``."""
+        q = SolveQueue()
+        leader, mate = entry(fingerprint="A"), entry(fingerprint="A")
+        q.put(leader)
+        q.put(mate)
+        if close_after is None:
+            q.close()
+        else:
+            threading.Timer(close_after, q.close).start()
+        t0 = time.monotonic()
+        out = Coalescer(q, max_batch=4, max_wait=5.0).next_group(
+            poll_timeout=0.5
+        )
+        assert out.group == [leader, mate]
+        assert time.monotonic() - t0 < 1.0
+
+
 class TestDeadlines:
     def test_expired_leader_is_evicted_not_grouped(self):
         q = SolveQueue()

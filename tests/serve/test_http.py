@@ -362,6 +362,57 @@ class TestMalformedArrays:
             f"response holds the non-JSON constant {name}"))
 
 
+class TestNonFiniteOperator:
+    """ROADMAP "bounded failure": a NaN *produced by the operator* in one
+    lane of a coalesced batch ends that lane within the iteration — not
+    at the serve path's ``maxiter`` of 2000 — and its batch-mates get the
+    bits they would have got without it; the daemon stays serviceable."""
+
+    @pytest.fixture()
+    def server(self):
+        svc = SolveService(max_batch=6, max_wait=0.2).start()
+        srv = ServeServer(svc, port=0).start()
+        yield srv
+        srv.stop()
+
+    def test_a_poisoned_lane_ends_alone(self, server, monkeypatch):
+        import repro.dirac.wilson as wilson
+
+        inner = wilson.WilsonCloverOperator._apply
+        armed = {"applications": 0}
+
+        def poisoned(self, x):
+            out = inner(self, x)
+            if armed is not None and x.ndim == 7:  # a batch of lanes
+                armed["applications"] += 1
+                if armed["applications"] == 4:
+                    out[1, 0, 0, 0, 0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(wilson.WilsonCloverOperator, "_apply", poisoned)
+        posts = [
+            payload(seed=s, id=f"w{s}", operator="wilson_clover", mass=0.1,
+                    csw=1.0, gauge={"kind": "weak", "dims": DIMS, "seed": 3},
+                    tol=1e-8, return_solution=True)
+            for s in (1, 2, 3)
+        ]
+        client = ServeClient(server.url)
+        docs = client.solve_many(posts)
+        armed = None
+        clean = client.solve_many(posts)
+        assert [d["batch"]["occupancy"] for d in docs + clean] == [3] * 6
+        assert [d["converged"] for d in clean] == [True] * 3
+        assert [d["converged"] for d in docs] == [True, False, True]
+        assert docs[1]["status"] == "ok" and docs[1]["iterations"] <= 2
+        assert np.isnan(docs[1]["residual"])
+        for got, expected in zip(docs[::2], clean[::2]):
+            assert got["iterations"] == expected["iterations"]
+            assert decode_array(got["solution"]).tobytes() == (
+                decode_array(expected["solution"]).tobytes()
+            )
+        assert client.health() == {"status": "ok"}
+
+
 class TestObservabilityRoutes:
     def test_wire_cost_histograms_are_exported(self, server):
         client = ServeClient(server.url)

@@ -7,6 +7,8 @@ in well under a second.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,18 @@ class TestMetrics:
         assert latency["queue_wait_seconds"] is None
         assert latency["solve_seconds"] is None
         assert latency["latency_seconds"] is None
+
+    def test_a_drain_does_not_wait_out_the_coalescing_window(self):
+        """``--max-wait 5`` and one queued request: closing the service
+        answers it and returns in well under a second."""
+        svc = make_service(max_wait=5.0)
+        ticket = svc.submit(payload())
+        svc.start()
+        time.sleep(0.1)  # the dispatcher is inside the window now
+        t0 = time.monotonic()
+        svc.shutdown(timeout=30)
+        assert time.monotonic() - t0 < 1.0 and not svc.running
+        assert ticket.result(timeout=0).converged
 
     def test_setup_cache_reuses_gauge_and_links(self):
         svc = make_service(max_wait=0.0)

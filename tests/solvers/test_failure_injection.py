@@ -4,7 +4,7 @@ operator or data misbehaves (no silent hangs, no false convergence)."""
 import numpy as np
 import pytest
 
-from repro.solvers import bicgstab, cg, gcr, mr
+from repro.solvers import batched_bicgstab, bicgstab, cg, gcr, mr
 
 
 @pytest.fixture()
@@ -30,6 +30,87 @@ class TestNaNPropagation:
     def test_gcr_terminates(self, b):
         res = gcr(self._nan_op, b, tol=1e-8, kmax=4, maxiter=20)
         assert not res.converged
+
+
+class Poisoning:
+    """A well-conditioned operator (single vectors, or batches with the
+    right-hand sides along the leading axis) that writes ``value`` into
+    its ``at``-th application — into lane ``lane`` only of a batch, or
+    into all of them."""
+
+    def __init__(self, at, value=np.nan, lane=None):
+        self.at, self.value, self.lane = at, value, lane
+        self.calls = 0
+
+    def __call__(self, x):
+        out = 2.0 * x + 0.3 * np.roll(x, 1, axis=-1)
+        if self.calls == self.at:
+            out[(..., 0) if self.lane is None else (self.lane, 0)] = self.value
+        self.calls += 1
+        return out
+
+
+class TestNonFiniteExit:
+    """A NaN or Inf produced by the operator ends the solve (the lane)
+    within the iteration that met it, ``converged=False`` and
+    ``extras["breakdown"] == "non-finite"`` — never a run to ``maxiter``
+    under ``RuntimeWarning``s — on the reductions the solver makes
+    anyway.  (A frozen lane's own vectors stay poisoned and NumPy's
+    complex arithmetic flags them while its batch-mates finish: cleaning
+    them would be the extra pass this does without.)"""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", [0, 1, 4, 5])
+    def test_bicgstab_stops_in_the_iteration_that_met_it(self, b, at, value):
+        clean = bicgstab(Poisoning(at=-1), b, tol=1e-10, maxiter=2000)
+        assert clean.converged and clean.extras["breakdown"] is False
+        assert clean.iterations > at // 2 + 1
+        op = Poisoning(at, value)
+        res = bicgstab(op, b, tol=1e-10, maxiter=2000)
+        assert not res.converged
+        assert res.extras["breakdown"] == "non-finite"
+        # two applications an iteration, plus the true residual at the end
+        assert res.iterations <= at // 2 + 1 and op.calls <= at + 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_non_finite_right_hand_side_stops_at_once(self, b):
+        b[3] = np.inf
+        op = Poisoning(at=-1)
+        res = bicgstab(op, b, tol=1e-10, maxiter=2000)
+        assert not res.converged and res.extras["breakdown"] == "non-finite"
+        assert res.iterations == 0 and op.calls == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("lane, at", [(0, 0), (2, 1), (1, 4), (3, 5)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_batched_lane_freezes_and_mates_keep_their_bits(
+        self, rng, lane, at, value
+    ):
+        batch = rng.standard_normal((4, 512)) + 1j * rng.standard_normal((4, 512))
+        clean = batched_bicgstab(Poisoning(at=-1), batch, tol=1e-10, maxiter=2000)
+        assert clean.converged.all() and not clean.extras["breakdown"].any()
+        op = Poisoning(at, value, lane)
+        res = batched_bicgstab(op, batch, tol=1e-10, maxiter=2000)
+        mates = [i for i in range(4) if i != lane]
+        assert not res.converged[lane] and res.converged[mates].all()
+        assert list(res.extras["breakdown"]) == [
+            "non-finite" if i == lane else False for i in range(4)
+        ]
+        assert res.iterations[lane] <= at // 2 + 1
+        assert np.array_equal(res.iterations[mates], clean.iterations[mates])
+        assert res.x[mates].tobytes() == clean.x[mates].tobytes()
+        assert np.array_equal(res.residuals[mates], clean.residuals[mates])
+        # ... and the batch ended with its mates, not at maxiter
+        assert op.calls == 2 * clean.iterations[mates].max() + 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_all_lanes_poisoned_ends_the_batch(self, rng):
+        batch = rng.standard_normal((3, 512)) + 0j
+        op = Poisoning(at=2)
+        res = batched_bicgstab(op, batch, tol=1e-10, maxiter=2000)
+        assert not res.converged.any() and op.calls <= 5
+        assert list(res.extras["breakdown"]) == ["non-finite"] * 3
 
 
 class TestSingularOperators:
