@@ -52,12 +52,15 @@ class DerivedState:
     hundreds of solves on a configuration build each once: the
     lattice-last link cache and its storage-dtype casts under ``("links",
     dtype)``, and two child states — ``child("csw", csw)`` holding the
-    clover term as its chiral blocks under ``("chiral", dtype)`` (``None``
-    for the complex128 ones the build produces: the one full-precision
-    form kept; the dense field is expanded from them for whoever asks and
-    never held here), ``child("regions", (origins, extents))`` holding the
-    same again for the lane stack of a set of Schwarz regions.  Arrays are
-    handed out read-only: every holder shares them.
+    clover term as its chiral blocks, in the form the kernel tier that
+    asked reads, under ``(form, dtype)`` (``"chiral"``: the blocks
+    themselves; ``"packed"``: the compiled tier's Hermitian-packed site
+    vectors; ``None`` for the full-precision array the build produces: the
+    one kept; blocks of a packed term and the dense field are expanded
+    from it for whoever asks and never held here), ``child("regions",
+    (origins, extents))`` holding the same again for the lane stack of a
+    set of Schwarz regions.  Arrays are handed out read-only: every holder
+    shares them.
 
     ``opened_on`` is what the state stands for — the digest of the links,
     the coefficient, the regions.  A state built directly is private to

@@ -19,65 +19,107 @@ import numpy as np
 
 from repro.dirac.base import configuration_state
 from repro.gauge.observables import field_strength
+from repro.kernels import get_backend, resolve_kernel
 from repro.lattice.fields import GaugeField
 from repro.linalg.gamma import sigma
 
 
-def build_clover_blocks(gauge: GaugeField, csw: float = 1.0) -> np.ndarray:
-    """``A_x`` at every site as its two Hermitian 6x6 chirality blocks,
-    lattice-last: ``(2, 6, 6) + geometry.shape``, contiguous complex128
-    (the paper's 72 reals a site).  Vanishes identically on the free
-    (unit-gauge) field.
+def build_clover_blocks(
+    gauge: GaugeField, csw: float = 1.0, backend=None
+) -> np.ndarray:
+    """``A_x`` at every site in the form a kernel tier holds it
+    (:meth:`repro.kernels.KernelBackend.clover_pack`) — by default, and on
+    the NumPy tiers, its two Hermitian 6x6 chirality blocks, lattice-last:
+    ``(2, 6, 6) + geometry.shape``, contiguous complex128; on the compiled
+    tier those Hermitian-packed (the paper's 72 reals a site).  Vanishes
+    identically on the free (unit-gauge) field.
 
     This is the one form a configuration keeps of its clover term: built
-    once per gauge configuration and handed out read-only after that
-    (:func:`repro.dirac.base.configuration_state`), because every solve on
-    one configuration asks for it again.  A configuration keeps the blocks
-    of the last ``csw`` asked for.
+    once per gauge configuration and tier and handed out read-only after
+    that (:func:`repro.dirac.base.configuration_state`), because every
+    solve on one configuration asks for it again.  A configuration keeps
+    the term of the last ``csw`` asked for.
     """
     csw = float(csw)
+    backend = backend or get_backend("numpy")
     return configuration_state(gauge).child("csw", csw).get(
-        ("chiral", None), lambda: _clover_blocks(gauge, csw)
+        (backend.clover_form, None),
+        lambda: backend.clover_pack(
+            _chirality_builder(gauge, csw), gauge.geometry.shape, np.complex128
+        ),
     )
 
 
-def _clover_blocks(gauge: GaugeField, csw: float) -> np.ndarray:
+def _chirality_builder(gauge: GaugeField, csw: float):
+    """``chirality(c)``: the complex128 blocks ``(6, 6) + sites`` of one
+    chirality, built when asked for — half the term alive at a time (the
+    whole blocks, built and dropped, would leave the allocator holding on
+    to freed memory for the rest of the process: it decided the
+    benchmark's peak).  The six field strengths, nine tenths of the build,
+    are computed once and feed both."""
     sites = gauge.geometry.shape
-    a = np.zeros((2, 2, 3, 2, 3) + sites, dtype=np.complex128)
-    for mu, nu in itertools.combinations(range(4), 2):
-        # sigma (x) (iF), Hermitian 4x4 (x) anti-Hermitian 3x3 times i:
-        # Hermitian, and sigma is block-diagonal in chirality, so only its
-        # two 2x2 blocks are multiplied out.  Indices: (s,a),(t,b) -> 6x6.
-        # A quarter of the dense field per expression: this transient, not
-        # the solve, was a Wilson-clover process's peak memory.
-        i_f = np.moveaxis(1j * field_strength(gauge, mu, nu), (-2, -1), (0, 1))
-        spin = sigma(mu, nu)
-        for c in (0, 1):
-            a[c] += np.einsum(
-                "st,ab...->satb...", spin[2 * c : 2 * c + 2, 2 * c : 2 * c + 2], i_f
-            )
-    a *= csw
-    return a.reshape((2, 6, 6) + sites)
+    planes = list(itertools.combinations(range(4), 2))
+    i_f = [
+        np.moveaxis(1j * field_strength(gauge, mu, nu), (-2, -1), (0, 1))
+        for mu, nu in planes
+    ]
+
+    def chirality(c: int) -> np.ndarray:
+        a = np.zeros((2, 3, 2, 3) + sites, dtype=np.complex128)
+        for (mu, nu), f in zip(planes, i_f):
+            # sigma (x) (iF), Hermitian 4x4 (x) anti-Hermitian 3x3 times i:
+            # Hermitian, and sigma is block-diagonal in chirality, so only
+            # its 2x2 block of this chirality is multiplied out.  Indices:
+            # (s,a),(t,b) -> 6x6.
+            spin = sigma(mu, nu)[2 * c : 2 * c + 2, 2 * c : 2 * c + 2]
+            a += np.einsum("st,ab...->satb...", spin, f)
+        a *= csw
+        return a.reshape((6, 6) + sites)
+
+    return chirality
 
 
 def build_clover_field(gauge: GaugeField, csw: float = 1.0) -> np.ndarray:
     """``A_x`` at every site as dense matrices; shape ``geometry.shape +
-    (12, 12)``.  A derived form: expanded afresh from
-    :func:`build_clover_blocks` on every call (the blocks are what is
-    cached), writable, the caller's to keep.
+    (12, 12)``.  A derived form: expanded afresh on every call from what
+    :func:`build_clover_blocks` keeps for the tier ``kernel="auto"``
+    resolves to (so a configuration an operator was built on is not made
+    to keep a second form), writable, the caller's to keep.
     """
-    return dense_clover(build_clover_blocks(gauge, csw))
+    backend = resolve_kernel("auto", operator="wilson")
+    return dense_clover(ChiralBlocks(
+        backend, build_clover_blocks(gauge, csw, backend), gauge.geometry.shape
+    ))
+
+
+class ChiralBlocks:
+    """The chiral blocks ``(2, 6, 6) + lattice`` of a clover term held in a
+    kernel tier's form, a chirality at a time: ``blocks[c]`` is what
+    :meth:`repro.kernels.KernelBackend.clover_chirality` makes of the held
+    array when asked — a view of it on the NumPy tiers, half the blocks
+    expanded afresh, for the caller to drop, on the compiled one.  What
+    applies or expands the blocks (below) takes this as it takes the
+    array."""
+
+    def __init__(self, backend, held: np.ndarray, lattice):
+        self._of = backend, held, tuple(lattice)
+
+    def __getitem__(self, c: int) -> np.ndarray:
+        backend, held, lattice = self._of
+        return backend.clover_chirality(held, lattice, c)
 
 
 def dense_clover(chiral: np.ndarray) -> np.ndarray:
     """The dense ``sites + (12, 12)`` field of chiral blocks ``(2, 6, 6) +
     sites`` — the inverse of :func:`chiral_blocks`: a zero fill and two
     block writes."""
-    sites = chiral.shape[3:]
-    out = np.zeros(sites + (2, 6, 2, 6), dtype=chiral.dtype)
+    out = None
     for c in (0, 1):
-        out[..., c, :, c, :] = np.moveaxis(chiral[c], (0, 1), (-2, -1))
-    return out.reshape(sites + (12, 12))
+        block = chiral[c]
+        if out is None:
+            out = np.zeros(block.shape[2:] + (2, 6, 2, 6), dtype=block.dtype)
+        out[..., c, :, c, :] = np.moveaxis(block, (0, 1), (-2, -1))
+    return out.reshape(out.shape[:-4] + (12, 12))
 
 
 def chiral_blocks(clover: np.ndarray) -> np.ndarray:
@@ -111,8 +153,9 @@ def apply_chiral_sites(
     column = (slice(None), None) if batched else ()
     tmp = np.empty_like(out6[0])
     for c in (0, 1):
+        block = chiral[c]
         for j in range(6):
-            np.multiply(chiral[c, :, j][column], x6[c, j], out=tmp)
+            np.multiply(block[:, j][column], x6[c, j], out=tmp)
             out6[c] += tmp
     return out
 

@@ -40,8 +40,12 @@ order).
 
 An operator has ONE representation: lattice-last links and the clover
 term as its two Hermitian 6x6 chiral blocks (the paper's "72 reals" a
-site); the dense 12x12 field is a derived form (``op.clover``).  On those
-two tiers it has ONE apply as well: both arrays in the operator's own
+site) *in the form its kernel tier reads* — the blocks themselves,
+lattice-last, on the NumPy tiers; Hermitian-packed in blocks of
+consecutive sites on ``"c"`` (``KernelBackend.clover_pack``) — held once;
+the blocks of a packing tier and the dense 12x12 field are derived forms,
+expanded for whoever asks (``op.clover``).  On the
+two fast tiers it has ONE apply as well: both arrays in the operator's own
 dtype — complex128, or the storage dtype of a *stored* operator
 (``op.stored(precision)``, or a block restriction given the block
 ``precision``) — and M applied in one lattice-last body
@@ -73,6 +77,7 @@ from repro.dirac.base import (
     validated_state,
 )
 from repro.dirac.clover import (
+    ChiralBlocks,
     apply_chiral,
     apply_chiral_sites,
     build_clover_blocks,
@@ -105,6 +110,17 @@ _CONVERT, _HOPS, _TAIL = (
     ("wilson_dslash", "dslash"),
     ("wilson_site_diagonal", "clover"),
 )
+
+
+def _clover_form(backend):
+    """The tier whose form an operator of ``backend`` holds its clover term
+    in: its own where it runs the lattice-last body on it.  The reference
+    tier's site-major body reads the blocks a chirality at a time, from
+    any form: it borrows the one the host's fast tier keeps, so that
+    checking a solve against it leaves the configuration with ONE."""
+    if backend.capabilities.packed:
+        return backend
+    return resolve_kernel("auto", operator="wilson")
 
 
 class WilsonCloverOperator(LatticeOperator):
@@ -147,16 +163,21 @@ class WilsonCloverOperator(LatticeOperator):
         # One validation of the configuration's state against its links
         # per operator: inside ``build_clover_blocks`` when there is a
         # clover term.
+        backend = resolve_kernel(kernel, operator="wilson")
         if clover is not None:
-            clover = np.ascontiguousarray(chiral_blocks(clover))
+            blocks = chiral_blocks(clover)
+            clover = _clover_form(backend).clover_pack(
+                lambda c: blocks[c], blocks.shape[3:], blocks.dtype
+            )
             state = DerivedState()
         elif csw != 0.0:
-            clover = build_clover_blocks(gauge, csw)
+            clover = build_clover_blocks(gauge, csw, _clover_form(backend))
             state = validated_state(gauge)
         else:
             state = configuration_state(gauge)
         self._setup(
-            gauge, gauge.geometry, mass, csw, boundary, clover, kernel, state
+            gauge, gauge.geometry, mass, csw, boundary, clover, backend.name,
+            state,
         )
 
     def _setup(
@@ -164,9 +185,10 @@ class WilsonCloverOperator(LatticeOperator):
         links_soa=None, lanes=None, storage=None,
     ):
         """Everything but building the clover term.  ``clover`` is the
-        chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)`` in the operator's
-        dtype.  ``state`` is where the arrays this operator derives from
-        its links and clover term are kept
+        chiral blocks in the operator's dtype and the tier's form (on the
+        NumPy tiers ``(2, 6, 6, [L,] T, Z, Y, X)`` itself).  ``state`` is
+        where the arrays this operator derives from its links and clover
+        term are kept
         (:class:`repro.dirac.base.DerivedState`): the configuration's,
         shared, as long as these are the unrounded ones.  A lane stack
         (:meth:`restrict_to_regions`) or a stored operator of a packing
@@ -182,6 +204,7 @@ class WilsonCloverOperator(LatticeOperator):
         self.csw = float(csw)
         self.boundary = boundary
         self._backend = resolve_kernel(kernel, operator="wilson")
+        self._form = _clover_form(self._backend)
         self.kernel = self._backend.name
         if csw == 0.0:
             clover = None
@@ -208,6 +231,16 @@ class WilsonCloverOperator(LatticeOperator):
         so carries a storage in its arrays' dtype."""
         return self._backend.capabilities.packed
 
+    def _blocks(self) -> ChiralBlocks:
+        """The chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)`` of the clover
+        term, a chirality at a time: the operator's own array where it
+        holds the blocks, a derived form — expanded when asked for, for
+        the caller to drop — where it holds them packed."""
+        lanes = () if self.lanes is None else (self.lanes,)
+        return ChiralBlocks(
+            self._form, self._chiral, lanes + self.geometry.shape
+        )
+
     @property
     def clover(self) -> np.ndarray | None:
         """The dense clover field ``([L,] T, Z, Y, X, 12, 12)``: a derived
@@ -216,7 +249,7 @@ class WilsonCloverOperator(LatticeOperator):
         rounded blocks and no dense field."""
         if self._chiral is None or (self.storage is not None and self._packed):
             return None
-        return dense_clover(self._chiral)
+        return dense_clover(self._blocks())
 
     @property
     def diagonal_coefficient(self) -> float:
@@ -383,7 +416,8 @@ class WilsonCloverOperator(LatticeOperator):
             out *= -0.5
             out += self.diagonal_coefficient * xs
             if self._chiral is not None:
-                apply_chiral_sites(self._chiral, xs, out, batched)
+                blocks = ChiralBlocks(self._form, self._chiral, links.shape[4:])
+                apply_chiral_sites(blocks, xs, out, batched)
         with timed(*_CONVERT):
             if rounding is not None:
                 out = rounding.convert(out, leading=True)
@@ -416,7 +450,7 @@ class WilsonCloverOperator(LatticeOperator):
         the clover term as per-site matrix-vector products."""
         out = self.diagonal_coefficient * x - 0.5 * self._dslash(x)
         if self._chiral is not None:
-            out += apply_chiral(self._chiral, x)
+            out += apply_chiral(self._blocks(), x)
         return out
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -442,7 +476,7 @@ class WilsonCloverOperator(LatticeOperator):
         the interior/exterior kernel split)."""
         out = self.diagonal_coefficient * x
         if self._chiral is not None:
-            out += apply_chiral(self._chiral, x)  # in place: keeps x's dtype
+            out += apply_chiral(self._blocks(), x)  # in place: keeps x's dtype
         return out
 
     def apply_hopping(self, x: np.ndarray) -> np.ndarray:
@@ -466,8 +500,8 @@ class WilsonCloverOperator(LatticeOperator):
     ):
         """An operator with this one's parameters living on ``links_soa``
         ``(2, mu, b, a, [L,] T, Z, Y, X)`` and, for the clover term, the
-        chiral blocks ``(2, 6, 6, [L,] T, Z, Y, X)``.  Without a ``state``
-        to share, what it derives in turn is its own."""
+        chiral blocks on the same lattice in the tier's form.  Without a
+        ``state`` to share, what it derives in turn is its own."""
         out = object.__new__(type(self))
         out._setup(
             None, geometry, self.mass, self.csw, boundary, clover,
@@ -478,7 +512,7 @@ class WilsonCloverOperator(LatticeOperator):
         return out
 
     def _in_storage(self, precision):
-        """On a packing tier the links and chiral blocks cast to the
+        """On a packing tier the links and the clover term cast to the
         storage dtype (the operator's own arrays when that is its dtype
         already), the generic form elsewhere.  The casts are rounded, so
         the stored operator gets a state of its own: a cast of a cast
@@ -489,8 +523,8 @@ class WilsonCloverOperator(LatticeOperator):
         clover = None
         if self._chiral is not None:
             clover = self._state.child("csw", self.csw).get(
-                ("chiral", dtype),
-                lambda: np.ascontiguousarray(self._chiral, dtype=dtype),
+                (self._form.clover_form, dtype),
+                lambda: self._form.clover_cast(self._chiral, dtype),
             )
         links = self._state.get(
             ("links", dtype), lambda: self._soa_links().astype(dtype, copy=False)
@@ -517,18 +551,23 @@ class WilsonCloverOperator(LatticeOperator):
         origins = tuple(tuple(origin) for origin in origins)
         regions = self._state.child("regions", (origins, tuple(extents)))
 
-        def gather(array, lead):
-            return self._region_stack(array, origins, extents, lead, dtype)
-
         clover = None
         if self._chiral is not None:
             clover = regions.child("csw", self.csw).get(
-                ("chiral", dtype), lambda: gather(self._chiral, 3)
+                (self._form.clover_form, dtype),
+                lambda: self._form.clover_regions(
+                    self._chiral, self, origins, extents, dtype
+                ),
             )
         return self._on_links(
             Geometry(extents),
             self.boundary.with_dirichlet(cut_dims),
-            regions.get(("links", dtype), lambda: gather(self._soa_links(), 4)),
+            regions.get(
+                ("links", dtype),
+                lambda: self._region_stack(
+                    self._soa_links(), origins, extents, 4, dtype
+                ),
+            ),
             clover,
             storage,
             None if rounded else regions,
@@ -537,7 +576,7 @@ class WilsonCloverOperator(LatticeOperator):
     def take_lanes(self, lanes) -> "WilsonCloverOperator":
         clover = self._chiral
         if clover is not None:
-            clover = np.take(clover, lanes, axis=3)
+            clover = self._form.clover_lanes(clover, lanes)
         return self._on_links(
             self.geometry, self.boundary, self._links_soa[:, :, :, :, lanes],
             clover, self.storage,
@@ -558,7 +597,13 @@ class WilsonCloverOperator(LatticeOperator):
         )
         clover = self._chiral
         if clover is not None:
-            clover = np.ascontiguousarray(clover[partition.slices(rank, lead=3)])
+            clover = self._form.clover_lanes(
+                self._form.clover_regions(
+                    clover, self, [partition.origin(rank)],
+                    partition.local_dims, None,
+                ),
+                0,
+            )
         out = object.__new__(type(self))
         out._setup(
             local_gauge, partition.local_geometry, self.mass, self.csw,

@@ -28,6 +28,7 @@ from repro.kernels.registry import (
     available_backends,
     backend_names,
     capability_matrix,
+    convert_field,
     get_backend,
     kernel_choices,
     register_backend,
@@ -51,6 +52,7 @@ __all__ = [
     "available_backends",
     "backend_names",
     "capability_matrix",
+    "convert_field",
     "get_backend",
     "kernel_choices",
     "register_backend",

@@ -63,10 +63,11 @@ class KernelCapabilities:
         Complex dtype names the kernels accept (e.g. ``"complex128"``).
     packed:
         A Wilson-clover operator of this tier carries lattice-last links
-        and its clover term as the two chiral blocks, in the storage dtype
-        when stored, and applies M in one lattice-last body with the
-        storage rounding inside (the tier runs that body); the others keep
-        the dense clover field and round around ``_apply``.
+        and its clover term in the tier's own form (the two chiral blocks,
+        or what :meth:`KernelBackend.clover_pack` makes of them), in the
+        storage dtype when stored, and applies M in one lattice-last body
+        with the storage rounding inside (the tier runs that body); the
+        others round around ``_apply``.
     """
 
     operators: tuple[str, ...]
@@ -141,11 +142,60 @@ class KernelBackend:
     ):
         """All of ``WilsonCloverOperator._apply_sites`` on the caller's
         site-major field ``x`` — layout change and rounding in, the hops,
-        ``-1/2 D x + diagonal x + A x`` (``chiral`` the clover blocks or
-        ``None``), rounding and layout change out — or ``None``.
+        ``-1/2 D x + diagonal x + A x`` (``chiral`` the clover term in the
+        tier's own form, see ``clover_pack``, or ``None``), rounding and
+        layout change out — or ``None``.
         ``seconds``, unless ``None``, is a float64 triple that gains the
         time spent converting, hopping and in the site-diagonal tail."""
         return None
+
+    def quantize_half(self, array: np.ndarray, leading: bool = False):
+        """``repro.precision.quantize_half`` of a Wilson field (site axes
+        ``(4, 3)``, trailing or ``leading``), bit for bit, by a quantiser
+        of the tier's own, or ``None``."""
+        return None
+
+    # ------------------------------------------------------------------
+    # the form a Wilson-clover operator of this tier holds its clover term
+    # in: ONE array per operator, the operand of the tier's own body, and
+    # whatever else is wanted of the term is derived from it through these.
+    # Here: the two chiral blocks, lattice-last, ``(2, 6, 6, [L,] T, Z, Y,
+    # X)`` complex — what the NumPy bodies read.
+    # ------------------------------------------------------------------
+    #: The form's name: what the array is filed under in a configuration's
+    #: state.
+    clover_form: str = "chiral"
+
+    def clover_pack(self, chirality, lattice, dtype) -> np.ndarray:
+        """The held form on ``lattice`` (``([L,] T, Z, Y, X)``) from
+        ``chirality(c)``, the ``(6, 6) + lattice`` blocks of chirality
+        ``c``, cast to ``dtype``."""
+        out = np.empty((2, 6, 6) + tuple(lattice), dtype)
+        for c in (0, 1):
+            out[c] = chirality(c)
+        return out
+
+    def clover_chirality(self, held: np.ndarray, lattice, c: int) -> np.ndarray:
+        """The blocks ``(6, 6) + lattice`` of chirality ``c`` of the held
+        form on ``lattice`` (a read-only view where they *are* the held
+        form; expanded afresh, the caller's to drop, where not)."""
+        return held[c]
+
+    def clover_cast(self, held: np.ndarray, dtype) -> np.ndarray:
+        """The held form of the blocks cast to the complex ``dtype`` (the
+        array itself when that is its precision already)."""
+        return np.ascontiguousarray(held, dtype=dtype)
+
+    def clover_regions(self, held, op, origins, extents, dtype) -> np.ndarray:
+        """The held form of ``op``'s clover term on same-shape regions of
+        its lattice, side by side as lanes (``op``'s own lanes merged in,
+        lane-major), cast to the complex ``dtype`` (``None``: as held)."""
+        return op._region_stack(held, origins, extents, 3, dtype)
+
+    def clover_lanes(self, held: np.ndarray, lanes) -> np.ndarray:
+        """The given lanes of a lane stack's held form; one lane alone (an
+        integer) as the term of an operator without lanes."""
+        return np.take(held, lanes, axis=3)
 
     # ------------------------------------------------------------------
     def supports(self, operator: str | None = None) -> bool:

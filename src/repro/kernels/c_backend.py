@@ -10,6 +10,18 @@ bit, so the NumPy body stays both the reference and the fallback for
 whatever the C entries do not take (a non-contiguous lattice-last field,
 a field wider than the operator).  The tier serves the Wilson family only.
 
+The operands are the tier's own.  An operator of this tier holds its
+clover term *Hermitian-packed in site vectors* — ``(L, NB, 2, 36, W)``
+reals: per lane the lattice-last sites in blocks of ``W`` (the last one
+zero-padded), per block and chirality the 6 real diagonals then the 15
+elements above the diagonal, each ``W`` real parts then ``W`` imaginary
+parts: the paper's 72 reals a site, half the bytes of the chiral blocks
+the NumPy tiers keep — and that array is the only form it holds: the
+``clover_*`` hooks below pack it (refusing blocks that are not Hermitian
+bit for bit), expand it back — a chirality at a time — for whoever needs
+the blocks, cast it, and gather region stacks and lanes from it, in C,
+with no NumPy temporary.
+
 The library is built on first use with the host's ``cc`` into the user
 cache directory and loaded from there ever after:
 
@@ -56,6 +68,41 @@ SOURCE = Path(__file__).with_name("wilson_hop.c")
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 _BOUNDARY_CODES = {"periodic": 0, "antiperiodic": 1, "zero": 2}
 _SUFFIX = {"complex128": "c128", "complex64": "c64"}
+_REAL = {"complex128": "float64", "complex64": "float32"}
+_COMPLEX = {real: name for name, real in _REAL.items()}
+#: Sites in a block of the site-vector operands (``W`` in the source).
+SITE_VECTOR = 8
+
+
+def packed_shape(lattice) -> tuple[int, ...]:
+    """The packed clover term's shape on ``([L,] T, Z, Y, X)``."""
+    sites = int(np.prod(lattice[-4:]))
+    lanes = lattice[0] if len(lattice) == 5 else 1
+    return (lanes, -(-sites // SITE_VECTOR), 2, 36, SITE_VECTOR)
+
+
+def _check_packed(held: np.ndarray, lattice) -> None:
+    """Raise unless ``held`` is a packed clover term on ``lattice``: what
+    the library is about to read through a bare pointer."""
+    if (
+        held.dtype.name not in _COMPLEX
+        or held.shape != packed_shape(lattice)
+        or not held.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"not a packed clover term on {tuple(lattice)}: "
+            f"{held.dtype} {held.shape}"
+        )
+
+
+def _site_vectors(shape, dtype) -> np.ndarray:
+    """An uninitialised array starting on a cache line, so that no site
+    vector of it straddles two (NumPy promises 16 bytes; a straddling tail
+    measured 15% slower)."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(size + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype).reshape(shape)
 
 
 class _Unavailable(Exception):
@@ -151,6 +198,7 @@ class _Library:
         lib = ctypes.CDLL(str(path))
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self.multiply, self.hop, self.apply = {}, {}, {}
+        self.pack, self.unpack, self.gather = {}, {}, {}
         # The half format is float32 arithmetic: its one instance.
         self.quantize = lib.repro_quantize_half_c64
         self.quantize.argtypes, self.quantize.restype = (ptr, ptr) + (i64,) * 3, None
@@ -169,6 +217,17 @@ class _Library:
             )
             f.restype = ctypes.c_int
             self.apply[name] = f
+            f = getattr(lib, f"repro_clover_pack_{suffix}")
+            f.argtypes, f.restype = (ptr, i64, i64, ctypes.c_int, ptr), i64
+            self.pack[name] = f
+            # ... and what reads the packed term, by its (real) dtype
+            f = getattr(lib, f"repro_clover_unpack_{suffix}")
+            f.argtypes, f.restype = (ptr, i64, i64, ctypes.c_int, ptr), None
+            self.unpack[_REAL[name]] = f
+            f = getattr(lib, f"repro_clover_gather_{suffix}")
+            f.argtypes = (ptr, i64, ptr, ptr, i64, ptr, ptr, ctypes.c_int)
+            f.restype = None
+            self.gather[_REAL[name]] = f
 
     def probe(self) -> None:
         """Raise unless the library multiplies as ``np.multiply`` does."""
@@ -389,9 +448,9 @@ class CBackend(KernelBackend):
         ):
             return None
         if chiral is not None and (
-            chiral.dtype != links.dtype
+            chiral.dtype.name != _REAL[name]
             or not chiral.flags.c_contiguous
-            or chiral.shape != (2, 6, 6) + lattice
+            or chiral.shape != packed_shape(lattice)
         ):
             return None
         x = np.ascontiguousarray(x)
@@ -410,6 +469,85 @@ class CBackend(KernelBackend):
             None if seconds is None else seconds.ctypes.data,
         )
         return None if failed else out
+
+    # ------------------------------------------------------------------
+    # the clover term, Hermitian-packed in site vectors
+    # ------------------------------------------------------------------
+    clover_form = "packed"
+
+    def _loaded(self) -> _Library:
+        library = self._library or self._resolve(build=True)
+        if library is None:
+            raise RuntimeError(f"kernel 'c' is unavailable: {self._reason}")
+        return library
+
+    def clover_pack(self, chirality, lattice, dtype):
+        dtype = np.dtype(dtype)
+        out = _site_vectors(packed_shape(lattice), _REAL[dtype.name])
+        sites = int(np.prod(lattice[-4:]))
+        pack = self._loaded().pack[dtype.name]
+        for c in (0, 1):
+            blocks = np.ascontiguousarray(chirality(c), dtype=dtype)
+            if blocks.shape != (6, 6) + tuple(lattice):
+                raise ValueError(
+                    f"chirality {c}: blocks {blocks.shape} on {tuple(lattice)}"
+                )
+            bad = pack(
+                blocks.ctypes.data, out.shape[0], sites, c, out.ctypes.data
+            )
+            if bad >= 0:
+                lane, site = divmod(bad, sites)
+                raise ValueError(
+                    "clover term is not Hermitian bit for bit (chirality "
+                    f"{c}, lane {lane}, site {site}): kernel 'c' holds it "
+                    "Hermitian-packed; kernel='numpy' takes any blocks"
+                )
+        return out
+
+    def clover_chirality(self, held, lattice, c):
+        _check_packed(held, lattice)
+        blocks = np.empty((6, 6) + tuple(lattice), _COMPLEX[held.dtype.name])
+        self._loaded().unpack[held.dtype.name](
+            held.ctypes.data, held.shape[0], int(np.prod(lattice[-4:])), c,
+            blocks.ctypes.data,
+        )
+        return blocks
+
+    def clover_cast(self, held, dtype):
+        real = _REAL[np.dtype(dtype).name]
+        if held.dtype.name == real:
+            return held
+        out = _site_vectors(held.shape, real)
+        out[...] = held
+        return out
+
+    def clover_regions(self, held, op, origins, extents, dtype):
+        _check_packed(
+            held, (() if op.lanes is None else (op.lanes,)) + op.geometry.shape
+        )
+        narrow = (held.dtype.name, dtype) == ("float64", np.complex64)
+        dims, starts, sizes = (
+            np.ascontiguousarray(v, np.int64)
+            for v in (op.geometry.shape[::-1], origins, extents)
+        )
+        if starts.shape != (len(starts), 4) or sizes.shape != (4,):
+            raise ValueError("regions are (x, y, z, t) origins and extents")
+        out = _site_vectors(
+            (held.shape[0] * len(starts),) + packed_shape(sizes[::-1])[1:],
+            "float32" if narrow else held.dtype,
+        )
+        self._loaded().gather[held.dtype.name](
+            held.ctypes.data, held.shape[0], dims.ctypes.data,
+            starts.ctypes.data, len(starts), sizes.ctypes.data,
+            out.ctypes.data, narrow,
+        )
+        # (a stack stored *above* its operator's precision: widened after)
+        return out if dtype is None else self.clover_cast(out, dtype)
+
+    def clover_lanes(self, held, lanes):
+        lanes = np.atleast_1d(lanes)
+        out = _site_vectors((len(lanes),) + held.shape[1:], held.dtype)
+        return np.take(held, lanes, axis=0, out=out)
 
     def quantize_half(self, array: np.ndarray, leading: bool = False):
         """``repro.precision.quantize_half`` of a Wilson field (site axes

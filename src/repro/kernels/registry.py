@@ -25,3 +25,16 @@ kernel_choices = KERNELS.choices
 resolve_kernel = KERNELS.resolve
 availability_note = KERNELS.availability_note
 capability_matrix = KERNELS.capability_matrix
+
+
+def convert_field(x, precision, site_axes: int = 2):
+    """``precision.convert(x, site_axes)`` for the solver spaces — a
+    Wilson field to the half format by the quantiser of the tier
+    ``"auto"`` resolves to (the one inside its whole apply), where it has
+    one for the array: the same bits, so NumPy's stays the reference, and
+    the fallback for every array it declines."""
+    if precision.name == "half" and site_axes == 2:
+        out = resolve_kernel(AUTO, operator="wilson").quantize_half(x)
+        if out is not None:
+            return out
+    return precision.convert(x, site_axes=site_axes)

@@ -24,12 +24,28 @@
  *     + 0, rescale.  Single and double storage are the dtype itself.
  *
  * Lattice-last fields are C-contiguous (spin, color, batch, lane, T, Z, Y,
- * X) complex, links (2, mu, b, a, lane, T, Z, Y, X), clover blocks (2, 6,
- * 6, lane, T, Z, Y, X); the caller's fields are site-major (batch, lane, T,
- * Z, Y, X, spin, color).  A run of whole (Y, X) planes is
- * the vector unit: its data is split into real and imaginary scratch arrays
- * so the loops below are plain loops over `i` that gcc vectorises.  No static or
- * global mutable state: callers on several threads run concurrently.
+ * X) complex, links (2, mu, b, a, lane, T, Z, Y, X); the caller's fields
+ * are site-major (batch, lane, T, Z, Y, X, spin, color).
+ *
+ * What the body reads at every site -- its own copy of x, the clover term
+ * -- is held as *site vectors*: a lane's sites, in lattice-last order, are
+ * cut into blocks of W (the last one zero-padded), and a block is its
+ * elements one after the other, each W real parts then W imaginary parts.
+ * One block is one sequential run of memory read at constant offsets, with
+ * nothing to de-interleave.  The field copy is (batch, lane, block, 12, 2,
+ * W); the clover term is Hermitian-packed, (lane, block, 2, 36, W): per
+ * chirality the 6 real diagonals, then the 15 elements above the diagonal
+ * row by row (the paper's 72 reals a site), the lower triangle being the
+ * conjugate taken in registers.  Two loop shapes read these arrays: W sites
+ * at a time on vector types where a chunk of the walk is one whole block,
+ * and a site at a time into the same vectors where it is not (a lattice
+ * whose planes are no multiple of W) -- one arithmetic, so odd extents stay
+ * exact, and slow.
+ *
+ * A run of whole (Y, X) planes is the unit of the walk: its half-spinors
+ * and accumulators are split into real and imaginary scratch rows, so the
+ * loops over them are plain loops over `i` that gcc vectorises.  No static
+ * or global mutable state: callers on several threads run concurrently.
  *
  * The file includes itself, by name, once per precision.
  */
@@ -44,12 +60,40 @@
 
 #define CMUL_RE(ar, ai, br, bi) FMA((ar), (br), -((ai) * (bi)))
 #define CMUL_IM(ar, ai, br, bi) FMA((ar), (bi), (ai) * (br))
+/* The same two on vectors of W sites. */
+#define VMUL_RE(ar, ai, br, bi) NAME(vfma)((ar), (br), -((ai) * (bi)))
+#define VMUL_IM(ar, ai, br, bi) NAME(vfma)((ar), (bi), (ai) * (br))
 
 enum { PERIODIC = 0, ANTIPERIODIC = 1, ZERO = 2 };
 /* The leaves of the whole apply, as `seconds` reports them. */
 enum { CONVERT = 0, HOPS = 1, TAIL = 2 };
 /* Sites transposed at a time between a field and 24 rows of reals. */
 enum { BLOCK = 64 };
+/* Sites in a block of the site-vector operands (BLOCK is a multiple). */
+enum { W = 8 };
+/* Rows of a block: the field's 12 (re, im) pairs; the packed clover term's
+ * 36 per chirality. */
+enum { FIELD_ROWS = 24, CLOVER_ROWS = 72 };
+
+/* Where a packed chirality keeps the real part of element (i, j), i < j, of
+ * its block (the imaginary part is the row after): behind the 6 diagonals,
+ * the upper triangle row by row. */
+static inline int upper(int i, int j)
+{
+    return 6 + 2 * (i * (11 - i) / 2 + j - i - 1);
+}
+
+static inline int64_t blocks_of(int64_t sites) { return (sites + W - 1) / W; }
+
+/* `bytes` of scratch on a cache line, `*raw` the pointer to free.  (Not
+ * posix_memalign: an aligned request splits the allocator's chunks, and a
+ * solve's worth of them left its heap in pieces -- 10 MB of resident
+ * memory after eight GCR-DD solves.) */
+static void *aligned_scratch(size_t bytes, void **raw)
+{
+    *raw = malloc(bytes + 64);
+    return *raw ? (void *)(((uintptr_t)*raw + 63) & ~(uintptr_t)63) : NULL;
+}
 
 /* Seconds since `*mark`, which moves to now: each interval of a call is
  * charged to exactly one leaf.  A caller that did not ask pays nothing. */
@@ -81,6 +125,19 @@ static double lap(struct timespec *mark)
 
 #else /* the per-precision body */
 
+/* W reals, one per site of a block; loaded and stored wherever they lie. */
+typedef REAL NAME(vec) __attribute__((
+    vector_size(W * sizeof(REAL)), aligned(sizeof(REAL)), may_alias));
+#define VEC NAME(vec)
+
+/* fma() lane by lane: one instruction where the host has it. */
+static inline VEC NAME(vfma)(VEC a, VEC b, VEC c)
+{
+    VEC r;
+    for (int i = 0; i < W; i++) r[i] = FMA(a[i], b[i], c[i]);
+    return r;
+}
+
 /* out = a * b elementwise on interleaved complex arrays: what the load-time
  * probe compares with np.multiply. */
 void NAME(repro_multiply)(int64_t n, const REAL *a, const REAL *b, REAL *out)
@@ -93,6 +150,130 @@ void NAME(repro_multiply)(int64_t n, const REAL *a, const REAL *b, REAL *out)
     }
 }
 
+/* ---- the clover term, Hermitian-packed ------------------------------ */
+
+/* The same real bit for bit -- or two NaNs, whose payload no result keeps. */
+static inline int NAME(same)(REAL a, REAL b)
+{
+    return memcmp(&a, &b, sizeof a) == 0 || (a != a && b != b);
+}
+
+/* Chirality c of the blocks (6, 6, L, V) -- interleaved complex, one
+ * chirality of the lattice-last (2, 6, 6, L, V) -- into its half of packed
+ * (L, NB, 2, 36, W).  The packed form holds the diagonal's real parts and
+ * the upper triangle, and the body takes a lower element as (re, 0 - im) of
+ * the one above: blocks that this reproduces bit for bit -- imaginary
+ * diagonal +0, lower triangle exactly that conjugate -- are what it can
+ * represent.  Returns -1, or the (lane-major) index of the first site whose
+ * block is not one of those. */
+int64_t NAME(repro_clover_pack)(const REAL *blocks, int64_t L, int64_t V,
+                                int c, REAL *packed)
+{
+    const int64_t NB = blocks_of(V);
+    for (int64_t l = 0; l < L; l++)
+    for (int64_t site = 0; site < NB * W; site++) {
+        REAL *dst = packed
+            + (((l * NB + site / W) * 2 + c) * 36) * W + site % W;
+        if (site >= V) { /* the last block's padding */
+            for (int e = 0; e < 36; e++) dst[e * W] = 0;
+            continue;
+        }
+#define AT(i, j) (blocks + 2 * ((((i) * 6 + (j)) * L + l) * V + site))
+        for (int i = 0; i < 6; i++) {
+            const REAL *d = AT(i, i);
+            if (!(NAME(same)(d[1], 0) || (d[0] != d[0] && d[1] != d[1])))
+                return l * V + site;
+            dst[i * W] = d[0];
+            for (int j = i + 1; j < 6; j++) {
+                const REAL *up = AT(i, j), *lo = AT(j, i);
+                if (!NAME(same)(lo[0], up[0])
+                    || !NAME(same)(lo[1], (REAL)0 - up[1]))
+                    return l * V + site;
+                dst[upper(i, j) * W] = up[0];
+                dst[(upper(i, j) + 1) * W] = up[1];
+            }
+        }
+    }
+    return -1;
+}
+
+/* Chirality c of packed (L, NB, 2, 36, W) -> the blocks (6, 6, L, V) it
+ * stands for. */
+void NAME(repro_clover_unpack)(const REAL *packed, int64_t L, int64_t V,
+                               int c, REAL *blocks)
+{
+    const int64_t NB = blocks_of(V);
+    for (int64_t l = 0; l < L; l++)
+    for (int64_t site = 0; site < V; site++) {
+        const REAL *src = packed
+            + (((l * NB + site / W) * 2 + c) * 36) * W + site % W;
+        for (int i = 0; i < 6; i++) {
+            AT(i, i)[0] = src[i * W];
+            AT(i, i)[1] = 0;
+            for (int j = i + 1; j < 6; j++) {
+                const REAL re = src[upper(i, j) * W];
+                const REAL im = src[(upper(i, j) + 1) * W];
+                AT(i, j)[0] = re, AT(i, j)[1] = im;
+                AT(j, i)[0] = re, AT(j, i)[1] = (REAL)0 - im;
+            }
+        }
+    }
+#undef AT
+}
+
+/* Same-shape regions of a packed clover term as the lanes of another: out
+ * (L * R, nb, 2, 36, W), a source lane's R regions side by side.  `dims`
+ * and `extents` are (X, Y, Z, T); region r starts at origins[4 r ..] = (x,
+ * y, z, t), which may be negative, and wraps periodically.  Floats when
+ * `narrow` (a stack stored below the operator's precision: rounded as it is
+ * gathered). */
+void NAME(repro_clover_gather)(const REAL *packed, int64_t L,
+                               const int64_t *dims, const int64_t *origins,
+                               int64_t R, const int64_t *extents, void *out,
+                               int narrow)
+{
+    const int64_t NB = blocks_of(dims[0] * dims[1] * dims[2] * dims[3]);
+    const int64_t v = extents[0] * extents[1] * extents[2] * extents[3];
+    const int64_t nb = blocks_of(v);
+    memset(out, 0, (size_t)(L * R * nb * CLOVER_ROWS * W)
+           * (narrow ? sizeof(float) : sizeof(REAL)));
+    for (int64_t l = 0; l < L; l++)
+    for (int64_t r = 0; r < R; r++)
+    for (int64_t i = 0; i < v; i++) {
+        /* site i of the region, lattice-last, is site g of the lattice */
+        int64_t g = 0, rest = i, weight = 1;
+        for (int mu = 0; mu < 4; mu++) {
+            int64_t at = (origins[4 * r + mu] + rest % extents[mu]) % dims[mu];
+            g += (at < 0 ? at + dims[mu] : at) * weight;
+            rest /= extents[mu];
+            weight *= dims[mu];
+        }
+        const REAL *src = packed + (l * NB + g / W) * CLOVER_ROWS * W + g % W;
+        const int64_t to = ((l * R + r) * nb + i / W) * CLOVER_ROWS * W + i % W;
+        for (int e = 0; e < CLOVER_ROWS; e++) {
+            if (narrow) ((float *)out)[to + e * W] = (float)src[e * W];
+            else ((REAL *)out)[to + e * W] = src[e * W];
+        }
+    }
+}
+
+/* ---- the stencil ----------------------------------------------------- */
+
+/* The `rows` vectors of the W sites from site `i` of a site-vector array
+ * (`n` of them inside the walk's unit): where they lie when they are one
+ * whole block, else collected a site at a time into `buf`. */
+static inline const VEC *NAME(rows_of)(const REAL *base, int rows, int64_t i,
+                                       int64_t n, VEC *buf)
+{
+    if (i % W == 0) return (const VEC *)(base + i / W * rows * W);
+    REAL *to = (REAL *)buf;
+    for (int t = 0; t < W; t++, i++) {
+        const REAL *src = base + i / W * rows * W + i % W;
+        for (int r = 0; r < rows; r++) to[r * W + t] = t < n ? src[r * W] : 0;
+    }
+    return buf;
+}
+
 /* The boundary factor of a hop that crossed the lattice edge, on n reals. */
 static void NAME(cross)(REAL *restrict v, int64_t n, int bc)
 {
@@ -102,16 +283,16 @@ static void NAME(cross)(REAL *restrict v, int64_t n, int bc)
         for (int64_t i = 0; i < n; i++) v[i] = -v[i];
 }
 
-/* dst[site] = src[site + step] for the 12 arrays of a half-spinor inside one
- * unit of U sites, step = +-1 along an axis of extent n whose sites are d
- * apart: one shifted copy, then the sites whose neighbour wrapped, with the
- * boundary factor shift_sites applies there. */
+/* dst[site] = src[site + step] for the 12 rows (R reals apart) of a
+ * half-spinor inside one unit of U sites, step = +-1 along an axis of extent
+ * n whose sites are d apart: one shifted copy, then the sites whose
+ * neighbour wrapped, with the boundary factor shift_sites applies there. */
 static void NAME(shift_unit)(REAL *restrict dst, const REAL *restrict src,
-                             int64_t U, int64_t d, int64_t n, int forward,
-                             int bc)
+                             int64_t U, int64_t R, int64_t d, int64_t n,
+                             int forward, int bc)
 {
     const int64_t span = (n - 1) * d;
-    for (int k = 0; k < 12; k++, dst += U, src += U) {
+    for (int k = 0; k < 12; k++, dst += R, src += R) {
         if (forward)
             for (int64_t i = 0; i + d < U; i++) dst[i] = src[i + d];
         else
@@ -127,81 +308,75 @@ static void NAME(shift_unit)(REAL *restrict dst, const REAL *restrict src,
     }
 }
 
-/* h[s][c] = x[s][c] + coeff[s] * x[lower[s]][c] for the two upper spins, from
- * one unit of a lattice-last field (component stride cs reals) into split
- * scratch h[((s * 3 + c) * 2 + part) * P].  The field is interleaved
- * complex (imo 0: NumPy's), or split -- a component's real parts, then its
- * imaginary parts imo reals on (the whole apply's own copy: no shuffles). */
-static void NAME(project)(const REAL *restrict x, int64_t cs, int64_t imo,
-                          int64_t P, const int32_t *spins, const REAL *coef,
+/* h[s][c] = x[s][c] + coeff[s] * x[lower[s]][c] for the two upper spins, of
+ * the U sites from site `from` of one lane's site-vector field `xb`, into
+ * split scratch rows h[((s * 3 + c) * 2 + part) * R]. */
+static void NAME(project)(const REAL *xb, int64_t from, int64_t U, int64_t R,
+                          const int32_t *spins, const REAL *coef,
                           REAL *restrict h)
 {
-    for (int s = 0; s < 2; s++) {
-        const REAL cr = coef[2 * s], ci = coef[2 * s + 1];
-        for (int c = 0; c < 3; c++) {
-            const REAL *restrict up = x + (s * 3 + c) * cs;
-            const REAL *restrict lo = x + (spins[s] * 3 + c) * cs;
-            REAL *restrict hr = h + ((s * 3 + c) * 2) * P;
-            REAL *restrict hi = hr + P;
-            if (imo)
-                for (int64_t i = 0; i < P; i++) {
-                    REAL lr = lo[i], li = lo[imo + i];
-                    hr[i] = up[i] + CMUL_RE(cr, ci, lr, li);
-                    hi[i] = up[imo + i] + CMUL_IM(cr, ci, lr, li);
-                }
-            else
-                for (int64_t i = 0; i < P; i++) {
-                    REAL lr = lo[2 * i], li = lo[2 * i + 1];
-                    hr[i] = up[2 * i] + CMUL_RE(cr, ci, lr, li);
-                    hi[i] = up[2 * i + 1] + CMUL_IM(cr, ci, lr, li);
-                }
-        }
-    }
-}
-
-/* hop[s][a] = (h[s][0] u[0][a] + h[s][1] u[1][a]) + h[s][2] u[2][a] with the
- * links of one plane (interleaved, element stride ls reals); a column of
- * links is loaded once for both spins. */
-static void NAME(link_apply)(const REAL *restrict h, const REAL *restrict u,
-                             int64_t ls, int64_t P, REAL *restrict hop)
-{
-    for (int a = 0; a < 3; a++) {
-        const REAL *restrict u0 = u + (0 * 3 + a) * ls;
-        const REAL *restrict u1 = u + (1 * 3 + a) * ls;
-        const REAL *restrict u2 = u + (2 * 3 + a) * ls;
-        for (int64_t i = 0; i < P; i++) {
-            REAL ar = u0[2 * i], ai = u0[2 * i + 1];
-            REAL br = u1[2 * i], bi = u1[2 * i + 1];
-            REAL cr = u2[2 * i], ci = u2[2 * i + 1];
-            for (int s = 0; s < 2; s++) {
-                const REAL *restrict hs = h + s * 6 * P + i;
-                REAL re = CMUL_RE(hs[0], hs[P], ar, ai);
-                REAL im = CMUL_IM(hs[0], hs[P], ar, ai);
-                re += CMUL_RE(hs[2 * P], hs[3 * P], br, bi);
-                im += CMUL_IM(hs[2 * P], hs[3 * P], br, bi);
-                re += CMUL_RE(hs[4 * P], hs[5 * P], cr, ci);
-                im += CMUL_IM(hs[4 * P], hs[5 * P], cr, ci);
-                hop[((s * 3 + a) * 2) * P + i] = re;
-                hop[((s * 3 + a) * 2 + 1) * P + i] = im;
+    const VEC zero = {0};
+    VEC buf[FIELD_ROWS];
+    for (int64_t j = 0; j < U; j += W) {
+        const VEC *x = NAME(rows_of)(xb, FIELD_ROWS, from + j, U - j, buf);
+        for (int s = 0; s < 2; s++) {
+            const VEC cr = zero + coef[2 * s], ci = zero + coef[2 * s + 1];
+            for (int c = 0; c < 3; c++) {
+                const VEC *up = x + (s * 3 + c) * 2;
+                const VEC *lo = x + (spins[s] * 3 + c) * 2;
+                REAL *hr = h + ((s * 3 + c) * 2) * R + j;
+                *(VEC *)hr = up[0] + VMUL_RE(cr, ci, lo[0], lo[1]);
+                *(VEC *)(hr + R) = up[1] + VMUL_IM(cr, ci, lo[0], lo[1]);
             }
         }
     }
 }
 
-/* upper += hop; lower[s] += coeff[s] * hop[source[s]]. */
-static void NAME(accumulate)(const REAL *restrict hop, int64_t P,
+/* hop[s][a] = (h[s][0] u[0][a] + h[s][1] u[1][a]) + h[s][2] u[2][a] with the
+ * links of the unit's U sites (interleaved, element stride ls reals); a
+ * column of links is loaded once for both spins. */
+static void NAME(link_apply)(const REAL *restrict h, const REAL *restrict u,
+                             int64_t ls, int64_t U, int64_t R,
+                             REAL *restrict hop)
+{
+    for (int a = 0; a < 3; a++) {
+        const REAL *restrict u0 = u + (0 * 3 + a) * ls;
+        const REAL *restrict u1 = u + (1 * 3 + a) * ls;
+        const REAL *restrict u2 = u + (2 * 3 + a) * ls;
+        for (int64_t i = 0; i < U; i++) {
+            REAL ar = u0[2 * i], ai = u0[2 * i + 1];
+            REAL br = u1[2 * i], bi = u1[2 * i + 1];
+            REAL cr = u2[2 * i], ci = u2[2 * i + 1];
+            for (int s = 0; s < 2; s++) {
+                const REAL *restrict hs = h + s * 6 * R + i;
+                REAL re = CMUL_RE(hs[0], hs[R], ar, ai);
+                REAL im = CMUL_IM(hs[0], hs[R], ar, ai);
+                re += CMUL_RE(hs[2 * R], hs[3 * R], br, bi);
+                im += CMUL_IM(hs[2 * R], hs[3 * R], br, bi);
+                re += CMUL_RE(hs[4 * R], hs[5 * R], cr, ci);
+                im += CMUL_IM(hs[4 * R], hs[5 * R], cr, ci);
+                hop[((s * 3 + a) * 2) * R + i] = re;
+                hop[((s * 3 + a) * 2 + 1) * R + i] = im;
+            }
+        }
+    }
+}
+
+/* upper += hop; lower[s] += coeff[s] * hop[source[s]], whole rows (their
+ * padding rides along). */
+static void NAME(accumulate)(const REAL *restrict hop, int64_t R,
                              const int32_t *spins, const REAL *coef,
                              REAL *restrict acc)
 {
-    for (int64_t i = 0; i < 12 * P; i++) acc[i] += hop[i];
+    for (int64_t i = 0; i < 12 * R; i++) acc[i] += hop[i];
     for (int s = 0; s < 2; s++) {
         const REAL cr = coef[2 * s], ci = coef[2 * s + 1];
         for (int c = 0; c < 3; c++) {
-            const REAL *restrict hr = hop + ((spins[s] * 3 + c) * 2) * P;
-            const REAL *restrict hi = hr + P;
-            REAL *restrict ar = acc + (((2 + s) * 3 + c) * 2) * P;
-            REAL *restrict ai = ar + P;
-            for (int64_t i = 0; i < P; i++) {
+            const REAL *restrict hr = hop + ((spins[s] * 3 + c) * 2) * R;
+            const REAL *restrict hi = hr + R;
+            REAL *restrict ar = acc + (((2 + s) * 3 + c) * 2) * R;
+            REAL *restrict ai = ar + R;
+            for (int64_t i = 0; i < R; i++) {
                 ar[i] += CMUL_RE(cr, ci, hr[i], hi[i]);
                 ai[i] += CMUL_IM(cr, ci, hr[i], hi[i]);
             }
@@ -276,10 +451,10 @@ static void NAME(scatter)(const REAL *restrict block, int64_t bstride,
         }
 }
 
-/* quantize_half alone, for the tests: a Wilson field of `sites` sites in
- * either layout -- site-major (cstride 1, sstride 12) or lattice-last
- * (cstride sites, sstride 1).  (The format is float32 arithmetic: the _c64
- * instance is the one the loader binds.) */
+/* quantize_half alone: a Wilson field of `sites` sites in either layout --
+ * site-major (cstride 1, sstride 12) or lattice-last (cstride sites,
+ * sstride 1).  (The format is float32 arithmetic: the _c64 instance is the
+ * one the loader binds.) */
 void NAME(repro_quantize_half)(const REAL *in, REAL *out, int64_t sites,
                                int64_t cstride, int64_t sstride)
 {
@@ -293,117 +468,130 @@ void NAME(repro_quantize_half)(const REAL *in, REAL *out, int64_t sites,
     }
 }
 
-/* The way in: the caller's site-major field (S sites of 12 complex; floats
- * when `narrow`, widened exactly) -> the lattice-last field the stencil
- * reads, split (per component S real parts, then S imaginary parts), each
- * site rounded to the half format on the way if `half`.  A block of sites
- * is transposed in a small buffer and leaves as 24 contiguous runs: 24
- * streams S reals apart would share cache sets. */
-static void NAME(enter)(const void *x, int narrow, REAL *restrict xs,
-                        int64_t S, int half)
+/* The way in: a field of `lanes` lanes of V sites (layout as for gather;
+ * floats when `narrow`, widened exactly) -> the body's own site-vector copy
+ * (lanes, NB, 12, 2, W), each site rounded to the half format on the way if
+ * `half`.  BLOCK sites are transposed in a small buffer and leave as whole
+ * blocks of W, one after the other. */
+static void NAME(enter)(const void *x, int narrow, int64_t cstride,
+                        int64_t sstride, REAL *restrict xs, int64_t lanes,
+                        int64_t V, int half)
 {
     REAL block[24 * BLOCK];
     const size_t width = narrow ? sizeof(float) : sizeof(REAL);
-    for (int64_t lo = 0; lo < S; lo += BLOCK) {
-        const int64_t n = S - lo < BLOCK ? S - lo : BLOCK;
-        NAME(gather)((const char *)x + 24 * lo * width, narrow, 1, 12, n, block);
+    const int64_t NB = blocks_of(V);
+    for (int64_t lane = 0; lane < lanes; lane++)
+    for (int64_t lo = 0; lo < V; lo += BLOCK) {
+        const int64_t n = V - lo < BLOCK ? V - lo : BLOCK;
+        NAME(gather)((const char *)x + 2 * (lane * V + lo) * sstride * width,
+                     narrow, cstride, sstride, n, block);
         if (half) NAME(quantize_rows)(block, BLOCK, n);
-        for (int r = 0; r < 24; r++)
-            memcpy(xs + r * S + lo, block + r * BLOCK, (size_t)n * sizeof(REAL));
+        REAL *to = xs + (lane * NB + lo / W) * FIELD_ROWS * W;
+        for (int64_t q = 0; q < n; q += W)
+            for (int r = 0; r < FIELD_ROWS; r++, to += W)
+                for (int t = 0; t < W; t++)
+                    to[t] = q + t < n ? block[r * BLOCK + q + t] : 0;
     }
 }
 
-/* The site-diagonal tail of _apply_sites on one unit of U sites, in place on
- * the split accumulator:
+/* The site-diagonal tail of _apply_sites on one unit -- the U sites from
+ * site `here` of a lane -- in place on the split accumulator rows:
  *     acc *= -0.5;  acc += diag * x;
  *     per chirality, column by column:  acc6[c] += chiral[c, :, j] * x6[c, j]
- * `x` is the unit's split lattice-last input (component stride cs reals,
- * imaginary parts imo reals on), `chiral` its clover blocks (interleaved,
- * element stride as reals) or NULL for no clover term. */
-static void NAME(site_tail)(REAL *restrict acc, const REAL *restrict x,
-                            int64_t cs, int64_t imo,
-                            const REAL *restrict chiral, int64_t as,
-                            double diag, int64_t U)
+ * `xb` is the lane's site-vector input, `packed` its packed clover term or
+ * NULL for none.  A row's seven terms are summed in registers, in that
+ * order; a[i][j] below the diagonal is the conjugate of a[j][i], and the
+ * diagonal keeps the general product with its zero imaginary part (which
+ * decides the sign of a zero). */
+static void NAME(site_tail)(REAL *restrict acc, int64_t U, int64_t R,
+                            const REAL *xb, const REAL *packed, int64_t here,
+                            double diag)
 {
-    const REAL d = (REAL)diag, half = (REAL)-0.5, zero = 0;
-    for (int k = 0; k < 12; k++) {
-        const int c = k / 6, row = k % 6;
-        REAL *restrict tr = acc + 2 * k * U;
-        REAL *restrict ti = tr + U;
-        const REAL *restrict xk = x + k * cs;
-        for (int64_t i = 0; i < U; i++) {
-            REAL re = tr[i], im = ti[i];
-            REAL xr = xk[i], xi = xk[imo + i];
-            tr[i] = CMUL_RE(re, im, half, zero) + CMUL_RE(d, zero, xr, xi);
-            ti[i] = CMUL_IM(re, im, half, zero) + CMUL_IM(d, zero, xr, xi);
-        }
-        if (!chiral) continue;
-        for (int j = 0; j < 6; j++) {
-            const REAL *restrict a = chiral + ((c * 6 + row) * 6 + j) * as;
-            const REAL *restrict xj = x + (c * 6 + j) * cs;
-            for (int64_t i = 0; i < U; i++) {
-                REAL ar = a[2 * i], ai = a[2 * i + 1];
-                REAL xr = xj[i], xi = xj[imo + i];
-                tr[i] += CMUL_RE(ar, ai, xr, xi);
-                ti[i] += CMUL_IM(ar, ai, xr, xi);
+    const VEC zero = {0}, d = zero + (REAL)diag, half = zero + (REAL)-0.5;
+    VEC xbuf[FIELD_ROWS], abuf[CLOVER_ROWS];
+    for (int64_t j = 0; j < U; j += W) {
+        const VEC *x = NAME(rows_of)(xb, FIELD_ROWS, here + j, U - j, xbuf);
+        const VEC *a = !packed ? NULL
+            : NAME(rows_of)(packed, CLOVER_ROWS, here + j, U - j, abuf);
+        for (int c = 0; c < 2; c++, x += 12, a = a ? a + 36 : NULL)
+        for (int row = 0; row < 6; row++) {
+            VEC *tr = (VEC *)(acc + 2 * (c * 6 + row) * R + j);
+            VEC *ti = (VEC *)((REAL *)tr + R);
+            VEC re = VMUL_RE(*tr, *ti, half, zero)
+                + VMUL_RE(d, zero, x[2 * row], x[2 * row + 1]);
+            VEC im = VMUL_IM(*tr, *ti, half, zero)
+                + VMUL_IM(d, zero, x[2 * row], x[2 * row + 1]);
+            for (int col = 0; a && col < 6; col++) {
+                VEC ar = a[row], ai = zero;
+                if (col > row) {
+                    ar = a[upper(row, col)];
+                    ai = a[upper(row, col) + 1];
+                } else if (col < row) {
+                    ar = a[upper(col, row)];
+                    ai = zero - a[upper(col, row) + 1];
+                }
+                re += VMUL_RE(ar, ai, x[2 * col], x[2 * col + 1]);
+                im += VMUL_IM(ar, ai, x[2 * col], x[2 * col + 1]);
             }
+            *tr = re;
+            *ti = im;
         }
     }
 }
 
-/* The way out: a unit's split accumulator -> the caller's site-major field
- * (floats when `narrow`: the one rounding of a field narrower than the
+/* The way out: a unit's split accumulator rows -> the caller's site-major
+ * field (floats when `narrow`: the one rounding of a field narrower than the
  * operator), each site rounded to the half format first if `half`. */
-static void NAME(leave)(REAL *restrict acc, int64_t U, void *out, int narrow,
-                        int half)
+static void NAME(leave)(REAL *restrict acc, int64_t U, int64_t R, void *out,
+                        int narrow, int half)
 {
-    if (half) NAME(quantize_rows)(acc, U, U);
-    NAME(scatter)(acc, U, out, narrow, 1, 12, U);
+    if (half) NAME(quantize_rows)(acc, R, U);
+    NAME(scatter)(acc, R, out, narrow, 1, 12, U);
 }
 
-/* The 8-hop stencil core, bare (`whole` 0: out = D x, lattice-last) or with
- * the rest of the matrix behind it (`whole` 1: out = round((4 + m) x - D x
- * / 2 + A x), site-major, see repro_wilson_apply).  `spins` is (8, 4) int32
- * -- per hop (mu forward, mu backward, ...) the two lower spins the
- * projection reads and the two half-spinor rows the reconstruction reads --
- * and `coef` (8, 4) complex: the two projection and the two reconstruction
- * phases.  bc[mu] is the boundary code.  Returns nonzero when the scratch
- * cannot be had.
+/* The 8-hop stencil core on the site-vector field `xs`, bare (`whole` 0:
+ * out = D x, lattice-last) or with the rest of the matrix behind it (`whole`
+ * 1: out = round((4 + m) x - D x / 2 + A x), site-major, see
+ * repro_wilson_apply).  `spins` is (8, 4) int32 -- per hop (mu forward, mu
+ * backward, ...) the two lower spins the projection reads and the two
+ * half-spinor rows the reconstruction reads -- and `coef` (8, 4) complex:
+ * the two projection and the two reconstruction phases.  bc[mu] is the
+ * boundary code.  Returns nonzero when the scratch cannot be had.
  *
  * The lattice is walked in units: the (Y, X) plane, grown by Z and then T
  * while the unit's scratch (48 reals a site) stays near the L1 cache, so
  * small blocks are not all loop overhead.  A hop along an axis inside the
  * unit is a shift within it; along an outer axis it reads another unit. */
-static int NAME(stencil)(const REAL *x, const REAL *links, void *out,
+static int NAME(stencil)(const REAL *xs, const REAL *links, void *out,
                          int whole, int narrow, int half,
-                         const REAL *chiral, double diag,
+                         const REAL *packed, double diag,
                          const int32_t *spins, const REAL *coef,
                          int64_t nb, int64_t nl, int64_t T, int64_t Z,
                          int64_t Y, int64_t X, const int32_t *bc,
                          double *seconds, struct timespec *mark)
 {
     const int64_t n[4] = {X, Y, Z, T};
-    const int64_t V = T * Z * Y * X;
+    const int64_t V = T * Z * Y * X, NB = blocks_of(V);
     int inner = 2; /* axes mu < inner lie inside the unit */
     int64_t U = X * Y;
     while (inner < 4 && U * n[inner] * sizeof(REAL) <= 1024) U *= n[inner++];
     const int64_t units = V / U;
+    const int64_t R = blocks_of(U) * W; /* scratch row stride: whole vectors */
     const int64_t cs = 2 * nb * nl * V; /* field component stride, reals */
     const int64_t ls = 2 * nl * V;      /* link element stride, reals */
-    /* the whole apply reads its own split copy of x, the bare core NumPy's
-     * interleaved field: where a site's imaginary part and successor lie */
-    const int64_t imo = whole ? cs / 2 : 0, step = whole ? 1 : 2;
-    REAL *scratch = malloc((size_t)(48 * U) * sizeof(REAL));
-    if (!scratch) return 1;
-    REAL *h = scratch, *g = h + 12 * U, *acc = g + 12 * U;
+    void *raw;
+    REAL *h = aligned_scratch((size_t)(48 * R) * sizeof(REAL), &raw);
+    if (!h) return 1;
+    memset(h, 0, (size_t)(48 * R) * sizeof(REAL));
+    REAL *g = h + 12 * R, *acc = g + 12 * R;
 
     for (int64_t b = 0; b < nb; b++)
     for (int64_t l = 0; l < nl; l++) {
-        const REAL *xb = x + step * (b * nl + l) * V;
+        const REAL *xb = xs + (b * nl + l) * NB * FIELD_ROWS * W;
         const REAL *ul = links + 2 * l * V;
         for (int64_t unit = 0; unit < units; unit++) {
             const int64_t here = unit * U;
-            memset(acc, 0, (size_t)(24 * U) * sizeof(REAL));
+            memset(acc, 0, (size_t)(24 * R) * sizeof(REAL));
             for (int hop = 0; hop < 8; hop++) {
                 const int mu = hop / 2, forward = !(hop % 2);
                 const int32_t *sp = spins + 4 * hop;
@@ -423,34 +611,35 @@ static int NAME(stencil)(const REAL *x, const REAL *links, void *out,
                 }
                 const REAL *u = ul + ((forward ? 0 : 4) + mu) * 9 * ls;
                 REAL *result;
-                NAME(project)(xb + step * from, cs, imo, U, sp, cf, h);
+                NAME(project)(xb, from, U, R, sp, cf, h);
                 if (forward) {
                     /* U(x) [P psi](x + mu): shift, then multiply */
                     if (mu < inner) {
-                        NAME(shift_unit)(g, h, U, d, n[mu], 1, bc[mu]);
-                        NAME(link_apply)(g, u + 2 * here, ls, U, result = h);
+                        NAME(shift_unit)(g, h, U, R, d, n[mu], 1, bc[mu]);
+                        NAME(link_apply)(g, u + 2 * here, ls, U, R, result = h);
                     } else {
-                        if (crossed) NAME(cross)(h, 12 * U, bc[mu]);
-                        NAME(link_apply)(h, u + 2 * here, ls, U, result = g);
+                        if (crossed) NAME(cross)(h, 12 * R, bc[mu]);
+                        NAME(link_apply)(h, u + 2 * here, ls, U, R, result = g);
                     }
                 } else {
                     /* U(x - mu)^+ [P psi](x - mu): multiply, then shift */
-                    NAME(link_apply)(h, u + 2 * from, ls, U, result = g);
+                    NAME(link_apply)(h, u + 2 * from, ls, U, R, result = g);
                     if (mu < inner)
-                        NAME(shift_unit)(result = h, g, U, d, n[mu], 0, bc[mu]);
+                        NAME(shift_unit)(result = h, g, U, R, d, n[mu], 0,
+                                         bc[mu]);
                     else if (crossed)
-                        NAME(cross)(g, 12 * U, bc[mu]);
+                        NAME(cross)(g, 12 * R, bc[mu]);
                 }
-                NAME(accumulate)(result, U, sp + 2, cf + 4, acc);
+                NAME(accumulate)(result, R, sp + 2, cf + 4, acc);
             }
             const int64_t site = (b * nl + l) * V + here;
             if (whole) {
                 if (seconds) seconds[HOPS] += lap(mark);
-                NAME(site_tail)(acc, xb + here, cs, imo,
-                                chiral ? chiral + 2 * (l * V + here) : NULL,
-                                ls, diag, U);
+                NAME(site_tail)(acc, U, R, xb,
+                                packed ? packed + l * NB * CLOVER_ROWS * W : NULL,
+                                here, diag);
                 if (seconds) seconds[TAIL] += lap(mark);
-                NAME(leave)(acc, U,
+                NAME(leave)(acc, U, R,
                             (char *)out + 24 * site
                                 * (narrow ? sizeof(float) : sizeof(REAL)),
                             narrow, half);
@@ -458,8 +647,8 @@ static int NAME(stencil)(const REAL *x, const REAL *links, void *out,
                 continue;
             }
             for (int k = 0; k < 12; k++) {
-                const REAL *restrict ar = acc + 2 * k * U;
-                const REAL *restrict ai = ar + U;
+                const REAL *restrict ar = acc + 2 * k * R;
+                const REAL *restrict ai = ar + R;
                 REAL *restrict o = (REAL *)out + k * cs + 2 * site;
                 for (int64_t i = 0; i < U; i++) {
                     o[2 * i] = ar[i];
@@ -468,8 +657,33 @@ static int NAME(stencil)(const REAL *x, const REAL *links, void *out,
             }
         }
     }
-    free(scratch);
+    free(raw);
     return 0;
+}
+
+/* Both entries: the field into the body's own site-vector copy (`cstride`,
+ * `sstride`: its layout, as for gather), then the stencil on that. */
+static int NAME(run)(const void *x, int64_t cstride, int64_t sstride,
+                     const REAL *links, void *out, int whole, int narrow,
+                     int half, const REAL *packed, double diag,
+                     const int32_t *spins, const REAL *coef,
+                     int64_t nb, int64_t nl, int64_t T, int64_t Z,
+                     int64_t Y, int64_t X, const int32_t *bc, double *seconds)
+{
+    const int64_t V = T * Z * Y * X;
+    struct timespec mark;
+    void *raw;
+    REAL *xs = aligned_scratch(
+        (size_t)(nb * nl * blocks_of(V) * FIELD_ROWS * W) * sizeof(REAL), &raw);
+    if (!xs) return 1;
+    if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
+    NAME(enter)(x, narrow, cstride, sstride, xs, nb * nl, V, half);
+    if (seconds) seconds[CONVERT] += lap(&mark);
+    int failed = NAME(stencil)(xs, links, out, whole, narrow, half, packed,
+                               diag, spins, coef, nb, nl, T, Z, Y, X, bc,
+                               seconds, &mark);
+    free(raw);
+    return failed;
 }
 
 /* out = D x on lattice-last fields (WilsonCloverOperator._hop_sites). */
@@ -478,39 +692,30 @@ int NAME(repro_wilson_hop)(const REAL *x, const REAL *links, REAL *out,
                            int64_t nb, int64_t nl, int64_t T, int64_t Z,
                            int64_t Y, int64_t X, const int32_t *bc)
 {
-    return NAME(stencil)(x, links, out, 0, 0, 0, NULL, 0.0, spins, coef,
-                         nb, nl, T, Z, Y, X, bc, NULL, NULL);
+    return NAME(run)(x, nb * nl * T * Z * Y * X, 1, links, out, 0, 0, 0, NULL,
+                     0.0, spins, coef, nb, nl, T, Z, Y, X, bc, NULL);
 }
 
 /* The whole matrix, WilsonCloverOperator._apply_sites, on the caller's
  * site-major fields (nb, nl, T, Z, Y, X, 4, 3):
  *     out = round(diag * x' - 1/2 D x' + A x'),   x' = round(x)
- * with `chiral` the clover blocks (2, 6, 6, nl, T, Z, Y, X) or NULL, the
+ * with `packed` the packed clover term (nl, NB, 2, 36, W) or NULL, the
  * rounding the half format if `half` and none otherwise, and x / out float
  * complex if `narrow` (a field narrower than the operator: widened on the
  * way in, rounded once on the way out).  `seconds`, unless NULL, gains the
  * time spent converting (in and out), hopping and in the tail.  Returns
  * nonzero when the scratch cannot be had. */
 int NAME(repro_wilson_apply)(const void *x, const REAL *links,
-                             const REAL *chiral, double diag, void *out,
+                             const REAL *packed, double diag, void *out,
                              int narrow, int half,
                              const int32_t *spins, const REAL *coef,
                              int64_t nb, int64_t nl, int64_t T, int64_t Z,
                              int64_t Y, int64_t X, const int32_t *bc,
                              double *seconds)
 {
-    const int64_t S = nb * nl * T * Z * Y * X;
-    struct timespec mark;
-    REAL *xs = malloc((size_t)(24 * S) * sizeof(REAL));
-    if (!xs) return 1;
-    if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
-    NAME(enter)(x, narrow, xs, S, half);
-    if (seconds) seconds[CONVERT] += lap(&mark);
-    int failed = NAME(stencil)(xs, links, out, 1, narrow, half, chiral, diag,
-                               spins, coef, nb, nl, T, Z, Y, X, bc, seconds,
-                               &mark);
-    free(xs);
-    return failed;
+    return NAME(run)(x, 1, 12, links, out, 1, narrow, half, packed, diag,
+                     spins, coef, nb, nl, T, Z, Y, X, bc, seconds);
 }
 
+#undef VEC
 #endif

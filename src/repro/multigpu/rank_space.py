@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.communicator import Communicator
+from repro.kernels import convert_field
 from repro.linalg.blas import _bcoeff
 from repro.precision import Precision
 from repro.util.counters import record
@@ -71,7 +72,7 @@ class RankSpace:
 
     # -- precision / interop ----------------------------------------------
     def convert(self, x, precision: Precision):
-        return precision.convert(x, site_axes=self.site_axes)
+        return convert_field(x, precision, self.site_axes)
 
     def asarray(self, x) -> np.ndarray:
         """The rank-local block (gathering is the parent's job)."""

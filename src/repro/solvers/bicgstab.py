@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import math
 
-from repro.solvers.base import Operator, SolverResult, compute_residual
+from repro.solvers.base import Operator, SolverResult, compute_residual, finite
 from repro.solvers.space import ArraySpace
-
-
-def _finite(value) -> bool:
-    return math.isfinite(abs(value))
 
 
 def _breakdown(value):
     """What ``extras["breakdown"]`` says of a stop on this reduction."""
-    return True if _finite(value) else "non-finite"
+    return True if finite(value) else "non-finite"
 
 
 def bicgstab(
@@ -67,7 +63,7 @@ def bicgstab(
     broke_down = False
     while not converged and not broke_down and it < maxiter:
         rho_new = space.dot(r_hat, r)
-        if abs(rho_new) == 0.0 or not _finite(rho_new):
+        if abs(rho_new) == 0.0 or not finite(rho_new):
             broke_down = _breakdown(rho_new)
             break
         beta = (rho_new / rho) * (alpha / omega)
@@ -78,7 +74,7 @@ def bicgstab(
         v = op(p)
         matvecs += 1
         denom = space.dot(r_hat, v)
-        if abs(denom) == 0.0 or not _finite(denom):
+        if abs(denom) == 0.0 or not finite(denom):
             broke_down = _breakdown(denom)
             break
         alpha = rho / denom
@@ -103,7 +99,7 @@ def bicgstab(
         it += 1
         history.append(math.sqrt(r2 / b_norm2))
         converged = r2 <= target
-        if abs(omega) == 0.0 or not _finite(r2):
+        if abs(omega) == 0.0 or not finite(r2):
             broke_down = _breakdown(r2)
 
     true_r = compute_residual(op, x, b, space)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from repro.solvers.base import Operator, SolverResult, compute_residual
+from repro.solvers.base import Operator, SolverResult, compute_residual, finite
 from repro.solvers.space import ArraySpace
 
 
@@ -30,6 +30,9 @@ def cg(
 
     ``tol`` is relative: convergence when ``||r|| <= tol * ||b||`` (iterated
     residual; the returned ``residual`` is recomputed from the solution).
+    A ``p . A p`` or a residual norm that comes back NaN or infinite ends
+    the solve within the iteration, ``converged=False`` and
+    ``extras["breakdown"] == "non-finite"``.
     """
     space = space or ArraySpace()
     b_norm2 = space.norm2(b)
@@ -51,10 +54,14 @@ def cg(
 
     it = 0
     converged = r2 <= target
-    while not converged and it < maxiter:
+    broke_down = False if finite(r2) else "non-finite"
+    while not converged and not broke_down and it < maxiter:
         ap = op(p)
         matvecs += 1
         pap = space.rdot(p, ap)
+        if not finite(pap):
+            broke_down = "non-finite"
+            break
         if pap <= 0.0:
             # Indefinite or numerically broken-down system.
             break
@@ -68,6 +75,8 @@ def cg(
         it += 1
         history.append(math.sqrt(r2 / b_norm2))
         converged = r2 <= target
+        if not finite(r2):
+            broke_down = "non-finite"
 
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
@@ -79,6 +88,7 @@ def cg(
         residual=residual,
         residual_history=history,
         matvecs=matvecs,
+        extras={"breakdown": broke_down},
     )
 
 

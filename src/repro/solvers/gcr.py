@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from repro.precision import DOUBLE, Precision
-from repro.solvers.base import Operator, SolverResult
+from repro.solvers.base import Operator, SolverResult, finite
 from repro.solvers.space import ArraySpace
 from repro.trace import span
 
@@ -64,6 +64,11 @@ def gcr(
         cycle.
     maxiter:
         Total Krylov steps across all restarts.
+
+    A ``gamma_k``, an ``alpha_k`` or a residual norm that comes back NaN
+    or infinite ends the solve within the iteration: ``converged=False``,
+    ``extras["breakdown"] == "non-finite"``, the solution the one the
+    cycle's finite steps give.
     """
     space = space or ArraySpace()
     inner_op = inner_op or op
@@ -102,8 +107,9 @@ def gcr(
     total_iters = 0
     restarts = 0
     converged = r0_norm2 <= tol_abs2
+    broke_down = False if finite(r0_norm2) else "non-finite"
 
-    while not converged and total_iters < maxiter:
+    while not converged and not broke_down and total_iters < maxiter:
         # ---- one restart cycle in the inner precision ----
         r_hat = to_inner(r0)
         cycle_r0_norm2 = space.norm2(r_hat)
@@ -137,8 +143,14 @@ def gcr(
                 # Exact breakdown: the Krylov space is exhausted.
                 cycle_done = True
                 break
+            if not finite(gamma_k):
+                broke_down = "non-finite"
+                break
             z_k = space.scale(1.0 / gamma_k, z_k)
             alpha_k = space.dot(z_k, r_hat)
+            if not finite(alpha_k):
+                broke_down = "non-finite"
+                break
             r_hat = space.axpy(-alpha_k, z_k, r_hat)
 
             p_basis.append(p_k)
@@ -150,11 +162,14 @@ def gcr(
 
             r_hat_norm2 = space.norm2(r_hat)
             history.append(math.sqrt(r_hat_norm2 / b_norm2))
+            if not finite(r_hat_norm2):
+                broke_down = "non-finite"
             cycle_done = (
                 k >= kmax
                 or r_hat_norm2 < delta * delta * cycle_r0_norm2
                 or r_hat_norm2 <= tol_abs2
                 or total_iters >= maxiter
+                or bool(broke_down)
             )
 
         # ---- implicit solution update (back-substitution for chi) ----
@@ -183,6 +198,8 @@ def gcr(
         history.append(math.sqrt(r0_norm2 / b_norm2))
         restarts += 1
         converged = r0_norm2 <= tol_abs2
+        if not finite(r0_norm2):
+            broke_down = "non-finite"
         if k == 0:
             break  # breakdown with no progress: bail out
 
@@ -203,5 +220,8 @@ def gcr(
         residual_history=history,
         matvecs=matvecs,
         restarts=restarts,
-        extras={"iterations_by_precision": iterations_by_precision},
+        extras={
+            "iterations_by_precision": iterations_by_precision,
+            "breakdown": broke_down,
+        },
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from repro.solvers.base import Operator, SolverResult
+from repro.solvers.base import Operator, SolverResult, finite
 from repro.solvers.space import ArraySpace
 
 
@@ -28,7 +28,11 @@ def mr(
     x0=None,
     space: ArraySpace | None = None,
 ) -> SolverResult:
-    """Run exactly ``steps`` MR iterations for ``A x = b`` from x0 (or 0)."""
+    """Run exactly ``steps`` MR iterations for ``A x = b`` from x0 (or 0)
+    — fewer when ``A r`` vanishes, or when ``|A r|^2``, the step length or
+    the residual norm comes back NaN or infinite: that ends the run before
+    the step is taken, ``converged=False`` and ``extras["breakdown"] ==
+    "non-finite"``."""
     space = space or ArraySpace()
     if x0 is None:
         x = space.zeros_like(b)
@@ -39,23 +43,32 @@ def mr(
     b_norm2 = space.norm2(b)
     history = []
     matvecs = 0
-    for _ in range(int(steps)):
+    broke_down = False if finite(b_norm2) else "non-finite"
+    for _ in range(0 if broke_down else int(steps)):
         ar = op(r)
         matvecs += 1
         ar2 = space.norm2(ar)
         if ar2 == 0.0:
             break
         alpha = omega * space.dot(ar, r) / ar2
+        if not (finite(ar2) and finite(alpha)):
+            broke_down = "non-finite"
+            break
         x = space.axpy(alpha, r, x)
         r = space.axpy(-alpha, ar, r)
         if b_norm2 > 0:
             history.append(math.sqrt(space.norm2(r) / b_norm2))
+            if not finite(history[-1]):
+                broke_down = "non-finite"
+                break
     residual = history[-1] if history else (0.0 if b_norm2 == 0 else 1.0)
     return SolverResult(
         x,
-        converged=True,  # fixed-step preconditioner: always "done"
+        # fixed-step preconditioner: always "done", unless it broke
+        converged=not broke_down,
         iterations=matvecs,
         residual=residual,
         residual_history=history,
         matvecs=matvecs,
+        extras={"breakdown": broke_down},
     )

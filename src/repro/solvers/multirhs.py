@@ -97,7 +97,10 @@ def batched_cg(
 
     Identical per-RHS iterates to :func:`repro.solvers.cg.cg` (to
     rounding): converged or broken-down systems get ``alpha = beta = 0``
-    and ride along frozen while the rest keep iterating.
+    and ride along frozen while the rest keep iterating.  So does a lane
+    whose ``p . A p`` or residual norm comes back NaN or infinite, within
+    the iteration (``extras["breakdown"]`` says ``"non-finite"`` for it),
+    and no batch-mate's bits move.
     """
     space = space or BatchedArraySpace()
     b_norm2 = space.norm2(b)
@@ -117,7 +120,9 @@ def batched_cg(
     r2 = space.norm2(r)
     history = [np.sqrt(r2 / safe_b)]
     iterations = np.zeros(nb, dtype=np.int64)
-    active = (r2 > target) & (b_norm2 > 0.0)
+    poisoned = ~np.isfinite(r2)  # a non-finite reduction
+    active = (r2 > target) & (b_norm2 > 0.0) & ~poisoned
+    broke_down = np.zeros(nb, dtype=bool)
 
     it = 0
     while active.any() and it < maxiter:
@@ -125,7 +130,9 @@ def batched_cg(
         matvecs += 1
         pap = space.rdot(p, ap)
         # Indefinite / broken-down systems drop out (scalar CG breaks).
-        active &= pap > 0.0
+        poisoned |= active & ~np.isfinite(pap)
+        broke_down |= active & (pap <= 0.0)
+        active &= (pap > 0.0) & ~poisoned
         alpha = np.where(active, r2 / _safe(pap), 0.0)
         x = space.axpy(alpha, p, x)
         r = space.axpy(-alpha, ap, r)
@@ -136,7 +143,8 @@ def batched_cg(
         r2 = r2_new
         it += 1
         history.append(np.sqrt(r2 / safe_b))
-        active &= r2 > target
+        poisoned |= active & ~np.isfinite(r2)
+        active &= (r2 > target) & ~poisoned
 
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
@@ -149,6 +157,7 @@ def batched_cg(
         residuals=residuals,
         residual_history=history,
         matvecs=matvecs,
+        extras={"breakdown": _breakdown_reasons(broke_down, poisoned)},
     )
 
 
@@ -379,7 +388,11 @@ def batched_mr(
     per step for the whole batch), each lane bit for bit the iterate
     :func:`~repro.solvers.mr.mr` produces alone.  A lane whose ``A r``
     vanishes has reached the scalar solver's early exit: it is frozen
-    (zero step length) and reports the step it stalled at.
+    (zero step length) and reports the step it stalled at.  So is a lane
+    whose ``|A r|^2``, step length or residual norm comes back NaN or
+    infinite, before the step is taken: ``converged`` is False for it,
+    ``extras["breakdown"]`` says ``"non-finite"``, and no batch-mate's
+    bits move.
     """
     space = space or BatchedArraySpace()
     if x0 is None:
@@ -392,6 +405,7 @@ def batched_mr(
     nb = len(b_norm2)
     safe_b = _safe(b_norm2)
     live = np.ones(nb, dtype=bool)
+    poisoned = np.zeros(nb, dtype=bool)  # a non-finite reduction
     iterations = np.zeros(nb, dtype=np.int64)
     history = []
     matvecs = 0
@@ -400,24 +414,30 @@ def batched_mr(
         matvecs += 1
         iterations[live] = matvecs
         ar2 = space.norm2(ar)
-        live = ar2 > 0.0
+        poisoned |= ~np.isfinite(ar2)
+        live = (ar2 > 0.0) & ~poisoned
         if not live.any():
             break
-        coef = mr_coefficients(omega, space.dot(ar, r), ar2)
+        dot = space.dot(ar, r)
+        poisoned |= live & ~np.isfinite(dot)
+        live &= ~poisoned
+        coef = mr_coefficients(omega, dot, np.where(live, ar2, 0.0))
         x = space.axpy(coef, r, x)
         r = space.axpy(-coef, ar, r)
         history.append(np.sqrt(space.norm2(r) / safe_b))
+        poisoned |= live & ~np.isfinite(history[-1])
     if history:
         residuals = history[-1]
     else:
         residuals = np.where(b_norm2 > 0.0, 1.0, 0.0)
     return BatchedSolverResult(
         x,
-        converged=np.ones(nb, dtype=bool),  # fixed-step preconditioner
+        converged=~poisoned,  # fixed-step preconditioner: "done" otherwise
         iterations=iterations,
         residuals=residuals,
         residual_history=history,
         matvecs=matvecs,
+        extras={"breakdown": _breakdown_reasons(np.zeros_like(poisoned), poisoned)},
     )
 
 
@@ -528,7 +548,11 @@ def batched_gcr(
     shared across the batch — a cycle ends when the Krylov space hits
     ``kmax`` or *every* RHS has met its early-restart/tolerance criterion
     — so restarts stay what they are on a real machine: global
-    synchronization points.
+    synchronization points.  A lane whose ``gamma_k``, ``alpha_k`` or
+    residual norm comes back NaN or infinite is out within the iteration
+    (``extras["breakdown"]`` says ``"non-finite"`` for it, ``converged``
+    False): it counts as done for every restart decision, so the batch
+    ends with its mates.
     """
     space = space or BatchedArraySpace()
     inner_op = inner_op or op
@@ -570,7 +594,8 @@ def batched_gcr(
     history = [np.sqrt(r0_norm2 / safe_b)]
     total_iters = 0
     restarts = 0
-    done = (r0_norm2 <= tol_abs2) | (b_norm2 == 0.0)
+    poisoned = ~np.isfinite(r0_norm2)  # a non-finite reduction
+    done = (r0_norm2 <= tol_abs2) | (b_norm2 == 0.0) | poisoned
 
     while not np.all(done) and total_iters < maxiter:
         # ---- one restart cycle in the inner precision ----
@@ -604,7 +629,8 @@ def batched_gcr(
                     betas[i, k] = b_ik
                     z_k = space.axpy(-b_ik, z_basis[i], z_k)
             gamma2 = space.norm2(z_k)
-            if not (gamma2 > 0.0).any():
+            poisoned |= ~np.isfinite(gamma2)
+            if not ((gamma2 > 0.0) & ~poisoned).any():
                 # Exact breakdown on every RHS: Krylov space exhausted.
                 cycle_done = True
                 break
@@ -613,6 +639,7 @@ def batched_gcr(
             # the lane coasts through the rest of the cycle unchanged.
             z_k = space.scale(np.where(gamma_k > 0.0, 1.0 / _safe(gamma_k), 0.0), z_k)
             alpha_k = space.dot(z_k, r_hat)
+            poisoned |= ~np.isfinite(alpha_k)
             r_hat = space.axpy(-alpha_k, z_k, r_hat)
 
             p_basis.append(p_k)
@@ -624,9 +651,11 @@ def batched_gcr(
 
             r_hat_norm2 = space.norm2(r_hat)
             history.append(np.sqrt(r_hat_norm2 / safe_b))
+            poisoned |= ~np.isfinite(r_hat_norm2)
             lane_done = (
                 (r_hat_norm2 < delta * delta * cycle_r0_norm2)
                 | (r_hat_norm2 <= tol_abs2)
+                | poisoned
             )
             cycle_done = (
                 k >= kmax
@@ -657,12 +686,13 @@ def batched_gcr(
         r0_norm2 = space.norm2(r0)
         history.append(np.sqrt(r0_norm2 / safe_b))
         restarts += 1
-        done = (r0_norm2 <= tol_abs2) | (b_norm2 == 0.0)
+        poisoned |= ~np.isfinite(r0_norm2)
+        done = (r0_norm2 <= tol_abs2) | (b_norm2 == 0.0) | poisoned
         if k == 0:
             break  # breakdown with no progress: bail out
 
     residuals = np.sqrt(r0_norm2 / safe_b)
-    converged = (r0_norm2 <= tol_abs2) | (b_norm2 == 0.0)
+    converged = ((r0_norm2 <= tol_abs2) | (b_norm2 == 0.0)) & ~poisoned
     return BatchedSolverResult(
         x,
         converged=converged,
@@ -671,4 +701,5 @@ def batched_gcr(
         residual_history=history,
         matvecs=matvecs,
         restarts=restarts,
+        extras={"breakdown": _breakdown_reasons(np.zeros_like(poisoned), poisoned)},
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import convert_field
 from repro.linalg import blas
 from repro.precision import Precision
 
@@ -60,7 +61,7 @@ class ArraySpace:
 
     # -- precision --------------------------------------------------------
     def convert(self, x, precision: Precision):
-        return precision.convert(x, site_axes=self.site_axes)
+        return convert_field(x, precision, self.site_axes)
 
     def asarray(self, x) -> np.ndarray:
         """View the vector as a single numpy array (identity here)."""
@@ -114,7 +115,7 @@ class BatchedArraySpace:
         # The batch axis is a non-site axis, so the emulated half format
         # keeps one norm per site *per RHS* — exactly the per-site scale
         # a real batched half-precision field would store.
-        return precision.convert(x, site_axes=self.site_axes)
+        return convert_field(x, precision, self.site_axes)
 
     def asarray(self, x) -> np.ndarray:
         return x

@@ -96,9 +96,9 @@ class TestWilsonFacade:
         calls = []
         build = repro.dirac.clover.build_clover_blocks
 
-        def counting(gauge, csw=1.0):
+        def counting(gauge, csw=1.0, backend=None):
             calls.append(csw)
-            return build(gauge, csw)
+            return build(gauge, csw, backend)
 
         # Both bindings: the module-level import in wilson.py and any
         # function-level ``from repro.dirac.clover import ...``.

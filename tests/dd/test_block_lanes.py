@@ -326,28 +326,38 @@ def test_storage_follows_lanes_and_restriction(system):
 
 def test_wilson_stack_lives_in_the_storage_dtype():
     """The packing tiers store: lattice-last links and the two chiral
-    clover blocks in the storage dtype, no dense clover, nothing
-    complex128.  The reference tier keeps its complex128 arrays and
-    rounds around ``_apply``."""
+    clover blocks (in the tier's form: ONE array) in the storage dtype, no
+    dense clover, nothing complex128.  The reference tier keeps its
+    complex128 arrays and rounds around ``_apply``."""
     op, part = build_operator("wilson_clover"), BlockPartition(GEOM, GRID)
     lattice = (part.n_ranks,) + part.local_geometry.shape
+    backend = op._form
     for p in (HALF, SINGLE):
         stack = op.restrict_to_blocks(part, precision=p)
         assert stack.gauge is None and stack.clover is None
+        blocks = np.stack(
+            [backend.clover_chirality(stack._chiral, lattice, c) for c in (0, 1)]
+        )
         for array, lead in ((stack._links_soa, (2, 4, 3, 3)),
-                            (stack._chiral, (2, 6, 6))):
+                            (blocks, (2, 6, 6))):
             assert array.shape == lead + lattice
             assert array.dtype == p.dtype == np.complex64
             assert array.flags.c_contiguous
+        assert stack._chiral.flags.c_contiguous
+        assert stack._chiral.dtype in (np.complex64, np.float32)
         one = op.restrict_to_block(part, 1).stored(p)
         assert np.array_equal(one._links_soa, stack._links_soa[:, :, :, :, 1])
-        assert np.array_equal(one._chiral, stack._chiral[:, :, :, 1])
+        assert np.array_equal(
+            one._chiral, backend.clover_lanes(stack._chiral, 1)
+        )
     assert stack.name == op.name and stack.flops_per_site == op.flops_per_site
     ref = build_operator("wilson_clover_numpy_ref").restrict_to_blocks(
         part, precision=HALF
     )
     assert ref.storage is HALF
-    assert ref._links_soa.dtype == ref._chiral.dtype == np.complex128
+    # (its clover term is the fast tier's form: complex128, or its reals)
+    assert ref._links_soa.dtype == np.complex128
+    assert ref._chiral.dtype in (np.complex128, np.float64)
     assert ref.clover.shape == lattice + (12, 12)  # derived, on demand
     # Without a clover term there is nothing to pack.
     plain = WilsonCloverOperator(op.gauge, mass=0.1, boundary=PHYSICAL)

@@ -6,7 +6,10 @@ Schwarz region stacks — is built once per configuration
 phase is hundreds of solves on one configuration.
 
 Every operator here is pinned to the NumPy tier, whose arrays these are
-(where the compiled tier is installed, ``"auto"`` is not NumPy)."""
+(where the compiled tier is installed, ``"auto"`` is not NumPy) — but for
+the last test, the compiled tier's own ledger: the form is the tier's, and
+a ``c`` solve leaves the clover term Hermitian-packed, once, and no
+blocks."""
 
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from repro import (
 )
 from repro.dirac import PHYSICAL, WilsonCloverOperator
 from repro.gauge.heatbath import HeatbathUpdater
+from repro.kernels import get_backend
 from repro.multigpu import BlockPartition
 from repro.precision import DOUBLE, HALF, SINGLE
 from repro.serve import SolveService
@@ -54,10 +58,10 @@ def wilson_clover(gauge, csw=1.0, **how):
     )
 
 
-def run(gauge, **how):
+def run(gauge, kernel="numpy", **how):
     result = solve(SolveRequest(
         operator="wilson_clover", gauge=gauge, mass=0.1, csw=1.0, tol=1e-6,
-        kernel="numpy", rhs=SpinorField.random(GEOM, rng=1).data, **how,
+        kernel=kernel, rhs=SpinorField.random(GEOM, rng=1).data, **how,
     ))
     tally = result.report.to_dict()["tally"]
     return result, {key: tally[key] for key in LEDGER}
@@ -322,3 +326,47 @@ def test_threads_constructing_at_once_share_one_set_of_arrays():
             assert np.shares_memory(got[name], results[0][name])
             assert not got[name].flags.writeable
         assert results[0][name].tobytes() == array.tobytes()
+
+
+@pytest.mark.skipif(
+    not get_backend("c").available, reason="this host cannot build the tier"
+)
+@pytest.mark.parametrize("case", ["bicgstab", "gcr-dd-auto"])
+def test_a_compiled_solve_keeps_the_clover_term_packed_and_once(
+    case, builds, monkeypatch
+):
+    """The compiled tier's ledger: one clover array per configuration and
+    ``csw`` of 72 reals a site (Hermitian-packed: half the blocks' bytes),
+    the Schwarz region stack likewise in its storage dtype, nothing ``(2,
+    6, 6, ...)`` and nothing dense; the second solve builds and packs
+    nothing; every bit and count is the NumPy tier's."""
+    backend = type(get_backend("c"))
+    for hook in ("clover_pack", "clover_regions", "clover_cast",
+                 "clover_chirality"):
+        inner = getattr(backend, hook)
+        monkeypatch.setattr(
+            backend, hook,
+            lambda *a, _inner=inner, _hook=hook, **k: (
+                builds.update([_hook]), _inner(*a, **k))[1],
+        )
+    gauge = weak_gauge()
+    first, first_ledger = run(gauge, "c", **CASES[case])
+    assert first.converged
+    assert builds["clover_pack"] == 1 and builds["field_strength"] == 6
+    assert builds["clover_regions"] == (case != "bicgstab")
+    assert not builds["clover_chirality"] and not builds["dense_clover"]
+    builds.clear()
+    second, second_ledger = run(gauge, "c", **CASES[case])
+    assert not builds, dict(builds)
+    arrays = list(held(repro.dirac.base.configuration_state(gauge)))
+    assert not [a for a in arrays if a.shape[-2:] == (12, 12)]
+    assert not [a for a in arrays if a.shape[:3] == (2, 6, 6)]
+    reals = [a for a in arrays if a.dtype.kind == "f"]
+    assert all(a.size == 72 * GEOM.volume for a in reals)
+    assert [a.dtype for a in reals] == (
+        [np.float64] if case == "bicgstab" else [np.float64, np.float32]
+    )
+    reference, reference_ledger = run(gauge.copy(), "numpy", **CASES[case])
+    assert first.x.tobytes() == second.x.tobytes() == reference.x.tobytes()
+    assert first_ledger == second_ledger == reference_ledger
+    assert first.iterations == second.iterations == reference.iterations

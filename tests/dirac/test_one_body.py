@@ -58,7 +58,7 @@ def test_one_apply_stays_within_the_budget_of_the_dense_form(kernel, dtype):
 def test_no_dense_branch_and_double_storage_is_the_operator_itself(kernel):
     gauge = GaugeField.weak(GEOM, epsilon=0.25, rng=0)
     op = WilsonCloverOperator(gauge, mass=0.1, csw=1.0, kernel=kernel)
-    assert op._chiral is build_clover_blocks(gauge, 1.0)
+    assert op._chiral is build_clover_blocks(gauge, 1.0, op._form)
     double = op.stored(DOUBLE)
     assert double._chiral is op._chiral and double._links_soa is op._soa_links()
     x = SpinorField.random(GEOM, rng=4).data
@@ -66,8 +66,11 @@ def test_no_dense_branch_and_double_storage_is_the_operator_itself(kernel):
     # The dense field is a derived form, expanded for whoever asks.
     assert np.array_equal(op.clover, dense_clover_field(gauge, 1.0))
     assert op.clover is not op.clover and double.clover is None
-    # ... on every tier: the reference one shares the blocks.
+    # ... on every tier: the reference one borrows the form the host's
+    # fast tier keeps, and reads the blocks out of it.
     ref = WilsonCloverOperator(gauge, mass=0.1, csw=1.0, kernel="numpy_ref")
-    assert ref._chiral is op._chiral and np.array_equal(ref.clover, op.clover)
+    assert ref._chiral is build_clover_blocks(gauge, 1.0, ref._form)
+    assert ref._form is WilsonCloverOperator(gauge, csw=1.0)._form
+    assert np.array_equal(ref.clover, op.clover)
     moved = np.linalg.norm(ref.apply(x) - op.apply(x)) / np.linalg.norm(op.apply(x))
     assert 0 < moved <= BUDGET[np.dtype(np.complex128)]

@@ -4,9 +4,13 @@ cross-product (``tests/properties/test_property_c_kernel.py``).
 
 The lattice-last hop core and the whole compiled ``M x`` (layout change,
 storage rounding, hops, site-diagonal tail) are driven directly on arrays
-— random "links" and "clover blocks" of any extents, 1 and odd included,
-which no ``Geometry`` would take — through a bare operator that carries
-only what ``_hop_sites`` / ``_apply_sites`` read.  Comparisons are on the
+— random "links" and Hermitian "clover blocks" of any extents, 1 and odd
+included, which no ``Geometry`` would take — through a bare operator that
+carries only what ``_hop_sites`` / ``_apply_sites`` read: the clover term
+in the form its tier holds (the blocks on ``numpy``, Hermitian-packed in
+site vectors on ``c``: both loop shapes of the compiled body are met, the
+W-wide one where the walk's unit is a multiple of W and the
+site-at-a-time one on the odd extents).  Comparisons are on the
 bytes, so the sign of a zero counts; NaNs compare by position (which of
 two NaN operands an instruction hands on is the compiler's choice).
 """
@@ -36,15 +40,34 @@ needs_c = pytest.mark.skipif(
 
 def bare_operator(links, conditions, kernel, chiral=None, mass=0.1):
     """What ``_hop_sites`` and ``_apply_sites`` read of an operator, and
-    nothing else."""
+    nothing else; ``chiral`` is the clover blocks ``(2, 6, 6) + lattice``."""
     op = object.__new__(WilsonCloverOperator)
     op._links_soa = links
-    op._chiral = chiral
     op.lanes = links.shape[4] if links.ndim == 9 else None
     op.mass = mass
     op.boundary = BoundarySpec(tuple(conditions))
-    op._backend = get_backend(kernel)
+    op._backend = op._form = get_backend(kernel)
+    hold(op, chiral)
     return op
+
+
+def hold(op, blocks):
+    """Give ``op`` the clover blocks, in the form its tier holds."""
+    op._chiral = blocks if blocks is None else op._form.clover_pack(
+        lambda c: blocks[c], blocks.shape[3:], blocks.dtype
+    )
+
+
+def blocks_of(backend, held, lattice):
+    """The blocks ``(2, 6, 6) + lattice`` a tier's held form stands for."""
+    return np.stack([backend.clover_chirality(held, lattice, c) for c in (0, 1)])
+
+
+def hermitian(rng, lattice, dtype):
+    """Random Hermitian clover blocks ``(2, 6, 6) + lattice``: ``a + a^H``,
+    made contiguous (the sum is not)."""
+    a = random_complex(rng, (2, 6, 6) + lattice, dtype)
+    return np.ascontiguousarray(a + np.conj(np.swapaxes(a, 1, 2)))
 
 
 def same_bits(a, b) -> bool:
@@ -94,8 +117,9 @@ def assert_case(dims, dtype, conditions, batch, lanes, fill, seed=0):
     """C hop core == NumPy body; the whole compiled ``M x`` == the NumPy
     ``_apply_sites`` in every storage of the dtype, with and without a
     clover term, and on a complex64 field under the complex128 operator;
-    every lane of a batched C result == its single-RHS one; the C
-    quantiser == ``quantize_half`` in both layouts — on one generated case.
+    every lane of a batched C result == its single-RHS one; a clover term
+    that is not Hermitian refused by name; the C quantiser ==
+    ``quantize_half`` in both layouts — on one generated case.
     ``dims`` is (X, Y, Z, T); ``batch`` / ``lanes`` 0 leave the axis out."""
     with np.errstate(invalid="ignore"):  # the nan / inf fills
         _assert_case(dims, dtype, conditions, batch, lanes, fill, seed)
@@ -131,15 +155,16 @@ def _assert_case(dims, dtype, conditions, batch, lanes, fill, seed):
 
     mass = 0.1 * (seed % 7)
     fields = [x] + ([x.astype(np.complex64)] if dtype is np.complex128 else [])
-    for chiral in (None, random_complex(rng, (2, 6, 6) + lane_axes, dtype)):
+    for chiral in (None, hermitian(rng, lane_axes, dtype)):
         for op in ops.values():
-            op._chiral, op.mass = chiral, mass
+            hold(op, chiral)
+            op.mass = mass
         for rounding in STORAGES[dtype]:
             for y in fields:
                 expected = ops["numpy"]._apply_sites(y, rounding)
                 got = backend.wilson_apply_sites(
-                    links, chiral, 4.0 + mass, y, batched, ops["c"].boundary,
-                    rounding, None,
+                    links, ops["c"]._chiral, 4.0 + mass, y, batched,
+                    ops["c"].boundary, rounding, None,
                 )
                 assert got is not None, "the C entry refused the case"
                 assert got.dtype == y.dtype and same_bits(got, expected)
@@ -148,6 +173,10 @@ def _assert_case(dims, dtype, conditions, batch, lanes, fill, seed):
                     assert same_bits(
                         ops["c"]._apply_sites(y[lane], rounding), got[lane]
                     )
+
+    # What the packed form cannot represent is refused, not rounded off.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hold(ops["c"], random_complex(rng, (2, 6, 6) + lane_axes, dtype))
 
     if dtype is np.complex64:
         for array, leading in ((x, False), (xs, True)):

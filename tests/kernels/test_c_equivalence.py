@@ -86,9 +86,11 @@ class TestCompiledWilson:
             for op in pair(weak_gauge448, boundary=PHYSICAL)
         )
         assert comp.kernel == "c" and comp.storage is precision
-        assert comp._chiral.dtype == comp._links_soa.dtype == (
+        assert comp._links_soa.dtype == (
             precision.dtype if precision else np.complex128
         )
+        # ... the packed clover term its reals
+        assert comp._chiral.dtype == comp._links_soa.real.dtype
         xb = part.stack(np.stack(
             [SpinorField.random(geom, rng=rng).data for _ in range(2)]
         ), lead=1)
@@ -295,17 +297,24 @@ class TestCompiledSolve:
         and batched; GCR-DD with its half-precision block solves and its
         complex64 matvec on the complex128 operator — reaches a compiled
         entry: the NumPy body's link multiply and clover columns are never
-        called (counted, not switched)."""
+        called, and neither is NumPy's half quantiser — the solver spaces'
+        conversions of Wilson fields go to the tier's own (counted, not
+        switched)."""
         import repro.dirac.wilson
+        import repro.precision
         from repro.core.api import SolveRequest, solve
 
         calls = []
-        for name in ("link_apply_sites", "apply_chiral_sites"):
-            inner = getattr(repro.dirac.wilson, name)
+        for module, name in (
+            (repro.dirac.wilson, "link_apply_sites"),
+            (repro.dirac.wilson, "apply_chiral_sites"),
+            (repro.precision, "quantize_half"),
+        ):
+            inner = getattr(module, name)
             monkeypatch.setattr(
-                repro.dirac.wilson, name,
-                lambda *a, _inner=inner, _name=name: (
-                    calls.append(_name), _inner(*a))[1],
+                module, name,
+                lambda *a, _inner=inner, _name=name, **k: (
+                    calls.append(_name), _inner(*a, **k))[1],
             )
         geom = Geometry((4, 4, 4, 8))
         gauge = GaugeField.weak(geom, epsilon=0.25, rng=5)
@@ -326,4 +335,8 @@ class TestCompiledSolve:
             assert np.all(run("c", **how).converged)
         assert not calls
         run("numpy", **cases[-1])
-        assert set(calls) == {"link_apply_sites", "apply_chiral_sites"}
+        # (the NumPy body rounds with NumPy's quantiser; the spaces around
+        # it still ask the host's tier)
+        assert set(calls) == {
+            "link_apply_sites", "apply_chiral_sites", "quantize_half"
+        }

@@ -19,6 +19,7 @@ from _c_grid import (
     assert_case,
     bare_operator,
     field,
+    hermitian,
     needs_c,
     random_complex,
     site_major,
@@ -59,7 +60,7 @@ def test_four_threads_at_once_equal_the_serial_results(dtype):
     rng = np.random.default_rng(3)
     lattice = (4, 6, 4, 8)
     links = random_complex(rng, (2, 4, 3, 3) + lattice, dtype)
-    chiral = random_complex(rng, (2, 6, 6) + lattice, dtype)
+    chiral = hermitian(rng, lattice, dtype)
     op = bare_operator(
         links, ("periodic", "zero", "antiperiodic", "periodic"), "c", chiral
     )

@@ -4,7 +4,16 @@ operator or data misbehaves (no silent hangs, no false convergence)."""
 import numpy as np
 import pytest
 
-from repro.solvers import batched_bicgstab, bicgstab, cg, gcr, mr
+from repro.solvers import (
+    batched_bicgstab,
+    batched_cg,
+    batched_gcr,
+    batched_mr,
+    bicgstab,
+    cg,
+    gcr,
+    mr,
+)
 
 
 @pytest.fixture()
@@ -36,14 +45,17 @@ class Poisoning:
     """A well-conditioned operator (single vectors, or batches with the
     right-hand sides along the leading axis) that writes ``value`` into
     its ``at``-th application — into lane ``lane`` only of a batch, or
-    into all of them."""
+    into all of them.  ``hermitian`` makes it positive definite, for CG."""
 
-    def __init__(self, at, value=np.nan, lane=None):
+    def __init__(self, at, value=np.nan, lane=None, hermitian=False):
         self.at, self.value, self.lane = at, value, lane
+        self.hermitian = hermitian
         self.calls = 0
 
     def __call__(self, x):
         out = 2.0 * x + 0.3 * np.roll(x, 1, axis=-1)
+        if self.hermitian:
+            out += 0.3 * np.roll(x, -1, axis=-1)
         if self.calls == self.at:
             out[(..., 0) if self.lane is None else (self.lane, 0)] = self.value
         self.calls += 1
@@ -103,6 +115,80 @@ class TestNonFiniteExit:
         assert np.array_equal(res.residuals[mates], clean.residuals[mates])
         # ... and the batch ended with its mates, not at maxiter
         assert op.calls == 2 * clean.iterations[mates].max() + 1
+
+    # -- the other Krylov loops: the same exit on their own reductions ----
+    # (solver, its keywords, the operator's, applications per iteration)
+    SCALAR = {
+        "cg": (cg, dict(tol=1e-10, maxiter=2000), dict(hermitian=True)),
+        "gcr": (gcr, dict(tol=1e-10, kmax=4, maxiter=2000), {}),
+        "mr": (mr, dict(steps=40), {}),
+    }
+    BATCHED = {
+        "cg": (batched_cg, dict(tol=1e-10, maxiter=2000), dict(hermitian=True)),
+        "gcr": (batched_gcr, dict(tol=1e-10, kmax=4, maxiter=2000), {}),
+        "mr": (batched_mr, dict(steps=40), {}),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", [0, 1, 4, 9])
+    @pytest.mark.parametrize("name", SCALAR)
+    def test_cg_gcr_mr_stop_in_the_iteration_that_met_it(self, b, name, at, value):
+        solver, how, kind = self.SCALAR[name]
+        plain = Poisoning(at=-1, **kind)
+        clean = solver(plain, b, **how)
+        assert clean.converged and clean.extras["breakdown"] is False
+        assert plain.calls > at + 3
+        op = Poisoning(at, value, **kind)
+        res = solver(op, b, **how)
+        assert not res.converged
+        assert res.extras["breakdown"] == "non-finite"
+        # one application an iteration; GCR spends one more per restart
+        # before the poisoned one and, with CG, one on the true residual
+        # at the end
+        assert op.calls <= at + 2 + (at // 4 if name == "gcr" else 0)
+        assert op.calls < plain.calls
+        # ... and the solution is the last good one, not a field of NaNs
+        assert np.isfinite(res.x).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", SCALAR)
+    def test_cg_gcr_mr_stop_at_once_on_a_non_finite_right_hand_side(self, b, name):
+        solver, how, kind = self.SCALAR[name]
+        b[3] = np.inf
+        op = Poisoning(at=-1, **kind)
+        res = solver(op, b, **how)
+        assert not res.converged and res.extras["breakdown"] == "non-finite"
+        assert op.calls <= 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("lane, at", [(0, 0), (2, 1), (1, 4), (3, 5)])
+    @pytest.mark.parametrize("name", BATCHED)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_batched_cg_gcr_mr_freeze_the_lane_and_mates_keep_their_bits(
+        self, rng, name, lane, at, value
+    ):
+        solver, how, kind = self.BATCHED[name]
+        batch = rng.standard_normal((4, 512)) + 1j * rng.standard_normal((4, 512))
+        mates = [i for i in range(4) if i != lane]
+        # GCR's restart points are the batch's: its mates are held to
+        # their own three-lane solve, the others to the clean batch of four.
+        alone = name == "gcr"
+        plain = Poisoning(at=-1, **kind)
+        clean = solver(plain, batch[mates] if alone else batch, **how)
+        assert clean.converged.all() and not clean.extras["breakdown"].any()
+        kept = slice(None) if alone else mates
+        op = Poisoning(at, value, lane, **kind)
+        res = solver(op, batch, **how)
+        assert not res.converged[lane] and res.converged[mates].all()
+        assert list(res.extras["breakdown"]) == [
+            "non-finite" if i == lane else False for i in range(4)
+        ]
+        assert res.x[mates].tobytes() == clean.x[kept].tobytes()
+        assert np.array_equal(res.iterations[mates], clean.iterations[kept])
+        assert np.array_equal(res.residuals[mates], clean.residuals[kept])
+        # ... and the batch ended with its mates, not at maxiter
+        assert op.calls == plain.calls
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_lanes_poisoned_ends_the_batch(self, rng):
