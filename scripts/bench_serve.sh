@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Solve-daemon load benchmark (docs/serving.md, "Load benchmarking").
 #
-# 1. Runs `python -m repro bench-serve`: for each max_batch value, boots
-#    a real SolveService + HTTP front on a loopback port, drives it with
-#    concurrent ServeClient threads, and records requests/sec, client
-#    p50/p99 latency, and the daemon's own coalesce ratio.  Writes the
-#    JSON report to BENCH_serve.json at the repo root.
+# 1. Runs `python -m repro bench-serve`: for each max_batch value (1, 2,
+#    4, 8 and the daemon's default, 12), boots a real SolveService + HTTP
+#    front on a loopback port, drives it with twelve concurrent
+#    ServeClient threads (one request per post: enough to fill a
+#    group), and records requests/sec, client p50/p99 latency, and the
+#    daemon's own coalesce ratio.  Writes the JSON report to
+#    BENCH_serve.json at the repo root.
 # 2. Verifies the invariants: every request on every point succeeded,
 #    and coalescing actually engaged (ratio > 1) for the largest
 #    max_batch under concurrent load.  Throughput targets are NOT
@@ -17,7 +19,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 python -m repro bench-serve \
-    --dims 4 4 4 4 --concurrency 6 --requests-per-client 3 \
+    --dims 4 4 4 4 --concurrency 12 --requests-per-client 3 \
     --output BENCH_serve.json
 
 python -m repro.metrics.bench_schema BENCH_serve.json

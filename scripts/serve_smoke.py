@@ -11,7 +11,11 @@ CI job cares about:
 4. the Prometheus endpoint exports the ``serve_*`` series;
 5. the Python client is answered packed arrays, a header-less client
    nested lists, and both decode to the same bits;
-6. SIGINT produces a graceful drain and a zero exit code.
+6. the banner names the default group size (``max_batch=12``: one
+   propagator), and a request whose residual is not a number — a
+   finite right-hand side whose norm overflows — is answered
+   ``"status": "diverged"`` in JSON a strict parser reads;
+7. SIGINT produces a graceful drain and a zero exit code.
 
 Usage::
 
@@ -69,13 +73,16 @@ def main() -> int:
     env["PYTHONPATH"] = str(REPO / "src")
     # A generous window so the two clients' requests coalesce even on a
     # slow CI runner; asqtad on a unit 4^4 gauge solves in milliseconds.
+    # The group size is left at its default.
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", str(port),
-         "--max-batch", "4", "--max-wait", "0.5"],
+         "--max-wait", "0.5"],
         cwd=REPO, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     try:
+        banner = proc.stdout.readline()
+        assert " max_batch=12 " in banner, f"banner: {banner!r}"
         client = ServeClient(f"http://127.0.0.1:{port}", timeout=120)
         wait_healthy(client, time.monotonic() + 60)
 
@@ -133,6 +140,23 @@ def main() -> int:
         assert "b64" in packed and "real" in nested and (
             decode_array(packed).tobytes() == decode_array(nested).tobytes()
         ), f"array forms disagree: {sorted(packed)} vs {sorted(nested)}"
+
+        def not_json(name):
+            raise AssertionError(f"response holds the constant {name}")
+
+        huge = {"kind": "data", "real": [[[[[1e200] * 3] * 4] * 4] * 4] * 4,
+                "imag": [[[[[0.0] * 3] * 4] * 4] * 4] * 4}
+        overflow = urllib.request.Request(
+            client.base_url + "/v1/solve",
+            data=json.dumps(dict(payloads[0], rhs=huge,
+                                 return_solution=True)).encode())
+        with urllib.request.urlopen(overflow, timeout=120) as resp:
+            doc = json.loads(resp.read(), parse_constant=not_json)
+        assert (doc["status"], doc["converged"], doc["residual"],
+                doc["breakdown"]) == ("diverged", False, None,
+                                      "non-finite"), doc
+        assert "solution" not in doc
+        assert client.stats()["requests"]["diverged"] == 1
 
         print(f"serve smoke: {len(docs)} solves from {N_CLIENTS} clients, "
               f"coalesce ratio {ratio:.2f}, occupancies {occupancies}")

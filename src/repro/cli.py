@@ -166,6 +166,11 @@ def _cmd_bench_multirhs(args) -> int:
     from repro.lattice import GaugeField, Geometry, SpinorField
     from repro.util.counters import tally
 
+    try:
+        import resource
+    except ImportError:  # no getrusage here: the faults column is null
+        resource = None
+
     geometry = Geometry(tuple(args.dims))
     gauge = GaugeField.weak(geometry, epsilon=args.epsilon, rng=args.seed)
     batches = sorted(set(args.batches))
@@ -186,19 +191,30 @@ def _cmd_bench_multirhs(args) -> int:
 
     solve(request(sources))  # warm caches (incl. batched scratch) untimed
 
+    def minor_faults():
+        if resource is None:
+            return None
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
     def timed_best(fn):
-        """Best-of-N wall time (with that run's tally): the minimum is
-        the run least disturbed by scheduler noise, which on a shared
-        host swings single-shot timings by tens of percent.  The
-        operation counts are deterministic across repeats."""
+        """Best-of-N wall time (with that run's tally and minor page
+        faults): the minimum is the run least disturbed by scheduler
+        noise, which on a shared host swings single-shot timings by tens
+        of percent.  The operation counts are deterministic across
+        repeats; the faults are the allocator's (it unmaps and re-maps
+        the wide batches' temporaries: docs/performance_model.md, "Who
+        pays the allocator") and depend on what the heap has seen."""
         best = None
         for _ in range(max(args.repeats, 1)):
             with tally() as t:
+                faults = minor_faults()
                 t0 = time.perf_counter()
                 result = fn()
                 dt = time.perf_counter() - t0
+                if faults is not None:
+                    faults = minor_faults() - faults
             if best is None or dt < best[0]:
-                best = (dt, result, t)
+                best = (dt, result, t, faults)
         return best
 
     config = {
@@ -216,10 +232,10 @@ def _cmd_bench_multirhs(args) -> int:
     metrics = {}
     for nb in batches:
         rhs = sources[:nb]
-        seq_seconds, seq, seq_tally = timed_best(
+        seq_seconds, seq, seq_tally, _ = timed_best(
             lambda: [solve(request(rhs[i])) for i in range(nb)]
         )
-        bat_seconds, bat, bat_tally = timed_best(
+        bat_seconds, bat, bat_tally, bat_faults = timed_best(
             lambda: solve(request(rhs)) if nb > 1 else solve(request(rhs[0]))
         )
         bat_iters = (
@@ -234,6 +250,10 @@ def _cmd_bench_multirhs(args) -> int:
             "batched_iterations": bat_iters,
             "sequential_reductions": seq_tally.reductions,
             "batched_reductions": bat_tally.reductions,
+            "minor_faults_per_apply": (
+                None if bat_faults is None else bat_faults
+                / sum(bat_tally.operator_applications.values())
+            ),
             "all_converged": bool(
                 all(r.converged for r in seq) and np.all(bat.converged)
             ),
@@ -241,10 +261,13 @@ def _cmd_bench_multirhs(args) -> int:
         results.append(entry)
         metrics[f"speedup_batch_{nb}"] = entry["speedup"]
         metrics[f"batched_seconds_batch_{nb}"] = bat_seconds
+        per_apply = entry["minor_faults_per_apply"]
         print(
             f"batch {nb:3d}: sequential {seq_seconds:7.2f}s, "
             f"batched {bat_seconds:7.2f}s, speedup {entry['speedup']:5.2f}x, "
-            f"reductions {seq_tally.reductions} -> {bat_tally.reductions}"
+            f"reductions {seq_tally.reductions} -> {bat_tally.reductions}, "
+            "minor faults/apply "
+            + ("n/a" if per_apply is None else f"{per_apply:.1f}")
         )
     report = wrap_bench("multirhs", config, metrics, results=results)
     with open(args.output, "w") as fh:
@@ -728,7 +751,8 @@ def _cmd_serve(args) -> int:
         service, host=args.host, port=args.port, verbose=args.verbose
     )
     print(
-        f"repro serve on {server.url} — max_batch={args.max_batch} "
+        f"repro serve on {server.url} — "
+        f"max_batch={service.coalescer.max_batch} "
         f"max_wait={args.max_wait}s queue_limit={args.queue_limit}"
     )
     print("routes: POST /v1/solve, POST /v1/solve/jsonl, GET /metrics, "
@@ -763,11 +787,11 @@ def _cmd_bench_serve(args) -> int:
     (docs/serving.md, "Load benchmarking")."""
     import json
 
-    from repro.serve.loadgen import run_load_bench
+    from repro.serve.loadgen import MAX_BATCH_SWEEP, run_load_bench
 
     report = run_load_bench(
         dims=tuple(args.dims),
-        max_batch_values=tuple(args.max_batch_values or (1, 2, 4, 8)),
+        max_batch_values=tuple(args.max_batch_values or MAX_BATCH_SWEEP),
         concurrency=args.concurrency,
         requests_per_client=args.requests_per_client,
         max_wait=args.max_wait,
@@ -1001,8 +1025,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--epsilon", type=float, default=0.25,
                    help="gauge disorder of the synthetic configuration")
-    p.add_argument("--batches", type=int, nargs="+", default=[1, 4, 12],
-                   help="batch sizes to benchmark (default 1 4 12)")
+    p.add_argument("--batches", type=int, nargs="+",
+                   default=[1, 2, 3, 4, 6, 8, 12],
+                   help="batch sizes to benchmark (default %(default)s)")
     p.add_argument("--repeats", type=int, default=5,
                    help="timing repeats per measurement; best is kept")
     p.add_argument("--seed", type=int, default=0)
@@ -1084,6 +1109,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "counters (default 0: any growth fails)")
     p.set_defaults(func=_cmd_report)
 
+    from repro.serve.coalescer import DEFAULT_MAX_BATCH
+    from repro.serve.loadgen import MAX_BATCH_SWEEP
+
     p = add_command(
         "serve",
         "run the coalescing solve daemon (HTTP/JSONL front)",
@@ -1092,8 +1120,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interface to bind (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8787,
                    help="TCP port (0 picks a free port; default 8787)")
-    p.add_argument("--max-batch", type=int, default=4,
-                   help="lanes per batched solve (default 4)")
+    p.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
+                   help="lanes per batched solve (default %(default)s: "
+                        "the spin x colour sources of one propagator)")
     p.add_argument("--max-wait", type=float, default=0.05,
                    help="coalescing window in seconds (default 0.05)")
     p.add_argument("--queue-limit", type=int, default=64,
@@ -1116,8 +1145,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 4 4 4 4)")
     p.add_argument("--max-batch", type=int, action="append",
                    dest="max_batch_values", metavar="N",
-                   help="a max_batch value to sweep (repeatable; "
-                        "default 1 2 4 8)")
+                   help="a max_batch value to sweep (repeatable; default "
+                        + " ".join(map(str, MAX_BATCH_SWEEP)) + ")")
     p.add_argument("--concurrency", type=int, default=8,
                    help="concurrent client threads per point (default 8)")
     p.add_argument("--requests-per-client", type=int, default=4,

@@ -94,7 +94,10 @@ class ServeClient:
             The ``status="ok"`` response dict (converged, iterations,
             residual, batch placement, timing, report, and — when
             ``return_solution`` was set — the solution as a packed wire
-            array for :func:`~repro.serve.request.decode_array`).
+            array for :func:`~repro.serve.request.decode_array`), or
+            the ``status="diverged"`` one (``residual`` ``None``,
+            ``breakdown="non-finite"``, no solution): that is the
+            request's outcome, not a failure to serve it.
 
         Raises:
             ServeError: The typed failure the server reported
@@ -120,9 +123,10 @@ class ServeClient:
         All requests are admitted before any is awaited, so they
         coalesce with each other (the coalesce ratio in ``stats()``
         shows it).  Unlike :meth:`solve`, failures do **not** raise:
-        each response document is returned in request order with either
-        ``status="ok"`` or ``status="error"`` + the typed ``error``
-        object, so one bad request cannot mask the other results.
+        each response document is returned in request order with
+        ``status="ok"``, ``status="diverged"`` or ``status="error"`` +
+        the typed ``error`` object, so one bad request cannot mask the
+        other results.
 
         Args:
             payloads: Wire request dicts (missing ``id`` fields are

@@ -7,7 +7,7 @@ classic throughput/latency trade (docs/serving.md, "Capacity tuning"):
 
 ``max_batch``
     Lanes per batched solve.  A group closes as soon as it holds this
-    many requests.
+    many requests (default :data:`DEFAULT_MAX_BATCH`).
 ``max_wait``
     The coalescing window in seconds.  After the *leader* (the first
     request of a group) is picked, the coalescer holds the batch open
@@ -25,6 +25,13 @@ import time
 from dataclasses import dataclass, field
 
 from repro.serve.queue import QueuedRequest, SolveQueue
+
+#: The group size every entry point defaults to: the spin x colour
+#: sources of one propagator on one configuration (4 x 3), the paper's
+#: unit of work — so a propagator is one batched solve.  Measured, not
+#: tuned: 6 and 8 split twelve sources into two solves and read no
+#: better than 4 (docs/serving.md, "Capacity tuning").
+DEFAULT_MAX_BATCH = 12
 
 
 @dataclass
@@ -61,7 +68,7 @@ class Coalescer:
     def __init__(
         self,
         queue: SolveQueue,
-        max_batch: int = 4,
+        max_batch: int = DEFAULT_MAX_BATCH,
         max_wait: float = 0.05,
     ) -> None:
         """Bind the policy to a queue.

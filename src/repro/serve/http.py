@@ -20,6 +20,9 @@ A deliberately small, stdlib-only JSON-over-HTTP surface (one
 ``GET /healthz``
     Liveness: 200 while accepting, 503 while draining.
 
+A solve whose lane diverged (a NaN or infinite residual) is still a 200:
+the line says ``"status": "diverged"`` with ``"residual": null`` and no
+solution, and every response line is strict JSON (no ``NaN`` token).
 Every typed :class:`~repro.serve.errors.ServeError` maps to its own
 HTTP status (400 validation, 429 queue full, 503 draining, 504 deadline,
 500 solve failure) with a JSON body carrying the machine-readable
@@ -112,9 +115,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _encode(self, result, packed: bool) -> str:
         """One served result as its response line, timed into
-        ``serve_encode_seconds``."""
+        ``serve_encode_seconds``.  Strict JSON: a NaN or infinity that
+        ``to_wire`` let through raises here instead of reaching a
+        client whose parser has no word for it."""
         t0 = time.perf_counter()
-        line = json.dumps(result.to_wire(packed)) + "\n"
+        line = json.dumps(result.to_wire(packed), allow_nan=False) + "\n"
         self.service.observe_encode(time.perf_counter() - t0)
         return line
 
@@ -263,7 +268,7 @@ class _Handler(BaseHTTPRequestHandler):
 class ServeServer:
     """The HTTP server + its background thread, owning a service.
 
-    >>> server = ServeServer(SolveService(max_batch=4).start(),
+    >>> server = ServeServer(SolveService().start(),
     ...                      host="127.0.0.1", port=0)
     >>> server.start()
     >>> server.url

@@ -26,6 +26,11 @@ import threading
 import time
 
 from repro.metrics.bench_schema import wrap_bench
+from repro.serve.coalescer import DEFAULT_MAX_BATCH
+
+#: The ``max_batch`` values ``bench-serve`` sweeps: powers of two up to
+#: the daemon's default, then the default itself.
+MAX_BATCH_SWEEP = (1, 2, 4, 8, DEFAULT_MAX_BATCH)
 
 
 def quantile(values: list[float], q: float) -> float:
@@ -159,7 +164,7 @@ def run_load_point(
 
 def run_load_bench(
     dims: tuple[int, ...] = (4, 4, 4, 4),
-    max_batch_values: tuple[int, ...] = (1, 2, 4, 8),
+    max_batch_values: tuple[int, ...] = MAX_BATCH_SWEEP,
     concurrency: int = 8,
     requests_per_client: int = 4,
     max_wait: float = 0.02,

@@ -29,6 +29,7 @@ text format (``GET /metrics`` on the HTTP front).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import nullcontext
@@ -38,7 +39,11 @@ import numpy as np
 
 from repro.metrics.registry import MetricsRegistry, histogram_quantile
 from repro.metrics.export import to_prometheus
-from repro.serve.coalescer import Coalescer, CoalesceOutcome
+from repro.serve.coalescer import (
+    DEFAULT_MAX_BATCH,
+    Coalescer,
+    CoalesceOutcome,
+)
 from repro.serve.errors import (
     DeadlineExpiredError,
     RequestValidationError,
@@ -60,6 +65,17 @@ from repro.trace.core import tracing
 OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
+def _finite_or_none(value):
+    """A JSON-ready value with every NaN / infinity replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 @dataclass
 class ServedResult:
     """One request's slice of a completed batched solve.
@@ -71,7 +87,9 @@ class ServedResult:
     x:
         The solution lane (numpy array).
     converged, iterations, residual:
-        This lane's outcome (scalars).
+        This lane's outcome (scalars).  A non-finite ``residual`` is the
+        lane having *diverged* (:attr:`diverged`): the solver ended it
+        on a NaN or infinite reduction, its batch-mates untouched.
     lane:
         Which lane of the batch carried this request.
     occupancy:
@@ -98,6 +116,11 @@ class ServedResult:
     solve_seconds: float
     latency_seconds: float
 
+    @property
+    def diverged(self) -> bool:
+        """Whether this lane's residual came back NaN or infinite."""
+        return not math.isfinite(self.residual)
+
     def to_wire(self, packed: bool = False) -> dict:
         """The JSON-ready response object for this result.
 
@@ -110,14 +133,20 @@ class ServedResult:
             A dict with ``status="ok"``, the per-lane outcome, batch
             placement (``lane``/``occupancy``/``lanes``/``coalesced``),
             timings, the operator fingerprint, the full solve report —
-            and, when the request asked for it, the solution array.
+            and, when the request asked for it, the solution array.  A
+            :attr:`diverged` lane is ``status="diverged"`` instead, with
+            ``converged=False``, ``residual=None``,
+            ``breakdown="non-finite"`` and never a solution: no
+            non-finite number goes on the wire, where JSON has no
+            spelling for one.
         """
+        diverged = self.diverged
         doc = {
             "id": self.request.id,
-            "status": "ok",
-            "converged": bool(self.converged),
+            "status": "diverged" if diverged else "ok",
+            "converged": bool(self.converged) and not diverged,
             "iterations": int(self.iterations),
-            "residual": float(self.residual),
+            "residual": None if diverged else float(self.residual),
             "batch": {
                 "lane": self.lane,
                 "occupancy": self.occupancy,
@@ -133,7 +162,9 @@ class ServedResult:
             "fingerprint": self.request.fingerprint,
             "report": self.report.to_dict() if self.report else None,
         }
-        if self.request.return_solution:
+        if diverged:
+            doc["breakdown"] = "non-finite"
+        elif self.request.return_solution:
             doc["solution"] = encode_array(self.x, packed)
         return doc
 
@@ -143,7 +174,7 @@ class SolveService:
 
     def __init__(
         self,
-        max_batch: int = 4,
+        max_batch: int = DEFAULT_MAX_BATCH,
         max_wait: float = 0.05,
         capacity: int = 64,
         default_timeout: float | None = None,
@@ -433,6 +464,22 @@ class SolveService:
             lanes=n_real, occupancy=n_real,
         )
 
+        batch_report = result.report
+        if batch_report is not None and not np.all(
+            np.isfinite(result.residuals)
+        ):
+            # The report folds every lane into its summary rows (the
+            # batch's worst residual, the per-iteration history): a
+            # diverged lane's NaN must not ride to its batch-mates'
+            # lines, which are still plain JSON.
+            batch_report = dc_replace(
+                batch_report,
+                solve=_finite_or_none(batch_report.solve),
+                residual_history=_finite_or_none(
+                    batch_report.residual_history
+                ),
+            )
+
         now = time.monotonic()
         for lane, entry in enumerate(good):
             if entry.trace is not None:
@@ -440,7 +487,7 @@ class SolveService:
                 entry.trace.solve_end_pc = t1
             queue_seconds = sched_time - entry.enqueued_at
             latency_seconds = now - entry.enqueued_at
-            report = result.report
+            report = batch_report
             if report is not None:
                 # Each request gets its own copy of the batch report
                 # carrying its lifecycle breakdown (the same numbers as
@@ -457,22 +504,24 @@ class SolveService:
                         "occupancy": n_real,
                     },
                 )
-            entry.ticket.set_result(
-                ServedResult(
-                    request=entry.request,
-                    x=np.array(result.x[lane]),
-                    converged=bool(result.converged[lane]),
-                    iterations=int(result.iterations[lane]),
-                    residual=float(result.residuals[lane]),
-                    lane=lane,
-                    occupancy=n_real,
-                    report=report,
-                    queue_seconds=queue_seconds,
-                    coalesce_wait_seconds=waited,
-                    solve_seconds=solve_seconds,
-                    latency_seconds=latency_seconds,
-                )
+            served = ServedResult(
+                request=entry.request,
+                x=np.array(result.x[lane]),
+                converged=bool(result.converged[lane]),
+                iterations=int(result.iterations[lane]),
+                residual=float(result.residuals[lane]),
+                lane=lane,
+                occupancy=n_real,
+                report=report,
+                queue_seconds=queue_seconds,
+                coalesce_wait_seconds=waited,
+                solve_seconds=solve_seconds,
+                latency_seconds=latency_seconds,
             )
+            self._count_request(
+                "diverged" if served.diverged else "completed"
+            )
+            entry.ticket.set_result(served)
         self._record_batch(
             good, n_real, solve_seconds, waited, now, sched_time, result
         )
@@ -563,7 +612,6 @@ class SolveService:
                 reg.histogram("serve_decode_seconds").observe(
                     entry.decode_seconds
                 )
-                reg.counter("serve_requests_total", outcome="completed").inc()
             report = getattr(result, "report", None)
             if report is not None and report.metrics:
                 reg.merge(MetricsRegistry.from_dict(report.metrics))

@@ -81,7 +81,7 @@ def gauges():
 def test_lane_is_independent_of_batch_shape(gauges, config):
     knobs = SERVED[config]
     nspin = 4 if knobs["operator"] == "wilson_clover" else 1
-    lanes = [SpinorField.random(GEOM, nspin=nspin, rng=40 + i).data for i in range(6)]
+    lanes = [SpinorField.random(GEOM, nspin=nspin, rng=40 + i).data for i in range(12)]
     zero = np.zeros_like(lanes[0])
 
     def lane0(batch, at=0):
@@ -92,7 +92,7 @@ def test_lane_is_independent_of_batch_shape(gauges, config):
         return np.asarray(res.x)[at]
 
     want = lane0(lanes[:4])
-    for size in (1, 2, 3, 6):
+    for size in (1, 2, 3, 6, 12):  # 12: the daemon's default group
         assert np.array_equal(lane0(lanes[:size]), want), f"B={size}"
     assert np.array_equal(lane0([lanes[0], zero, zero, zero]), want), "zero mates"
     assert np.array_equal(lane0([lanes[1], lanes[2], lanes[0]], at=2), want), "position"

@@ -365,13 +365,14 @@ class TestMalformedArrays:
 class TestNonFiniteOperator:
     """ROADMAP "bounded failure": a NaN *produced by the operator* in one
     lane of a coalesced batch ends that lane within the iteration — not
-    at the serve path's ``maxiter`` of 2000 — and its batch-mates get the
-    bits they would have got without it; the daemon stays serviceable."""
+    at the serve path's ``maxiter`` of 2000 — and is answered
+    ``"diverged"`` in strict JSON; its batch-mates (eleven of them at
+    the default group size) get the bits they would have got without it,
+    and the daemon stays serviceable."""
 
     @pytest.fixture()
     def server(self):
-        svc = SolveService(max_batch=6, max_wait=0.2).start()
-        srv = ServeServer(svc, port=0).start()
+        srv = ServeServer(SolveService(max_wait=0.2).start(), port=0).start()
         yield srv
         srv.stop()
 
@@ -394,23 +395,56 @@ class TestNonFiniteOperator:
             payload(seed=s, id=f"w{s}", operator="wilson_clover", mass=0.1,
                     csw=1.0, gauge={"kind": "weak", "dims": DIMS, "seed": 3},
                     tol=1e-8, return_solution=True)
-            for s in (1, 2, 3)
+            for s in range(1, 13)
         ]
-        client = ServeClient(server.url)
-        docs = client.solve_many(posts)
+        status, _, text = post(server, "/v1/solve/jsonl", jsonl(posts),
+                               f"application/jsonl;{PACKED}")
         armed = None
+        client = ServeClient(server.url)
         clean = client.solve_many(posts)
-        assert [d["batch"]["occupancy"] for d in docs + clean] == [3] * 6
-        assert [d["converged"] for d in clean] == [True] * 3
-        assert [d["converged"] for d in docs] == [True, False, True]
-        assert docs[1]["status"] == "ok" and docs[1]["iterations"] <= 2
-        assert np.isnan(docs[1]["residual"])
-        for got, expected in zip(docs[::2], clean[::2]):
+        # Every line, the poisoned one and its report included, is JSON
+        # to a parser that has no word for NaN.
+        docs = [
+            json.loads(line, parse_constant=lambda name: pytest.fail(
+                f"a response line holds the non-JSON constant {name}"))
+            for line in text.splitlines()
+        ]
+        assert status == 200
+        assert [d["batch"]["occupancy"] for d in docs + clean] == [12] * 24
+        assert [d["status"] for d in clean] == ["ok"] * 12
+        assert [d["converged"] for d in clean] == [True] * 12
+        bad = docs.pop(1)
+        assert (bad["status"], bad["converged"], bad["residual"],
+                bad["breakdown"]) == ("diverged", False, None, "non-finite")
+        assert "solution" not in bad and bad["iterations"] <= 2
+        assert [d["status"] for d in docs] == ["ok"] * 11
+        for got, expected in zip(docs, clean[:1] + clean[2:]):
+            assert "breakdown" not in got
             assert got["iterations"] == expected["iterations"]
+            assert got["residual"] == expected["residual"]
             assert decode_array(got["solution"]).tobytes() == (
                 decode_array(expected["solution"]).tobytes()
             )
+        assert client.stats()["requests"] == {
+            "accepted": 24, "completed": 23, "diverged": 1}
+        assert 'serve_requests_total{outcome="diverged"} 1' in (
+            client.metrics_text())
         assert client.health() == {"status": "ok"}
+
+    def test_the_client_returns_a_diverged_document(self, server):
+        """No patched operator needed: a right-hand side of finite
+        numbers whose norm overflows passes validation and has no
+        residual.  ``solve`` and ``solve_many`` hand the document back —
+        a diverged lane is that request's outcome, not a failure to
+        serve it (HTTP 200, no exception)."""
+        request = payload(return_solution=True, rhs={
+            "kind": "data",
+            **encode_array(good_field() * 1e200, packed=True)})
+        client = ServeClient(server.url)
+        for doc in [client.solve(request)] + client.solve_many([request]):
+            assert doc["status"] == "diverged" and doc["residual"] is None
+            assert doc["breakdown"] == "non-finite"
+            assert doc["converged"] is False and "solution" not in doc
 
 
 class TestObservabilityRoutes:

@@ -101,6 +101,36 @@ class TestBatchedBiCGstab:
             rel = np.linalg.norm(res.x[i] - ref.x) / np.linalg.norm(ref.x)
             assert rel < 1e-9
 
+    def test_a_lane_of_twelve_is_the_lane_alone_and_of_four(
+            self, wilson_op, geom44):
+        """One propagator's sources — point and dense alternating, as the
+        serve benchmark mixes them — solved twelve wide, four wide and
+        one at a time: the same bits, the same iteration counts; the
+        width decides only how long every lane rides along."""
+        sources = np.stack([
+            SpinorField.point_source(geom44, (0, 0, 0, 0), spin=i // 3,
+                                     color=i % 3).data
+            if i % 2 == 0 else SpinorField.random(geom44, rng=300 + i).data
+            for i in range(12)
+        ])
+
+        def solved(batch):
+            res = batched_bicgstab(wilson_op.apply, batch, tol=TOL,
+                                   space=BatchedArraySpace())
+            assert res.all_converged
+            return res
+
+        wide = solved(sources)
+        for start in range(0, 12, 4):
+            four = solved(sources[start:start + 4])
+            assert four.x.tobytes() == wide.x[start:start + 4].tobytes()
+            assert np.array_equal(four.iterations,
+                                  wide.iterations[start:start + 4])
+        for i in range(12):
+            alone = solved(sources[i:i + 1])
+            assert alone.x[0].tobytes() == wide.x[i].tobytes(), f"lane {i}"
+            assert alone.iterations[0] == wide.iterations[i]
+
     def test_zero_lane_is_benign(self, wilson_op, wilson_batch):
         batch = wilson_batch.copy()
         batch[1] = 0.0

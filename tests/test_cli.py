@@ -37,6 +37,25 @@ class TestHelp:
             assert help_.strip(), f"command {name} has no help line"
 
 
+class TestServeDefaults:
+    def test_help_prints_the_one_default_group_size(self, capsys):
+        """``--max-batch``'s default and its help line are the
+        coalescer's constant, and the load bench's sweep ends on it."""
+        from repro.serve.coalescer import DEFAULT_MAX_BATCH
+        from repro.serve.loadgen import MAX_BATCH_SWEEP
+
+        args = build_parser().parse_args(["serve"])
+        assert args.max_batch == DEFAULT_MAX_BATCH == MAX_BATCH_SWEEP[-1]
+        for command, words in (
+            ("serve", f"(default {DEFAULT_MAX_BATCH}:"),
+            ("bench-serve", "default 1 2 4 8 12)"),
+        ):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = " ".join(capsys.readouterr().out.split())
+            assert words in out
+
+
 class TestFigures:
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
     def test_fig_commands_run(self, n, capsys):
