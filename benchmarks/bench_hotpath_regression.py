@@ -23,6 +23,15 @@ build the tier — the gates only read them where present.  The top-level
 metrics are those of the last volume given: the dslash ones under their
 historical names, the whole-matrix ones prefixed ``matrix_`` /
 ``matrix_half_``.
+
+Beside the stencil, at fixed shapes whatever the volumes: the Krylov
+loops' vector updates, one iteration's worth — BiCGstab's at 8^4
+complex128 (``bicgstab_updates``) and at 12 lanes of 4^4
+(``bicgstab_updates_12``), and the Schwarz block solve's MR step on its
+complex64 four-lane stack (``mr_step_c64``) — as the allocating NumPy
+expressions, as NumPy writing in place (the fallback), and as the
+compiled tier's fused passes; both in-place sides must have the
+allocating side's bits (``max_rel_err`` 0.0).
 """
 
 from __future__ import annotations
@@ -36,9 +45,11 @@ import numpy as np
 
 from repro.dirac import WilsonCloverOperator
 from repro.kernels import available_backends
+from repro.kernels.registry import KERNELS
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.metrics.bench_schema import wrap_bench
 from repro.precision import HALF
+from repro.solvers.space import ArraySpace, BatchedArraySpace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -180,6 +191,153 @@ METRICS = tuple(
 )
 
 
+# ----------------------------------------------------------------------
+# The solvers' vector updates: one iteration's worth, three ways.
+# ----------------------------------------------------------------------
+class _NoPasses:
+    """The compiled tier with no library loaded: every update is NumPy's
+    ``out=`` fallback."""
+
+    @staticmethod
+    def vector_pass(entry, coefficients, vectors):
+        return None
+
+
+def _bicgstab_updates(space, v, coefficients, allocating):
+    """One BiCGstab iteration's updates on ``v = (x, p, r, v, t)``, the
+    loop's own calls (``allocating``: as the loop spelled them before it
+    wrote its vectors in place, each a fresh ``y + a*x``)."""
+    x, p, r, w, t = v
+    alpha, beta, omega = coefficients
+    if allocating:
+        p = r + _mul(beta, p + _mul(-omega, w))
+        s = r + _mul(-alpha, w)
+        x = (x + _mul(alpha, p)) + _mul(omega, s)
+        return x, p, s + _mul(-omega, t), w, t
+    p = space.bicgstab_direction(p, r, w, beta, -omega)
+    s = space.axpy(-alpha, w, r, out=r)
+    x, r = space.bicgstab_closing(x, p, s, t, alpha, omega)
+    return x, p, r, w, t
+
+
+def _mr_step(space, v, coefficients, allocating):
+    """The Schwarz block solve's minimal-residual step on ``(x, r, Ar)``."""
+    x, r, ar = v
+    (c,) = coefficients
+    if allocating:
+        return x + _mul(c, r), r + _mul(-c, ar), ar
+    x, r = space.update_pair(x, c, r, r, -c, ar)
+    return x, r, ar
+
+
+def _mul(a, v):
+    """``a * v`` as the space multiplies: a per-lane coefficient rounded to
+    the field's dtype, a Python scalar as NumPy promotes it."""
+    if isinstance(a, np.ndarray):
+        return np.asarray(a, v.dtype).reshape((-1,) + (1,) * (v.ndim - 1)) * v
+    return a * v
+
+
+#: label -> (space, vector shape, dtype, the iteration, its coefficients):
+#: ``wc_bicgstab``'s field, ``serve_propagator``'s 12-lane batch and the
+#: ``wc_gcrdd_schwarz`` block stack (8^4 in (1, 1, 2, 2) blocks: four
+#: lanes of 1024 sites, complex64, one coefficient per lane).
+_LANES12 = np.linspace(0.2, 0.7, 12) * np.exp(0.4j)
+UPDATES = {
+    "bicgstab_updates": (
+        ArraySpace(), (8, 8, 8, 8, 4, 3), np.complex128, _bicgstab_updates,
+        (0.31 - 0.12j, 0.42 + 0.05j, 0.56 - 0.21j),
+    ),
+    "bicgstab_updates_12": (
+        BatchedArraySpace(), (12, 4, 4, 4, 4, 4, 3), np.complex128,
+        _bicgstab_updates, (_LANES12, _LANES12[::-1], 0.5 * _LANES12.conj()),
+    ),
+    "mr_step_c64": (
+        BatchedArraySpace(), (4, 4, 4, 8, 8, 4, 3), np.complex64, _mr_step,
+        (np.array([0.61 - 0.2j, 0.55 + 0.1j, 0.7 - 0.05j, 0.48 + 0.3j]),),
+    ),
+}
+#: Iterations per timed block, per ``--reps``.
+UPDATE_REPS = 40
+
+
+def measure_updates(reps: int) -> dict:
+    """Seconds per iteration of each of :data:`UPDATES` — allocating
+    NumPy, NumPy writing in place (``out=``), and the compiled tier's
+    passes where the library is there — and each in-place side's largest
+    difference from the allocating one (0.0: the same bits)."""
+    compiled = KERNELS.entries["c"]
+    tiers = {"allocating": compiled, "numpy": _NoPasses()}
+    if compiled.available:
+        tiers["c"] = compiled
+    out = {}
+    for label, (space, shape, dtype, step, coefficients) in UPDATES.items():
+        rng = np.random.default_rng(11)
+        count = 5 if step is _bicgstab_updates else 3
+        start = [
+            (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+            for _ in range(count)
+        ]
+
+        def iterate(tier, vectors, n):
+            KERNELS.entries["c"] = tiers[tier]
+            try:
+                for _ in range(n):
+                    vectors = step(space, vectors, coefficients, tier == "allocating")
+            finally:
+                KERNELS.entries["c"] = compiled
+            return vectors
+
+        expected = iterate("allocating", [v.copy() for v in start], 1)
+        scale = max(float(np.abs(v).max()) for v in expected)
+        errors, seconds = {}, {tier: 0.0 for tier in tiers}
+        for tier in tiers:
+            got = iterate(tier, [v.copy() for v in start], 1)
+            errors[tier] = max(
+                float(np.abs(g - e).max()) for g, e in zip(got, expected)
+            ) / scale
+        n = UPDATE_REPS * reps
+        for _ in range(ROUNDS):
+            for tier in tiers:
+                vectors = [v.copy() for v in start]
+                begin = time.perf_counter()
+                iterate(tier, vectors, n)
+                seconds[tier] += (time.perf_counter() - begin) / (ROUNDS * n)
+        out[label] = {"seconds": seconds, "errors": errors, "shape": shape,
+                      "dtype": np.dtype(dtype).name}
+    return out
+
+
+def update_rows(measured: dict) -> tuple[dict, list]:
+    """The update measurements as flat metrics and ``results`` rows."""
+    metrics, rows = {}, []
+    for label, m in measured.items():
+        seconds, errors = m["seconds"], m["errors"]
+        c = seconds.get("c")
+        metrics.update({
+            f"{label}_allocating_seconds": seconds["allocating"],
+            f"{label}_numpy_seconds": seconds["numpy"],
+            f"{label}_numpy_max_rel_err": errors["numpy"],
+            f"{label}_c_seconds": c,
+            f"{label}_c_speedup_vs_allocating": seconds["allocating"] / c if c else None,
+            f"{label}_c_max_rel_err": errors.get("c"),
+        })
+        rows += [
+            {
+                "shape": list(m["shape"]),
+                "dtype": m["dtype"],
+                "apply": label,
+                "tier": tier,
+                "kernel": "c" if tier == "c" else "numpy",
+                "seconds_per_apply": seconds[tier],
+                "speedup_vs_reference": seconds["allocating"] / seconds[tier],
+                "max_rel_err": errors[tier],
+            }
+            for tier in seconds
+        ]
+    return metrics, rows
+
+
 def test_fast_path_faster_and_exact():
     """Collectable smoke version at a small volume: numerically identical
     and clearly faster (the full regression gate runs via main)."""
@@ -191,6 +349,14 @@ def test_fast_path_faster_and_exact():
         assert result["c_speedup_vs_numpy"] > 1.3
         assert result["matrix_c_max_rel_err"] == 0.0
         assert result["matrix_half_c_max_rel_err"] == 0.0
+
+
+def test_updates_exact():
+    """Every in-place side of the update rows has the allocating bits."""
+    metrics, _ = update_rows(measure_updates(reps=1))
+    for key, value in metrics.items():
+        if key.endswith("max_rel_err"):
+            assert value in (0.0, None), key
 
 
 def main() -> None:
@@ -219,6 +385,9 @@ def main() -> None:
             for key in METRICS:
                 if key.endswith("c_max_rel_err"):
                     assert result[key] == 0.0, (result["dims"], key)
+    update_metrics, update_results = update_rows(measure_updates(args.reps))
+    for key, value in update_metrics.items():
+        assert not key.endswith("max_rel_err") or value in (0.0, None), (key, value)
     last = runs[-1]
     report = wrap_bench(
         "wilson_dslash_hotpath",
@@ -228,9 +397,11 @@ def main() -> None:
             "reps": last["reps"],
             "rounds": last["rounds"],
             "kernels": last["kernels"],
+            "update_iterations": UPDATE_REPS * args.reps,
         },
-        metrics={key: last[key] for key in METRICS},
-        results=[row for result in runs for row in result["results"]],
+        metrics={**{key: last[key] for key in METRICS}, **update_metrics},
+        results=[row for result in runs for row in result["results"]]
+        + update_results,
     )
     out_path = Path(args.output)
     out_path.write_text(json.dumps(report, indent=2) + "\n")

@@ -72,6 +72,17 @@ _REAL = {"complex128": "float64", "complex64": "float32"}
 _COMPLEX = {real: name for name, real in _REAL.items()}
 #: Sites in a block of the site-vector operands (``W`` in the source).
 SITE_VECTOR = 8
+#: The solvers' vector updates the library runs as one in-place pass each
+#: (``wilson_hop.c``, "the solvers' vector updates"): per entry the
+#: coefficients a lane takes, the vectors it only reads and the vectors it
+#: writes, in the order the entry takes them.
+VECTOR_PASSES = {
+    "update": (1, 2, 1),              # out = y + a x               x, y; out
+    "update_pair": (2, 2, 2),         # x = x + c p, r = r + d q    p, q; x, r
+    "bicgstab_direction": (2, 2, 1),  # p = r + b (p + c v)         v, r; p
+    "bicgstab_closing": (3, 3, 2),    # x = (x + a p) + w s,
+                                      # r = s + c t              p, s, t; x, r
+}
 
 
 def packed_shape(lattice) -> tuple[int, ...]:
@@ -199,6 +210,7 @@ class _Library:
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self.multiply, self.hop, self.apply = {}, {}, {}
         self.pack, self.unpack, self.gather = {}, {}, {}
+        self.passes = {entry: {} for entry in VECTOR_PASSES}
         # The half format is float32 arithmetic: its one instance.
         self.quantize = lib.repro_quantize_half_c64
         self.quantize.argtypes, self.quantize.restype = (ptr, ptr) + (i64,) * 3, None
@@ -206,6 +218,12 @@ class _Library:
             f = getattr(lib, f"repro_multiply_{suffix}")
             f.argtypes, f.restype = (i64, ptr, ptr, ptr), None
             self.multiply[name] = f
+            for entry, (_, inputs, outputs) in VECTOR_PASSES.items():
+                f = getattr(lib, f"repro_{entry}_{suffix}")
+                f.argtypes = (i64, i64) + (ptr,) * (1 + inputs + outputs)
+                f.restype = None
+                # by the dtype itself: a solver asks per update
+                self.passes[entry][np.dtype(name)] = f
             f = getattr(lib, f"repro_wilson_hop_{suffix}")
             f.argtypes = (ptr,) * 5 + (i64,) * 6 + (ptr,)
             f.restype = ctypes.c_int
@@ -230,7 +248,8 @@ class _Library:
             self.gather[_REAL[name]] = f
 
     def probe(self) -> None:
-        """Raise unless the library multiplies as ``np.multiply`` does."""
+        """Raise unless the library multiplies as ``np.multiply`` does and
+        updates as ``y + a * x`` does, a scalar and a per-lane coefficient."""
         for name in _SUFFIX:
             a, b = _probe_vectors(name)
             got = np.empty_like(a)
@@ -243,6 +262,21 @@ class _Library:
                     "multiply and the library's fused form differ, so the "
                     "compiled stencil would not be bit-identical"
                 )
+            # x, y: the vectors as 1 lane of 257, and 4 lanes of 64
+            for x, y, coef in (
+                (a, b, np.array([0.7 - 1.3j], name)),
+                (a[1:].reshape(4, -1), b[1:].reshape(4, -1), a[:4] * 3j),
+            ):
+                got = np.empty_like(x)
+                self.passes["update"][x.dtype](
+                    len(coef), x.size // len(coef), coef.ctypes.data,
+                    x.ctypes.data, y.ctypes.data, got.ctypes.data,
+                )
+                if got.tobytes() != (y + coef.reshape(-1, 1) * x).tobytes():
+                    raise _Unavailable(
+                        f"update probe failed for {name}: the library's "
+                        "y + a * x and NumPy's differ"
+                    )
 
 
 class CBackend(KernelBackend):
@@ -262,6 +296,7 @@ class CBackend(KernelBackend):
         self._lock = threading.Lock()
         self._library: _Library | None = None
         self._reason: str | None = None
+        self._looked = False
         self._tables: dict = {}
 
     def __reduce__(self):
@@ -568,6 +603,69 @@ class CBackend(KernelBackend):
             *((sites, 1) if leading else (1, 12)),
         )
         return out
+
+    # ------------------------------------------------------------------
+    # the solvers' vector updates: every operator family's
+    # ------------------------------------------------------------------
+    def _cached(self) -> _Library | None:
+        """The library if this process has it: loaded from the cache the
+        first time it is asked for here, never built — a BLAS call starts
+        no compiler (the first Wilson operator does)."""
+        if self._library is None and not self._looked:
+            self._looked = True
+            self._resolve(build=False)
+        return self._library
+
+    def vector_pass(self, entry: str, coefficients, vectors):
+        """Run the pass ``VECTOR_PASSES[entry]`` in place and return the
+        vectors it wrote — or ``None``, nothing written, where the library
+        is not loaded or the operands are not these: NumPy's arithmetic is
+        the reference and the fallback.  ``coefficients`` is ``(lanes, k)``
+        in the vectors' dtype, one row per lane (a run of ``size // lanes``
+        consecutive elements); ``vectors`` is what the entry reads, then
+        what it writes, all of one dtype and shape, C-contiguous.  An
+        output may be one of the inputs (in place); no other overlap.
+        Called once per update, so it checks what the C needs and no
+        more, each thing once (a pointer costs ~1 us, ``dtype.name`` ~2:
+        the passes are keyed by the dtype itself)."""
+        library = self._library or self._cached()
+        if library is None:
+            return None
+        first = vectors[0]
+        dtype, shape = first.dtype, first.shape
+        run = library.passes[entry].get(dtype)
+        lanes = len(coefficients)
+        k, inputs, outputs = VECTOR_PASSES[entry]
+        if (
+            run is None
+            or len(vectors) != inputs + outputs
+            or coefficients.shape != (lanes, k)
+            or coefficients.dtype != dtype
+            or not coefficients.flags.c_contiguous
+            or not lanes
+            or first.size % lanes
+        ):
+            return None
+        at = []
+        for v in vectors:
+            if (
+                v.dtype != dtype or v.shape != shape
+                or not (v.flags.c_contiguous and v.flags.aligned)
+            ):
+                return None
+            at.append(v.ctypes.data)
+        # Contiguous, equal-sized vectors overlap iff their starts are
+        # closer than their size; only the same start as an input is allowed.
+        size = first.nbytes
+        for j in range(inputs, len(at)):
+            if not vectors[j].flags.writeable or any(
+                i != j and abs(at[i] - at[j]) < size
+                and (i >= inputs or at[i] != at[j])
+                for i in range(len(at))
+            ):
+                return None
+        run(lanes, first.size // lanes, coefficients.ctypes.data, *at)
+        return vectors[inputs:]
 
 
 __all__ = ["CBackend", "cache_directories"]

@@ -1,12 +1,13 @@
 /* The compiled kernel tier ("c"): the lattice-last Wilson 8-hop core, and
  * the whole Wilson-clover matrix around it -- site-major field in, layout
  * change, storage rounding, hops, site-diagonal tail, rounding, site-major
- * field out -- for complex128 and complex64.
+ * field out -- for complex128 and complex64; and the Krylov solvers' vector
+ * updates, each one in-place pass (see "the solvers' vector updates").
  *
  * Built and loaded by repro/kernels/c_backend.py.  Every function evaluates,
- * site by site, the IEEE operation sequence of the NumPy body it stands in
- * for (WilsonCloverOperator._hop_sites / _apply_sites), so the results are
- * equal bit for bit.  Three facts carry that:
+ * site by site, the IEEE operation sequence of the NumPy code it stands in
+ * for (WilsonCloverOperator._hop_sites / _apply_sites, repro.linalg.blas),
+ * so the results are equal bit for bit.  Three facts carry that:
  *
  *   - NumPy's complex multiply loop is fused: a * b is
  *         re = fma(ar, br, -(ai * bi)),   im = fma(ar, bi, ai * br)
@@ -24,8 +25,10 @@
  *     + 0, rescale.  Single and double storage are the dtype itself.
  *
  * Lattice-last fields are C-contiguous (spin, color, batch, lane, T, Z, Y,
- * X) complex, links (2, mu, b, a, lane, T, Z, Y, X); the caller's fields
- * are site-major (batch, lane, T, Z, Y, X, spin, color).
+ * X) complex, links (2, mu, b, a, lane, T, Z, Y, X) of which the stencil
+ * reads the forward half only: the backward hop conjugates U(x - mu) in
+ * registers, as QUDA never stores U^+.  The caller's fields are site-major
+ * (batch, lane, T, Z, Y, X, spin, color).
  *
  * What the body reads at every site -- its own copy of x, the clover term
  * -- is held as *site vectors*: a lane's sites, in lattice-last order, are
@@ -334,19 +337,24 @@ static void NAME(project)(const REAL *xb, int64_t from, int64_t U, int64_t R,
 
 /* hop[s][a] = (h[s][0] u[0][a] + h[s][1] u[1][a]) + h[s][2] u[2][a] with the
  * links of the unit's U sites (interleaved, element stride ls reals); a
- * column of links is loaded once for both spins. */
-static void NAME(link_apply)(const REAL *restrict h, const REAL *restrict u,
-                             int64_t ls, int64_t U, int64_t R,
-                             REAL *restrict hop)
+ * column of links is loaded once for both spins.  `u` is the forward link
+ * U, element (b, a) holding U_ab; with `dagger` the matrix multiplied is
+ * U^+, its element (b, a) read as U_ba conjugated in registers -- the
+ * imaginary part negated, which is what np.conjugate stores (-0 included). */
+static inline void NAME(link_apply)(const REAL *restrict h,
+                                    const REAL *restrict u, int64_t ls,
+                                    int64_t U, int64_t R, const int dagger,
+                                    REAL *restrict hop)
 {
     for (int a = 0; a < 3; a++) {
-        const REAL *restrict u0 = u + (0 * 3 + a) * ls;
-        const REAL *restrict u1 = u + (1 * 3 + a) * ls;
-        const REAL *restrict u2 = u + (2 * 3 + a) * ls;
+        const REAL *restrict u0 = u + (dagger ? a * 3 + 0 : 0 * 3 + a) * ls;
+        const REAL *restrict u1 = u + (dagger ? a * 3 + 1 : 1 * 3 + a) * ls;
+        const REAL *restrict u2 = u + (dagger ? a * 3 + 2 : 2 * 3 + a) * ls;
         for (int64_t i = 0; i < U; i++) {
             REAL ar = u0[2 * i], ai = u0[2 * i + 1];
             REAL br = u1[2 * i], bi = u1[2 * i + 1];
             REAL cr = u2[2 * i], ci = u2[2 * i + 1];
+            if (dagger) ai = -ai, bi = -bi, ci = -ci;
             for (int s = 0; s < 2; s++) {
                 const REAL *restrict hs = h + s * 6 * R + i;
                 REAL re = CMUL_RE(hs[0], hs[R], ar, ai);
@@ -609,21 +617,24 @@ static int NAME(stencil)(const REAL *xs, const REAL *links, void *out,
                     from += (forward ? 1 : -1) * (crossed ? 1 - n[mu] : 1)
                         * d * U;
                 }
-                const REAL *u = ul + ((forward ? 0 : 4) + mu) * 9 * ls;
+                const REAL *u = ul + mu * 9 * ls;
                 REAL *result;
                 NAME(project)(xb, from, U, R, sp, cf, h);
                 if (forward) {
                     /* U(x) [P psi](x + mu): shift, then multiply */
                     if (mu < inner) {
                         NAME(shift_unit)(g, h, U, R, d, n[mu], 1, bc[mu]);
-                        NAME(link_apply)(g, u + 2 * here, ls, U, R, result = h);
+                        NAME(link_apply)(g, u + 2 * here, ls, U, R, 0,
+                                         result = h);
                     } else {
                         if (crossed) NAME(cross)(h, 12 * R, bc[mu]);
-                        NAME(link_apply)(h, u + 2 * here, ls, U, R, result = g);
+                        NAME(link_apply)(h, u + 2 * here, ls, U, R, 0,
+                                         result = g);
                     }
                 } else {
                     /* U(x - mu)^+ [P psi](x - mu): multiply, then shift */
-                    NAME(link_apply)(h, u + 2 * from, ls, U, R, result = g);
+                    NAME(link_apply)(h, u + 2 * from, ls, U, R, 1,
+                                     result = g);
                     if (mu < inner)
                         NAME(shift_unit)(result = h, g, U, R, d, n[mu], 0,
                                          bc[mu]);
@@ -715,6 +726,99 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
 {
     return NAME(run)(x, 1, 12, links, out, 1, narrow, half, packed, diag,
                      spins, coef, nb, nl, T, Z, Y, X, bc, seconds);
+}
+
+/* ---- the solvers' vector updates ------------------------------------- */
+
+/* Each pass runs over `lanes` runs of n complex elements (interleaved),
+ * lane l with its own k coefficients at coef[2 k l ..] -- one lane with
+ * one set for a scalar coefficient -- and evaluates, element by element,
+ * what NumPy evaluates for the updates it stands for: `y + a * x` is the
+ * product in the fused form, coefficient first, then the add.  An output
+ * may be one of the inputs (the update in place: every element is read
+ * before it is written); no other overlap.  Every member of a lane's
+ * coefficient set is read into registers before the lane's loop. */
+
+/* out = y + a x */
+void NAME(repro_update)(int64_t lanes, int64_t n, const REAL *coef,
+                        const REAL *x, const REAL *y, REAL *out)
+{
+    for (int64_t l = 0, at = 0; l < lanes; l++, at += 2 * n) {
+        const REAL ar = coef[2 * l], ai = coef[2 * l + 1];
+#pragma GCC ivdep
+        for (int64_t i = at; i < at + 2 * n; i += 2) {
+            const REAL xr = x[i], xi = x[i + 1];
+            out[i] = y[i] + CMUL_RE(ar, ai, xr, xi);
+            out[i + 1] = y[i + 1] + CMUL_IM(ar, ai, xr, xi);
+        }
+    }
+}
+
+/* BiCGstab's new direction, coefficients (c, b) = (-omega, beta):
+ *     p = r + b (p + c v)                                                  */
+void NAME(repro_bicgstab_direction)(int64_t lanes, int64_t n,
+                                    const REAL *coef, const REAL *v,
+                                    const REAL *r, REAL *p)
+{
+    for (int64_t l = 0, at = 0; l < lanes; l++, at += 2 * n) {
+        const REAL cr = coef[4 * l], ci = coef[4 * l + 1];
+        const REAL br = coef[4 * l + 2], bi = coef[4 * l + 3];
+#pragma GCC ivdep
+        for (int64_t i = at; i < at + 2 * n; i += 2) {
+            const REAL vr = v[i], vi = v[i + 1];
+            const REAL tr = p[i] + CMUL_RE(cr, ci, vr, vi);
+            const REAL ti = p[i + 1] + CMUL_IM(cr, ci, vr, vi);
+            p[i] = r[i] + CMUL_RE(br, bi, tr, ti);
+            p[i + 1] = r[i + 1] + CMUL_IM(br, bi, tr, ti);
+        }
+    }
+}
+
+/* BiCGstab's closing updates, coefficients (alpha, omega, c = -omega):
+ *     x = (x + alpha p) + omega s,    r = s + c t       (r may be s)       */
+void NAME(repro_bicgstab_closing)(int64_t lanes, int64_t n,
+                                  const REAL *coef, const REAL *p,
+                                  const REAL *s, const REAL *t, REAL *x,
+                                  REAL *r)
+{
+    for (int64_t l = 0, at = 0; l < lanes; l++, at += 2 * n) {
+        const REAL ar = coef[6 * l], ai = coef[6 * l + 1];
+        const REAL wr = coef[6 * l + 2], wi = coef[6 * l + 3];
+        const REAL cr = coef[6 * l + 4], ci = coef[6 * l + 5];
+#pragma GCC ivdep
+        for (int64_t i = at; i < at + 2 * n; i += 2) {
+            const REAL pr = p[i], pi = p[i + 1];
+            const REAL sr = s[i], si = s[i + 1];
+            const REAL tr = t[i], ti = t[i + 1];
+            const REAL yr = x[i] + CMUL_RE(ar, ai, pr, pi);
+            const REAL yi = x[i + 1] + CMUL_IM(ar, ai, pr, pi);
+            x[i] = yr + CMUL_RE(wr, wi, sr, si);
+            x[i + 1] = yi + CMUL_IM(wr, wi, sr, si);
+            r[i] = sr + CMUL_RE(cr, ci, tr, ti);
+            r[i + 1] = si + CMUL_IM(cr, ci, tr, ti);
+        }
+    }
+}
+
+/* Two updates side by side, coefficients (c, d) -- the minimal-residual
+ * step is p = r, q = A r, d = -c:
+ *     x = x + c p,    r = r + d q                       (p may be r)       */
+void NAME(repro_update_pair)(int64_t lanes, int64_t n, const REAL *coef,
+                             const REAL *p, const REAL *q, REAL *x, REAL *r)
+{
+    for (int64_t l = 0, at = 0; l < lanes; l++, at += 2 * n) {
+        const REAL cr = coef[4 * l], ci = coef[4 * l + 1];
+        const REAL dr = coef[4 * l + 2], di = coef[4 * l + 3];
+#pragma GCC ivdep
+        for (int64_t i = at; i < at + 2 * n; i += 2) {
+            const REAL pr = p[i], pi = p[i + 1];
+            const REAL qr = q[i], qi = q[i + 1];
+            x[i] = x[i] + CMUL_RE(cr, ci, pr, pi);
+            x[i + 1] = x[i + 1] + CMUL_IM(cr, ci, pr, pi);
+            r[i] = r[i] + CMUL_RE(dr, di, qr, qi);
+            r[i + 1] = r[i + 1] + CMUL_IM(dr, di, qr, qi);
+        }
+    }
 }
 
 #undef VEC

@@ -10,6 +10,19 @@ Krylov methods (Sec. 3.2 of the paper).
 Flop counting convention (per complex element, the standard lattice-QCD
 accounting): complex add = 2, complex*real = 2, complex*complex = 6,
 so caxpy = 8, axpy(real) = 4, cdot = 8, norm2 = 4.
+
+Every update — ``y + a*x`` in each of its spellings — goes through ONE
+entry, :func:`update`, and a solver's fused groups through :func:`fused`:
+an update in place is one pass of the compiled tier's library where it
+is loaded and takes the operands, element for element the bits NumPy's
+ufuncs give, and NumPy's ufuncs otherwise — the reference and the
+fallback (every dtype mix, every non-contiguous operand, a process
+without the library).  A BLAS call loads the library from its cache and
+never builds it.  ``out=`` names a vector the caller owns: it receives
+the result where it can hold it bit for bit (the result's dtype and
+shape), and the result is returned either way.  Reductions stay
+``np.vdot`` / ``np.vecdot``: the host BLAS's dot kernel, whose summation
+order is its own (docs/performance_model.md, "The Krylov updates").
 """
 
 from __future__ import annotations
@@ -19,9 +32,93 @@ import numpy as np
 from repro.trace import span
 from repro.util.counters import record
 
+#: Python scalars: NumPy rounds them to the field's dtype (NEP 50).
+_WEAK = (int, float, complex)
+#: The smallest field a lone update is compiled for.  Below it the
+#: operands sit in L2 and NumPy's two passes cost less than one compiled
+#: call's ~10 us of Python (2-core host: 393 KB complex64 20 vs 23 us,
+#: 590 KB complex128 39 vs 35 us, 786 KB 62 vs 50 us).
+_COMPILED_UPDATE_BYTES = 1 << 19
+
 
 def _nbytes(*arrays: np.ndarray) -> int:
     return sum(a.nbytes for a in arrays)
+
+
+def _c_tier():
+    """The compiled tier's registry entry, looked up per call (a test may
+    swap it); ``repro.kernels`` imports this package, hence the late
+    import."""
+    from repro.kernels.registry import KERNELS
+
+    return KERNELS.entries["c"]
+
+
+def _coefficients(values, x: np.ndarray, per_lane: bool):
+    """``values`` as the compiled passes take them, ``(lanes, k)`` in the
+    field's dtype: one row, or with ``per_lane`` one per lane of the
+    leading axis (a scalar broadcast).  ``None`` where NumPy would not
+    multiply by that: a NumPy scalar wider than the field widens the
+    result."""
+    if not per_lane:
+        if all(type(v) in _WEAK or np.result_type(v, x) == x.dtype for v in values):
+            return np.array([values], x.dtype)
+        return None
+    rows = [np.asarray(v, x.dtype).reshape(-1) for v in values]
+    lanes = max(len(row) for row in rows)
+    if lanes not in (1, len(x)):
+        return None
+    coef = np.empty((lanes, len(values)), x.dtype)
+    for j, row in enumerate(rows):
+        coef[:, j] = row
+    return coef
+
+
+def update(a, x: np.ndarray, y: np.ndarray, out=None, per_lane: bool = False):
+    """``y + a*x``, unrecorded (the caller keeps the ledger): the one
+    spelling of every vector update.
+
+    ``a`` is a scalar, promoted as NumPy promotes it, or with ``per_lane``
+    one coefficient per lane of the leading axis rounded to the field's
+    dtype (the batched family's contract).  ``out`` receives the result
+    where it can hold it; the result is returned either way.  Only an
+    update in place of a field of at least ``_COMPILED_UPDATE_BYTES`` is
+    compiled: into fresh memory, or within L2, one pass buys nothing over
+    NumPy's two.
+    """
+    if out is not None and out.nbytes >= _COMPILED_UPDATE_BYTES:
+        coef = _coefficients((a,), x, per_lane)
+        if coef is not None:
+            done = _c_tier().vector_pass("update", coef, (x, y, out))
+            if done is not None:
+                return done[0]
+    if per_lane:
+        ax = _bcoeff(a, x) * x
+        terms = (ax, y)
+    else:
+        ax = a * x
+        terms = (y, ax)
+    dtype = np.result_type(*terms)
+    if not (out is not None and out.dtype == dtype and out.shape == ax.shape == y.shape):
+        # the product's own storage, when it has the sum's dtype and shape
+        out = ax if ax.dtype == dtype and ax.shape == y.shape else None
+    return np.add(*terms, out=out)
+
+
+def fused(entry: str, coefficients, vectors, per_lane: bool = False) -> bool:
+    """The compiled tier's fused pass ``entry`` (``VECTOR_PASSES`` of
+    :mod:`repro.kernels.c_backend`) in place on ``vectors``, recorded as
+    the updates it stands for — one per coefficient, each what ``caxpy``
+    (``axpy`` for a real scalar) records on these vectors.  ``False``,
+    nothing written or recorded, where the pass is not taken: the caller
+    then runs those updates."""
+    x = vectors[0]
+    coef = _coefficients(coefficients, x, per_lane)
+    if coef is None or _c_tier().vector_pass(entry, coef, vectors) is None:
+        return False
+    flops = sum(8 if per_lane or isinstance(a, complex) else 4 for a in coefficients)
+    record(flops=flops * x.size, bytes_moved=3 * len(coefficients) * x.nbytes)
+    return True
 
 
 def norm2(x: np.ndarray) -> float:
@@ -48,30 +145,30 @@ def rdot(x: np.ndarray, y: np.ndarray) -> float:
     return val
 
 
-def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def axpy(a: float, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """y + a*x with real scalar a."""
-    out = y + a * x
+    out = update(a, x, y, out)
     record(flops=4 * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 
 
-def caxpy(a: complex, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def caxpy(a: complex, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """y + a*x with complex scalar a."""
-    out = y + a * x
+    out = update(a, x, y, out)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 
 
-def xpay(x: np.ndarray, a: float, y: np.ndarray) -> np.ndarray:
+def xpay(x: np.ndarray, a: float, y: np.ndarray, out=None) -> np.ndarray:
     """x + a*y with real scalar a."""
-    out = x + a * y
+    out = update(a, y, x, out)
     record(flops=4 * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 
 
-def cxpay(x: np.ndarray, a: complex, y: np.ndarray) -> np.ndarray:
+def cxpay(x: np.ndarray, a: complex, y: np.ndarray, out=None) -> np.ndarray:
     """x + a*y with complex scalar a."""
-    out = x + a * y
+    out = update(a, y, x, out)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 
@@ -144,13 +241,6 @@ def _bcoeff(a, x: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape + (1,) * (x.ndim - a.ndim))
 
 
-def _add_into(ax: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``ax + y``, reusing the product's storage when it already has the
-    sum's dtype (a complex64 correction added to a complex128 iterate
-    must come back complex128, as ``y + a*x`` does)."""
-    return np.add(ax, y, out=ax if np.can_cast(y.dtype, ax.dtype) else None)
-
-
 def bnorm2(x: np.ndarray, reductions: int = 1) -> np.ndarray:
     """Per-RHS squared 2-norms, float64 ``(B,)`` (ONE global reduction)."""
     with span("bnorm2", kind="reduction", batch=x.shape[0]):
@@ -178,16 +268,16 @@ def brdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return val
 
 
-def baxpy(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def baxpy(a, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """y + a*x with a per-RHS ``(B,)`` coefficient vector."""
-    out = _add_into(_bcoeff(a, x) * x, y)
+    out = update(a, x, y, out, per_lane=True)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 
 
-def bxpay(x: np.ndarray, a, y: np.ndarray) -> np.ndarray:
+def bxpay(x: np.ndarray, a, y: np.ndarray, out=None) -> np.ndarray:
     """x + a*y with a per-RHS ``(B,)`` coefficient vector."""
-    out = _add_into(_bcoeff(a, y) * y, x)
+    out = update(a, y, x, out, per_lane=True)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 

@@ -14,6 +14,8 @@ against this space (e.g. :func:`repro.solvers.gcr.gcr`) executes the
 Partials are raw ``np.vdot`` plus an explicit ``record`` — NOT the
 :mod:`repro.linalg.blas` reduction helpers, which would charge an extra
 ``reductions=1`` on top of the communicator's collective accounting.
+Updates go through :func:`repro.linalg.blas.update`, the one entry every
+space updates through, and keep this space's flops-only ledger.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import numpy as np
 
 from repro.comm.communicator import Communicator
 from repro.kernels import convert_field
+from repro.linalg import blas
 from repro.linalg.blas import _bcoeff
 from repro.precision import Precision
+from repro.solvers.space import VectorSpace
 from repro.util.counters import record
 
 
-class RankSpace:
+class RankSpace(VectorSpace):
     """Vector-space operations on one rank's block of a distributed field."""
 
     def __init__(self, comm: Communicator, site_axes: int = 2):
@@ -51,13 +55,13 @@ class RankSpace:
         return float(self.comm.allreduce_sum(part))
 
     # -- updates ---------------------------------------------------------
-    def axpy(self, a, x, y):
+    def axpy(self, a, x, y, out=None):
         record(flops=8 * x.size)
-        return y + a * x
+        return blas.update(a, x, y, out)
 
-    def xpay(self, x, a, y):
+    def xpay(self, x, a, y, out=None):
         record(flops=8 * x.size)
-        return x + a * y
+        return blas.update(a, y, x, out)
 
     def scale(self, a, x):
         record(flops=6 * x.size)
@@ -123,13 +127,13 @@ class BatchedRankSpace(RankSpace):
     # complex64, every lane's bits are :class:`RankSpace`'s for that
     # lane's Python scalar, and ``y + a*x`` still promotes when a
     # complex64 correction meets a complex128 iterate.
-    def axpy(self, a, x, y):
+    def axpy(self, a, x, y, out=None):
         record(flops=8 * x.size)
-        return y + _bcoeff(a, x) * x
+        return blas.update(a, x, y, out, per_lane=True)
 
-    def xpay(self, x, a, y):
+    def xpay(self, x, a, y, out=None):
         record(flops=8 * x.size)
-        return x + _bcoeff(a, y) * y
+        return blas.update(a, y, x, out, per_lane=True)
 
     def scale(self, a, x):
         record(flops=6 * x.size)

@@ -52,8 +52,12 @@ import numpy as np
 from repro.linalg import blas
 from repro.precision import Precision
 from repro.solvers.multirhs import mr_coefficients
+from repro.solvers.space import BatchedArraySpace
 from repro.trace import span
 from repro.util.counters import domain_local
+
+#: The iterates' rows take the MR step as the batched family's updates.
+_ROWS = BatchedArraySpace()
 
 
 def schwarz_block_solve(
@@ -148,8 +152,7 @@ def schwarz_block_solve(
                 coef = mr_coefficients(
                     omega, blas.bcdot(ar, r, reductions=live.size), ar2
                 )
-                x = blas.baxpy(coef, r, x)
-                r = blas.baxpy(-coef, ar, r)
+                x, r = _ROWS.update_pair(x, coef, r, r, -coef, ar)
                 blas.bnorm2(r, reductions=live.size)
             if z is None:
                 z = x

@@ -68,9 +68,7 @@ def bicgstab(
             break
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        # p = r + beta*(p - omega*v)
-        p = space.axpy(-omega, v, p)
-        p = space.xpay(r, beta, p)
+        p = space.bicgstab_direction(p, r, v, beta, -omega)
         v = op(p)
         matvecs += 1
         denom = space.dot(r_hat, v)
@@ -78,13 +76,13 @@ def bicgstab(
             broke_down = _breakdown(denom)
             break
         alpha = rho / denom
-        s = space.axpy(-alpha, v, r)
+        s = space.axpy(-alpha, v, r, out=r)  # r is not read again: s takes it
         t = op(s)
         matvecs += 1
         t2 = space.norm2(t)
         if t2 == 0.0:
             # s is an exact solution update.
-            x = space.axpy(alpha, p, x)
+            x = space.axpy(alpha, p, x, out=x)
             r = s
             r2 = space.norm2(r)
             it += 1
@@ -92,9 +90,7 @@ def bicgstab(
             converged = r2 <= target
             break
         omega = space.dot(t, s) / t2
-        x = space.axpy(alpha, p, x)
-        x = space.axpy(omega, s, x)
-        r = space.axpy(-omega, t, s)
+        x, r = space.bicgstab_closing(x, p, s, t, alpha, omega)
         r2 = space.norm2(r)
         it += 1
         history.append(math.sqrt(r2 / b_norm2))

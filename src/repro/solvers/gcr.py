@@ -133,11 +133,13 @@ def gcr(
                 z_k = to_inner(inner_op(p_k))
             matvecs += 1
             with span("orthogonalize", kind="blas", cycle=restarts, k=k):
-                # Classical Gram-Schmidt against the existing basis.
+                # Classical Gram-Schmidt against the existing basis (the
+                # operator's result is not ours to write: the first update
+                # makes the copy the rest update in place).
                 for i in range(k):
                     b_ik = space.dot(z_basis[i], z_k)
                     betas[i, k] = b_ik
-                    z_k = space.axpy(-b_ik, z_basis[i], z_k)
+                    z_k = space.axpy(-b_ik, z_basis[i], z_k, out=z_k if i else None)
             gamma_k = math.sqrt(space.norm2(z_k))
             if gamma_k == 0.0:
                 # Exact breakdown: the Krylov space is exhausted.
@@ -183,8 +185,8 @@ def gcr(
                     chi[ell] = acc / gammas[ell]
                 x_hat = space.scale(chi[0], p_basis[0])
                 for i in range(1, k):
-                    x_hat = space.axpy(chi[i], p_basis[i], x_hat)
-                x = space.axpy(1.0, to_outer(x_hat), x)
+                    x_hat = space.axpy(chi[i], p_basis[i], x_hat, out=x_hat)
+                x = space.axpy(1.0, to_outer(x_hat), x, out=x)
 
         # ---- high-precision restart ----
         with span("true_residual", kind="solver", cycle=restarts):

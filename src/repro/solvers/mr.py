@@ -54,8 +54,7 @@ def mr(
         if not (finite(ar2) and finite(alpha)):
             broke_down = "non-finite"
             break
-        x = space.axpy(alpha, r, x)
-        r = space.axpy(-alpha, ar, r)
+        x, r = space.update_pair(x, alpha, r, r, -alpha, ar)
         if b_norm2 > 0:
             history.append(math.sqrt(space.norm2(r) / b_norm2))
             if not finite(history[-1]):

@@ -298,8 +298,7 @@ def batched_bicgstab(
         beta = np.where(active, (rho_new / _safe(rho)) * (alpha / _safe(omega)), 0.0)
         rho = np.where(active, rho_new, rho)
         # p = r + beta*(p - omega*v), frozen lanes collapse to p = r.
-        p = space.axpy(np.where(active, -omega, 0.0), v, p)
-        p = space.xpay(r, beta, p)
+        p = space.bicgstab_direction(p, r, v, beta, np.where(active, -omega, 0.0))
         v = op(p)
         matvecs += 1
         denom = space.dot(r_hat, v)
@@ -308,7 +307,7 @@ def batched_bicgstab(
         broke_down |= failed
         active &= ~failed & ~poisoned
         alpha_new = np.where(active, rho / _safe(denom), 0.0)
-        s = space.axpy(-alpha_new, v, r)
+        s = space.axpy(-alpha_new, v, r, out=r)  # r is not read again
         t = op(s)
         matvecs += 1
         t2 = space.norm2(t)
@@ -317,9 +316,7 @@ def batched_bicgstab(
         omega_new = np.where(
             active & (t2 > 0.0), space.dot(t, s) / _safe(t2), 0.0
         )
-        x = space.axpy(alpha_new, p, x)
-        x = space.axpy(omega_new, s, x)
-        r = space.axpy(-omega_new, t, s)
+        x, r = space.bicgstab_closing(x, p, s, t, alpha_new, omega_new)
         r2 = space.norm2(r)
         iterations[active] += 1
         it += 1
@@ -422,8 +419,7 @@ def batched_mr(
         poisoned |= live & ~np.isfinite(dot)
         live &= ~poisoned
         coef = mr_coefficients(omega, dot, np.where(live, ar2, 0.0))
-        x = space.axpy(coef, r, x)
-        r = space.axpy(-coef, ar, r)
+        x, r = space.update_pair(x, coef, r, r, -coef, ar)
         history.append(np.sqrt(space.norm2(r) / safe_b))
         poisoned |= live & ~np.isfinite(history[-1])
     if history:
@@ -623,11 +619,12 @@ def batched_gcr(
                 z_k = to_inner(inner_op(p_k))
             matvecs += 1
             with span("orthogonalize", kind="blas", cycle=restarts, k=k):
-                # Classical Gram-Schmidt, all B bases at once.
+                # Classical Gram-Schmidt, all B bases at once (the first
+                # update copies the operator's result, the rest write it).
                 for i in range(k):
                     b_ik = space.dot(z_basis[i], z_k)
                     betas[i, k] = b_ik
-                    z_k = space.axpy(-b_ik, z_basis[i], z_k)
+                    z_k = space.axpy(-b_ik, z_basis[i], z_k, out=z_k if i else None)
             gamma2 = space.norm2(z_k)
             poisoned |= ~np.isfinite(gamma2)
             if not ((gamma2 > 0.0) & ~poisoned).any():
@@ -676,8 +673,8 @@ def batched_gcr(
                     )
                 x_hat = space.scale(chi[0], p_basis[0])
                 for i in range(1, k):
-                    x_hat = space.axpy(chi[i], p_basis[i], x_hat)
-                x = space.axpy(1.0, to_outer(x_hat), x)
+                    x_hat = space.axpy(chi[i], p_basis[i], x_hat, out=x_hat)
+                x = space.axpy(1.0, to_outer(x_hat), x, out=x)
 
         # ---- high-precision restart ----
         with span("true_residual", kind="solver", cycle=restarts):

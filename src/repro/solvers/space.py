@@ -11,6 +11,11 @@ solver source run on
 
 Spaces also expose :meth:`convert`, the precision hook used by the
 mixed-precision solvers of Sec. 8.
+
+A solver writes only into vectors it owns — ones a space call handed it —
+and says so with ``out=`` on ``axpy`` / ``xpay`` and through the grouped
+updates of :class:`VectorSpace`, which a space with a fused pass runs as
+one.
 """
 
 from __future__ import annotations
@@ -22,7 +27,46 @@ from repro.linalg import blas
 from repro.precision import Precision
 
 
-class ArraySpace:
+class VectorSpace:
+    """The grouped updates of the Krylov loops, each composed here of the
+    space's own ``axpy`` / ``xpay`` with ``out=`` (the first argument
+    names the storage written, which the caller must own).  A space with
+    a fused pass for a group overrides :meth:`_fused`: then the group is
+    ONE pass, recorded as the updates it stands for."""
+
+    def _fused(self, entry: str, coefficients, vectors) -> bool:
+        """Run ``entry`` of ``repro.kernels.c_backend.VECTOR_PASSES`` in
+        place and record it, or return False (nothing done)."""
+        return False
+
+    def update_pair(self, x, c, p, r, d, q):
+        """``x <- x + c*p`` and ``r <- r + d*q``, each in its own storage
+        (``p`` may be ``r``: it is read before ``r`` is written) — the
+        minimal-residual step."""
+        if self._fused("update_pair", (c, d), (p, q, x, r)):
+            return x, r
+        return self.axpy(c, p, x, out=x), self.axpy(d, q, r, out=r)
+
+    def bicgstab_direction(self, p, r, v, beta, c):
+        """BiCGstab's new direction ``p <- r + beta*(p + c*v)`` in ``p``'s
+        storage (``c`` is ``-omega``)."""
+        if self._fused("bicgstab_direction", (c, beta), (v, r, p)):
+            return p
+        p = self.axpy(c, v, p, out=p)
+        return self.xpay(r, beta, p, out=p)
+
+    def bicgstab_closing(self, x, p, s, t, alpha, omega):
+        """BiCGstab's closing updates ``x <- (x + alpha*p) + omega*s`` in
+        ``x``'s storage and ``r = s - omega*t`` in ``s``'s: returns
+        ``(x, r)``."""
+        if self._fused("bicgstab_closing", (alpha, omega, -omega), (p, s, t, x, s)):
+            return x, s
+        x = self.axpy(alpha, p, x, out=x)
+        x = self.axpy(omega, s, x, out=x)
+        return x, self.axpy(-omega, t, s, out=s)
+
+
+class ArraySpace(VectorSpace):
     """The trivial space: vectors are numpy arrays on one rank.
 
     ``site_axes`` is the number of trailing per-site axes (2 for Wilson
@@ -44,11 +88,20 @@ class ArraySpace:
         return blas.norm2(x)
 
     # -- updates ---------------------------------------------------------
-    def axpy(self, a, x, y):
-        return blas.caxpy(complex(a), x, y) if isinstance(a, complex) else blas.axpy(a, x, y)
+    def axpy(self, a, x, y, out=None):
+        if isinstance(a, complex):
+            return blas.caxpy(complex(a), x, y, out)
+        return blas.axpy(a, x, y, out)
 
-    def xpay(self, x, a, y):
-        return blas.cxpay(x, complex(a), y) if isinstance(a, complex) else blas.xpay(x, a, y)
+    def xpay(self, x, a, y, out=None):
+        if isinstance(a, complex):
+            return blas.cxpay(x, complex(a), y, out)
+        return blas.xpay(x, a, y, out)
+
+    def _fused(self, entry, coefficients, vectors):
+        # each coefficient as axpy / xpay pass it on
+        coefficients = [complex(a) if isinstance(a, complex) else a for a in coefficients]
+        return blas.fused(entry, coefficients, vectors)
 
     def scale(self, a, x):
         return blas.scale(a, x)
@@ -68,7 +121,7 @@ class ArraySpace:
         return x
 
 
-class BatchedArraySpace:
+class BatchedArraySpace(VectorSpace):
     """Multi-RHS space: vectors are arrays with a *leading* batch axis.
 
     Reductions return one ``(B,)`` array of per-RHS results but cost a
@@ -95,11 +148,14 @@ class BatchedArraySpace:
         return blas.bnorm2(x)
 
     # -- updates (per-RHS coefficients) ----------------------------------
-    def axpy(self, a, x, y):
-        return blas.baxpy(a, x, y)
+    def axpy(self, a, x, y, out=None):
+        return blas.baxpy(a, x, y, out)
 
-    def xpay(self, x, a, y):
-        return blas.bxpay(x, a, y)
+    def xpay(self, x, a, y, out=None):
+        return blas.bxpay(x, a, y, out)
+
+    def _fused(self, entry, coefficients, vectors):
+        return blas.fused(entry, coefficients, vectors, per_lane=True)
 
     def scale(self, a, x):
         return blas.bscale(a, x)

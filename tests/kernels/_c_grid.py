@@ -10,7 +10,10 @@ carries only what ``_hop_sites`` / ``_apply_sites`` read: the clover term
 in the form its tier holds (the blocks on ``numpy``, Hermitian-packed in
 site vectors on ``c``: both loop shapes of the compiled body are met, the
 W-wide one where the walk's unit is a multiple of W and the
-site-at-a-time one on the odd extents).  Comparisons are on the
+site-at-a-time one on the odd extents).  The links' daggered half is the
+conjugate of the forward half, as every operator holds it; the compiled
+entries never read it, which every case checks with a daggered half of
+NaNs.  Comparisons are on the
 bytes, so the sign of a zero counts; NaNs compare by position (which of
 two NaN operands an instruction hands on is the compiler's choice).
 """
@@ -86,6 +89,16 @@ def random_complex(rng, shape, dtype):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
 
 
+def random_links(rng, lane_axes, dtype):
+    """Random lattice-last links ``(2, 4, 3, 3) + lane_axes`` whose daggered
+    half is what :func:`repro.dirac.base.lattice_last_links` holds —
+    ``[1, mu, b, a] = conj([0, mu, a, b])`` — as the compiled stencil reads
+    only the forward half and conjugates in registers."""
+    links = random_complex(rng, (2, 4, 3, 3) + lane_axes, dtype)
+    np.conjugate(np.swapaxes(links[0], 1, 2), out=links[1])
+    return links
+
+
 def field(rng, shape, dtype, fill):
     if fill == "zero":
         return np.zeros(shape, dtype)
@@ -130,7 +143,7 @@ def _assert_case(dims, dtype, conditions, batch, lanes, fill, seed):
     lattice = tuple(reversed(dims))
     lane_axes = ((lanes,) if lanes else ()) + lattice
     batch_axes = ((batch,) if batch else ()) + lane_axes
-    links = random_complex(rng, (2, 4, 3, 3) + lane_axes, dtype)
+    links = random_links(rng, lane_axes, dtype)
     xs = field(rng, (4, 3) + batch_axes, dtype, fill)
     ops = {k: bare_operator(links, conditions, k) for k in ("numpy", "c")}
     backend = get_backend("c")
@@ -144,10 +157,17 @@ def _assert_case(dims, dtype, conditions, batch, lanes, fill, seed):
             with pytest.raises(ValueError, match="exceeds extent"):
                 op._apply_sites(x, None)
         return
+    # The compiled entries read the forward links only: a daggered half of
+    # NaNs gives the same bytes.
+    blind = links.copy()
+    blind[1] = np.nan
     expected = ops["numpy"]._hop_sites(xs, batched)
     got = backend.wilson_hop_sites(links, xs, batched, ops["c"].boundary)
     assert got is not None, "the C entry refused a contiguous same-dtype case"
     assert same_bits(got, expected)
+    assert same_bits(
+        backend.wilson_hop_sites(blind, xs, batched, ops["c"].boundary), expected
+    )
     assert same_bits(ops["c"]._hop_sites(xs, batched), expected)
     for lane in range(batch):
         single = ops["c"]._hop_sites(np.ascontiguousarray(xs[:, :, lane]), False)
@@ -168,6 +188,13 @@ def _assert_case(dims, dtype, conditions, batch, lanes, fill, seed):
                 )
                 assert got is not None, "the C entry refused the case"
                 assert got.dtype == y.dtype and same_bits(got, expected)
+                assert same_bits(
+                    backend.wilson_apply_sites(
+                        blind, ops["c"]._chiral, 4.0 + mass, y, batched,
+                        ops["c"].boundary, rounding, None,
+                    ),
+                    expected,
+                )
                 assert same_bits(ops["c"]._apply_sites(y, rounding), expected)
                 for lane in range(batch):
                     assert same_bits(

@@ -93,6 +93,60 @@ def test_unfused_multiply_is_refused(cold_cache, tmp_path):
     assert libraries(cold_cache)  # it did build: the probe is what refused it
 
 
+def test_an_update_unlike_numpys_is_refused(cold_cache, tmp_path):
+    """The probe runs the update entry too: a library whose ``y + a*x``
+    multiplies the textbook way builds and loads — and is refused."""
+    text = SOURCE.read_text()
+    fused = "out[i] = y[i] + CMUL_RE(ar, ai, xr, xi);"
+    assert fused in text
+    source = tmp_path / "update" / SOURCE.name
+    source.parent.mkdir()
+    source.write_text(text.replace(fused, "out[i] = y[i] + (ar * xr - ai * xi);"))
+    backend = CBackend(source=source)
+    assert not backend.available
+    assert "update probe failed" in backend.unavailable_reason
+    assert libraries(cold_cache)
+
+
+def test_a_blas_call_loads_the_library_and_never_builds_it(
+    cold_cache, monkeypatch
+):
+    """No library cached: the update is NumPy's and no compiler starts.
+    Cached (another process built it): the next process's first update
+    loads it and runs its pass — still without a compiler."""
+    from repro.kernels.registry import KERNELS
+    from repro.linalg import blas
+
+    def fresh_process_tier():
+        monkeypatch.setitem(KERNELS.entries, "c", CBackend())
+        return KERNELS.entries["c"]
+
+    # an update in place of a field the compiled pass is for
+    x = np.arange(blas._COMPILED_UPDATE_BYTES // 16, dtype=np.complex128)
+    y = np.ones_like(x)
+    expected = (y + 0.5j * x).tobytes()
+    run = subprocess.run
+    monkeypatch.setattr(
+        subprocess, "run", lambda *a, **k: pytest.fail("a BLAS call built")
+    )
+    tier = fresh_process_tier()
+    out = y.copy()
+    assert blas.caxpy(0.5j, x, y, out=out) is out
+    assert out.tobytes() == expected
+    assert tier.library_path is None and not libraries(cold_cache)
+
+    monkeypatch.setattr(subprocess, "run", run)
+    assert CBackend().available  # the build another process makes
+    monkeypatch.setattr(
+        subprocess, "run", lambda *a, **k: pytest.fail("a BLAS call built")
+    )
+    tier = fresh_process_tier()
+    out = y.copy()
+    assert blas.caxpy(0.5j, x, y, out=out) is out
+    assert out.tobytes() == expected
+    assert tier.library_path == libraries(cold_cache)[0]
+
+
 def test_compiler_errors_land_in_the_reason(cold_cache, tmp_path):
     source = tmp_path / "broken" / SOURCE.name
     source.parent.mkdir()

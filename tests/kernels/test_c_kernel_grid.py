@@ -21,9 +21,11 @@ from _c_grid import (
     field,
     hermitian,
     needs_c,
-    random_complex,
+    random_links,
+    same_bits,
     site_major,
 )
+from repro.kernels import get_backend
 
 pytestmark = needs_c
 
@@ -52,6 +54,40 @@ def test_grid_walk(dims, batch, lanes, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["c128", "c64"])
+@pytest.mark.parametrize("fill", ["point", "negative-zero", "zero"])
+def test_cold_links_conjugated_in_registers(dtype, fill):
+    """Links whose imaginary parts are zeros of both signs, as a cold
+    configuration's are, under point and signed-zero fields: both
+    compiled entries, which conjugate ``U(x - mu)`` in registers, equal
+    the NumPy body, which multiplies by the held daggers, and read no
+    daggered link."""
+    rng = np.random.default_rng(7)
+    lattice = (2, 4, 3, 4)
+    links = random_links(rng, lattice, dtype)
+    links[0].imag = np.where(rng.integers(0, 2, links[0].shape) == 0, 0.0, -0.0)
+    np.conjugate(np.swapaxes(links[0], 1, 2), out=links[1])
+    blind = links.copy()
+    blind[1] = np.nan
+    conditions = ("periodic", "antiperiodic", "zero", "periodic")
+    chiral = hermitian(rng, lattice, dtype)
+    ops = {k: bare_operator(links, conditions, k, chiral) for k in ("numpy", "c")}
+    backend = get_backend("c")
+    xs = field(rng, (4, 3) + lattice, dtype, fill)
+    expected = ops["numpy"]._hop_sites(xs, False)
+    for held in (links, blind):
+        got = backend.wilson_hop_sites(held, xs, False, ops["c"].boundary)
+        assert same_bits(got, expected)
+    x = site_major(xs)
+    expected = ops["numpy"]._apply_sites(x, None)
+    for held in (links, blind):
+        got = backend.wilson_apply_sites(
+            held, ops["c"]._chiral, ops["c"].diagonal_coefficient, x, False,
+            ops["c"].boundary, None, None,
+        )
+        assert same_bits(got, expected)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["c128", "c64"])
 def test_four_threads_at_once_equal_the_serial_results(dtype):
     """The calls release the GIL and the kernels keep no shared mutable
     state: ``threads``-backend ranks apply concurrently — the bare hop
@@ -59,7 +95,7 @@ def test_four_threads_at_once_equal_the_serial_results(dtype):
     complex64)."""
     rng = np.random.default_rng(3)
     lattice = (4, 6, 4, 8)
-    links = random_complex(rng, (2, 4, 3, 3) + lattice, dtype)
+    links = random_links(rng, lattice, dtype)
     chiral = hermitian(rng, lattice, dtype)
     op = bare_operator(
         links, ("periodic", "zero", "antiperiodic", "periodic"), "c", chiral
