@@ -32,6 +32,14 @@ complex64 four-lane stack (``mr_step_c64``) — as the allocating NumPy
 expressions, as NumPy writing in place (the fallback), and as the
 compiled tier's fused passes; both in-place sides must have the
 allocating side's bits (``max_rel_err`` 0.0).
+
+And the set-up a configuration pays once, in milliseconds per tier: the
+clover build at 8^4 (``clover_build``: six field strengths and both
+chiral blocks) and the asqtad fat and long links at 4x8^3
+(``asqtad_links``) — the retired stacked-``matmul`` form (``matmul``, the
+reference: ``zgemm``'s bits), the lattice-last NumPy walk (``numpy``) and
+the compiled path sums (``c``), each tier's ``max_rel_err`` against the
+``matmul`` form; ``c`` must have the ``numpy`` bits.
 """
 
 from __future__ import annotations
@@ -41,12 +49,25 @@ import json
 import time
 from pathlib import Path
 
+import itertools
+
 import numpy as np
 
 from repro.dirac import WilsonCloverOperator
+from repro.dirac.clover import _chirality_builder
+from repro.gauge.asqtad import (
+    NAIK_COEFF,
+    build_fat_links,
+    build_long_links,
+    fattening_paths,
+)
+from repro.gauge.observables import clover_leaves
+from repro.gauge.paths import shift_field
 from repro.kernels import available_backends
 from repro.kernels.registry import KERNELS
 from repro.lattice import GaugeField, Geometry, SpinorField
+from repro.linalg import su3
+from repro.linalg.gamma import sigma
 from repro.metrics.bench_schema import wrap_bench
 from repro.precision import HALF
 from repro.solvers.space import ArraySpace, BatchedArraySpace
@@ -196,10 +217,14 @@ METRICS = tuple(
 # ----------------------------------------------------------------------
 class _NoPasses:
     """The compiled tier with no library loaded: every update is NumPy's
-    ``out=`` fallback."""
+    ``out=`` fallback, every path sum the NumPy walk."""
 
     @staticmethod
     def vector_pass(entry, coefficients, vectors):
+        return None
+
+    @staticmethod
+    def path_sum(links, weighted_paths):
         return None
 
 
@@ -338,6 +363,132 @@ def update_rows(measured: dict) -> tuple[dict, list]:
     return metrics, rows
 
 
+# ----------------------------------------------------------------------
+# Set-up: the path products under the clover term and the asqtad links.
+# ----------------------------------------------------------------------
+def _matmul_path(geometry, data, steps):
+    """The retired path product: links rolled to the start, one stacked
+    ``(..., 3, 3) @ (..., 3, 3)`` per step."""
+    offset, product = [0, 0, 0, 0], None
+    for mu, sign in steps:
+        if sign == +1:
+            link = shift_field(geometry, data[mu], offset)
+            offset[mu] += 1
+        else:
+            offset[mu] -= 1
+            link = su3.dagger(shift_field(geometry, data[mu], offset))
+        product = link if product is None else product @ link
+    return product
+
+
+def _matmul_clover(gauge):
+    """The chiral blocks ``(2, 6, 6) + sites`` as the retired build made
+    them: field strengths from ``matmul`` leaves, ``sigma (x) iF`` by
+    ``einsum``."""
+    geom, data, sites = gauge.geometry, gauge.data, gauge.geometry.shape
+    i_f = []
+    for mu, nu in itertools.combinations(range(4), 2):
+        q = sum(_matmul_path(geom, data, leaf) for leaf in clover_leaves(mu, nu))
+        i_f.append((mu, nu, np.moveaxis(1j * (q - su3.dagger(q)) / 8.0,
+                                        (-2, -1), (0, 1))))
+    blocks = np.zeros((2, 2, 3, 2, 3) + sites, np.complex128)
+    for c in (0, 1):
+        for mu, nu, f in i_f:
+            spin = sigma(mu, nu)[2 * c: 2 * c + 2, 2 * c: 2 * c + 2]
+            blocks[c] += np.einsum("st,ab...->satb...", spin, f)
+    return blocks.reshape((2, 6, 6) + sites)
+
+
+def _matmul_asqtad(gauge):
+    geom, data = gauge.geometry, gauge.data
+    fat, long_links = np.zeros_like(data), np.empty_like(data)
+    for mu in range(4):
+        for coeff, path in fattening_paths(mu):
+            fat[mu] += coeff * _matmul_path(geom, data, path)
+        long_links[mu] = NAIK_COEFF * _matmul_path(geom, data, [(mu, +1)] * 3)
+    return np.stack([fat, long_links])
+
+
+def _clover(gauge):
+    chirality = _chirality_builder(gauge, 1.0)
+    return np.stack([chirality(0), chirality(1)])
+
+
+def _asqtad(gauge):
+    return np.stack([build_fat_links(gauge), build_long_links(gauge)])
+
+
+#: label -> (X, Y, Z, T, the matmul build, the lattice-last build): the
+#: clover term of ``wc_bicgstab``'s lattice, the links of
+#: ``asqtad_multishift``'s.
+SETUP = {
+    "clover_build": ((8, 8, 8, 8), _matmul_clover, _clover),
+    "asqtad_links": ((8, 8, 8, 4), _matmul_asqtad, _asqtad),
+}
+
+
+def measure_setup(reps: int) -> dict:
+    """Milliseconds per build of each of :data:`SETUP` on each tier, and
+    each tier's largest difference from the ``matmul`` form; ``same_bits``:
+    whether ``c`` built the ``numpy`` bytes."""
+    compiled = KERNELS.entries["c"]
+    out = {}
+    for label, (dims, retired, build) in SETUP.items():
+        gauge = GaugeField.weak(Geometry(dims), epsilon=0.25, rng=2024)
+        tiers = {"matmul": retired, "numpy": build}
+        if compiled.available:
+            tiers["c"] = build
+
+        def once(tier):
+            KERNELS.entries["c"] = _NoPasses() if tier == "numpy" else compiled
+            try:
+                return tiers[tier](gauge)
+            finally:
+                KERNELS.entries["c"] = compiled
+
+        built = {tier: once(tier) for tier in tiers}
+        scale = float(np.abs(built["matmul"]).max())
+        errors = {
+            tier: float(np.abs(array - built["matmul"]).max()) / scale
+            for tier, array in built.items()
+        }
+        same = built["c"].tobytes() == built["numpy"].tobytes() if "c" in built else None
+        del built
+        ms = {tier: 0.0 for tier in tiers}
+        for _ in range(ROUNDS):
+            for tier in tiers:
+                for _ in range(reps):
+                    begin = time.perf_counter()
+                    once(tier)
+                    ms[tier] += 1e3 * (time.perf_counter() - begin) / (ROUNDS * reps)
+        out[label] = {"dims": dims, "ms": ms, "errors": errors, "same_bits": same}
+    return out
+
+
+def setup_rows(measured: dict) -> tuple[dict, list]:
+    """The set-up measurements as flat metrics and ``results`` rows."""
+    metrics, rows = {}, []
+    for label, m in measured.items():
+        ms, errors = m["ms"], m["errors"]
+        for tier in ("matmul", "numpy", "c"):
+            metrics[f"{label}_{tier}_ms"] = ms.get(tier)
+            metrics[f"{label}_{tier}_max_rel_err"] = errors.get(tier)
+        metrics[f"{label}_c_same_bits_as_numpy"] = m["same_bits"]
+        rows += [
+            {
+                "dims": list(m["dims"]),
+                "apply": label,
+                "tier": tier,
+                "kernel": "c" if tier == "c" else "numpy",
+                "seconds_per_apply": ms[tier] / 1e3,
+                "speedup_vs_reference": ms["matmul"] / ms[tier],
+                "max_rel_err": errors[tier],
+            }
+            for tier in ms
+        ]
+    return metrics, rows
+
+
 def test_fast_path_faster_and_exact():
     """Collectable smoke version at a small volume: numerically identical
     and clearly faster (the full regression gate runs via main)."""
@@ -357,6 +508,18 @@ def test_updates_exact():
     for key, value in metrics.items():
         if key.endswith("max_rel_err"):
             assert value in (0.0, None), key
+
+
+def _check_setup(metrics: dict) -> None:
+    """The lattice-last builds within rounding of the ``matmul`` form, the
+    compiled ones with the NumPy walk's bits."""
+    for label in SETUP:
+        assert metrics[f"{label}_numpy_max_rel_err"] < 1e-14, label
+        assert metrics[f"{label}_c_same_bits_as_numpy"] in (True, None), label
+
+
+def test_setup_exact():
+    _check_setup(setup_rows(measure_setup(reps=1))[0])
 
 
 def main() -> None:
@@ -388,6 +551,8 @@ def main() -> None:
     update_metrics, update_results = update_rows(measure_updates(args.reps))
     for key, value in update_metrics.items():
         assert not key.endswith("max_rel_err") or value in (0.0, None), (key, value)
+    setup_metrics, setup_results = setup_rows(measure_setup(args.reps))
+    _check_setup(setup_metrics)
     last = runs[-1]
     report = wrap_bench(
         "wilson_dslash_hotpath",
@@ -399,9 +564,12 @@ def main() -> None:
             "kernels": last["kernels"],
             "update_iterations": UPDATE_REPS * args.reps,
         },
-        metrics={**{key: last[key] for key in METRICS}, **update_metrics},
+        metrics={
+            **{key: last[key] for key in METRICS}, **update_metrics,
+            **setup_metrics,
+        },
         results=[row for result in runs for row in result["results"]]
-        + update_results,
+        + update_results + setup_results,
     )
     out_path = Path(args.output)
     out_path.write_text(json.dumps(report, indent=2) + "\n")

@@ -193,7 +193,7 @@ def lattice_last_links(links: np.ndarray) -> np.ndarray:
     ``[0, mu, b, a] = U_mu(x)_{ab}`` and ``[1, mu, b, a] = (U_mu(x)^+)_{ab}
     = conj(U_mu(x))_{ba}``, so column ``b`` of either matrix is three
     whole-lattice arrays whose fastest axis is the site axis — the order
-    :func:`link_apply_sites` consumes.  Built once per configuration: it is
+    :func:`repro.linalg.su3.link_apply_sites` consumes.  Built once per configuration: it is
     the per-call ``su3.dagger`` of the reference path amortized away.  A lane
     axis in front of the lattice axes (``links`` of shape ``(4, L, T, Z, Y,
     X, 3, 3)``) is carried through unchanged.
@@ -202,55 +202,6 @@ def lattice_last_links(links: np.ndarray) -> np.ndarray:
     out[0] = np.moveaxis(links, (-1, -2), (1, 2))
     np.conjugate(np.moveaxis(links, (-2, -1), (1, 2)), out=out[1])
     return out
-
-
-def link_apply_sites(
-    links: np.ndarray, x: np.ndarray, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """``out[s, a] = sum_b x[s, b] * links[b, a]`` on lattice-last fields.
-
-    ``links`` is one ``(b, a) + lattice`` slab of :func:`lattice_last_links`
-    and ``x`` is ``(spin, color) + lattice``: three broadcast multiply-adds
-    whose inner loop runs over contiguous sites (not over the 3 colors with
-    a stride-0 operand, as a lattice-first layout forces).  ``out`` and
-    ``tmp`` are result-shaped scratch that must not alias ``x``; their dtype
-    is the caller's choice of ``np.result_type`` for the product.
-    """
-    np.multiply(x[:, 0, None], links[None, 0], out=out)
-    for b in (1, 2):
-        np.multiply(x[:, b, None], links[None, b], out=tmp)
-        out += tmp
-    return out
-
-
-def shift_sites(
-    dst: np.ndarray, src: np.ndarray, axis: int, steps: int, boundary: str
-) -> np.ndarray:
-    """``dst[x] = src[x + steps]`` along ``axis`` as two slice-writes.
-
-    Same values as :meth:`repro.lattice.geometry.Geometry.shift` (periodic
-    wrap, sign-flipped wrap, or zeroed wrap) without the ``np.roll``
-    temporary; ``dst`` must not alias ``src``.
-    """
-    n = src.shape[axis]
-    if abs(steps) >= n and boundary != "periodic":
-        if boundary != "zero":
-            raise ValueError(f"antiperiodic shift by {steps} exceeds extent {n}")
-        dst.fill(0)
-        return dst
-    s = steps % n
-    pre = (slice(None),) * (axis % src.ndim)
-    dst[pre + (slice(0, n - s),)] = src[pre + (slice(s, n),)]
-    dst[pre + (slice(n - s, n),)] = src[pre + (slice(0, s),)]
-    if boundary != "periodic":
-        # The sites whose neighbor crossed the boundary: the high end for
-        # a forward shift, the low end for a backward one.
-        wrapped = dst[pre + (slice(n - s, n) if steps > 0 else slice(0, n - s),)]
-        if boundary == "zero":
-            wrapped.fill(0)
-        else:
-            np.negative(wrapped, out=wrapped)
-    return dst
 
 
 class LatticeOperator(abc.ABC):

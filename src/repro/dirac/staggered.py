@@ -15,7 +15,7 @@ CG solver relies on (Sec. 3.1).
 The ``"numpy"`` kernel tier evaluates the stencil *lattice-last* (color in
 front of the site axes, links cached as ``(2, mu, b, a) + lattice``), so
 each whole-lattice ufunc streams contiguous sites; see
-:func:`repro.dirac.base.link_apply_sites`.
+:func:`repro.linalg.su3.link_apply_sites`.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from repro.dirac.base import (
     LatticeOperator,
     PERIODIC,
     lattice_last_links,
-    link_apply_sites,
-    shift_sites,
 )
 from repro.gauge.asqtad import AsqtadLinks, build_asqtad_links
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
-from repro.lattice.geometry import Geometry, axis_of_mu
+from repro.lattice.geometry import Geometry, axis_of_mu, shift_sites
+from repro.linalg.su3 import link_apply_sites
 from repro.util.counters import record, record_operator, timed
 
 

@@ -72,8 +72,6 @@ from repro.dirac.base import (
     configuration_state,
     lattice_last_links,
     link_apply,
-    link_apply_sites,
-    shift_sites,
     validated_state,
 )
 from repro.dirac.clover import (
@@ -86,8 +84,9 @@ from repro.dirac.clover import (
 )
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
-from repro.lattice.geometry import Geometry, axis_of_mu
+from repro.lattice.geometry import Geometry, axis_of_mu, shift_sites
 from repro.linalg import su3
+from repro.linalg.su3 import link_apply_sites
 from repro.linalg.gamma import (
     GAMMA5,
     apply_spin_matrix,

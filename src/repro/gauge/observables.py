@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from repro.gauge.paths import path_product
+from repro.gauge.paths import Step, link_slabs, path_product, path_sum_sites
 from repro.lattice.fields import GaugeField
 from repro.linalg import su3
 
@@ -42,25 +42,40 @@ def clover_leaf_sum(gauge: GaugeField, mu: int, nu: int) -> np.ndarray:
     """Sum ``Q_{mu nu}`` of the four plaquette "leaves" around each site.
 
     The four leaves are the plaquettes in the (mu, nu) plane touching x in
-    each quadrant, all path-ordered to start and end at x.
+    each quadrant, all path-ordered to start and end at x; summed in that
+    order, lattice-last, and returned as a site-major view.
     """
-    g, d = gauge.geometry, gauge.data
-    leaves = [
+    return np.moveaxis(_leaf_sum_sites(gauge, mu, nu, 1.0), (0, 1), (-2, -1))
+
+
+def clover_leaves(mu: int, nu: int) -> list[list[Step]]:
+    """The four leaves of the (mu, nu) clover, in summation order."""
+    return [
         [(mu, +1), (nu, +1), (mu, -1), (nu, -1)],
         [(nu, +1), (mu, -1), (nu, -1), (mu, +1)],
         [(mu, -1), (nu, -1), (mu, +1), (nu, +1)],
         [(nu, -1), (mu, +1), (nu, +1), (mu, -1)],
     ]
-    q = path_product(g, d, leaves[0])
-    for leaf in leaves[1:]:
-        q = q + path_product(g, d, leaf)
-    return q
+
+
+def _leaf_sum_sites(gauge: GaugeField, mu: int, nu: int, weight: float):
+    """``weight * Q_{mu nu}`` lattice-last: the leaves weighted and summed
+    by :func:`repro.gauge.paths.path_sum_sites`."""
+    return path_sum_sites(
+        link_slabs(gauge.data),
+        [(weight, leaf) for leaf in clover_leaves(mu, nu)],
+    )
 
 
 def field_strength(gauge: GaugeField, mu: int, nu: int) -> np.ndarray:
     """Clover-leaf field strength ``F_{mu nu} = (Q - Q^+)/8`` (anti-Hermitian).
 
-    Antisymmetric under mu <-> nu; vanishes on the free field.
+    Antisymmetric under mu <-> nu; vanishes on the free field.  Computed
+    lattice-last, as ``Q/8 - (Q/8)^+`` (the eighth, exact, taken in the
+    leaf sum), and returned as a site-major view ``sites + (3, 3)`` of a
+    contiguous ``(3, 3) + sites`` array (``np.moveaxis(f, (-2, -1), (0,
+    1))`` gives that back without a copy).
     """
-    q = clover_leaf_sum(gauge, mu, nu)
-    return (q - su3.dagger(q)) / 8.0
+    q = _leaf_sum_sites(gauge, mu, nu, 1.0 / 8.0)
+    f = np.conjugate(np.swapaxes(q, 0, 1), out=np.empty_like(q))
+    return np.moveaxis(np.subtract(q, f, out=f), (0, 1), (-2, -1))

@@ -210,6 +210,7 @@ class _Library:
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self.multiply, self.hop, self.apply = {}, {}, {}
         self.pack, self.unpack, self.gather = {}, {}, {}
+        self.path_sum = {}
         self.passes = {entry: {} for entry in VECTOR_PASSES}
         # The half format is float32 arithmetic: its one instance.
         self.quantize = lib.repro_quantize_half_c64
@@ -235,6 +236,10 @@ class _Library:
             )
             f.restype = ctypes.c_int
             self.apply[name] = f
+            f = getattr(lib, f"repro_path_sum_{suffix}")
+            f.argtypes = (ptr, ptr) + (i64,) * 4 + (ptr,) * 3 + (i64, ptr)
+            f.restype = ctypes.c_int
+            self.path_sum[np.dtype(name)] = f
             f = getattr(lib, f"repro_clover_pack_{suffix}")
             f.argtypes, f.restype = (ptr, i64, i64, ctypes.c_int, ptr), i64
             self.pack[name] = f
@@ -615,6 +620,43 @@ class CBackend(KernelBackend):
             self._looked = True
             self._resolve(build=False)
         return self._library
+
+    def path_sum(self, links: np.ndarray, weighted_paths) -> np.ndarray | None:
+        """``repro.gauge.paths.path_sum_sites`` by the library — the same
+        bits — or ``None`` where it is not loaded or the operands are not
+        these: ``links`` a ``(4, 3, 3) + lattice`` view of complex links
+        in any layout of non-negative strides, every path at least one
+        ``(mu, +-1)`` step long."""
+        library = self._library or self._cached()
+        run = library and library.path_sum.get(links.dtype)
+        real = links.itemsize // 2
+        if (
+            not run
+            or links.ndim != 7
+            or links.shape[:3] != (4, 3, 3)
+            or not (links.size and links.flags.aligned)
+            or any(s < 0 or s % real for s in links.strides)
+            or not all(path for _, path in weighted_paths)
+            # steps the library would read out of bounds with
+            or not all(
+                mu in (0, 1, 2, 3) and sign in (1, -1)
+                for _, path in weighted_paths for mu, sign in path
+            )
+        ):
+            return None
+        strides = np.array(links.strides, np.int64) // real
+        steps = np.array(
+            [step for _, path in weighted_paths for step in path], np.int32
+        )
+        lengths = np.array([len(path) for _, path in weighted_paths], np.int32)
+        weights = np.array([w for w, _ in weighted_paths], np.float64)
+        out = np.empty((3, 3) + links.shape[3:], links.dtype)
+        failed = run(
+            links.ctypes.data, strides.ctypes.data, *links.shape[3:],
+            steps.ctypes.data, lengths.ctypes.data, weights.ctypes.data,
+            len(weighted_paths), out.ctypes.data,
+        )
+        return None if failed else out
 
     def vector_pass(self, entry: str, coefficients, vectors):
         """Run the pass ``VECTOR_PASSES[entry]`` in place and return the

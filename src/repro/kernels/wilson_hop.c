@@ -728,6 +728,130 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
                      spins, coef, nb, nl, T, Z, Y, X, bc, seconds);
 }
 
+/* ---- path products ---------------------------------------------------- */
+
+/* out = sum_p w_p P_p for every starting site, P_p the ordered product of
+ * links along path p: repro.gauge.paths.path_sum_sites site by site.  A
+ * path walks from the site: a (mu, +1) step reads U_mu(p) and moves p on,
+ * a (mu, -1) step moves p back and reads U_mu(p)^+, element (i, j) the
+ * conjugate of U_ji (imaginary part negated, as np.conjugate stores it).
+ * The product is its first link as read, then per further link L
+ *     P'[i][j] = (P[i][0] L[0][j] + P[i][1] L[1][j]) + P[i][2] L[2][j],
+ * P first in every fused product; the sum starts at +0 and adds w_p P_p,
+ * (w_p, 0) first, path after path.
+ *
+ * `links` is complex, element (mu, a, b, t, z, y, x) at the offset (in
+ * reals) sum of index * stride[...] -- any layout; `steps` is (mu, sign)
+ * pairs, `lengths[p]` >= 1 of them for path p; `out` is (3, 3, T, Z, Y, X)
+ * complex.  W consecutive sites at a time, the product and the sum in
+ * registers: one gather of the link a step reads per site, no memory
+ * written until a block's sum is done.  Returns nonzero when the tables
+ * cannot be had. */
+int NAME(repro_path_sum)(const REAL *links, const int64_t *stride,
+                         int64_t T, int64_t Z, int64_t Y, int64_t X,
+                         const int32_t *steps, const int32_t *lengths,
+                         const double *weights, int64_t paths, REAL *out)
+{
+    const int64_t dims[4] = {X, Y, Z, T};
+    const int64_t V = T * Z * Y * X;
+    int64_t n = 0, reach = 0;
+    for (int64_t p = 0; p < paths; p++) {
+        n += lengths[p];
+        reach = lengths[p] > reach ? lengths[p] : reach;
+    }
+    /* wrap[mu][reach + c + o]: the offset of coordinate c + o along mu, for
+     * every displacement o a path can reach; per step, its displacement
+     * from the starting site (as an index into wrap) and where the nine
+     * elements of the matrix it reads lie relative to the site */
+    int64_t span = 0;
+    for (int mu = 0; mu < 4; mu++) span += dims[mu] + 2 * reach;
+    int64_t *wrap = malloc(sizeof(int64_t) * (span + 13 * n));
+    if (!wrap) return 1;
+    int64_t *axis[4], *at = wrap;
+    for (int mu = 0; mu < 4; mu++) {
+        axis[mu] = at + reach;
+        for (int64_t c = -reach; c < dims[mu] + reach; c++, at++)
+            *at = ((c % dims[mu] + dims[mu]) % dims[mu]) * stride[6 - mu];
+    }
+    int64_t *shift = at, *elem = shift + 4 * n;
+    for (int64_t p = 0, k = 0; p < paths; p++) {
+        int64_t o[4] = {0, 0, 0, 0};
+        for (int32_t q = 0; q < lengths[p]; q++, k++) {
+            const int mu = steps[2 * k], back = steps[2 * k + 1] < 0;
+            if (back) o[mu]--;
+            for (int nu = 0; nu < 4; nu++) shift[4 * k + nu] = o[nu];
+            if (!back) o[mu]++;
+            for (int a = 0; a < 3; a++)
+            for (int b = 0; b < 3; b++)
+                elem[9 * k + a * 3 + b] = mu * stride[0]
+                    + (back ? b * stride[1] + a * stride[2]
+                            : a * stride[1] + b * stride[2]);
+        }
+    }
+    const VEC zero = {0};
+    for (int64_t s0 = 0; s0 < V; s0 += W) {
+        int64_t c[4][W]; /* the block's coordinates; a short block repeats
+                            its last site */
+        for (int l = 0; l < W; l++) {
+            int64_t rest = s0 + l < V ? s0 + l : V - 1;
+            for (int mu = 0; mu < 4; mu++) {
+                c[mu][l] = rest % dims[mu];
+                rest /= dims[mu];
+            }
+        }
+        VEC sr[9], si[9];
+        for (int e = 0; e < 9; e++) sr[e] = si[e] = zero;
+        for (int64_t p = 0, k = 0; p < paths; p++) {
+            VEC pr[9], pi[9];
+            for (int32_t q = 0; q < lengths[p]; q++, k++) {
+                const int64_t *o = shift + 4 * k;
+                int64_t off[W];
+                for (int l = 0; l < W; l++)
+                    off[l] = axis[0][c[0][l] + o[0]] + axis[1][c[1][l] + o[1]]
+                        + axis[2][c[2][l] + o[2]] + axis[3][c[3][l] + o[3]];
+                VEC lr[9], li[9];
+                for (int e = 0; e < 9; e++) {
+                    const REAL *u = links + elem[9 * k + e];
+                    for (int l = 0; l < W; l++) {
+                        lr[e][l] = u[off[l]];
+                        li[e][l] = u[off[l] + 1];
+                    }
+                    if (steps[2 * k + 1] < 0) li[e] = -li[e];
+                }
+                if (q == 0) {
+                    for (int e = 0; e < 9; e++) pr[e] = lr[e], pi[e] = li[e];
+                    continue;
+                }
+                VEC tr[9], ti[9];
+                for (int i = 0; i < 3; i++)
+                for (int j = 0; j < 3; j++) {
+                    const VEC *ar = pr + 3 * i, *ai = pi + 3 * i;
+                    VEC re = VMUL_RE(ar[0], ai[0], lr[j], li[j]);
+                    VEC im = VMUL_IM(ar[0], ai[0], lr[j], li[j]);
+                    re += VMUL_RE(ar[1], ai[1], lr[3 + j], li[3 + j]);
+                    im += VMUL_IM(ar[1], ai[1], lr[3 + j], li[3 + j]);
+                    re += VMUL_RE(ar[2], ai[2], lr[6 + j], li[6 + j]);
+                    im += VMUL_IM(ar[2], ai[2], lr[6 + j], li[6 + j]);
+                    tr[3 * i + j] = re, ti[3 * i + j] = im;
+                }
+                for (int e = 0; e < 9; e++) pr[e] = tr[e], pi[e] = ti[e];
+            }
+            const VEC w = zero + (REAL)weights[p];
+            for (int e = 0; e < 9; e++) {
+                sr[e] += VMUL_RE(w, zero, pr[e], pi[e]);
+                si[e] += VMUL_IM(w, zero, pr[e], pi[e]);
+            }
+        }
+        for (int e = 0; e < 9; e++)
+            for (int l = 0; l < W && s0 + l < V; l++) {
+                out[2 * (e * V + s0 + l)] = sr[e][l];
+                out[2 * (e * V + s0 + l) + 1] = si[e][l];
+            }
+    }
+    free(wrap);
+    return 0;
+}
+
 /* ---- the solvers' vector updates ------------------------------------- */
 
 /* Each pass runs over `lanes` runs of n complex elements (interleaved),

@@ -205,6 +205,36 @@ class Geometry:
         return surface / self.volume
 
 
+def shift_sites(
+    dst: np.ndarray, src: np.ndarray, axis: int, steps: int, boundary: str
+) -> np.ndarray:
+    """``dst[x] = src[x + steps]`` along ``axis`` as two slice-writes.
+
+    Same values as :meth:`Geometry.shift` (periodic wrap, sign-flipped
+    wrap, or zeroed wrap) without the ``np.roll`` temporary; ``dst`` must
+    not alias ``src``.
+    """
+    n = src.shape[axis]
+    if abs(steps) >= n and boundary != "periodic":
+        if boundary != "zero":
+            raise ValueError(f"antiperiodic shift by {steps} exceeds extent {n}")
+        dst.fill(0)
+        return dst
+    s = steps % n
+    pre = (slice(None),) * (axis % src.ndim)
+    dst[pre + (slice(0, n - s),)] = src[pre + (slice(s, n),)]
+    dst[pre + (slice(n - s, n),)] = src[pre + (slice(0, s),)]
+    if boundary != "periodic":
+        # The sites whose neighbor crossed the boundary: the high end for
+        # a forward shift, the low end for a backward one.
+        wrapped = dst[pre + (slice(n - s, n) if steps > 0 else slice(0, n - s),)]
+        if boundary == "zero":
+            wrapped.fill(0)
+        else:
+            np.negative(wrapped, out=wrapped)
+    return dst
+
+
 def extract_region(
     array: np.ndarray,
     geometry: Geometry,

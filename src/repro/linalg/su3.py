@@ -33,6 +33,29 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def link_apply_sites(
+    links: np.ndarray, x: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """``out[s, a] = (x[s, 0] links[0, a] + x[s, 1] links[1, a]) + x[s, 2]
+    links[2, a]`` on lattice-last fields: the matrix product ``x @ links``
+    with ``x`` first in every complex multiply.
+
+    ``links`` is a ``(b, a) + lattice`` slab (one of
+    :func:`repro.dirac.base.lattice_last_links`, or a running path
+    product) and ``x`` is ``(rows, b) + lattice`` (a spinor's ``(spin,
+    color)``, or a 3x3 slab): three broadcast multiply-adds whose inner
+    loop runs over contiguous sites (not over the 3 colors with a stride-0
+    operand, as a lattice-first layout forces), and no BLAS call.  ``out``
+    and ``tmp`` are result-shaped scratch that must not alias ``x``; their
+    dtype is the caller's choice of ``np.result_type`` for the product.
+    """
+    np.multiply(x[:, 0, None], links[None, 0], out=out)
+    for b in (1, 2):
+        np.multiply(x[:, b, None], links[None, b], out=tmp)
+        out += tmp
+    return out
+
+
 def trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
 

@@ -127,6 +127,25 @@ def test_second_solve_builds_nothing_and_moves_no_bit(case, builds):
     assert first.iterations == second.iterations == fresh.iterations
 
 
+def test_a_first_solve_reports_the_set_up_it_paid():
+    """The clover build is a timed leaf: in the first solve's kernel
+    seconds, absent from the second's (which builds nothing); the asqtad
+    links likewise where ``solve`` builds them from the thin links."""
+    gauge = weak_gauge()
+
+    def leaves(**request):
+        result = solve(SolveRequest(gauge=gauge, mass=0.1, tol=1e-6, **request))
+        return result.report.to_dict()["tally"]["kernel_seconds"]
+
+    wilson = dict(operator="wilson_clover", csw=1.0, kernel="numpy",
+                  rhs=SpinorField.random(GEOM, rng=1).data)
+    assert leaves(**wilson)["clover_build"] > 0
+    assert "clover_build" not in leaves(**wilson)
+    staggered = dict(operator="asqtad",
+                     rhs=SpinorField.random(GEOM, nspin=1, rng=1).data)
+    assert leaves(**staggered)["asqtad_links"] > 0
+
+
 def test_second_batch_of_a_live_service_builds_nothing(builds):
     def payload(seed):
         return {

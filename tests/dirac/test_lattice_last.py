@@ -19,7 +19,7 @@ from _aos_oracle import (
     assert_bit_identical,
 )
 
-from repro.dirac.base import shift_sites
+from repro.lattice.geometry import shift_sites
 from repro.kernels import get_backend
 from repro.lattice import Geometry
 
