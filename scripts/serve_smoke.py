@@ -10,7 +10,9 @@ CI job cares about:
 3. at least one batch coalesced (coalesce ratio > 1, occupancy > 1);
 4. the Prometheus endpoint exports the ``serve_*`` series;
 5. the Python client is answered packed arrays, a header-less client
-   nested lists, and both decode to the same bits;
+   nested lists, and both decode to the same bits; a nested inline
+   right-hand side sent through the Python client (which sends it
+   packed) is answered the bits of the same line sent raw;
 6. the banner names the default group size (``max_batch=12``: one
    propagator), and a request whose residual is not a number — a
    finite right-hand side whose norm overflows — is answered
@@ -66,7 +68,7 @@ def wait_healthy(client, deadline: float) -> None:
 def main() -> int:
     """Run the smoke sequence; return the process exit code."""
     sys.path.insert(0, str(REPO / "src"))
-    from repro.serve import ServeClient, decode_array
+    from repro.serve import ServeClient, decode_array, encode_array
 
     port = free_port()
     env = dict(os.environ)
@@ -140,6 +142,18 @@ def main() -> int:
         assert "b64" in packed and "real" in nested and (
             decode_array(packed).tobytes() == decode_array(nested).tobytes()
         ), f"array forms disagree: {sorted(packed)} vs {sorted(nested)}"
+
+        inline = dict(payloads[0], return_solution=True, rhs={
+            "kind": "data", **encode_array(decode_array(packed))})
+        via_client = client.solve(inline)["solution"]
+        raw = urllib.request.Request(
+            client.base_url + "/v1/solve", data=json.dumps(inline).encode())
+        with urllib.request.urlopen(raw, timeout=120) as resp:
+            via_raw = json.load(resp)["solution"]
+        assert "real" in inline["rhs"] and (
+            decode_array(via_client).tobytes()
+            == decode_array(via_raw).tobytes()
+        ), "a nested inline rhs answers differently through the client"
 
         def not_json(name):
             raise AssertionError(f"response holds the constant {name}")

@@ -20,13 +20,17 @@ A deliberately small, stdlib-only JSON-over-HTTP surface (one
 ``GET /healthz``
     Liveness: 200 while accepting, 503 while draining.
 
-A solve whose lane diverged (a NaN or infinite residual) is still a 200:
-the line says ``"status": "diverged"`` with ``"residual": null`` and no
-solution, and every response line is strict JSON (no ``NaN`` token).
+A solve whose lane diverged (a NaN or infinite reduction) is still a
+200: the line says ``"status": "diverged"`` with ``"residual": null`` and
+no solution, and every response line is strict JSON (no ``NaN`` token).
 Every typed :class:`~repro.serve.errors.ServeError` maps to its own
 HTTP status (400 validation, 429 queue full, 503 draining, 504 deadline,
 500 solve failure) with a JSON body carrying the machine-readable
-``code``/``field``/``choices``.
+``code``/``field``/``choices``.  A body that cannot be read — bytes that
+are not JSON text (invalid UTF-8 included), or a ``Content-Length`` that
+is not a non-negative integer — is a 400 ``invalid_request`` too; on the
+JSONL route a line that does not decode gets its error object on its own
+line.
 
 **Array form.**  A solve response carries its solution as nested
 ``real``/``imag`` lists unless the request's ``Accept`` header names the
@@ -110,8 +114,28 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
+        """The request body.
+
+        Raises:
+            ValueError: ``Content-Length`` is not a non-negative integer
+                (nothing is read: the connection cannot be reused).
+        """
+        text = self.headers.get("Content-Length", "0")
+        if not text.strip().isdecimal():
+            raise ValueError(
+                f"Content-Length is not a non-negative integer: {text!r}"
+            )
+        length = int(text)
         return self.rfile.read(length) if length else b""
+
+    def _invalid(self, message: str, request_id: str | None = None) -> None:
+        """A 400 ``invalid_request`` for a body the routes cannot read."""
+        self._send_json(
+            400,
+            {"status": "error",
+             "error": {"code": "invalid_request", "message": message}},
+            request_id=request_id,
+        )
 
     def _encode(self, result, packed: bool) -> str:
         """One served result as its response line, timed into
@@ -146,10 +170,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):  # noqa: N802 - stdlib naming
         """Serve the solve routes (single JSON and JSONL batch)."""
-        if self.path == "/v1/solve":
-            self._solve_one()
-        elif self.path == "/v1/solve/jsonl":
-            self._solve_jsonl()
+        if self.path in ("/v1/solve", "/v1/solve/jsonl"):
+            try:
+                raw = self._read_body()
+            except ValueError as exc:
+                self.close_connection = True
+                self._invalid(str(exc), self.headers.get("X-Request-Id"))
+                return
+            if self.path == "/v1/solve":
+                self._solve_one(raw)
+            else:
+                self._solve_jsonl(raw)
         else:
             self._send_json(
                 404, {"error": {"code": "not_found",
@@ -157,21 +188,14 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     # -- solve routes --------------------------------------------------
-    def _solve_one(self):
-        raw = self._read_body()
+    def _solve_one(self, raw: bytes):
         header_id = self.headers.get("X-Request-Id")
         packed = _accepts_packed(self.headers.get("Accept"))
         t0 = time.perf_counter()
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            self._send_json(
-                400,
-                {"status": "error",
-                 "error": {"code": "invalid_request",
-                           "message": f"body is not valid JSON: {exc}"}},
-                request_id=header_id,
-            )
+        except ValueError as exc:  # not JSON, or not text (UnicodeDecodeError)
+            self._invalid(f"body is not valid JSON: {exc}", header_id)
             return
         parse_seconds = time.perf_counter() - t0
         # The X-Request-Id header is an id fallback for payloads that do
@@ -208,10 +232,9 @@ class _Handler(BaseHTTPRequestHandler):
             request_id=result.request.id,
         )
 
-    def _solve_jsonl(self):
-        lines = [
-            ln for ln in self._read_body().decode().splitlines() if ln.strip()
-        ]
+    def _solve_jsonl(self, raw: bytes):
+        # Split before decoding: a line that is not UTF-8 fails alone.
+        lines = [ln for ln in raw.splitlines() if ln.strip()]
         packed = _accepts_packed(self.headers.get("Accept"))
         # Submit everything before awaiting anything: requests from one
         # client coalesce with each other (and with other clients').
@@ -219,8 +242,8 @@ class _Handler(BaseHTTPRequestHandler):
         for ln in lines:
             t0 = time.perf_counter()
             try:
-                payload = json.loads(ln)
-            except json.JSONDecodeError as exc:
+                payload = json.loads(ln.decode())
+            except ValueError as exc:  # not JSON, or not UTF-8
                 pending.append(
                     (None,
                      {"status": "error",

@@ -689,3 +689,40 @@ def decode_array(doc: dict, field: str = "array") -> np.ndarray:
             )
         out = out.reshape(shape)
     return out
+
+
+def pack_inline_rhs(payload):
+    """``payload`` with a nested inline ``rhs`` (``kind="data"`` as
+    ``real``/``imag`` lists) re-encoded in the packed form — the daemon
+    decodes the two to the same array — for a client to send in its
+    place (docs/serving.md, "Arrays on the wire").
+
+    Anything else comes back as given, the object itself: a payload
+    that is not an object, an ``rhs`` already packed or not inline, and
+    every line whose answer could depend on the form — an array that does
+    not decode, holds NaN or Infinity, or whose shape is not the lattice's
+    or cannot be known here (an unservable operator, a gauge the client
+    cannot size: ``kind="file"`` or invalid).  ``payload`` is never
+    mutated.
+    """
+    rhs = payload.get("rhs") if isinstance(payload, dict) else None
+    if not isinstance(rhs, dict) or rhs.get("kind") != "data" \
+            or rhs.get("b64") is not None:
+        return payload
+    operator = payload.get("operator")
+    if operator not in SERVABLE_OPERATORS:
+        return payload
+    try:
+        dims = _validate_gauge(payload.get("gauge")).get("dims")
+        if dims is None:  # a gauge file: its extents are the daemon's
+            return payload
+        data = decode_array(rhs, field="rhs")
+    except RequestValidationError:
+        return payload
+    from repro.lattice import Geometry, SpinorField
+
+    nspin = 4 if operator == "wilson_clover" else 1
+    if data.shape != Geometry(dims).shape + SpinorField.site_shape(nspin) \
+            or not np.isfinite(data).all():
+        return payload
+    return {**payload, "rhs": {"kind": "data", **encode_array(data, packed=True)}}

@@ -87,9 +87,13 @@ class ServedResult:
     x:
         The solution lane (numpy array).
     converged, iterations, residual:
-        This lane's outcome (scalars).  A non-finite ``residual`` is the
-        lane having *diverged* (:attr:`diverged`): the solver ended it
-        on a NaN or infinite reduction, its batch-mates untouched.
+        This lane's outcome (scalars).
+    breakdown:
+        The solver's ``extras["breakdown"]`` for this lane: ``False``,
+        ``True`` (a vanishing coefficient) or ``"non-finite"``.  That, or
+        a non-finite ``residual``, is the lane having *diverged*
+        (:attr:`diverged`): the solver ended it on a NaN or infinite
+        reduction, its batch-mates untouched.
     lane:
         Which lane of the batch carried this request.
     occupancy:
@@ -115,11 +119,15 @@ class ServedResult:
     coalesce_wait_seconds: float
     solve_seconds: float
     latency_seconds: float
+    breakdown: object = False
 
     @property
     def diverged(self) -> bool:
-        """Whether this lane's residual came back NaN or infinite."""
-        return not math.isfinite(self.residual)
+        """Whether the solver ended this lane on a NaN or infinite
+        reduction, or its residual came back NaN or infinite (a lane
+        leaves the batch with the last ``x`` it had, which may still be
+        finite)."""
+        return self.breakdown == "non-finite" or not math.isfinite(self.residual)
 
     def to_wire(self, packed: bool = False) -> dict:
         """The JSON-ready response object for this result.
@@ -464,9 +472,11 @@ class SolveService:
             lanes=n_real, occupancy=n_real,
         )
 
+        breakdown = result.extras.get("breakdown", [False] * n_real)
         batch_report = result.report
-        if batch_report is not None and not np.all(
-            np.isfinite(result.residuals)
+        if batch_report is not None and (
+            not np.all(np.isfinite(result.residuals))
+            or "non-finite" in list(breakdown)
         ):
             # The report folds every lane into its summary rows (the
             # batch's worst residual, the per-iteration history): a
@@ -517,6 +527,7 @@ class SolveService:
                 coalesce_wait_seconds=waited,
                 solve_seconds=solve_seconds,
                 latency_seconds=latency_seconds,
+                breakdown=breakdown[lane],
             )
             self._count_request(
                 "diverged" if served.diverged else "completed"

@@ -14,11 +14,13 @@ All solvers here are exact vectorizations of their scalar counterparts in
 :mod:`~repro.solvers.mr` / :mod:`~repro.solvers.gcr`: each RHS follows the
 same iteration it would follow alone (to rounding), with per-RHS scalar
 coefficients carried as ``(B,)`` arrays and converged/broken-down systems
-frozen by zeroing their update coefficients.  GCR is the one exception:
-its restart points are shared across the batch (a restart is a global
-synchronization), so per-RHS trajectories match independent runs only
-until the first restart — the final residuals still satisfy the
-tolerance per RHS.
+frozen by zeroing their update coefficients — in CG and BiCGstab until
+the end of the iteration, when such a lane leaves the batch and every
+later apply, update and reduction runs on the live lanes only.  GCR is
+the one exception: its restart points are shared across the batch (a
+restart is a global synchronization), so per-RHS trajectories match
+independent runs only until the first restart — the final residuals
+still satisfy the tolerance per RHS.
 """
 
 from __future__ import annotations
@@ -85,6 +87,52 @@ def _safe(z: np.ndarray) -> np.ndarray:
     return np.where(z == 0, np.ones_like(z), z)
 
 
+class _LiveLanes:
+    """The lanes of a batched Krylov loop still iterating.
+
+    Built on the loop's per-lane results — the solution, then the
+    squared residual norm, then any others — as full-batch arrays (the
+    loop's own while every lane is live).  :meth:`retire` writes a
+    finished lane's rows into them and cuts every array the loop carries
+    down to the lanes that stay, so each later apply, update and
+    reduction runs on live lanes only.  No lane's bits depend on its
+    batch-mates (docs/serving.md, "Bit-reproducibility"): a lane computes
+    what it computed riding to the end frozen, except that a lane whose
+    vectors went non-finite keeps the ``x`` it had when it left.
+    """
+
+    def __init__(self, *results: np.ndarray) -> None:
+        self.results = results
+        #: the full-batch lane of each live row
+        self.index = np.arange(len(results[1]))
+
+    def retire(self, keep: np.ndarray, *arrays: np.ndarray) -> tuple:
+        """Write the rows ``keep`` drops of the live results (the first
+        ``len(results)`` of ``arrays``, in order) into the full batch and
+        return ``arrays`` cut to the rows ``keep`` keeps."""
+        self._store(~keep, arrays)
+        self.index = self.index[keep]
+        return tuple(a[keep] for a in arrays)
+
+    def residuals(self, r2: np.ndarray) -> np.ndarray:
+        """The full batch's squared residual norms: ``r2`` on the live
+        lanes, the last one each retired lane had."""
+        full = self.results[1]
+        full[self.index] = r2
+        return full
+
+    def finish(self, *results: np.ndarray) -> tuple:
+        """The full-batch results, the live lanes' ``results`` written
+        in."""
+        self._store(np.ones(len(self.index), dtype=bool), results)
+        return self.results
+
+    def _store(self, rows: np.ndarray, live: tuple) -> None:
+        for full, values in zip(self.results, live):
+            if values is not full:
+                full[self.index[rows]] = values[rows]
+
+
 def batched_cg(
     op: Operator,
     b,
@@ -96,11 +144,13 @@ def batched_cg(
     """Vectorized CG over a leading batch axis.
 
     Identical per-RHS iterates to :func:`repro.solvers.cg.cg` (to
-    rounding): converged or broken-down systems get ``alpha = beta = 0``
-    and ride along frozen while the rest keep iterating.  So does a lane
-    whose ``p . A p`` or residual norm comes back NaN or infinite, within
-    the iteration (``extras["breakdown"]`` says ``"non-finite"`` for it),
-    and no batch-mate's bits move.
+    rounding): a converged or broken-down system gets ``alpha = beta =
+    0`` for the rest of its iteration and then leaves the batch
+    (:class:`_LiveLanes`), its solution and residual norm kept, while the
+    rest keep iterating.  So does a lane whose ``p . A p`` or residual
+    norm comes back NaN or infinite, within the iteration
+    (``extras["breakdown"]`` says ``"non-finite"`` for it), and no
+    batch-mate's bits move.
     """
     space = space or BatchedArraySpace()
     b_norm2 = space.norm2(b)
@@ -123,9 +173,15 @@ def batched_cg(
     poisoned = ~np.isfinite(r2)  # a non-finite reduction
     active = (r2 > target) & (b_norm2 > 0.0) & ~poisoned
     broke_down = np.zeros(nb, dtype=bool)
+    lanes = _LiveLanes(x, r2, iterations, broke_down, poisoned)
 
     it = 0
     while active.any() and it < maxiter:
+        if not active.all():  # the lanes that are done leave the batch
+            (x, r2, iterations, broke_down, poisoned,
+             r, p, target, active) = lanes.retire(
+                active, x, r2, iterations, broke_down, poisoned,
+                r, p, target, active)
         ap = op(p)
         matvecs += 1
         pap = space.rdot(p, ap)
@@ -142,14 +198,17 @@ def batched_cg(
         iterations[active] += 1
         r2 = r2_new
         it += 1
-        history.append(np.sqrt(r2 / safe_b))
+        history.append(np.sqrt(lanes.residuals(r2) / safe_b))
         poisoned |= active & ~np.isfinite(r2)
         active &= (r2 > target) & ~poisoned
 
+    x, r2, iterations, broke_down, poisoned = lanes.finish(
+        x, r2, iterations, broke_down, poisoned
+    )
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
     residuals = np.sqrt(space.norm2(true_r) / safe_b)
-    converged = (r2 <= target) | (b_norm2 == 0.0)
+    converged = (r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)
     return BatchedSolverResult(
         x,
         converged=converged,
@@ -254,10 +313,11 @@ def batched_bicgstab(
     """Vectorized BiCGstab over a leading batch axis.
 
     Per-RHS iterates match :func:`repro.solvers.bicgstab.bicgstab` (to
-    rounding); systems that converge or break down (``rho``, the
-    ``r_hat . v`` pivot, or ``omega`` vanishing) are frozen by zeroing
-    their coefficients.  So is a lane whose ``rho``, pivot or residual
-    norm comes back NaN or infinite, within the iteration
+    rounding); a system that converges or breaks down (``rho``, the
+    ``r_hat . v`` pivot, or ``omega`` vanishing) is frozen by zeroing its
+    coefficients for the rest of the iteration and then leaves the batch
+    (:class:`_LiveLanes`).  So does a lane whose ``rho``, pivot or
+    residual norm comes back NaN or infinite, within the iteration
     (``extras["breakdown"]`` says ``"non-finite"`` for it): the checks
     ride the reductions already made, and no batch-mate's bits move.
     """
@@ -287,9 +347,15 @@ def batched_bicgstab(
     active = (r2 > target) & (b_norm2 > 0.0)
     broke_down = np.zeros(nb, dtype=bool)
     poisoned = np.zeros(nb, dtype=bool)  # a non-finite reduction
+    lanes = _LiveLanes(x, r2, iterations, broke_down, poisoned)
 
     it = 0
     while active.any() and it < maxiter:
+        if not active.all():  # the lanes that are done leave the batch
+            (x, r2, iterations, broke_down, poisoned,
+             r, r_hat, v, p, rho, alpha, omega, target, active) = lanes.retire(
+                active, x, r2, iterations, broke_down, poisoned,
+                r, r_hat, v, p, rho, alpha, omega, target, active)
         rho_new = space.dot(r_hat, r)
         failed = active & (np.abs(rho_new) == 0.0)
         poisoned |= active & ~np.isfinite(rho_new)
@@ -320,7 +386,7 @@ def batched_bicgstab(
         r2 = space.norm2(r)
         iterations[active] += 1
         it += 1
-        history.append(np.sqrt(r2 / safe_b))
+        history.append(np.sqrt(lanes.residuals(r2) / safe_b))
         alpha = np.where(active, alpha_new, alpha)
         omega = np.where(active, omega_new, omega)
         converged_now = r2 <= target
@@ -329,10 +395,13 @@ def batched_bicgstab(
         broke_down |= failed
         active &= ~converged_now & ~failed & ~poisoned
 
+    x, r2, iterations, broke_down, poisoned = lanes.finish(
+        x, r2, iterations, broke_down, poisoned
+    )
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
     residuals = np.sqrt(space.norm2(true_r) / safe_b)
-    converged = (r2 <= target) | (b_norm2 == 0.0)
+    converged = (r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)
     return BatchedSolverResult(
         x,
         converged=converged,

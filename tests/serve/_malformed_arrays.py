@@ -69,6 +69,9 @@ def malformed_rhs() -> dict[str, tuple[dict, str]]:
         "another_lattice": (
             encode_array(other_lattice, packed=True), "rhs.shape"
         ),
+        # Nested, a wrong shape is named by ``real``: a client that packed
+        # this line would have the daemon name ``shape`` instead.
+        "nested_another_lattice": (lists(other_lattice), "rhs.real"),
     }
     return {
         name: ({"kind": "data", **spec}, where)

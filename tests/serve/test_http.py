@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import http.client
 import json
 import threading
 import urllib.request
@@ -15,6 +17,7 @@ from repro.serve import (
     RequestValidationError,
     ServeClient,
     ServeServer,
+    ServiceRequest,
     SolveService,
     decode_array,
     encode_array,
@@ -360,6 +363,134 @@ class TestMalformedArrays:
         _, _, text = post(server, "/v1/solve", payload(rhs=rhs))
         json.loads(text, parse_constant=lambda name: pytest.fail(
             f"response holds the non-JSON constant {name}"))
+
+
+class TestClientSendsPacked:
+    """``ServeClient`` sends a nested inline ``rhs`` packed: the daemon
+    builds the array it would have built from the nested lists, and every
+    line whose answer could depend on the form goes as given."""
+
+    @pytest.fixture()
+    def arrived(self, monkeypatch):
+        """What the daemon admitted (``id -> payload``) and built from it
+        (``id -> rhs array``)."""
+        payloads, arrays = {}, {}
+        submit = SolveService.submit
+        materialize = ServiceRequest.materialize_rhs
+
+        def spy_submit(self, request, *args, **kwargs):
+            payloads[request.get("id")] = copy.deepcopy(request)
+            return submit(self, request, *args, **kwargs)
+
+        def spy_materialize(self, geometry):
+            arrays[self.id] = materialize(self, geometry)
+            return arrays[self.id]
+
+        monkeypatch.setattr(SolveService, "submit", spy_submit)
+        monkeypatch.setattr(ServiceRequest, "materialize_rhs", spy_materialize)
+        return payloads, arrays
+
+    def test_a_nested_rhs_arrives_packed_with_its_bits(self, server, arrived):
+        payloads, arrays = arrived
+        field = good_field()
+        field[0, 0, 0, 0] = [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324]
+        nested = {"kind": "data", **encode_array(field)}
+        one = payload(rhs=nested, id="n-one", return_solution=True)
+        many = [
+            payload(rhs=nested, id="n-many", return_solution=True),
+            payload(id="random", seed=2),
+            payload(id="point", rhs={"kind": "point", "site": [1, 2, 3, 0]}),
+            payload(id="packed", rhs={
+                "kind": "data", **encode_array(field, packed=True)}),
+        ]
+        before = copy.deepcopy([one] + many)
+        client = ServeClient(server.url)
+        docs = [client.solve(one)] + client.solve_many(many)
+        assert [one] + many == before  # the caller's payloads are untouched
+        assert [d["status"] for d in docs] == ["ok"] * 5
+        for rid in ("n-one", "n-many"):
+            assert set(payloads[rid]["rhs"]) == {"kind", "b64", "dtype",
+                                                 "shape"}
+            assert arrays[rid].tobytes() == decode_array(nested).tobytes()
+        for line in many[1:]:
+            assert payloads[line["id"]] == line
+        # ... and the answer is the nested line's, sent raw
+        raw = json.loads(post(server, "/v1/solve", {**one, "id": "raw"},
+                              f"application/json;{PACKED}")[2])
+        assert raw["solution"] == docs[0]["solution"] == docs[1]["solution"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_line_gets_the_raw_lines_error(self, server, case):
+        rhs, where = MALFORMED[case]
+        line = payload(rhs=rhs, id="bad-1")
+        _, _, text = post(server, "/v1/solve", line)
+        raw = json.loads(text)["error"]
+        assert raw["field"] == where
+        client = ServeClient(server.url)
+        with pytest.raises(RequestValidationError) as exc:
+            client.solve(line)
+        (many,) = client.solve_many([line])
+        for got in (exc.value.to_dict(), many["error"]):
+            assert (got["code"], got["field"], got["message"]) == (
+                raw["code"], raw["field"], raw["message"])
+
+
+def raw_post(server, path, body: bytes, length: str | None = None):
+    """One POST with the body and ``Content-Length`` exactly as given:
+    ``(status, response text)``."""
+    host, port = server.httpd.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length",
+                       str(len(body)) if length is None else length)
+        conn.endheaders()
+        conn.send(body)
+        resp = conn.getresponse()
+        return resp.status, resp.read().decode()
+    finally:
+        conn.close()
+
+
+class TestUnreadableBodies:
+    """A body the daemon cannot read is a 400 ``invalid_request``, not a
+    dropped connection; the daemon stays serviceable."""
+
+    NOT_UTF8 = json.dumps(payload(id="u1")).encode().replace(
+        b'"asqtad"', b'"asq\xfftad"')
+
+    def assert_invalid(self, status, text):
+        doc = json.loads(text)
+        assert status == 400
+        assert doc["status"] == "error"
+        assert doc["error"]["code"] == "invalid_request"
+        return doc["error"]["message"]
+
+    def test_a_body_that_is_not_utf8(self, server):
+        message = self.assert_invalid(
+            *raw_post(server, "/v1/solve", self.NOT_UTF8))
+        assert "not valid JSON" in message
+        assert ServeClient(server.url).solve(payload())["status"] == "ok"
+
+    def test_a_jsonl_line_that_is_not_utf8_fails_alone(self, server):
+        good = [json.dumps(payload(id=f"g{s}", seed=s)).encode()
+                for s in (1, 2)]
+        status, text = raw_post(server, "/v1/solve/jsonl",
+                                b"\n".join([good[0], self.NOT_UTF8, good[1]]))
+        docs = [json.loads(line) for line in text.splitlines()]
+        assert status == 200 and len(docs) == 3
+        assert [docs[0]["id"], docs[2]["id"]] == ["g1", "g2"]
+        assert docs[0]["status"] == docs[2]["status"] == "ok"
+        assert docs[1]["status"] == "error"
+        assert docs[1]["error"]["code"] == "invalid_request"
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", ""])
+    @pytest.mark.parametrize("path", ["/v1/solve", "/v1/solve/jsonl"])
+    def test_a_content_length_that_is_not_a_count(self, server, path, length):
+        message = self.assert_invalid(*raw_post(server, path, b"", length))
+        assert "Content-Length" in message
+        assert ServeClient(server.url).solve(payload())["status"] == "ok"
 
 
 class TestNonFiniteOperator:

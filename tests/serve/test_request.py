@@ -13,6 +13,7 @@ from repro.serve.request import (
     ServiceRequest,
     decode_array,
     encode_array,
+    pack_inline_rhs,
 )
 
 
@@ -426,6 +427,98 @@ class TestArrayCodec:
         with pytest.raises(RequestValidationError) as exc:
             decode_array([1.0, 2.0], field="solution")
         assert exc.value.field == "solution"
+
+
+GEO2 = Geometry((2, 2, 2, 2))
+
+
+def inline(operator="asqtad", gauge=None, **rhs):
+    """A line with an inline ``rhs`` of the given keys, on 2^4."""
+    return payload(operator=operator, id="line-1",
+                   gauge=gauge or {"kind": "unit", "dims": [2, 2, 2, 2]},
+                   rhs={"kind": "data", **rhs})
+
+
+def awkward_field(nspin: int) -> np.ndarray:
+    """A finite 2^4 field with signed zeros and subnormals in it."""
+    field = SpinorField.random(GEO2, nspin=nspin, rng=7).data
+    tiny = np.finfo(np.float64).smallest_subnormal
+    field.reshape(-1)[:3] = [complex(0.0, -0.0), complex(-0.0, tiny),
+                             complex(-tiny, -0.0)]
+    return field
+
+
+class TestPackInlineRhs:
+    """What ``ServeClient`` sends in place of a line: a nested inline
+    ``rhs`` packed, to the same array on the daemon; anything whose answer
+    could depend on the form, as given."""
+
+    @pytest.mark.parametrize("operator, nspin",
+                             [("asqtad", 1), ("wilson_clover", 4)])
+    def test_a_nested_rhs_is_sent_packed_to_the_same_array(
+            self, operator, nspin):
+        field = awkward_field(nspin)
+        line = inline(operator, **encode_array(field))
+        before = json.loads(json.dumps(line))
+        sent = pack_inline_rhs(line)
+        assert line == before  # the caller's payload is left alone
+        assert set(sent["rhs"]) == {"kind", "b64", "dtype", "shape"}
+        assert {k: v for k, v in sent.items() if k != "rhs"} == {
+            k: v for k, v in line.items() if k != "rhs"}
+        got, want = (
+            ServiceRequest.from_wire(json.loads(json.dumps(doc)))
+            .materialize_rhs(GEO2)
+            for doc in (sent, line)
+        )
+        assert got.tobytes() == want.tobytes() == field.tobytes()
+
+    def test_a_real_part_alone_is_sent_packed(self):
+        field = awkward_field(1).real
+        sent = pack_inline_rhs(inline(real=field.tolist()))
+        assert decode_array(sent["rhs"]).tobytes() == (
+            field.astype(np.complex128).tobytes())
+
+    @pytest.mark.parametrize("rhs", [
+        {"kind": "data", **encode_array(awkward_field(1), packed=True)},
+        {"kind": "point", "site": [1, 0, 1, 0]},
+        {"kind": "random", "seed": 4},
+    ], ids=["packed", "point", "random"])
+    def test_other_lines_go_as_given(self, rhs):
+        line = payload(operator="asqtad", rhs=rhs,
+                       gauge={"kind": "unit", "dims": [2, 2, 2, 2]})
+        assert pack_inline_rhs(line) is line
+        without = {k: v for k, v in line.items() if k != "rhs"}
+        assert pack_inline_rhs(without) is without
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(inline(**encode_array(
+            SpinorField.random(Geometry((4, 4, 4, 4)), nspin=1, rng=1).data
+        )), id="another_lattice"),
+        pytest.param(inline(real=np.ones((2, 2, 2, 2, 4, 3)).tolist()),
+                     id="wilson_sites_on_asqtad"),
+        pytest.param(inline(real=[[1.0, float("nan")]]), id="nan"),
+        pytest.param(inline(**encode_array(awkward_field(1) + [np.inf, 0, 0])),
+                     id="infinite"),
+        pytest.param(inline(real=[[1.0, 2.0], [3.0]]), id="ragged"),
+        pytest.param(inline(real=[1.0, 2.0], imag=[1.0]), id="imag_shape"),
+        pytest.param(inline(**encode_array(awkward_field(1)),
+                            gauge={"kind": "file", "path": "cfg.npz"}),
+                     id="gauge_file"),
+        pytest.param(inline(**encode_array(awkward_field(1)),
+                            gauge={"kind": "unit", "dims": [2, 2, 2, 3]}),
+                     id="odd_dims"),
+        pytest.param(inline(**encode_array(awkward_field(1)),
+                            gauge=[2, 2, 2, 2]),
+                     id="gauge_not_an_object"),
+        pytest.param(inline("wilson", **encode_array(awkward_field(1))),
+                     id="unknown_operator"),
+        pytest.param([{"kind": "data", "real": [1.0]}], id="not_an_object"),
+    ])
+    def test_lines_whose_answer_could_depend_on_the_form_go_as_given(
+            self, line):
+        before = json.dumps(line)
+        assert pack_inline_rhs(line) is line
+        assert json.dumps(line) == before
 
 
 def asqtad_payload(**overrides):
