@@ -35,22 +35,17 @@ from repro.precond import (
     resolve_precond,
 )
 from repro.solvers.base import SolverResult
-from repro.solvers.bicgstab import bicgstab
-from repro.solvers.cg import cg, pcg
-from repro.solvers.mixed import mixed_precision_bicgstab, mixed_precision_cg
+from repro.solvers.mixed import BICGSTAB_INNER_TOL, CG_INNER_TOL
 from repro.solvers.multirhs import (
     BatchedSolverResult,
     batched_bicgstab,
     batched_cg,
     batched_defect_correction,
     batched_pcg,
+    solve_lanes,
 )
 from repro.solvers.refine import MultishiftRefineResult, multishift_with_refinement
-from repro.solvers.space import (
-    STAGGERED_SPACE,
-    WILSON_SPACE,
-    batched_space_for_nspin,
-)
+from repro.solvers.space import STAGGERED_SPACE, batched_space_for_nspin
 
 _DEFAULT_TOL = 1e-8
 _MULTISHIFT_TOL = 1e-10
@@ -403,22 +398,21 @@ def _solve_wilson(request: SolveRequest):
     lead = op.field_lead(b)
     tol = _resolved(request.tol, _DEFAULT_TOL)
     maxiter = _resolved(request.maxiter, _DEFAULT_MAXITER)
-    space = batched_space_for_nspin(4) if lead else WILSON_SPACE
+    space = batched_space_for_nspin(4)
     prec = request.inner_precision
 
     def run(target_op, rhs):
+        # One loop for one right-hand side or many (a single one is the
+        # batch of one): a served lane is its solo solve.
         if prec is not None:
-            if lead:
-                return batched_defect_correction(
-                    target_op, rhs, batched_bicgstab, prec,
-                    tol=tol, inner_maxiter=maxiter, space=space,
-                )
-            return mixed_precision_bicgstab(
-                target_op, rhs, prec, tol=tol,
-                inner_maxiter=maxiter, space=space,
+            return solve_lanes(
+                batched_defect_correction, target_op, rhs, lead=lead,
+                inner_solver=batched_bicgstab, inner_precision=prec, tol=tol,
+                inner_tol=BICGSTAB_INNER_TOL, inner_maxiter=maxiter,
+                space=space,
             )
-        solver = batched_bicgstab if lead else bicgstab
-        return solver(target_op, rhs, tol=tol, maxiter=maxiter, space=space)
+        return solve_lanes(batched_bicgstab, target_op, rhs, lead=lead,
+                           tol=tol, maxiter=maxiter, space=space)
 
     if request.even_odd:
         eo = EvenOddPreconditionedWilson(op)
@@ -460,7 +454,7 @@ def _solve_asqtad(request: SolveRequest):
     tol = _resolved(request.tol, _DEFAULT_TOL)
     maxiter = _resolved(request.maxiter, _DEFAULT_MAXITER)
     rhs = op.apply_dagger(b)
-    space = batched_space_for_nspin(1) if lead else STAGGERED_SPACE
+    space = batched_space_for_nspin(1)
     prec = request.inner_precision
     # "auto" keeps the historical plain-CG path bit-for-bit; a concrete
     # entry routes through the flexible multi-splitting-capable PCG.
@@ -490,24 +484,20 @@ def _solve_asqtad(request: SolveRequest):
         preconditioner = entry.build(
             normal, BlockPartition(op.geometry, request.grid), settings
         )
-        solver = batched_pcg if lead else pcg
-        res = solver(
-            normal.apply, rhs, preconditioner=preconditioner,
-            tol=tol, maxiter=maxiter, space=space,
+        res = solve_lanes(
+            batched_pcg, normal.apply, rhs, lead=lead,
+            preconditioner=preconditioner, tol=tol, maxiter=maxiter,
+            space=space,
         )
         res.extras["precond"] = entry.name
     elif prec is None:
-        solver = batched_cg if lead else cg
-        res = solver(normal.apply, rhs, tol=tol, maxiter=maxiter, space=space)
-    elif lead:
-        res = batched_defect_correction(
-            normal.apply, rhs, batched_cg, prec,
-            tol=tol, inner_maxiter=maxiter, space=space,
-        )
+        res = solve_lanes(batched_cg, normal.apply, rhs, lead=lead, tol=tol,
+                          maxiter=maxiter, space=space)
     else:
-        res = mixed_precision_cg(
-            normal.apply, rhs, prec, tol=tol,
-            inner_maxiter=maxiter, space=space,
+        res = solve_lanes(
+            batched_defect_correction, normal.apply, rhs, lead=lead,
+            inner_solver=batched_cg, inner_precision=prec, tol=tol,
+            inner_tol=CG_INNER_TOL, inner_maxiter=maxiter, space=space,
         )
     rel = _rel_residuals(op, res.x, b, lead)
     if lead:

@@ -23,9 +23,8 @@ from repro.multigpu.partition import BlockPartition
 from repro.precision import PrecisionPolicy, SINGLE_HALF_HALF
 from repro.precond import PrecondSettings, resolve_precond
 from repro.solvers.base import PrecisionWrappedOperator, SolverResult
-from repro.solvers.gcr import gcr
-from repro.solvers.multirhs import BatchedSolverResult, batched_gcr
-from repro.solvers.space import ArraySpace, BatchedArraySpace
+from repro.solvers.multirhs import BatchedSolverResult, batched_gcr, solve_lanes
+from repro.solvers.space import BatchedArraySpace
 
 
 def operator_family(op: LatticeOperator) -> str:
@@ -93,7 +92,7 @@ class GCRDDSolver:
         self.config = config or GCRDDConfig()
         self.partition = BlockPartition(op.geometry, grid)
         cfg = self.config
-        self.space = ArraySpace(site_axes=2 if op.nspin == 4 else 1)
+        self.space = BatchedArraySpace(site_axes=2 if op.nspin == 4 else 1)
         # One resolution point: the precond registry picks the entry
         # ("auto" -> additive Schwarz, the paper's preconditioner) and
         # builds the live callable from this config's settings.
@@ -107,12 +106,6 @@ class GCRDDSolver:
         self.inner_op = PrecisionWrappedOperator(
             op.apply, cfg.policy.inner, space=self.space
         )
-        self.batched_space = BatchedArraySpace(
-            site_axes=2 if op.nspin == 4 else 1
-        )
-        self._batched_inner_op = PrecisionWrappedOperator(
-            op.apply, cfg.policy.inner, space=self.batched_space
-        )
 
     def solve(
         self, b: np.ndarray, x0: np.ndarray | None = None
@@ -120,19 +113,22 @@ class GCRDDSolver:
         """Solve M x = b.  ``b`` may carry a leading multi-RHS axis, in
         which case all right-hand sides advance through one batched GCR-DD
         (shared restarts, one reduction per Gram-Schmidt coefficient
-        set) and a :class:`BatchedSolverResult` is returned."""
+        set) and a :class:`BatchedSolverResult` is returned; a single
+        ``b`` is the batch of one."""
         cfg = self.config
-        batched = self.op.field_lead(np.asarray(b)) == 1
-        if batched and not self.precond_entry.capabilities.batched:
+        b = np.asarray(b)
+        lead = self.op.field_lead(b) == 1
+        if lead and not self.precond_entry.capabilities.batched:
             raise ValueError(
                 f"preconditioner {self.precond!r} does not support batched "
                 "multi-RHS solves; solve the right-hand sides one at a time"
             )
-        solver = batched_gcr if batched else gcr
-        result = solver(
+        result = solve_lanes(
+            batched_gcr,
             self.op.apply,
             b,
-            x0=x0,
+            x0,
+            lead=lead,
             preconditioner=self.preconditioner,
             tol=cfg.tol,
             kmax=cfg.kmax,
@@ -140,8 +136,8 @@ class GCRDDSolver:
             maxiter=cfg.maxiter,
             outer_precision=cfg.policy.outer,
             inner_precision=cfg.policy.inner,
-            inner_op=self._batched_inner_op if batched else self.inner_op,
-            space=self.batched_space if batched else self.space,
+            inner_op=self.inner_op,
+            space=self.space,
         )
         result.extras["precond"] = self.precond
         return result

@@ -4,7 +4,8 @@ Where :class:`repro.core.gcrdd.GCRDDSolver` emulates the algorithm on
 global arrays, :class:`SPMDGCRDDSolver` runs the paper's actual
 execution model (Secs. 6-8): each rank executes
 :func:`_gcrdd_rank_program` — an unmodified flexible GCR
-(:func:`repro.solvers.gcr.gcr`) over a rank-local vector space, a
+(:func:`repro.solvers.multirhs.batched_gcr`; one right-hand side is the
+batch of one) over a rank-local vector space, a
 rank-local halo-exchanging operator, and a rank-local Schwarz block
 preconditioner — and the only inter-rank interactions are the halo
 point-to-points and the allreduce behind every inner product.  Because
@@ -39,11 +40,10 @@ from repro.multigpu.layout import HaloLayout
 from repro.multigpu.partition import BlockPartition
 from repro.multigpu.rank_halo import RankHaloEngine
 from repro.multigpu.rank_op import RANK_BUILDERS
-from repro.multigpu.rank_space import BatchedRankSpace, RankSpace
+from repro.multigpu.rank_space import BatchedRankSpace
 from repro.solvers.base import SolverResult
-from repro.solvers.gcr import gcr
 from repro.precond import resolve_precond
-from repro.solvers.multirhs import BatchedSolverResult, batched_gcr
+from repro.solvers.multirhs import BatchedSolverResult, batched_gcr, solve_lanes
 from repro.solvers.space import ArraySpace
 
 #: Operators the SPMD solver can run.
@@ -91,12 +91,7 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
         **task.family,
     )
 
-    batched = task.batched
-    space = (
-        BatchedRankSpace(comm, site_axes=site_axes)
-        if batched
-        else RankSpace(comm, site_axes=site_axes)
-    )
+    space = BatchedRankSpace(comm, site_axes=site_axes)
     block_space = ArraySpace(site_axes=site_axes)
     block_op = task.block_op
 
@@ -125,11 +120,12 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
         out = rank_op.apply(space.convert(x, cfg.policy.inner))
         return space.convert(out, cfg.policy.inner)
 
-    solver = batched_gcr if batched else gcr
-    result = solver(
+    result = solve_lanes(
+        batched_gcr,
         rank_op.apply,
         task.b_local,
-        x0=task.x0_local,
+        task.x0_local,
+        lead=task.batched,
         preconditioner=preconditioner,
         tol=cfg.tol,
         kmax=cfg.kmax,

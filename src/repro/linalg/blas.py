@@ -78,34 +78,35 @@ def _coefficients(values, x: np.ndarray, per_lane: bool):
     return coef
 
 
-def update(a, x: np.ndarray, y: np.ndarray, out=None, per_lane: bool = False):
+def update(a, x: np.ndarray, y: np.ndarray, out=None, per_lane: bool = False,
+           dtype=None):
     """``y + a*x``, unrecorded (the caller keeps the ledger): the one
     spelling of every vector update.
 
     ``a`` is a scalar, promoted as NumPy promotes it, or with ``per_lane``
     one coefficient per lane of the leading axis rounded to the field's
-    dtype (the batched family's contract).  ``out`` receives the result
-    where it can hold it; the result is returned either way.  Only an
-    update in place of a field of at least ``_COMPILED_UPDATE_BYTES`` is
-    compiled: into fresh memory, or within L2, one pass buys nothing over
-    NumPy's two.
+    dtype (the batched family's contract) or to ``dtype``.  ``out``
+    receives the result where it can hold it; the result is returned
+    either way.  Only an update in place of a field of at least
+    ``_COMPILED_UPDATE_BYTES`` is compiled: into fresh memory, or within
+    L2, one pass buys nothing over NumPy's two.
     """
-    if out is not None and out.nbytes >= _COMPILED_UPDATE_BYTES:
+    if out is not None and out.nbytes >= _COMPILED_UPDATE_BYTES and dtype in (None, x.dtype):
         coef = _coefficients((a,), x, per_lane)
         if coef is not None:
             done = _c_tier().vector_pass("update", coef, (x, y, out))
             if done is not None:
                 return done[0]
     if per_lane:
-        ax = _bcoeff(a, x) * x
+        ax = _bcoeff(a, x, dtype) * x
         terms = (ax, y)
     else:
         ax = a * x
         terms = (y, ax)
-    dtype = np.result_type(*terms)
-    if not (out is not None and out.dtype == dtype and out.shape == ax.shape == y.shape):
+    result = np.result_type(*terms)
+    if not (out is not None and out.dtype == result and out.shape == ax.shape == y.shape):
         # the product's own storage, when it has the sum's dtype and shape
-        out = ax if ax.dtype == dtype and ax.shape == y.shape else None
+        out = ax if ax.dtype == result and ax.shape == y.shape else None
     return np.add(*terms, out=out)
 
 
@@ -120,9 +121,16 @@ def fused(entry: str, coefficients, vectors, per_lane: bool = False) -> bool:
     coef = _coefficients(coefficients, x, per_lane)
     if coef is None or _c_tier().vector_pass(entry, coef, vectors) is None:
         return False
-    flops = sum(8 if per_lane or isinstance(a, complex) else 4 for a in coefficients)
+    flops = sum(_update_flops(a) for a in coefficients)
     record(flops=flops * x.size, bytes_moved=3 * len(coefficients) * x.nbytes)
     return True
+
+
+def _update_flops(a) -> int:
+    """Flops an element of ``y + a*x``: 8 for a complex coefficient, 4
+    for a real one — a scalar or, in the batched family, a per-lane
+    array by its dtype (one rule for both families)."""
+    return 8 if np.iscomplexobj(a) else 4
 
 
 def norm2(x: np.ndarray) -> float:
@@ -226,7 +234,10 @@ def zero_like(x: np.ndarray) -> np.ndarray:
 # ``norm2``/``cdot`` return Python scalars; update coefficients are
 # rounded to the field's dtype before the multiply, which is what NEP 50
 # does to the scalar family's Python scalars, so a complex64 field stays
-# complex64 and every row's bits are those of the scalar routine.
+# complex64 and every row's bits are those of the scalar routine.  The
+# ledger is the scalar family's too: a real coefficient is charged as
+# real (4 flops an element for an update, 2 for a scale), a complex one
+# as complex.
 #
 # The Schwarz block solve stacks its blocks on the same axis; there a
 # call stands for one domain-local reduction *per block*, which the
@@ -234,14 +245,21 @@ def zero_like(x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _quiet():
+    """``np.vecdot`` flags a NaN or an infinity it meets, where
+    ``np.vdot`` (the scalar family's) does not: the loops read a
+    non-finite reduction themselves."""
+    return np.errstate(invalid="ignore", over="ignore")
+
+
 def _bflat(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
-def _bcoeff(a, x: np.ndarray) -> np.ndarray:
+def _bcoeff(a, x: np.ndarray, dtype=None) -> np.ndarray:
     """A per-RHS ``(B,)`` coefficient (or one scalar) in the field's
-    dtype, shaped to broadcast over the field axes."""
-    a = np.asarray(a, dtype=x.dtype)
+    dtype (or ``dtype``), shaped to broadcast over the field axes."""
+    a = np.asarray(a, dtype=dtype or x.dtype)
     return a.reshape(a.shape + (1,) * (x.ndim - a.ndim))
 
 
@@ -251,7 +269,8 @@ def bnorm2(x: np.ndarray, reductions: int = 1) -> np.ndarray:
         flat = _bflat(x)
         # vecdot conjugates its first operand internally — no
         # materialized conj() pass over the field.
-        val = np.vecdot(flat, flat).real.astype(np.float64)
+        with _quiet():
+            val = np.vecdot(flat, flat).real.astype(np.float64)
     record(flops=4 * x.size, bytes_moved=_nbytes(x), reductions=reductions)
     return val
 
@@ -259,7 +278,8 @@ def bnorm2(x: np.ndarray, reductions: int = 1) -> np.ndarray:
 def bcdot(x: np.ndarray, y: np.ndarray, reductions: int = 1) -> np.ndarray:
     """Per-RHS inner products ``<x_b, y_b>``, complex128 (ONE reduction)."""
     with span("bcdot", kind="reduction", batch=x.shape[0]):
-        val = np.vecdot(_bflat(x), _bflat(y)).astype(np.complex128)
+        with _quiet():
+            val = np.vecdot(_bflat(x), _bflat(y)).astype(np.complex128)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=reductions)
     return val
 
@@ -348,7 +368,8 @@ def lane_cdot(
 def brdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Real parts of the per-RHS inner products (ONE reduction)."""
     with span("brdot", kind="reduction", batch=x.shape[0]):
-        val = np.vecdot(_bflat(x), _bflat(y)).real.astype(np.float64)
+        with _quiet():
+            val = np.vecdot(_bflat(x), _bflat(y)).real.astype(np.float64)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=1)
     return val
 
@@ -356,19 +377,29 @@ def brdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def baxpy(a, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """y + a*x with a per-RHS ``(B,)`` coefficient vector."""
     out = update(a, x, y, out, per_lane=True)
-    record(flops=8 * x.size, bytes_moved=_nbytes(x, y, out))
+    record(flops=_update_flops(a) * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 
 
 def bxpay(x: np.ndarray, a, y: np.ndarray, out=None) -> np.ndarray:
     """x + a*y with a per-RHS ``(B,)`` coefficient vector."""
     out = update(a, y, x, out, per_lane=True)
-    record(flops=8 * x.size, bytes_moved=_nbytes(x, y, out))
+    record(flops=_update_flops(a) * x.size, bytes_moved=_nbytes(x, y, out))
     return out
 
 
-def bscale(a, x: np.ndarray) -> np.ndarray:
-    """a*x with a per-RHS ``(B,)`` coefficient vector."""
-    out = _bcoeff(a, x) * x
-    record(flops=6 * x.size, bytes_moved=_nbytes(x, out))
+def lane_scaled(a, x: np.ndarray, dtype=None) -> np.ndarray:
+    """``a*x`` with a per-RHS ``(B,)`` coefficient vector rounded to
+    ``dtype`` — the field's by default — unrecorded (the caller keeps the
+    ledger)."""
+    return _bcoeff(a, x, dtype) * x
+
+
+def bscale(a, x: np.ndarray, dtype=None) -> np.ndarray:
+    """a*x with a per-RHS ``(B,)`` coefficient vector, in the field's dtype
+    or, given ``dtype``, with the coefficient in that one (the product the
+    wider)."""
+    out = lane_scaled(a, x, dtype)
+    flops = (6 if np.iscomplexobj(a) else 2) * x.size
+    record(flops=flops, bytes_moved=_nbytes(x, out))
     return out

@@ -123,8 +123,8 @@ def _iterations_by_precision(result) -> dict:
     """
     extras = getattr(result, "extras", None) or {}
     split = extras.get("iterations_by_precision")
-    if split:
-        return {str(k): int(v) for k, v in split.items()}
+    if split:  # a batch's counts are per lane: summed, as iterations are
+        return {str(k): int(np.sum(v)) for k, v in split.items()}
     iterations = getattr(result, "iterations", 0)
     return {"double": int(np.sum(iterations))}
 

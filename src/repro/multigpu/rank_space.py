@@ -25,7 +25,6 @@ import numpy as np
 from repro.comm.communicator import Communicator
 from repro.kernels import convert_field
 from repro.linalg import blas
-from repro.linalg.blas import _bcoeff
 from repro.precision import Precision
 from repro.solvers.space import VectorSpace
 from repro.util.counters import record
@@ -82,6 +81,11 @@ class RankSpace(VectorSpace):
         """The rank-local block (gathering is the parent's job)."""
         return x
 
+    def batched(self) -> "BatchedRankSpace":
+        """The space a batch of these blocks lives in (a single-RHS
+        solve runs as the batch of one)."""
+        return BatchedRankSpace(self.comm, site_axes=self.site_axes)
+
 
 class BatchedRankSpace(RankSpace):
     """Multi-RHS rank-local vectors: blocks ``(B,) + local lattice + site``.
@@ -96,48 +100,51 @@ class BatchedRankSpace(RankSpace):
 
     @staticmethod
     def _bparts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(B,) per-RHS partial inner product of this rank's blocks."""
-        nb = x.shape[0]
-        return np.einsum(
-            "bi,bi->b", x.reshape(nb, -1).conj(), y.reshape(nb, -1)
-        )
+        """(B,) per-RHS partial inner products of this rank's blocks, in
+        the blocks' dtype: each lane's is :class:`RankSpace`'s ``np.vdot``
+        partial."""
+        return np.array([np.vdot(a, b) for a, b in zip(x, y)])
 
     def batch(self, x) -> int:
         return x.shape[0]
 
     # -- reductions (one allreduce carrying B scalars) -------------------
+    # The partials fold in the blocks' dtype, as the scalar space's do,
+    # and come back in double, as its Python scalars.
     def dot(self, x, y) -> np.ndarray:
         part = self._bparts(x, y)
         record(flops=8 * x.size, bytes_moved=x.nbytes + y.nbytes)
-        return np.asarray(self.comm.allreduce_sum(part))
+        return np.asarray(self.comm.allreduce_sum(part), dtype=np.complex128)
 
     def rdot(self, x, y) -> np.ndarray:
         part = self._bparts(x, y).real
         record(flops=8 * x.size, bytes_moved=x.nbytes + y.nbytes)
-        return np.asarray(self.comm.allreduce_sum(part))
+        return np.asarray(self.comm.allreduce_sum(part), dtype=np.float64)
 
     def norm2(self, x) -> np.ndarray:
         part = self._bparts(x, x).real
         record(flops=4 * x.size, bytes_moved=x.nbytes)
-        return np.asarray(self.comm.allreduce_sum(part))
+        return np.asarray(self.comm.allreduce_sum(part), dtype=np.float64)
 
     # -- updates (per-RHS coefficients) ----------------------------------
     # The coefficient is rounded to the field's dtype before the multiply
     # (``linalg.blas``'s batched contract): a complex64 field stays
     # complex64, every lane's bits are :class:`RankSpace`'s for that
     # lane's Python scalar, and ``y + a*x`` still promotes when a
-    # complex64 correction meets a complex128 iterate.
-    def axpy(self, a, x, y, out=None):
+    # complex64 correction meets a complex128 iterate.  A coefficient
+    # the single-RHS loop holds as NumPy scalars (``dtype``) is taken in
+    # that dtype instead, as :class:`RankSpace` hands those on.
+    def axpy(self, a, x, y, out=None, dtype=None):
         record(flops=8 * x.size)
-        return blas.update(a, x, y, out, per_lane=True)
+        return blas.update(a, x, y, out, per_lane=True, dtype=dtype)
 
     def xpay(self, x, a, y, out=None):
         record(flops=8 * x.size)
         return blas.update(a, y, x, out, per_lane=True)
 
-    def scale(self, a, x):
+    def scale(self, a, x, dtype=None):
         record(flops=6 * x.size)
-        return _bcoeff(a, x) * x
+        return blas.lane_scaled(a, x, dtype)
 
 
 __all__ = ["BatchedRankSpace", "RankSpace"]

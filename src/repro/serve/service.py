@@ -17,7 +17,8 @@ among them (asserted per served configuration in
 ``tests/dirac/test_batched_lanes.py``).  The result a request receives
 is therefore bitwise identical whether it was coalesced with neighbors
 or served alone — and equal to a solo ``solve(SolveRequest)`` call on
-a batch of one holding that right-hand side.
+that right-hand side, single or a batch of one (the single-RHS solvers
+are the batch of one of the batched loops).
 
 Every served request carries the full flight-recorder
 :class:`~repro.metrics.SolveReport` of its batch, and the service

@@ -3,11 +3,8 @@ wrapping of operators."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from repro.precision import Precision
 from repro.solvers.space import ArraySpace
@@ -80,15 +77,6 @@ class PrecisionWrappedOperator:
             return self.op(x)
         xq = self.space.convert(x, self.precision)
         return self.space.convert(self.op(xq), self.precision)
-
-
-def finite(value) -> bool:
-    """Whether a reduction came back a number: the scalar check by which
-    every Krylov loop ends — ``converged=False``, ``extras["breakdown"]
-    == "non-finite"`` — within the iteration that met a NaN or an
-    infinity (an operator or a right-hand side gone bad: nothing further
-    can converge), on the reductions it makes anyway."""
-    return math.isfinite(abs(value))
 
 
 def compute_residual(op: Operator, x, b, space: ArraySpace):

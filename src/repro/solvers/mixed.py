@@ -14,15 +14,25 @@ after the single-precision multi-shift solve (Sec. 8.2).
 
 from __future__ import annotations
 
-import math
 from typing import Callable
+
+import numpy as np
 
 from repro.precision import Precision
 from repro.solvers.base import Operator, SolverResult
+from repro.solvers.multirhs import (
+    BatchedSolverResult,
+    batch_of_one,
+    batched_defect_correction,
+)
 from repro.solvers.space import ArraySpace
 
 #: An inner solver: (op, b, tol, maxiter, space) -> SolverResult.
 InnerSolver = Callable
+
+#: The drop each low-precision inner solve is trusted for, per work-horse.
+BICGSTAB_INNER_TOL = 1e-3
+CG_INNER_TOL = 1e-4
 
 
 def defect_correction(
@@ -37,7 +47,10 @@ def defect_correction(
     inner_maxiter: int = 1000,
     space: ArraySpace | None = None,
 ) -> SolverResult:
-    """Iterative refinement: solve ``A e = r`` in low precision, update x.
+    """Iterative refinement: solve ``A e = r`` in low precision, update x —
+    the batch of one of
+    :func:`~repro.solvers.multirhs.batched_defect_correction`, ``op`` and
+    the inner solves on the single field.
 
     Parameters
     ----------
@@ -54,69 +67,24 @@ def defect_correction(
         rounding).
     """
     space = space or ArraySpace()
-    b_norm2 = space.norm2(b)
-    if b_norm2 == 0.0:
-        return SolverResult(space.zeros_like(b), True, 0, 0.0)
 
-    inner_tol = max(inner_tol, 10 * inner_precision.eps)
-    if x0 is None:
-        x = space.zeros_like(b)
-        r = space.copy(b)
-        matvecs = 0
-    else:
-        x = space.copy(x0)
-        r = space.xpay(b, -1.0, op(x))
-        matvecs = 1
-
-    def inner_op(v):
-        vq = space.convert(v, inner_precision)
-        return space.convert(op(vq), inner_precision)
-
-    history = [math.sqrt(space.norm2(r) / b_norm2)]
-    total_inner_iters = 0
-    cycles = 0
-    converged = history[-1] <= tol
-
-    while not converged and cycles < max_cycles:
-        r_low = space.convert(r, inner_precision)
-        result = inner_solver(
-            inner_op,
-            r_low,
-            tol=inner_tol,
-            maxiter=inner_maxiter,
+    def lane_solver(inner_op, rhs, tol, maxiter, **batched_space):
+        """The caller's single-RHS ``inner_solver`` as the batched loop
+        calls it: on the single field, in the caller's space."""
+        res = inner_solver(
+            lambda v: inner_op(v[None])[0], rhs[0], tol=tol, maxiter=maxiter,
             space=space,
         )
-        matvecs += result.matvecs
-        total_inner_iters += result.iterations
-        x = space.axpy(1.0, result.x, x)
-        r = space.xpay(b, -1.0, op(x))
-        matvecs += 1
-        rel = math.sqrt(space.norm2(r) / b_norm2)
-        history.append(rel)
-        cycles += 1
-        converged = rel <= tol
-        if result.iterations == 0 and not result.converged:
-            break  # inner solver made no progress; avoid spinning
-
-    # The work-horse iterations run in the inner precision; each cycle
-    # does one true-residual correction in double.
-    iterations_by_precision = {inner_precision.name: total_inner_iters}
-    if cycles:
-        iterations_by_precision["double"] = (
-            iterations_by_precision.get("double", 0) + cycles
+        return BatchedSolverResult(
+            res.x[None], np.array([res.converged]), np.array([res.iterations]),
+            np.array([res.residual]), matvecs=res.matvecs,
         )
-    return SolverResult(
-        x,
-        converged=converged,
-        iterations=total_inner_iters,
-        residual=history[-1],
-        residual_history=history,
-        matvecs=matvecs,
-        restarts=cycles,
-        extras={
-            "cycles": cycles,
-            "iterations_by_precision": iterations_by_precision,
-        },
+
+    return batch_of_one(
+        batched_defect_correction, op, b, x0, space,
+        inner_solver=lane_solver, inner_precision=inner_precision, tol=tol,
+        inner_tol=inner_tol, max_cycles=max_cycles,
+        inner_maxiter=inner_maxiter,
     )
 
 
@@ -125,7 +93,7 @@ def mixed_precision_bicgstab(
     b,
     inner_precision: Precision,
     tol: float = 1e-10,
-    inner_tol: float = 1e-3,
+    inner_tol: float = BICGSTAB_INNER_TOL,
     max_cycles: int = 50,
     inner_maxiter: int = 2000,
     space: ArraySpace | None = None,
@@ -153,7 +121,7 @@ def mixed_precision_cg(
     inner_precision: Precision,
     x0=None,
     tol: float = 1e-10,
-    inner_tol: float = 1e-4,
+    inner_tol: float = CG_INNER_TOL,
     max_cycles: int = 50,
     inner_maxiter: int = 2000,
     space: ArraySpace | None = None,

@@ -1,4 +1,4 @@
-"""Batched (multi-RHS) Krylov solvers.
+"""The Krylov loops, over a leading batch axis — one loop per method.
 
 Production lattice workloads never solve one right-hand side: a point
 source propagator needs 12 spin-color solves against the *same* gauge
@@ -9,18 +9,21 @@ intensity on the links), every reduction carries N scalars in *one*
 allreduce, and every halo exchange packs all N faces into one message per
 neighbor per direction (message count independent of N, payload x N).
 
-All solvers here are exact vectorizations of their scalar counterparts in
-:mod:`~repro.solvers.cg` / :mod:`~repro.solvers.bicgstab` /
-:mod:`~repro.solvers.mr` / :mod:`~repro.solvers.gcr`: each RHS follows the
-same iteration it would follow alone (to rounding), with per-RHS scalar
-coefficients carried as ``(B,)`` arrays and converged/broken-down systems
-frozen by zeroing their update coefficients — in CG and BiCGstab until
-the end of the iteration, when such a lane leaves the batch and every
-later apply, update and reduction runs on the live lanes only.  GCR is
-the one exception: its restart points are shared across the batch (a
-restart is a global synchronization), so per-RHS trajectories match
-independent runs only until the first restart — the final residuals
-still satisfy the tolerance per RHS.
+These loops are the only ones: :func:`~repro.solvers.cg.cg`,
+:func:`~repro.solvers.cg.pcg`, :func:`~repro.solvers.bicgstab.bicgstab`,
+:func:`~repro.solvers.mr.mr`, :func:`~repro.solvers.gcr.gcr` and
+:func:`~repro.solvers.mixed.defect_correction` each run the batch of one
+of theirs (:func:`batch_of_one`).  Every lane computes its complex
+coefficients in the single-RHS recurrence's own arithmetic — CPython's,
+lane by lane (:func:`_lanewise`) — so a lane of CG, BiCGstab or MR is bit
+for bit the solve of that right-hand side alone.  A converged or
+broken-down lane is frozen by zeroing its update coefficients until the
+end of the iteration; in CG, PCG and BiCGstab it then leaves the batch,
+and every later apply, update and reduction runs on the live lanes only.
+GCR is the one exception: its restart points are shared across the batch
+(a restart is a global synchronization), so a lane's trajectory matches
+its solo solve only until the first restart — the final residuals still
+satisfy the tolerance per RHS.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from repro.precision import DOUBLE, Precision
 from repro.solvers.base import Operator, SolverResult, compute_residual
-from repro.solvers.space import BatchedArraySpace
+from repro.solvers.space import ArraySpace, BatchedArraySpace
 from repro.trace import span
 
 
@@ -65,7 +68,9 @@ class BatchedSolverResult:
 
     def split(self) -> list[SolverResult]:
         """Per-RHS views of the batched result (requires an array ``x``
-        with the leading batch axis; gather distributed vectors first)."""
+        with the leading batch axis; gather distributed vectors first).
+        Each carries its lane's extras: a per-lane array's entry, a
+        dict's per lane, anything else as it is."""
         out = []
         for i in range(self.batch):
             out.append(
@@ -77,14 +82,109 @@ class BatchedSolverResult:
                     residual_history=[float(h[i]) for h in self.residual_history],
                     matvecs=self.matvecs,
                     restarts=self.restarts,
+                    extras={k: _lane(v, i) for k, v in self.extras.items()},
                 )
             )
         return out
 
 
+def _lane(value, i: int):
+    """Lane ``i`` of an extras entry, as Python scalars."""
+    if isinstance(value, dict):
+        return {k: _lane(v, i) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()[i]
+    return value
+
+
+def one_lane(f: Operator | None) -> Operator | None:
+    """``f`` as a batched loop applies it to a batch of one: on the single
+    field, the batch axis given back to its result, so a single-RHS solve
+    applies its operators, preconditioners included, as it always did."""
+    if f is None:
+        return None
+    return lambda v: f(v[0])[None]
+
+
+#: The keywords by which a batched loop takes an operator besides ``op``.
+_OPERATORS = ("preconditioner", "inner_op")
+
+
+def solve_lanes(solver, op: Operator, b, x0=None, *, lead: bool, **kwargs):
+    """``solver`` — a loop of this module — on ``b``: as it is when it
+    carries the batch axis (``lead``), else as the batch of one, ``op``
+    and the operators among ``kwargs`` applied to the single field
+    (:func:`one_lane`) and lane 0 returned as a :class:`SolverResult`.
+    ``kwargs["space"]`` is a batched space either way."""
+    if lead:
+        return solver(op, b, x0=x0, **kwargs)
+    for name in _OPERATORS:
+        if name in kwargs:
+            kwargs[name] = one_lane(kwargs[name])
+    x0 = None if x0 is None else np.asarray(x0)[None]
+    return solver(one_lane(op), np.asarray(b)[None], x0=x0, **kwargs).split()[0]
+
+
+def batch_of_one(solver, op: Operator, b, x0=None, space=None, **kwargs) -> SolverResult:
+    """The single-RHS solve of ``b``: ``solver`` on ``b[None]`` in the
+    batched form of ``space`` (an :class:`ArraySpace` by default), lane 0's
+    result (:func:`solve_lanes`)."""
+    space = (space or ArraySpace()).batched()
+    return solve_lanes(solver, op, b, x0, lead=False, space=space, **kwargs)
+
+
 def _safe(z: np.ndarray) -> np.ndarray:
     """Replace zeros by ones so masked divisions never warn."""
     return np.where(z == 0, np.ones_like(z), z)
+
+
+def _lanewise(f, lanes: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    """``f`` of each lane ``lanes`` selects on that lane's Python scalars,
+    0 on the others: complex128 ``(B,)``.
+
+    The single-RHS recurrence's coefficients are CPython arithmetic on
+    Python scalars; NumPy's vectorized complex division multiplies by a
+    reciprocal and would differ in the last bit.
+    """
+    values = [
+        f(*scalars) if live else 0.0
+        for live, *scalars in zip(lanes.tolist(), *(c.tolist() for c in columns))
+    ]
+    return np.array(values, dtype=np.complex128)
+
+
+def _stop(active: np.ndarray, value: np.ndarray, broke_down: np.ndarray,
+          poisoned: np.ndarray) -> np.ndarray:
+    """``active`` without the lanes whose reduction ``value`` came back 0
+    — they broke down — or not a number — they are poisoned (the two
+    masks are updated in place)."""
+    finite = np.isfinite(value)
+    stop = active & ~(finite & (value != 0.0))
+    if stop.any():
+        poisoned |= stop & ~finite
+        broke_down |= stop & finite
+        active = active & ~stop
+    return active
+
+
+def _start(op: Operator, b, x0, space):
+    """The iterate and residual a loop starts from, and the operator
+    applications that took."""
+    if x0 is None:
+        return space.zeros_like(b), space.copy(b), 0
+    x = space.copy(x0)
+    return x, compute_residual(op, x, b, space), 1
+
+
+def _all_zero(space, b) -> BatchedSolverResult:
+    """The solve of right-hand sides that are all zero: ``x = 0``."""
+    nb = len(b)
+    return BatchedSolverResult(
+        space.zeros_like(b),
+        converged=np.ones(nb, dtype=bool),
+        iterations=np.zeros(nb, dtype=np.int64),
+        residuals=np.zeros(nb),
+    )
 
 
 class _LiveLanes:
@@ -143,35 +243,30 @@ def batched_cg(
 ) -> BatchedSolverResult:
     """Vectorized CG over a leading batch axis.
 
-    Identical per-RHS iterates to :func:`repro.solvers.cg.cg` (to
-    rounding): a converged or broken-down system gets ``alpha = beta =
-    0`` for the rest of its iteration and then leaves the batch
-    (:class:`_LiveLanes`), its solution and residual norm kept, while the
-    rest keep iterating.  So does a lane whose ``p . A p`` or residual
-    norm comes back NaN or infinite, within the iteration
-    (``extras["breakdown"]`` says ``"non-finite"`` for it), and no
-    batch-mate's bits move.
+    Every lane is :func:`repro.solvers.cg.cg` of its right-hand side, bit
+    for bit: a converged or broken-down system (``p . A p <= 0``,
+    ``extras["breakdown"]`` True) gets ``alpha = beta = 0`` for the rest
+    of its iteration and then leaves the batch (:class:`_LiveLanes`), its
+    solution and residual norm kept, while the rest keep iterating.  So
+    does a lane whose ``p . A p`` or residual norm comes back NaN or
+    infinite, within the iteration (``extras["breakdown"]`` says
+    ``"non-finite"`` for it), and no batch-mate's bits move.
     """
     space = space or BatchedArraySpace()
     b_norm2 = space.norm2(b)
+    if (b_norm2 == 0.0).all():
+        return _all_zero(space, b)
     nb = len(b_norm2)
     safe_b = _safe(b_norm2)
     target = tol * tol * b_norm2
 
-    if x0 is None:
-        x = space.zeros_like(b)
-        r = space.copy(b)
-        matvecs = 0
-    else:
-        x = space.copy(x0)
-        r = compute_residual(op, x, b, space)
-        matvecs = 1
+    x, r, matvecs = _start(op, b, x0, space)
     p = space.copy(r)
     r2 = space.norm2(r)
     history = [np.sqrt(r2 / safe_b)]
     iterations = np.zeros(nb, dtype=np.int64)
     poisoned = ~np.isfinite(r2)  # a non-finite reduction
-    active = (r2 > target) & (b_norm2 > 0.0) & ~poisoned
+    active = (r2 > target) & (b_norm2 != 0.0) & ~poisoned
     broke_down = np.zeros(nb, dtype=bool)
     lanes = _LiveLanes(x, r2, iterations, broke_down, poisoned)
 
@@ -185,10 +280,12 @@ def batched_cg(
         ap = op(p)
         matvecs += 1
         pap = space.rdot(p, ap)
-        # Indefinite / broken-down systems drop out (scalar CG breaks).
+        # Indefinite / broken-down systems drop out.
         poisoned |= active & ~np.isfinite(pap)
         broke_down |= active & (pap <= 0.0)
         active &= (pap > 0.0) & ~poisoned
+        if not active.any():
+            break
         alpha = np.where(active, r2 / _safe(pap), 0.0)
         x = space.axpy(alpha, p, x)
         r = space.axpy(-alpha, ap, r)
@@ -231,53 +328,64 @@ def batched_pcg(
 ) -> BatchedSolverResult:
     """Vectorized flexible preconditioned CG over a leading batch axis.
 
-    The batched counterpart of :func:`repro.solvers.cg.pcg` (flexible
-    Polak-Ribiere direction update, safe for the nonlinear Schwarz /
-    multi-splitting preconditioners): each preconditioner application
-    sees the whole batch at once, every reduction carries B scalars, and
-    converged or broken-down systems are frozen with
-    ``alpha = beta = 0``.
+    The loop of :func:`repro.solvers.cg.pcg` (flexible Polak-Ribiere
+    direction update, safe for the nonlinear Schwarz / multi-splitting
+    preconditioners): each preconditioner application sees the live
+    lanes at once and every reduction carries one scalar per lane.  A
+    lane that converges, or breaks down (``p . A p <= 0`` or ``r . z <=
+    0``: ``extras["breakdown"]`` True), is frozen with ``alpha = beta =
+    0`` and then leaves the batch, as in :func:`batched_cg`; so does a
+    lane whose ``p . A p``, ``r . z`` or residual norm comes back NaN or
+    infinite (``"non-finite"``), and no batch-mate's bits move.
     """
     if preconditioner is None:
         return batched_cg(op, b, x0=x0, tol=tol, maxiter=maxiter, space=space)
     space = space or BatchedArraySpace()
     b_norm2 = space.norm2(b)
+    if (b_norm2 == 0.0).all():
+        return _all_zero(space, b)
     nb = len(b_norm2)
     safe_b = _safe(b_norm2)
     target = tol * tol * b_norm2
 
-    if x0 is None:
-        x = space.zeros_like(b)
-        r = space.copy(b)
-        matvecs = 0
-    else:
-        x = space.copy(x0)
-        r = compute_residual(op, x, b, space)
-        matvecs = 1
+    x, r, matvecs = _start(op, b, x0, space)
     z = preconditioner(r)
     p = space.copy(z)
     rz = space.rdot(r, z)
     r2 = space.norm2(r)
     history = [np.sqrt(r2 / safe_b)]
     iterations = np.zeros(nb, dtype=np.int64)
-    active = (r2 > target) & (b_norm2 > 0.0)
+    poisoned = ~np.isfinite(r2)  # a non-finite reduction
+    active = (r2 > target) & (b_norm2 != 0.0) & ~poisoned
+    broke_down = np.zeros(nb, dtype=bool)
+    lanes = _LiveLanes(x, r2, iterations, broke_down, poisoned)
 
     it = 0
     while active.any() and it < maxiter:
+        if not active.all():  # the lanes that are done leave the batch
+            (x, r2, iterations, broke_down, poisoned,
+             r, p, rz, target, active) = lanes.retire(
+                active, x, r2, iterations, broke_down, poisoned,
+                r, p, rz, target, active)
         ap = op(p)
         matvecs += 1
         pap = space.rdot(p, ap)
         # Indefinite systems / non-definite preconditioner applications
-        # drop out (scalar pcg breaks).
-        active &= (pap > 0.0) & (rz > 0.0)
+        # drop out.
+        poisoned |= active & ~(np.isfinite(pap) & np.isfinite(rz))
+        broke_down |= active & ((pap <= 0.0) | (rz <= 0.0))
+        active &= (pap > 0.0) & (rz > 0.0) & ~poisoned
+        if not active.any():
+            break
         alpha = np.where(active, rz / _safe(pap), 0.0)
         x = space.axpy(alpha, p, x)
         r = space.axpy(-alpha, ap, r)
         r2 = space.norm2(r)
         iterations[active] += 1
         it += 1
-        history.append(np.sqrt(r2 / safe_b))
-        active &= r2 > target
+        history.append(np.sqrt(lanes.residuals(r2) / safe_b))
+        poisoned |= active & ~np.isfinite(r2)
+        active &= (r2 > target) & ~poisoned
         if not active.any():
             break
         z = preconditioner(r)
@@ -288,10 +396,13 @@ def batched_pcg(
         p = space.xpay(z, beta, p)
         rz = space.rdot(r, z)
 
+    x, r2, iterations, broke_down, poisoned = lanes.finish(
+        x, r2, iterations, broke_down, poisoned
+    )
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
     residuals = np.sqrt(space.norm2(true_r) / safe_b)
-    converged = (r2 <= target) | (b_norm2 == 0.0)
+    converged = (r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)
     return BatchedSolverResult(
         x,
         converged=converged,
@@ -299,6 +410,7 @@ def batched_pcg(
         residuals=residuals,
         residual_history=history,
         matvecs=matvecs,
+        extras={"breakdown": _breakdown_reasons(broke_down, poisoned)},
     )
 
 
@@ -312,29 +424,27 @@ def batched_bicgstab(
 ) -> BatchedSolverResult:
     """Vectorized BiCGstab over a leading batch axis.
 
-    Per-RHS iterates match :func:`repro.solvers.bicgstab.bicgstab` (to
-    rounding); a system that converges or breaks down (``rho``, the
-    ``r_hat . v`` pivot, or ``omega`` vanishing) is frozen by zeroing its
-    coefficients for the rest of the iteration and then leaves the batch
-    (:class:`_LiveLanes`).  So does a lane whose ``rho``, pivot or
-    residual norm comes back NaN or infinite, within the iteration
-    (``extras["breakdown"]`` says ``"non-finite"`` for it): the checks
-    ride the reductions already made, and no batch-mate's bits move.
+    Every lane is :func:`repro.solvers.bicgstab.bicgstab` of its
+    right-hand side, bit for bit (``beta``, ``alpha`` and ``omega`` are
+    its Python arithmetic, lane by lane); a system that converges or
+    breaks down (``rho``, the ``r_hat . v`` pivot, or ``omega``
+    vanishing) is frozen by zeroing its coefficients for the rest of the
+    iteration and then leaves the batch (:class:`_LiveLanes`), as does one
+    whose ``A s`` vanishes (``s`` is then an exact update).  So does a
+    lane whose ``rho``, pivot or residual norm comes back NaN or
+    infinite, within the iteration (``extras["breakdown"]`` says
+    ``"non-finite"`` for it): the checks ride the reductions already
+    made, and no batch-mate's bits move.
     """
     space = space or BatchedArraySpace()
     b_norm2 = space.norm2(b)
+    if (b_norm2 == 0.0).all():
+        return _all_zero(space, b)
     nb = len(b_norm2)
     safe_b = _safe(b_norm2)
     target = tol * tol * b_norm2
 
-    if x0 is None:
-        x = space.zeros_like(b)
-        r = space.copy(b)
-        matvecs = 0
-    else:
-        x = space.copy(x0)
-        r = compute_residual(op, x, b, space)
-        matvecs = 1
+    x, r, matvecs = _start(op, b, x0, space)
     r_hat = space.copy(r)  # the fixed shadow residual
     rho = np.ones(nb, dtype=np.complex128)
     alpha = np.ones(nb, dtype=np.complex128)
@@ -344,7 +454,8 @@ def batched_bicgstab(
     r2 = space.norm2(r)
     history = [np.sqrt(r2 / safe_b)]
     iterations = np.zeros(nb, dtype=np.int64)
-    active = (r2 > target) & (b_norm2 > 0.0)
+    # a lane whose r2 is not a number iterates until a reduction says so
+    active = ~(r2 <= target) & (b_norm2 != 0.0)
     broke_down = np.zeros(nb, dtype=bool)
     poisoned = np.zeros(nb, dtype=bool)  # a non-finite reduction
     lanes = _LiveLanes(x, r2, iterations, broke_down, poisoned)
@@ -357,43 +468,48 @@ def batched_bicgstab(
                 active, x, r2, iterations, broke_down, poisoned,
                 r, r_hat, v, p, rho, alpha, omega, target, active)
         rho_new = space.dot(r_hat, r)
-        failed = active & (np.abs(rho_new) == 0.0)
-        poisoned |= active & ~np.isfinite(rho_new)
-        broke_down |= failed
-        active &= ~failed & ~poisoned
-        beta = np.where(active, (rho_new / _safe(rho)) * (alpha / _safe(omega)), 0.0)
+        active = _stop(active, rho_new, broke_down, poisoned)
+        if not active.any():
+            break
+        beta = _lanewise(
+            lambda rn, rho, a, o: (rn / rho) * (a / o),
+            active, rho_new, rho, alpha, omega,
+        )
         rho = np.where(active, rho_new, rho)
         # p = r + beta*(p - omega*v), frozen lanes collapse to p = r.
         p = space.bicgstab_direction(p, r, v, beta, np.where(active, -omega, 0.0))
         v = op(p)
         matvecs += 1
         denom = space.dot(r_hat, v)
-        failed = active & (np.abs(denom) == 0.0)
-        poisoned |= active & ~np.isfinite(denom)
-        broke_down |= failed
-        active &= ~failed & ~poisoned
-        alpha_new = np.where(active, rho / _safe(denom), 0.0)
+        active = _stop(active, denom, broke_down, poisoned)
+        if not active.any():
+            break
+        alpha_new = _lanewise(lambda rho, d: rho / d, active, rho, denom)
         s = space.axpy(-alpha_new, v, r, out=r)  # r is not read again
         t = op(s)
         matvecs += 1
         t2 = space.norm2(t)
-        # t2 == 0 means s is an exact solution update: omega = 0 leaves
-        # r = s, and the lane retires through the convergence test below.
-        omega_new = np.where(
-            active & (t2 > 0.0), space.dot(t, s) / _safe(t2), 0.0
-        )
-        x, r = space.bicgstab_closing(x, p, s, t, alpha_new, omega_new)
+        # t2 == 0: s is an exact solution update, and the lane stops on
+        # r = s whether or not that converged.
+        exact = active & (t2 == 0.0)
+        closing = active & ~exact
+        if closing.any():
+            omega_new = _lanewise(lambda d, n: d / n, closing, space.dot(t, s), t2)
+            x, r = space.bicgstab_closing(x, p, s, t, alpha_new, omega_new)
+        else:
+            omega_new = np.zeros_like(omega)
+            x = space.axpy(alpha_new, p, x, out=x)
+            r = s
         r2 = space.norm2(r)
         iterations[active] += 1
         it += 1
         history.append(np.sqrt(lanes.residuals(r2) / safe_b))
         alpha = np.where(active, alpha_new, alpha)
         omega = np.where(active, omega_new, omega)
-        converged_now = r2 <= target
-        failed = active & ~converged_now & (np.abs(omega_new) == 0.0)
-        poisoned |= active & ~np.isfinite(r2)
+        poisoned |= closing & ~np.isfinite(r2)
+        failed = closing & (np.abs(omega_new) == 0.0)
         broke_down |= failed
-        active &= ~converged_now & ~failed & ~poisoned
+        active &= ~(r2 <= target) & ~exact & ~failed & ~poisoned
 
     x, r2, iterations, broke_down, poisoned = lanes.finish(
         x, r2, iterations, broke_down, poisoned
@@ -423,20 +539,9 @@ def _breakdown_reasons(broke_down: np.ndarray, poisoned: np.ndarray) -> np.ndarr
 
 def mr_coefficients(omega: float, dot: np.ndarray, ar2: np.ndarray) -> np.ndarray:
     """Per-lane MR step lengths ``omega * <Ar, r> / |Ar|^2`` (0 for a
-    stalled lane), complex128.
-
-    Evaluated lane by lane in the scalar solver's own Python double
-    arithmetic: NumPy's vectorized complex division multiplies by a
-    reciprocal and would differ from :func:`~repro.solvers.mr.mr` in the
-    last bit.
-    """
-    return np.array(
-        [
-            omega * complex(d) / float(n) if n > 0.0 else 0.0
-            for d, n in zip(dot, ar2)
-        ],
-        dtype=np.complex128,
-    )
+    stalled lane), complex128, in the scalar recurrence's own Python
+    double arithmetic (:func:`_lanewise`)."""
+    return _lanewise(lambda d, n: omega * d / n, ar2 > 0.0, dot, ar2)
 
 
 def batched_mr(
@@ -455,46 +560,47 @@ def batched_mr(
     :func:`~repro.solvers.mr.mr` produces alone.  A lane whose ``A r``
     vanishes has reached the scalar solver's early exit: it is frozen
     (zero step length) and reports the step it stalled at.  So is a lane
-    whose ``|A r|^2``, step length or residual norm comes back NaN or
-    infinite, before the step is taken: ``converged`` is False for it,
-    ``extras["breakdown"]`` says ``"non-finite"``, and no batch-mate's
-    bits move.
+    whose right-hand side, ``|A r|^2``, step length or residual norm
+    comes back NaN or infinite, before the step is taken: ``converged``
+    is False for it, ``extras["breakdown"]`` says ``"non-finite"``, and
+    no batch-mate's bits move.
     """
     space = space or BatchedArraySpace()
-    if x0 is None:
-        x = space.zeros_like(b)
-        r = space.copy(b)
-    else:
-        x = space.copy(x0)
-        r = space.xpay(b, -1.0, op(x))
+    x, r, _ = _start(op, b, x0, space)
     b_norm2 = space.norm2(b)
     nb = len(b_norm2)
     safe_b = _safe(b_norm2)
-    live = np.ones(nb, dtype=bool)
-    poisoned = np.zeros(nb, dtype=bool)  # a non-finite reduction
+    poisoned = ~np.isfinite(b_norm2)  # a non-finite reduction
+    live = ~poisoned
     iterations = np.zeros(nb, dtype=np.int64)
     history = []
     matvecs = 0
-    for _ in range(int(steps)):
+    for _ in range(int(steps) if live.any() else 0):
         ar = op(r)
         matvecs += 1
         iterations[live] = matvecs
         ar2 = space.norm2(ar)
-        poisoned |= ~np.isfinite(ar2)
-        live = (ar2 > 0.0) & ~poisoned
+        live &= ar2 != 0.0
         if not live.any():
             break
         dot = space.dot(ar, r)
-        poisoned |= live & ~np.isfinite(dot)
-        live &= ~poisoned
         coef = mr_coefficients(omega, dot, np.where(live, ar2, 0.0))
+        poisoned |= live & ~(np.isfinite(ar2) & np.isfinite(coef))
+        live &= ~poisoned
+        if not live.any():
+            break
+        coef[~live] = 0.0
         x, r = space.update_pair(x, coef, r, r, -coef, ar)
-        history.append(np.sqrt(space.norm2(r) / safe_b))
-        poisoned |= live & ~np.isfinite(history[-1])
+        if (b_norm2 > 0.0).any():
+            history.append(np.sqrt(space.norm2(r) / safe_b))
+            poisoned |= live & ~np.isfinite(history[-1])
+            live &= ~poisoned
+            if not live.any():
+                break
     if history:
         residuals = history[-1]
     else:
-        residuals = np.where(b_norm2 > 0.0, 1.0, 0.0)
+        residuals = np.where(b_norm2 == 0.0, 0.0, 1.0)
     return BatchedSolverResult(
         x,
         converged=~poisoned,  # fixed-step preconditioner: "done" otherwise
@@ -520,33 +626,23 @@ def batched_defect_correction(
 ) -> BatchedSolverResult:
     """Mixed-precision iterative refinement over a leading batch axis.
 
-    The batched analogue of :func:`repro.solvers.mixed.defect_correction`:
-    every cycle runs ONE batched inner solve on all defects (converged
-    lanes simply over-resolve a tiny correction), then recomputes the
-    true residuals in high precision — per-lane convergence, shared
-    cycle structure.
+    The loop of :func:`repro.solvers.mixed.defect_correction`: every
+    cycle runs ONE batched inner solve on all defects (converged lanes
+    simply over-resolve a tiny correction), then recomputes the true
+    residuals in high precision — per-lane convergence, shared cycle
+    structure.  ``extras["iterations_by_precision"]`` splits each lane's
+    iterations: the inner solves' in ``inner_precision``, one a cycle in
+    double.
     """
     space = space or BatchedArraySpace()
     b_norm2 = space.norm2(b)
+    if (b_norm2 == 0.0).all():
+        return _all_zero(space, b)
     nb = len(b_norm2)
     safe_b = _safe(b_norm2)
-    if not (b_norm2 > 0.0).any():
-        return BatchedSolverResult(
-            space.zeros_like(b),
-            converged=np.ones(nb, dtype=bool),
-            iterations=np.zeros(nb, dtype=np.int64),
-            residuals=np.zeros(nb),
-        )
 
     inner_tol = max(inner_tol, 10 * inner_precision.eps)
-    if x0 is None:
-        x = space.zeros_like(b)
-        r = space.copy(b)
-        matvecs = 0
-    else:
-        x = space.copy(x0)
-        r = space.xpay(b, -1.0, op(x))
-        matvecs = 1
+    x, r, matvecs = _start(op, b, x0, space)
 
     def inner_op(v):
         vq = space.convert(v, inner_precision)
@@ -578,6 +674,13 @@ def batched_defect_correction(
         if not np.any(result.iterations > 0) and not result.all_converged:
             break  # inner solver made no progress; avoid spinning
 
+    # The work-horse iterations run in the inner precision; each cycle
+    # does one true-residual correction in double.
+    iterations_by_precision = {inner_precision.name: iterations}
+    if cycles:
+        iterations_by_precision["double"] = (
+            iterations_by_precision.get("double", 0) + cycles
+        )
     return BatchedSolverResult(
         x,
         converged=done,
@@ -586,8 +689,28 @@ def batched_defect_correction(
         residual_history=history,
         matvecs=matvecs,
         restarts=cycles,
-        extras={"cycles": cycles},
+        extras={
+            "cycles": cycles,
+            "iterations_by_precision": iterations_by_precision,
+        },
     )
+
+
+def _back_substitution(alphas, betas, gammas, k: int, lane: int) -> np.ndarray:
+    """One lane's ``chi`` of Luscher's implicit solution update, in the
+    single-RHS recurrence's own arithmetic: ``alpha`` a Python complex,
+    ``beta`` and ``chi`` NumPy complex128 scalars, ``gamma`` a Python
+    float (a lane whose Krylov space ran out at a step takes 0 there)."""
+    chi = np.zeros(k, dtype=np.complex128)
+    for ell in range(k - 1, -1, -1):
+        gamma = gammas[ell][lane].item()
+        if gamma == 0.0:
+            continue
+        acc = alphas[ell][lane].item()
+        for i in range(ell + 1, k):
+            acc = acc - betas[ell, i, lane] * chi[i]
+        chi[ell] = acc / gamma
+    return chi
 
 
 def batched_gcr(
@@ -605,33 +728,35 @@ def batched_gcr(
     inner_op: Operator | None = None,
 ) -> BatchedSolverResult:
     """Flexible, restarted, mixed-precision GCR over a leading batch axis
-    (Algorithm 1, vectorized).
+    (Algorithm 1, vectorized) — the loop of :func:`repro.solvers.gcr.gcr`.
 
     One Krylov basis per RHS is built simultaneously: the Gram-Schmidt
     coefficients, normalizations and projections are per-RHS ``(B,)``
-    vectors, computed by single batched reductions.  Restart points are
-    shared across the batch — a cycle ends when the Krylov space hits
-    ``kmax`` or *every* RHS has met its early-restart/tolerance criterion
-    — so restarts stay what they are on a real machine: global
+    vectors, computed by single batched reductions, and each lane's
+    back-substitution is the single-RHS one.  Restart points are shared
+    across the batch — a cycle ends when the Krylov space hits ``kmax``
+    or *every* RHS has met its early-restart/tolerance criterion — so
+    restarts stay what they are on a real machine: global
     synchronization points.  A lane whose ``gamma_k``, ``alpha_k`` or
     residual norm comes back NaN or infinite is out within the iteration
     (``extras["breakdown"]`` says ``"non-finite"`` for it, ``converged``
     False): it counts as done for every restart decision, so the batch
-    ends with its mates.
+    ends with its mates; when every lane is out the cycle ends before
+    the step.  ``extras["iterations_by_precision"]`` splits each lane's
+    iterations: the Krylov steps in the inner precision, one a restart
+    in the outer.
     """
     space = space or BatchedArraySpace()
     inner_op = inner_op or op
     b_norm2 = space.norm2(b)
+    if (b_norm2 == 0.0).all():
+        return _all_zero(space, b)
     nb = len(b_norm2)
     safe_b = _safe(b_norm2)
-    if not (b_norm2 > 0.0).any():
-        zeros = space.zeros_like(b)
-        return BatchedSolverResult(
-            zeros,
-            converged=np.ones(nb, dtype=bool),
-            iterations=np.zeros(nb, dtype=np.int64),
-            residuals=np.zeros(nb),
-        )
+    # A tolerance below the outer precision's rounding cannot be resolved;
+    # clamp it ("the inherent noise present in the Monte Carlo gauge
+    # generation process is such that single-precision accuracy is
+    # sufficient", Sec. 8.1).
     tol = max(tol, 4.0 * outer_precision.eps)
     tol_abs2 = tol * tol * b_norm2
 
@@ -644,14 +769,7 @@ def batched_gcr(
         return space.convert(v, outer_precision)
 
     # High-precision state.
-    if x0 is None:
-        x = space.zeros_like(b)
-        r0 = space.copy(b)
-        matvecs = 0
-    else:
-        x = space.copy(x0)
-        r0 = space.xpay(b, -1.0, op(x))
-        matvecs = 1
+    x, r0, matvecs = _start(op, b, x0, space)
     x = to_outer(x)
     r0 = to_outer(r0)
     r0_norm2 = space.norm2(r0)
@@ -698,7 +816,6 @@ def batched_gcr(
             poisoned |= ~np.isfinite(gamma2)
             if not ((gamma2 > 0.0) & ~poisoned).any():
                 # Exact breakdown on every RHS: Krylov space exhausted.
-                cycle_done = True
                 break
             gamma_k = np.sqrt(gamma2)
             # Exhausted lanes get z_k = 0: their alpha and chi vanish and
@@ -706,6 +823,8 @@ def batched_gcr(
             z_k = space.scale(np.where(gamma_k > 0.0, 1.0 / _safe(gamma_k), 0.0), z_k)
             alpha_k = space.dot(z_k, r_hat)
             poisoned |= ~np.isfinite(alpha_k)
+            if poisoned.all():
+                break
             r_hat = space.axpy(-alpha_k, z_k, r_hat)
 
             p_basis.append(p_k)
@@ -732,17 +851,17 @@ def batched_gcr(
         # ---- implicit solution update (back-substitution for chi) ----
         if k > 0:
             with span("solution_update", kind="solver", cycle=restarts):
-                chi = np.zeros((k, nb), dtype=np.complex128)
-                for ell in range(k - 1, -1, -1):
-                    acc = np.array(alphas[ell])
-                    for i in range(ell + 1, k):
-                        acc = acc - betas[ell, i] * chi[i]
-                    chi[ell] = np.where(
-                        gammas[ell] > 0.0, acc / _safe(gammas[ell]), 0.0
-                    )
-                x_hat = space.scale(chi[0], p_basis[0])
+                chi = np.stack([
+                    _back_substitution(alphas, betas, gammas, k, lane)
+                    for lane in range(nb)
+                ], axis=1)
+                # chi is complex128, NumPy scalars in the single-RHS loop:
+                # each space takes it as its single-RHS twin takes those
+                # (the first term sets the sum's dtype)
+                x_hat = space.scale(chi[0], p_basis[0], dtype=chi.dtype)
                 for i in range(1, k):
-                    x_hat = space.axpy(chi[i], p_basis[i], x_hat, out=x_hat)
+                    x_hat = space.axpy(chi[i], p_basis[i], x_hat, out=x_hat,
+                                       dtype=chi.dtype)
                 x = space.axpy(1.0, to_outer(x_hat), x, out=x)
 
         # ---- high-precision restart ----
@@ -750,6 +869,10 @@ def batched_gcr(
             r0 = to_outer(space.xpay(b, -1.0, op(x)))
         matvecs += 1
         r0_norm2 = space.norm2(r0)
+        # Record the *true* residual of the restart: the inner-precision
+        # estimates above drift from it, and a history that omits the
+        # recomputed value hides exactly the stagnation the restart is
+        # there to detect.
         history.append(np.sqrt(r0_norm2 / safe_b))
         restarts += 1
         poisoned |= ~np.isfinite(r0_norm2)
@@ -759,13 +882,26 @@ def batched_gcr(
 
     residuals = np.sqrt(r0_norm2 / safe_b)
     converged = ((r0_norm2 <= tol_abs2) | (b_norm2 == 0.0)) & ~poisoned
+    iterations = np.full(nb, total_iters, dtype=np.int64)
+    # The Krylov steps iterate in the inner precision; each restart does
+    # one true-residual recomputation (and solution update) in the outer.
+    iterations_by_precision = {
+        (inner_precision or outer_precision).name: iterations
+    }
+    if restarts:
+        iterations_by_precision[outer_precision.name] = (
+            iterations_by_precision.get(outer_precision.name, 0) + restarts
+        )
     return BatchedSolverResult(
         x,
         converged=converged,
-        iterations=np.full(nb, total_iters, dtype=np.int64),
+        iterations=iterations,
         residuals=residuals,
         residual_history=history,
         matvecs=matvecs,
         restarts=restarts,
-        extras={"breakdown": _breakdown_reasons(np.zeros_like(poisoned), poisoned)},
+        extras={
+            "iterations_by_precision": iterations_by_precision,
+            "breakdown": _breakdown_reasons(np.zeros_like(poisoned), poisoned),
+        },
     )

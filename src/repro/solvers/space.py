@@ -120,6 +120,11 @@ class ArraySpace(VectorSpace):
         """View the vector as a single numpy array (identity here)."""
         return x
 
+    def batched(self) -> "BatchedArraySpace":
+        """The space a batch of these vectors lives in (a single-RHS
+        solve runs as the batch of one)."""
+        return BatchedArraySpace(site_axes=self.site_axes)
+
 
 class BatchedArraySpace(VectorSpace):
     """Multi-RHS space: vectors are arrays with a *leading* batch axis.
@@ -148,7 +153,12 @@ class BatchedArraySpace(VectorSpace):
         return blas.bnorm2(x)
 
     # -- updates (per-RHS coefficients) ----------------------------------
-    def axpy(self, a, x, y, out=None):
+    # ``dtype`` names a coefficient the single-RHS loop holds as NumPy
+    # scalars of that dtype, and each batched space takes it as its
+    # single-RHS twin takes those: :class:`ArraySpace` hands them on to
+    # an update as Python scalars (rounded to the field's dtype, so
+    # ``dtype`` changes nothing here) and to a scale as they are.
+    def axpy(self, a, x, y, out=None, dtype=None):
         return blas.baxpy(a, x, y, out)
 
     def xpay(self, x, a, y, out=None):
@@ -157,8 +167,8 @@ class BatchedArraySpace(VectorSpace):
     def _fused(self, entry, coefficients, vectors):
         return blas.fused(entry, coefficients, vectors, per_lane=True)
 
-    def scale(self, a, x):
-        return blas.bscale(a, x)
+    def scale(self, a, x, dtype=None):
+        return blas.bscale(a, x, dtype)
 
     def copy(self, x):
         return blas.copy(x)

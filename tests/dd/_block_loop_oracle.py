@@ -45,6 +45,11 @@ class _Ordered(ArraySpace):
     def norm2(self, x):
         return float(blas.lane_norm2(x[None], self.site_axes)[0])
 
+    def batched(self):
+        # ``mr`` runs as the batch of one: its batched space must keep
+        # this order
+        return _BatchedOrdered(site_axes=self.site_axes)
+
 
 class _BatchedOrdered(BatchedArraySpace):
     """The same, one row per right-hand side."""

@@ -162,3 +162,32 @@ def test_a_lone_half_propagator_does_not_wait_for_lanes_that_never_come():
         assert timing["coalesce_wait_seconds"] <= max_wait + 0.05
         assert timing["latency_seconds"] <= (
             max_wait + timing["solve_seconds"] + 0.1)
+
+
+def test_a_served_lane_is_the_librarys_single_rhs_solve():
+    """Twelve sources served as one batch are, byte for byte, twelve
+    single-RHS ``solve()`` calls of the library: the batched BiCGstab
+    computes each lane's coefficients in the single-RHS arithmetic, and
+    the single-RHS solve is its batch of one."""
+    from repro import GaugeField, SolveRequest, solve
+    from repro.serve.request import ServiceRequest
+
+    lines = propagator_lines()
+    server = ServeServer(SolveService(max_wait=0.5).start(), port=0).start()
+    try:
+        docs = ServeClient(server.url).solve_many(lines)
+        stats = server.service.stats()
+    finally:
+        server.stop()
+    served = solution_bytes(docs)
+    assert stats["batches_total"] < 12  # coalesced, not twelve solos
+
+    geometry = Geometry(tuple(DIMS))
+    gauge = GaugeField.weak(geometry, epsilon=0.25, rng=3)
+    for line in lines:
+        rhs = ServiceRequest.from_wire(line).materialize_rhs(geometry)
+        alone = solve(SolveRequest(
+            operator="wilson_clover", gauge=gauge, rhs=rhs, mass=0.1,
+            csw=1.0, tol=1e-8, method="bicgstab"))
+        assert alone.converged
+        assert served[line["id"]] == alone.x.tobytes(), line["id"]

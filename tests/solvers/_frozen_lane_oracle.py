@@ -15,6 +15,12 @@ batch-mates iterate (zero times NaN is NaN), so its ``x`` depends on
 them; the retiring loop hands back the ``x`` it had when it left — what
 this oracle gives that lane solved alone.  Nothing in ``src/`` may import
 this module.
+
+BiCGstab's ``beta``, ``alpha`` and ``omega`` are computed lane by lane in
+CPython arithmetic (``multirhs._lanewise``), and a lane whose right-hand
+side is not finite iterates until a reduction says so, as the loop in
+``src/`` does so that a lane is its single-RHS solve: the oracle pins the
+retirement, not those.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.solvers.base import compute_residual
 from repro.solvers.multirhs import (
     BatchedSolverResult,
     _breakdown_reasons,
+    _lanewise,
     _safe,
 )
 from repro.solvers.space import BatchedArraySpace
@@ -117,7 +124,7 @@ def batched_bicgstab(op, b, x0=None, tol=1e-8, maxiter=1000, space=None):
     r2 = space.norm2(r)
     history = [np.sqrt(r2 / safe_b)]
     iterations = np.zeros(nb, dtype=np.int64)
-    active = (r2 > target) & (b_norm2 > 0.0)
+    active = ~(r2 <= target) & (b_norm2 != 0.0)
     broke_down = np.zeros(nb, dtype=bool)
     poisoned = np.zeros(nb, dtype=bool)  # a non-finite reduction
 
@@ -128,7 +135,8 @@ def batched_bicgstab(op, b, x0=None, tol=1e-8, maxiter=1000, space=None):
         poisoned |= active & ~np.isfinite(rho_new)
         broke_down |= failed
         active &= ~failed & ~poisoned
-        beta = np.where(active, (rho_new / _safe(rho)) * (alpha / _safe(omega)), 0.0)
+        beta = _lanewise(lambda rn, rho, a, o: (rn / rho) * (a / o), active,
+                         rho_new, rho, alpha, omega)
         rho = np.where(active, rho_new, rho)
         p = space.bicgstab_direction(p, r, v, beta, np.where(active, -omega, 0.0))
         v = op(p)
@@ -138,13 +146,13 @@ def batched_bicgstab(op, b, x0=None, tol=1e-8, maxiter=1000, space=None):
         poisoned |= active & ~np.isfinite(denom)
         broke_down |= failed
         active &= ~failed & ~poisoned
-        alpha_new = np.where(active, rho / _safe(denom), 0.0)
+        alpha_new = _lanewise(lambda rho, d: rho / d, active, rho, denom)
         s = space.axpy(-alpha_new, v, r, out=r)
         t = op(s)
         matvecs += 1
         t2 = space.norm2(t)
-        omega_new = np.where(
-            active & (t2 > 0.0), space.dot(t, s) / _safe(t2), 0.0
+        omega_new = _lanewise(
+            lambda d, n: d / n, active & (t2 > 0.0), space.dot(t, s), t2
         )
         x, r = space.bicgstab_closing(x, p, s, t, alpha_new, omega_new)
         r2 = space.norm2(r)

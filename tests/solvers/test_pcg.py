@@ -91,9 +91,63 @@ class TestBatchedPCG:
             single = pcg(staggered_normal.apply, rhs[lane],
                          preconditioner=precond, tol=1e-9, maxiter=500,
                          space=STAGGERED_SPACE)
-            rel = (np.linalg.norm(batched.x[lane] - single.x)
-                   / np.linalg.norm(single.x))
-            assert rel < 1e-7, lane
+            assert batched.x[lane].tobytes() == single.x.tobytes(), lane
+            assert batched.iterations[lane] == single.iterations
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_lane_leaves_its_mates_bits(self, staggered_normal, geom,
+                                              precond):
+        """A lane whose right-hand side holds a NaN breaks down
+        ``"non-finite"`` within its first iteration and leaves the
+        batch; its mates compute what they compute without it."""
+        from repro.lattice import SpinorField
+
+        rhs = np.stack([
+            SpinorField.random(geom, nspin=1, rng=80 + i).data
+            for i in range(3)
+        ])
+        poisoned = rhs.copy()
+        poisoned[1, 0, 1, 2, 3, 0] = np.nan
+
+        def solve(batch):
+            return batched_pcg(
+                staggered_normal.apply, batch, preconditioner=precond,
+                tol=1e-9, maxiter=500, space=BATCHED_STAGGERED_SPACE,
+            )
+
+        clean, got = solve(rhs), solve(poisoned)
+        assert list(got.extras["breakdown"]) == [False, "non-finite", False]
+        assert not got.converged[1] and got.iterations[1] == 0
+        for lane in (0, 2):
+            assert got.x[lane].tobytes() == clean.x[lane].tobytes()
+            assert got.iterations[lane] == clean.iterations[lane]
+            assert got.converged[lane]
+
+    def test_a_schwarz_asqtad_lane_is_its_solve_alone(self, gauge, geom):
+        """Three sources of the preconditioned asqtad CG (``schwarz``)
+        through ``solve``: each lane is that source solved alone."""
+        from repro import SolveRequest, solve
+        from repro.gauge.asqtad import build_asqtad_links
+        from repro.lattice import SpinorField
+
+        links = build_asqtad_links(gauge)
+        rhs = np.stack([
+            SpinorField.random(geom, nspin=1, rng=90 + i).data
+            for i in range(3)
+        ])
+
+        def request(b):
+            return SolveRequest(
+                operator="asqtad", gauge=links, rhs=b, mass=0.1, tol=1e-8,
+                precond="schwarz", grid=ProcessGrid((1, 1, 2, 2)),
+            )
+
+        batch = solve(request(rhs))
+        assert batch.all_converged
+        for lane in range(3):
+            alone = solve(request(rhs[lane]))
+            assert batch.x[lane].tobytes() == alone.x.tobytes(), lane
+            assert batch.iterations[lane] == alone.iterations
 
     def test_no_preconditioner_path(self, staggered_normal, geom):
         from repro.lattice import SpinorField
