@@ -100,10 +100,12 @@ def _cmd_solve(args) -> int:
     geometry = Geometry(tuple(args.dims))
     gauge = GaugeField.weak(geometry, epsilon=args.epsilon, rng=args.seed)
     b = SpinorField.random(geometry, rng=args.seed + 1).data
+    # validate_request decides which of these the method takes.
     request = SolveRequest(
         operator="wilson_clover", gauge=gauge, rhs=b,
         mass=args.mass, csw=args.csw, method=args.method, tol=args.tol,
-        kernel=args.kernel,
+        kernel=args.kernel, backend=args.backend, overlap=args.overlap,
+        precond=args.precond,
     )
     extra = ""
     if args.method == "gcr-dd":
@@ -111,24 +113,11 @@ def _cmd_solve(args) -> int:
         request.grid = grid
         request.config = GCRDDConfig(tol=args.tol)
         request.tol = None  # the config carries the tolerance
-        request.precond = args.precond
         request.precond_steps = args.mr_steps
         request.precond_overlap = args.precond_overlap
-        request.backend = args.backend
-        request.overlap = args.overlap
         extra = f" grid={grid.label} blocks={grid.size}"
         if args.backend:
             extra += f" backend={args.backend}"
-        if args.overlap and not args.backend:
-            print("--overlap needs --backend (the overlapped halo schedule "
-                  "is an SPMD execution path)", file=sys.stderr)
-            return 2
-    elif args.backend or args.overlap:
-        print("--backend/--overlap require --method gcr-dd", file=sys.stderr)
-        return 2
-    elif args.precond != "auto":
-        print("--precond requires --method gcr-dd", file=sys.stderr)
-        return 2
     try:
         res = solve(request)
     except ValueError as exc:

@@ -68,6 +68,34 @@ class GCRDDConfig:
         )
 
 
+def gcrdd_solve(
+    apply, b, x0, *, lead: bool, preconditioner, config: GCRDDConfig,
+    space: BatchedArraySpace,
+) -> SolverResult | BatchedSolverResult:
+    """The GCR-DD program both drivers run: flexible GCR (Algorithm 1,
+    :func:`~repro.solvers.multirhs.batched_gcr`) on ``apply`` with
+    ``config``'s restart and precision parameters, its inner matvecs at
+    ``config.policy.inner``.  ``space`` is the global view's, or a rank's
+    block space given the rank's communicator; ``lead`` says ``b`` carries
+    the batch axis (a single ``b`` is the batch of one)."""
+    return solve_lanes(
+        batched_gcr,
+        apply,
+        b,
+        x0,
+        lead=lead,
+        preconditioner=preconditioner,
+        tol=config.tol,
+        kmax=config.kmax,
+        delta=config.delta,
+        maxiter=config.maxiter,
+        outer_precision=config.policy.outer,
+        inner_precision=config.policy.inner,
+        inner_op=PrecisionWrappedOperator(apply, config.policy.inner, space),
+        space=space,
+    )
+
+
 class GCRDDSolver:
     """Domain-decomposed GCR for a (Wilson-clover or staggered) operator.
 
@@ -103,9 +131,6 @@ class GCRDDSolver:
         self.preconditioner = self.precond_entry.build(
             op, self.partition, cfg.precond_settings()
         )
-        self.inner_op = PrecisionWrappedOperator(
-            op.apply, cfg.policy.inner, space=self.space
-        )
 
     def solve(
         self, b: np.ndarray, x0: np.ndarray | None = None
@@ -115,7 +140,6 @@ class GCRDDSolver:
         (shared restarts, one reduction per Gram-Schmidt coefficient
         set) and a :class:`BatchedSolverResult` is returned; a single
         ``b`` is the batch of one."""
-        cfg = self.config
         b = np.asarray(b)
         lead = self.op.field_lead(b) == 1
         if lead and not self.precond_entry.capabilities.batched:
@@ -123,20 +147,9 @@ class GCRDDSolver:
                 f"preconditioner {self.precond!r} does not support batched "
                 "multi-RHS solves; solve the right-hand sides one at a time"
             )
-        result = solve_lanes(
-            batched_gcr,
-            self.op.apply,
-            b,
-            x0,
-            lead=lead,
-            preconditioner=self.preconditioner,
-            tol=cfg.tol,
-            kmax=cfg.kmax,
-            delta=cfg.delta,
-            maxiter=cfg.maxiter,
-            outer_precision=cfg.policy.outer,
-            inner_precision=cfg.policy.inner,
-            inner_op=self.inner_op,
+        result = gcrdd_solve(
+            self.op.apply, b, x0, lead=lead,
+            preconditioner=self.preconditioner, config=self.config,
             space=self.space,
         )
         result.extras["precond"] = self.precond

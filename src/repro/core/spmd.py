@@ -3,10 +3,10 @@
 Where :class:`repro.core.gcrdd.GCRDDSolver` emulates the algorithm on
 global arrays, :class:`SPMDGCRDDSolver` runs the paper's actual
 execution model (Secs. 6-8): each rank executes
-:func:`_gcrdd_rank_program` — an unmodified flexible GCR
-(:func:`repro.solvers.multirhs.batched_gcr`; one right-hand side is the
-batch of one) over a rank-local vector space, a
-rank-local halo-exchanging operator, and a rank-local Schwarz block
+:func:`_gcrdd_rank_program` — the global view's flexible GCR program
+(:func:`repro.core.gcrdd.gcrdd_solve`; one right-hand side is the batch
+of one) over the array space given the rank's communicator, a rank-local
+halo-exchanging operator, and a rank-local Schwarz block
 preconditioner — and the only inter-rank interactions are the halo
 point-to-points and the allreduce behind every inner product.  Because
 the allreduce returns the identical, rank-order-folded scalar to every
@@ -34,17 +34,16 @@ import numpy as np
 
 from repro.comm.backends import run_rank_programs
 from repro.comm.grid import ProcessGrid
-from repro.core.gcrdd import GCRDDConfig
+from repro.core.gcrdd import GCRDDConfig, gcrdd_solve
 from repro.dirac.base import PERIODIC, BoundarySpec
 from repro.multigpu.layout import HaloLayout
 from repro.multigpu.partition import BlockPartition
 from repro.multigpu.rank_halo import RankHaloEngine
 from repro.multigpu.rank_op import RANK_BUILDERS
-from repro.multigpu.rank_space import BatchedRankSpace
 from repro.solvers.base import SolverResult
 from repro.precond import resolve_precond
-from repro.solvers.multirhs import BatchedSolverResult, batched_gcr, solve_lanes
-from repro.solvers.space import ArraySpace
+from repro.solvers.multirhs import BatchedSolverResult
+from repro.solvers.space import ArraySpace, BatchedArraySpace
 
 #: Operators the SPMD solver can run.
 OPERATORS = ("wilson_clover", "staggered")
@@ -73,9 +72,13 @@ class _RankTask:
     precond_record: str = "schwarz_precond"
 
 
-def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
-    """One rank's entire GCR-DD solve (the bit-parity tests depend on
-    the exact operation sequence)."""
+def _gcrdd_rank_program(
+    comm, task: _RankTask
+) -> SolverResult | BatchedSolverResult:
+    """One rank's entire GCR-DD solve: the global view's program
+    (:func:`~repro.core.gcrdd.gcrdd_solve`) on this rank's blocks, its
+    reductions finished by ``comm`` (the bit-parity tests depend on the
+    exact operation sequence)."""
     from repro.precond import schwarz_block_solve
     from repro.util.counters import record_operator
 
@@ -91,7 +94,7 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
         **task.family,
     )
 
-    space = BatchedRankSpace(comm, site_axes=site_axes)
+    space = BatchedArraySpace(site_axes, comm=comm)
     block_space = ArraySpace(site_axes=site_axes)
     block_op = task.block_op
 
@@ -116,37 +119,10 @@ def _gcrdd_rank_program(comm, task: _RankTask) -> dict:
                 rank=comm.rank,
             )
 
-    def inner_op(x):
-        out = rank_op.apply(space.convert(x, cfg.policy.inner))
-        return space.convert(out, cfg.policy.inner)
-
-    result = solve_lanes(
-        batched_gcr,
-        rank_op.apply,
-        task.b_local,
-        task.x0_local,
-        lead=task.batched,
-        preconditioner=preconditioner,
-        tol=cfg.tol,
-        kmax=cfg.kmax,
-        delta=cfg.delta,
-        maxiter=cfg.maxiter,
-        outer_precision=cfg.policy.outer,
-        inner_precision=cfg.policy.inner,
-        inner_op=inner_op,
-        space=space,
+    return gcrdd_solve(
+        rank_op.apply, task.b_local, task.x0_local, lead=task.batched,
+        preconditioner=preconditioner, config=cfg, space=space,
     )
-    return {
-        "x": result.x,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual": getattr(result, "residual", None),
-        "history": result.residual_history,
-        "matvecs": result.matvecs,
-        "restarts": result.restarts,
-        "residuals": getattr(result, "residuals", None),
-        "extras": getattr(result, "extras", {}),
-    }
 
 
 class SPMDGCRDDSolver:
@@ -303,24 +279,24 @@ class SPMDGCRDDSolver:
             backend=backend,
             timeout=self.timeout,
         )
-        values = [o.value for o in outcomes]
-        x = self.partition.assemble([v["x"] for v in values], lead=lead)
+        results = [o.value for o in outcomes]
         # Every rank ran the same scalar recurrence; their histories must
         # agree bit-for-bit or the backend broke determinism.
-        for v in values[1:]:
+        for r in results[1:]:
             if not np.array_equal(
-                np.asarray(v["history"]), np.asarray(values[0]["history"])
+                np.asarray(r.residual_history),
+                np.asarray(results[0].residual_history),
             ):
                 raise RuntimeError(
                     "SPMD ranks diverged: residual histories differ between "
                     "ranks (non-deterministic backend reduction?)"
                 )
-        v0 = values[0]
-        # Rank 0's solver extras (e.g. iterations_by_precision) are
-        # identical on every rank — the solve is bit-reproducible — so
-        # forwarding one rank's copy loses nothing.
-        extras = dict(v0.get("extras") or {})
-        extras.update(
+        # Rank 0's result stands for all (its scalars and solver extras,
+        # e.g. iterations_by_precision, are identical on every rank — the
+        # solve is bit-reproducible) once it carries the assembled x.
+        result = results[0]
+        result.x = self.partition.assemble([r.x for r in results], lead=lead)
+        result.extras.update(
             {
                 "backend": backend,
                 "spmd_ranks": self.partition.n_ranks,
@@ -330,27 +306,7 @@ class SPMDGCRDDSolver:
                 "precond": self.precond,
             }
         )
-        if batched:
-            return BatchedSolverResult(
-                x=x,
-                converged=v0["converged"],
-                iterations=v0["iterations"],
-                residuals=v0["residuals"],
-                residual_history=v0["history"],
-                matvecs=v0["matvecs"],
-                restarts=v0["restarts"],
-                extras=extras,
-            )
-        return SolverResult(
-            x=x,
-            converged=v0["converged"],
-            iterations=v0["iterations"],
-            residual=v0["residual"],
-            residual_history=v0["history"],
-            matvecs=v0["matvecs"],
-            restarts=v0["restarts"],
-            extras=extras,
-        )
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

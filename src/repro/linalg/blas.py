@@ -78,27 +78,26 @@ def _coefficients(values, x: np.ndarray, per_lane: bool):
     return coef
 
 
-def update(a, x: np.ndarray, y: np.ndarray, out=None, per_lane: bool = False,
-           dtype=None):
+def update(a, x: np.ndarray, y: np.ndarray, out=None, per_lane: bool = False):
     """``y + a*x``, unrecorded (the caller keeps the ledger): the one
     spelling of every vector update.
 
     ``a`` is a scalar, promoted as NumPy promotes it, or with ``per_lane``
     one coefficient per lane of the leading axis rounded to the field's
-    dtype (the batched family's contract) or to ``dtype``.  ``out``
-    receives the result where it can hold it; the result is returned
-    either way.  Only an update in place of a field of at least
-    ``_COMPILED_UPDATE_BYTES`` is compiled: into fresh memory, or within
-    L2, one pass buys nothing over NumPy's two.
+    dtype (the batched family's contract).  ``out`` receives the result
+    where it can hold it; the result is returned either way.  Only an
+    update in place of a field of at least ``_COMPILED_UPDATE_BYTES`` is
+    compiled: into fresh memory, or within L2, one pass buys nothing over
+    NumPy's two.
     """
-    if out is not None and out.nbytes >= _COMPILED_UPDATE_BYTES and dtype in (None, x.dtype):
+    if out is not None and out.nbytes >= _COMPILED_UPDATE_BYTES:
         coef = _coefficients((a,), x, per_lane)
         if coef is not None:
             done = _c_tier().vector_pass("update", coef, (x, y, out))
             if done is not None:
                 return done[0]
     if per_lane:
-        ax = _bcoeff(a, x, dtype) * x
+        ax = _bcoeff(a, x) * x
         terms = (ax, y)
     else:
         ax = a * x

@@ -856,12 +856,11 @@ def batched_gcr(
                     for lane in range(nb)
                 ], axis=1)
                 # chi is complex128, NumPy scalars in the single-RHS loop:
-                # each space takes it as its single-RHS twin takes those
+                # the space takes it as its single-RHS twin takes those
                 # (the first term sets the sum's dtype)
                 x_hat = space.scale(chi[0], p_basis[0], dtype=chi.dtype)
                 for i in range(1, k):
-                    x_hat = space.axpy(chi[i], p_basis[i], x_hat, out=x_hat,
-                                       dtype=chi.dtype)
+                    x_hat = space.axpy(chi[i], p_basis[i], x_hat, out=x_hat)
                 x = space.axpy(1.0, to_outer(x_hat), x, out=x)
 
         # ---- high-precision restart ----

@@ -5,9 +5,9 @@ provides inner products, norms and axpy-family updates.  This lets the same
 solver source run on
 
 * plain numpy arrays (:class:`ArraySpace`, the default), and
-* one rank's block of a distributed field
-  (:class:`repro.multigpu.rank_space.RankSpace`), where inner products
-  become genuine global reductions over per-rank partial sums.
+* one rank's block of a distributed field — the same spaces given the
+  rank's communicator (``comm=``), where inner products become genuine
+  global reductions over per-rank partial sums.
 
 Spaces also expose :meth:`convert`, the precision hook used by the
 mixed-precision solvers of Sec. 8.
@@ -20,11 +20,17 @@ one.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.kernels import convert_field
 from repro.linalg import blas
 from repro.precision import Precision
+from repro.util.counters import record
+
+if TYPE_CHECKING:
+    from repro.comm.communicator import Communicator
 
 
 class VectorSpace:
@@ -66,26 +72,57 @@ class VectorSpace:
         return x, self.axpy(-omega, t, s, out=s)
 
 
+def _global_sum(comm: Communicator, part, flops: int, *vectors):
+    """The sum over ranks of this rank's partial ``part`` of a reduction
+    over ``vectors``: the partial charges its flops and bytes, and
+    ``comm.allreduce_sum`` — folding the partials in rank order — the one
+    collective.  ``part`` is in the blocks' dtype; the caller widens the
+    sum as the global view widens its reduction."""
+    record(flops=flops * vectors[0].size,
+           bytes_moved=sum(v.nbytes for v in vectors))
+    return comm.allreduce_sum(part)
+
+
+def _lane_parts(x, y) -> np.ndarray:
+    """This rank's ``(B,)`` per-RHS partials ``<x_b, y_b>``, in the
+    blocks' dtype: the ``np.vecdot`` of :func:`repro.linalg.blas.bcdot`,
+    as silent on a NaN."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.vecdot(x.reshape(len(x), -1), y.reshape(len(y), -1))
+
+
 class ArraySpace(VectorSpace):
     """The trivial space: vectors are numpy arrays on one rank.
 
     ``site_axes`` is the number of trailing per-site axes (2 for Wilson
     ``(spin, color)``, 1 for staggered ``(color,)``); it parametrizes the
     per-site scaling of the emulated half-precision format.
+
+    With a communicator (``comm``) a vector is this rank's block of a
+    distributed field: updates stay local, and each inner product is the
+    same local call finished by the global sum over ranks
+    (:func:`_global_sum`).  ``comm=None`` is the global view.
     """
 
-    def __init__(self, site_axes: int = 2):
+    def __init__(self, site_axes: int = 2, comm: Communicator | None = None):
         self.site_axes = site_axes
+        self.comm = comm
 
     # -- reductions -----------------------------------------------------
     def dot(self, x, y) -> complex:
-        return blas.cdot(x, y)
+        if self.comm is None:
+            return blas.cdot(x, y)
+        return complex(_global_sum(self.comm, np.vdot(x, y), 8, x, y))
 
     def rdot(self, x, y) -> float:
-        return blas.rdot(x, y)
+        if self.comm is None:
+            return blas.rdot(x, y)
+        return float(_global_sum(self.comm, np.vdot(x, y).real, 8, x, y))
 
     def norm2(self, x) -> float:
-        return blas.norm2(x)
+        if self.comm is None:
+            return blas.norm2(x)
+        return float(_global_sum(self.comm, np.vdot(x, x).real, 4, x))
 
     # -- updates ---------------------------------------------------------
     def axpy(self, a, x, y, out=None):
@@ -123,7 +160,7 @@ class ArraySpace(VectorSpace):
     def batched(self) -> "BatchedArraySpace":
         """The space a batch of these vectors lives in (a single-RHS
         solve runs as the batch of one)."""
-        return BatchedArraySpace(site_axes=self.site_axes)
+        return BatchedArraySpace(site_axes=self.site_axes, comm=self.comm)
 
 
 class BatchedArraySpace(VectorSpace):
@@ -134,31 +171,42 @@ class BatchedArraySpace(VectorSpace):
     :mod:`repro.linalg.blas`); update coefficients are per-RHS ``(B,)``
     vectors (plain scalars broadcast).  The batched Krylov solvers in
     :mod:`repro.solvers.multirhs` are written against this interface.
+    With a communicator the ``(B,)`` partials of a reduction ride ONE
+    allreduce, as :class:`ArraySpace`'s one partial does.
     """
 
-    def __init__(self, site_axes: int = 2):
+    def __init__(self, site_axes: int = 2, comm: Communicator | None = None):
         self.site_axes = site_axes
+        self.comm = comm
 
     def batch(self, x) -> int:
         return x.shape[0]
 
     # -- reductions (one allreduce carrying B scalars) -------------------
     def dot(self, x, y) -> np.ndarray:
-        return blas.bcdot(x, y)
+        if self.comm is None:
+            return blas.bcdot(x, y)
+        part = _lane_parts(x, y)
+        return _global_sum(self.comm, part, 8, x, y).astype(np.complex128)
 
     def rdot(self, x, y) -> np.ndarray:
-        return blas.brdot(x, y)
+        if self.comm is None:
+            return blas.brdot(x, y)
+        part = _lane_parts(x, y).real
+        return _global_sum(self.comm, part, 8, x, y).astype(np.float64)
 
     def norm2(self, x) -> np.ndarray:
-        return blas.bnorm2(x)
+        if self.comm is None:
+            return blas.bnorm2(x)
+        part = _lane_parts(x, x).real
+        return _global_sum(self.comm, part, 4, x).astype(np.float64)
 
     # -- updates (per-RHS coefficients) ----------------------------------
-    # ``dtype`` names a coefficient the single-RHS loop holds as NumPy
-    # scalars of that dtype, and each batched space takes it as its
-    # single-RHS twin takes those: :class:`ArraySpace` hands them on to
-    # an update as Python scalars (rounded to the field's dtype, so
-    # ``dtype`` changes nothing here) and to a scale as they are.
-    def axpy(self, a, x, y, out=None, dtype=None):
+    # A coefficient is rounded to the field's dtype, as :class:`ArraySpace`
+    # rounds the Python scalars it hands on.  ``scale``'s ``dtype`` names a
+    # coefficient the single-RHS loop holds as NumPy scalars of that dtype,
+    # which :class:`ArraySpace` hands on to a scale as they are.
+    def axpy(self, a, x, y, out=None):
         return blas.baxpy(a, x, y, out)
 
     def xpay(self, x, a, y, out=None):

@@ -11,7 +11,8 @@ from rank_stack import on_ranks, rank_apply
 from repro.comm.backends import run_rank_programs
 from repro.comm.grid import ProcessGrid
 from repro.lattice import SpinorField
-from repro.multigpu import BatchedRankSpace, BlockPartition, RankSpace
+from repro.multigpu import BlockPartition
+from repro.solvers.space import ArraySpace, BatchedArraySpace
 from repro.util.counters import tally
 
 GRID = ProcessGrid((1, 1, 2, 2))
@@ -81,13 +82,13 @@ def test_batched_allreduce_single_event(geom448):
     def norm2(space_cls, field, lead):
         with tally() as t:
             outcomes = run_rank_programs(
-                lambda comm, x: space_cls(comm, site_axes=2).norm2(x),
+                lambda comm, x: space_cls(2, comm=comm).norm2(x),
                 partition.n_ranks, partition.split(field, lead=lead),
             )
         return outcomes[0].value, t
 
-    _, t1 = norm2(RankSpace, single, 0)
-    norms, tb = norm2(BatchedRankSpace, batched, 1)
+    _, t1 = norm2(ArraySpace, single, 0)
+    norms, tb = norm2(BatchedArraySpace, batched, 1)
     assert norms.shape == (4,)
     assert tb.reductions == t1.reductions == 1
     assert tb.comm_bytes == 4 * t1.comm_bytes

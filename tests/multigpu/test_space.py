@@ -1,5 +1,5 @@
-"""RankSpace: global reductions over per-rank blocks, run as rank
-programs under the sequential backend."""
+"""The array spaces given a rank's communicator: global reductions over
+per-rank blocks, run as rank programs under the sequential backend."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ import pytest
 from repro.comm import ProcessGrid
 from repro.comm.backends import run_rank_programs
 from repro.lattice import Geometry, SpinorField
-from repro.multigpu import BlockPartition, RankSpace
+from repro.multigpu import BlockPartition
+from repro.solvers.space import ArraySpace, BatchedArraySpace
 from repro.util.counters import tally
 
 
@@ -23,7 +24,7 @@ def on_space(part, body, *fields):
     blocks = [part.split(f) for f in fields]
     payloads = [tuple(b[rank] for b in blocks) for rank in range(part.n_ranks)]
     outcomes = run_rank_programs(
-        lambda comm, local: body(RankSpace(comm), *local),
+        lambda comm, local: body(ArraySpace(comm=comm), *local),
         part.n_ranks, payloads, backend="sequential",
     )
     return [o.value for o in outcomes]
@@ -110,10 +111,10 @@ class TestUpdates:
 
 
 class TestBatchedUpdates:
-    """``BatchedRankSpace`` updates follow the batched BLAS dtype
-    contract: the per-RHS coefficient is rounded to the field's dtype, so
-    a complex64 block is not promoted and every lane is the scalar
-    space's update of that lane."""
+    """A rank's ``BatchedArraySpace`` updates follow the batched BLAS
+    dtype contract: the per-RHS coefficient is rounded to the field's
+    dtype, so a complex64 block is not promoted and every lane is the
+    scalar space's update of that lane."""
 
     COEFFS = (
         np.array([0.5 - 1.25j, -2.0 + 0.125j, 1e-3j]),   # complex128 (B,)
@@ -133,10 +134,9 @@ class TestBatchedUpdates:
     def spaces():
         """The batched and the scalar space of one rank (the updates are
         rank-local: no collective is entered)."""
-        from repro.multigpu import BatchedRankSpace
-
         (outcome,) = run_rank_programs(
-            lambda comm, _: (BatchedRankSpace(comm), RankSpace(comm)),
+            lambda comm, _: (BatchedArraySpace(comm=comm),
+                             ArraySpace(comm=comm)),
             1, [None], backend="sequential",
         )
         return outcome.value

@@ -18,8 +18,9 @@ from repro.comm.backends import run_rank_programs
 from repro.dirac.base import PERIODIC, BoundarySpec
 from repro.dirac.clover import build_clover_field
 from repro.lattice.fields import GaugeField
-from repro.multigpu import BlockPartition, HaloLayout, RankHaloEngine, RankSpace
+from repro.multigpu import BlockPartition, HaloLayout, RankHaloEngine
 from repro.multigpu.rank_op import RANK_BUILDERS
+from repro.solvers.space import ArraySpace
 
 
 @dataclass
@@ -52,9 +53,10 @@ def build_rank_op(comm, job: RankJob, **overrides):
     )
 
 
-def rank_space(op) -> RankSpace:
-    """The Krylov vector space matching a rank operator's fields."""
-    return RankSpace(op.engine.comm, site_axes=op.engine.site_axes)
+def rank_space(op) -> ArraySpace:
+    """The Krylov vector space matching a rank operator's fields: the
+    array space given the rank's communicator."""
+    return ArraySpace(op.engine.site_axes, comm=op.engine.comm)
 
 
 def rank_program(comm, job: RankJob):

@@ -77,7 +77,7 @@ class AllocatingBatchedSpace(BatchedArraySpace):
                bytes_moved=x.nbytes + y.nbytes + out.nbytes)
         return out
 
-    def axpy(self, a, x, y, out=None, dtype=None):
+    def axpy(self, a, x, y, out=None):
         return self._update(a, x, y)
 
     def xpay(self, x, a, y, out=None):

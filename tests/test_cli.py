@@ -105,7 +105,16 @@ class TestSolve:
             "solve", "--dims", "4", "4", "4", "8", "--backend", "threads",
         ])
         assert rc == 2
-        assert "gcr-dd" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "SolveRequest.backend" in err and "gcr-dd" in err
+
+    def test_overlap_requires_backend(self, capsys):
+        rc = main([
+            "solve", "--dims", "4", "4", "4", "8", "--method", "gcr-dd",
+            "--blocks", "4", "--overlap",
+        ])
+        assert rc == 2
+        assert "SolveRequest.overlap" in capsys.readouterr().err
 
 
 class TestBenchSPMD:
@@ -195,14 +204,15 @@ class TestPrecond:
             "--blocks", "4", "--precond", "ilu",
         ])
         assert rc == 2
-        assert "precond" in capsys.readouterr().err
+        assert "SolveRequest.precond" in capsys.readouterr().err
 
     def test_precond_requires_gcr_dd(self, capsys):
         rc = main([
             "solve", "--dims", "4", "4", "4", "8", "--precond", "ras",
         ])
         assert rc == 2
-        assert "gcr-dd" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "SolveRequest.precond" in err and "gcr-dd" in err
 
     def test_bench_precond_sweep_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "bench_precond.json"
