@@ -30,6 +30,7 @@ from repro.metrics.registry import metrics_scope
 from repro.metrics.solve_report import build_solve_report
 from repro.precision import Precision
 from repro.precond import (
+    AUTO,
     PrecondSettings,
     PrecondUnavailableError,
     resolve_precond,
@@ -52,16 +53,23 @@ _MULTISHIFT_TOL = 1e-10
 _DEFAULT_MAXITER = 2000
 
 _OPERATORS = ("wilson_clover", "asqtad", "asqtad_multishift")
-_METHODS = {
+#: The methods each operator takes.
+METHODS = {
     "wilson_clover": ("auto", "bicgstab", "gcr-dd"),
     "asqtad": ("auto", "cg"),
     "asqtad_multishift": ("auto",),
 }
+#: What ``method="auto"`` runs, per operator with a choice of method.
+DEFAULT_METHOD = {
+    "wilson_clover": "bicgstab",
+    "asqtad": "cg",
+}
 _BACKENDS = ("sequential", "threads", "processes")
 _SCHEDULES = ("auto", "fused", "split")
 
-#: Kernel family each operator's stencil resolves against.
-_KERNEL_FAMILY = {
+#: Kernel family each operator's stencil (and preconditioner) resolves
+#: against.
+KERNEL_FAMILY = {
     "wilson_clover": "wilson",
     "asqtad": "staggered",
     "asqtad_multishift": "staggered",
@@ -176,13 +184,25 @@ class SolveRequest:
     precond_overlap: int | None = None
 
 
-def _invalid(field_: str, message: str, choices=None) -> ValueError:
-    """A validation error whose message names the offending
-    ``SolveRequest`` field and, for closed sets, the valid choices."""
-    text = f"SolveRequest.{field_}: {message}"
-    if choices:
-        text += f"; valid choices: {', '.join(choices)}"
-    return ValueError(text)
+class SolveRequestError(ValueError):
+    """An invalid :class:`SolveRequest`: ``SolveRequest.<field>:
+    <problem>[; valid choices: ...]``, with ``field``, ``problem`` and
+    ``choices`` (``None`` outside a closed set) kept for callers that
+    restate the error (the serve wire's 400)."""
+
+    def __init__(self, field: str, problem: str, choices=None):
+        text = f"SolveRequest.{field}: {problem}"
+        if choices:
+            text += f"; valid choices: {', '.join(choices)}"
+        super().__init__(text)
+        self.field = field
+        self.problem = problem
+        self.choices = tuple(choices) if choices else None
+
+
+def _invalid(field_: str, message: str, choices=None) -> SolveRequestError:
+    """A validation error naming the offending ``SolveRequest`` field."""
+    return SolveRequestError(field_, message, choices)
 
 
 def validate_request(request: SolveRequest) -> None:
@@ -199,9 +219,10 @@ def validate_request(request: SolveRequest) -> None:
             operators themselves.
 
     Raises:
-        ValueError: Any invalid field.  The message names the field
-            (``SolveRequest.<field>: ...``) and, where the value comes
-            from a closed set, lists the valid choices.
+        SolveRequestError: Any invalid field (a ``ValueError``).  The
+            message names the field (``SolveRequest.<field>: ...``) and,
+            where the value comes from a closed set, lists the valid
+            choices; ``field`` and ``choices`` carry the same.
     """
     if request.operator not in _OPERATORS:
         raise _invalid(
@@ -209,7 +230,7 @@ def validate_request(request: SolveRequest) -> None:
             f"unknown operator {request.operator!r}",
             _OPERATORS,
         )
-    methods = _METHODS[request.operator]
+    methods = METHODS[request.operator]
     if request.method not in methods:
         raise _invalid(
             "method",
@@ -241,7 +262,7 @@ def validate_request(request: SolveRequest) -> None:
             )
     try:
         resolve_kernel(
-            request.kernel, operator=_KERNEL_FAMILY[request.operator]
+            request.kernel, operator=KERNEL_FAMILY[request.operator]
         )
     except KernelUnavailableError as exc:
         raise _invalid("kernel", str(exc), exc.choices) from None
@@ -278,7 +299,7 @@ def validate_request(request: SolveRequest) -> None:
     try:
         resolve_precond(
             request.precond,
-            operator=_KERNEL_FAMILY[request.operator],
+            operator=KERNEL_FAMILY[request.operator],
             spmd=request.backend is not None,
         )
     except PrecondUnavailableError as exc:
@@ -334,6 +355,27 @@ def validate_request(request: SolveRequest) -> None:
         raise _invalid("tol", f"must be > 0, got {request.tol!r}")
     if request.maxiter is not None and request.maxiter <= 0:
         raise _invalid("maxiter", f"must be > 0, got {request.maxiter!r}")
+    if request.u0 <= 0:
+        raise _invalid("u0", f"must be > 0, got {request.u0!r}")
+
+
+def resolve_request_precond(request: SolveRequest, batched: bool = False):
+    """The precond registry entry a Wilson ``bicgstab`` or asqtad ``cg``
+    solve of ``request`` runs.
+
+    ``"auto"`` keeps those methods' plain Krylov path bit for bit (the
+    identity entry, ``"none"``); a concrete name resolves through the
+    registry, which with ``batched=True`` refuses an entry that cannot
+    take a batch of right-hand sides.
+
+    Raises:
+        PrecondUnavailableError: The entry cannot serve the solve; its
+            ``choices`` name the entries that can.
+    """
+    name = "none" if request.precond == AUTO else request.precond
+    return resolve_precond(
+        name, operator=KERNEL_FAMILY[request.operator], batched=batched
+    )
 
 
 def _resolved(value, default):
@@ -376,7 +418,9 @@ def _gcrdd_config(request: SolveRequest) -> GCRDDConfig:
 
 def _solve_wilson(request: SolveRequest):
     b = np.asarray(request.rhs)
-    method = "bicgstab" if request.method == "auto" else request.method
+    method = request.method
+    if method == "auto":
+        method = DEFAULT_METHOD[request.operator]
     if method == "gcr-dd" and request.backend is not None:
         from repro.core.spmd import SPMDGCRDDSolver
 
@@ -458,17 +502,11 @@ def _solve_asqtad(request: SolveRequest):
     prec = request.inner_precision
     # "auto" keeps the historical plain-CG path bit-for-bit; a concrete
     # entry routes through the flexible multi-splitting-capable PCG.
-    precond = "none" if request.precond == "auto" else request.precond
+    entry = resolve_request_precond(request, batched=bool(lead))
 
-    if precond != "none":
+    if entry.name != "none":
         from repro.multigpu.partition import BlockPartition
 
-        entry = resolve_precond(precond, operator="staggered")
-        if lead and not entry.capabilities.batched:
-            raise ValueError(
-                f"preconditioner {entry.name!r} does not support batched "
-                "multi-RHS solves; solve the right-hand sides one at a time"
-            )
         settings = PrecondSettings(
             steps=(
                 10

@@ -142,10 +142,11 @@ class GCRDDSolver:
         ``b`` is the batch of one."""
         b = np.asarray(b)
         lead = self.op.field_lead(b) == 1
-        if lead and not self.precond_entry.capabilities.batched:
-            raise ValueError(
-                f"preconditioner {self.precond!r} does not support batched "
-                "multi-RHS solves; solve the right-hand sides one at a time"
+        if lead:
+            # The registry refuses an entry that cannot take a batch,
+            # naming those that can.
+            resolve_precond(
+                self.precond, operator=operator_family(self.op), batched=True
             )
         result = gcrdd_solve(
             self.op.apply, b, x0, lead=lead,

@@ -130,6 +130,10 @@ def validated_state(gauge) -> DerivedState:
         return _STATES[gauge]
 
 
+#: The per-direction conditions a :class:`BoundarySpec` takes.
+BOUNDARY_CONDITIONS = ("periodic", "antiperiodic", "zero")
+
+
 @dataclass(frozen=True)
 class BoundarySpec:
     """Per-direction fermion boundary conditions ``(x, y, z, t)``.
@@ -143,9 +147,8 @@ class BoundarySpec:
     conditions: tuple[str, str, str, str] = ("periodic",) * 4
 
     def __post_init__(self):
-        valid = {"periodic", "antiperiodic", "zero"}
         if len(self.conditions) != 4 or any(
-            c not in valid for c in self.conditions
+            c not in BOUNDARY_CONDITIONS for c in self.conditions
         ):
             raise ValueError(f"invalid boundary spec {self.conditions}")
 

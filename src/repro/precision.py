@@ -144,6 +144,8 @@ SINGLE = Precision("single", np.dtype(np.complex64), 4)
 HALF = Precision("half", np.dtype(np.complex64), 2)
 
 _BY_NAME = {"double": DOUBLE, "single": SINGLE, "half": HALF}
+#: The names :func:`precision` looks up.
+PRECISION_NAMES = tuple(_BY_NAME)
 
 
 def precision(name: "str | Precision") -> Precision:

@@ -5,8 +5,10 @@ The solvers and request validators resolve ``precond=`` values through
 priority, so ``"auto"`` reproduces the paper's GCR-DD preconditioner bit
 for bit.  ``spmd=True`` demands rank-local application: the SPMD rank
 programs precondition each rank's own block with zero inter-rank data
-movement, which overlapping entries cannot do.  :func:`capability_matrix`
-is the data behind ``python -m repro precond``.
+movement, which overlapping entries cannot do.  ``batched=True`` demands
+an entry that takes a batch of right-hand sides (a leading multi-RHS
+axis): every batched solve, and so every served one, resolves with it.
+:func:`capability_matrix` is the data behind ``python -m repro precond``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ PRECONDS = Registry(
             " rank-locally (SPMD)",
             "cannot be applied rank-locally: its domains need neighbor "
             "data the SPMD blocks do not hold",
+        ),
+        "batched": (
+            " on a batch of right-hand sides",
+            "cannot take a batch of right-hand sides; solve them one at "
+            "a time",
         ),
     },
 )

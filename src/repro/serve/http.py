@@ -18,7 +18,8 @@ A deliberately small, stdlib-only JSON-over-HTTP surface (one
 ``GET /v1/stats``
     Operational snapshot (queue depth, coalesce ratio, outcome counts).
 ``GET /healthz``
-    Liveness: 200 while accepting, 503 while draining.
+    Liveness: 200 while accepting; 503 ``draining`` after a shutdown, or
+    ``dispatcher_down`` while no dispatcher runs (never started, or died).
 
 A solve whose lane diverged (a NaN or infinite reduction) is still a
 200: the line says ``"status": "diverged"`` with ``"residual": null`` and
@@ -158,7 +159,12 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/v1/stats":
             self._send_json(200, self.service.stats())
         elif self.path == "/healthz":
-            if self.service.queue.closed:
+            service = self.service
+            if service.dispatcher_error is not None or not (
+                service.running or service.queue.closed
+            ):
+                self._send_json(503, {"status": "dispatcher_down"})
+            elif service.queue.closed:
                 self._send_json(503, {"status": "draining"})
             else:
                 self._send_json(200, {"status": "ok"})

@@ -1,11 +1,14 @@
 """Wire-level solve requests: schema, validation, operator fingerprint.
 
-A :class:`ServiceRequest` is the serializable twin of
-:class:`repro.core.api.SolveRequest`: instead of holding live
-``GaugeField``/``ndarray`` objects it holds *specs* — a gauge spec
-(synthetic parameters or a file path) and an rhs spec (seeded random,
-point source, or inline data) — so a request can travel over HTTP and
-still reconstruct the exact same linear system on the server.
+A :class:`ServiceRequest` carries the
+:class:`repro.core.api.SolveRequest` the service will run, and beside it
+the *specs* of what that request holds live — a gauge spec (synthetic
+parameters or a file path) and an rhs spec (seeded random, point source,
+or inline data) — so a request can travel over HTTP and still
+reconstruct the exact same linear system on the server.  The wire checks
+types and the serving policy; what a solve accepts is
+:func:`repro.core.api.validate_request`'s to say, and whether a
+preconditioner takes a batch the :mod:`repro.precond` registry's.
 
 The **operator fingerprint** (:meth:`ServiceRequest.fingerprint`) is the
 coalescing key: the sha256 of every solve-defining knob *except* the
@@ -24,40 +27,51 @@ import binascii
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from repro.kernels import KernelUnavailableError, kernel_choices, resolve_kernel
-from repro.precision import DOUBLE, HALF, SINGLE, Precision
-from repro.precond import (
-    PrecondUnavailableError,
-    precond_choices,
-    resolve_precond,
+from repro.comm.grid import ProcessGrid, choose_grid
+from repro.core.api import (
+    DEFAULT_METHOD,
+    KERNEL_FAMILY,
+    METHODS,
+    SolveRequest,
+    SolveRequestError,
+    resolve_request_precond,
+    validate_request,
 )
+from repro.dirac.base import BOUNDARY_CONDITIONS, BoundarySpec
+from repro.kernels import KernelUnavailableError, kernel_choices, resolve_kernel
+from repro.precision import PRECISION_NAMES, precision
+from repro.precond import AUTO, PrecondUnavailableError, precond_choices
 from repro.serve.errors import RequestValidationError
 
 #: Operators the service can coalesce: the two with a batched multi-RHS
-#: execution path.  ``asqtad_multishift`` (no batched rhs) and
-#: ``gcr-dd`` (needs a live ProcessGrid) stay library-only.
+#: execution path.  ``asqtad_multishift`` (no batched rhs) stays
+#: library-only.
 SERVABLE_OPERATORS = ("wilson_clover", "asqtad")
-
-_METHODS = {
-    "wilson_clover": ("auto", "bicgstab"),
-    "asqtad": ("auto", "cg"),
-}
-_DEFAULT_METHOD = {"wilson_clover": "bicgstab", "asqtad": "cg"}
-_KERNEL_FAMILY = {"wilson_clover": "wilson", "asqtad": "staggered"}
+#: Methods the service does not run: ``gcr-dd`` needs a live process
+#: grid for its Schwarz blocks.
+LIBRARY_ONLY_METHODS = ("gcr-dd",)
 
 GAUGE_KINDS = ("weak", "hot", "unit", "file")
 RHS_KINDS = ("random", "point", "data")
-_BOUNDARY = ("periodic", "antiperiodic", "zero")
-_PRECISIONS: dict[str, Precision] = {
-    "double": DOUBLE,
-    "single": SINGLE,
-    "half": HALF,
-}
+#: The directions the Schwarz blocks cut, slowest first (as the CLI).
+_BLOCK_DIRS = (3, 2, 1, 0)
+#: Wire names of the ``SolveRequest`` fields the wire spells otherwise.
+_WIRE_FIELD = {"grid": "precond_blocks"}
+
+
+def block_grid(blocks: int, dims) -> ProcessGrid:
+    """The process grid of ``blocks`` Schwarz blocks over a lattice of
+    extents ``dims``, factored as the CLI does.
+
+    Raises:
+        ValueError: ``blocks`` does not factor over the lattice.
+    """
+    return choose_grid(blocks, _BLOCK_DIRS, tuple(dims))
 
 
 def _invalid(field_: str, message: str, choices=None) -> RequestValidationError:
@@ -215,65 +229,58 @@ def _validate_rhs(spec) -> dict:
     return out
 
 
-def _validate_boundary(value) -> list[str]:
-    """Validate the per-direction boundary list of a wire payload.
+def _validate_boundary(value) -> BoundarySpec:
+    """The :class:`~repro.dirac.base.BoundarySpec` of a wire payload's
+    per-direction boundary list.
 
     Raises:
         RequestValidationError: Not a list of 4 valid condition names.
     """
     if value is None:
-        return ["periodic"] * 4
+        return BoundarySpec()
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 4
-        or not all(b in _BOUNDARY for b in value)
+        or not all(b in BOUNDARY_CONDITIONS for b in value)
     ):
         raise _invalid(
             "boundary",
             f"must be 4 per-direction conditions, got {value!r}",
-            _BOUNDARY,
+            BOUNDARY_CONDITIONS,
         )
-    return [str(b) for b in value]
+    return BoundarySpec(tuple(value))
 
 
 @dataclass
 class ServiceRequest:
     """One validated, normalized wire request (see the module docstring).
 
-    Everything is canonical by construction: ``method`` is resolved
-    (never ``"auto"``), specs carry only the keys their kind uses, and
-    numeric knobs are plain Python numbers — so canonical JSON, and
-    therefore the fingerprint, is well defined.
+    The semantic rules are the library's: :meth:`from_wire` builds the
+    :class:`~repro.core.api.SolveRequest` the service will run and hands
+    it to :func:`~repro.core.api.validate_request`.  What the wire adds
+    is what the library cannot know — the gauge and rhs *specs*, the
+    delivery metadata and the serving policy.  Everything is canonical
+    by construction (``method``, ``kernel`` and ``precond`` resolved,
+    never ``"auto"``; specs carrying only the keys their kind uses), so
+    canonical JSON, and therefore the fingerprint, is well defined.
 
     Attributes
     ----------
     id:
         Client-chosen identifier echoed back in the response (the
         service assigns ``req-N`` when absent).
-    operator, mass, csw, method, tol, maxiter, even_odd,
-    inner_precision, u0, boundary:
-        The solve-defining knobs, mirroring
-        :class:`repro.core.api.SolveRequest`.
-    kernel:
-        The *resolved* kernel tier (never ``"auto"``): ``"auto"`` on the
-        wire resolves at validation time so the fingerprint pins the
-        tier that will actually run — requests resolving to different
-        tiers never coalesce into one batched solve.
-    precond, precond_steps, precond_overlap, precond_blocks:
-        Preconditioner for asqtad CG solves, resolved through the
-        :mod:`repro.precond` registry at validation time (never stored
-        as ``"auto"``; ``"auto"`` resolves to ``"none"``, preserving
-        the plain-CG path bit-for-bit).  All four land in the operator
-        fingerprint, so requests asking for different preconditioners
-        — or the same one at different steps/overlap/block counts —
-        never coalesce into one batched solve.  ``precond_blocks`` is
-        the Schwarz block count, factored over the lattice with the
-        same heuristic as the CLI.  Wilson-clover serving (BiCGstab)
-        accepts only ``"auto"``/``"none"``.
     gauge:
         Canonical gauge spec (``kind`` = weak/hot/unit/file).
     rhs:
         Canonical rhs spec (``kind`` = random/point/data).
+    solve:
+        The solve the service runs, ``gauge`` and ``rhs`` left ``None``
+        until execution fills them in.  Its ``grid`` is the
+        preconditioner's block partition, ``None`` for a gauge file
+        (factored on the file's lattice at execution).
+    precond_blocks:
+        The Schwarz block count ``grid`` was factored from, ``None``
+        without a preconditioner.
     priority:
         Higher runs sooner; ties are FIFO.
     timeout_seconds:
@@ -287,23 +294,10 @@ class ServiceRequest:
     """
 
     id: str | None
-    operator: str
     gauge: dict
     rhs: dict
-    mass: float
-    csw: float = 1.0
-    method: str = ""
-    tol: float | None = None
-    maxiter: int | None = None
-    even_odd: bool = False
-    inner_precision: str | None = None
-    u0: float = 1.0
-    kernel: str = "numpy"
-    precond: str = "none"
-    precond_steps: int | None = None
-    precond_overlap: int | None = None
+    solve: SolveRequest
     precond_blocks: int | None = None
-    boundary: list[str] = field(default_factory=lambda: ["periodic"] * 4)
     priority: int = 0
     timeout_seconds: float | None = None
     return_solution: bool = False
@@ -312,6 +306,12 @@ class ServiceRequest:
     def from_wire(cls, payload) -> "ServiceRequest":
         """Validate a decoded JSON payload into a :class:`ServiceRequest`.
 
+        Checks the wire types and the serving policy here, resolves
+        ``"auto"`` with the library's resolvers and lets
+        :func:`~repro.core.api.validate_request` judge the solve; a
+        served solve is always a batch, so the precond registry must let
+        its preconditioner take one.
+
         Args:
             payload: The decoded request object (``dict``).
 
@@ -319,8 +319,9 @@ class ServiceRequest:
             The normalized request.
 
         Raises:
-            RequestValidationError: Any malformed field; the error names
-                the field and, for closed sets, the valid choices.
+            RequestValidationError: Any malformed or unservable field;
+                the error names the field and, for closed sets, the
+                valid choices.
         """
         if not isinstance(payload, dict):
             raise _invalid(
@@ -329,64 +330,36 @@ class ServiceRequest:
         operator = _get_choice(
             payload, "operator", SERVABLE_OPERATORS, required=True
         )
-        method = _get_choice(
-            payload, "method", _METHODS[operator], default="auto"
+        methods = tuple(
+            m for m in METHODS[operator] if m not in LIBRARY_ONLY_METHODS
         )
-        if method == "auto":
-            method = _DEFAULT_METHOD[operator]
+        method = _get_choice(payload, "method", methods, default="auto")
         # Like method, the kernel tier is resolved here (never stored as
         # "auto") so the operator fingerprint pins the tier that runs.
         kernel = _get_choice(
             payload, "kernel", kernel_choices(), default="auto"
         )
         try:
-            kernel = resolve_kernel(kernel, _KERNEL_FAMILY[operator]).name
+            kernel = resolve_kernel(kernel, KERNEL_FAMILY[operator]).name
         except KernelUnavailableError as exc:
             raise _invalid("kernel", str(exc), exc.choices)
         gauge = _validate_gauge(payload.get("gauge"))
-        # The preconditioner resolves here too (never stored as "auto"),
-        # so the fingerprint pins the entry that runs and mixed-precond
-        # requests never coalesce.
         precond = _get_choice(
             payload, "precond", precond_choices(), default="auto"
         )
-        precond_steps = precond_overlap = precond_blocks = None
-        if operator != "asqtad" and precond not in ("auto", "none"):
-            raise _invalid(
-                "precond",
-                f"unsupported value {precond!r}: only asqtad cg solves "
-                "are served with a preconditioner",
-                ("auto", "none"),
-            )
-        if precond == "auto":
-            precond = "none"
-        if precond != "none":
-            try:
-                precond = resolve_precond(precond, operator="staggered").name
-            except PrecondUnavailableError as exc:
-                raise _invalid("precond", str(exc), exc.choices)
-            precond_steps = _get_number(
-                payload, "precond_steps", positive=True, integer=True
-            )
-            precond_overlap = _get_number(
-                payload, "precond_overlap", integer=True
-            )
-            if precond_overlap is not None and precond_overlap < 0:
-                raise _invalid(
-                    "precond_overlap",
-                    f"must be >= 0, got {precond_overlap!r}",
-                )
+        precond_steps = precond_overlap = precond_blocks = grid = None
+        if precond not in (AUTO, "none"):
+            precond_steps = _get_number(payload, "precond_steps",
+                                        integer=True)
+            precond_overlap = _get_number(payload, "precond_overlap",
+                                          integer=True)
             precond_blocks = _get_number(
                 payload, "precond_blocks", default=4, positive=True,
                 integer=True,
             )
             if gauge.get("dims"):
-                from repro.comm.grid import choose_grid
-
                 try:
-                    choose_grid(
-                        precond_blocks, (3, 2, 1, 0), tuple(gauge["dims"])
-                    )
+                    grid = block_grid(precond_blocks, gauge["dims"])
                 except ValueError as exc:
                     raise _invalid("precond_blocks", str(exc))
         rid = payload.get("id")
@@ -395,38 +368,52 @@ class ServiceRequest:
         even_odd = payload.get("even_odd", False)
         if not isinstance(even_odd, bool):
             raise _invalid("even_odd", f"must be a boolean, got {even_odd!r}")
-        if even_odd and operator != "wilson_clover":
-            raise _invalid(
-                "even_odd", "is only meaningful for operator='wilson_clover'"
-            )
         return_solution = payload.get("return_solution", False)
         if not isinstance(return_solution, bool):
             raise _invalid(
                 "return_solution",
                 f"must be a boolean, got {return_solution!r}",
             )
-        return cls(
-            id=rid,
+        inner = _get_choice(payload, "inner_precision", PRECISION_NAMES)
+        solve = SolveRequest(
             operator=operator,
-            gauge=gauge,
-            rhs=_validate_rhs(payload.get("rhs")),
+            gauge=None,
+            rhs=None,
             mass=float(_get_number(payload, "mass", required=True)),
             csw=float(_get_number(payload, "csw", default=1.0)),
-            method=method,
-            tol=_get_number(payload, "tol", positive=True),
-            maxiter=_get_number(payload, "maxiter", positive=True,
-                                integer=True),
+            method=DEFAULT_METHOD[operator] if method == AUTO else method,
+            tol=_get_number(payload, "tol"),
+            maxiter=_get_number(payload, "maxiter", integer=True),
+            boundary=_validate_boundary(payload.get("boundary")),
+            grid=grid,
             even_odd=even_odd,
-            inner_precision=_get_choice(
-                payload, "inner_precision", tuple(_PRECISIONS)
-            ),
-            u0=float(_get_number(payload, "u0", default=1.0, positive=True)),
+            inner_precision=None if inner is None else precision(inner),
+            u0=float(_get_number(payload, "u0", default=1.0)),
             kernel=kernel,
             precond=precond,
             precond_steps=precond_steps,
             precond_overlap=precond_overlap,
+        )
+        # A gauge file's lattice is known at execution only, where the
+        # blocks are factored and solve() validates again: one block
+        # stands in for them here.
+        checked = solve
+        if precond_blocks is not None and grid is None:
+            checked = replace(solve, grid=ProcessGrid((1, 1, 1, 1)))
+        try:
+            validate_request(checked)
+            solve.precond = resolve_request_precond(solve, batched=True).name
+        except SolveRequestError as exc:
+            wire = _WIRE_FIELD.get(exc.field, exc.field)
+            raise _invalid(wire, exc.problem, exc.choices)
+        except PrecondUnavailableError as exc:
+            raise _invalid("precond", str(exc), exc.choices)
+        return cls(
+            id=rid,
+            gauge=gauge,
+            rhs=_validate_rhs(payload.get("rhs")),
+            solve=solve,
             precond_blocks=precond_blocks,
-            boundary=_validate_boundary(payload.get("boundary")),
             priority=_get_number(payload, "priority", default=0, integer=True),
             timeout_seconds=_get_number(
                 payload, "timeout_seconds", positive=True
@@ -437,14 +424,7 @@ class ServiceRequest:
     @property
     def nspin(self) -> int:
         """Spin components per site: 4 (Wilson) or 1 (staggered)."""
-        return 4 if self.operator == "wilson_clover" else 1
-
-    def precision_object(self) -> Precision | None:
-        """The live :class:`~repro.precision.Precision` for
-        ``inner_precision``, or ``None``."""
-        if self.inner_precision is None:
-            return None
-        return _PRECISIONS[self.inner_precision]
+        return 4 if self.solve.operator == "wilson_clover" else 1
 
     def operator_spec(self) -> dict:
         """The solve-defining knobs — everything except the rhs and the
@@ -454,23 +434,26 @@ class ServiceRequest:
             A canonical JSON-ready dict; equal dicts <=> coalescible
             requests.
         """
+        s = self.solve
         return {
-            "operator": self.operator,
+            "operator": s.operator,
             "gauge": self.gauge,
-            "mass": self.mass,
-            "csw": self.csw if self.operator == "wilson_clover" else None,
-            "method": self.method,
-            "tol": self.tol,
-            "maxiter": self.maxiter,
-            "even_odd": self.even_odd,
-            "inner_precision": self.inner_precision,
-            "u0": self.u0 if self.operator == "asqtad" else None,
-            "kernel": self.kernel,
-            "precond": self.precond,
-            "precond_steps": self.precond_steps,
-            "precond_overlap": self.precond_overlap,
+            "mass": s.mass,
+            "csw": s.csw if s.operator == "wilson_clover" else None,
+            "method": s.method,
+            "tol": s.tol,
+            "maxiter": s.maxiter,
+            "even_odd": s.even_odd,
+            "inner_precision": (
+                None if s.inner_precision is None else s.inner_precision.name
+            ),
+            "u0": s.u0 if s.operator == "asqtad" else None,
+            "kernel": s.kernel,
+            "precond": s.precond,
+            "precond_steps": s.precond_steps,
+            "precond_overlap": s.precond_overlap,
             "precond_blocks": self.precond_blocks,
-            "boundary": self.boundary,
+            "boundary": list(s.boundary.conditions),
         }
 
     @cached_property

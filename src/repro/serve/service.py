@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from repro.core.api import solve
 from repro.metrics.registry import MetricsRegistry, histogram_quantile
 from repro.metrics.export import to_prometheus
 from repro.serve.coalescer import (
@@ -53,7 +54,7 @@ from repro.serve.errors import (
     SolveFailedError,
 )
 from repro.serve.queue import QueuedRequest, SolveQueue, Ticket
-from repro.serve.request import ServiceRequest, encode_array
+from repro.serve.request import ServiceRequest, block_grid, encode_array
 from repro.serve.tracing import (
     RequestTrace,
     emit_batched_solve,
@@ -221,6 +222,9 @@ class SolveService:
         self._next_id = 0
         self._thread: threading.Thread | None = None
         self._started_at: float | None = None
+        #: What killed the dispatcher thread, or ``None`` while it lives
+        #: (or has not been started, or was shut down).
+        self.dispatcher_error: BaseException | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -302,6 +306,14 @@ class SolveService:
                 self._count_request("invalid")
                 raise
             decode_seconds += time.perf_counter() - t0
+        if self._thread is not None and not self.running:
+            self._count_request("rejected_closed")
+            raise ServiceClosedError(
+                "the dispatcher is not running"
+                + (f" (it died: {self.dispatcher_error!r})"
+                   if self.dispatcher_error is not None else "")
+                + "; request rejected"
+            )
         if request.id is None:
             with self._id_lock:
                 request.id = f"req-{self._next_id}"
@@ -354,7 +366,30 @@ class SolveService:
     # the dispatcher
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        """Scheduler body: coalesce, execute, account — until drained."""
+        """Scheduler body: coalesce, execute, account — until drained.
+
+        Should the scheduler itself raise, the dispatcher is dead: the
+        queue closes, what it held fails with
+        :class:`~repro.serve.errors.ServiceClosedError`, and
+        :attr:`dispatcher_error` keeps the cause.
+        """
+        try:
+            self._schedule()
+        except BaseException as exc:
+            self.dispatcher_error = exc
+            self.queue.close()
+            for entry in self.queue.drain_all():
+                entry.ticket.set_error(
+                    ServiceClosedError(
+                        f"the dispatcher died ({exc!r}) before solving",
+                        request_id=entry.request.id,
+                    )
+                )
+                self._count_request("rejected_closed")
+            raise
+
+    def _schedule(self) -> None:
+        """Coalesce, execute and account groups until drained."""
         while True:
             outcome = self.coalescer.next_group(poll_timeout=0.05)
             for entry in outcome.expired:
@@ -396,9 +431,6 @@ class SolveService:
 
     def _execute(self, outcome: CoalesceOutcome) -> None:
         """Serve one coalesced group with a single batched solve."""
-        from repro.core.api import SolveRequest, solve
-        from repro.dirac.base import BoundarySpec
-
         group, waited = outcome.group, outcome.waited_seconds
         sched_pc = time.perf_counter()
         for entry in group:
@@ -436,34 +468,14 @@ class SolveService:
         rhs = np.stack(lanes)
 
         solve_gauge = gauge
-        if spec_request.operator == "asqtad":
+        if spec_request.solve.operator == "asqtad":
             solve_gauge = self._links_for(spec_request, gauge)
-        grid = None
-        if spec_request.precond != "none":
-            from repro.comm.grid import choose_grid
-
-            grid = choose_grid(
-                spec_request.precond_blocks, (3, 2, 1, 0), geometry.dims
+        request = dc_replace(spec_request.solve, gauge=solve_gauge, rhs=rhs)
+        if spec_request.precond_blocks is not None and request.grid is None:
+            # A gauge file: the blocks factor over the lattice it holds.
+            request.grid = block_grid(
+                spec_request.precond_blocks, geometry.dims
             )
-        request = SolveRequest(
-            operator=spec_request.operator,
-            gauge=solve_gauge,
-            rhs=rhs,
-            mass=spec_request.mass,
-            csw=spec_request.csw,
-            method=spec_request.method,
-            tol=spec_request.tol,
-            maxiter=spec_request.maxiter,
-            boundary=BoundarySpec(tuple(spec_request.boundary)),
-            even_odd=spec_request.even_odd,
-            inner_precision=spec_request.precision_object(),
-            u0=spec_request.u0,
-            kernel=spec_request.kernel,
-            grid=grid,
-            precond=spec_request.precond,
-            precond_steps=spec_request.precond_steps,
-            precond_overlap=spec_request.precond_overlap,
-        )
         t0 = time.perf_counter()
         result = solve(request)
         t1 = time.perf_counter()
@@ -583,11 +595,11 @@ class SolveService:
         from repro.gauge.asqtad import build_asqtad_links
 
         key = _json.dumps(
-            {"gauge": request.gauge, "u0": request.u0}, sort_keys=True
+            {"gauge": request.gauge, "u0": request.solve.u0}, sort_keys=True
         )
         links = self._asqtad_links.get(key)
         if links is None:
-            links = build_asqtad_links(gauge, u0=request.u0)
+            links = build_asqtad_links(gauge, u0=request.solve.u0)
             self._asqtad_links[key] = links
         return links
 

@@ -86,7 +86,7 @@ class TestValidation:
                 ServiceRequest.from_wire(payload(method="gcr-dd", **extra))
             assert exc.value.field == "method"
             assert "bicgstab" in exc.value.choices
-        assert ServiceRequest.from_wire(payload(even_odd=True)).even_odd
+        assert ServiceRequest.from_wire(payload(even_odd=True)).solve.even_odd
 
     def test_unknown_kernel_names_field_and_choices(self):
         with pytest.raises(RequestValidationError) as exc:
@@ -101,7 +101,7 @@ class TestValidation:
         assert "not available" in str(exc.value)
         assert "no C compiler" in str(exc.value)
         assert "numpy" in exc.value.choices and "c" not in exc.value.choices
-        assert ServiceRequest.from_wire(payload()).kernel == "numpy"
+        assert ServiceRequest.from_wire(payload()).solve.kernel == "numpy"
 
     def test_error_is_wire_round_trippable(self):
         from repro.serve.errors import error_from_dict
@@ -143,9 +143,9 @@ class TestFingerprint:
         from repro.kernels import resolve_kernel
 
         req = ServiceRequest.from_wire(payload())
-        assert req.kernel != "auto"
-        assert req.kernel == resolve_kernel("auto", "wilson").name
-        assert req.operator_spec()["kernel"] == req.kernel
+        assert req.solve.kernel != "auto"
+        assert req.solve.kernel == resolve_kernel("auto", "wilson").name
+        assert req.operator_spec()["kernel"] == req.solve.kernel
 
     def test_auto_kernel_coalesces_with_explicit_resolved_tier(self):
         from repro.kernels import resolve_kernel
@@ -539,7 +539,7 @@ class TestPrecond:
         auto = ServiceRequest.from_wire(asqtad_payload(precond="auto"))
         none = ServiceRequest.from_wire(asqtad_payload(precond="none"))
         default = ServiceRequest.from_wire(asqtad_payload())
-        assert auto.precond == "none"
+        assert auto.solve.precond == "none"
         assert auto.fingerprint == none.fingerprint == default.fingerprint
 
     def test_mixed_preconds_never_coalesce(self):
@@ -547,7 +547,7 @@ class TestPrecond:
             ServiceRequest.from_wire(
                 asqtad_payload(precond=name)
             ).fingerprint
-            for name in ("none", "schwarz", "ras", "multisplit")
+            for name in ("none", "schwarz", "twolevel", "multisplit")
         }
         assert len(prints) == 4
 
