@@ -1061,7 +1061,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace the SPMD rank programs under this backend "
                         "(default: sequential)")
     p.add_argument("--overlap", action="store_true",
-                   help="overlapped halo schedule (needs --backend)")
+                   help="overlapped halo schedule: the interior kernel runs "
+                        "while faces are in flight (under the chosen "
+                        "--backend, or sequential by default)")
     p.add_argument("--kernel", type=str, default="auto",
                    help="dslash kernel backend (see 'repro kernels'; "
                         "default auto)")

@@ -2,9 +2,11 @@
 
 Stands in for the MPI/QMP + InfiniBand stack of the Edge cluster: a
 :class:`ProcessGrid` describes the Cartesian rank layout, a
-:class:`Mailbox` moves real data between virtual ranks in-process while
-logging every message, and :class:`CommLog` keeps the per-message records
-the performance model replays against its interconnect timings.
+:class:`Mailbox` moves real data between virtual ranks in-process and
+charges every message to the sender's tally (``messages`` /
+``comm_bytes``).  The per-message view is the halo engine's ``send``
+trace span (:class:`repro.multigpu.rank_halo.RankHaloEngine`), which the
+performance model replays against its interconnect timings.
 
 The SPMD layer sits on top: a :class:`Communicator` is one rank's
 endpoint (``rank``/``size``/``isend``/``irecv``/``wait``/
@@ -29,9 +31,7 @@ from repro.comm.communicator import (
 )
 from repro.comm.grid import ProcessGrid, choose_grid
 from repro.comm.mailbox import Mailbox
-from repro.comm.qmp import QMPChannel
 from repro.comm.shm import ShmCommunicator
-from repro.comm.traffic import CommEvent, CommLog
 
 __all__ = [
     "BACKENDS",
@@ -47,7 +47,4 @@ __all__ = [
     "ProcessGrid",
     "choose_grid",
     "Mailbox",
-    "QMPChannel",
-    "CommEvent",
-    "CommLog",
 ]

@@ -27,11 +27,10 @@ whole collective, the same numbers
 :meth:`repro.comm.mailbox.Mailbox.allreduce_sum` charges in one call):
 
 * every point-to-point send charges ``messages=1`` and its *wire* bytes
-  to the sender's tally — the logical ``CommEvent.nbytes`` when an event
-  is attached (reduced-precision halos carry fewer bytes on the wire
-  than their physical numpy carrier holds), the physical payload bytes
-  otherwise; the ``comm_bytes_total`` metric counter uses the same rule,
-  so metric and tally always agree;
+  to the sender's tally — the ``nbytes`` the caller passes (reduced-
+  precision halos carry fewer bytes on the wire than their physical
+  numpy carrier holds), the physical payload bytes otherwise; the tally
+  is the one place a message is counted;
 * an allreduce charges each participant its own wire share
   (``comm_bytes = nbytes``, ``messages = 1``) while the single collective
   ``reductions=1`` is charged to rank 0 — summing the per-rank tallies
@@ -49,7 +48,6 @@ from typing import Any
 import numpy as np
 
 from repro.comm.mailbox import Mailbox
-from repro.comm.traffic import CommEvent
 from repro.metrics.registry import current_registry
 from repro.metrics.straggler import ALLREDUCE_WAIT, BARRIER_WAIT, RECV_WAIT
 from repro.util.counters import record
@@ -68,15 +66,6 @@ def reduce_in_rank_order(parts: list):
     execution.
     """
     return sum(parts[1:], start=parts[0])
-
-
-def wire_nbytes(payload, event: CommEvent | None) -> int:
-    """Bytes a send puts on the wire: the event's logical byte count when
-    one is attached (reduced-precision halos travel smaller than their
-    physical numpy carrier), the physical payload bytes otherwise."""
-    if event is not None:
-        return int(event.nbytes)
-    return int(np.asarray(payload).nbytes)
 
 
 def record_collective(rank: int, value) -> None:
@@ -144,10 +133,10 @@ class Communicator(abc.ABC):
     # -- point to point --------------------------------------------------
     @abc.abstractmethod
     def isend(
-        self, dst: int, payload: np.ndarray, tag=0,
-        event: CommEvent | None = None,
+        self, dst: int, payload: np.ndarray, tag=0, nbytes: int | None = None,
     ) -> SendHandle:
-        """Post an eager (buffered) send; never blocks."""
+        """Post an eager (buffered) send; never blocks.  ``nbytes`` is the
+        wire size charged to the tally (default: the payload's bytes)."""
 
     def irecv(self, src: int, tag=0) -> RecvHandle:
         """Post a receive; complete it with ``wait``/``test``/``wait_any``
@@ -192,9 +181,9 @@ class Communicator(abc.ABC):
         """Blocking receive (``wait(irecv(...))`` shorthand)."""
 
     def send(self, dst: int, payload: np.ndarray, tag=0,
-             event: CommEvent | None = None) -> None:
+             nbytes: int | None = None) -> None:
         """Blocking send (sends are eager, so this is just ``isend``)."""
-        self.wait(self.isend(dst, payload, tag, event=event))
+        self.wait(self.isend(dst, payload, tag, nbytes=nbytes))
 
     # -- collectives -----------------------------------------------------
     @abc.abstractmethod
@@ -245,14 +234,8 @@ class MailboxCommunicator(Communicator):
         self.scheduler = scheduler
 
     # -- point to point --------------------------------------------------
-    def isend(self, dst, payload, tag=0, event=None) -> SendHandle:
-        reg = current_registry()
-        if reg is not None:
-            reg.counter("comm_messages_total", rank=self.rank).inc()
-            reg.counter("comm_bytes_total", rank=self.rank).inc(
-                wire_nbytes(payload, event)
-            )
-        self.mailbox.send(self.rank, dst, payload, tag=tag, event=event)
+    def isend(self, dst, payload, tag=0, nbytes=None) -> SendHandle:
+        self.mailbox.send(self.rank, dst, payload, tag=tag, nbytes=nbytes)
         if self.scheduler is not None:
             self.scheduler.notify(self.rank)
         return SendHandle(dst, tag)

@@ -3,8 +3,7 @@
 The paper's implementation can sit on either MPI or QMP; here both map to
 a :class:`Mailbox`, which moves numpy payloads between rank queues with
 copy semantics (like a real interconnect: the receiver never aliases the
-sender's buffer) and records flop-free cost to the active tally plus a
-:class:`CommLog` when provided.
+sender's buffer) and records flop-free cost to the active tally.
 
 The mailbox serves two execution models (docs/architecture.md, "Execution
 model"):
@@ -31,7 +30,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.comm.traffic import CommEvent, CommLog
 from repro.metrics.registry import observe as _observe_metric
 from repro.util.counters import record
 
@@ -39,11 +37,10 @@ from repro.util.counters import record
 class Mailbox:
     """Point-to-point queues plus reductions for ``size`` virtual ranks."""
 
-    def __init__(self, size: int, log: CommLog | None = None):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError("mailbox needs at least one rank")
         self.size = size
-        self.log = log
         self._queues: dict[tuple[int, int, object], deque] = {}
         self._cond = threading.Condition()
 
@@ -64,26 +61,22 @@ class Mailbox:
         dst: int,
         payload: np.ndarray,
         tag=0,
-        event: CommEvent | None = None,
+        nbytes: int | None = None,
     ) -> None:
-        """Copy ``payload`` into the (src, dst, tag) queue."""
+        """Copy ``payload`` into the (src, dst, tag) queue.
+
+        The sender's tally is charged one message and its *wire* bytes:
+        ``nbytes`` when given (reduced-precision halos travel smaller
+        than their physical carrier array), the physical bytes otherwise.
+        """
         self._check_rank(src)
         self._check_rank(dst)
         data = np.array(payload, copy=True)
         with self._cond:
             self._queue(src, dst, tag).append(data)
-            if self.log is not None:
-                self.log.add(
-                    event
-                    or CommEvent(src=src, dst=dst, mu=-1, sign=0, nbytes=data.nbytes)
-                )
             self._cond.notify_all()
-        # Charge the *wire* bytes: the event's logical count when one is
-        # attached (reduced-precision halos travel smaller than their
-        # physical carrier array), the physical bytes otherwise — the
-        # same rule the comm_bytes_total metric counter applies.
         record(
-            comm_bytes=data.nbytes if event is None else int(event.nbytes),
+            comm_bytes=data.nbytes if nbytes is None else int(nbytes),
             messages=1,
         )
 

@@ -44,7 +44,6 @@ from repro.comm.communicator import (
     SendHandle,
     record_collective,
     reduce_in_rank_order,
-    wire_nbytes,
 )
 from repro.metrics.registry import current_registry
 from repro.metrics.straggler import ALLREDUCE_WAIT, BARRIER_WAIT, RECV_WAIT
@@ -122,23 +121,17 @@ class ShmCommunicator(Communicator):
         self._collective_gen = 0
 
     # -- point to point --------------------------------------------------
-    def _post(self, dst: int, payload, tag, record_cost: bool,
-              event=None) -> int:
-        arr = np.asarray(payload)
-        self.inboxes[dst].put((self.rank, tag, _pack(arr)))
-        nbytes = wire_nbytes(arr, event)
-        if record_cost:
-            record(comm_bytes=nbytes, messages=1)
-        return nbytes
+    def _post(self, dst: int, payload, tag) -> None:
+        self.inboxes[dst].put((self.rank, tag, _pack(payload)))
 
-    def isend(self, dst, payload, tag=0, event=None) -> SendHandle:
-        reg = current_registry()
-        if reg is not None:
-            reg.counter("comm_messages_total", rank=self.rank).inc()
-            reg.counter("comm_bytes_total", rank=self.rank).inc(
-                wire_nbytes(payload, event)
-            )
-        self._post(dst, payload, tag, record_cost=True, event=event)
+    def isend(self, dst, payload, tag=0, nbytes=None) -> SendHandle:
+        self._post(dst, payload, tag)
+        record(
+            comm_bytes=(
+                np.asarray(payload).nbytes if nbytes is None else int(nbytes)
+            ),
+            messages=1,
+        )
         return SendHandle(dst, tag)
 
     def recv(self, src, tag=0) -> np.ndarray:
@@ -299,9 +292,9 @@ class ShmCommunicator(Communicator):
             parts += [self._recv(r, up) for r in range(1, self.size)]
             result = np.asarray(reduce_in_rank_order(parts))
             for r in range(1, self.size):
-                self._post(r, result, down, record_cost=False)
+                self._post(r, result, down)
             return result
-        self._post(0, value, up, record_cost=False)
+        self._post(0, value, up)
         return self._recv(0, down)
 
 

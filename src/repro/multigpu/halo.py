@@ -8,7 +8,8 @@ For every partitioned dimension, each rank
    modeled with their own kernel cost),
 2. exchanges the buffers with its two neighbors through the mailbox
    (D2H copy -> host copies -> MPI -> H2D in the real system; here one
-   logged message), and
+   message, counted in the sender's tally and described by its ``send``
+   trace span), and
 3. *scatters* the received faces into the ghost slabs of a padded local
    array, placed adjacent to the local sub-volume exactly as in Fig. 2.
 
@@ -23,8 +24,8 @@ endpoint) and steps them in a fixed order — all sends of a (dimension,
 direction) pair posted before any receive, the non-blocking discipline
 of the SPMD execution model (docs/architecture.md, "Execution model"),
 which runs the same engines concurrently instead.  It exists for what
-wants every rank's padded array in one place: the per-message
-:class:`~repro.comm.traffic.CommLog` ledger and exchange timing.
+wants every rank's padded array in one place: layout and ghost-content
+checks, and exchange timing.
 
 Ghost zones are only allocated and exchanged for partitioned dimensions
 ("so as to ensure that GPU memory as well as PCI-E and interconnect
@@ -45,7 +46,6 @@ import numpy as np
 
 from repro.comm.communicator import MailboxCommunicator
 from repro.comm.mailbox import Mailbox
-from repro.comm.traffic import CommLog
 from repro.dirac.base import BoundarySpec, PERIODIC
 from repro.multigpu.layout import HaloLayout, halo_logical_nbytes  # noqa: F401
 from repro.multigpu.partition import BlockPartition
@@ -65,8 +65,6 @@ class HaloExchanger:
         partition: BlockPartition,
         depth: int = 1,
         boundary: BoundarySpec = PERIODIC,
-        mailbox: Mailbox | None = None,
-        log: CommLog | None = None,
         precision=None,
         site_axes: int = 2,
     ):
@@ -74,7 +72,7 @@ class HaloExchanger:
         reduced storage format — QUDA communicates halos in the solver's
         inner precision, halving (single) or quartering (half) the face
         bytes relative to double.  The emulation quantizes each face
-        buffer before it is sent and logs the format's *logical* byte
+        buffer before it is sent and charges the format's *logical* byte
         count; ``site_axes`` parametrizes the per-site scaling of the
         half format (2 for Wilson, 1 for staggered)."""
         self.partition = partition
@@ -82,8 +80,7 @@ class HaloExchanger:
         self.boundary = boundary
         self.precision = precision
         self.site_axes = site_axes
-        self.log = log if log is not None else CommLog()
-        self.mailbox = mailbox or Mailbox(partition.n_ranks, log=self.log)
+        self.mailbox = Mailbox(partition.n_ranks)
         self.layout = HaloLayout(partition, depth)
         self.engines = [
             RankHaloEngine(

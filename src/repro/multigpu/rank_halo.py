@@ -34,7 +34,6 @@ import time
 import numpy as np
 
 from repro.comm.communicator import Communicator
-from repro.comm.traffic import CommEvent
 from repro.dirac.base import BoundarySpec, PERIODIC
 from repro.lattice.geometry import DIR_NAMES
 from repro.metrics.registry import current_registry
@@ -133,22 +132,13 @@ class RankHaloEngine:
             # (nothing at all for a zero-boundary fill) and writes the
             # wire-format buffer.
             record(bytes_moved=read_nbytes + logical_nbytes)
+        # The one per-message record: the span describes the message, the
+        # tally counts it, both at the logical wire size.
         with span("send", kind="comm", rank=self.rank, stream=comm_stream,
                   mu=mu, sign=sign, dst=dst, nbytes=logical_nbytes,
-                  batch=batch):
+                  batch=batch, field=kind):
             self.comm.isend(
-                dst,
-                buf,
-                tag=("halo", mu, sign, kind),
-                event=CommEvent(
-                    src=self.rank,
-                    dst=dst,
-                    mu=mu,
-                    sign=sign,
-                    nbytes=logical_nbytes,
-                    kind=kind,
-                    wrapped=wrapped,
-                ),
+                dst, buf, tag=("halo", mu, sign, kind), nbytes=logical_nbytes
             )
 
     def recv_face(

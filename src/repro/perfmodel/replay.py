@@ -1,14 +1,15 @@
 """Replay measured runs through the performance model.
 
 The functional layer records what a solve *did* — operator applications,
-BLAS flops, reductions (``Tally``), and every halo message (``CommLog``).
+BLAS flops, reductions (``Tally``), and every halo message (the ``send``
+trace spans of :class:`~repro.multigpu.rank_halo.RankHaloEngine`).
 This module converts those records into modeled Edge-cluster wall-clock
 time, which is how the benchmark harness grounds the figure tables in real
 algorithmic measurements rather than assumed workloads.
 
 Two levels are provided:
 
-* :func:`replay_comm` — charge every logged ghost-zone message against the
+* :func:`replay_comm` — charge every traced ghost-zone message against the
   interconnect pipeline (with per-rank concurrency: ranks communicate in
   parallel, so the busiest rank sets the time);
 * :func:`replay_solve` — combine a Tally's operator/BLAS/reduction counts
@@ -17,37 +18,46 @@ Two levels are provided:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.comm.traffic import CommLog
 from repro.perfmodel.device import GPUSpec
 from repro.perfmodel.interconnect import InterconnectSpec
 from repro.perfmodel.kernels import KernelModel
 from repro.util.counters import Tally
 
+if TYPE_CHECKING:
+    from repro.trace import TraceEvent
+
 
 def replay_comm(
-    log: CommLog,
+    events: Iterable[TraceEvent],
     net: InterconnectSpec,
     n_ranks: int,
-    kind: str | None = "spinor",
+    field: str | None = "spinor",
 ) -> float:
-    """Modeled time for the logged communication.
+    """Modeled time for the traced communication.
 
-    Ranks progress concurrently; each message is charged to its *sender*,
-    and the busiest sender's pipeline time is returned.  ``kind`` filters
-    events (spinor halos by default; pass None for everything).
+    ``events`` are the events of a trace (``tracing().events``); each
+    ``send`` span is one message, charged to its *sender* (the span's
+    rank) at its ``nbytes``.  Ranks progress concurrently, so the busiest
+    sender's pipeline time is returned.  ``field`` filters messages by
+    the field they moved (spinor halos by default; pass None for every
+    message, gauge ghosts included).
     """
     if n_ranks < 1:
         raise ValueError("need at least one rank")
     busy = [0.0] * n_ranks
-    for event in log.events:
-        if kind is not None and event.kind != kind:
+    for ev in events:
+        if ev.name != "send" or ev.kind != "comm":
             continue
-        busy[event.src] += (
-            net.average_face_time(event.nbytes) + net.per_face_overhead
+        if field is not None and ev.args["field"] != field:
+            continue
+        busy[ev.rank] += (
+            net.average_face_time(ev.args["nbytes"]) + net.per_face_overhead
         )
-    return max(busy) if busy else 0.0
+    return max(busy)
 
 
 @dataclass
@@ -76,10 +86,10 @@ def replay_solve(
     net: InterconnectSpec,
     local_sites: int,
     n_ranks: int,
-    log: CommLog | None = None,
+    events: Iterable[TraceEvent] | None = None,
     operator_names: tuple[str, ...] | None = None,
 ) -> ReplayedSolve:
-    """Convert a measured Tally (+ optional CommLog) into modeled time.
+    """Convert a measured Tally (+ optionally its trace) into modeled time.
 
     Parameters
     ----------
@@ -92,6 +102,9 @@ def replay_solve(
         may have been on a smaller lattice; the model scales per
         application, so iteration counts — the algorithmic content —
         carry over).
+    events:
+        Trace events of the same run; their ``send`` spans are charged
+        through :func:`replay_comm` (no communication time without them).
     operator_names:
         Which ``tally.operator_applications`` entries count as full
         operator applications (default: all of them).
@@ -112,7 +125,9 @@ def replay_solve(
     ) / max(n_ranks, 1)
 
     reduction_time = tally.reductions * net.allreduce_time(n_ranks)
-    comm_time = replay_comm(log, net, n_ranks) if log is not None else 0.0
+    comm_time = (
+        replay_comm(events, net, n_ranks) if events is not None else 0.0
+    )
     return ReplayedSolve(
         operator_time=op_time,
         blas_time=blas_time,

@@ -5,14 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import Mailbox, MailboxCommunicator, QMPChannel
+from repro.comm import Mailbox, MailboxCommunicator
 from repro.comm.communicator import (
     BACKENDS,
     record_collective,
     reduce_in_rank_order,
-    wire_nbytes,
 )
-from repro.comm.traffic import CommEvent
 from repro.metrics.registry import metrics_scope
 from repro.metrics.straggler import RECV_WAIT
 from repro.util.counters import tally
@@ -121,32 +119,22 @@ class TestMailboxCommunicator:
         assert t.messages == 1
 
 
-def _event(src, dst, nbytes):
-    return CommEvent(src=src, dst=dst, mu=0, sign=1, nbytes=nbytes,
-                     kind="spinor", wrapped=False)
-
-
 class TestWireBytes:
+    """The wire size a send is charged: the payload's bytes, unless the
+    sender passes ``nbytes`` (what a halo send's ``send`` span records)."""
+
     def test_physical_bytes_without_event(self):
-        assert wire_nbytes(np.zeros(16), None) == 128
+        box = Mailbox(2)
+        with tally() as t:
+            MailboxCommunicator(box, 0).send(1, np.zeros(16))
+        assert t.comm_bytes == 128
 
     def test_event_overrides_physical_bytes(self):
         # Reduced-precision halos travel smaller than the numpy carrier.
-        assert wire_nbytes(np.zeros(16), _event(0, 1, 40)) == 40
-
-    def test_metric_equals_tally_for_logical_sends(self):
-        """Satellite fix: comm_bytes_total must count the same *wire*
-        bytes the tally counts, not the physical payload bytes."""
         box = Mailbox(2)
-        tx = MailboxCommunicator(box, 0)
-        payload = np.zeros(16)  # 128 physical bytes, 40 on the wire
-        with metrics_scope() as reg, tally() as t:
-            tx.send(1, payload, event=_event(0, 1, 40))
-        metric = sum(
-            c.value for _, c in reg.counters.items()
-            if c.name == "comm_bytes_total"
-        )
-        assert t.comm_bytes == metric == 40
+        with tally() as t:
+            MailboxCommunicator(box, 0).send(1, np.zeros(16), nbytes=40)
+        assert (t.messages, t.comm_bytes) == (1, 40)
 
 
 class TestWaitAny:
@@ -248,28 +236,3 @@ class TestWaitAny:
 class TestBackendsConstant:
     def test_names(self):
         assert BACKENDS == ("sequential", "threads", "processes")
-
-
-class TestQMPOverCommunicator:
-    def test_channel_over_endpoint(self, rng):
-        box = Mailbox(2)
-        tx = QMPChannel.over(MailboxCommunicator(box, 0))
-        rx = QMPChannel.over(MailboxCommunicator(box, 1))
-        payload = rng.standard_normal(6)
-        send = tx.declare_send(1, payload)
-        recv = rx.declare_receive(0)
-        send.start()
-        recv.start()
-        send.wait()
-        assert np.array_equal(recv.wait(), payload)
-
-    def test_legacy_and_over_interoperate(self, rng):
-        box = Mailbox(2)
-        legacy = QMPChannel(box, 0)
-        modern = QMPChannel.over(MailboxCommunicator(box, 1))
-        payload = rng.standard_normal(3)
-        h = legacy.declare_send(1, payload)
-        h.start()
-        r = modern.declare_receive(0)
-        r.start()
-        assert np.array_equal(r.wait(), payload)

@@ -1,10 +1,9 @@
-"""Virtual message passing: the mailbox and QMP layers."""
+"""Virtual message passing: the mailbox layer."""
 
 import numpy as np
 import pytest
 
-from repro.comm import CommLog, Mailbox, QMPChannel
-from repro.comm.traffic import CommEvent
+from repro.comm import Mailbox
 from repro.util.counters import tally
 
 
@@ -62,11 +61,15 @@ class TestMailbox:
         assert t.messages == 1
 
     def test_commlog(self):
-        log = CommLog()
-        box = Mailbox(2, log=log)
-        box.send(0, 1, np.zeros(4), event=CommEvent(0, 1, mu=2, sign=1, nbytes=32))
-        assert log.message_count == 1
-        assert log.events[0].mu == 2
+        """The comm ledger is the sender's tally: a send given its wire
+        size (a reduced-precision halo travels smaller than its carrier)
+        is charged that size, once."""
+        box = Mailbox(2)
+        payload = np.zeros(16)  # 128 physical bytes, 40 on the wire
+        with tally() as t:
+            box.send(0, 1, payload, nbytes=40)
+        assert (t.messages, t.comm_bytes) == (1, 40)
+        assert np.array_equal(box.recv(1, 0), payload)
 
     def test_allreduce(self):
         box = Mailbox(4)
@@ -154,69 +157,3 @@ class TestDeadlockDiagnostics:
         box.send(0, 1, np.zeros(1))
         box.recv(1, 0)
         assert "no pending messages" in box.pending_summary()
-
-
-class TestQMP:
-    def test_declare_start_wait(self, rng):
-        box = Mailbox(2)
-        tx = QMPChannel(box, 0)
-        rx = QMPChannel(box, 1)
-        payload = rng.standard_normal(8)
-        send = tx.declare_send(1, payload)
-        recv = rx.declare_receive(0)
-        send.start()
-        recv.start()
-        send.wait()
-        assert np.array_equal(recv.wait(), payload)
-
-    def test_wait_before_start_raises(self):
-        box = Mailbox(2)
-        ch = QMPChannel(box, 0)
-        with pytest.raises(RuntimeError):
-            ch.declare_send(1, np.zeros(1)).wait()
-        with pytest.raises(RuntimeError):
-            ch.declare_receive(1).wait()
-
-    def test_wait_is_idempotent(self, rng):
-        box = Mailbox(2)
-        tx, rx = QMPChannel(box, 0), QMPChannel(box, 1)
-        payload = rng.standard_normal(4)
-        h = tx.declare_send(1, payload)
-        h.start()
-        r = rx.declare_receive(0)
-        r.start()
-        first = r.wait()
-        second = r.wait()
-        assert np.array_equal(first, second)
-
-
-class TestCommLog:
-    def _event(self, mu, nbytes, src=0, dst=1):
-        return CommEvent(src=src, dst=dst, mu=mu, sign=1, nbytes=nbytes)
-
-    def test_totals(self):
-        log = CommLog()
-        log.add(self._event(0, 100))
-        log.add(self._event(3, 50))
-        assert log.total_bytes == 150
-        assert log.message_count == 2
-
-    def test_bytes_by_dimension(self):
-        log = CommLog()
-        log.add(self._event(3, 100))
-        log.add(self._event(3, 100))
-        log.add(self._event(1, 30))
-        assert log.bytes_by_dimension() == {3: 200, 1: 30}
-        assert log.dimensions_exchanged() == {1, 3}
-
-    def test_bytes_per_rank(self):
-        log = CommLog()
-        log.add(self._event(0, 10, src=0))
-        log.add(self._event(0, 20, src=2))
-        assert log.bytes_per_rank(4) == [10, 0, 20, 0]
-
-    def test_clear(self):
-        log = CommLog()
-        log.add(self._event(0, 10))
-        log.clear()
-        assert log.message_count == 0

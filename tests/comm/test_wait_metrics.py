@@ -4,8 +4,8 @@ The communicators observe every blocking recv wait and allreduce/barrier
 rendezvous into per-rank histograms; the backends merge the per-rank
 registries at join in rank order.  The communication *pattern* of a
 GCR-DD solve is deterministic, so the observation counts — and the
-message/byte counters — must be identical whichever backend executed the
-ranks; only the measured durations are machine noise."""
+merged tally's message/byte counts — must be identical whichever backend
+executed the ranks; only the measured durations are machine noise."""
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from repro.metrics.straggler import (
     rank_wait_stats,
     straggler_summary,
 )
+from repro.util.counters import tally
 
 BACKENDS_AVAILABLE = ["sequential", "threads"] + (
     ["processes"] if process_backend_available() else []
@@ -31,8 +32,8 @@ N_RANKS = 4
 
 
 @pytest.fixture(scope="module")
-def registries():
-    """One merged registry per backend, same solve."""
+def solves():
+    """One merged (metrics registry, tally) pair per backend, same solve."""
     geom = Geometry((4, 4, 4, 8))
     gauge = GaugeField.weak(geom, epsilon=0.25, rng=929)
     grid = ProcessGrid((1, 1, 2, 2))
@@ -42,11 +43,16 @@ def registries():
     b = SpinorField.random(geom, rng=30).data
     out = {}
     for backend in BACKENDS_AVAILABLE:
-        with metrics_scope() as reg:
+        with metrics_scope() as reg, tally() as t:
             res = solver.solve(b, backend=backend)
         assert res.converged, backend
-        out[backend] = reg
+        out[backend] = (reg, t)
     return out
+
+
+@pytest.fixture(scope="module")
+def registries(solves):
+    return {backend: reg for backend, (reg, _) in solves.items()}
 
 
 def _counts_fingerprint(reg):
@@ -65,12 +71,17 @@ def _counts_fingerprint(reg):
 
 
 class TestBackendIdenticalMerge:
-    def test_counter_totals_identical_across_backends(self, registries):
-        ref_counters, _ = _counts_fingerprint(registries["sequential"])
-        assert ref_counters, "no comm counters recorded"
-        for backend, reg in registries.items():
+    def test_counter_totals_identical_across_backends(self, solves):
+        def comm(t):
+            return t.messages, t.comm_bytes
+
+        ref_reg, ref_tally = solves["sequential"]
+        ref_counters, _ = _counts_fingerprint(ref_reg)
+        assert min(comm(ref_tally)) > 0, "no comm recorded"
+        for backend, (reg, t) in solves.items():
             counters, _ = _counts_fingerprint(reg)
             assert counters == ref_counters, backend
+            assert comm(t) == comm(ref_tally), backend
 
     def test_wait_observation_counts_identical_across_backends(
         self, registries

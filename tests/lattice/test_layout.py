@@ -84,15 +84,17 @@ class TestGaugeLayout:
         """Cross-check against the real halo engine: one exchanged spinor
         face (both parities) carries exactly 2x the per-parity ghost
         segment, in the working precision."""
-        from repro.comm import CommLog, ProcessGrid
+        from repro.comm import ProcessGrid
         from repro.lattice import SpinorField
         from repro.multigpu import BlockPartition, HaloExchanger
+        from repro.trace import tracing
 
         part = BlockPartition(geom, ProcessGrid((1, 1, 1, 2)))
-        log = CommLog()
-        ex = HaloExchanger(part, depth=1, log=log)
-        ex.exchange_spinor(part.split(SpinorField.random(geom, rng=1).data))
-        per_message = log.events[0].nbytes
+        ex = HaloExchanger(part, depth=1)
+        with tracing() as tr:
+            ex.exchange_spinor(part.split(SpinorField.random(geom, rng=1).data))
+        sends = [ev for ev in tr.events if ev.name == "send"]
+        per_message = sends[0].args["nbytes"]
         lay = spinor_layout(
             part.local_geometry, partitioned=(3,), precision_name="double"
         )

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.comm import CommLog, ProcessGrid
+from repro.comm import ProcessGrid
 from repro.dirac import PERIODIC, PHYSICAL, BoundarySpec
 from repro.lattice import Geometry, SpinorField
 from repro.multigpu import BlockPartition, HaloExchanger
+from repro.trace import tracing
 
 
 @pytest.fixture()
@@ -14,35 +15,41 @@ def setup():
     geom = Geometry((4, 4, 4, 8))
     grid = ProcessGrid((1, 1, 2, 2))
     part = BlockPartition(geom, grid)
-    log = CommLog()
-    ex = HaloExchanger(part, depth=1, boundary=PERIODIC, log=log)
-    return geom, part, ex, log
+    ex = HaloExchanger(part, depth=1, boundary=PERIODIC)
+    return geom, part, ex
+
+
+def traced_sends(ex, blocks):
+    """Spinor-exchange ``blocks``; return the exchange's ``send`` spans."""
+    with tracing() as tr:
+        ex.exchange_spinor(blocks)
+    return [ev for ev in tr.events if ev.name == "send"]
 
 
 class TestLayout:
     def test_padded_dims(self, setup):
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         assert part.local_dims == (4, 4, 2, 4)
         assert ex.layout.padded_dims == (4, 4, 4, 6)  # +2 in z and t only
 
     def test_padding_only_on_partitioned_dims(self, setup):
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         assert ex.layout.padded_dims[0] == part.local_dims[0]
         assert ex.layout.padded_dims[1] == part.local_dims[1]
 
     def test_padded_origin(self, setup):
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         assert ex.layout.padded_origin(0) == (0, 0, -1, -1)
 
     def test_depth_validation(self, setup):
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         with pytest.raises(ValueError):
             HaloExchanger(part, depth=0)
         with pytest.raises(ValueError):
             HaloExchanger(part, depth=3)  # z local extent 2 < 3
 
     def test_interior_extraction_roundtrip(self, setup, rng):
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         x = SpinorField.random(geom, rng=rng).data
         blocks = part.split(x)
         padded = ex.exchange_spinor(blocks)
@@ -54,7 +61,7 @@ class TestGhostContents:
     def test_ghosts_match_serial_shift(self, setup, rng):
         """The padded arrays must agree with the corresponding slab of the
         global field: ghost[x] = global[x] for every ghost site."""
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         # Use the global t-coordinate as a recognizable payload.
         x = np.broadcast_to(
             geom.coordinate(3)[..., None, None].astype(complex),
@@ -68,7 +75,7 @@ class TestGhostContents:
         assert np.all(pad[-1, 1:-1, :, :].real == 4)  # forward ghost: t=4
 
     def test_corner_regions_stay_zero(self, setup, rng):
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         x = SpinorField.random(geom, rng=rng).data + 1.0
         padded = ex.exchange_spinor(part.split(x))
         # Corners (ghost in both z and t) are never filled.
@@ -77,25 +84,27 @@ class TestGhostContents:
             assert np.abs(pad[-1, -1]).max() == 0
 
     def test_no_pending_messages(self, setup, rng):
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         x = SpinorField.random(geom, rng=rng).data
         ex.exchange_spinor(part.split(x))
         assert ex.mailbox.pending() == 0
 
     def test_only_partitioned_dims_exchanged(self, setup, rng):
-        geom, part, ex, log = setup
-        ex.exchange_spinor(part.split(SpinorField.random(geom, rng=rng).data))
-        assert log.dimensions_exchanged() == {2, 3}
+        geom, part, ex = setup
+        sends = traced_sends(
+            ex, part.split(SpinorField.random(geom, rng=rng).data)
+        )
+        assert {ev.args["mu"] for ev in sends} == {2, 3}
 
     def test_message_sizes_match_faces(self, setup, rng):
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         x = SpinorField.random(geom, rng=rng).data
-        ex.exchange_spinor(part.split(x))
-        by_dim = log.bytes_by_dimension()
+        sends = traced_sends(ex, part.split(x))
+        t_bytes = sum(ev.args["nbytes"] for ev in sends if ev.args["mu"] == 3)
         # Per rank, per direction: one face of 24 complex doubles per site.
         t_face_sites = 4 * 4 * 2  # x*y*z local extents
         expected_t = part.n_ranks * 2 * t_face_sites * 12 * 16
-        assert by_dim[3] == expected_t
+        assert t_bytes == expected_t
 
 
 class TestBoundaryConditions:
@@ -152,7 +161,7 @@ class TestBufferReuse:
     def test_spinor_staging_buffers_are_reused(self, setup, rng):
         """Consecutive spinor exchanges of same-shaped fields return the
         same padded arrays (one allocation for the exchanger lifetime)."""
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         x = SpinorField.random(geom, rng=rng).data
         first = ex.exchange_spinor(part.split(x))
         second = ex.exchange_spinor(part.split(x))
@@ -162,7 +171,7 @@ class TestBufferReuse:
     def test_reused_buffers_hold_correct_contents(self, setup, rng):
         """The second exchange fully overwrites interior and ghosts, and
         the never-written corners stay zero."""
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         x = SpinorField.random(geom, rng=rng).data
         y = SpinorField.random(geom, rng=rng).data
         ex.exchange_spinor(part.split(x))
@@ -177,7 +186,7 @@ class TestBufferReuse:
     def test_gauge_exchange_allocates_fresh(self, setup, rng):
         """Gauge ghosts are retained by local operators, so consecutive
         gauge exchanges must not alias each other."""
-        geom, part, ex, log = setup
+        geom, part, ex = setup
         u = np.asarray(
             SpinorField.random(geom, rng=rng).data[..., :3]
         )[None].repeat(4, axis=0)  # (4, sites..., 4, 3) link-like field

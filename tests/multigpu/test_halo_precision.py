@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from rank_stack import build_rank_op, rank_apply, rank_jobs, rank_space
-from repro.comm import CommLog, ProcessGrid
+from repro.comm import ProcessGrid
 from repro.comm.backends import run_rank_programs
 from repro.dirac import WilsonCloverOperator
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.multigpu import BlockPartition, HaloExchanger
 from repro.multigpu.halo import halo_logical_nbytes
 from repro.precision import HALF, SINGLE
+from repro.trace import tracing
 
 
 @pytest.fixture(scope="module")
@@ -23,16 +24,21 @@ def gauge(geom):
     return GaugeField.weak(geom, epsilon=0.25, rng=606)
 
 
+def send_bytes(part, x, precision):
+    """The ``nbytes`` of each ``send`` span of one spinor exchange."""
+    ex = HaloExchanger(part, depth=1, precision=precision)
+    with tracing() as tr:
+        ex.exchange_spinor(part.split(x))
+    return [ev.args["nbytes"] for ev in tr.events if ev.name == "send"]
+
+
 class TestHaloPrecision:
     def test_logged_bytes_shrink(self, geom, rng):
         part = BlockPartition(geom, ProcessGrid((1, 1, 1, 2)))
         x = SpinorField.random(geom, rng=rng).data
         sizes = {}
         for name, prec in [("double", None), ("single", SINGLE), ("half", HALF)]:
-            log = CommLog()
-            ex = HaloExchanger(part, depth=1, log=log, precision=prec)
-            ex.exchange_spinor(part.split(x))
-            sizes[name] = log.events[0].nbytes
+            sizes[name] = send_bytes(part, x, prec)[0]
         assert sizes["single"] == sizes["double"] // 2
         # Half = int16 mantissas (a quarter of the double payload) PLUS one
         # float32 norm per face site — the per-site scale of the fixed-point
@@ -41,21 +47,18 @@ class TestHaloPrecision:
         assert sizes["half"] == sizes["double"] // 4 + t_face_sites * 4
 
     def test_modeled_face_bytes_match_helper(self, geom, rng):
-        """The logged wire bytes equal halo_logical_nbytes of the face."""
+        """The traced wire bytes equal halo_logical_nbytes of the face."""
         part = BlockPartition(geom, ProcessGrid((1, 1, 1, 2)))
         x = SpinorField.random(geom, rng=rng).data
         face = np.empty((4, 4, 4, 1, 4, 3), dtype=np.complex128)
         for prec in (SINGLE, HALF):
-            log = CommLog()
-            ex = HaloExchanger(part, depth=1, log=log, precision=prec)
-            ex.exchange_spinor(part.split(x))
             expected = halo_logical_nbytes(face, prec, site_axes=2)
-            assert all(ev.nbytes == expected for ev in log.events)
+            sizes = send_bytes(part, x, prec)
+            assert sizes and all(n == expected for n in sizes)
 
     def test_gauge_faces_not_quantized(self, geom, rng):
         part = BlockPartition(geom, ProcessGrid((1, 1, 1, 2)))
-        log = CommLog()
-        ex = HaloExchanger(part, depth=1, log=log, precision=HALF)
+        ex = HaloExchanger(part, depth=1, precision=HALF)
         u = GaugeField.hot(geom, rng=rng)
         padded = ex.exchange_gauge(part.split(u.data, lead=1))
         # Gauge ghosts are exchanged once per solve, in full precision.

@@ -233,26 +233,6 @@ class TestGatherAccounting:
         assert t.bytes_moved == face.nbytes + wire
         assert t.comm_bytes == wire
 
-    def test_metric_equals_tally_for_quantized_halos(self, geom448):
-        """Satellite fix: ``comm_bytes_total`` counts the same wire bytes
-        the tally counts, even when the numpy carrier is bigger."""
-        from repro.metrics.registry import metrics_scope
-        from repro.precision import HALF
-
-        partition = _partition(geom448)
-        _, engines = _driver_engines(partition, precision=HALF)
-        blocks = partition.split(SpinorField.random(geom448, rng=43).data)
-        with metrics_scope() as reg, tally() as t:
-            for mu in engines[0].partitioned_dims:
-                for sign in (+1, -1):
-                    for e, b in zip(engines, blocks):
-                        e.send_faces(b, mu, sign)
-        metric = sum(
-            c.value for _, c in reg.counters.items()
-            if c.name == "comm_bytes_total"
-        )
-        assert t.comm_bytes == metric > 0
-
 
 class TestPadReuse:
     def test_spinor_pad_is_reused_gauge_is_not(self, geom448):

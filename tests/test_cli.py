@@ -117,6 +117,26 @@ class TestSolve:
         assert "SolveRequest.overlap" in capsys.readouterr().err
 
 
+class TestTrace:
+    def test_overlap_runs_under_the_default_backend(self, tmp_path, capsys):
+        """``trace --overlap`` needs no --backend: the overlapped schedule
+        runs under the default sequential one."""
+        rc = main([
+            "trace", "--dims", "4", "4", "4", "8", "--grid", "1", "1", "1",
+            "2", "--overlap", "--no-model",
+            "--output", str(tmp_path / "trace.json"),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "converged" in out and "overlap" in out
+        assert (tmp_path / "trace.json").exists()
+
+    def test_overlap_help_does_not_demand_a_backend(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["trace", "--help"])
+        assert "needs --backend" not in capsys.readouterr().out
+
+
 class TestBenchSPMD:
     def test_bench_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "bench.json"
