@@ -57,6 +57,7 @@ from repro.perfmodel.replay import replay_solve
 from repro.perfmodel.solver_model import GCRDDModel, GCRDDWorkload
 from repro.perfmodel.streams import model_dslash_time
 from repro.precision import HALF
+from repro.trace import tracing
 from repro.util.counters import tally
 
 
@@ -74,8 +75,12 @@ class ScalingPoint:
         The analytic :class:`GCRDDModel` prediction for the same
         configuration (fed the measured outer-iteration count).
     replay_seconds:
-        :func:`replay_solve` on the measured tally — the model grounded
-        in what the solve actually did.
+        :func:`replay_solve` on the measured tally and the solve's own
+        ``send`` spans — the model grounded in what the solve actually
+        did.
+    replay_comm_seconds:
+        The communication part of ``replay_seconds``:
+        :func:`~repro.perfmodel.replay.replay_comm` of those spans.
     measured_efficiency, model_efficiency:
         Parallel efficiency ``T(r0)·r0 / (T(N)·N)`` relative to the
         sweep's first point, per track.
@@ -99,6 +104,7 @@ class ScalingPoint:
     measured_seconds: float = 0.0
     model_seconds: float = 0.0
     replay_seconds: float = 0.0
+    replay_comm_seconds: float = 0.0
     measured_efficiency: float = 1.0
     model_efficiency: float = 1.0
     measured_comm_fraction: float = 0.0
@@ -117,6 +123,7 @@ class ScalingPoint:
             "measured_seconds": self.measured_seconds,
             "model_seconds": self.model_seconds,
             "replay_seconds": self.replay_seconds,
+            "replay_comm_seconds": self.replay_comm_seconds,
             "measured_efficiency": self.measured_efficiency,
             "model_efficiency": self.model_efficiency,
             "measured_comm_fraction": self.measured_comm_fraction,
@@ -218,7 +225,11 @@ def run_scaling_sweep(
             backend=backend,
             timeout=timeout,
         )
-        solver.solve(b)  # warm caches (and any persistent pool) untimed
+        # Warm caches (and any persistent pool) untimed, traced: a solve's
+        # messages do not change from run to run, so its ``send`` spans
+        # are what the timed solves send, without the tracer in the timing.
+        with tracing() as traced:
+            solver.solve(b)
         best = None
         for _ in range(max(repeats, 1)):
             registry = MetricsRegistry()
@@ -241,7 +252,8 @@ def run_scaling_sweep(
         )
         local_sites = math.prod(geometry.dims) // n
         replayed = replay_solve(
-            t, kernel, cluster.gpu, cluster.interconnect, local_sites, n
+            t, kernel, cluster.gpu, cluster.interconnect, local_sites, n,
+            events=traced.events,
         )
         point = ScalingPoint(
             ranks=n,
@@ -249,6 +261,7 @@ def run_scaling_sweep(
             measured_seconds=seconds,
             model_seconds=model_seconds,
             replay_seconds=replayed.total,
+            replay_comm_seconds=replayed.comm_time,
             measured_comm_fraction=(
                 wait_seconds / (n * seconds) if seconds > 0 else 0.0
             ),

@@ -107,8 +107,16 @@ class SolveRequest:
         high-precision reliable updates (ignored by ``"gcr-dd"``, whose
         :class:`GCRDDConfig` policy already fixes all three precisions).
     even_odd:
-        Wilson-clover BiCGstab only: solve the red-black Schur system
-        and reconstruct the full solution.
+        Wilson-clover BiCGstab only: solve the red-black Schur system on
+        half-lattice fields and reconstruct the full solution.  ``"auto"``
+        (the default) resolves once, in :func:`solve`, to ``True`` for a
+        Wilson-clover BiCGstab solve (with or without
+        ``inner_precision``) and ``False`` otherwise
+        (:func:`resolve_even_odd`); ``True`` / ``False`` say it outright.
+        ``tol`` stays a guarantee on the full system: each lane stops at
+        ``tol * |b| / |bhat|`` of the Schur one, whose residual IS the full
+        one (zero on the odd sites), and the reported residual is the full
+        system's.
     shifts:
         Required for ``"asqtad_multishift"``.
     backend:
@@ -171,7 +179,7 @@ class SolveRequest:
     boundary: BoundarySpec = PERIODIC
     grid: ProcessGrid | None = None
     config: GCRDDConfig | None = None
-    even_odd: bool = False
+    even_odd: bool | str = "auto"
     inner_precision: Precision | None = None
     u0: float = 1.0
     shifts: Sequence[float] | None = None
@@ -191,6 +199,13 @@ class SolveRequestError(ValueError):
     restate the error (the serve wire's 400)."""
 
     def __init__(self, field: str, problem: str, choices=None):
+        """The error for ``SolveRequest.<field>``.
+
+        Args:
+            field: The offending request field's name.
+            problem: What is wrong with it.
+            choices: The valid values of a closed set, or ``None``.
+        """
         text = f"SolveRequest.{field}: {problem}"
         if choices:
             text += f"; valid choices: {', '.join(choices)}"
@@ -198,6 +213,19 @@ class SolveRequestError(ValueError):
         self.field = field
         self.problem = problem
         self.choices = tuple(choices) if choices else None
+
+
+def resolve_even_odd(request: SolveRequest) -> bool:
+    """Whether ``request`` solves the even-odd Schur system: ``even_odd``
+    itself when it is a bool; for ``"auto"``, whether it is a Wilson-clover
+    BiCGstab solve (the Schur system's own method; GCR-DD and the staggered
+    operators solve the full system)."""
+    if request.even_odd != AUTO:
+        return request.even_odd
+    method = request.method
+    if method == AUTO:
+        method = DEFAULT_METHOD.get(request.operator)
+    return request.operator == "wilson_clover" and method == "bicgstab"
 
 
 def _invalid(field_: str, message: str, choices=None) -> SolveRequestError:
@@ -340,11 +368,16 @@ def validate_request(request: SolveRequest) -> None:
         )
     if request.operator == "asqtad_multishift" and request.shifts is None:
         raise _invalid("shifts", "asqtad_multishift needs shifts")
-    if request.even_odd and request.operator != "wilson_clover":
+    if not (isinstance(request.even_odd, bool) or request.even_odd == AUTO):
+        raise _invalid(
+            "even_odd",
+            f"must be 'auto', True or False, got {request.even_odd!r}",
+        )
+    if request.even_odd is True and request.operator != "wilson_clover":
         raise _invalid(
             "even_odd", "is only meaningful for operator='wilson_clover'"
         )
-    if request.even_odd and request.method == "gcr-dd":
+    if request.even_odd is True and request.method == "gcr-dd":
         raise _invalid(
             "even_odd",
             "is not applied by method='gcr-dd' (it selects the red-black "
@@ -382,9 +415,10 @@ def _resolved(value, default):
     return default if value is None else value
 
 
-def _rel_residuals(op, x, b, lead: int):
-    """Relative true residual(s): a float, or a ``(B,)`` array if batched."""
-    r = b - op.apply(x)
+def _rel_residuals(apply, x, b, lead: int):
+    """Relative true residual(s) of ``apply``'s system: a float, or a
+    ``(B,)`` array if batched."""
+    r = b - apply(x)
     if lead:
         nb = b.shape[0]
         rn = np.linalg.norm(r.reshape(nb, -1), axis=1)
@@ -445,7 +479,7 @@ def _solve_wilson(request: SolveRequest):
     space = batched_space_for_nspin(4)
     prec = request.inner_precision
 
-    def run(target_op, rhs):
+    def run(target_op, rhs, tol):
         # One loop for one right-hand side or many (a single one is the
         # batch of one): a served lane is its solo solve.
         if prec is not None:
@@ -458,18 +492,25 @@ def _solve_wilson(request: SolveRequest):
         return solve_lanes(batched_bicgstab, target_op, rhs, lead=lead,
                            tol=tol, maxiter=maxiter, space=space)
 
-    if request.even_odd:
-        eo = EvenOddPreconditionedWilson(op)
-        res = run(eo.apply, eo.prepare_rhs(b))
-        res.x = eo.reconstruct(res.x, b)
-        # Re-express the residual in terms of the original system.
-        rel = _rel_residuals(op, res.x, b, lead)
-        if lead:
-            res.residuals = rel
-        else:
-            res.residual = rel
-        return res
-    return run(op.apply, b)
+    if not request.even_odd:
+        return run(op.apply, b, tol)
+    eo = EvenOddPreconditionedWilson(op)
+    b_hat = eo.prepare_rhs(b)
+    # The full residual is the Schur one on the even sites (and zero on
+    # the odd ones), so |r| <= tol |b| is a per-lane Schur threshold.
+    rows = b.shape[0] if lead else 1
+    b_norm, hat_norm = (
+        np.linalg.norm(v.reshape(rows, -1), axis=1) for v in (b, b_hat)
+    )
+    res = run(eo.apply, b_hat,
+              tol * b_norm / np.where(hat_norm > 0.0, hat_norm, 1.0))
+    res.x = eo.reconstruct(res.x, b)
+    rel = _rel_residuals(eo.apply_full, res.x, b, lead)
+    if lead:
+        res.residuals = rel
+    else:
+        res.residual = rel
+    return res
 
 
 def _asqtad_operator(
@@ -537,7 +578,7 @@ def _solve_asqtad(request: SolveRequest):
             inner_solver=batched_cg, inner_precision=prec, tol=tol,
             inner_tol=CG_INNER_TOL, inner_maxiter=maxiter, space=space,
         )
-    rel = _rel_residuals(op, res.x, b, lead)
+    rel = _rel_residuals(op.apply, res.x, b, lead)
     if lead:
         res.residuals = rel
     else:
@@ -608,6 +649,7 @@ def solve(
     from repro.util.counters import tally
 
     validate_request(request)
+    request = replace(request, even_odd=resolve_even_odd(request))
     start = time.perf_counter()
     with tally() as t, metrics_scope() as registry:
         result = _DISPATCH[request.operator](request)

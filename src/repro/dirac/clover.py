@@ -201,19 +201,113 @@ def apply_clover(clover: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def clover_site_matrices(
-    clover: np.ndarray | None,
-    diagonal: float,
-    shape: tuple[int, ...],
-    dtype=np.complex128,
+class SingularCloverError(ValueError):
+    """A site's diagonal block ``4 + m + A`` of one chirality has no
+    inverse the even-odd form can use: its LDL^H factorization met a zero
+    or non-finite pivot.  ``chirality`` and ``site`` (an index into the
+    blocks' site axes) name the first such block."""
+
+    def __init__(self, chirality: int, site: tuple[int, ...]):
+        super().__init__(
+            f"the site-diagonal block of chirality {chirality} at site "
+            f"{site} is singular (zero or non-finite LDL^H pivot): the "
+            "even-odd Schur complement needs its inverse"
+        )
+        self.chirality = chirality
+        self.site = site
+
+
+#: Sites inverted at a time: the factorization's ~70 temporaries stay a
+#: few hundred KB whatever the lattice (they would otherwise be freed onto
+#: the heap at the size of the lattice, and keep it there).
+_INVERT_CHUNK = 256
+
+
+def invert_hermitian_blocks(
+    blocks: np.ndarray | None, diagonal: float, sites, chirality: int = 0
 ) -> np.ndarray:
-    """Full site-diagonal matrix ``C = diagonal * I + A`` (A may be absent)."""
-    eye = np.eye(12, dtype=dtype)
-    if clover is None:
-        return np.broadcast_to(diagonal * eye, shape + (12, 12)).copy()
-    return clover + diagonal * eye
+    """``(diagonal + A)^{-1}`` of Hermitian 6x6 blocks ``A`` ``(6, 6) +
+    sites`` (``None``: no clover term), in complex128 and in ONE order the
+    repository writes down, not LAPACK's, so every CPU gets the same bits.
+
+    Real arithmetic throughout, site by site on whole arrays of sites: an
+    LDL^H factorization without pivoting (``d_j`` real), the inverse of the
+    unit triangle ``L`` by forward substitution, then ``L^-H D^-1 L^-1``, of
+    which the upper triangle is computed and the lower one written as its
+    conjugate ``(re, 0 - im)`` with a ``+0`` imaginary diagonal: blocks that
+    are Hermitian bit for bit, as the compiled tier's packed form requires.
+    Reads the diagonal and the lower triangle of ``A``.
+
+    Raises:
+        SingularCloverError: a zero or non-finite pivot.
+    """
+    sites = tuple(sites)
+    n = int(np.prod(sites))
+    out = np.empty((6, 6, n), np.complex128)
+    flat = None if blocks is None else blocks.reshape(6, 6, n)
+    for lo in range(0, n, _INVERT_CHUNK):
+        part = slice(lo, min(lo + _INVERT_CHUNK, n))
+        bad = _ldl_inverse(
+            None if flat is None else flat[:, :, part], diagonal,
+            part.stop - lo, out[:, :, part],
+        )
+        if bad is not None:
+            site = np.unravel_index(lo + bad, sites)
+            raise SingularCloverError(chirality, tuple(int(i) for i in site))
+    return out.reshape((6, 6) + sites)
 
 
-def invert_site_matrices(c: np.ndarray) -> np.ndarray:
-    """Per-site inverse of 12x12 site matrices (vectorized)."""
-    return np.linalg.inv(c)
+def _ldl_inverse(blocks, diagonal: float, n: int, out: np.ndarray):
+    """:func:`invert_hermitian_blocks` on ``n`` sites into ``out``; the
+    index of the first site with a zero or non-finite pivot, else ``None``."""
+    zero = np.zeros(n)
+
+    def h(i, j):
+        if blocks is None:
+            return (zero + diagonal if i == j else zero), zero
+        a = blocks[i, j]
+        return (a.real + diagonal, zero) if i == j else (a.real, a.imag)
+
+    d = [None] * 6
+    lr, li = {}, {}
+    for j in range(6):
+        dj = h(j, j)[0]
+        for k in range(j):
+            dj = dj - (lr[j, k] * lr[j, k] + li[j, k] * li[j, k]) * d[k]
+        bad = ~np.isfinite(dj) | (dj == 0.0)
+        if bad.any():
+            return int(np.argmax(bad))
+        d[j] = dj
+        for i in range(j + 1, 6):
+            sr, si = h(i, j)
+            for k in range(j):
+                # L_ik conj(L_jk) d_k
+                pr = lr[i, k] * lr[j, k] + li[i, k] * li[j, k]
+                pi = li[i, k] * lr[j, k] - lr[i, k] * li[j, k]
+                sr = sr - pr * d[k]
+                si = si - pi * d[k]
+            lr[i, j], li[i, j] = sr / dj, si / dj
+    # N = L^-1, unit lower triangular: N_ij = -(L_ij + sum_k L_ik N_kj)
+    nr, ni = {}, {}
+    for j in range(6):
+        nr[j, j], ni[j, j] = zero + 1.0, zero
+        for i in range(j + 1, 6):
+            sr, si = lr[i, j], li[i, j]
+            for k in range(j + 1, i):
+                sr = sr + (lr[i, k] * nr[k, j] - li[i, k] * ni[k, j])
+                si = si + (lr[i, k] * ni[k, j] + li[i, k] * nr[k, j])
+            nr[i, j], ni[i, j] = -sr, -si
+    for i in range(6):
+        for j in range(i, 6):
+            # G_ij = sum_{k >= j} conj(N_ki) N_kj / d_k
+            gr, gi = zero, zero
+            for k in range(j, 6):
+                ar, ai, br, bi = nr[k, i], ni[k, i], nr[k, j], ni[k, j]
+                gr = gr + (ar * br + ai * bi) / d[k]
+                gi = gi + (ar * bi - ai * br) / d[k]
+            out.real[i, j], out.imag[i, j] = gr, gi
+            if i == j:
+                out.imag[i, j] = 0.0
+            else:
+                out.real[j, i], out.imag[j, i] = gr, 0.0 - gi
+    return None

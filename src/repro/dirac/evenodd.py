@@ -17,99 +17,231 @@ the Schur complement on the even sublattice is::
 
 Solving ``Mhat x_e = b_e + 1/2 D C^{-1} b_o |_e`` and back-substituting
 ``x_o = C^{-1}(b_o + 1/2 D x_e |_o)`` reproduces the full solution at
-roughly half the iteration cost.
+roughly half the iteration cost.  Since ``x_o`` solves the odd rows
+exactly, the full residual is the Schur one on the even sites and zero on
+the odd ones: ``|b - M x| = |bhat - Mhat x_e|``.
 
-Fields here remain full-lattice arrays with support on one parity (the
-other checkerboard is kept at zero); this trades memory for clarity and
-lets every operator and BLAS routine be reused unchanged.
+Fields of the Schur system hold ONE parity, site-compressed (QUDA's
+single-parity fields, arXiv:0911.3191): ``([B,] [L,] T, Z, Y, X/2, 4,
+3)``, site ``(t, z, y, i)`` of parity ``p`` being the full-lattice site
+``x = 2 i + (t + z + y + p) % 2`` (:func:`repro.lattice.geometry.to_parity`
+and ``from_parities`` convert).  The operator's :attr:`geometry` is that
+half lattice, so block
+partitions and Schwarz regions of the Schur system are laid out on it.  A
+T, Z or Y hop is a shift of the other parity's array; an X hop shifts the
+rows whose parity calls for it (:func:`repro.dirac.wilson.hop_sites`).
+
+What the complement reads is derived once per configuration and kept in
+its :class:`~repro.dirac.base.DerivedState`, in the form the tier reads:
+the links split by parity (:func:`half_links`), the clover term on each
+parity, and ``C_oo^{-1}`` — one Hermitian 6x6 inverse per chirality
+(:func:`repro.dirac.clover.invert_hermitian_blocks`, an order written here,
+not LAPACK's), held like the clover term (packed as 72 reals a site on the
+compiled tier) and applied by the same site-diagonal code.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from repro.dirac import base as dirac_base
 from repro.dirac.base import LatticeOperator
-from repro.dirac.clover import clover_site_matrices, invert_site_matrices
-from repro.dirac.wilson import WilsonCloverOperator
-from repro.lattice.geometry import Geometry
+from repro.dirac.clover import (
+    ChiralBlocks,
+    apply_chiral_sites,
+    invert_hermitian_blocks,
+)
+from repro.dirac.wilson import (
+    _CONVERT,
+    _HOPS,
+    _TAIL,
+    WilsonCloverOperator,
+    hop_sites,
+)
+from repro.lattice.geometry import Geometry, from_parities, to_parity
 from repro.linalg.gamma import GAMMA5, apply_spin_matrix
+from repro.util.counters import record_timed, timed, timing
 
 
-def parity_project(
-    geometry: Geometry, x: np.ndarray, parity: int, lead: int = 0
-) -> np.ndarray:
-    """Zero out the sites of the opposite parity (0 = even, 1 = odd).
+def half_geometry(geometry: Geometry) -> Geometry:
+    """The lattice one parity's fields live on: X halved."""
+    nx, ny, nz, nt = geometry.dims
+    return Geometry((nx // 2, ny, nz, nt), half=True)
 
-    ``lead`` leading axes (the multi-RHS batch axis) broadcast over the
-    parity mask instead of being mistaken for lattice axes.
-    """
-    mask = geometry.parity_mask(parity)
-    extra = (None,) * (x.ndim - 4 - lead)
-    return x * mask[(None,) * lead + (...,) + extra]
+
+def half_links(wilson: WilsonCloverOperator) -> np.ndarray:
+    """The forward links of ``wilson`` split by parity, ``(parity, mu, b,
+    a, [L,] T, Z, Y, X/2)``: per parity the forward half of
+    :func:`repro.dirac.base.lattice_last_links` on that parity's sites
+    (the backward hop daggers the other parity's, as the compiled core
+    does in registers).  Gathered from the gauge field itself where there
+    is one: the full-lattice cache is never built for it."""
+    if wilson.gauge is not None:
+        forward = np.moveaxis(wilson.gauge.data, (-1, -2), (1, 2))
+    else:
+        forward = wilson._soa_links()[0]
+    lattice = forward.shape[3:]
+    out = np.empty(
+        (2,) + forward.shape[:3] + lattice[:-1] + (lattice[-1] // 2,),
+        forward.dtype,
+    )
+    for parity in (0, 1):
+        to_parity(forward, parity, trail=0, out=out[parity])
+    return out
+
+
+def _lattice_last(x: np.ndarray, dtype) -> np.ndarray:
+    """A site-major Wilson field as the body's contiguous ``(spin, color,
+    ...)`` array in ``dtype`` (widened exactly when narrower)."""
+    xs = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+    return xs.astype(dtype, copy=False)
+
+
+def _site_major(xs: np.ndarray, dtype) -> np.ndarray:
+    """The body's array back as a site-major field of ``dtype``."""
+    xs = xs.astype(dtype, copy=False)
+    return np.ascontiguousarray(np.moveaxis(xs, (0, 1), (-2, -1)))
 
 
 class EvenOddPreconditionedWilson(LatticeOperator):
-    """The even-even Schur complement ``Mhat`` of the Wilson-clover matrix.
+    """The even-even Schur complement ``Mhat`` of the Wilson-clover matrix,
+    on half-lattice fields of the even parity (module docstring).
 
-    ``apply`` expects (and returns) full-lattice arrays supported on the
-    even checkerboard.  Use :meth:`prepare_rhs` / :meth:`reconstruct` to
-    convert between the full system and the preconditioned one.
+    Use :meth:`prepare_rhs` / :meth:`reconstruct` to convert between the
+    full system and this one, and :meth:`apply_full` for the full matrix
+    on the two parities (what a solve checks its residual with).
 
-    Every dslash here delegates to ``wilson._dslash``, so the Schur
-    complement inherits the underlying operator's kernel backend — the
-    spin-projected stencil and its cached daggered links (``"numpy"``, or
-    its compiled twin ``"c"``) by default, the ``"numpy_ref"``
-    bit-reference when built from that ``kernel=`` value.
+    ``apply`` runs the whole complement — two checkerboard hops, ``C_oo^-1``
+    between them, ``C_ee`` after — in one call of the wrapped operator's
+    kernel tier where the tier has one (``"c"``), else in the NumPy body,
+    which any compiled one equals bit for bit.
     """
 
     nspin = 4
 
     def __init__(self, wilson: WilsonCloverOperator):
-        clover = wilson.clover  # derived: expanded here, once
-        if wilson.csw != 0.0 and clover is None:
+        if wilson.storage is not None:
             raise TypeError(
-                "the Schur complement inverts the dense clover field: wrap "
-                "the working-precision operator and store the complement"
+                "the Schur complement inverts the working-precision clover "
+                "term: wrap the working-precision operator and store the "
+                "complement"
             )
-        super().__init__(wilson.geometry)
+        super().__init__(half_geometry(wilson.geometry))
         self.wilson = wilson
         self.lanes = wilson.lanes
         self.name = f"eo_{wilson.name}"
-        # Schur applies two half-lattice dslashes (= one full) plus the
-        # site-diagonal terms; use the full-matrix count as the standard.
-        self.flops_per_site = wilson.flops_per_site
-        self._c = clover_site_matrices(
-            clover, wilson.diagonal_coefficient, wilson.geometry.shape
+        # Two half-lattice hops (one full dslash) plus the site-diagonal
+        # terms, counted as the full matrix on twice the sites of one parity.
+        self.flops_per_site = 2 * wilson.flops_per_site
+        self._backend = wilson._backend
+        self._form = wilson._form
+        self._lattice = (
+            () if self.lanes is None else (self.lanes,)
+        ) + self.geometry.shape
+        state = wilson._state
+        self._links = state.get(("links", "eo"), lambda: half_links(wilson))
+        terms = state.child("csw", wilson.csw)
+        #: A_ee, the clover term on the even sites (held: every apply
+        #: reads it); the odd sites' is gathered where needed.
+        self._even = None
+        if wilson._chiral is not None:
+            self._even = terms.get(
+                (self._form.clover_form, "eo", 0),
+                lambda: self._form.clover_parity(
+                    wilson._chiral, self._lattice, 0
+                ),
+            )
+        masses = terms.child("diagonal", wilson.diagonal_coefficient)
+        self._inverse = masses.get(
+            (self._form.clover_form, "eo", "inverse"), self._build_inverse
         )
-        self._cinv = invert_site_matrices(self._c)
 
-    # -- site-diagonal helpers ------------------------------------------
-    def _mul_site(self, mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # complex128 site matrices: the product is rounded to the
-        # field's dtype on store, like the clover term of the full matrix.
-        flat = x.reshape(x.shape[:-2] + (12,))
-        out = np.squeeze(mats @ flat[..., None], axis=-1)
-        return out.reshape(x.shape).astype(x.dtype, copy=False)
+    # -- derived arrays ----------------------------------------------------
+    def _odd(self) -> np.ndarray | None:
+        """A_oo, the clover term on the odd sites, in the tier's held form
+        (gathered afresh: a solve reads it once, for its residual)."""
+        if self.wilson._chiral is None:
+            return None
+        return self._form.clover_parity(self.wilson._chiral, self._lattice, 1)
 
-    def apply_c(self, x: np.ndarray) -> np.ndarray:
-        """(4 + m + A) x."""
-        return self._mul_site(self._c, x)
+    def _build_inverse(self) -> np.ndarray:
+        """``C_oo^{-1}`` per chirality, in the tier's held form, from the
+        term on the odd sites a chirality at a time."""
+        odd = self._odd()
+        odd = None if odd is None else self._blocks(odd)
+        return self._form.clover_pack(
+            lambda c: invert_hermitian_blocks(
+                None if odd is None else odd[c],
+                self.wilson.diagonal_coefficient, self._lattice, c,
+            ),
+            self._lattice, np.complex128,
+        )
 
-    def apply_cinv(self, x: np.ndarray) -> np.ndarray:
-        """(4 + m + A)^{-1} x."""
-        return self._mul_site(self._cinv, x)
+    def _blocks(self, held) -> ChiralBlocks:
+        return ChiralBlocks(self._form, held, self._lattice)
+
+    # -- the NumPy pieces ----------------------------------------------------
+    def _hop(self, xs: np.ndarray, parity: int, batched: bool) -> np.ndarray:
+        """``D`` from the other parity onto ``parity``, lattice-last."""
+        out = self._backend.wilson_hop_sites(
+            self._links, xs, batched, self.wilson.boundary, parity=parity
+        )
+        if out is not None:
+            return out
+        return hop_sites(self._links, xs, batched, self.wilson.boundary, parity)
+
+    def _tail(self, acc, target, batched: bool, hop=None, diagonal=0.0,
+              clover=None, inverse=None):
+        """What follows the hops, on lattice-last fields: unless ``hop`` is
+        ``None`` the matrix tail ``acc = hop acc + diagonal target + A
+        target`` in place (``clover`` A, held, or ``None``: the full
+        matrix's order), then ``acc = inverse acc`` (summed into a zero
+        field) where ``inverse`` is given."""
+        if hop is not None:
+            acc *= hop
+            acc += diagonal * target
+            if clover is not None:
+                apply_chiral_sites(self._blocks(clover), target, acc, batched)
+        if inverse is not None:
+            acc = apply_chiral_sites(
+                self._blocks(inverse), acc, np.zeros_like(acc), batched
+            )
+        return acc
 
     # -- the Schur complement ---------------------------------------------
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        geom = self.geometry
-        lead = self.site_lead(x)
-        x = parity_project(geom, x, 0, lead=lead)
-        d1 = self.wilson._dslash(x)  # supported on odd sites
-        t = self.apply_cinv(d1)
-        d2 = self.wilson._dslash(t)  # back on even sites
-        out = self.apply_c(x) - 0.25 * d2
-        return parity_project(geom, out, 0, lead=lead)
+        batched = bool(self.field_lead(x))
+        seconds = np.zeros(3) if timing() else None
+        start = time.perf_counter()
+        out = self._backend.wilson_schur_sites(
+            self._links, self._even,
+            self._inverse, self.wilson.diagonal_coefficient, x, batched,
+            self.wilson.boundary, seconds,
+        )
+        if out is not None:
+            if seconds is not None:
+                for leaf, elapsed in zip((_CONVERT, _HOPS, _TAIL), seconds):
+                    record_timed(*leaf, start, elapsed)
+                    start += elapsed
+            return out
+        dtype = self._links.dtype
+        with timed(*_CONVERT):
+            xs = _lattice_last(x, dtype)
+        with timed(*_HOPS):
+            t = self._hop(xs, 1, batched)
+        with timed(*_TAIL):
+            t = self._tail(t, None, batched, inverse=self._inverse)
+        with timed(*_HOPS):
+            out = self._hop(t, 0, batched)
+        with timed(*_TAIL):
+            self._tail(
+                out, xs, batched, -0.25, self.wilson.diagonal_coefficient,
+                self._even,
+            )
+        with timed(*_CONVERT):
+            narrower = min(x.dtype, dtype, key=lambda d: d.itemsize)
+            return _site_major(out, narrower)
 
     def _apply_dagger(self, x: np.ndarray) -> np.ndarray:
         # Mhat inherits gamma5-Hermiticity from M; gamma5 (a +-1
@@ -118,56 +250,135 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         return apply_spin_matrix(g5, self._apply(apply_spin_matrix(g5, x)))
 
     # -- full-system conversion ---------------------------------------------
+    def _pass(self, src, xt, parity: int, hop=None, diagonal=0.0,
+              clover=None, inverse=None):
+        """One pass onto the sites of ``parity``, on site-major half-lattice
+        fields of the operator's dtype: ``acc = D src`` from the other
+        parity (``src`` ``None``: ``acc = xt``); unless ``hop`` is ``None``,
+        the matrix tail ``acc = hop acc + diagonal xt + A xt`` (``clover``
+        A, held, or ``None``); then ``acc = inverse acc`` where ``inverse``
+        is given.  The tier's compiled pass where it has one (same bits)."""
+        batched = bool(self.field_lead(xt))
+        out = self._backend.wilson_parity_sites(
+            self._links, src, xt, parity, batched, self.wilson.boundary,
+            hop, diagonal, clover, inverse,
+        )
+        if out is not None:
+            return out
+        dtype = self._links.dtype
+        target = _lattice_last(xt, dtype)
+        if src is None:
+            acc = target.copy()
+        else:
+            acc = self._hop(_lattice_last(src, dtype), parity, batched)
+        acc = self._tail(acc, target, batched, hop, diagonal, clover, inverse)
+        return _site_major(acc, dtype)
+
+    def _halves(self, b: np.ndarray):
+        """The two parities of a full field in the operator's dtype."""
+        dtype = self._links.dtype
+        return tuple(to_parity(b, p).astype(dtype, copy=False) for p in (0, 1))
+
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
-        """Even-site right-hand side ``b_e + 1/2 D C^{-1} b_o |_e``."""
-        geom = self.geometry
-        lead = self.site_lead(b)
-        b_e = parity_project(geom, b, 0, lead=lead)
-        b_o = parity_project(geom, b, 1, lead=lead)
-        lifted = 0.5 * self.wilson._dslash(self.apply_cinv(b_o))
-        return b_e + parity_project(geom, lifted, 0, lead=lead)
+        """Even-site right-hand side ``b_e + 1/2 D C^{-1} b_o |_e`` of the
+        full ``b``, a half-lattice field of ``b``'s dtype."""
+        b_e, b_o = self._halves(b)
+        lifted = self._pass(None, b_o, 1, inverse=self._inverse)
+        out = self._pass(lifted, b_e, 0, hop=0.5, diagonal=1.0)
+        return out.astype(b.dtype, copy=False)
 
     def reconstruct(self, x_e: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Back-substitute the odd sites: full solution of ``M x = b``."""
-        geom = self.geometry
-        lead = self.site_lead(b)
-        x_e = parity_project(geom, x_e, 0, lead=lead)
-        b_o = parity_project(geom, b, 1, lead=lead)
-        rhs_o = b_o + parity_project(
-            geom, 0.5 * self.wilson._dslash(x_e), 1, lead=lead
+        """Back-substitute the odd sites: the full solution of ``M x = b``
+        from the even half-lattice ``x_e``,
+        ``x_o = C^{-1}(b_o + 1/2 D x_e |_o)``."""
+        _, b_o = self._halves(b)
+        x_o = self._pass(
+            x_e.astype(self._links.dtype, copy=False), b_o, 1, hop=0.5,
+            diagonal=1.0, inverse=self._inverse,
         )
-        x_o = parity_project(geom, self.apply_cinv(rhs_o), 1, lead=lead)
-        return x_e + x_o
+        return from_parities(x_e, x_o.astype(x_e.dtype, copy=False))
 
+    def apply_full(self, x: np.ndarray) -> np.ndarray:
+        """The full matrix ``M x`` of a full-lattice field, computed on the
+        two parities: bit for bit ``wilson.apply(x)`` on the fast tiers
+        (each site's hops and tail are the full body's), without the
+        full-lattice link cache.  Recorded as one application of it."""
+        self.wilson._record(x)
+        halves = self._halves(x)
+        out = [
+            self._pass(
+                halves[1 - parity], halves[parity], parity, hop=-0.5,
+                diagonal=self.wilson.diagonal_coefficient,
+                clover=self._odd() if parity else self._even,
+            ).astype(x.dtype, copy=False)
+            for parity in (0, 1)
+        ]
+        return from_parities(*out)
+
+    # -- derived operators ---------------------------------------------------
     def with_boundary(self, boundary) -> "EvenOddPreconditionedWilson":
         return EvenOddPreconditionedWilson(self.wilson.with_boundary(boundary))
 
+    def _full_origin(self, origin):
+        """A half-lattice (x, y, z, t) origin on the full lattice, refused
+        where it would swap the checkerboards (an odd full origin: the
+        region's own parity is its sites' parity relative to it)."""
+        full = (2 * origin[0],) + tuple(origin[1:])
+        if sum(full) % 2:
+            raise TypeError(
+                "EvenOddPreconditionedWilson cannot be restricted to "
+                "regions of odd origin"
+            )
+        return full
+
     def restrict_to_block(self, partition, rank: int) -> "EvenOddPreconditionedWilson":
-        """Dirichlet-cut Schur complement on one sub-domain.
+        """Dirichlet-cut Schur complement on one sub-domain of a partition
+        of this operator's (half) lattice.
 
         QUDA's production GCR-DD runs on the even-odd preconditioned
         system; the Schwarz block operator is then the Schur complement
         of the *cut* Wilson matrix (cut first, then eliminate the odd
         sites — the order matters and this is the communication-free one).
         """
-        return EvenOddPreconditionedWilson(
-            self.wilson.restrict_to_block(partition, rank)
-        )
+        from repro.multigpu.partition import BlockPartition
+
+        if partition.geometry != self.geometry:
+            raise ValueError(
+                f"partition of {partition.geometry!r}: the Schur system's "
+                f"fields live on {self.geometry!r}"
+            )
+        full = BlockPartition(self.wilson.geometry, partition.grid)
+        self._full_origin(partition.origin(rank))
+        block = self.wilson.restrict_to_block(full, rank)
+        return EvenOddPreconditionedWilson(block)
 
     def _cut_to_regions(self, origins, extents, cut_dims):
-        """The cut Schur complements on even-origin regions as one lane
-        stack (the parity mask is each region's own, so an odd origin —
-        an odd overlap — would swap the checkerboards).  Stored, it rounds
+        """The cut Schur complements on same-shape regions of the half
+        lattice as one lane stack (each region's checkerboard is its own,
+        so an odd full-lattice origin is refused).  Stored, it rounds
         around the complement; the Wilson matrix inside stays in working
         precision."""
-        if any(sum(origin) % 2 for origin in origins):
-            raise TypeError(
-                "EvenOddPreconditionedWilson cannot be restricted to "
-                "regions of odd origin"
-            )
+        origins = [self._full_origin(origin) for origin in origins]
+        extents = (2 * extents[0],) + tuple(extents[1:])
         return EvenOddPreconditionedWilson(
             self.wilson.restrict_to_regions(origins, extents, cut_dims)
         )
 
     def _pick_lanes(self, lanes) -> "EvenOddPreconditionedWilson":
-        return EvenOddPreconditionedWilson(self.wilson.take_lanes(lanes))
+        """The given lanes, their derived arrays taken from this stack's
+        (nothing is inverted again)."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out.__dict__.pop("_stored", None)
+        out.wilson = self.wilson.take_lanes(lanes)
+        out.lanes = out.wilson.lanes
+        out._lattice = (
+            () if out.lanes is None else (out.lanes,)
+        ) + self.geometry.shape
+        out._links = np.ascontiguousarray(np.take(self._links, lanes, axis=4))
+        take = self._form.clover_lanes
+        if self._even is not None:
+            out._even = take(self._even, lanes)
+        out._inverse = take(self._inverse, lanes)
+        out.storage = None
+        return out

@@ -84,7 +84,12 @@ from repro.dirac.clover import (
 )
 from repro.kernels import resolve_kernel
 from repro.lattice.fields import GaugeField
-from repro.lattice.geometry import Geometry, axis_of_mu, shift_sites
+from repro.lattice.geometry import (
+    Geometry,
+    axis_of_mu,
+    parity_rows,
+    shift_sites,
+)
 from repro.linalg import su3
 from repro.linalg.su3 import link_apply_sites
 from repro.linalg.gamma import (
@@ -123,6 +128,97 @@ def _clover_form(backend):
     if backend.capabilities.packed:
         return backend
     return resolve_kernel("auto", operator="wilson")
+
+
+def _shift_rows(dst, src, still, steps: int, boundary: str) -> np.ndarray:
+    """The X hop of a half-lattice field: ``src`` shifted by ``steps``
+    along its last axis (one parity's X sites) on every row but the
+    ``still`` ones, which are copied.  A row of one site wraps onto itself,
+    with its boundary factor."""
+    if src.shape[-1] == 1 and boundary != "zero":
+        np.copyto(dst, src if boundary == "periodic" else -src)
+    else:
+        shift_sites(dst, src, -1, steps, boundary)
+    np.copyto(dst, src, where=still)
+    return dst
+
+
+def hop_sites(links, xs, batched: bool, boundary, parity=None) -> np.ndarray:
+    """The 8-hop stencil core ``D x`` on a lattice-last field ``(spin,
+    color, [batch,] [lanes,] T, Z, Y, X)`` — the NumPy body every compiled
+    core equals bit for bit, and its fallback.
+
+    A multi-RHS batch rides the body as one more elementwise axis between
+    color and lattice (the links broadcast over it), so every lane of a
+    batched result is bit-identical to the single-RHS apply of that lane,
+    whatever the batch size or its other lanes.  The block lanes of a lane
+    stack ride it the same way, as a leading lattice axis no shift runs
+    along (the shift axes are counted from the end).
+
+    ``links`` is the lattice-last cache ``(2, mu, b, a) + lattice`` of
+    :func:`repro.dirac.base.lattice_last_links`.  With a ``parity`` the
+    body runs on the checkerboard instead: ``xs`` is a half-lattice field
+    ``(..., T, Z, Y, X/2)`` of the other parity, the result is ``D x`` on
+    the sites of ``parity``, and ``links`` is the forward links ``(mu, b,
+    a)`` split by parity, ``(parity, mu, b, a) + half lattice``
+    (:func:`repro.dirac.evenodd.half_links`): the forward hop reads the
+    target parity's, the backward one the source's, daggered here (as the
+    compiled core does in registers).  T, Z and Y hops are shifts of the
+    whole array; an X hop shifts the rows
+    :func:`~repro.lattice.geometry.parity_rows` names (forward) or the
+    others (backward) and copies the rest.  Per site it is the full-lattice
+    body's arithmetic on the same operands, so the result equals that
+    body applied to a field zero on ``parity``, on the ``parity`` sites.
+
+    The +-1 / +-i projector phases are taken in the field's dtype: the
+    products are exact either way, and a complex64 field is spared
+    NumPy's buffered complex128 cast loop on 16 passes per apply.
+    """
+    if parity is None:
+        u, udag, rows = links[0], links[1], None
+    else:
+        u = links[parity]
+        udag = np.conjugate(np.swapaxes(links[1 - parity], 1, 2))
+        rows = parity_rows(xs.shape, parity)
+    # A batch axis sits between color and lattice; links broadcast over it.
+    bx = (slice(None), slice(None), None) if batched else ()
+    over_sites = (Ellipsis,) + (None,) * (xs.ndim - 2)
+    xu = xs[:2]
+    # Four half-spinor buffers reused across the 8 hops (instead of ~7
+    # fresh temporaries per hop).
+    h, sh, uh, tmp = (np.empty_like(xu) for _ in range(4))
+    acc = np.zeros_like(xs)
+    upper, lower = acc[:2], acc[2:]
+    for mu in range(4):
+        bc = boundary[mu]
+        axis = axis_of_mu(mu) - 4
+        # on the checkerboard an X hop moves only some rows
+        moving = rows if mu == 0 else None
+        for tab, slab, fwd in (
+            (projector_tables(mu, -1, xs.dtype), u[mu][bx], True),
+            (projector_tables(mu, +1, xs.dtype), udag[mu][bx], False),
+        ):
+            # Project: h = x_upper + coeff * x_lower.
+            np.multiply(tab.project_coeff[over_sites], xs[tab.lower], out=tmp)
+            np.add(xu, tmp, out=h)
+            if fwd:
+                # U_mu(x) [P x](x+mu): shift first, then multiply.
+                if moving is None:
+                    shift_sites(sh, h, axis, +1, bc)
+                else:
+                    _shift_rows(sh, h, ~moving, +1, bc)
+                hop = link_apply_sites(slab, sh, uh, tmp)
+            else:
+                # U_mu(x-mu)^+ [P x](x-mu): multiply, then shift.
+                product = link_apply_sites(slab, h, uh, tmp)
+                if moving is None:
+                    hop = shift_sites(sh, product, axis, -1, bc)
+                else:
+                    hop = _shift_rows(sh, product, moving, -1, bc)
+            upper += hop
+            np.multiply(tab.recon_coeff[over_sites], hop[tab.source], out=tmp)
+            lower += tmp
+    return acc
 
 
 class WilsonCloverOperator(LatticeOperator):
@@ -317,61 +413,14 @@ class WilsonCloverOperator(LatticeOperator):
 
     def _hop_sites(self, xs: np.ndarray, batched: bool) -> np.ndarray:
         """The 8-hop stencil core on a lattice-last field ``(spin, color,
-        [batch,] [lanes,] T, Z, Y, X)``.
-
-        A multi-RHS batch rides the body as one more elementwise axis
-        between color and lattice (the links broadcast over it), so
-        every lane of a batched result is bit-identical to the single-RHS
-        apply of that lane, whatever the batch size or its other lanes.
-        The block lanes of a lane stack ride it the same way, as a leading
-        lattice axis no shift runs along (the shift axes are counted from
-        the end).
-
-        The +-1 / +-i projector phases are taken in the field's dtype: the
-        products are exact either way, and a complex64 field is spared
-        NumPy's buffered complex128 cast loop on 16 passes per apply.
-
-        A tier with a compiled core for these arrays runs that instead:
-        same bits, so what follows is its reference and its fallback.
-        """
+        [batch,] [lanes,] T, Z, Y, X)``: :func:`hop_sites` on this
+        operator's link cache, or the tier's compiled core for these
+        arrays (same bits)."""
         links = self._soa_links()
         acc = self._backend.wilson_hop_sites(links, xs, batched, self.boundary)
         if acc is not None:
             return acc
-        u, udag = links
-        # A batch axis sits between color and lattice; links broadcast over it.
-        bx = (slice(None), slice(None), None) if batched else ()
-        over_sites = (Ellipsis,) + (None,) * (xs.ndim - 2)
-        xu = xs[:2]
-        # Four half-spinor buffers reused across the 8 hops (instead of ~7
-        # fresh temporaries per hop).
-        h, sh, uh, tmp = (np.empty_like(xu) for _ in range(4))
-        acc = np.zeros_like(xs)
-        upper, lower = acc[:2], acc[2:]
-        for mu in range(4):
-            bc = self.boundary[mu]
-            axis = axis_of_mu(mu) - 4
-            for tab, links, fwd in (
-                (projector_tables(mu, -1, xs.dtype), u[mu][bx], True),
-                (projector_tables(mu, +1, xs.dtype), udag[mu][bx], False),
-            ):
-                # Project: h = x_upper + coeff * x_lower.
-                np.multiply(tab.project_coeff[over_sites], xs[tab.lower], out=tmp)
-                np.add(xu, tmp, out=h)
-                if fwd:
-                    # U_mu(x) [P x](x+mu): shift first, then multiply.
-                    hop = link_apply_sites(
-                        links, shift_sites(sh, h, axis, +1, bc), uh, tmp
-                    )
-                else:
-                    # U_mu(x-mu)^+ [P x](x-mu): multiply, then shift.
-                    hop = shift_sites(
-                        sh, link_apply_sites(links, h, uh, tmp), axis, -1, bc
-                    )
-                upper += hop
-                np.multiply(tab.recon_coeff[over_sites], hop[tab.source], out=tmp)
-                lower += tmp
-        return acc
+        return hop_sites(links, xs, batched, self.boundary)
 
     def _apply_sites(self, x: np.ndarray, rounding) -> np.ndarray:
         """M x in ONE lattice-last body: transpose in -> round to the
@@ -494,8 +543,8 @@ class WilsonCloverOperator(LatticeOperator):
         return apply_spin_matrix(g5, self._apply(apply_spin_matrix(g5, x)))
 
     def apply_site_diagonal(self, x: np.ndarray) -> np.ndarray:
-        """The site-diagonal part (4 + m + A) x (used by even-odd forms and
-        the interior/exterior kernel split)."""
+        """The site-diagonal part (4 + m + A) x (the interior/exterior
+        kernel split's)."""
         out = self.diagonal_coefficient * x
         if self._chiral is not None:
             out += apply_chiral(self._blocks(), x)  # in place: keeps x's dtype

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.lattice.geometry import to_parity
+
 #: Operator families a backend may implement.  ``"wilson"`` covers the
 #: Wilson and Wilson-clover hopping term (and, for a tier that runs the
 #: lattice-last body, the whole matrix around it); ``"staggered"`` covers
@@ -131,9 +133,38 @@ class KernelBackend:
     # for the arrays at hand runs it; ``None`` hands them back to the
     # NumPy body, which any such core must equal bit for bit
     # ------------------------------------------------------------------
-    def wilson_hop_sites(self, links, xs, batched: bool, boundary):
-        """The 8-hop core of ``WilsonCloverOperator._hop_sites`` on the
-        lattice-last field ``xs`` and link cache ``links``, or ``None``."""
+    def wilson_hop_sites(
+        self, links, xs, batched: bool, boundary, parity=None
+    ):
+        """The 8-hop core :func:`repro.dirac.wilson.hop_sites` on the
+        lattice-last field ``xs`` and link cache ``links`` — with a
+        ``parity``, on the checkerboard (``xs`` the other parity's
+        half-lattice field, ``links`` split by parity) — or ``None``."""
+        return None
+
+    def wilson_parity_sites(
+        self, links, src, xt, parity: int, batched: bool, boundary,
+        hop=None, diagonal: float = 0.0, clover=None, inverse=None,
+    ):
+        """One pass of ``EvenOddPreconditionedWilson`` onto the sites of
+        ``parity`` (its ``_pass``), on site-major half-lattice fields of
+        ``links``' dtype, or ``None``:
+        ``acc = D src`` (``src`` ``None``: ``acc = xt``); unless ``hop`` is
+        ``None``, ``acc = hop acc + diagonal xt + A xt`` (``clover`` A in
+        the tier's form, or ``None``); then ``acc = inverse acc`` where
+        ``inverse`` is given."""
+        return None
+
+    def wilson_schur_sites(
+        self, links, clover, inverse, diagonal: float, x, batched: bool,
+        boundary, seconds,
+    ):
+        """All of ``EvenOddPreconditionedWilson._apply`` on the caller's
+        site-major even half-lattice field ``x`` — the hop onto the odd
+        sites, ``C_oo^{-1}`` (``inverse``, in the tier's clover form), the
+        hop back, ``-1/4`` of it plus ``diagonal x + A_ee x`` (``clover``
+        the term on the even sites, or ``None``) — with ``links`` split by
+        parity, or ``None``.  ``seconds`` as for :meth:`wilson_apply_sites`."""
         return None
 
     def wilson_apply_sites(
@@ -205,6 +236,15 @@ class KernelBackend:
         its lattice, side by side as lanes (``op``'s own lanes merged in,
         lane-major), cast to the complex ``dtype`` (``None``: as held)."""
         return op._region_stack(held, origins, extents, 3, dtype)
+
+    def clover_parity(
+        self, held: np.ndarray, lattice, parity: int
+    ) -> np.ndarray:
+        """The held form of the term on the sites of ``parity`` of its
+        lattice, as the held form on that parity's half lattice
+        (:func:`repro.lattice.geometry.to_parity`; ``lattice`` is the half
+        one, ``([L,] T, Z, Y, X/2)``)."""
+        return to_parity(held, parity, trail=0)
 
     def clover_lanes(self, held: np.ndarray, lanes) -> np.ndarray:
         """The given lanes of a lane stack's held form; one lane alone (an

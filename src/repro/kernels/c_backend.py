@@ -73,6 +73,9 @@ _BOUNDARY_CODES = {"periodic": 0, "antiperiodic": 1, "zero": 2}
 _SUFFIX = {"complex128": "c128", "complex64": "c64"}
 _REAL = {"complex128": "float64", "complex64": "float32"}
 _COMPLEX = {real: name for name, real in _REAL.items()}
+#: The same as dtype objects, for the entries called on every apply.
+_PACKED = {np.dtype(name): np.dtype(real) for name, real in _REAL.items()}
+_C64, _C128 = np.dtype("complex64"), np.dtype("complex128")
 #: Sites in a block of the site-vector operands (``W`` in the source).
 SITE_VECTOR = 8
 #: The solvers' vector updates the library runs as one in-place pass each
@@ -166,12 +169,14 @@ def _private_directory(path: Path, create: bool) -> bool:
     )
 
 
-def _antiperiodic_unit_extent(boundary, lattice) -> bool:
+def _antiperiodic_unit_extent(boundary, lattice, half=False) -> bool:
     """An antiperiodic hop across an extent of 1: the NumPy body's error
-    to raise.  ``lattice`` ends in ``(T, Z, Y, X)``."""
+    to raise.  ``lattice`` ends in ``(T, Z, Y, X)``; on a ``half`` lattice
+    an X row of one site is a full-lattice extent of 2 (no error)."""
     return any(
         condition == "antiperiodic" and lattice[-1 - mu] == 1
         for mu, condition in enumerate(boundary.conditions)
+        if not (half and mu == 0)
     )
 
 
@@ -212,7 +217,9 @@ class _Library:
         lib = ctypes.CDLL(str(path))
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self.multiply, self.hop, self.apply, self.mr = {}, {}, {}, {}
+        self.schur, self.parity = {}, {}
         self.pack, self.unpack, self.gather = {}, {}, {}
+        self.split = {}
         self.path_sum = {}
         self.passes = {entry: {} for entry in VECTOR_PASSES}
         # The half format is float32 arithmetic: its one instance.
@@ -229,9 +236,23 @@ class _Library:
                 # by the dtype itself: a solver asks per update
                 self.passes[entry][np.dtype(name)] = f
             f = getattr(lib, f"repro_wilson_hop_{suffix}")
-            f.argtypes = (ptr,) * 5 + (i64,) * 6 + (ptr,)
+            f.argtypes = (ptr,) * 5 + (i64,) * 6 + (ptr, ctypes.c_int)
             f.restype = ctypes.c_int
             self.hop[name] = f
+            f = getattr(lib, f"repro_wilson_schur_{suffix}")
+            f.argtypes = (
+                (ptr,) * 4 + (ctypes.c_double, ptr, ctypes.c_int)
+                + (ptr,) * 2 + (i64,) * 6 + (ptr,) * 2
+            )
+            f.restype = ctypes.c_int
+            self.schur[np.dtype(name)] = f
+            f = getattr(lib, f"repro_wilson_parity_{suffix}")
+            f.argtypes = (
+                (ptr,) * 3 + (ctypes.c_int,) * 3 + (ctypes.c_double,) * 2
+                + (ptr,) * 5 + (i64,) * 6 + (ptr,)
+            )
+            f.restype = ctypes.c_int
+            self.parity[np.dtype(name)] = f
             f = getattr(lib, f"repro_wilson_apply_{suffix}")
             f.argtypes = (
                 (ptr,) * 3 + (ctypes.c_double, ptr) + (ctypes.c_int,) * 2
@@ -262,6 +283,10 @@ class _Library:
             f.argtypes = (ptr, i64, ptr, ptr, i64, ptr, ptr, ctypes.c_int)
             f.restype = None
             self.gather[_REAL[name]] = f
+            f = getattr(lib, f"repro_clover_parity_{suffix}")
+            f.argtypes = (ptr, i64, ptr, ctypes.c_int, ptr)
+            f.restype = None
+            self.split[_REAL[name]] = f
 
     def probe(self) -> None:
         """Raise unless the library multiplies as ``np.multiply`` does and
@@ -451,7 +476,7 @@ class CBackend(KernelBackend):
     def wilson_dslash(self, op, x: np.ndarray) -> np.ndarray:
         return op._dslash_projected(x)
 
-    def wilson_hop_sites(self, links, xs, batched, boundary):
+    def wilson_hop_sites(self, links, xs, batched, boundary, parity=None):
         library = self._library or self._resolve(build=True)
         lattice = xs.shape[-4:]
         if (
@@ -462,7 +487,8 @@ class CBackend(KernelBackend):
             or links.shape[:4] != (2, 4, 3, 3)
             or xs.shape[:2] != (4, 3)
             or xs.shape[2 + batched:] != links.shape[4:]
-            or _antiperiodic_unit_extent(boundary, lattice)
+            or _antiperiodic_unit_extent(boundary, lattice, parity is not None)
+            or parity not in (None, 0, 1)
         ):
             return None
         codes = _boundary_codes(boundary.conditions)
@@ -472,8 +498,8 @@ class CBackend(KernelBackend):
             xs.ctypes.data, links.ctypes.data, out.ctypes.data,
             spins.ctypes.data, phases.ctypes.data,
             xs.shape[2] if batched else 1,
-            links.shape[4] if links.ndim == 9 else 1,
-            *lattice, codes.ctypes.data,
+            xs.shape[-5] if xs.ndim == 7 + batched else 1,
+            *lattice, codes.ctypes.data, -1 if parity is None else parity,
         )
         return None if failed else out
 
@@ -534,6 +560,98 @@ class CBackend(KernelBackend):
             x.ctypes.data, u, a, diagonal, out.ctypes.data,
             x.dtype != links.dtype, half, spins, phases, *extents, codes,
             None if seconds is None else seconds.ctypes.data,
+        )
+        return None if failed else out
+
+    def _even_odd(self, links, fields, terms, batched, boundary):
+        """The library where it takes these operands of the even-odd
+        entries — links split by parity, half-lattice site-major fields,
+        terms packed on the half lattice in the links' precision — else
+        ``None``.  (Called on every Schur apply: dtypes are compared as
+        objects, never by name.)"""
+        library = self._library or self._resolve(build=True)
+        real = _PACKED.get(links.dtype)
+        lattice = links.shape[4:]
+        if (
+            library is None
+            or real is None
+            or not links.flags.c_contiguous
+            or links.shape[:4] != (2, 4, 3, 3)
+            or _antiperiodic_unit_extent(boundary, lattice, half=True)
+            or any(f.shape[batched:] != lattice + (4, 3) for f in fields)
+            or any(
+                held is not None and (
+                    held.dtype != real
+                    or not held.flags.c_contiguous
+                    or held.shape != packed_shape(lattice)
+                )
+                for held in terms
+            )
+        ):
+            return None
+        return library
+
+    def wilson_schur_sites(
+        self, links, clover, inverse, diagonal, x, batched, boundary, seconds
+    ):
+        library = self._even_odd(
+            links, (x,), (clover, inverse), batched, boundary
+        )
+        narrow = x.dtype != links.dtype
+        if (
+            library is None
+            or inverse is None
+            or (narrow and (x.dtype, links.dtype) != (_C64, _C128))
+        ):
+            return None
+        x = np.ascontiguousarray(x)
+        spins, phases = self._projection(links.dtype)
+        lattice = links.shape[4:]
+        out = np.empty_like(x)
+        failed = library.schur[links.dtype](
+            x.ctypes.data, links.ctypes.data,
+            None if clover is None else clover.ctypes.data,
+            inverse.ctypes.data, diagonal, out.ctypes.data, narrow,
+            spins.ctypes.data, phases.ctypes.data,
+            x.shape[0] if batched else 1,
+            lattice[0] if len(lattice) == 5 else 1, *lattice[-4:],
+            _boundary_codes(boundary.conditions).ctypes.data,
+            None if seconds is None else seconds.ctypes.data,
+        )
+        return None if failed else out
+
+    def wilson_parity_sites(
+        self, links, src, xt, parity, batched, boundary, hop=None,
+        diagonal=0.0, clover=None, inverse=None,
+    ):
+        fields = (xt,) if src is None else (src, xt)
+        library = self._even_odd(
+            links, fields, (clover, inverse), batched, boundary
+        )
+        if (
+            library is None
+            or parity not in (0, 1)
+            or any(
+                f.dtype != links.dtype or f.shape != xt.shape for f in fields
+            )
+        ):
+            return None
+        src, xt = (
+            None if f is None else np.ascontiguousarray(f) for f in (src, xt)
+        )
+        spins, phases = self._projection(links.dtype)
+        lattice = links.shape[4:]
+        out = np.empty_like(xt)
+        failed = library.parity[links.dtype](
+            None if src is None else src.ctypes.data, xt.ctypes.data,
+            links.ctypes.data, parity, src is not None, hop is not None,
+            0.0 if hop is None else hop, diagonal,
+            None if clover is None else clover.ctypes.data,
+            None if inverse is None else inverse.ctypes.data,
+            out.ctypes.data, spins.ctypes.data, phases.ctypes.data,
+            xt.shape[0] if batched else 1,
+            lattice[0] if len(lattice) == 5 else 1, *lattice[-4:],
+            _boundary_codes(boundary.conditions).ctypes.data,
         )
         return None if failed else out
 
@@ -634,6 +752,17 @@ class CBackend(KernelBackend):
         )
         # (a stack stored *above* its operator's precision: widened after)
         return out if dtype is None else self.clover_cast(out, dtype)
+
+    def clover_parity(self, held, lattice, parity):
+        full = tuple(lattice[:-1]) + (2 * lattice[-1],)
+        _check_packed(held, full)
+        out = _site_vectors(packed_shape(lattice), held.dtype)
+        dims = np.ascontiguousarray(full[-4:][::-1], np.int64)
+        self._loaded().split[held.dtype.name](
+            held.ctypes.data, held.shape[0], dims.ctypes.data, parity,
+            out.ctypes.data,
+        )
+        return out
 
     def clover_lanes(self, held, lanes):
         lanes = np.atleast_1d(lanes)

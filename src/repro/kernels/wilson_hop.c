@@ -267,6 +267,28 @@ void NAME(repro_clover_gather)(const REAL *packed, int64_t L,
     }
 }
 
+/* The sites of one parity of a packed clover term (L, NB, 2, 36, W) on a
+ * lattice of `dims` (X, Y, Z, T), X even, as the packed term of that
+ * parity's half lattice (L, nb, 2, 36, W): its site (t, z, y, i) is x = 2 i
+ * + (t + z + y + parity) % 2 (repro.lattice.geometry.to_parity). */
+void NAME(repro_clover_parity)(const REAL *packed, int64_t L,
+                               const int64_t *dims, int parity, REAL *out)
+{
+    const int64_t X = dims[0], Y = dims[1], Z = dims[2];
+    const int64_t V = X * Y * Z * dims[3], NB = blocks_of(V);
+    const int64_t v = V / 2, nb = blocks_of(v), half = X / 2;
+    memset(out, 0, (size_t)(L * nb * CLOVER_ROWS * W) * sizeof(REAL));
+    for (int64_t l = 0; l < L; l++)
+    for (int64_t i = 0; i < v; i++) {
+        const int64_t row = i / half, y = row % Y, z = row / Y % Z;
+        const int64_t t = row / (Y * Z);
+        const int64_t g = row * X + 2 * (i % half) + ((t + z + y + parity) & 1);
+        const REAL *src = packed + (l * NB + g / W) * CLOVER_ROWS * W + g % W;
+        REAL *to = out + (l * nb + i / W) * CLOVER_ROWS * W + i % W;
+        for (int e = 0; e < CLOVER_ROWS; e++) to[e * W] = src[e * W];
+    }
+}
+
 /* ---- the stencil ----------------------------------------------------- */
 
 /* The `rows` vectors of the W sites from site `i` of a site-vector array
@@ -315,6 +337,42 @@ static void NAME(shift_unit)(REAL *restrict dst, const REAL *restrict src,
                 else if (bc == ANTIPERIODIC) v = -v;
                 dst[forward ? lo + span : lo] = v;
             }
+    }
+}
+
+/* The X hop of a half lattice -- one parity's sites, site-compressed, X
+ * sites a row -- inside one unit of U sites from row `row0` (of Y rows a Z
+ * plane, Z planes a T slice): the rows whose (t + z + y + parity) is odd
+ * move by one site forward, the others backward, with the boundary factor
+ * where the move wraps; every other row is a copy.  `parity` is the target
+ * sites' (repro.dirac.wilson.hop_sites's rows). */
+static void NAME(shift_half)(REAL *restrict dst, const REAL *restrict src,
+                             int64_t U, int64_t R, int64_t X, int64_t Y,
+                             int64_t Z, int64_t row0, int parity, int forward,
+                             int bc)
+{
+    for (int64_t at = 0, row = row0; at < U; at += X, row++) {
+        const int64_t y = row % Y, z = row / Y % Z, t = row / (Y * Z);
+        const int moves = (int)((t + z + y + parity) & 1) == forward;
+        for (int k = 0; k < 12; k++) {
+            REAL *restrict d = dst + k * R + at;
+            const REAL *restrict s = src + k * R + at;
+            if (!moves) {
+                memcpy(d, s, (size_t)X * sizeof(REAL));
+                continue;
+            }
+            REAL v;
+            if (forward) {
+                for (int64_t i = 0; i + 1 < X; i++) d[i] = s[i + 1];
+                v = s[0];
+            } else {
+                for (int64_t i = X - 1; i > 0; i--) d[i] = s[i - 1];
+                v = s[X - 1];
+            }
+            if (bc == ZERO) v = 0;
+            else if (bc == ANTIPERIODIC) v = -v;
+            d[forward ? X - 1 : 0] = v;
+        }
     }
 }
 
@@ -402,7 +460,9 @@ static void NAME(accumulate)(const REAL *restrict hop, int64_t R,
 /* n Wilson sites through the 16-bit fixed-point round trip, in place:
  * repro.precision.quantize_half, operation for operation.  `rows` holds the
  * sites' 24 reals as 24 arrays of n, `stride` reals apart, so every loop
- * runs over contiguous sites. */
+ * runs over contiguous sites.  Kept out of line: inlined into its callers
+ * gcc 12 vectorises it worse (the block solve's conversions, 3x slower). */
+__attribute__((noinline))
 static void NAME(quantize_rows)(REAL *restrict rows, int64_t stride, int64_t n)
 {
     enum { CHUNK = 64 };
@@ -509,20 +569,38 @@ static void NAME(enter)(const void *x, int narrow, int64_t cstride,
     }
 }
 
+/* Element (row, col) of one chirality `a` of a packed term, W sites: the
+ * diagonal's real part with a zero imaginary part (which decides the sign
+ * of a zero), the upper triangle as stored, a lower element as the
+ * conjugate of the one above it. */
+static inline void NAME(packed_at)(const VEC *a, int row, int col, VEC *ar,
+                                   VEC *ai)
+{
+    const VEC zero = {0};
+    if (col > row) {
+        *ar = a[upper(row, col)];
+        *ai = a[upper(row, col) + 1];
+    } else if (col < row) {
+        *ar = a[upper(col, row)];
+        *ai = zero - a[upper(col, row) + 1];
+    } else {
+        *ar = a[row];
+        *ai = zero;
+    }
+}
+
 /* The site-diagonal tail of _apply_sites on one unit -- the U sites from
  * site `here` of a lane -- in place on the split accumulator rows:
- *     acc *= -0.5;  acc += diag * x;
+ *     acc *= hop;  acc += diag * x;
  *     per chirality, column by column:  acc6[c] += chiral[c, :, j] * x6[c, j]
  * `xb` is the lane's site-vector input, `packed` its packed clover term or
  * NULL for none.  A row's seven terms are summed in registers, in that
- * order; a[i][j] below the diagonal is the conjugate of a[j][i], and the
- * diagonal keeps the general product with its zero imaginary part (which
- * decides the sign of a zero). */
+ * order, the clover elements as packed_at reads them. */
 static void NAME(site_tail)(REAL *restrict acc, int64_t U, int64_t R,
                             const REAL *xb, const REAL *packed, int64_t here,
-                            double diag)
+                            double diag, double hop)
 {
-    const VEC zero = {0}, d = zero + (REAL)diag, half = zero + (REAL)-0.5;
+    const VEC zero = {0}, d = zero + (REAL)diag, half = zero + (REAL)hop;
     VEC xbuf[FIELD_ROWS], abuf[CLOVER_ROWS];
     for (int64_t j = 0; j < U; j += W) {
         const VEC *x = NAME(rows_of)(xb, FIELD_ROWS, here + j, U - j, xbuf);
@@ -537,19 +615,45 @@ static void NAME(site_tail)(REAL *restrict acc, int64_t U, int64_t R,
             VEC im = VMUL_IM(*tr, *ti, half, zero)
                 + VMUL_IM(d, zero, x[2 * row], x[2 * row + 1]);
             for (int col = 0; a && col < 6; col++) {
-                VEC ar = a[row], ai = zero;
-                if (col > row) {
-                    ar = a[upper(row, col)];
-                    ai = a[upper(row, col) + 1];
-                } else if (col < row) {
-                    ar = a[upper(col, row)];
-                    ai = zero - a[upper(col, row) + 1];
-                }
+                VEC ar, ai;
+                NAME(packed_at)(a, row, col, &ar, &ai);
                 re += VMUL_RE(ar, ai, x[2 * col], x[2 * col + 1]);
                 im += VMUL_IM(ar, ai, x[2 * col], x[2 * col + 1]);
             }
             *tr = re;
             *ti = im;
+        }
+    }
+}
+
+/* The other tail, a site-diagonal matrix alone: acc = A acc on one unit, per
+ * chirality row by row, each row summed from +0 column by column (what
+ * repro.dirac.clover.apply_chiral_sites adds into a zero field), the
+ * elements as packed_at reads them.  The even-odd form's C_oo^{-1}. */
+static void NAME(site_invert)(REAL *restrict acc, int64_t U, int64_t R,
+                              const REAL *packed, int64_t here)
+{
+    const VEC zero = {0};
+    VEC abuf[CLOVER_ROWS];
+    for (int64_t j = 0; j < U; j += W) {
+        const VEC *a = NAME(rows_of)(packed, CLOVER_ROWS, here + j, U - j, abuf);
+        for (int c = 0; c < 2; c++, a += 36) {
+            VEC xr[6], xi[6];
+            for (int col = 0; col < 6; col++) {
+                xr[col] = *(const VEC *)(acc + 2 * (c * 6 + col) * R + j);
+                xi[col] = *(const VEC *)(acc + (2 * (c * 6 + col) + 1) * R + j);
+            }
+            for (int row = 0; row < 6; row++) {
+                VEC re = zero, im = zero;
+                for (int col = 0; col < 6; col++) {
+                    VEC ar, ai;
+                    NAME(packed_at)(a, row, col, &ar, &ai);
+                    re += VMUL_RE(ar, ai, xr[col], xi[col]);
+                    im += VMUL_IM(ar, ai, xr[col], xi[col]);
+                }
+                *(VEC *)(acc + 2 * (c * 6 + row) * R + j) = re;
+                *(VEC *)(acc + (2 * (c * 6 + row) + 1) * R + j) = im;
+            }
         }
     }
 }
@@ -590,11 +694,30 @@ static void NAME(leave_vectors)(REAL *restrict acc, int64_t U, int64_t R,
     }
 }
 
+/* What a stencil call reads besides its field: the links the forward hop
+ * reads (at the target sites) and those the backward hop reads (at the
+ * source sites; on the full lattice the same array), both (2, mu, b, a,
+ * lane, sites) of which the forward half; `parity`, the target sites' on a
+ * half lattice -- one parity, site-compressed, the field the other one --
+ * or -1 on the full lattice; `xt`, the target sites' field (site vectors;
+ * on the full lattice the stencil's own); and what follows the hops (to !=
+ * BARE): with `matrix` the matrix tail acc = hop * acc + diag * xt + A xt
+ * (`packed` A or NULL), then, where `inverse` is not NULL, acc = inverse
+ * acc.  Without `hops` there are none: the accumulator starts as xt. */
+typedef struct {
+    const REAL *links, *back;
+    int parity, hops;
+    const REAL *xt, *packed;
+    double diag, hop;
+    int matrix;
+    const REAL *inverse;
+} NAME(sites);
+
 /* The 8-hop stencil core on the site-vector field `xs`, bare (`to` BARE:
- * out = D x, lattice-last) or with the rest of the matrix behind it,
- * out = round((4 + m) x - D x / 2 + A x): site-major (SITE_MAJOR, see
- * repro_wilson_apply) or site vectors like `xs` (SITE_VECTORS, the block
- * solve's).  `spins` is (8, 4) int32 -- per hop (mu forward, mu
+ * out = D x, lattice-last) or with a tail behind it (see NAME(sites)), the
+ * matrix's being out = round((4 + m) x - D x / 2 + A x): site-major
+ * (SITE_MAJOR, see repro_wilson_apply) or site vectors like `xs`
+ * (SITE_VECTORS, the block solve's).  `spins` is (8, 4) int32 -- per hop (mu forward, mu
  * backward, ...) the two lower spins the projection reads and the two
  * half-spinor rows the reconstruction reads -- and `coef` (8, 4) complex:
  * the two projection and the two reconstruction phases.  bc[mu] is the
@@ -605,9 +728,8 @@ static void NAME(leave_vectors)(REAL *restrict acc, int64_t U, int64_t R,
  * while the unit's scratch (48 reals a site) stays near the L1 cache, so
  * small blocks are not all loop overhead.  A hop along an axis inside the
  * unit is a shift within it; along an outer axis it reads another unit. */
-static int NAME(stencil)(const REAL *xs, const REAL *links, void *out,
+static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
                          int to, int narrow, int half,
-                         const REAL *packed, double diag,
                          const int32_t *spins, const REAL *coef,
                          int64_t nb, int64_t nl, int64_t T, int64_t Z,
                          int64_t Y, int64_t X, const int32_t *bc,
@@ -633,11 +755,25 @@ static int NAME(stencil)(const REAL *xs, const REAL *links, void *out,
     for (int64_t l = 0; l < nl; l++) {
         if (live && !live[l]) continue;
         const REAL *xb = xs + (b * nl + l) * NB * FIELD_ROWS * W;
-        const REAL *ul = links + 2 * l * V;
+        const REAL *xt = on->xt + (b * nl + l) * NB * FIELD_ROWS * W;
+        const REAL *packed = on->packed
+            ? on->packed + l * NB * CLOVER_ROWS * W : NULL;
+        const REAL *inverse = on->inverse
+            ? on->inverse + l * NB * CLOVER_ROWS * W : NULL;
+        const REAL *ul = on->links + 2 * l * V, *ub = on->back + 2 * l * V;
         for (int64_t unit = 0; unit < units; unit++) {
             const int64_t here = unit * U;
             memset(acc, 0, (size_t)(24 * R) * sizeof(REAL));
-            for (int hop = 0; hop < 8; hop++) {
+            if (!on->hops) {
+                VEC buf[FIELD_ROWS];
+                for (int64_t j = 0; j < U; j += W) {
+                    const VEC *v = NAME(rows_of)(xt, FIELD_ROWS, here + j,
+                                                 U - j, buf);
+                    for (int r = 0; r < FIELD_ROWS; r++)
+                        *(VEC *)(acc + r * R + j) = v[r];
+                }
+            }
+            for (int hop = 0; on->hops && hop < 8; hop++) {
                 const int mu = hop / 2, forward = !(hop % 2);
                 const int32_t *sp = spins + 4 * hop;
                 const REAL *cf = coef + 8 * hop;
@@ -654,12 +790,18 @@ static int NAME(stencil)(const REAL *xs, const REAL *links, void *out,
                     from += (forward ? 1 : -1) * (crossed ? 1 - n[mu] : 1)
                         * d * U;
                 }
-                const REAL *u = ul + mu * 9 * ls;
+                const REAL *u = ul + mu * 9 * ls, *uback = ub + mu * 9 * ls;
+                const int halved = mu == 0 && on->parity >= 0;
                 REAL *result;
                 NAME(project)(xb, from, U, R, sp, cf, h);
                 if (forward) {
                     /* U(x) [P psi](x + mu): shift, then multiply */
-                    if (mu < inner) {
+                    if (halved) {
+                        NAME(shift_half)(g, h, U, R, X, Y, Z, here / X,
+                                         on->parity, 1, bc[0]);
+                        NAME(link_apply)(g, u + 2 * here, ls, U, R, 0,
+                                         result = h);
+                    } else if (mu < inner) {
                         NAME(shift_unit)(g, h, U, R, d, n[mu], 1, bc[mu]);
                         NAME(link_apply)(g, u + 2 * here, ls, U, R, 0,
                                          result = h);
@@ -670,9 +812,12 @@ static int NAME(stencil)(const REAL *xs, const REAL *links, void *out,
                     }
                 } else {
                     /* U(x - mu)^+ [P psi](x - mu): multiply, then shift */
-                    NAME(link_apply)(h, u + 2 * from, ls, U, R, 1,
+                    NAME(link_apply)(h, uback + 2 * from, ls, U, R, 1,
                                      result = g);
-                    if (mu < inner)
+                    if (halved)
+                        NAME(shift_half)(result = h, g, U, R, X, Y, Z,
+                                         here / X, on->parity, 0, bc[0]);
+                    else if (mu < inner)
                         NAME(shift_unit)(result = h, g, U, R, d, n[mu], 0,
                                          bc[mu]);
                     else if (crossed)
@@ -683,9 +828,10 @@ static int NAME(stencil)(const REAL *xs, const REAL *links, void *out,
             const int64_t site = (b * nl + l) * V + here;
             if (to != BARE) {
                 if (seconds) seconds[HOPS] += lap(mark);
-                NAME(site_tail)(acc, U, R, xb,
-                                packed ? packed + l * NB * CLOVER_ROWS * W : NULL,
-                                here, diag);
+                if (on->matrix)
+                    NAME(site_tail)(acc, U, R, xt, packed, here, on->diag,
+                                    on->hop);
+                if (inverse) NAME(site_invert)(acc, U, R, inverse, here);
                 if (seconds) seconds[TAIL] += lap(mark);
                 if (to == SITE_VECTORS)
                     NAME(leave_vectors)(acc, U, R,
@@ -716,11 +862,11 @@ static int NAME(stencil)(const REAL *xs, const REAL *links, void *out,
 }
 
 /* Both entries: the field into the body's own site-vector copy (`cstride`,
- * `sstride`: its layout, as for gather), then the stencil on that. */
+ * `sstride`: its layout, as for gather), then the stencil on that (the tail,
+ * if any, reading that copy). */
 static int NAME(run)(const void *x, int64_t cstride, int64_t sstride,
-                     const REAL *links, void *out, int to, int narrow,
-                     int half, const REAL *packed, double diag,
-                     const int32_t *spins, const REAL *coef,
+                     NAME(sites) on, void *out, int to, int narrow,
+                     int half, const int32_t *spins, const REAL *coef,
                      int64_t nb, int64_t nl, int64_t T, int64_t Z,
                      int64_t Y, int64_t X, const int32_t *bc, double *seconds)
 {
@@ -733,21 +879,38 @@ static int NAME(run)(const void *x, int64_t cstride, int64_t sstride,
     if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
     NAME(enter)(x, narrow, cstride, sstride, xs, nb * nl, V, half);
     if (seconds) seconds[CONVERT] += lap(&mark);
-    int failed = NAME(stencil)(xs, links, out, to, narrow, half, packed,
-                               diag, spins, coef, nb, nl, T, Z, Y, X, bc,
-                               NULL, seconds, &mark);
+    on.xt = xs;
+    int failed = NAME(stencil)(xs, &on, out, to, narrow, half, spins, coef,
+                               nb, nl, T, Z, Y, X, bc, NULL, seconds, &mark);
     free(raw);
     return failed;
 }
 
-/* out = D x on lattice-last fields (WilsonCloverOperator._hop_sites). */
+/* Reals of one parity's links (mu, b, a, lane, sites) in the even-odd
+ * form's forward links split by parity (parity, mu, b, a, lane, sites). */
+static inline int64_t NAME(parity_links)(int64_t nl, int64_t V)
+{
+    return 4 * 9 * 2 * nl * V;
+}
+
+/* out = D x on lattice-last fields (repro.dirac.wilson.hop_sites): on the
+ * full lattice (parity -1, links (2, mu, b, a, lane, sites)), or from the
+ * other parity onto the sites of `parity` of a half lattice T Z Y X (the
+ * forward links split by parity, (parity, mu, b, a, lane, sites)). */
 int NAME(repro_wilson_hop)(const REAL *x, const REAL *links, REAL *out,
                            const int32_t *spins, const REAL *coef,
                            int64_t nb, int64_t nl, int64_t T, int64_t Z,
-                           int64_t Y, int64_t X, const int32_t *bc)
+                           int64_t Y, int64_t X, const int32_t *bc,
+                           int parity)
 {
-    return NAME(run)(x, nb * nl * T * Z * Y * X, 1, links, out, BARE, 0, 0,
-                     NULL, 0.0, spins, coef, nb, nl, T, Z, Y, X, bc, NULL);
+    const int64_t P = NAME(parity_links)(nl, T * Z * Y * X);
+    const NAME(sites) on = {
+        parity < 0 ? links : links + parity * P,
+        parity < 0 ? links : links + (1 - parity) * P,
+        parity, 1, NULL, NULL, 0.0, 0.0, 0, NULL,
+    };
+    return NAME(run)(x, nb * nl * T * Z * Y * X, 1, on, out, BARE, 0, 0,
+                     spins, coef, nb, nl, T, Z, Y, X, bc, NULL);
 }
 
 /* The whole matrix, WilsonCloverOperator._apply_sites, on the caller's
@@ -767,8 +930,87 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
                              int64_t Y, int64_t X, const int32_t *bc,
                              double *seconds)
 {
-    return NAME(run)(x, 1, 12, links, out, SITE_MAJOR, narrow, half, packed,
-                     diag, spins, coef, nb, nl, T, Z, Y, X, bc, seconds);
+    const NAME(sites) on = {links, links, -1, 1, NULL, packed, diag, -0.5, 1,
+                            NULL};
+    return NAME(run)(x, 1, 12, on, out, SITE_MAJOR, narrow, half, spins, coef,
+                     nb, nl, T, Z, Y, X, bc, seconds);
+}
+
+/* The even-odd Schur complement, EvenOddPreconditionedWilson._apply, on the
+ * caller's site-major even half-lattice fields (nb, nl, T, Z, Y, X, 4, 3),
+ * T Z Y X the half lattice, links split by parity:
+ *     t = C_oo^{-1} D x,    out = (4 + m) x - 1/4 D t + A_ee x
+ * with `inverse` C_oo^{-1} and `clover` A_ee (or NULL) packed on the half
+ * lattice, x / out float complex if `narrow` (widened on the way in, rounded
+ * once on the way out), t site vectors from one hop to the other.  The
+ * -1/4 is the matrix tail's -1/2 with the other power of two: the NumPy
+ * body's `out *= -0.25`.  `seconds` as for repro_wilson_apply.  Returns
+ * nonzero when the scratch cannot be had. */
+int NAME(repro_wilson_schur)(const void *x, const REAL *links,
+                             const REAL *clover, const REAL *inverse,
+                             double diag, void *out, int narrow,
+                             const int32_t *spins, const REAL *coef,
+                             int64_t nb, int64_t nl, int64_t T, int64_t Z,
+                             int64_t Y, int64_t X, const int32_t *bc,
+                             double *seconds)
+{
+    const int64_t V = T * Z * Y * X, F = blocks_of(V) * FIELD_ROWS * W;
+    const int64_t P = NAME(parity_links)(nl, V);
+    struct timespec mark;
+    void *raw;
+    REAL *xs = aligned_scratch((size_t)(2 * nb * nl * F) * sizeof(REAL), &raw);
+    if (!xs) return 1;
+    REAL *t = xs + nb * nl * F;
+    if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
+    NAME(enter)(x, narrow, 1, 12, xs, nb * nl, V, 0);
+    if (seconds) seconds[CONVERT] += lap(&mark);
+    const NAME(sites) odd = {links + P, links, 1, 1, xs, NULL, 0.0, 0.0, 0,
+                             inverse};
+    const NAME(sites) even = {links, links + P, 0, 1, xs, clover, diag, -0.25,
+                              1, NULL};
+    int failed = NAME(stencil)(xs, &odd, t, SITE_VECTORS, 0, 0, spins, coef,
+                               nb, nl, T, Z, Y, X, bc, NULL, seconds, &mark)
+        || NAME(stencil)(t, &even, out, SITE_MAJOR, narrow, 0, spins, coef,
+                         nb, nl, T, Z, Y, X, bc, NULL, seconds, &mark);
+    free(raw);
+    return failed;
+}
+
+/* One pass of the even-odd form on the caller's site-major half-lattice
+ * fields (nb, nl, T, Z, Y, X, 4, 3) of the operator's precision, onto the
+ * sites of `parity` (links split by parity):
+ *     acc = D src  (from the other parity; with `hops` 0, acc = xt)
+ *     with `matrix`:  acc = hop * acc + diag * xt + A xt  (`clover` A or NULL)
+ *     where `inverse` is not NULL:  acc = inverse acc
+ *     out = acc
+ * -- the full matrix on one parity, the back-substitution, and the two
+ * halves of the Schur right-hand side (EvenOddPreconditionedWilson).
+ * Returns nonzero when the scratch cannot be had. */
+int NAME(repro_wilson_parity)(const REAL *src, const REAL *xt,
+                              const REAL *links, int parity, int hops,
+                              int matrix, double hop, double diag,
+                              const REAL *clover, const REAL *inverse,
+                              REAL *out, const int32_t *spins,
+                              const REAL *coef, int64_t nb, int64_t nl,
+                              int64_t T, int64_t Z, int64_t Y, int64_t X,
+                              const int32_t *bc)
+{
+    const int64_t V = T * Z * Y * X, F = blocks_of(V) * FIELD_ROWS * W;
+    const int64_t P = NAME(parity_links)(nl, V);
+    void *raw;
+    REAL *xs = aligned_scratch((size_t)(2 * nb * nl * F) * sizeof(REAL), &raw);
+    if (!xs) return 1;
+    REAL *xv = xs + nb * nl * F;
+    if (hops) NAME(enter)(src, 0, 1, 12, xs, nb * nl, V, 0);
+    NAME(enter)(xt, 0, 1, 12, xv, nb * nl, V, 0);
+    const NAME(sites) on = {links + parity * P, links + (1 - parity) * P,
+                            parity, hops, xv, clover, diag, hop, matrix,
+                            inverse};
+    int failed = NAME(stencil)(hops ? xs : xv, &on, out, SITE_MAJOR, 0, 0,
+                               spins, coef, nb, nl, T, Z, Y, X, bc, NULL,
+                               NULL, NULL);
+    free(raw);
+    return failed;
 }
 
 /* ---- the Schwarz block solve ----------------------------------------- */
@@ -977,9 +1219,10 @@ int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
             }
             if (seconds) seconds[CONVERT] += lap(&mark);
         }
-        if (NAME(stencil)(xs, links, q, SITE_VECTORS, 0, half, packed, diag,
-                          spins, coef, nb, nl, T, Z, Y, X, bc, live, seconds,
-                          &mark)) {
+        const NAME(sites) on = {links, links, -1, 1, xs, packed, diag, -0.5,
+                                1, NULL};
+        if (NAME(stencil)(xs, &on, q, SITE_VECTORS, 0, half, spins, coef, nb,
+                          nl, T, Z, Y, X, bc, live, seconds, &mark)) {
             free(raw);
             return 1;
         }

@@ -46,6 +46,11 @@ class Geometry:
         the lattice admits an exact even-odd checkerboarding (all production
         lattices, including the paper's 32^3x256 and 64^3x192, are even).
 
+    half:
+        The lattice of ONE parity's sites, site-compressed along X (the
+        even-odd form's fields): its X extent is half an even one and may
+        be odd (or 1); the other extents are the full lattice's.
+
     Examples
     --------
     >>> g = Geometry((4, 4, 4, 8))
@@ -55,15 +60,17 @@ class Geometry:
     (8, 4, 4, 4)
     """
 
-    def __init__(self, dims: tuple[int, int, int, int]):
+    def __init__(self, dims: tuple[int, int, int, int], half: bool = False):
         dims = tuple(int(d) for d in dims)
         if len(dims) != 4:
             raise ValueError(f"need 4 extents (nx,ny,nz,nt), got {dims}")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"extents must be >= 2, got {dims}")
-        if any(d % 2 for d in dims):
+        full = (2 * dims[0],) + dims[1:] if half else dims
+        if any(d < 2 for d in full):
+            raise ValueError(f"extents must be >= 2, got {full}")
+        if any(d % 2 for d in full):
             raise ValueError(f"extents must be even for even-odd order, got {dims}")
         self.dims = dims
+        self.half = half
         #: Array shape, T slowest: (nt, nz, ny, nx).
         self.shape: tuple[int, int, int, int] = tuple(reversed(dims))
         self.volume = int(np.prod(dims))
@@ -75,13 +82,17 @@ class Geometry:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nx, ny, nz, nt = self.dims
-        return f"Geometry({nx}x{ny}x{nz}x{nt})"
+        half = ", half" if self.half else ""
+        return f"Geometry({nx}x{ny}x{nz}x{nt}{half})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Geometry) and other.dims == self.dims
+        return (
+            isinstance(other, Geometry)
+            and (other.dims, other.half) == (self.dims, self.half)
+        )
 
     def __hash__(self) -> int:
-        return hash(("Geometry", self.dims))
+        return hash(("Geometry", self.dims, self.half))
 
     # ------------------------------------------------------------------
     # coordinates and parity
@@ -203,6 +214,65 @@ class Geometry:
         """Total two-sided halo surface over local volume, for scaling analysis."""
         surface = sum(2 * self.face_volume(mu, depth) for mu in partitioned)
         return surface / self.volume
+
+
+def parity_rows(shape, parity: int) -> np.ndarray:
+    """Which rows ``(T, Z, Y)`` of a half-lattice field of ``parity`` — one
+    parity's sites, site-compressed along X — hold the odd full-lattice
+    ``x``, on a lattice of lattice-last ``shape`` (``(..., T, Z, Y, *)``):
+    site ``(t, z, y, i)`` of the field is ``x = 2 i + (t + z + y + parity)
+    % 2``.  Shape ``(T, Z, Y, 1)``, so it broadcasts over a row's sites."""
+    t, z, y = np.ogrid[: shape[-4], : shape[-3], : shape[-2]]
+    return ((t + z + y + parity) % 2 == 1)[..., None]
+
+
+def _odd_rows(lattice, parity: int, trail: int) -> np.ndarray:
+    """:func:`parity_rows` of a field whose lattice axes end ``trail`` axes
+    before its last, shaped to broadcast over the ``(X/2, [site axes])``
+    behind them."""
+    return parity_rows(lattice, parity).reshape(
+        tuple(lattice[-4:-1]) + (1,) * (1 + trail)
+    )
+
+
+def to_parity(
+    x: np.ndarray, parity: int, trail: int = 2, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The sites of ``parity`` (0 even, 1 odd) of a full-lattice field whose
+    last ``trail`` axes are per-site (2 for a Wilson spinor, 0 for a
+    lattice-last array), as a C-contiguous half-lattice field (written to
+    ``out`` if given)."""
+    lat = x.ndim - trail
+    pairs = x.reshape(
+        x.shape[: lat - 1] + (x.shape[lat - 1] // 2, 2) + x.shape[lat:]
+    )
+    pick = (slice(None),) * lat
+    if out is None:
+        out = np.empty(pairs.shape[:lat] + pairs.shape[lat + 1:], x.dtype)
+    np.copyto(out, pairs[pick + (0,)])
+    odd_rows = _odd_rows(x.shape[:lat], parity, trail)
+    np.copyto(out, pairs[pick + (1,)], where=odd_rows)
+    return out
+
+
+def from_parities(
+    x_e: np.ndarray, x_o: np.ndarray, trail: int = 2
+) -> np.ndarray:
+    """The full-lattice field whose even and odd sites are the half-lattice
+    fields ``x_e`` and ``x_o`` (the inverse of :func:`to_parity`)."""
+    lat = x_e.ndim - trail
+    odd_even_rows = _odd_rows(x_e.shape[:lat], 0, trail)
+    out = np.empty(
+        x_e.shape[:lat] + (2,) + x_e.shape[lat:], np.result_type(x_e, x_o)
+    )
+    pick = (slice(None),) * lat
+    for column, (rows_out, rows_in) in enumerate(((x_e, x_o), (x_o, x_e))):
+        # column 0 holds the even sites of the even rows, the odd of the rest
+        np.copyto(out[pick + (column,)], rows_out)
+        np.copyto(out[pick + (column,)], rows_in, where=odd_even_rows)
+    return out.reshape(
+        x_e.shape[: lat - 1] + (2 * x_e.shape[lat - 1],) + x_e.shape[lat:]
+    )
 
 
 def shift_sites(

@@ -32,14 +32,16 @@ class BlockPartition:
                 raise ValueError(
                     f"lattice extent {n} (dir {mu}) not divisible by grid {p}"
                 )
-            if (n // p) % 2 or n // p < 2:
+            # (on a half lattice, the block's full X extent)
+            extent = 2 * (n // p) if geometry.half and mu == 0 else n // p
+            if extent % 2 or extent < 2:
                 raise ValueError(
-                    f"local extent {n // p} (dir {mu}) must be even and >= 2"
+                    f"local extent {extent} (dir {mu}) must be even and >= 2"
                 )
             local.append(n // p)
         #: Local block extents (nx, ny, nz, nt).
         self.local_dims = tuple(local)
-        self.local_geometry = Geometry(self.local_dims)
+        self.local_geometry = Geometry(self.local_dims, half=geometry.half)
 
     @property
     def n_ranks(self) -> int:

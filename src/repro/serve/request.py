@@ -39,6 +39,7 @@ from repro.core.api import (
     METHODS,
     SolveRequest,
     SolveRequestError,
+    resolve_even_odd,
     resolve_request_precond,
     validate_request,
 )
@@ -365,9 +366,11 @@ class ServiceRequest:
         rid = payload.get("id")
         if rid is not None and not isinstance(rid, str):
             raise _invalid("id", f"must be a string, got {rid!r}")
-        even_odd = payload.get("even_odd", False)
-        if not isinstance(even_odd, bool):
-            raise _invalid("even_odd", f"must be a boolean, got {even_odd!r}")
+        even_odd = payload.get("even_odd", AUTO)
+        if not (isinstance(even_odd, bool) or even_odd == AUTO):
+            raise _invalid(
+                "even_odd", f"must be a boolean or 'auto', got {even_odd!r}"
+            )
         return_solution = payload.get("return_solution", False)
         if not isinstance(return_solution, bool):
             raise _invalid(
@@ -403,6 +406,7 @@ class ServiceRequest:
         try:
             validate_request(checked)
             solve.precond = resolve_request_precond(solve, batched=True).name
+            solve.even_odd = resolve_even_odd(solve)
         except SolveRequestError as exc:
             wire = _WIRE_FIELD.get(exc.field, exc.field)
             raise _invalid(wire, exc.problem, exc.choices)

@@ -70,6 +70,41 @@ class TestKneeChart:
         assert "comm fraction" in chart
 
 
+class TestReplayChargesCommunication:
+    def test_two_rank_point_charges_its_sends(self):
+        """A partitioned point's replay charges the messages its solve
+        sent: ``replay_comm`` of the ``send`` spans of that solve."""
+        from repro.comm.grid import choose_grid
+        from repro.core.gcrdd import GCRDDConfig
+        from repro.core.spmd import SPMDGCRDDSolver
+        from repro.lattice import GaugeField, Geometry, SpinorField
+        from repro.perfmodel.replay import replay_comm
+        from repro.trace import tracing
+
+        dims, seed = (4, 4, 4, 8), 11
+        doc, points = run_scaling_sweep(
+            dims=dims, ranks=(1, 2), tol=1e-5, backend="sequential",
+            seed=seed,
+        )
+        solo, pair = points
+        assert solo.replay_comm_seconds == 0.0
+        assert pair.replay_comm_seconds > 0.0
+        assert doc["results"][1]["replay_comm_seconds"] == pair.replay_comm_seconds
+
+        geometry = Geometry(dims)
+        solver = SPMDGCRDDSolver(
+            GaugeField.weak(geometry, epsilon=0.25, rng=seed), -0.06, 1.0,
+            choose_grid(2, (3, 2, 1, 0), dims),
+            config=GCRDDConfig(tol=1e-5, precond_steps=4, kmax=8),
+            backend="sequential",
+        )
+        with tracing() as tr:
+            solver.solve(SpinorField.random(geometry, rng=seed + 1).data)
+        assert pair.replay_comm_seconds == replay_comm(
+            tr.events, EDGE.interconnect, 2
+        )
+
+
 @pytest.mark.slow
 class TestLiveSweep:
     def test_tiny_sweep_end_to_end(self):

@@ -12,7 +12,7 @@ import pytest
 from repro.comm import ProcessGrid
 from repro.core import GCRDDConfig, GCRDDSolver
 from repro.dirac import EvenOddPreconditionedWilson, WilsonCloverOperator
-from repro.dirac.evenodd import parity_project
+from repro.dirac.evenodd import to_parity
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.multigpu import BlockPartition
 from repro.precision import DOUBLE, PrecisionPolicy
@@ -34,17 +34,19 @@ class TestBlockRestriction:
         """The restricted Schur operator equals building the Schur
         complement of the restricted Wilson operator."""
         geom, op, eo, b = system
-        part = BlockPartition(geom, ProcessGrid((1, 1, 1, 2)))
+        # The Schur system's blocks partition its own (half) lattice.
+        part = BlockPartition(eo.geometry, ProcessGrid((1, 1, 1, 2)))
         block = eo.restrict_to_block(part, 0)
         # Build the same object manually.
-        manual = EvenOddPreconditionedWilson(op.restrict_to_block(part, 0))
-        x = SpinorField.random(block.geometry, rng=rng).data
-        x = parity_project(block.geometry, x, 0)
+        full = BlockPartition(geom, ProcessGrid((1, 1, 1, 2)))
+        manual = EvenOddPreconditionedWilson(op.restrict_to_block(full, 0))
+        x = SpinorField.random(full.local_geometry, rng=rng).data
+        x = to_parity(x, 0)
         assert np.abs(block.apply(x) - manual.apply(x)).max() < 1e-13
 
     def test_block_boundary_is_cut(self, system):
         geom, op, eo, b = system
-        part = BlockPartition(geom, ProcessGrid((1, 1, 2, 2)))
+        part = BlockPartition(eo.geometry, ProcessGrid((1, 1, 2, 2)))
         block = eo.restrict_to_block(part, 0)
         assert block.wilson.boundary[2] == "zero"
         assert block.wilson.boundary[3] == "zero"

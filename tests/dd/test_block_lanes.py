@@ -28,7 +28,7 @@ from repro.dirac import (
     StaggeredNormalOperator,
     WilsonCloverOperator,
 )
-from repro.dirac.evenodd import parity_project
+from repro.dirac.evenodd import to_parity
 from repro.kernels import get_backend
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.multigpu import BlockPartition
@@ -230,8 +230,8 @@ def test_even_odd_blocks_ride_the_lanes():
     eo = EvenOddPreconditionedWilson(
         WilsonCloverOperator(gauge, mass=0.1, csw=1.0, boundary=PHYSICAL)
     )
-    part = BlockPartition(GEOM, GRID)
-    r = parity_project(GEOM, SpinorField.random(GEOM, rng=3).data, 0)
+    part = BlockPartition(eo.geometry, GRID)  # the Schur system's lattice
+    r = to_parity(SpinorField.random(GEOM, rng=3).data, 0)
     with tally() as t_lanes:
         z = AdditiveSchwarzPreconditioner(eo, part, mr_steps=4)(r)
     with tally() as t_loop:
@@ -239,7 +239,7 @@ def test_even_odd_blocks_ride_the_lanes():
     assert np.array_equal(z, expected)
     assert_same_ledger(t_lanes, t_loop)
     # Growing by one site along ONE direction swaps the checkerboards.
-    odd = BlockPartition(GEOM, ProcessGrid((1, 1, 1, 2)))
+    odd = BlockPartition(eo.geometry, ProcessGrid((1, 1, 1, 2)))
     with pytest.raises(TypeError, match="odd origin"):
         OverlappingSchwarzPreconditioner(eo, odd, overlap=1)
 
@@ -405,7 +405,7 @@ def test_packed_wilson_matrix_without_the_rounding(rng):
     lhs = np.vdot(y, packed.apply_dagger(x))
     rhs = np.vdot(packed.apply(y), x)
     assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
-    with pytest.raises(TypeError, match="dense clover"):
+    with pytest.raises(TypeError, match="working-precision clover"):
         EvenOddPreconditionedWilson(packed)
 
 

@@ -11,9 +11,9 @@ from repro.dirac.clover import (
     build_clover_blocks,
     build_clover_field,
     chiral_blocks,
-    clover_site_matrices,
     dense_clover,
-    invert_site_matrices,
+    invert_hermitian_blocks,
+    SingularCloverError,
 )
 from repro.gauge.heatbath import HeatbathUpdater
 from repro.lattice import GaugeField, Geometry, SpinorField
@@ -211,17 +211,37 @@ class TestApplyClover:
 
 
 class TestSiteMatrices:
+    """The even-odd form's ``(4 + m + A)^{-1}``, one Hermitian 6x6 block
+    per chirality, in the repository's own order (no LAPACK)."""
+
     def test_without_clover(self):
-        c = clover_site_matrices(None, 4.1, (2, 2, 2, 2))
-        assert c.shape == (2, 2, 2, 2, 12, 12)
-        assert np.allclose(c, 4.1 * np.eye(12))
+        inv = invert_hermitian_blocks(None, 4.1, (2, 2, 2, 2))
+        assert inv.shape == (6, 6, 2, 2, 2, 2)
+        assert np.allclose(np.moveaxis(inv, (0, 1), (-2, -1)), np.eye(6) / 4.1)
 
     def test_with_clover(self, clover):
-        c = clover_site_matrices(clover, 4.1, clover.shape[:-2])
-        assert np.allclose(c - clover, 4.1 * np.eye(12))
+        blocks = chiral_blocks(clover)
+        for c in (0, 1):
+            inv = invert_hermitian_blocks(blocks[c], 4.1, clover.shape[:-2], c)
+            dense = np.moveaxis(blocks[c], (0, 1), (-2, -1)) + 4.1 * np.eye(6)
+            expected = np.linalg.inv(dense)
+            got = np.moveaxis(inv, (0, 1), (-2, -1))
+            assert np.abs(got - expected).max() < 1e-13
+            # Hermitian bit for bit: what the packed form can hold
+            assert np.array_equal(got.real, np.swapaxes(got.real, -1, -2))
+            assert np.array_equal(got.imag, 0.0 - np.swapaxes(got.imag, -1, -2))
 
     def test_inversion(self, clover):
-        c = clover_site_matrices(clover, 4.1, clover.shape[:-2])
-        cinv = invert_site_matrices(c)
-        prod = c @ cinv
-        assert np.abs(prod - np.eye(12)).max() < 1e-10
+        blocks = chiral_blocks(clover)
+        inv = invert_hermitian_blocks(blocks[1], 4.1, clover.shape[:-2], 1)
+        dense = np.moveaxis(blocks[1], (0, 1), (-2, -1)) + 4.1 * np.eye(6)
+        prod = dense @ np.moveaxis(inv, (0, 1), (-2, -1))
+        assert np.abs(prod - np.eye(6)).max() < 1e-10
+
+    def test_singular_block_is_named(self, clover):
+        blocks = np.array(chiral_blocks(clover)[0])
+        # one site's block -4.1 * I: (4.1 + A) vanishes there
+        blocks[:, :, 1, 0, 1, 0] = -4.1 * np.eye(6)
+        with pytest.raises(SingularCloverError) as exc:
+            invert_hermitian_blocks(blocks, 4.1, clover.shape[:-2], 0)
+        assert exc.value.site == (1, 0, 1, 0) and exc.value.chirality == 0

@@ -24,6 +24,7 @@ import pytest
 
 import repro.dirac.base
 import repro.dirac.clover
+import repro.dirac.evenodd
 import repro.dirac.wilson
 from repro import (
     GaugeField, Geometry, ProcessGrid, SolveRequest, SpinorField, solve,
@@ -38,7 +39,9 @@ from repro.serve import SolveService
 GEOM = Geometry((4, 4, 4, 8))
 GRID = ProcessGrid((1, 1, 2, 2))
 CASES = {
+    # the default: the even-odd Schur system on half-lattice fields
     "bicgstab": dict(method="bicgstab"),
+    "bicgstab-full": dict(method="bicgstab", even_odd=False),
     **{
         f"gcr-dd-{precond}": dict(method="gcr-dd", grid=GRID, precond=precond)
         for precond in ("auto", "ras", "twolevel", "multisplit")
@@ -86,6 +89,8 @@ def builds(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     spy(repro.dirac.wilson, "lattice_last_links")
+    spy(repro.dirac.evenodd, "half_links")
+    spy(repro.dirac.evenodd, "invert_hermitian_blocks")
     spy(repro.dirac.wilson, "chiral_blocks")
     spy(repro.dirac.wilson, "dense_clover")
     spy(repro.dirac.clover, "dense_clover")
@@ -108,8 +113,14 @@ def test_second_solve_builds_nothing_and_moves_no_bit(case, builds):
     gauge = weak_gauge()
     first, first_ledger = run(gauge, **CASES[case])
     assert first.converged
-    assert builds["lattice_last_links"] == 1 and builds["field_strength"] == 6
-    if case != "bicgstab":
+    assert builds["field_strength"] == 6
+    # The Schur system's links are gathered by parity from the gauge
+    # field; the full-lattice cache is never built for it.
+    even_odd = case == "bicgstab"
+    assert builds["lattice_last_links"] == (not even_odd)
+    assert builds["half_links"] == even_odd
+    assert builds["invert_hermitian_blocks"] == 2 * even_odd  # per chirality
+    if not case.startswith("bicgstab"):
         assert builds["stack_regions"] >= 2
     assert not builds["chiral_blocks"] and not builds["dense_clover"]
     builds.clear()
@@ -161,7 +172,8 @@ def test_second_batch_of_a_live_service_builds_nothing(builds):
     service.start()
     try:
         first = [t.result(timeout=120) for t in tickets]
-        assert builds["lattice_last_links"] == 1
+        # a served Wilson-clover BiCGstab solve is an even-odd one
+        assert builds["half_links"] == 1
         assert builds["field_strength"] == 6
         builds.clear()
         second = [
@@ -350,7 +362,7 @@ def test_threads_constructing_at_once_share_one_set_of_arrays():
 @pytest.mark.skipif(
     not get_backend("c").available, reason="this host cannot build the tier"
 )
-@pytest.mark.parametrize("case", ["bicgstab", "gcr-dd-auto"])
+@pytest.mark.parametrize("case", ["bicgstab", "bicgstab-full", "gcr-dd-auto"])
 def test_a_compiled_solve_keeps_the_clover_term_packed_and_once(
     case, builds, monkeypatch
 ):
@@ -361,7 +373,7 @@ def test_a_compiled_solve_keeps_the_clover_term_packed_and_once(
     nothing; every bit and count is the NumPy tier's."""
     backend = type(get_backend("c"))
     for hook in ("clover_pack", "clover_regions", "clover_cast",
-                 "clover_chirality"):
+                 "clover_chirality", "clover_parity"):
         inner = getattr(backend, hook)
         monkeypatch.setattr(
             backend, hook,
@@ -371,20 +383,32 @@ def test_a_compiled_solve_keeps_the_clover_term_packed_and_once(
     gauge = weak_gauge()
     first, first_ledger = run(gauge, "c", **CASES[case])
     assert first.converged
-    assert builds["clover_pack"] == 1 and builds["field_strength"] == 6
-    assert builds["clover_regions"] == (case != "bicgstab")
-    assert not builds["clover_chirality"] and not builds["dense_clover"]
+    # The even-odd solve gathers the packed term of the even sites (kept)
+    # and of the odd ones, and packs C_oo^-1 from the odd sites' blocks
+    # expanded a chirality at a time (dropped after); the odd sites' term
+    # is gathered again for each solve's residual, and dropped.
+    even_odd = case == "bicgstab"
+    assert builds["field_strength"] == 6
+    assert builds["clover_pack"] == (2 if even_odd else 1)
+    assert builds["clover_parity"] == 3 * even_odd
+    assert builds["clover_regions"] == (not case.startswith("bicgstab"))
+    assert builds["clover_chirality"] == 2 * even_odd
+    assert not builds["dense_clover"]
     builds.clear()
     second, second_ledger = run(gauge, "c", **CASES[case])
-    assert not builds, dict(builds)
+    assert dict(builds) == ({"clover_parity": 1} if even_odd else {})
     arrays = list(held(repro.dirac.base.configuration_state(gauge)))
     assert not [a for a in arrays if a.shape[-2:] == (12, 12)]
     assert not [a for a in arrays if a.shape[:3] == (2, 6, 6)]
     reals = [a for a in arrays if a.dtype.kind == "f"]
-    assert all(a.size == 72 * GEOM.volume for a in reals)
-    assert [a.dtype for a in reals] == (
-        [np.float64] if case == "bicgstab" else [np.float64, np.float32]
-    )
+    if even_odd:  # the term, then A_ee and C_oo^-1 on half the sites
+        assert [a.size for a in reals] == [72 * GEOM.volume] + [36 * GEOM.volume] * 2
+        assert all(a.dtype == np.float64 for a in reals)
+    else:
+        assert all(a.size == 72 * GEOM.volume for a in reals)
+        assert [a.dtype for a in reals] == (
+            [np.float64] if case == "bicgstab-full" else [np.float64, np.float32]
+        )
     reference, reference_ledger = run(gauge.copy(), "numpy", **CASES[case])
     assert first.x.tobytes() == second.x.tobytes() == reference.x.tobytes()
     assert first_ledger == second_ledger == reference_ledger

@@ -54,7 +54,15 @@ def test_entry_point_returns_input_dtype(operators, name, entry, batch, dtype, r
     if batch:
         shape = (batch,) + shape
     x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
-    # reconstruct(x_e, b) takes the even solution and the full source.
-    out = getattr(op, entry)(*((x, x) if entry == "reconstruct" else (x,)))
-    assert out.shape == x.shape
+    if entry in ("prepare_rhs", "reconstruct"):
+        # The even-odd conversions take a full-lattice source: prepare_rhs
+        # returns its even half-lattice field, reconstruct(x_e, b) the full
+        # solution.
+        full = shape[: bool(batch)] + op.wilson.geometry.shape + (4, 3)
+        b = (rng.standard_normal(full) + 1j * rng.standard_normal(full)).astype(dtype)
+        out = op.prepare_rhs(b) if entry == "prepare_rhs" else op.reconstruct(x, b)
+        assert out.shape == (x.shape if entry == "prepare_rhs" else b.shape)
+    else:
+        out = getattr(op, entry)(x)
+        assert out.shape == x.shape
     assert out.dtype == np.dtype(dtype)

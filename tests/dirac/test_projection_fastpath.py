@@ -19,7 +19,7 @@ from repro.dirac import (
     PHYSICAL,
     WilsonCloverOperator,
 )
-from repro.dirac.evenodd import parity_project
+from repro.dirac.evenodd import to_parity
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.linalg.gamma import projector, projector_factors, projector_tables
 from repro.multigpu import BlockPartition
@@ -112,7 +112,7 @@ class TestEvenOddEquivalence:
         eo_fast = EvenOddPreconditionedWilson(fast)
         eo_ref = EvenOddPreconditionedWilson(ref)
         geom = weak_gauge.geometry
-        x = parity_project(geom, SpinorField.random(geom, rng=rng).data, 0)
+        x = to_parity(SpinorField.random(geom, rng=rng).data, 0)
         assert np.abs(eo_fast.apply(x) - eo_ref.apply(x)).max() < TOL
 
 

@@ -508,9 +508,11 @@ class TestNonFiniteOperator:
         srv.stop()
 
     def test_a_poisoned_lane_ends_alone(self, server, monkeypatch):
-        import repro.dirac.wilson as wilson
+        # A served Wilson-clover BiCGstab solve runs the even-odd Schur
+        # complement: that is the operator the lane's NaN comes out of.
+        import repro.dirac.evenodd as evenodd
 
-        inner = wilson.WilsonCloverOperator._apply
+        inner = evenodd.EvenOddPreconditionedWilson._apply
         armed = {"applications": 0}
 
         def poisoned(self, x):
@@ -521,7 +523,9 @@ class TestNonFiniteOperator:
                     out[1, 0, 0, 0, 0, 0, 0] = np.nan
             return out
 
-        monkeypatch.setattr(wilson.WilsonCloverOperator, "_apply", poisoned)
+        monkeypatch.setattr(
+            evenodd.EvenOddPreconditionedWilson, "_apply", poisoned
+        )
         posts = [
             payload(seed=s, id=f"w{s}", operator="wilson_clover", mass=0.1,
                     csw=1.0, gauge={"kind": "weak", "dims": DIMS, "seed": 3},

@@ -190,4 +190,6 @@ def test_a_served_lane_is_the_librarys_single_rhs_solve():
             operator="wilson_clover", gauge=gauge, rhs=rhs, mass=0.1,
             csw=1.0, tol=1e-8, method="bicgstab"))
         assert alone.converged
+        # under the default: the even-odd Schur system, served and alone
+        assert alone.report.fingerprint["config"]["even_odd"] is True
         assert served[line["id"]] == alone.x.tobytes(), line["id"]
