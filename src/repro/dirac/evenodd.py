@@ -38,6 +38,12 @@ parity, and ``C_oo^{-1}`` — one Hermitian 6x6 inverse per chirality
 (:func:`repro.dirac.clover.invert_hermitian_blocks`, an order written here,
 not LAPACK's), held like the clover term (packed as 72 reals a site on the
 compiled tier) and applied by the same site-diagonal code.
+
+On the reference tier (``kernel="numpy_ref"``, which runs no lattice-last
+body) the complement is built from the wrapped operator's own dslash on
+full-lattice fields zero on one parity, and ``C^{-1}`` / ``A_ee`` are
+per-site matrix-vector products: the slow cross-check the half-lattice
+body is tested against.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import numpy as np
 from repro.dirac.base import LatticeOperator
 from repro.dirac.clover import (
     ChiralBlocks,
+    apply_chiral,
     apply_chiral_sites,
     invert_hermitian_blocks,
 )
@@ -115,7 +122,8 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     ``apply`` runs the whole complement — two checkerboard hops, ``C_oo^-1``
     between them, ``C_ee`` after — in one call of the wrapped operator's
     kernel tier where the tier has one (``"c"``), else in the NumPy body,
-    which any compiled one equals bit for bit.
+    which any compiled one equals bit for bit.  A reference-tier operator
+    runs the reference formulation instead (module docstring).
     """
 
     nspin = 4
@@ -140,17 +148,27 @@ class EvenOddPreconditionedWilson(LatticeOperator):
             () if self.lanes is None else (self.lanes,)
         ) + self.geometry.shape
         state = wilson._state
-        self._links = state.get(("links", "eo"), lambda: half_links(wilson))
+        #: Whether the tier runs no lattice-last body: the reference
+        #: formulation on the full lattice, which reads no split links.
+        self._reference = not wilson._packed
+        self._links = None
+        if not self._reference:
+            self._links = state.get(
+                ("links", "eo"), lambda: half_links(wilson)
+            )
         terms = state.child("csw", wilson.csw)
-        #: A_ee, the clover term on the even sites (held: every apply
-        #: reads it); the odd sites' is gathered where needed.
-        self._even = None
+        #: A_ee and A_oo, the clover term on each parity's sites (held:
+        #: every apply reads A_ee, every solve's residual A_oo).
+        self._even = self._odd = None
         if wilson._chiral is not None:
-            self._even = terms.get(
-                (self._form.clover_form, "eo", 0),
-                lambda: self._form.clover_parity(
-                    wilson._chiral, self._lattice, 0
-                ),
+            self._even, self._odd = (
+                terms.get(
+                    (self._form.clover_form, "eo", parity),
+                    lambda parity=parity: self._form.clover_parity(
+                        wilson._chiral, self._lattice, parity
+                    ),
+                )
+                for parity in (0, 1)
             )
         masses = terms.child("diagonal", wilson.diagonal_coefficient)
         self._inverse = masses.get(
@@ -158,18 +176,10 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         )
 
     # -- derived arrays ----------------------------------------------------
-    def _odd(self) -> np.ndarray | None:
-        """A_oo, the clover term on the odd sites, in the tier's held form
-        (gathered afresh: a solve reads it once, for its residual)."""
-        if self.wilson._chiral is None:
-            return None
-        return self._form.clover_parity(self.wilson._chiral, self._lattice, 1)
-
     def _build_inverse(self) -> np.ndarray:
         """``C_oo^{-1}`` per chirality, in the tier's held form, from the
         term on the odd sites a chirality at a time."""
-        odd = self._odd()
-        odd = None if odd is None else self._blocks(odd)
+        odd = None if self._odd is None else self._blocks(self._odd)
         return self._form.clover_pack(
             lambda c: invert_hermitian_blocks(
                 None if odd is None else odd[c],
@@ -209,8 +219,35 @@ class EvenOddPreconditionedWilson(LatticeOperator):
             )
         return acc
 
+    # -- the reference formulation --------------------------------------------
+    def _reference_hop(self, v: np.ndarray, parity: int) -> np.ndarray:
+        """``D`` from the other parity onto ``parity`` by the wrapped
+        operator's dslash, on the full field that is ``v`` on the other
+        parity's sites and zero on ``parity``'s."""
+        zero = np.zeros_like(v)
+        full = from_parities(zero, v) if parity == 0 else from_parities(v, zero)
+        return to_parity(self.wilson._dslash(full), parity)
+
+    def _reference_inverse(self, v: np.ndarray) -> np.ndarray:
+        """``C_oo^{-1} v``, a 6x6 matrix-vector product a site and
+        chirality, in ``v``'s dtype."""
+        return apply_chiral(self._blocks(self._inverse), v).astype(
+            v.dtype, copy=False
+        )
+
+    def _apply_reference(self, x: np.ndarray) -> np.ndarray:
+        """``Mhat x`` as ``(4 + m + A_ee) x - 1/4 D C_oo^{-1} D x``."""
+        out = self.wilson.diagonal_coefficient * x
+        if self._even is not None:
+            out += apply_chiral(self._blocks(self._even), x)
+        lifted = self._reference_inverse(self._reference_hop(x, 1))
+        out -= 0.25 * self._reference_hop(lifted, 0)
+        return out
+
     # -- the Schur complement ---------------------------------------------
     def _apply(self, x: np.ndarray) -> np.ndarray:
+        if self._reference:
+            return self._apply_reference(x)
         batched = bool(self.field_lead(x))
         seconds = np.zeros(3) if timing() else None
         start = time.perf_counter()
@@ -257,14 +294,8 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         parity (``src`` ``None``: ``acc = xt``); unless ``hop`` is ``None``,
         the matrix tail ``acc = hop acc + diagonal xt + A xt`` (``clover``
         A, held, or ``None``); then ``acc = inverse acc`` where ``inverse``
-        is given.  The tier's compiled pass where it has one (same bits)."""
+        is given."""
         batched = bool(self.field_lead(xt))
-        out = self._backend.wilson_parity_sites(
-            self._links, src, xt, parity, batched, self.wilson.boundary,
-            hop, diagonal, clover, inverse,
-        )
-        if out is not None:
-            return out
         dtype = self._links.dtype
         target = _lattice_last(xt, dtype)
         if src is None:
@@ -282,6 +313,10 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
         """Even-site right-hand side ``b_e + 1/2 D C^{-1} b_o |_e`` of the
         full ``b``, a half-lattice field of ``b``'s dtype."""
+        if self._reference:
+            b_e, b_o = (to_parity(b, parity) for parity in (0, 1))
+            lifted = self._reference_inverse(b_o)
+            return b_e + 0.5 * self._reference_hop(lifted, 0)
         b_e, b_o = self._halves(b)
         lifted = self._pass(None, b_o, 1, inverse=self._inverse)
         out = self._pass(lifted, b_e, 0, hop=0.5, diagonal=1.0)
@@ -291,6 +326,12 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         """Back-substitute the odd sites: the full solution of ``M x = b``
         from the even half-lattice ``x_e``,
         ``x_o = C^{-1}(b_o + 1/2 D x_e |_o)``."""
+        if self._reference:
+            b_o = to_parity(b, 1).astype(x_e.dtype, copy=False)
+            x_o = self._reference_inverse(
+                b_o + 0.5 * self._reference_hop(x_e, 1)
+            )
+            return from_parities(x_e, x_o)
         _, b_o = self._halves(b)
         x_o = self._pass(
             x_e.astype(self._links.dtype, copy=False), b_o, 1, hop=0.5,
@@ -302,14 +343,17 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         """The full matrix ``M x`` of a full-lattice field, computed on the
         two parities: bit for bit ``wilson.apply(x)`` on the fast tiers
         (each site's hops and tail are the full body's), without the
-        full-lattice link cache.  Recorded as one application of it."""
+        full-lattice link cache; ``wilson.apply(x)`` itself on the
+        reference tier.  Recorded as one application of it."""
+        if self._reference:
+            return self.wilson.apply(x)
         self.wilson._record(x)
         halves = self._halves(x)
         out = [
             self._pass(
                 halves[1 - parity], halves[parity], parity, hop=-0.5,
                 diagonal=self.wilson.diagonal_coefficient,
-                clover=self._odd() if parity else self._even,
+                clover=self._odd if parity else self._even,
             ).astype(x.dtype, copy=False)
             for parity in (0, 1)
         ]
@@ -375,10 +419,15 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         out._lattice = (
             () if out.lanes is None else (out.lanes,)
         ) + self.geometry.shape
-        out._links = np.ascontiguousarray(np.take(self._links, lanes, axis=4))
+        if self._links is not None:
+            out._links = np.ascontiguousarray(
+                np.take(self._links, lanes, axis=4)
+            )
         take = self._form.clover_lanes
         if self._even is not None:
-            out._even = take(self._even, lanes)
+            out._even, out._odd = (
+                take(term, lanes) for term in (self._even, self._odd)
+            )
         out._inverse = take(self._inverse, lanes)
         out.storage = None
         return out

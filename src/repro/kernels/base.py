@@ -142,19 +142,6 @@ class KernelBackend:
         half-lattice field, ``links`` split by parity) — or ``None``."""
         return None
 
-    def wilson_parity_sites(
-        self, links, src, xt, parity: int, batched: bool, boundary,
-        hop=None, diagonal: float = 0.0, clover=None, inverse=None,
-    ):
-        """One pass of ``EvenOddPreconditionedWilson`` onto the sites of
-        ``parity`` (its ``_pass``), on site-major half-lattice fields of
-        ``links``' dtype, or ``None``:
-        ``acc = D src`` (``src`` ``None``: ``acc = xt``); unless ``hop`` is
-        ``None``, ``acc = hop acc + diagonal xt + A xt`` (``clover`` A in
-        the tier's form, or ``None``); then ``acc = inverse acc`` where
-        ``inverse`` is given."""
-        return None
-
     def wilson_schur_sites(
         self, links, clover, inverse, diagonal: float, x, batched: bool,
         boundary, seconds,

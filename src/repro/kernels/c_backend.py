@@ -217,7 +217,7 @@ class _Library:
         lib = ctypes.CDLL(str(path))
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self.multiply, self.hop, self.apply, self.mr = {}, {}, {}, {}
-        self.schur, self.parity = {}, {}
+        self.schur = {}
         self.pack, self.unpack, self.gather = {}, {}, {}
         self.split = {}
         self.path_sum = {}
@@ -246,13 +246,6 @@ class _Library:
             )
             f.restype = ctypes.c_int
             self.schur[np.dtype(name)] = f
-            f = getattr(lib, f"repro_wilson_parity_{suffix}")
-            f.argtypes = (
-                (ptr,) * 3 + (ctypes.c_int,) * 3 + (ctypes.c_double,) * 2
-                + (ptr,) * 5 + (i64,) * 6 + (ptr,)
-            )
-            f.restype = ctypes.c_int
-            self.parity[np.dtype(name)] = f
             f = getattr(lib, f"repro_wilson_apply_{suffix}")
             f.argtypes = (
                 (ptr,) * 3 + (ctypes.c_double, ptr) + (ctypes.c_int,) * 2
@@ -563,50 +556,36 @@ class CBackend(KernelBackend):
         )
         return None if failed else out
 
-    def _even_odd(self, links, fields, terms, batched, boundary):
-        """The library where it takes these operands of the even-odd
-        entries — links split by parity, half-lattice site-major fields,
-        terms packed on the half lattice in the links' precision — else
-        ``None``.  (Called on every Schur apply: dtypes are compared as
-        objects, never by name.)"""
+    def wilson_schur_sites(
+        self, links, clover, inverse, diagonal, x, batched, boundary, seconds
+    ):
+        # Called on every Schur apply: dtypes are compared as objects,
+        # never by name.
         library = self._library or self._resolve(build=True)
         real = _PACKED.get(links.dtype)
         lattice = links.shape[4:]
+        narrow = x.dtype != links.dtype
         if (
             library is None
             or real is None
+            or inverse is None
+            or (narrow and (x.dtype, links.dtype) != (_C64, _C128))
             or not links.flags.c_contiguous
             or links.shape[:4] != (2, 4, 3, 3)
             or _antiperiodic_unit_extent(boundary, lattice, half=True)
-            or any(f.shape[batched:] != lattice + (4, 3) for f in fields)
+            or x.shape[batched:] != lattice + (4, 3)
             or any(
                 held is not None and (
                     held.dtype != real
                     or not held.flags.c_contiguous
                     or held.shape != packed_shape(lattice)
                 )
-                for held in terms
+                for held in (clover, inverse)
             )
-        ):
-            return None
-        return library
-
-    def wilson_schur_sites(
-        self, links, clover, inverse, diagonal, x, batched, boundary, seconds
-    ):
-        library = self._even_odd(
-            links, (x,), (clover, inverse), batched, boundary
-        )
-        narrow = x.dtype != links.dtype
-        if (
-            library is None
-            or inverse is None
-            or (narrow and (x.dtype, links.dtype) != (_C64, _C128))
         ):
             return None
         x = np.ascontiguousarray(x)
         spins, phases = self._projection(links.dtype)
-        lattice = links.shape[4:]
         out = np.empty_like(x)
         failed = library.schur[links.dtype](
             x.ctypes.data, links.ctypes.data,
@@ -617,41 +596,6 @@ class CBackend(KernelBackend):
             lattice[0] if len(lattice) == 5 else 1, *lattice[-4:],
             _boundary_codes(boundary.conditions).ctypes.data,
             None if seconds is None else seconds.ctypes.data,
-        )
-        return None if failed else out
-
-    def wilson_parity_sites(
-        self, links, src, xt, parity, batched, boundary, hop=None,
-        diagonal=0.0, clover=None, inverse=None,
-    ):
-        fields = (xt,) if src is None else (src, xt)
-        library = self._even_odd(
-            links, fields, (clover, inverse), batched, boundary
-        )
-        if (
-            library is None
-            or parity not in (0, 1)
-            or any(
-                f.dtype != links.dtype or f.shape != xt.shape for f in fields
-            )
-        ):
-            return None
-        src, xt = (
-            None if f is None else np.ascontiguousarray(f) for f in (src, xt)
-        )
-        spins, phases = self._projection(links.dtype)
-        lattice = links.shape[4:]
-        out = np.empty_like(xt)
-        failed = library.parity[links.dtype](
-            None if src is None else src.ctypes.data, xt.ctypes.data,
-            links.ctypes.data, parity, src is not None, hop is not None,
-            0.0 if hop is None else hop, diagonal,
-            None if clover is None else clover.ctypes.data,
-            None if inverse is None else inverse.ctypes.data,
-            out.ctypes.data, spins.ctypes.data, phases.ctypes.data,
-            xt.shape[0] if batched else 1,
-            lattice[0] if len(lattice) == 5 else 1, *lattice[-4:],
-            _boundary_codes(boundary.conditions).ctypes.data,
         )
         return None if failed else out
 

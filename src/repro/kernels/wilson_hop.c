@@ -701,15 +701,13 @@ static void NAME(leave_vectors)(REAL *restrict acc, int64_t U, int64_t R,
  * half lattice -- one parity, site-compressed, the field the other one --
  * or -1 on the full lattice; `xt`, the target sites' field (site vectors;
  * on the full lattice the stencil's own); and what follows the hops (to !=
- * BARE): with `matrix` the matrix tail acc = hop * acc + diag * xt + A xt
- * (`packed` A or NULL), then, where `inverse` is not NULL, acc = inverse
- * acc.  Without `hops` there are none: the accumulator starts as xt. */
+ * BARE): acc = inverse acc where `inverse` is not NULL, else the matrix
+ * tail acc = hop * acc + diag * xt + A xt (`packed` A or NULL). */
 typedef struct {
     const REAL *links, *back;
-    int parity, hops;
+    int parity;
     const REAL *xt, *packed;
     double diag, hop;
-    int matrix;
     const REAL *inverse;
 } NAME(sites);
 
@@ -764,16 +762,7 @@ static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
         for (int64_t unit = 0; unit < units; unit++) {
             const int64_t here = unit * U;
             memset(acc, 0, (size_t)(24 * R) * sizeof(REAL));
-            if (!on->hops) {
-                VEC buf[FIELD_ROWS];
-                for (int64_t j = 0; j < U; j += W) {
-                    const VEC *v = NAME(rows_of)(xt, FIELD_ROWS, here + j,
-                                                 U - j, buf);
-                    for (int r = 0; r < FIELD_ROWS; r++)
-                        *(VEC *)(acc + r * R + j) = v[r];
-                }
-            }
-            for (int hop = 0; on->hops && hop < 8; hop++) {
+            for (int hop = 0; hop < 8; hop++) {
                 const int mu = hop / 2, forward = !(hop % 2);
                 const int32_t *sp = spins + 4 * hop;
                 const REAL *cf = coef + 8 * hop;
@@ -828,10 +817,11 @@ static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
             const int64_t site = (b * nl + l) * V + here;
             if (to != BARE) {
                 if (seconds) seconds[HOPS] += lap(mark);
-                if (on->matrix)
+                if (inverse)
+                    NAME(site_invert)(acc, U, R, inverse, here);
+                else
                     NAME(site_tail)(acc, U, R, xt, packed, here, on->diag,
                                     on->hop);
-                if (inverse) NAME(site_invert)(acc, U, R, inverse, here);
                 if (seconds) seconds[TAIL] += lap(mark);
                 if (to == SITE_VECTORS)
                     NAME(leave_vectors)(acc, U, R,
@@ -907,7 +897,7 @@ int NAME(repro_wilson_hop)(const REAL *x, const REAL *links, REAL *out,
     const NAME(sites) on = {
         parity < 0 ? links : links + parity * P,
         parity < 0 ? links : links + (1 - parity) * P,
-        parity, 1, NULL, NULL, 0.0, 0.0, 0, NULL,
+        parity, NULL, NULL, 0.0, 0.0, NULL,
     };
     return NAME(run)(x, nb * nl * T * Z * Y * X, 1, on, out, BARE, 0, 0,
                      spins, coef, nb, nl, T, Z, Y, X, bc, NULL);
@@ -930,8 +920,7 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
                              int64_t Y, int64_t X, const int32_t *bc,
                              double *seconds)
 {
-    const NAME(sites) on = {links, links, -1, 1, NULL, packed, diag, -0.5, 1,
-                            NULL};
+    const NAME(sites) on = {links, links, -1, NULL, packed, diag, -0.5, NULL};
     return NAME(run)(x, 1, 12, on, out, SITE_MAJOR, narrow, half, spins, coef,
                      nb, nl, T, Z, Y, X, bc, seconds);
 }
@@ -964,51 +953,14 @@ int NAME(repro_wilson_schur)(const void *x, const REAL *links,
     if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
     NAME(enter)(x, narrow, 1, 12, xs, nb * nl, V, 0);
     if (seconds) seconds[CONVERT] += lap(&mark);
-    const NAME(sites) odd = {links + P, links, 1, 1, xs, NULL, 0.0, 0.0, 0,
+    const NAME(sites) odd = {links + P, links, 1, xs, NULL, 0.0, 0.0,
                              inverse};
-    const NAME(sites) even = {links, links + P, 0, 1, xs, clover, diag, -0.25,
-                              1, NULL};
+    const NAME(sites) even = {links, links + P, 0, xs, clover, diag, -0.25,
+                              NULL};
     int failed = NAME(stencil)(xs, &odd, t, SITE_VECTORS, 0, 0, spins, coef,
                                nb, nl, T, Z, Y, X, bc, NULL, seconds, &mark)
         || NAME(stencil)(t, &even, out, SITE_MAJOR, narrow, 0, spins, coef,
                          nb, nl, T, Z, Y, X, bc, NULL, seconds, &mark);
-    free(raw);
-    return failed;
-}
-
-/* One pass of the even-odd form on the caller's site-major half-lattice
- * fields (nb, nl, T, Z, Y, X, 4, 3) of the operator's precision, onto the
- * sites of `parity` (links split by parity):
- *     acc = D src  (from the other parity; with `hops` 0, acc = xt)
- *     with `matrix`:  acc = hop * acc + diag * xt + A xt  (`clover` A or NULL)
- *     where `inverse` is not NULL:  acc = inverse acc
- *     out = acc
- * -- the full matrix on one parity, the back-substitution, and the two
- * halves of the Schur right-hand side (EvenOddPreconditionedWilson).
- * Returns nonzero when the scratch cannot be had. */
-int NAME(repro_wilson_parity)(const REAL *src, const REAL *xt,
-                              const REAL *links, int parity, int hops,
-                              int matrix, double hop, double diag,
-                              const REAL *clover, const REAL *inverse,
-                              REAL *out, const int32_t *spins,
-                              const REAL *coef, int64_t nb, int64_t nl,
-                              int64_t T, int64_t Z, int64_t Y, int64_t X,
-                              const int32_t *bc)
-{
-    const int64_t V = T * Z * Y * X, F = blocks_of(V) * FIELD_ROWS * W;
-    const int64_t P = NAME(parity_links)(nl, V);
-    void *raw;
-    REAL *xs = aligned_scratch((size_t)(2 * nb * nl * F) * sizeof(REAL), &raw);
-    if (!xs) return 1;
-    REAL *xv = xs + nb * nl * F;
-    if (hops) NAME(enter)(src, 0, 1, 12, xs, nb * nl, V, 0);
-    NAME(enter)(xt, 0, 1, 12, xv, nb * nl, V, 0);
-    const NAME(sites) on = {links + parity * P, links + (1 - parity) * P,
-                            parity, hops, xv, clover, diag, hop, matrix,
-                            inverse};
-    int failed = NAME(stencil)(hops ? xs : xv, &on, out, SITE_MAJOR, 0, 0,
-                               spins, coef, nb, nl, T, Z, Y, X, bc, NULL,
-                               NULL, NULL);
     free(raw);
     return failed;
 }
@@ -1219,8 +1171,8 @@ int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
             }
             if (seconds) seconds[CONVERT] += lap(&mark);
         }
-        const NAME(sites) on = {links, links, -1, 1, xs, packed, diag, -0.5,
-                                1, NULL};
+        const NAME(sites) on = {links, links, -1, xs, packed, diag, -0.5,
+                                NULL};
         if (NAME(stencil)(xs, &on, q, SITE_VECTORS, 0, half, spins, coef, nb,
                           nl, T, Z, Y, X, bc, live, seconds, &mark)) {
             free(raw);

@@ -87,6 +87,48 @@ class TestFullSystemResidual:
         assert full.report.fingerprint["config"]["even_odd"] is False
 
 
+class TestReferenceTier:
+    def test_a_numpy_ref_solve_runs_the_reference_formulation(
+        self, monkeypatch
+    ):
+        """``kernel="numpy_ref"`` takes the Schur system too, built from
+        the full-spinor dslash: the half-lattice body never runs, and the
+        solution agrees with the fast tier's."""
+        import repro.dirac.evenodd
+
+        calls = []
+        reference = WilsonCloverOperator._dslash_reference
+        monkeypatch.setattr(
+            WilsonCloverOperator, "_dslash_reference",
+            lambda self, x: (calls.append(x.shape), reference(self, x))[1],
+        )
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the half-lattice body ran")
+
+        monkeypatch.setattr(repro.dirac.evenodd, "hop_sites", refused)
+        geom = Geometry((4, 4, 4, 4))
+        gauge = GaugeField.weak(geom, epsilon=0.25, rng=3)
+        b = SpinorField.random(geom, rng=4).data
+
+        def run(kernel):
+            return solve(SolveRequest(
+                operator="wilson_clover", gauge=gauge, rhs=b, mass=0.1,
+                tol=1e-8, kernel=kernel,
+            ))
+
+        res = run("numpy_ref")
+        assert res.report.fingerprint["config"]["even_odd"] is True
+        assert calls and all(shape == b.shape for shape in calls)
+        assert res.converged
+        true = reference_residual(gauge, 0.1, res.x, b)[0]
+        assert true <= 1e-8
+        assert res.residual == pytest.approx(true, rel=1e-5)
+        monkeypatch.undo()
+        fast = run("numpy")
+        assert np.abs(res.x - fast.x).max() < 1e-7 * np.abs(fast.x).max()
+
+
 class TestGCRDDKeepsItsBits:
     def test_the_benchmark_request_repeats(self):
         """The GCR-DD benchmark request (8^4, grid 1x1x2x2, Schwarz) solves

@@ -370,7 +370,8 @@ def test_a_compiled_solve_keeps_the_clover_term_packed_and_once(
     ``csw`` of 72 reals a site (Hermitian-packed: half the blocks' bytes),
     the Schwarz region stack likewise in its storage dtype, nothing ``(2,
     6, 6, ...)`` and nothing dense; the second solve builds and packs
-    nothing; every bit and count is the NumPy tier's."""
+    nothing (an even-odd one expands held terms for its conversion tails
+    and drops them); every bit and count is the NumPy tier's."""
     backend = type(get_backend("c"))
     for hook in ("clover_pack", "clover_regions", "clover_cast",
                  "clover_chirality", "clover_parity"):
@@ -383,26 +384,31 @@ def test_a_compiled_solve_keeps_the_clover_term_packed_and_once(
     gauge = weak_gauge()
     first, first_ledger = run(gauge, "c", **CASES[case])
     assert first.converged
-    # The even-odd solve gathers the packed term of the even sites (kept)
-    # and of the odd ones, and packs C_oo^-1 from the odd sites' blocks
-    # expanded a chirality at a time (dropped after); the odd sites' term
-    # is gathered again for each solve's residual, and dropped.
+    # The even-odd solve gathers the packed term of each parity (kept)
+    # and packs C_oo^-1 from the odd sites' blocks expanded a chirality
+    # at a time (dropped after).  The conversions around each solve are
+    # NumPy tails: they expand a held term a chirality at a time and drop
+    # it (C_oo^-1 for the right-hand side and the back-substitution,
+    # A_ee and A_oo for the residual).
     even_odd = case == "bicgstab"
+    per_solve = {"clover_chirality": 8} if even_odd else {}
     assert builds["field_strength"] == 6
     assert builds["clover_pack"] == (2 if even_odd else 1)
-    assert builds["clover_parity"] == 3 * even_odd
+    assert builds["clover_parity"] == 2 * even_odd
     assert builds["clover_regions"] == (not case.startswith("bicgstab"))
-    assert builds["clover_chirality"] == 2 * even_odd
+    assert builds["clover_chirality"] == (
+        2 * even_odd + per_solve.get("clover_chirality", 0)
+    )
     assert not builds["dense_clover"]
     builds.clear()
     second, second_ledger = run(gauge, "c", **CASES[case])
-    assert dict(builds) == ({"clover_parity": 1} if even_odd else {})
+    assert dict(builds) == per_solve, dict(builds)
     arrays = list(held(repro.dirac.base.configuration_state(gauge)))
     assert not [a for a in arrays if a.shape[-2:] == (12, 12)]
     assert not [a for a in arrays if a.shape[:3] == (2, 6, 6)]
     reals = [a for a in arrays if a.dtype.kind == "f"]
-    if even_odd:  # the term, then A_ee and C_oo^-1 on half the sites
-        assert [a.size for a in reals] == [72 * GEOM.volume] + [36 * GEOM.volume] * 2
+    if even_odd:  # the term, then A_ee, A_oo and C_oo^-1 on half the sites
+        assert [a.size for a in reals] == [72 * GEOM.volume] + [36 * GEOM.volume] * 3
         assert all(a.dtype == np.float64 for a in reals)
     else:
         assert all(a.size == 72 * GEOM.volume for a in reals)

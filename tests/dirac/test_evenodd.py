@@ -75,7 +75,7 @@ class TestSchurIdentity:
         x_o = lattice_last(to_parity(SpinorField.random(geom, rng=rng).data, 1))
         c_x = eo._tail(
             np.zeros_like(x_o), x_o, False, 0.0, op.diagonal_coefficient,
-            eo._odd(),
+            eo._odd,
         )
         back = eo._tail(c_x, None, False, inverse=eo._inverse)
         assert np.abs(back - x_o).max() < 1e-11
@@ -153,5 +153,5 @@ class TestFullSystemOnTheParities:
         again = EvenOddPreconditionedWilson(op)
         assert again._links is eo._links
         assert again._inverse is eo._inverse
-        assert again._even is eo._even
+        assert again._even is eo._even and again._odd is eo._odd
         assert not eo._inverse.flags.writeable

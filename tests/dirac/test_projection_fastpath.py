@@ -108,12 +108,37 @@ class TestWilsonEquivalence:
 
 class TestEvenOddEquivalence:
     def test_schur_complement_agrees(self, weak_gauge, rng):
+        """The half-lattice complement and its conversions agree with the
+        reference tier's, built from the full-spinor dslash on the full
+        lattice."""
         fast, ref = make_pair(weak_gauge, mass=0.2, csw=1.0)
         eo_fast = EvenOddPreconditionedWilson(fast)
         eo_ref = EvenOddPreconditionedWilson(ref)
+        assert eo_ref._reference and not eo_fast._reference
         geom = weak_gauge.geometry
+        b = SpinorField.random(geom, rng=rng).data
         x = to_parity(SpinorField.random(geom, rng=rng).data, 0)
-        assert np.abs(eo_fast.apply(x) - eo_ref.apply(x)).max() < TOL
+        for got, expected in (
+            (eo_fast.apply(x), eo_ref.apply(x)),
+            (eo_fast.apply_dagger(x), eo_ref.apply_dagger(x)),
+            (eo_fast.prepare_rhs(b), eo_ref.prepare_rhs(b)),
+            (eo_fast.reconstruct(x, b), eo_ref.reconstruct(x, b)),
+            (eo_fast.apply_full(b), ref.apply(b)),
+        ):
+            assert np.abs(got - expected).max() < TOL * np.abs(expected).max()
+
+    def test_reference_complement_is_the_reference_matrix(self, weak_gauge, rng):
+        """On the reference tier ``M (x_e, x_o)``, ``x_o`` eliminating the
+        odd rows, is ``(Mhat x_e, 0)``."""
+        _, ref = make_pair(weak_gauge, mass=0.2, csw=1.0)
+        eo = EvenOddPreconditionedWilson(ref)
+        geom = weak_gauge.geometry
+        x_e = to_parity(SpinorField.random(geom, rng=rng).data, 0)
+        full = eo.reconstruct(x_e, np.zeros(geom.shape + (4, 3), complex))
+        mx = ref.apply(full)
+        out = eo.apply(x_e)
+        assert np.abs(to_parity(mx, 1)).max() < TOL * np.abs(out).max()
+        assert np.abs(to_parity(mx, 0) - out).max() < TOL * np.abs(out).max()
 
 
 class TestDistributedEquivalence:
