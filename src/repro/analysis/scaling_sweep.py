@@ -8,9 +8,8 @@ story:
 
 * the **measured track** — live SPMD GCR-DD solves
   (:class:`~repro.core.spmd.SPMDGCRDDSolver`) across a list of rank
-  counts on one fixed lattice, each run under a tally and a metrics
-  scope so the per-rank comm-wait histograms
-  (:mod:`repro.metrics.straggler`) are captured;
+  counts on one fixed lattice, each run under a tally, which carries
+  the per-rank comm waits (:mod:`repro.metrics.straggler`);
 * the **model track** — the same configurations replayed through the
   analytic Edge-cluster model
   (:class:`~repro.perfmodel.solver_model.GCRDDModel`, fed the *measured*
@@ -49,7 +48,6 @@ from repro.core.gcrdd import GCRDDConfig
 from repro.core.spmd import SPMDGCRDDSolver
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.metrics.bench_schema import wrap_bench
-from repro.metrics.registry import MetricsRegistry, metrics_scope
 from repro.metrics.straggler import rank_wait_stats
 from repro.perfmodel.kernels import KernelModel, OperatorKind
 from repro.perfmodel.machines import EDGE, GPUCluster
@@ -86,7 +84,8 @@ class ScalingPoint:
         sweep's first point, per track.
     measured_comm_fraction:
         Share of aggregate rank time spent blocked in comm waits
-        (recv/allreduce/barrier histograms), ``sum(wait) / (ranks · T)``.
+        (the tally's recv/allreduce/barrier waits),
+        ``sum(wait) / (ranks · T)``.
     model_comm_fraction:
         The model's unhidden comm + reduction share of solve time.
     iterations, converged, residual:
@@ -232,18 +231,17 @@ def run_scaling_sweep(
             solver.solve(b)
         best = None
         for _ in range(max(repeats, 1)):
-            registry = MetricsRegistry()
-            with tally() as t, metrics_scope(registry):
+            with tally() as t:
                 t0 = time.perf_counter()
                 res = solver.solve(b)
                 dt = time.perf_counter() - t0
             if best is None or dt < best[0]:
-                best = (dt, res, t, registry)
-        seconds, res, t, registry = best
+                best = (dt, res, t)
+        seconds, res, t = best
 
         wait_seconds = sum(
             m["seconds"]
-            for per_rank in rank_wait_stats(registry).values()
+            for per_rank in rank_wait_stats(t).values()
             for m in per_rank.values()
         )
         iterations = int(np.sum(res.iterations))

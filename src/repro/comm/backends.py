@@ -52,11 +52,6 @@ from repro.comm.communicator import (
     reduce_in_rank_order,
 )
 from repro.comm.mailbox import Mailbox
-from repro.metrics.registry import (
-    MetricsRegistry,
-    current_registry,
-    metrics_scope,
-)
 from repro.trace import TraceEvent, active_tracer
 from repro.util.counters import Tally, current_tally, tally
 
@@ -234,16 +229,15 @@ class BatonScheduler:
 # ----------------------------------------------------------------------
 @dataclass
 class RankOutcome:
-    """What one rank program produced: its return value, its cost tally,
-    its trace events, its metrics registry (when the caller had one
-    active), and (on failure) the formatted error."""
+    """What one rank program produced: its return value, its cost tally
+    (waits included), its trace events, and (on failure) the formatted
+    error."""
 
     rank: int
     value: Any = None
     tally: Tally = field(default_factory=Tally)
     events: list = field(default_factory=list)
     error: str | None = None
-    metrics: MetricsRegistry | None = None
 
 
 def describe_error(exc: BaseException) -> str:
@@ -251,20 +245,15 @@ def describe_error(exc: BaseException) -> str:
     return "".join(traceback.format_exception_only(type(exc), exc)).strip()
 
 
-def run_rank_job(program, comm, payload, tracer, metrics_on: bool):
-    """Run one rank program under its own tally — and, when the caller
-    has a metrics registry active, its own registry; when ``tracer`` is
+def run_rank_job(program, comm, payload, tracer):
+    """Run one rank program under its own tally — when ``tracer`` is
     given, under it inside a ``rank_program`` span.  Both the thread and
     the process backends run their ranks through here.  Never raises:
-    returns ``(value, tally, exception-or-None, registry-or-None)``."""
-    from contextlib import nullcontext
-
+    returns ``(value, tally, exception-or-None)``."""
     from repro.trace import span, tracing
 
-    registry = MetricsRegistry() if metrics_on else None
-    scope = metrics_scope(registry) if metrics_on else nullcontext()
     value = error = None
-    with tally() as t, scope:
+    with tally() as t:
         try:
             if tracer is None:
                 value = program(comm, payload)
@@ -276,23 +265,16 @@ def run_rank_job(program, comm, payload, tracer, metrics_on: bool):
                     value = program(comm, payload)
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
             error = exc
-    return value, t, error, registry
+    return value, t, error
 
 
 def _merge_outcomes(outcomes: list[RankOutcome]) -> None:
-    """Fold per-rank tallies (and metrics registries) into the caller's,
-    in rank order (deterministic merge — the join side of the SPMD
-    accounting).  The metrics merge is exact bucket-wise addition, so the
-    merged registry is identical whichever backend produced the ranks."""
+    """Fold per-rank tallies into the caller's, in rank order
+    (deterministic merge — the join side of the SPMD accounting)."""
     parent = current_tally()
     if parent is not None:
         for outcome in outcomes:
             parent.merge(outcome.tally)
-    registry = current_registry()
-    if registry is not None:
-        for outcome in outcomes:
-            if outcome.metrics is not None:
-                registry.merge(outcome.metrics)
 
 
 def _raise_on_errors(outcomes: list[RankOutcome], mailbox: Mailbox | None):
@@ -313,7 +295,6 @@ def _raise_on_errors(outcomes: list[RankOutcome], mailbox: Mailbox | None):
 
 def _run_in_threads(
     program, size, payloads, timeout, sequential: bool,
-    metrics_on: bool = False,
 ) -> tuple[list[RankOutcome], Mailbox]:
     mailbox = Mailbox(size)
     reducer = ReduceState(size)
@@ -336,8 +317,8 @@ def _run_in_threads(
         try:
             if scheduler is not None:
                 scheduler.start(rank)
-            outcome.value, outcome.tally, error, outcome.metrics = (
-                run_rank_job(program, comm, payloads[rank], tracer, metrics_on)
+            outcome.value, outcome.tally, error = run_rank_job(
+                program, comm, payloads[rank], tracer
             )
             if error is not None:
                 raise error
@@ -415,9 +396,6 @@ def run_rank_programs(
     if len(payloads) != size:
         raise ValueError(f"need {size} payloads, got {len(payloads)}")
 
-    # Metrics follow the tally/tracer discipline: each rank gets its own
-    # registry exactly when the caller has one active, merged back at join.
-    metrics_on = current_registry() is not None
     if backend == "processes":
         if not process_backend_available():
             raise SPMDError(
@@ -427,9 +405,7 @@ def run_rank_programs(
         from repro.comm.shm import run_in_processes
 
         mailbox = None
-        outcomes = run_in_processes(
-            program, size, payloads, timeout, metrics_on=metrics_on
-        )
+        outcomes = run_in_processes(program, size, payloads, timeout)
         tracer = active_tracer()
         if tracer is not None:
             for outcome in outcomes:
@@ -438,7 +414,7 @@ def run_rank_programs(
     else:
         outcomes, mailbox = _run_in_threads(
             program, size, payloads, timeout,
-            sequential=(backend == "sequential"), metrics_on=metrics_on,
+            sequential=(backend == "sequential"),
         )
     _raise_on_errors(outcomes, mailbox)
     _merge_outcomes(outcomes)

@@ -35,7 +35,12 @@ whole collective, the same numbers
   (``comm_bytes = nbytes``, ``messages = 1``) while the single collective
   ``reductions=1`` is charged to rank 0 — summing the per-rank tallies
   therefore gives ``reductions=1, messages=size, comm_bytes=nbytes*size``
-  per collective.
+  per collective;
+* every blocking call — ``recv``, ``wait_any``, ``allreduce_sum``,
+  ``barrier`` — charges the seconds it blocked, once, to the rank's
+  tally as a wait (:attr:`repro.util.counters.Tally.wait_seconds`).
+  The base class times them; an endpoint supplies only the transport
+  (``_recv``, ``_wait_any``, ``_try_complete``, ``_collective``).
 """
 
 from __future__ import annotations
@@ -48,9 +53,13 @@ from typing import Any
 import numpy as np
 
 from repro.comm.mailbox import Mailbox
-from repro.metrics.registry import current_registry
-from repro.metrics.straggler import ALLREDUCE_WAIT, BARRIER_WAIT, RECV_WAIT
-from repro.util.counters import record
+from repro.util.counters import (
+    ALLREDUCE_WAIT,
+    BARRIER_WAIT,
+    RECV_WAIT,
+    record,
+    record_wait,
+)
 
 #: Names of the interchangeable SPMD backends (see repro.comm.backends).
 BACKENDS = ("sequential", "threads", "processes")
@@ -98,8 +107,8 @@ class RecvHandle:
     The receive is *posted* at :meth:`Communicator.irecv` time; arrival
     is checked without blocking by :meth:`test`, and :meth:`wait` blocks
     only for the remaining in-flight time (through
-    :meth:`Communicator.wait_any`, so the recv-wait histogram measures
-    the true completion wait, not the whole transfer)."""
+    :meth:`Communicator.wait_any`, so the recv wait measures the true
+    completion wait, not the whole transfer)."""
 
     comm: "Communicator"
     src: int
@@ -153,32 +162,36 @@ class Communicator(abc.ABC):
         its index into ``handles``.
 
         Completes exactly one handle per call (the lowest-index ready one
-        — deterministic whenever arrival state is), and observes exactly
-        one recv-wait histogram sample covering only the time this call
-        actually blocked.  Completing N handles therefore costs N
-        observations whichever path claimed them — blocking ``recv``,
-        ``wait`` or ``wait_any`` — which keeps wait-observation counts
-        backend-invariant.
+        — deterministic whenever arrival state is), and charges exactly
+        one recv wait covering only the time this call actually blocked.
+        Completing N handles therefore costs N waits whichever path
+        claimed them — blocking ``recv``, ``wait`` or ``wait_any`` —
+        which keeps wait counts backend-invariant.
         """
-        reg = current_registry()
-        if reg is None:
-            return self._wait_any(handles)
         start = time.perf_counter()
         index = self._wait_any(handles)
-        reg.histogram(RECV_WAIT, rank=self.rank).observe(
-            time.perf_counter() - start
-        )
+        record_wait(self.rank, RECV_WAIT, time.perf_counter() - start)
         return index
 
-    def _wait_any(self, handles: list) -> int:
-        raise NotImplementedError  # pragma: no cover - endpoint-specific
-
-    def _try_complete(self, handle: RecvHandle) -> bool:
-        raise NotImplementedError  # pragma: no cover - endpoint-specific
-
-    @abc.abstractmethod
     def recv(self, src: int, tag=0) -> np.ndarray:
         """Blocking receive (``wait(irecv(...))`` shorthand)."""
+        start = time.perf_counter()
+        data = self._recv(src, tag)
+        record_wait(self.rank, RECV_WAIT, time.perf_counter() - start)
+        return data
+
+    @abc.abstractmethod
+    def _recv(self, src: int, tag=0) -> np.ndarray:
+        """The endpoint's raw blocking receive (charges no wait)."""
+
+    @abc.abstractmethod
+    def _wait_any(self, handles: list) -> int:
+        """The endpoint's raw ``wait_any`` (charges no wait)."""
+
+    @abc.abstractmethod
+    def _try_complete(self, handle: RecvHandle) -> bool:
+        """Claim a posted receive's message if it has arrived (never
+        blocks)."""
 
     def send(self, dst: int, payload: np.ndarray, tag=0,
              nbytes: int | None = None) -> None:
@@ -186,14 +199,26 @@ class Communicator(abc.ABC):
         self.wait(self.isend(dst, payload, tag, nbytes=nbytes))
 
     # -- collectives -----------------------------------------------------
-    @abc.abstractmethod
     def allreduce_sum(self, value):
         """Global sum of one per-rank contribution, folded in rank order;
         every rank receives the identical result."""
+        start = time.perf_counter()
+        result = self._collective(value, "allreduce")
+        record_wait(self.rank, ALLREDUCE_WAIT, time.perf_counter() - start)
+        record_collective(self.rank, value)
+        return result
+
+    def barrier(self) -> None:
+        """Block until every rank has entered the barrier (an allreduce
+        nobody reads — and charges nothing but its wait)."""
+        start = time.perf_counter()
+        self._collective(np.int64(0), "barrier")
+        record_wait(self.rank, BARRIER_WAIT, time.perf_counter() - start)
 
     @abc.abstractmethod
-    def barrier(self) -> None:
-        """Block until every rank has entered the barrier."""
+    def _collective(self, value, what: str):
+        """The endpoint's raw rank-ordered sum over every rank's
+        ``value``; ``what`` names the collective in diagnostics."""
 
 
 class MailboxCommunicator(Communicator):
@@ -239,17 +264,6 @@ class MailboxCommunicator(Communicator):
         if self.scheduler is not None:
             self.scheduler.notify(self.rank)
         return SendHandle(dst, tag)
-
-    def recv(self, src, tag=0) -> np.ndarray:
-        reg = current_registry()
-        if reg is None:
-            return self._recv(src, tag)
-        start = time.perf_counter()
-        data = self._recv(src, tag)
-        reg.histogram(RECV_WAIT, rank=self.rank).observe(
-            time.perf_counter() - start
-        )
-        return data
 
     def _recv(self, src, tag=0) -> np.ndarray:
         if self.scheduler is not None:
@@ -326,38 +340,17 @@ class MailboxCommunicator(Communicator):
             )
         return self.reducer
 
-    def _rendezvous(self, value, describe_what: str):
-        """Deposit + collect one collective generation, measuring the
-        rendezvous wait (deposit until every rank's contribution is in)."""
+    def _collective(self, value, what: str):
+        """Deposit + collect one collective generation."""
         reducer = self._require_reducer()
-        reg = current_registry()
-        start = time.perf_counter() if reg is not None else 0.0
         gen = reducer.deposit(self.rank, value)
-        if self.scheduler is not None:
-            self.scheduler.wait_for(
-                self.rank,
-                lambda: reducer.ready(gen),
-                describe=lambda: (
-                    f"{describe_what} #{gen} stalled: {reducer.describe(gen)}"
-                ),
-            )
-            result = reducer.collect(self.rank, gen, timeout=0)
-        else:
-            result = reducer.collect(self.rank, gen, timeout=self.timeout)
-        if reg is not None:
-            name = (
-                ALLREDUCE_WAIT if describe_what == "allreduce"
-                else BARRIER_WAIT
-            )
-            reg.histogram(name, rank=self.rank).observe(
-                time.perf_counter() - start
-            )
-        return result
-
-    def allreduce_sum(self, value):
-        result = self._rendezvous(value, "allreduce")
-        record_collective(self.rank, value)
-        return result
-
-    def barrier(self) -> None:
-        self._rendezvous(np.int64(0), "barrier")
+        if self.scheduler is None:
+            return reducer.collect(self.rank, gen, timeout=self.timeout)
+        self.scheduler.wait_for(
+            self.rank,
+            lambda: reducer.ready(gen),
+            describe=lambda: (
+                f"{what} #{gen} stalled: {reducer.describe(gen)}"
+            ),
+        )
+        return reducer.collect(self.rank, gen, timeout=0)

@@ -30,7 +30,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.metrics.registry import observe as _observe_metric
 from repro.util.counters import record
 
 
@@ -103,7 +102,6 @@ class Mailbox:
         with self._cond:
             queue = self._queue(src, dst, tag)
             if block:
-                wait_start = time.perf_counter()
                 deadline = None if timeout is None else time.monotonic() + timeout
                 while not queue:
                     remaining = (
@@ -117,13 +115,6 @@ class Mailbox:
                             )
                         )
                     self._cond.wait(remaining)
-                # Threads-backend detail (the condition-variable wait under
-                # the mailbox lock); the backend-comparable wait lives in
-                # the communicators' spmd_recv_wait_seconds histogram.
-                _observe_metric(
-                    "mailbox_recv_block_seconds",
-                    time.perf_counter() - wait_start,
-                )
             if not queue:
                 raise RuntimeError(self._deadlock_message(src, dst, tag))
             return queue.popleft()

@@ -42,11 +42,8 @@ import numpy as np
 from repro.comm.communicator import (
     Communicator,
     SendHandle,
-    record_collective,
     reduce_in_rank_order,
 )
-from repro.metrics.registry import current_registry
-from repro.metrics.straggler import ALLREDUCE_WAIT, BARRIER_WAIT, RECV_WAIT
 from repro.util.counters import record
 
 #: Payloads at or below this many bytes ride inline in the queue envelope
@@ -134,22 +131,11 @@ class ShmCommunicator(Communicator):
         )
         return SendHandle(dst, tag)
 
-    def recv(self, src, tag=0) -> np.ndarray:
-        reg = current_registry()
-        if reg is None:
-            return self._recv(src, tag)
-        start = time.perf_counter()
-        data = self._recv(src, tag)
-        reg.histogram(RECV_WAIT, rank=self.rank).observe(
-            time.perf_counter() - start
-        )
-        return data
-
     def _recv(self, src, tag=0) -> np.ndarray:
         """The raw receive.  Collective internals call this directly so
-        their constituent messages don't pollute the per-rank recv-wait
-        histogram (each backend then observes exactly one wait per
-        user-level ``recv``/``allreduce``/``barrier`` call)."""
+        their constituent messages charge no recv wait (each backend then
+        charges exactly one wait per user-level
+        ``recv``/``allreduce``/``barrier`` call)."""
         key = (src, tag)
         buffered = self._unexpected.get(key)
         if buffered:
@@ -258,32 +244,10 @@ class ShmCommunicator(Communicator):
         )
 
     # -- collectives -----------------------------------------------------
-    def allreduce_sum(self, value):
-        result = self._timed_collective(value, ALLREDUCE_WAIT)
-        record_collective(self.rank, value)
-        return result[()] if result.ndim == 0 else result
-
-    def barrier(self) -> None:
-        # A barrier is an allreduce nobody reads — and charges nothing.
-        self._timed_collective(np.int64(0), BARRIER_WAIT)
-
-    def _timed_collective(self, value, wait_metric: str) -> np.ndarray:
-        reg = current_registry()
-        if reg is None:
-            return self._gather_fold_broadcast(value)
-        start = time.perf_counter()
-        result = self._gather_fold_broadcast(value)
-        reg.histogram(wait_metric, rank=self.rank).observe(
-            time.perf_counter() - start
-        )
-        return result
-
-    def _gather_fold_broadcast(self, value) -> np.ndarray:
+    def _collective(self, value, what: str):
         """Gather-to-root, rank-ordered fold, broadcast.  The constituent
-        sends and receives are raw (uncharged, unobserved): the
-        collective's cost is charged once, per the convention in
-        :mod:`repro.comm.communicator`, and its wait is observed once by
-        :meth:`_timed_collective`."""
+        sends and receives are raw (uncharged): the collective's cost and
+        its wait are charged once, by :class:`Communicator`."""
         gen = self._collective_gen
         self._collective_gen += 1
         up, down = ("__coll__", gen, "up"), ("__coll__", gen, "down")
@@ -293,18 +257,19 @@ class ShmCommunicator(Communicator):
             result = np.asarray(reduce_in_rank_order(parts))
             for r in range(1, self.size):
                 self._post(r, result, down)
-            return result
-        self._post(0, value, up)
-        return self._recv(0, down)
+        else:
+            self._post(0, value, up)
+            result = self._recv(0, down)
+        return result[()] if result.ndim == 0 else result
 
 
 # ----------------------------------------------------------------------
 # the process runner
 # ----------------------------------------------------------------------
-def _run_rank_job(comm, program, payload, epoch, metrics_on):
+def _run_rank_job(comm, program, payload, epoch):
     """Run one rank program in this worker via the shared
     :func:`~repro.comm.backends.run_rank_job`; returns the picklable
-    ``(value, tally, trace events, error text, metrics snapshot)``."""
+    ``(value, tally, trace events, error text)``."""
     from repro.comm.backends import describe_error, run_rank_job
     from repro.trace import Tracer
 
@@ -315,26 +280,21 @@ def _run_rank_job(comm, program, payload, epoch, metrics_on):
         # rebasing to the parent's epoch puts child spans on the
         # parent's timeline.
         tracer.epoch = epoch
-    value, t, exc, registry = run_rank_job(
-        program, comm, payload, tracer, metrics_on
-    )
+    value, t, exc = run_rank_job(program, comm, payload, tracer)
     return (
         value,
         t,
         tracer.events if tracer is not None else [],
         None if exc is None else describe_error(exc),
-        registry.to_dict() if registry is not None else None,
     )
 
 
 def _child_main(program, rank, size, inboxes, payload, epoch, timeout,
-                metrics_on, results):
+                results):
     """Fork-per-call worker entry (the legacy path, kept for rank
     programs that cannot be pickled into the persistent pool)."""
     comm = ShmCommunicator(rank, size, inboxes, timeout=timeout)
-    results.put(
-        (rank, *_run_rank_job(comm, program, payload, epoch, metrics_on))
-    )
+    results.put((rank, *_run_rank_job(comm, program, payload, epoch)))
 
 
 def _pool_worker(rank, size, inboxes, jobs, results):
@@ -353,13 +313,10 @@ def _pool_worker(rank, size, inboxes, jobs, results):
         blob = jobs.get()
         if blob is None:
             return
-        job_id, program, payload, epoch, timeout, metrics_on = (
-            pickle.loads(blob)
-        )
+        job_id, program, payload, epoch, timeout = pickle.loads(blob)
         comm.timeout = timeout
         results.put(
-            (job_id, rank,
-             *_run_rank_job(comm, program, payload, epoch, metrics_on))
+            (job_id, rank, *_run_rank_job(comm, program, payload, epoch))
         )
 
 
@@ -451,8 +408,7 @@ def pool_worker_pids(size: int) -> list[int] | None:
     return [p.pid for p in pool.procs]
 
 
-def run_in_processes(program, size, payloads, timeout: float | None,
-                     metrics_on: bool = False):
+def run_in_processes(program, size, payloads, timeout: float | None):
     """Run ``program(comm, payloads[rank])`` in ``size`` worker processes
     and return the per-rank outcomes (rank order).
 
@@ -472,14 +428,11 @@ def run_in_processes(program, size, payloads, timeout: float | None,
         job_id = pool.next_job
         pool.next_job += 1
         blobs = [
-            pickle.dumps(
-                (job_id, program, payloads[r], epoch, timeout, metrics_on)
-            )
+            pickle.dumps((job_id, program, payloads[r], epoch, timeout))
             for r in range(size)
         ]
     except (pickle.PicklingError, AttributeError, TypeError):
-        return _run_forked(program, size, payloads, timeout, metrics_on,
-                           epoch)
+        return _run_forked(program, size, payloads, timeout, epoch)
     for r in range(size):
         pool.jobs[r].put(blobs[r])
 
@@ -497,7 +450,7 @@ def run_in_processes(program, size, payloads, timeout: float | None,
     return outcomes
 
 
-def _run_forked(program, size, payloads, timeout, metrics_on, epoch):
+def _run_forked(program, size, payloads, timeout, epoch):
     """The original fork-per-call path."""
     import multiprocessing
 
@@ -509,7 +462,7 @@ def _run_forked(program, size, payloads, timeout, metrics_on, epoch):
         ctx.Process(
             target=_child_main,
             args=(program, r, size, inboxes, payloads[r], epoch, timeout,
-                  metrics_on, results),
+                  results),
             name=f"spmd-rank-{r}",
             daemon=True,
         )
@@ -537,7 +490,6 @@ def _drain_results(size, timeout, get, procs, expect_job=None,
     """Collect one result per rank from a results queue, surfacing dead
     workers and enforcing the 4x-timeout deadline."""
     from repro.comm.backends import RankOutcome, SPMDError
-    from repro.metrics.registry import MetricsRegistry
     from repro.util.counters import Tally
 
     outcomes = {r: None for r in range(size)}
@@ -573,22 +525,17 @@ def _drain_results(size, timeout, get, procs, expect_job=None,
                 )
             continue
         if expect_job is not None:
-            job_id, rank, value, t, events, error, metrics_doc = item
+            job_id, rank, value, t, events, error = item
             if job_id != expect_job:  # pragma: no cover - stale straggler
                 continue
         else:
-            rank, value, t, events, error, metrics_doc = item
+            rank, value, t, events, error = item
         outcomes[rank] = RankOutcome(
             rank=rank,
             value=value,
             tally=t if t is not None else Tally(),
             events=events,
             error=error,
-            metrics=(
-                MetricsRegistry.from_dict(metrics_doc)
-                if metrics_doc is not None
-                else None
-            ),
         )
     return [outcomes[r] for r in range(size)]
 

@@ -26,7 +26,6 @@ from repro.dirac.wilson import WilsonCloverOperator
 from repro.gauge.asqtad import AsqtadLinks, build_asqtad_links
 from repro.kernels import KernelUnavailableError, resolve_kernel
 from repro.lattice.fields import GaugeField
-from repro.metrics.registry import metrics_scope
 from repro.metrics.solve_report import build_solve_report
 from repro.precision import Precision
 from repro.precond import (
@@ -622,11 +621,10 @@ def solve(
 
     Every result carries the flight-recorder artifact on ``.report``: a
     :class:`~repro.metrics.SolveReport` assembled from the solve's own
-    tally, metrics registry (per-rank wait histograms under the SPMD
-    backends) and wall time — see docs/observability.md.  The solve runs
-    under a nested tally/registry, so a caller's enclosing
-    :func:`~repro.util.counters.tally` or
-    :func:`~repro.metrics.metrics_scope` still observes everything.
+    tally (per-rank waits included under the SPMD backends) and wall
+    time — see docs/observability.md.  The solve runs under a nested
+    tally, so a caller's enclosing :func:`~repro.util.counters.tally`
+    still observes everything.
 
     Args:
         request: The fully-described system (see :class:`SolveRequest`
@@ -651,10 +649,10 @@ def solve(
     validate_request(request)
     request = replace(request, even_odd=resolve_even_odd(request))
     start = time.perf_counter()
-    with tally() as t, metrics_scope() as registry:
+    with tally() as t:
         result = _DISPATCH[request.operator](request)
     result.report = build_solve_report(
-        request, result, t, time.perf_counter() - start, registry
+        request, result, t, time.perf_counter() - start
     )
     return result
 

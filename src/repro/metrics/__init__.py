@@ -1,6 +1,7 @@
-"""Flight-recorder metrics: labeled counters/gauges/histograms with the
-same thread-local, zero-cost-when-disabled, merge-at-SPMD-join
-discipline as tallies and traces (see docs/observability.md)."""
+"""Flight-recorder artifacts: the per-solve report (built from the
+merged tally), the straggler summary over its per-rank waits, the bench
+schema, and the serve daemon's labeled counters/gauges/histograms with
+their Prometheus and JSONL exporters (see docs/observability.md)."""
 
 from repro.metrics.bench_schema import (
     BENCH_SCHEMA_VERSION,
@@ -16,12 +17,7 @@ from repro.metrics.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    current_registry,
-    inc,
     log_buckets,
-    metrics_scope,
-    observe,
-    set_gauge,
 )
 from repro.metrics.solve_report import (
     REPORT_SCHEMA_VERSION,
@@ -57,17 +53,12 @@ __all__ = [
     "WAIT_METRICS",
     "build_solve_report",
     "config_fingerprint",
-    "current_registry",
     "diff_reports",
     "format_diff",
     "host_info",
-    "inc",
     "log_buckets",
-    "metrics_scope",
-    "observe",
     "rank_wait_stats",
     "render_report",
-    "set_gauge",
     "straggler_summary",
     "to_jsonl",
     "to_prometheus",

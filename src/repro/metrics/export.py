@@ -5,9 +5,8 @@ The Prometheus exposition format
 (https://prometheus.io/docs/instrumenting/exposition_formats/) is the
 lingua franca of scrape-based monitoring: counters render as
 ``name{labels} value``, histograms as the cumulative ``_bucket`` series
-plus ``_sum``/``_count``.  :func:`to_prometheus` produces a scrapable
-page — point a file exporter (or a test) at it and the per-rank wait
-histograms land in a real dashboard.  :func:`to_jsonl` is the
+plus ``_sum``/``_count``.  :func:`to_prometheus` produces the scrapable
+page the serve daemon answers ``GET /metrics`` with.  :func:`to_jsonl` is the
 line-oriented twin for log pipelines: one self-describing JSON object
 per metric instance.
 """

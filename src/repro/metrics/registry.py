@@ -1,43 +1,29 @@
-"""A mergeable registry of labeled counters, gauges and histograms.
+"""A registry of labeled counters, gauges and histograms.
 
-The third observability instrument, next to tallies
-(:mod:`repro.util.counters` — *how much*) and traces
-(:mod:`repro.trace` — *when*): durable, labeled **metrics** in the
-Prometheus data model, built for the flight-recorder layer
-(docs/observability.md).  The registry follows the exact discipline the
-other two instruments established:
-
-* **thread-local stack** — a registry is installed with
-  :func:`metrics_scope`; the module-level instrument helpers
-  (:func:`inc`, :func:`set_gauge`, :func:`observe`) act on the innermost
-  registry of *this thread*;
-* **zero cost when disabled** — with no registry installed, every helper
-  returns after a single thread-local attribute check (asserted by a
-  micro-test), so instrumented hot paths are unperturbed by default;
-* **mergeable at SPMD join** — each rank program runs under its own
-  registry instance, and :meth:`MetricsRegistry.merge` folds them into
-  the caller's in rank order, exactly like per-rank tallies and tracers
-  (:mod:`repro.comm.backends`).  Merging is exact: counter values add,
-  histogram bucket counts add integer-wise — no re-binning, no loss.
+The serve daemon's instrument (:class:`repro.serve.service.SolveService`):
+durable, labeled **metrics** in the Prometheus data model — queue depth,
+request outcomes, batch occupancy, latency histograms — rendered by
+:mod:`repro.metrics.export` for ``GET /metrics`` and summarized by
+``/v1/stats`` (docs/observability.md).  A solve's own cost never lands
+here: it reaches the caller through the merged
+:class:`~repro.util.counters.Tally` (per-rank waits included) and the
+trace events.
 
 Histograms use **fixed, deterministic, log-spaced buckets**
 (:func:`log_buckets`): bucket edges are a pure function of the
-``(low, high, per_decade)`` spec, so histograms created independently on
-every rank (or on different backends) are structurally identical and
-merge bucket-by-bucket.  Two histograms with the same name and labels
-but different bucket layouts are a configuration error and raise.
+``(low, high, per_decade)`` spec, so every histogram of one name has
+the same layout.  Two histograms with the same name and labels but
+different bucket layouts are a configuration error and raise.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 #: Default histogram layout: 1e-7 s .. 100 s, 3 buckets per decade — wide
-#: enough for microsecond condition-variable waits and second-scale
-#: allreduce stalls on one deterministic axis.
+#: enough for microsecond wire costs and second-scale solves on one
+#: deterministic axis.
 DEFAULT_BUCKET_SPEC = (1e-7, 100.0, 3)
 
 
@@ -48,7 +34,7 @@ def log_buckets(
 
     Edges are ``low * 10**(k / per_decade)`` for integer ``k``, computed
     from the spec alone — independently created histograms therefore get
-    bit-identical layouts and merge exactly.
+    bit-identical layouts.
     """
     if low <= 0 or high <= low:
         raise ValueError(f"need 0 < low < high, got ({low}, {high})")
@@ -79,7 +65,7 @@ class Counter:
 
 @dataclass
 class Gauge:
-    """A labeled value that may go up or down (last write wins on merge)."""
+    """A labeled value that may go up or down."""
 
     name: str
     labels: dict = field(default_factory=dict)
@@ -123,21 +109,11 @@ class Histogram:
         self.sum += value
 
 
-class _MetricsState(threading.local):
-    def __init__(self) -> None:
-        self.stack: list[MetricsRegistry] = []
-
-
-_STATE = _MetricsState()
-
-
 class MetricsRegistry:
-    """All metrics of one scope (a solve, a rank program), keyed by
-    ``(name, sorted labels)``.
+    """All metrics of one service, keyed by ``(name, sorted labels)``.
 
-    Not locked: a registry is owned by one thread at a time (installed
-    per rank thread, merged by the parent after join), mirroring the
-    tally and tracer ownership discipline.
+    Not locked: the owner serializes access (the service holds its
+    metrics lock around every update and read).
     """
 
     def __init__(self) -> None:
@@ -179,32 +155,10 @@ class MetricsRegistry:
             )
         return h
 
-    # -- merge / serialize ----------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry, exactly.
-
-        Counters and histogram buckets/sums add; gauges take the other's
-        value (last merge wins).  Histograms must agree on bucket layout.
-        """
-        for key, c in other.counters.items():
-            self.counter(c.name, **c.labels).value += c.value
-        for key, g in other.gauges.items():
-            self.gauge(g.name, **g.labels).value = g.value
-        for key, h in other.histograms.items():
-            mine = self.histogram(h.name, buckets=h.edges, **h.labels)
-            if mine.edges != h.edges:
-                raise ValueError(
-                    f"cannot merge histogram {h.name!r} {h.labels}: "
-                    f"bucket layouts differ"
-                )
-            for i, n in enumerate(h.bucket_counts):
-                mine.bucket_counts[i] += n
-            mine.count += h.count
-            mine.sum += h.sum
-
+    # -- serialize ------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready snapshot (the wire format of the process backend and
-        the ``metrics`` block of a :class:`~repro.metrics.SolveReport`)."""
+        """JSON-ready snapshot (what :func:`~repro.metrics.to_jsonl`
+        writes, one line per instance)."""
         return {
             "counters": [
                 {"name": c.name, "labels": dict(c.labels), "value": c.value}
@@ -226,22 +180,6 @@ class MetricsRegistry:
                 for _, h in sorted(self.histograms.items())
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsRegistry":
-        reg = cls()
-        for c in data.get("counters", ()):
-            reg.counter(c["name"], **c["labels"]).value = c["value"]
-        for g in data.get("gauges", ()):
-            reg.gauge(g["name"], **g["labels"]).value = g["value"]
-        for h in data.get("histograms", ()):
-            hist = reg.histogram(
-                h["name"], buckets=tuple(h["edges"]), **h["labels"]
-            )
-            hist.bucket_counts = list(h["bucket_counts"])
-            hist.count = h["count"]
-            hist.sum = h["sum"]
-        return reg
 
     def __bool__(self) -> bool:
         return bool(self.counters or self.gauges or self.histograms)
@@ -279,52 +217,3 @@ def histogram_quantile(hist: Histogram, q: float) -> float:
             frac = (target - (cumulative - n)) / n
             return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
     return hist.edges[-1]  # pragma: no cover - q=0 with empty head buckets
-
-
-# ----------------------------------------------------------------------
-# the thread-local scope + zero-cost instrument helpers
-# ----------------------------------------------------------------------
-def current_registry() -> MetricsRegistry | None:
-    """The innermost registry installed on *this thread*, or ``None``."""
-    return _STATE.stack[-1] if _STATE.stack else None
-
-
-@contextmanager
-def metrics_scope(registry: MetricsRegistry | None = None):
-    """Install a registry on the current thread for the duration of the
-    block (creates a fresh one when ``None``).
-
-    >>> with metrics_scope() as reg:
-    ...     run_solve()
-    >>> print(to_prometheus(reg))
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    _STATE.stack.append(reg)
-    try:
-        yield reg
-    finally:
-        _STATE.stack.pop()
-
-
-def inc(name: str, amount: float = 1.0, **labels) -> None:
-    """Increment a counter on the active registry (no-op when disabled)."""
-    if not _STATE.stack:
-        return
-    _STATE.stack[-1].counter(name, **labels).inc(amount)
-
-
-def set_gauge(name: str, value: float, **labels) -> None:
-    """Set a gauge on the active registry (no-op when disabled)."""
-    if not _STATE.stack:
-        return
-    _STATE.stack[-1].gauge(name, **labels).set(value)
-
-
-def observe(
-    name: str, value: float, buckets: tuple[float, ...] | None = None,
-    **labels,
-) -> None:
-    """Record one histogram observation (no-op when disabled)."""
-    if not _STATE.stack:
-        return
-    _STATE.stack[-1].histogram(name, buckets=buckets, **labels).observe(value)

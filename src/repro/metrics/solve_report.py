@@ -5,10 +5,11 @@ Every :func:`repro.core.api.solve` call now returns with a
 what the solve was (config fingerprint), what it did (residual history,
 iterations per precision, the merged cost tally, kernel-seconds
 breakdown), where it ran (host block), and — for SPMD backends — how the
-ranks waited (per-rank comm/wait stats and the straggler summary).  The
-report serializes to a versioned JSON artifact; ``python -m repro report
-show|diff`` renders and compares them, and ``report diff --baseline
---tolerance`` is the perf regression gate CI runs.
+ranks waited (per-rank wait stats and the straggler summary, read from
+the merged tally's ``wait_seconds``).  The report serializes to a
+versioned JSON artifact; ``python -m repro report show|diff`` renders
+and compares them, and ``report diff --baseline --tolerance`` is the
+perf regression gate CI runs.
 
 Diff semantics: *deterministic* quantities (iterations, matvecs, flops,
 messages, reductions, comm bytes) are compared at ``count_tolerance``
@@ -22,13 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.metrics.bench_schema import host_info
-from repro.metrics.registry import MetricsRegistry
 from repro.metrics.straggler import rank_wait_stats, straggler_summary
+from repro.util.counters import OVERLAP_WAIT, OVERLAP_WINDOW, Tally
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -186,7 +187,6 @@ class SolveReport:
     tally: dict
     wall_seconds: float
     ranks: dict | None = None
-    metrics: dict = field(default_factory=dict)
     #: Serve-lifecycle breakdown when this solve was dispatched by the
     #: solve service: request_id, queue/coalesce/solve/latency seconds,
     #: lane and occupancy (None for direct solves).
@@ -205,7 +205,6 @@ class SolveReport:
             "tally": self.tally,
             "wall_seconds": self.wall_seconds,
             "ranks": self.ranks,
-            "metrics": self.metrics,
         }
         if self.serve is not None:
             doc["serve"] = self.serve
@@ -227,7 +226,6 @@ class SolveReport:
             tally=doc["tally"],
             wall_seconds=doc["wall_seconds"],
             ranks=doc.get("ranks"),
-            metrics=doc.get("metrics", {}),
             serve=doc.get("serve"),
             schema_version=doc["schema_version"],
         )
@@ -244,7 +242,7 @@ class SolveReport:
             return cls.from_dict(json.load(fh))
 
 
-def overlap_summary(registry: MetricsRegistry) -> dict | None:
+def overlap_summary(t: Tally) -> dict | None:
     """The measured comm/compute overlap of an overlapped-schedule solve,
     summed over ranks: the *window* is post-return to last-face-in (time
     communication had to hide under the interior kernel), the *wait* is
@@ -252,18 +250,18 @@ def overlap_summary(registry: MetricsRegistry) -> dict | None:
     hidden share ``(window - wait) / window`` — compare it against the
     Fig. 4 model track (``python -m repro trace``, see
     docs/observability.md).  ``None`` when no overlapped exchange ran."""
-    window = wait = exchanges = 0.0
-    for _, c in registry.counters.items():
-        if c.name == "halo_overlap_window_seconds_total":
-            window += c.value
-        elif c.name == "halo_overlap_wait_seconds_total":
-            wait += c.value
-        elif c.name == "halo_overlapped_exchanges_total":
-            exchanges += c.value
+    window = wait = 0.0
+    exchanges = 0
+    for (_, kind), (seconds, count) in t.wait_seconds.items():
+        if kind == OVERLAP_WINDOW:
+            window += seconds
+            exchanges += count
+        elif kind == OVERLAP_WAIT:
+            wait += seconds
     if not exchanges:
         return None
     return {
-        "exchanges": int(exchanges),
+        "exchanges": exchanges,
         "window_seconds": window,
         "wait_seconds": wait,
         "fraction": ((window - wait) / window) if window > 0 else None,
@@ -271,29 +269,22 @@ def overlap_summary(registry: MetricsRegistry) -> dict | None:
 
 
 def build_solve_report(
-    request,
-    result,
-    tally,
-    wall_seconds: float,
-    registry: MetricsRegistry | None = None,
+    request, result, tally: Tally, wall_seconds: float,
 ) -> SolveReport:
     """Assemble the report for one completed :func:`solve` call."""
     ranks = None
-    metrics_doc: dict = {}
-    if registry is not None and registry:
-        metrics_doc = registry.to_dict()
-        per_rank = rank_wait_stats(registry)
-        if per_rank:
-            ranks = {
-                "count": len(per_rank),
-                "wait": {str(r): m for r, m in sorted(per_rank.items())},
-                "straggler": straggler_summary(registry),
-            }
-        overlap = overlap_summary(registry)
-        if overlap is not None:
-            if ranks is None:  # pragma: no cover - overlap implies waits
-                ranks = {"count": 0, "wait": {}, "straggler": None}
-            ranks["overlap"] = overlap
+    per_rank = rank_wait_stats(tally)
+    if per_rank:
+        ranks = {
+            "count": len(per_rank),
+            "wait": {str(r): m for r, m in sorted(per_rank.items())},
+            "straggler": straggler_summary(tally),
+        }
+    overlap = overlap_summary(tally)
+    if overlap is not None:
+        if ranks is None:  # pragma: no cover - overlap implies waits
+            ranks = {"count": 0, "wait": {}, "straggler": None}
+        ranks["overlap"] = overlap
     return SolveReport(
         fingerprint=config_fingerprint(request),
         host=host_info(),
@@ -303,7 +294,6 @@ def build_solve_report(
         tally=tally.to_dict(),
         wall_seconds=float(wall_seconds),
         ranks=ranks,
-        metrics=metrics_doc,
     )
 
 

@@ -1,12 +1,13 @@
-"""Load-imbalance summary over the per-rank wait histograms.
+"""Load-imbalance summary over the per-rank waits of a tally.
 
 The paper's strong-scaling knee (Sec. 9) — and QUDA's before it
 (arXiv:1011.0024) — appears when some ranks finish their local work
 early and sit in blocking receives or the allreduce rendezvous waiting
 for the slowest rank.  The SPMD communicators measure exactly that wait
-(:mod:`repro.comm.communicator`, :mod:`repro.comm.shm`): every blocking
-``recv``, ``allreduce`` and ``barrier`` observes its elapsed wait into a
-per-rank histogram.  This module reduces those histograms to the
+(:class:`repro.comm.communicator.Communicator`): every blocking
+``recv``, ``allreduce`` and ``barrier`` charges its elapsed wait to the
+rank's :class:`~repro.util.counters.Tally` (``wait_seconds``), and the ranks'
+tallies merge at SPMD join.  This module reduces those waits to the
 *straggler summary*: total wait seconds per rank, and the
 ``max/median`` rank-wait ratio — read it like the scaling knee: a ratio
 near 1 means the ranks are balanced and waits are pure wire latency; a
@@ -18,53 +19,41 @@ from __future__ import annotations
 
 from statistics import median
 
-from repro.metrics.registry import MetricsRegistry
+from repro.util.counters import ALLREDUCE_WAIT, BARRIER_WAIT, RECV_WAIT, Tally
 
-#: Histogram of seconds a rank spent blocked in ``recv`` before the
-#: matching message was available.
-RECV_WAIT = "spmd_recv_wait_seconds"
-#: Histogram of seconds a rank spent in the allreduce rendezvous (deposit
-#: to result) — the global inner-product synchronization cost.
-ALLREDUCE_WAIT = "spmd_allreduce_wait_seconds"
-#: Histogram of seconds a rank spent in ``barrier`` — arrival skew.
-BARRIER_WAIT = "spmd_barrier_wait_seconds"
-
-#: All per-rank wait histogram families, in reporting order.
+#: All per-rank wait kinds, in reporting order.
 WAIT_METRICS = (RECV_WAIT, ALLREDUCE_WAIT, BARRIER_WAIT)
 
 
-def rank_wait_stats(registry: MetricsRegistry) -> dict[int, dict]:
-    """Per-rank wait totals: ``{rank: {metric: {"seconds", "count"}}}``.
+def rank_wait_stats(t: Tally) -> dict[int, dict]:
+    """Per-rank wait totals: ``{rank: {kind: {"seconds", "count"}}}``.
 
-    Ranks come from the ``rank`` label of the wait histograms; ranks with
-    no wait observations are absent.
+    Only the :data:`WAIT_METRICS` kinds; ranks with no waits are absent.
     """
     out: dict[int, dict] = {}
-    for _, h in sorted(registry.histograms.items()):
-        if h.name not in WAIT_METRICS or "rank" not in h.labels:
-            continue
-        rank = int(h.labels["rank"])
-        out.setdefault(rank, {})[h.name] = {
-            "seconds": h.sum,
-            "count": h.count,
-        }
+    for (rank, kind), (seconds, count) in sorted(t.wait_seconds.items()):
+        if kind in WAIT_METRICS:
+            out.setdefault(rank, {})[kind] = {
+                "seconds": seconds,
+                "count": count,
+            }
     return out
 
 
-def straggler_summary(registry: MetricsRegistry) -> dict | None:
-    """The ``max/median`` rank-wait ratio over all wait histograms.
+def straggler_summary(t: Tally) -> dict | None:
+    """The ``max/median`` rank-wait ratio over all wait kinds.
 
-    Returns ``None`` when no per-rank wait observations exist (a
-    non-SPMD solve).  A large ratio means a minority of ranks absorb the
-    waiting — the straggler signature; ~1 means waits are uniform
+    Returns ``None`` when no per-rank waits exist (a non-SPMD solve).  A
+    large ratio means a minority of ranks absorb the waiting — the
+    straggler signature; ~1 means waits are uniform
     (bandwidth/latency-bound, not imbalance-bound).
     """
-    per_rank = rank_wait_stats(registry)
+    per_rank = rank_wait_stats(t)
     if not per_rank:
         return None
     totals = {
-        rank: sum(m["seconds"] for m in metrics.values())
-        for rank, metrics in sorted(per_rank.items())
+        rank: sum(m["seconds"] for m in kinds.values())
+        for rank, kinds in sorted(per_rank.items())
     }
     values = list(totals.values())
     med = median(values)

@@ -36,10 +36,15 @@ import numpy as np
 from repro.comm.communicator import Communicator
 from repro.dirac.base import BoundarySpec, PERIODIC
 from repro.lattice.geometry import DIR_NAMES
-from repro.metrics.registry import current_registry
 from repro.multigpu.layout import HaloLayout, halo_logical_nbytes
 from repro.trace import span
-from repro.util.counters import record, timed
+from repro.util.counters import (
+    OVERLAP_WAIT,
+    OVERLAP_WINDOW,
+    record,
+    record_wait,
+    timed,
+)
 
 
 class RankHaloEngine:
@@ -291,12 +296,12 @@ class PendingExchange:
     :meth:`~repro.comm.communicator.Communicator.wait_any`, scattering
     *whichever* face arrives (disjoint ghost slabs make the scatter order
     irrelevant to the bits) until the requested dimension's pair is in.
-    When the final face lands, the engine's overlap counters are
-    published: the *window* (post-return to last-face) is the time
-    communication had available to hide under compute, the *wait* is the
-    part that actually blocked — their difference over the window is the
-    measured overlap fraction the solve report compares against the
-    Fig. 4 model track.
+    When the final face lands, the exchange's overlap is charged to the
+    rank's tally as two waits: the *window* (post-return to last-face) is
+    the time communication had available to hide under compute, the
+    *wait* is the part that actually blocked — their difference over the
+    window is the measured overlap fraction the solve report compares
+    against the Fig. 4 model track.
     """
 
     def __init__(self, engine: RankHaloEngine, padded: np.ndarray,
@@ -356,15 +361,9 @@ class PendingExchange:
 
     def _publish_overlap(self) -> None:
         self._published = True
-        window = time.perf_counter() - self._t_post
-        reg = current_registry()
-        if reg is not None:
-            rank = self.engine.rank
-            reg.counter("halo_overlap_window_seconds_total",
-                        rank=rank).inc(window)
-            reg.counter("halo_overlap_wait_seconds_total",
-                        rank=rank).inc(self._wait_seconds)
-            reg.counter("halo_overlapped_exchanges_total", rank=rank).inc()
+        rank = self.engine.rank
+        record_wait(rank, OVERLAP_WINDOW, time.perf_counter() - self._t_post)
+        record_wait(rank, OVERLAP_WAIT, self._wait_seconds)
 
 
 __all__ = ["PendingExchange", "RankHaloEngine"]

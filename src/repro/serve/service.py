@@ -23,9 +23,10 @@ are the batch of one of the batched loops).
 Every served request carries the full flight-recorder
 :class:`~repro.metrics.SolveReport` of its batch, and the service
 maintains a long-lived :class:`~repro.metrics.MetricsRegistry` (queue
-depth, coalesce ratio, batch occupancy, end-to-end latency histograms,
-merged per-solve wait metrics) exported through the existing Prometheus
-text format (``GET /metrics`` on the HTTP front).
+depth, coalesce ratio, batch occupancy, end-to-end latency histograms)
+exported through the existing Prometheus text format (``GET /metrics``
+on the HTTP front).  The registry holds the service's own series only: a
+solve's cost stays in its report.
 """
 
 from __future__ import annotations
@@ -546,9 +547,8 @@ class SolveService:
                 "diverged" if served.diverged else "completed"
             )
             entry.ticket.set_result(served)
-        self._record_batch(
-            good, n_real, solve_seconds, waited, now, sched_time, result
-        )
+        self._record_batch(good, n_real, solve_seconds, waited, now,
+                           sched_time)
 
     # ------------------------------------------------------------------
     # cached operator setup
@@ -614,7 +614,7 @@ class SolveService:
             ).inc(n)
 
     def _record_batch(
-        self, good, n_real, solve_seconds, waited, now, sched_time, result
+        self, good, n_real, solve_seconds, waited, now, sched_time
     ) -> None:
         """Account one executed batch into the service registry."""
         with self._metrics_lock:
@@ -636,9 +636,6 @@ class SolveService:
                 reg.histogram("serve_decode_seconds").observe(
                     entry.decode_seconds
                 )
-            report = getattr(result, "report", None)
-            if report is not None and report.metrics:
-                reg.merge(MetricsRegistry.from_dict(report.metrics))
 
     def observe_encode(self, seconds: float) -> None:
         """Record what one response cost to put on the wire

@@ -21,6 +21,13 @@ exactly rather than approximately.  Paper-section map of the ``timed``
 call sites: ``wilson_dslash``/``*_dslash`` are the Sec. 4/6.2 stencil
 kernels, ``halo_exchange`` is the Sec. 6.1/6.3 ghost-zone machinery.
 
+Relation to the SPMD communicators (:mod:`repro.comm`): a tally also
+holds each rank's *waits* (:attr:`Tally.wait_seconds`) — the seconds a
+rank spent blocked in a receive, an allreduce or a barrier, and the
+overlapped halo's hidden window — so the per-rank wait table of a solve
+report, like its operation counts, is merged at SPMD join from the
+ranks' tallies.
+
 Both the tally stack and the active tracer are thread-local; with neither
 installed, :func:`record`/:func:`timed` cost one attribute check.
 """
@@ -34,6 +41,22 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.trace.core import active_tracer, emit_complete
+
+#: Wait kinds of :attr:`Tally.wait_seconds`.  Seconds a rank spent
+#: blocked in a receive (``recv``, or ``wait_any`` on posted receives)
+#: before the message was there.
+RECV_WAIT = "spmd_recv_wait_seconds"
+#: Seconds a rank spent in an allreduce, from its contribution to the
+#: result — the global inner-product synchronization cost.
+ALLREDUCE_WAIT = "spmd_allreduce_wait_seconds"
+#: Seconds a rank spent in ``barrier`` — arrival skew.
+BARRIER_WAIT = "spmd_barrier_wait_seconds"
+#: An overlapped halo exchange's window, post to last face in: the time
+#: communication had to hide under the interior kernel (one count per
+#: exchange).
+OVERLAP_WINDOW = "halo_overlap_window_seconds"
+#: The part of that window the rank spent blocked in ``wait_any``.
+OVERLAP_WAIT = "halo_overlap_wait_seconds"
 
 
 @dataclass
@@ -69,6 +92,11 @@ class Tally:
         nested regions.
     kernel_seconds:
         The same wall-clock seconds, keyed by kernel name.
+    wait_seconds:
+        Measured seconds and a count per ``(rank, wait kind)`` — the
+        kinds are the module's ``*_WAIT`` / ``OVERLAP_*`` names —
+        charged by the SPMD communicators around each blocking call and
+        by the overlapped halo exchange.  Not part of ``seconds``.
     """
 
     flops: int = 0
@@ -80,6 +108,7 @@ class Tally:
     operator_applications: dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
     kernel_seconds: dict[str, float] = field(default_factory=dict)
+    wait_seconds: dict[tuple[int, str], list] = field(default_factory=dict)
 
     def add(
         self,
@@ -110,6 +139,12 @@ class Tally:
             self.kernel_seconds.get(name, 0.0) + float(seconds)
         )
 
+    def add_wait(self, rank: int, kind: str, seconds: float,
+                 count: int = 1) -> None:
+        entry = self.wait_seconds.setdefault((rank, kind), [0.0, 0])
+        entry[0] += float(seconds)
+        entry[1] += int(count)
+
     def to_dict(self) -> dict:
         """JSON-ready snapshot; :meth:`from_dict` round-trips it exactly
         (the ``tally`` block of a :class:`~repro.metrics.SolveReport`)."""
@@ -123,6 +158,7 @@ class Tally:
             "operator_applications": dict(self.operator_applications),
             "seconds": self.seconds,
             "kernel_seconds": dict(self.kernel_seconds),
+            "wait_seconds": _nest_waits(self.wait_seconds),
         }
 
     @classmethod
@@ -143,6 +179,11 @@ class Tally:
                 str(k): float(v)
                 for k, v in data.get("kernel_seconds", {}).items()
             },
+            wait_seconds={
+                (int(rank), str(kind)): [float(m["seconds"]), int(m["count"])]
+                for rank, kinds in data.get("wait_seconds", {}).items()
+                for kind, m in kinds.items()
+            },
         )
 
     def merge(self, other: "Tally") -> None:
@@ -159,6 +200,20 @@ class Tally:
             self.kernel_seconds[name] = (
                 self.kernel_seconds.get(name, 0.0) + secs
             )
+        for (rank, kind), (secs, count) in other.wait_seconds.items():
+            self.add_wait(rank, kind, secs, count)
+
+
+def _nest_waits(waits: dict) -> dict:
+    """``{(rank, kind): [seconds, count]}`` as JSON:
+    ``{"<rank>": {kind: {"seconds", "count"}}}``, ranks and kinds
+    sorted."""
+    out: dict[str, dict] = {}
+    for (rank, kind), (secs, count) in sorted(waits.items()):
+        out.setdefault(str(rank), {})[kind] = {
+            "seconds": secs, "count": count,
+        }
+    return out
 
 
 class _TallyStack(threading.local):
@@ -199,6 +254,13 @@ def record(
             flops, bytes_moved, comm_bytes, messages, reductions,
             seconds=seconds,
         )
+
+
+def record_wait(rank: int, kind: str, seconds: float) -> None:
+    """Charge one measured wait of ``rank`` to the current tally."""
+    t = current_tally()
+    if t is not None:
+        t.add_wait(rank, kind, seconds)
 
 
 def record_seconds(name: str, seconds: float) -> None:

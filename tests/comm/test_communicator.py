@@ -11,8 +11,8 @@ from repro.comm.communicator import (
     record_collective,
     reduce_in_rank_order,
 )
-from repro.metrics.registry import metrics_scope
 from repro.metrics.straggler import RECV_WAIT
+from repro.util.counters import tally
 from repro.util.counters import tally
 
 
@@ -218,7 +218,7 @@ class TestWaitAny:
         whatever the arrival order."""
         box = Mailbox(2)
         tx, rx = MailboxCommunicator(box, 0), MailboxCommunicator(box, 1)
-        with metrics_scope() as reg:
+        with tally() as t:
             handles = [rx.irecv(0, tag=i) for i in range(4)]
             for i in range(4):
                 tx.send(1, rng.standard_normal(2), tag=i)
@@ -226,11 +226,8 @@ class TestWaitAny:
             while remaining:
                 index = rx.wait_any(remaining)
                 remaining.pop(index)
-        observations = sum(
-            h.count for _, h in reg.histograms.items()
-            if h.name == RECV_WAIT
-        )
-        assert observations == 4
+        assert list(t.wait_seconds) == [(1, RECV_WAIT)]
+        assert t.wait_seconds[(1, RECV_WAIT)][1] == 4
 
 
 class TestBackendsConstant:

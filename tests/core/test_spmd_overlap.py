@@ -12,10 +12,9 @@ from repro.core.api import SolveRequest, solve
 from repro.core.gcrdd import GCRDDConfig
 from repro.core.spmd import SPMDGCRDDSolver
 from repro.lattice import GaugeField, Geometry, SpinorField
-from repro.metrics.registry import metrics_scope
 from repro.metrics.solve_report import overlap_summary, render_report
 from repro.trace import tracing
-from repro.util.counters import tally
+from repro.util.counters import OVERLAP_WINDOW, tally
 
 BACKENDS_AVAILABLE = ["sequential", "threads"] + (
     ["processes"] if process_backend_available() else []
@@ -94,13 +93,13 @@ class TestOverlapMetrics:
         solver = SPMDGCRDDSolver(
             gauge, 0.2, 1.0, grid, config=cfg, overlap=True
         )
-        with metrics_scope() as reg:
+        with tally() as t:
             res = solver.solve(b, backend="sequential")
         assert res.converged
         exchanges = {
-            int(c.labels["rank"]): c.value
-            for _, c in reg.counters.items()
-            if c.name == "halo_overlapped_exchanges_total"
+            rank: count
+            for (rank, kind), (_, count) in t.wait_seconds.items()
+            if kind == OVERLAP_WINDOW
         }
         # Every rank ran the same deterministic schedule.
         assert sorted(exchanges) == list(range(grid.size))
@@ -112,9 +111,9 @@ class TestOverlapMetrics:
         solver = SPMDGCRDDSolver(
             gauge, 0.2, 1.0, grid, config=cfg, overlap=True
         )
-        with metrics_scope() as reg:
+        with tally() as t:
             solver.solve(b, backend="sequential")
-        summary = overlap_summary(reg)
+        summary = overlap_summary(t)
         assert summary is not None
         assert summary["exchanges"] > 0
         assert summary["window_seconds"] > 0.0
@@ -127,9 +126,9 @@ class TestOverlapMetrics:
     def test_no_overlap_counters_on_blocking_path(self, setup):
         _, gauge, grid, cfg, b = setup
         solver = SPMDGCRDDSolver(gauge, 0.2, 1.0, grid, config=cfg)
-        with metrics_scope() as reg:
+        with tally() as t:
             solver.solve(b, backend="sequential")
-        assert overlap_summary(reg) is None
+        assert overlap_summary(t) is None
 
 
 class TestOverlapSolveReport:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.comm.backends import process_backend_available
 from repro.core.api import SolveRequest, solve
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.metrics.solve_report import (
@@ -17,6 +18,7 @@ from repro.metrics.solve_report import (
     render_report,
     validate_report,
 )
+from repro.metrics.straggler import ALLREDUCE_WAIT, RECV_WAIT, WAIT_METRICS
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +194,21 @@ class TestRender:
         assert "no regressions" in format_diff([], [])
 
 
+_REPORT_BACKENDS = ["threads"] + (
+    ["processes"] if process_backend_available() else []
+)
+
+
 class TestSPMDReport:
-    def test_spmd_solve_report_carries_rank_waits(self):
+    """The ``ranks`` block e2e_bench reads (``count``, ``wait.<r>.<kind>
+    .seconds``, ``straggler.max_over_median``), pinned per backend."""
+
+    #: Waits a rank of this request charges, on every backend: one per
+    #: completed halo receive and one per global reduction.
+    RECV_WAITS, ALLREDUCE_WAITS = 112, 110
+
+    @pytest.mark.parametrize("backend", _REPORT_BACKENDS)
+    def test_spmd_solve_report_carries_rank_waits(self, backend):
         from repro.comm.grid import ProcessGrid
         from repro.core.gcrdd import GCRDDConfig
 
@@ -205,7 +220,7 @@ class TestSPMDReport:
             mass=0.2, csw=1.0, method="gcr-dd",
             grid=ProcessGrid((1, 1, 2, 2)),
             config=GCRDDConfig(tol=1e-6, precond_steps=8),
-            backend="threads",
+            backend=backend,
         )
         result = solve(request)
         assert result.converged
@@ -215,7 +230,14 @@ class TestSPMDReport:
         assert ranks["count"] == 4
         assert sorted(ranks["wait"]) == ["0", "1", "2", "3"]
         for stats in ranks["wait"].values():
-            assert any(m["count"] > 0 for m in stats.values())
+            assert set(stats) <= set(WAIT_METRICS)
+            for kind, count in (
+                (RECV_WAIT, self.RECV_WAITS),
+                (ALLREDUCE_WAIT, self.ALLREDUCE_WAITS),
+            ):
+                assert set(stats[kind]) == {"seconds", "count"}
+                assert stats[kind]["count"] == count
+                assert stats[kind]["seconds"] >= 0.0
         straggler = ranks["straggler"]
         assert straggler["max_over_median"] >= 1.0
         assert "per-rank waits" in render_report(doc)

@@ -253,6 +253,14 @@ class TestMetrics:
             assert name in text, f"missing {name} in export"
         # Occupancy histogram recorded one 2-lane batch.
         assert 'serve_batch_occupancy_bucket{le="2.0"} 1' in text
+        # The daemon's registry holds the daemon's series only: a
+        # served solve's own cost stays in its report.
+        families = [
+            line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        assert families
+        assert all(name.startswith("serve_") for name in families), families
 
     def test_wire_cost_histograms(self):
         """serve_decode_seconds: one sample per completed request (the

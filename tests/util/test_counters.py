@@ -103,6 +103,9 @@ class TestSerialization:
         t.add_operator("wilson", 3)
         t.add_seconds("wilson_dslash", 0.75)
         t.add_seconds("halo_exchange", 0.5)
+        t.add_wait(0, "spmd_recv_wait_seconds", 0.125)
+        t.add_wait(0, "spmd_recv_wait_seconds", 0.0625)
+        t.add_wait(3, "spmd_allreduce_wait_seconds", 1e-7)
         return t
 
     def test_round_trip_exact(self):
@@ -110,6 +113,7 @@ class TestSerialization:
         clone = Tally.from_dict(t.to_dict())
         assert clone == t
         assert clone.to_dict() == t.to_dict()
+        assert clone.wait_seconds[(0, "spmd_recv_wait_seconds")] == [0.1875, 2]
 
     def test_round_trip_survives_json(self):
         import json
@@ -150,13 +154,22 @@ class TestDomainLocalSeconds:
 class TestMerge:
     def test_manual_merge(self):
         a = Tally(flops=1, reductions=2)
+        a.add_wait(0, "spmd_recv_wait_seconds", 0.5)
         b = Tally(flops=10, local_reductions=5)
         b.add_operator("x")
+        b.add_wait(0, "spmd_recv_wait_seconds", 0.25)
+        b.add_wait(1, "spmd_recv_wait_seconds", 1.0, count=3)
         a.merge(b)
         assert a.flops == 11
         assert a.reductions == 2
         assert a.local_reductions == 5
         assert a.operator_applications == {"x": 1}
+        assert a.wait_seconds == {
+            (0, "spmd_recv_wait_seconds"): [0.75, 2],
+            (1, "spmd_recv_wait_seconds"): [1.0, 3],
+        }
+        # Merging copies: the source's entries stay its own.
+        assert b.wait_seconds[(0, "spmd_recv_wait_seconds")] == [0.25, 1]
 
 
 class TestTiming:
