@@ -414,17 +414,24 @@ def _resolved(value, default):
     return default if value is None else value
 
 
-def _rel_residuals(apply, x, b, lead: int):
-    """Relative true residual(s) of ``apply``'s system: a float, or a
-    ``(B,)`` array if batched."""
-    r = b - apply(x)
-    if lead:
-        nb = b.shape[0]
-        rn = np.linalg.norm(r.reshape(nb, -1), axis=1)
-        bn = np.linalg.norm(b.reshape(nb, -1), axis=1)
-        return np.where(bn > 0.0, rn / np.where(bn == 0.0, 1.0, bn), 0.0)
-    bn = np.linalg.norm(b)
-    return float(np.linalg.norm(r) / bn) if bn else 0.0
+def _rel_residuals(r, b, lead: int):
+    """Relative true residual(s) ``|r| / |b|`` of the residual ``r`` of
+    the source ``b``: a float, or a ``(B,)`` array if batched.  0 for a
+    zero source; NaN for one whose norm is not finite (it overflows, or
+    holds a NaN), which has no relative residual."""
+    # The norms overflow quietly: that lane's answer is the NaN.
+    with np.errstate(over="ignore"):
+        if lead:
+            nb = b.shape[0]
+            rn = np.linalg.norm(r.reshape(nb, -1), axis=1)
+            bn = np.linalg.norm(b.reshape(nb, -1), axis=1)
+            usable = np.isfinite(bn) & (bn > 0.0)
+            rel = rn / np.where(usable, bn, 1.0)
+            return np.where(usable, rel, np.where(bn == 0.0, 0.0, np.nan))
+        bn = np.linalg.norm(b)
+        if not np.isfinite(bn):
+            return float("nan")
+        return float(np.linalg.norm(r) / bn) if bn else 0.0
 
 
 def _gcrdd_config(request: SolveRequest) -> GCRDDConfig:
@@ -497,14 +504,17 @@ def _solve_wilson(request: SolveRequest):
     b_hat = eo.prepare_rhs(b)
     # The full residual is the Schur one on the even sites (and zero on
     # the odd ones), so |r| <= tol |b| is a per-lane Schur threshold.
+    # A source whose norm overflows gets a NaN threshold, quietly: its
+    # lane iterates until a reduction says it is not finite.
     rows = b.shape[0] if lead else 1
-    b_norm, hat_norm = (
-        np.linalg.norm(v.reshape(rows, -1), axis=1) for v in (b, b_hat)
-    )
-    res = run(eo.apply, b_hat,
-              tol * b_norm / np.where(hat_norm > 0.0, hat_norm, 1.0))
-    res.x = eo.reconstruct(res.x, b)
-    rel = _rel_residuals(eo.apply_full, res.x, b, lead)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_norm, hat_norm = (
+            np.linalg.norm(v.reshape(rows, -1), axis=1) for v in (b, b_hat)
+        )
+        schur_tol = tol * b_norm / np.where(hat_norm > 0.0, hat_norm, 1.0)
+    res = run(eo.apply, b_hat, schur_tol)
+    res.x, r = eo.reconstruct_residual(res.x, b)
+    rel = _rel_residuals(r, b, lead)
     if lead:
         res.residuals = rel
     else:
@@ -577,7 +587,7 @@ def _solve_asqtad(request: SolveRequest):
             inner_solver=batched_cg, inner_precision=prec, tol=tol,
             inner_tol=CG_INNER_TOL, inner_maxiter=maxiter, space=space,
         )
-    rel = _rel_residuals(op.apply, res.x, b, lead)
+    rel = _rel_residuals(b - op.apply(res.x), b, lead)
     if lead:
         res.residuals = rel
     else:

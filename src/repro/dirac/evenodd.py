@@ -174,6 +174,7 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         self._inverse = masses.get(
             (self._form.clover_form, "eo", "inverse"), self._build_inverse
         )
+        self._schur = self._bind()
 
     # -- derived arrays ----------------------------------------------------
     def _build_inverse(self) -> np.ndarray:
@@ -186,6 +187,16 @@ class EvenOddPreconditionedWilson(LatticeOperator):
                 self.wilson.diagonal_coefficient, self._lattice, c,
             ),
             self._lattice, np.complex128,
+        )
+
+    def _bind(self):
+        """The tier's compiled even-odd form on these operands, checked
+        once (``None``: the NumPy passes run)."""
+        if self._reference:
+            return None
+        return self._backend.wilson_schur_bind(
+            self._links, self._even, self._odd, self._inverse,
+            self.wilson.diagonal_coefficient, self.wilson.boundary,
         )
 
     def _blocks(self, held) -> ChiralBlocks:
@@ -248,20 +259,16 @@ class EvenOddPreconditionedWilson(LatticeOperator):
     def _apply(self, x: np.ndarray) -> np.ndarray:
         if self._reference:
             return self._apply_reference(x)
-        batched = bool(self.field_lead(x))
         seconds = np.zeros(3) if timing() else None
         start = time.perf_counter()
-        out = self._backend.wilson_schur_sites(
-            self._links, self._even,
-            self._inverse, self.wilson.diagonal_coefficient, x, batched,
-            self.wilson.boundary, seconds,
-        )
+        out = self._schur and self._schur.apply(x, seconds)
         if out is not None:
             if seconds is not None:
                 for leaf, elapsed in zip((_CONVERT, _HOPS, _TAIL), seconds):
                     record_timed(*leaf, start, elapsed)
                     start += elapsed
             return out
+        batched = bool(self.field_lead(x))
         dtype = self._links.dtype
         with timed(*_CONVERT):
             xs = _lattice_last(x, dtype)
@@ -287,6 +294,9 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         return apply_spin_matrix(g5, self._apply(apply_spin_matrix(g5, x)))
 
     # -- full-system conversion ---------------------------------------------
+    # One compiled call each on the tier that binds the even-odd form (the
+    # full fields read and written a parity at a time); the NumPy passes
+    # below otherwise, which it equals bit for bit.
     def _pass(self, src, xt, parity: int, hop=None, diagonal=0.0,
               clover=None, inverse=None):
         """One pass onto the sites of ``parity``, on site-major half-lattice
@@ -317,6 +327,9 @@ class EvenOddPreconditionedWilson(LatticeOperator):
             b_e, b_o = (to_parity(b, parity) for parity in (0, 1))
             lifted = self._reference_inverse(b_o)
             return b_e + 0.5 * self._reference_hop(lifted, 0)
+        out = self._schur and self._schur.rhs(b)
+        if out is not None:
+            return out
         b_e, b_o = self._halves(b)
         lifted = self._pass(None, b_o, 1, inverse=self._inverse)
         out = self._pass(lifted, b_e, 0, hop=0.5, diagonal=1.0)
@@ -332,12 +345,28 @@ class EvenOddPreconditionedWilson(LatticeOperator):
                 b_o + 0.5 * self._reference_hop(x_e, 1)
             )
             return from_parities(x_e, x_o)
+        done = self._schur and self._schur.solution(x_e, b, residual=False)
+        if done:
+            return done[0]
         _, b_o = self._halves(b)
         x_o = self._pass(
             x_e.astype(self._links.dtype, copy=False), b_o, 1, hop=0.5,
             diagonal=1.0, inverse=self._inverse,
         )
         return from_parities(x_e, x_o.astype(x_e.dtype, copy=False))
+
+    def reconstruct_residual(self, x_e: np.ndarray, b: np.ndarray):
+        """``(x, r)``: the full solution :meth:`reconstruct` gives and its
+        full residual ``r = b - M x`` (``M x`` as :meth:`apply_full` gives
+        it, in ``x``'s dtype), recorded as that one application of ``M``.
+        The compiled call hops from ``x_e`` onto the odd sites once, for
+        the back-substitution and the residual's odd half."""
+        done = self._schur and self._schur.solution(x_e, b, residual=True)
+        if not done:
+            x = self.reconstruct(x_e, b)
+            return x, b - self.apply_full(x)
+        self.wilson._record(done[0])
+        return done
 
     def apply_full(self, x: np.ndarray) -> np.ndarray:
         """The full matrix ``M x`` of a full-lattice field, computed on the
@@ -430,4 +459,5 @@ class EvenOddPreconditionedWilson(LatticeOperator):
             )
         out._inverse = take(self._inverse, lanes)
         out.storage = None
+        out._schur = out._bind()
         return out

@@ -142,16 +142,18 @@ class KernelBackend:
         half-lattice field, ``links`` split by parity) — or ``None``."""
         return None
 
-    def wilson_schur_sites(
-        self, links, clover, inverse, diagonal: float, x, batched: bool,
-        boundary, seconds,
+    def wilson_schur_bind(
+        self, links, even, odd, inverse, diagonal: float, boundary
     ):
-        """All of ``EvenOddPreconditionedWilson._apply`` on the caller's
-        site-major even half-lattice field ``x`` — the hop onto the odd
-        sites, ``C_oo^{-1}`` (``inverse``, in the tier's clover form), the
-        hop back, ``-1/4`` of it plus ``diagonal x + A_ee x`` (``clover``
-        the term on the even sites, or ``None``) — with ``links`` split by
-        parity, or ``None``.  ``seconds`` as for :meth:`wilson_apply_sites`."""
+        """The tier's compiled even-odd form on one operator's operands —
+        ``links`` split by parity, the clover term on each parity's sites
+        (``even``, ``odd``: ``A_ee``, ``A_oo`` in the tier's clover form,
+        or ``None``), ``C_oo^{-1}`` (``inverse``), the diagonal ``4 + m``
+        and the boundary — checked once, or ``None``.  What it returns has
+        ``apply(x, seconds)`` (all of ``EvenOddPreconditionedWilson._apply``;
+        ``seconds`` as for :meth:`wilson_apply_sites`), ``rhs(b)``
+        (``prepare_rhs``) and ``solution(x_e, b, residual)`` (``reconstruct``
+        and ``b - M x``), each ``None`` for a field it does not take."""
         return None
 
     def wilson_apply_sites(

@@ -73,8 +73,6 @@ _BOUNDARY_CODES = {"periodic": 0, "antiperiodic": 1, "zero": 2}
 _SUFFIX = {"complex128": "c128", "complex64": "c64"}
 _REAL = {"complex128": "float64", "complex64": "float32"}
 _COMPLEX = {real: name for name, real in _REAL.items()}
-#: The same as dtype objects, for the entries called on every apply.
-_PACKED = {np.dtype(name): np.dtype(real) for name, real in _REAL.items()}
 _C64, _C128 = np.dtype("complex64"), np.dtype("complex128")
 #: Sites in a block of the site-vector operands (``W`` in the source).
 SITE_VECTOR = 8
@@ -110,6 +108,16 @@ def _check_packed(held: np.ndarray, lattice) -> None:
             f"not a packed clover term on {tuple(lattice)}: "
             f"{held.dtype} {held.shape}"
         )
+
+
+def _address(a: np.ndarray) -> int:
+    """Where the C-contiguous ``a``'s data starts: through the buffer
+    protocol where ``a`` is writable (~0.5 us on the 2-core host),
+    ``a.ctypes.data`` otherwise (~1.5 us) — several times per update."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only, or empty
+        return a.ctypes.data
 
 
 def _site_vectors(shape, dtype) -> np.ndarray:
@@ -239,13 +247,17 @@ class _Library:
             f.argtypes = (ptr,) * 5 + (i64,) * 6 + (ptr, ctypes.c_int)
             f.restype = ctypes.c_int
             self.hop[name] = f
-            f = getattr(lib, f"repro_wilson_schur_{suffix}")
-            f.argtypes = (
-                (ptr,) * 4 + (ctypes.c_double, ptr, ctypes.c_int)
-                + (ptr,) * 2 + (i64,) * 6 + (ptr,) * 2
-            )
-            f.restype = ctypes.c_int
-            self.schur[np.dtype(name)] = f
+            # the even-odd form's entries: fields, narrow, batch, operands
+            entries = []
+            for entry, fields, tail in (
+                ("apply", 2, (ptr, ptr)), ("rhs", 2, (ptr,)),
+                ("solution", 4, (ptr,)),
+            ):
+                f = getattr(lib, f"repro_schur_{entry}_{suffix}")
+                f.argtypes = (ptr,) * fields + (ctypes.c_int, i64) + tail
+                f.restype = ctypes.c_int
+                entries.append(f)
+            self.schur[np.dtype(name)] = tuple(entries)
             f = getattr(lib, f"repro_wilson_apply_{suffix}")
             f.argtypes = (
                 (ptr,) * 3 + (ctypes.c_double, ptr) + (ctypes.c_int,) * 2
@@ -311,6 +323,112 @@ class _Library:
                         f"update probe failed for {name}: the library's "
                         "y + a * x and NumPy's differ"
                     )
+
+
+class _SchurOperands(ctypes.Structure):
+    """``schur_operands`` of ``wilson_hop.c``: what every entry of the
+    even-odd form reads besides its fields."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p) for name in ("links", "even", "odd", "inverse")
+    ] + [("diag", ctypes.c_double)] + [
+        (name, ctypes.c_void_p) for name in ("spins", "coef", "bc")
+    ] + [(name, ctypes.c_int64) for name in ("nl", "T", "Z", "Y", "X")]
+
+
+class _BoundSchur:
+    """The library's entries of the even-odd form on one operator's
+    operands, checked and bound once (``CBackend.wilson_schur_bind``): a
+    call checks only its fields — the operator's dtype or complex64 on a
+    complex128 operator, one of both; the shape; C-contiguous — and
+    returns ``None``, nothing written, where they are not what the
+    library takes: the NumPy body runs instead."""
+
+    def __init__(self, backend, library, links, even, odd, inverse,
+                 diagonal, boundary):
+        self._bind = (backend, links, even, odd, inverse, diagonal, boundary)
+        lattice = links.shape[4:]
+        spins, phases = backend._projection(links.dtype)
+        codes = _boundary_codes(boundary.conditions)
+        address = [
+            None if a is None else a.ctypes.data
+            for a in (links, even, odd, inverse, spins, phases, codes)
+        ]
+        self._operands = _SchurOperands(
+            *address[:4], diagonal, *address[4:],
+            lattice[0] if len(lattice) == 5 else 1, *lattice[-4:],
+        )
+        #: every array a pointer above points into, kept alive with them
+        self._held = (links, even, odd, inverse, spins, phases, codes)
+        self._at = ctypes.addressof(self._operands)
+        self._dtypes = (links.dtype,) + ((_C64,) if links.dtype == _C128 else ())
+        self._half = lattice + (4, 3)
+        self._full = lattice[:-1] + (2 * lattice[-1], 4, 3)
+        self._apply, self._rhs, self._solution = library.schur[links.dtype]
+
+    def __reduce__(self):
+        # bound again where it is unpickled: the pointers are this process's
+        backend, *operands = self._bind
+        return backend.wilson_schur_bind, tuple(operands)
+
+    def _batch(self, x, shape):
+        """The right-hand sides of ``x`` where it is a field these entries
+        take on ``shape``, else ``None``."""
+        lead = x.ndim - len(shape)
+        if (
+            lead not in (0, 1)
+            or x.shape[lead:] != shape
+            or x.dtype not in self._dtypes
+            or not x.flags.c_contiguous
+        ):
+            return None
+        return x.shape[0] if lead else 1
+
+    def apply(self, x, seconds):
+        """``EvenOddPreconditionedWilson._apply(x)``; ``seconds`` as for
+        :meth:`CBackend.wilson_apply_sites`."""
+        nb = self._batch(x, self._half)
+        if nb is None:
+            return None
+        out = np.empty_like(x)
+        failed = self._apply(
+            _address(x), _address(out), x.dtype != self._dtypes[0], nb,
+            self._at, None if seconds is None else _address(seconds),
+        )
+        return None if failed else out
+
+    def rhs(self, b):
+        """``EvenOddPreconditionedWilson.prepare_rhs(b)``."""
+        nb = self._batch(b, self._full)
+        if nb is None:
+            return None
+        out = np.empty(b.shape[:b.ndim - len(self._full)] + self._half, b.dtype)
+        failed = self._rhs(
+            _address(b), _address(out), b.dtype != self._dtypes[0], nb,
+            self._at,
+        )
+        return None if failed else out
+
+    def solution(self, x_e, b, residual: bool):
+        """``(x, r)``: ``EvenOddPreconditionedWilson.reconstruct(x_e, b)``
+        and, with ``residual``, ``b - M x`` (else ``None``), the odd-site
+        hop shared — ``x_e`` and ``b`` of one dtype."""
+        nb = self._batch(b, self._full)
+        if (
+            nb is None
+            or x_e.dtype != b.dtype
+            or x_e.shape != b.shape[:b.ndim - len(self._full)] + self._half
+            or not x_e.flags.c_contiguous
+        ):
+            return None
+        x = np.empty_like(b)
+        r = np.empty_like(b) if residual else None
+        failed = self._solution(
+            _address(x_e), _address(b), _address(x),
+            None if r is None else _address(r), b.dtype != self._dtypes[0],
+            nb, self._at,
+        )
+        return None if failed else (x, r)
 
 
 class CBackend(KernelBackend):
@@ -556,48 +674,30 @@ class CBackend(KernelBackend):
         )
         return None if failed else out
 
-    def wilson_schur_sites(
-        self, links, clover, inverse, diagonal, x, batched, boundary, seconds
-    ):
-        # Called on every Schur apply: dtypes are compared as objects,
-        # never by name.
+    def wilson_schur_bind(self, links, even, odd, inverse, diagonal, boundary):
         library = self._library or self._resolve(build=True)
-        real = _PACKED.get(links.dtype)
+        real = _REAL.get(links.dtype.name)
         lattice = links.shape[4:]
-        narrow = x.dtype != links.dtype
         if (
             library is None
             or real is None
             or inverse is None
-            or (narrow and (x.dtype, links.dtype) != (_C64, _C128))
             or not links.flags.c_contiguous
             or links.shape[:4] != (2, 4, 3, 3)
             or _antiperiodic_unit_extent(boundary, lattice, half=True)
-            or x.shape[batched:] != lattice + (4, 3)
             or any(
                 held is not None and (
                     held.dtype != real
                     or not held.flags.c_contiguous
                     or held.shape != packed_shape(lattice)
                 )
-                for held in (clover, inverse)
+                for held in (even, odd, inverse)
             )
         ):
             return None
-        x = np.ascontiguousarray(x)
-        spins, phases = self._projection(links.dtype)
-        out = np.empty_like(x)
-        failed = library.schur[links.dtype](
-            x.ctypes.data, links.ctypes.data,
-            None if clover is None else clover.ctypes.data,
-            inverse.ctypes.data, diagonal, out.ctypes.data, narrow,
-            spins.ctypes.data, phases.ctypes.data,
-            x.shape[0] if batched else 1,
-            lattice[0] if len(lattice) == 5 else 1, *lattice[-4:],
-            _boundary_codes(boundary.conditions).ctypes.data,
-            None if seconds is None else seconds.ctypes.data,
+        return _BoundSchur(
+            self, library, links, even, odd, inverse, diagonal, boundary
         )
-        return None if failed else out
 
     def wilson_block_mr(
         self, links, chiral, diagonal, r, batched, boundary, rounding,
@@ -814,23 +914,26 @@ class CBackend(KernelBackend):
             return None
         at = []
         for v in vectors:
+            flags = v.flags
             if (
                 v.dtype != dtype or v.shape != shape
-                or not (v.flags.c_contiguous and v.flags.aligned)
+                or not (flags.c_contiguous and flags.aligned)
             ):
                 return None
-            at.append(v.ctypes.data)
+            at.append(_address(v))
         # Contiguous, equal-sized vectors overlap iff their starts are
         # closer than their size; only the same start as an input is allowed.
         size = first.nbytes
         for j in range(inputs, len(at)):
-            if not vectors[j].flags.writeable or any(
-                i != j and abs(at[i] - at[j]) < size
-                and (i >= inputs or at[i] != at[j])
-                for i in range(len(at))
-            ):
+            if not vectors[j].flags.writeable:
                 return None
-        run(lanes, first.size // lanes, coefficients.ctypes.data, *at)
+            for i, start in enumerate(at):
+                if (
+                    i != j and abs(start - at[j]) < size
+                    and (i >= inputs or start != at[j])
+                ):
+                    return None
+        run(lanes, first.size // lanes, _address(coefficients), *at)
         return vectors[inputs:]
 
 

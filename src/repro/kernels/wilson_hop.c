@@ -95,6 +95,47 @@ static inline int upper(int i, int j)
 
 static inline int64_t blocks_of(int64_t sites) { return (sites + W - 1) / W; }
 
+/* Site g of one parity's half lattice (X sites a row, Y rows a Z plane, Z
+ * planes a T slice) as a site of the full lattice, whose rows are 2 X long:
+ * (t, z, y, i) is x = 2 i + (t + z + y + parity) % 2
+ * (repro.lattice.geometry.to_parity). */
+static inline int64_t parity_site(int64_t g, int64_t X, int64_t Y, int64_t Z,
+                                  int parity)
+{
+    const int64_t row = g / X, y = row % Y, z = row / Y % Z, t = row / (Y * Z);
+    return row * 2 * X + 2 * (g % X) + ((t + z + y + parity) & 1);
+}
+
+/* What every entry of the even-odd form reads besides its fields, bound
+ * once per operator by the caller (repro/kernels/c_backend.py, _SchurOperands
+ * mirrors it): the forward links split by parity, (parity, mu, b, a, lane,
+ * sites); the packed clover term on each parity's sites, A_ee and A_oo (or
+ * NULL for none), and C_oo^{-1}, each (lane, NB, 2, 36, W) on the half
+ * lattice; the diagonal 4 + m; the projection tables and boundary codes (see
+ * the stencil); the lanes and the half lattice T Z Y X. */
+typedef struct {
+    const void *links, *even, *odd, *inverse;
+    double diag;
+    const int32_t *spins;
+    const void *coef;
+    const int32_t *bc;
+    int64_t nl, T, Z, Y, X;
+} schur_operands;
+
+/* The sites of `lanes` lanes of a half-lattice site-major field (`bytes` a
+ * site) into their places of one parity of a full-lattice one: the solution's
+ * even sites, as they were solved for. */
+static void copy_parity(const void *half, void *full, size_t bytes,
+                        int64_t lanes, const schur_operands *s, int parity)
+{
+    const int64_t V = s->T * s->Z * s->Y * s->X;
+    for (int64_t lane = 0; lane < lanes; lane++)
+        for (int64_t g = 0; g < V; g++)
+            memcpy((char *)full + (size_t)(2 * lane * V
+                       + parity_site(g, s->X, s->Y, s->Z, parity)) * bytes,
+                   (const char *)half + (size_t)(lane * V + g) * bytes, bytes);
+}
+
 /* `bytes` of scratch on a cache line, `*raw` the pointer to free.  (Not
  * posix_memalign: an aligned request splits the allocator's chunks, and a
  * solve's worth of them left its heap in pieces -- 10 MB of resident
@@ -276,13 +317,11 @@ void NAME(repro_clover_parity)(const REAL *packed, int64_t L,
 {
     const int64_t X = dims[0], Y = dims[1], Z = dims[2];
     const int64_t V = X * Y * Z * dims[3], NB = blocks_of(V);
-    const int64_t v = V / 2, nb = blocks_of(v), half = X / 2;
+    const int64_t v = V / 2, nb = blocks_of(v);
     memset(out, 0, (size_t)(L * nb * CLOVER_ROWS * W) * sizeof(REAL));
     for (int64_t l = 0; l < L; l++)
     for (int64_t i = 0; i < v; i++) {
-        const int64_t row = i / half, y = row % Y, z = row / Y % Z;
-        const int64_t t = row / (Y * Z);
-        const int64_t g = row * X + 2 * (i % half) + ((t + z + y + parity) & 1);
+        const int64_t g = parity_site(i, X / 2, Y, Z, parity);
         const REAL *src = packed + (l * NB + g / W) * CLOVER_ROWS * W + g % W;
         REAL *to = out + (l * nb + i / W) * CLOVER_ROWS * W + i % W;
         for (int e = 0; e < CLOVER_ROWS; e++) to[e * W] = src[e * W];
@@ -701,8 +740,9 @@ static void NAME(leave_vectors)(REAL *restrict acc, int64_t U, int64_t R,
  * half lattice -- one parity, site-compressed, the field the other one --
  * or -1 on the full lattice; `xt`, the target sites' field (site vectors;
  * on the full lattice the stencil's own); and what follows the hops (to !=
- * BARE): acc = inverse acc where `inverse` is not NULL, else the matrix
- * tail acc = hop * acc + diag * xt + A xt (`packed` A or NULL). */
+ * BARE): where `xt` is not NULL the matrix tail acc = hop * acc + diag * xt
+ * + A xt (`packed` A or NULL), then acc = inverse acc where `inverse` is not
+ * NULL.  With neither, the result is the hops alone. */
 typedef struct {
     const REAL *links, *back;
     int parity;
@@ -753,7 +793,8 @@ static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
     for (int64_t l = 0; l < nl; l++) {
         if (live && !live[l]) continue;
         const REAL *xb = xs + (b * nl + l) * NB * FIELD_ROWS * W;
-        const REAL *xt = on->xt + (b * nl + l) * NB * FIELD_ROWS * W;
+        const REAL *xt = on->xt ? on->xt + (b * nl + l) * NB * FIELD_ROWS * W
+                                : NULL;
         const REAL *packed = on->packed
             ? on->packed + l * NB * CLOVER_ROWS * W : NULL;
         const REAL *inverse = on->inverse
@@ -817,11 +858,10 @@ static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
             const int64_t site = (b * nl + l) * V + here;
             if (to != BARE) {
                 if (seconds) seconds[HOPS] += lap(mark);
-                if (inverse)
-                    NAME(site_invert)(acc, U, R, inverse, here);
-                else
+                if (on->xt)
                     NAME(site_tail)(acc, U, R, xt, packed, here, on->diag,
                                     on->hop);
+                if (inverse) NAME(site_invert)(acc, U, R, inverse, here);
                 if (seconds) seconds[TAIL] += lap(mark);
                 if (to == SITE_VECTORS)
                     NAME(leave_vectors)(acc, U, R,
@@ -925,42 +965,211 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
                      nb, nl, T, Z, Y, X, bc, seconds);
 }
 
-/* The even-odd Schur complement, EvenOddPreconditionedWilson._apply, on the
- * caller's site-major even half-lattice fields (nb, nl, T, Z, Y, X, 4, 3),
- * T Z Y X the half lattice, links split by parity:
- *     t = C_oo^{-1} D x,    out = (4 + m) x - 1/4 D t + A_ee x
- * with `inverse` C_oo^{-1} and `clover` A_ee (or NULL) packed on the half
- * lattice, x / out float complex if `narrow` (widened on the way in, rounded
- * once on the way out), t site vectors from one hop to the other.  The
- * -1/4 is the matrix tail's -1/2 with the other power of two: the NumPy
- * body's `out *= -0.25`.  `seconds` as for repro_wilson_apply.  Returns
- * nonzero when the scratch cannot be had. */
-int NAME(repro_wilson_schur)(const void *x, const REAL *links,
-                             const REAL *clover, const REAL *inverse,
-                             double diag, void *out, int narrow,
-                             const int32_t *spins, const REAL *coef,
-                             int64_t nb, int64_t nl, int64_t T, int64_t Z,
-                             int64_t Y, int64_t X, const int32_t *bc,
-                             double *seconds)
+/* ---- the even-odd form ------------------------------------------------ */
+
+/* EvenOddPreconditionedWilson's compiled entries, on the caller's site-major
+ * fields: half-lattice ones of the even parity (nb, nl, T, Z, Y, X, 4, 3)
+ * and full-lattice ones read and written a parity at a time (nb, nl, T, Z,
+ * Y, 2 X, 4, 3), T Z Y X the half lattice of the bound operands `s`; all
+ * float complex if `narrow` (widened on the way in, rounded once on the way
+ * out).  Each tail is the NumPy pass's it stands for, in its order.  They
+ * return nonzero when the scratch cannot be had. */
+
+/* The hops from the other parity onto the sites of `parity`, with the tail
+ * `xt`, `packed`, `diag`, `hop`, `inverse` behind them (see NAME(sites)). */
+static NAME(sites) NAME(onto)(const schur_operands *s, int parity,
+                              const REAL *xt, const void *packed, double diag,
+                              double hop, const void *inverse)
 {
-    const int64_t V = T * Z * Y * X, F = blocks_of(V) * FIELD_ROWS * W;
-    const int64_t P = NAME(parity_links)(nl, V);
+    const REAL *links = s->links;
+    const int64_t P = NAME(parity_links)(s->nl, s->T * s->Z * s->Y * s->X);
+    const NAME(sites) on = {links + parity * P, links + (1 - parity) * P,
+                            parity, xt, packed, diag, hop, inverse};
+    return on;
+}
+
+static int NAME(hops)(const REAL *xs, const NAME(sites) *on, void *out,
+                      int to, int narrow, int64_t nb, const schur_operands *s,
+                      double *seconds, struct timespec *mark)
+{
+    return NAME(stencil)(xs, on, out, to, narrow, 0, s->spins, s->coef, nb,
+                         s->nl, s->T, s->Z, s->Y, s->X, s->bc, NULL, seconds,
+                         mark);
+}
+
+/* One parity of `lanes` lanes of a full-lattice field -> site vectors on
+ * that parity's half lattice (lanes, NB, 12, 2, W), the last block padded
+ * with zeros. */
+static void NAME(enter_parity)(const void *x, int narrow, REAL *restrict xs,
+                               int64_t lanes, const schur_operands *s,
+                               int parity)
+{
+    const int64_t V = s->T * s->Z * s->Y * s->X, NB = blocks_of(V);
+    for (int64_t lane = 0; lane < lanes; lane++)
+    for (int64_t k = 0; k < NB; k++) {
+        REAL *to = xs + (lane * NB + k) * FIELD_ROWS * W;
+        for (int t = 0; t < W; t++) {
+            const int64_t g = k * W + t;
+            const int64_t at = g < V ? FIELD_ROWS * (2 * lane * V
+                + parity_site(g, s->X, s->Y, s->Z, parity)) : 0;
+            for (int r = 0; r < FIELD_ROWS; r++)
+                to[r * W + t] = g >= V ? 0
+                    : narrow ? (REAL)((const float *)x)[at + r]
+                    : ((const REAL *)x)[at + r];
+        }
+    }
+}
+
+/* Block k of lane `lane` of a site-vector field -> its sites' places of one
+ * parity of a full-lattice field. */
+static void NAME(leave_parity)(const REAL *block, void *out, int narrow,
+                               int64_t lane, int64_t k,
+                               const schur_operands *s, int parity)
+{
+    const int64_t V = s->T * s->Z * s->Y * s->X;
+    for (int t = 0; t < W && k * W + t < V; t++) {
+        const int64_t at = FIELD_ROWS * (2 * lane * V
+            + parity_site(k * W + t, s->X, s->Y, s->Z, parity));
+        for (int r = 0; r < FIELD_ROWS; r++) {
+            if (narrow) ((float *)out)[at + r] = (float)block[r * W + t];
+            else ((REAL *)out)[at + r] = block[r * W + t];
+        }
+    }
+}
+
+/* A block of the operator's precision as the caller's field holds it:
+ * rounded to float where that is narrower. */
+static void NAME(narrowed)(REAL *block, int narrow)
+{
+    if (narrow)
+        for (int i = 0; i < FIELD_ROWS * W; i++) block[i] = (REAL)(float)block[i];
+}
+
+/* m <- b - m, m the caller's dtype's (NAME(narrowed)): `b - M x` of the
+ * field's dtype (a difference of two floats, exact in double, rounds once
+ * to the float difference). */
+static void NAME(residual)(REAL *restrict m, const REAL *restrict b,
+                           int narrow)
+{
+    NAME(narrowed)(m, narrow);
+    for (int i = 0; i < FIELD_ROWS * W; i++) m[i] = b[i] - m[i];
+}
+
+/* The Schur complement, EvenOddPreconditionedWilson._apply:
+ *     t = C_oo^{-1} D x,    out = (4 + m) x - 1/4 D t + A_ee x
+ * on even half-lattice fields, t site vectors from one hop to the other.
+ * The -1/4 is the matrix tail's -1/2 with the other power of two: the
+ * NumPy body's `out *= -0.25`.  `seconds`, unless NULL, gains the time
+ * spent converting (in and out), hopping and in the tails. */
+int NAME(repro_schur_apply)(const void *x, void *out, int narrow, int64_t nb,
+                            const schur_operands *s, double *seconds)
+{
+    const int64_t V = s->T * s->Z * s->Y * s->X, lanes = nb * s->nl;
+    const int64_t F = blocks_of(V) * FIELD_ROWS * W;
     struct timespec mark;
     void *raw;
-    REAL *xs = aligned_scratch((size_t)(2 * nb * nl * F) * sizeof(REAL), &raw);
+    REAL *xs = aligned_scratch((size_t)(2 * lanes * F) * sizeof(REAL), &raw);
     if (!xs) return 1;
-    REAL *t = xs + nb * nl * F;
+    REAL *t = xs + lanes * F;
     if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
-    NAME(enter)(x, narrow, 1, 12, xs, nb * nl, V, 0);
+    NAME(enter)(x, narrow, 1, 12, xs, lanes, V, 0);
     if (seconds) seconds[CONVERT] += lap(&mark);
-    const NAME(sites) odd = {links + P, links, 1, xs, NULL, 0.0, 0.0,
-                             inverse};
-    const NAME(sites) even = {links, links + P, 0, xs, clover, diag, -0.25,
-                              NULL};
-    int failed = NAME(stencil)(xs, &odd, t, SITE_VECTORS, 0, 0, spins, coef,
-                               nb, nl, T, Z, Y, X, bc, NULL, seconds, &mark)
-        || NAME(stencil)(t, &even, out, SITE_MAJOR, narrow, 0, spins, coef,
-                         nb, nl, T, Z, Y, X, bc, NULL, seconds, &mark);
+    const NAME(sites) odd = NAME(onto)(s, 1, NULL, NULL, 0.0, 0.0, s->inverse);
+    const NAME(sites) even = NAME(onto)(s, 0, xs, s->even, s->diag, -0.25,
+                                        NULL);
+    int failed = NAME(hops)(xs, &odd, t, SITE_VECTORS, 0, nb, s, seconds,
+                            &mark)
+        || NAME(hops)(t, &even, out, SITE_MAJOR, narrow, nb, s, seconds,
+                      &mark);
+    free(raw);
+    return failed;
+}
+
+/* The Schur system's right-hand side, prepare_rhs, of the full-lattice b:
+ *     out = 1/2 D (C_oo^{-1} b_o) + 1 b_e
+ * an even half-lattice field. */
+int NAME(repro_schur_rhs)(const void *b, void *out, int narrow, int64_t nb,
+                          const schur_operands *s)
+{
+    const int64_t V = s->T * s->Z * s->Y * s->X, NB = blocks_of(V);
+    const int64_t lanes = nb * s->nl, F = NB * FIELD_ROWS * W;
+    void *raw;
+    REAL *xo = aligned_scratch((size_t)(2 * lanes * F) * sizeof(REAL), &raw);
+    if (!xo) return 1;
+    REAL *xe = xo + lanes * F;
+    NAME(enter_parity)(b, narrow, xo, lanes, s, 1);
+    for (int64_t lane = 0; lane < lanes; lane++)
+        for (int64_t k = 0; k < NB; k++)
+            NAME(site_invert)(xo + (lane * NB + k) * FIELD_ROWS * W, W, W,
+                              (const REAL *)s->inverse
+                                  + lane % s->nl * NB * CLOVER_ROWS * W,
+                              k * W);
+    NAME(enter_parity)(b, narrow, xe, lanes, s, 0);
+    const NAME(sites) even = NAME(onto)(s, 0, xe, NULL, 1.0, 0.5, NULL);
+    int failed = NAME(hops)(xo, &even, out, SITE_MAJOR, narrow, nb, s, NULL,
+                            NULL);
+    free(raw);
+    return failed;
+}
+
+/* The full solution x of M x = b from the even half-lattice x_e
+ * (reconstruct) and, unless `r` is NULL, its full residual r = b - M x
+ * (reconstruct_residual), x, b and r full-lattice fields:
+ *     h = D x_e onto the odd sites
+ *     x_o = C_oo^{-1} (1/2 h + 1 b_o),   x_e as it is
+ *     r_o = b_o - (-1/2 h + diag x_o + A_oo x_o)
+ *     r_e = b_e - (-1/2 D x_o + diag x_e + A_ee x_e)
+ * x_o read back as x holds it: one odd-site hop serves the back-substitution
+ * and the residual. */
+int NAME(repro_schur_solution)(const void *xe, const void *b, void *x,
+                               void *r, int narrow, int64_t nb,
+                               const schur_operands *s)
+{
+    const int64_t V = s->T * s->Z * s->Y * s->X, NB = blocks_of(V);
+    const int64_t lanes = nb * s->nl, F = NB * FIELD_ROWS * W;
+    const REAL *inverse = s->inverse, *odd = s->odd;
+    void *raw;
+    REAL *ve = aligned_scratch((size_t)(4 * lanes * F) * sizeof(REAL), &raw);
+    if (!ve) return 1;
+    REAL *vb = ve + lanes * F, *h = vb + lanes * F, *vo = h + lanes * F;
+    NAME(enter)(xe, narrow, 1, 12, ve, lanes, V, 0);
+    NAME(enter_parity)(b, narrow, vb, lanes, s, 1);
+    const NAME(sites) onto_odd = NAME(onto)(s, 1, NULL, NULL, 0.0, 0.0, NULL);
+    if (NAME(hops)(ve, &onto_odd, h, SITE_VECTORS, 0, nb, s, NULL, NULL)) {
+        free(raw);
+        return 1;
+    }
+    for (int64_t lane = 0; lane < lanes; lane++)
+    for (int64_t k = 0; k < NB; k++) {
+        const int64_t at = (lane * NB + k) * FIELD_ROWS * W;
+        const int64_t held = lane % s->nl * NB * CLOVER_ROWS * W;
+        REAL *hk = h + at, *xk = vo + at;
+        memcpy(xk, hk, FIELD_ROWS * W * sizeof(REAL));
+        NAME(site_tail)(xk, W, W, vb + lane * F, NULL, k * W, 1.0, 0.5);
+        NAME(site_invert)(xk, W, W, inverse + held, k * W);
+        NAME(narrowed)(xk, narrow);
+        NAME(leave_parity)(xk, x, narrow, lane, k, s, 1);
+        if (!r) continue;
+        NAME(site_tail)(hk, W, W, vo + lane * F, odd ? odd + held : NULL,
+                        k * W, s->diag, -0.5);
+        NAME(residual)(hk, vb + at, narrow);
+        NAME(leave_parity)(hk, r, narrow, lane, k, s, 1);
+    }
+    copy_parity(xe, x, FIELD_ROWS * (narrow ? sizeof(float) : sizeof(REAL)),
+                lanes, s, 0);
+    int failed = 0;
+    if (r) {
+        NAME(enter_parity)(b, narrow, vb, lanes, s, 0);
+        const NAME(sites) even = NAME(onto)(s, 0, ve, s->even, s->diag, -0.5,
+                                            NULL);
+        failed = NAME(hops)(vo, &even, h, SITE_VECTORS, 0, nb, s, NULL, NULL);
+        for (int64_t lane = 0; !failed && lane < lanes; lane++)
+        for (int64_t k = 0; k < NB; k++) {
+            const int64_t at = (lane * NB + k) * FIELD_ROWS * W;
+            NAME(residual)(h + at, vb + at, narrow);
+            NAME(leave_parity)(h + at, r, narrow, lane, k, s, 0);
+        }
+    }
     free(raw);
     return failed;
 }

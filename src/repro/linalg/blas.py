@@ -68,13 +68,12 @@ def _coefficients(values, x: np.ndarray, per_lane: bool):
         if all(type(v) in _WEAK or np.result_type(v, x) == x.dtype for v in values):
             return np.array([values], x.dtype)
         return None
-    rows = [np.asarray(v, x.dtype).reshape(-1) for v in values]
-    lanes = max(len(row) for row in rows)
-    if lanes not in (1, len(x)):
+    coef = np.empty((len(x), len(values)), x.dtype)
+    try:
+        for j, v in enumerate(values):
+            coef[:, j] = v  # rounded to the field's dtype, as np.asarray does
+    except ValueError:  # not one coefficient per lane
         return None
-    coef = np.empty((lanes, len(values)), x.dtype)
-    for j, row in enumerate(rows):
-        coef[:, j] = row
     return coef
 
 
@@ -269,7 +268,7 @@ def bnorm2(x: np.ndarray, reductions: int = 1) -> np.ndarray:
         # vecdot conjugates its first operand internally — no
         # materialized conj() pass over the field.
         with _quiet():
-            val = np.vecdot(flat, flat).real.astype(np.float64)
+            val = np.vecdot(flat, flat).real.astype(np.float64, copy=False)
     record(flops=4 * x.size, bytes_moved=_nbytes(x), reductions=reductions)
     return val
 
@@ -278,7 +277,9 @@ def bcdot(x: np.ndarray, y: np.ndarray, reductions: int = 1) -> np.ndarray:
     """Per-RHS inner products ``<x_b, y_b>``, complex128 (ONE reduction)."""
     with span("bcdot", kind="reduction", batch=x.shape[0]):
         with _quiet():
-            val = np.vecdot(_bflat(x), _bflat(y)).astype(np.complex128)
+            val = np.vecdot(_bflat(x), _bflat(y)).astype(
+                np.complex128, copy=False
+            )
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=reductions)
     return val
 
@@ -368,7 +369,9 @@ def brdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Real parts of the per-RHS inner products (ONE reduction)."""
     with span("brdot", kind="reduction", batch=x.shape[0]):
         with _quiet():
-            val = np.vecdot(_bflat(x), _bflat(y)).real.astype(np.float64)
+            val = np.vecdot(_bflat(x), _bflat(y)).real.astype(
+                np.float64, copy=False
+            )
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=1)
     return val
 

@@ -41,6 +41,8 @@ from repro.trace import span
 from repro.util.counters import (
     OVERLAP_WAIT,
     OVERLAP_WINDOW,
+    RECV_WAIT,
+    current_tally,
     record,
     record_wait,
     timed,
@@ -299,9 +301,11 @@ class PendingExchange:
     When the final face lands, the exchange's overlap is charged to the
     rank's tally as two waits: the *window* (post-return to last-face) is
     the time communication had available to hide under compute, the
-    *wait* is the part that actually blocked — their difference over the
-    window is the measured overlap fraction the solve report compares
-    against the Fig. 4 model track.
+    *wait* is the part that actually blocked — the recv waits the
+    communicator charged the rank's tally for this exchange's faces, read
+    back, not clocked again — their difference over the window is the
+    measured overlap fraction the solve report compares against the Fig. 4
+    model track.
     """
 
     def __init__(self, engine: RankHaloEngine, padded: np.ndarray,
@@ -311,8 +315,11 @@ class PendingExchange:
         self.lead = lead
         self.handles = handles
         self._scattered: set = set()
-        self._wait_seconds = 0.0
         self._published = False
+        # Between the post and the last face the rank waits on nothing
+        # else: what its recv waits grow by is this exchange's.
+        self._tally = current_tally()
+        self._recv_posted = self._recv_waited()
         self._t_post = time.perf_counter()
 
     @property
@@ -350,20 +357,26 @@ class PendingExchange:
                 continue
             with span("wait_face", kind="comm", rank=self.engine.rank,
                       stream="comm wait", mu=mu):
-                start = time.perf_counter()
                 index = self.engine.comm.wait_any(
                     [self.handles[f] for f in outstanding]
                 )
-                self._wait_seconds += time.perf_counter() - start
             self._scatter(outstanding[index])
         if self.complete and not self._published:
             self._publish_overlap()
+
+    def _recv_waited(self) -> float:
+        """The rank's recv-wait seconds so far, in the tally that was
+        current when the faces were posted (0 untallied)."""
+        if self._tally is None:
+            return 0.0
+        key = (self.engine.rank, RECV_WAIT)
+        return self._tally.wait_seconds.get(key, (0.0, 0))[0]
 
     def _publish_overlap(self) -> None:
         self._published = True
         rank = self.engine.rank
         record_wait(rank, OVERLAP_WINDOW, time.perf_counter() - self._t_post)
-        record_wait(rank, OVERLAP_WAIT, self._wait_seconds)
+        record_wait(rank, OVERLAP_WAIT, self._recv_waited() - self._recv_posted)
 
 
 __all__ = ["PendingExchange", "RankHaloEngine"]

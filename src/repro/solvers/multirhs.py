@@ -292,7 +292,7 @@ def batched_cg(
         r2_new = space.norm2(r)
         beta = np.where(active, r2_new / _safe(r2), 0.0)
         p = space.xpay(r, beta, p)
-        iterations[active] += 1
+        iterations += active
         r2 = r2_new
         it += 1
         history.append(np.sqrt(lanes.residuals(r2) / safe_b))
@@ -381,7 +381,7 @@ def batched_pcg(
         x = space.axpy(alpha, p, x)
         r = space.axpy(-alpha, ap, r)
         r2 = space.norm2(r)
-        iterations[active] += 1
+        iterations += active
         it += 1
         history.append(np.sqrt(lanes.residuals(r2) / safe_b))
         poisoned |= active & ~np.isfinite(r2)
@@ -501,7 +501,7 @@ def batched_bicgstab(
             x = space.axpy(alpha_new, p, x, out=x)
             r = s
         r2 = space.norm2(r)
-        iterations[active] += 1
+        iterations += active
         it += 1
         history.append(np.sqrt(lanes.residuals(r2) / safe_b))
         alpha = np.where(active, alpha_new, alpha)
@@ -509,7 +509,7 @@ def batched_bicgstab(
         poisoned |= closing & ~np.isfinite(r2)
         failed = closing & (np.abs(omega_new) == 0.0)
         broke_down |= failed
-        active &= ~(r2 <= target) & ~exact & ~failed & ~poisoned
+        active &= ~((r2 <= target) | exact | failed | poisoned)
 
     x, r2, iterations, broke_down, poisoned = lanes.finish(
         x, r2, iterations, broke_down, poisoned

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 #: Pseudo-rank used for *modeled* (rather than measured) events — the
@@ -129,7 +129,11 @@ def tracing(tracer: Tracer | None = None):
         _STATE.stack.pop()
 
 
-@contextmanager
+#: What :func:`span` returns untraced: a context that does nothing (it
+#: holds no state, so every caller on every thread shares it).
+_UNTRACED = nullcontext()
+
+
 def span(
     name: str,
     kind: str = "kernel",
@@ -137,15 +141,20 @@ def span(
     stream: str | None = None,
     **attrs,
 ):
-    """Record a named interval on the active tracer (no-op when disabled).
+    """Record a named interval on the active tracer (no-op when disabled:
+    a shared do-nothing context, so an untraced span costs a call).
 
     ``rank`` and ``stream`` default to the values of the enclosing open
     span, if any.  Keyword attributes are stored on the event's ``args``.
     """
     tr = active_tracer()
     if tr is None:
-        yield None
-        return
+        return _UNTRACED
+    return _span(tr, name, kind, rank, stream, attrs)
+
+
+@contextmanager
+def _span(tr: Tracer, name: str, kind: str, rank, stream, attrs: dict):
     parent = _STATE.spans[-1] if _STATE.spans else None
     if parent is not None:
         if rank is None:

@@ -369,9 +369,10 @@ def test_a_compiled_solve_keeps_the_clover_term_packed_and_once(
     """The compiled tier's ledger: one clover array per configuration and
     ``csw`` of 72 reals a site (Hermitian-packed: half the blocks' bytes),
     the Schwarz region stack likewise in its storage dtype, nothing ``(2,
-    6, 6, ...)`` and nothing dense; the second solve builds and packs
-    nothing (an even-odd one expands held terms for its conversion tails
-    and drops them); every bit and count is the NumPy tier's."""
+    6, 6, ...)`` and nothing dense; the second solve builds, packs and
+    expands nothing (an even-odd one's conversions are compiled passes
+    over the held parity terms); every bit and count is the NumPy
+    tier's."""
     backend = type(get_backend("c"))
     for hook in ("clover_pack", "clover_regions", "clover_cast",
                  "clover_chirality", "clover_parity"):
@@ -386,23 +387,18 @@ def test_a_compiled_solve_keeps_the_clover_term_packed_and_once(
     assert first.converged
     # The even-odd solve gathers the packed term of each parity (kept)
     # and packs C_oo^-1 from the odd sites' blocks expanded a chirality
-    # at a time (dropped after).  The conversions around each solve are
-    # NumPy tails: they expand a held term a chirality at a time and drop
-    # it (C_oo^-1 for the right-hand side and the back-substitution,
-    # A_ee and A_oo for the residual).
+    # at a time (dropped after): its two expansions.  The conversions
+    # around each solve read the held terms where they lie.
     even_odd = case == "bicgstab"
-    per_solve = {"clover_chirality": 8} if even_odd else {}
     assert builds["field_strength"] == 6
     assert builds["clover_pack"] == (2 if even_odd else 1)
     assert builds["clover_parity"] == 2 * even_odd
     assert builds["clover_regions"] == (not case.startswith("bicgstab"))
-    assert builds["clover_chirality"] == (
-        2 * even_odd + per_solve.get("clover_chirality", 0)
-    )
+    assert builds["clover_chirality"] == 2 * even_odd
     assert not builds["dense_clover"]
     builds.clear()
     second, second_ledger = run(gauge, "c", **CASES[case])
-    assert dict(builds) == per_solve, dict(builds)
+    assert dict(builds) == {}, dict(builds)
     arrays = list(held(repro.dirac.base.configuration_state(gauge)))
     assert not [a for a in arrays if a.shape[-2:] == (12, 12)]
     assert not [a for a in arrays if a.shape[:3] == (2, 6, 6)]

@@ -108,10 +108,7 @@ def test_compiled_schur_is_the_numpy_body(pair, batch, dtype):
     shape = ((batch,) if batch else ()) + geom.shape + (4, 3)
     b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
     x_e = to_parity(b, 0)
-    assert c._backend.wilson_schur_sites(
-        c._links, c._even, c._inverse, c.wilson.diagonal_coefficient,
-        x_e, bool(batch), c.wilson.boundary, None,
-    ) is not None, "the C entry refused the case"
+    assert c._schur.apply(x_e, None) is not None, "the C entry refused the case"
     for entry, args in (
         ("apply", (x_e,)), ("apply_dagger", (x_e,)), ("prepare_rhs", (b,)),
         ("reconstruct", (x_e, b)), ("apply_full", (b,)),

@@ -241,3 +241,61 @@ class TestSPMDReport:
         straggler = ranks["straggler"]
         assert straggler["max_over_median"] >= 1.0
         assert "per-rank waits" in render_report(doc)
+
+    def test_the_overlap_wait_is_the_exchanges_recv_waits(self, monkeypatch):
+        """Overlapped, each exchange's overlap wait is what its faces'
+        recv waits added to the rank's tally — one wait timed once — and
+        the wait table is the blocking one's."""
+        import threading
+
+        import repro.comm.communicator as communicator
+        import repro.multigpu.rank_halo as rank_halo
+        from repro.comm.grid import ProcessGrid
+        from repro.core.gcrdd import GCRDDConfig
+        from repro.util.counters import OVERLAP_WAIT
+
+        draining = threading.local()
+        recv, published = {}, []
+        exchange = rank_halo.PendingExchange
+        complete_dim, charge, publish = (
+            exchange.complete_dim, communicator.record_wait,
+            rank_halo.record_wait,
+        )
+
+        def spy_complete(self, mu):
+            draining.exchange = self
+            try:
+                return complete_dim(self, mu)
+            finally:
+                draining.exchange = None
+
+        def spy_charge(rank, kind, seconds):
+            pending = getattr(draining, "exchange", None)
+            if kind == RECV_WAIT and pending is not None:
+                recv[pending] = recv.get(pending, 0.0) + seconds
+            charge(rank, kind, seconds)
+
+        def spy_publish(rank, kind, seconds):
+            if kind == OVERLAP_WAIT:
+                published.append((draining.exchange, seconds))
+            publish(rank, kind, seconds)
+
+        monkeypatch.setattr(exchange, "complete_dim", spy_complete)
+        monkeypatch.setattr(communicator, "record_wait", spy_charge)
+        monkeypatch.setattr(rank_halo, "record_wait", spy_publish)
+        geom = Geometry((4, 4, 4, 8))
+        gauge = GaugeField.weak(geom, epsilon=0.25, rng=929)
+        result = solve(SolveRequest(
+            operator="wilson_clover", gauge=gauge,
+            rhs=SpinorField.random(geom, rng=30).data, mass=0.2, csw=1.0,
+            method="gcr-dd", grid=ProcessGrid((1, 1, 2, 2)),
+            config=GCRDDConfig(tol=1e-6, precond_steps=8),
+            backend="sequential", overlap=True,
+        ))
+        assert result.converged and published
+        for pending, seconds in published:
+            waited = recv.get(pending, 0.0)
+            assert seconds == pytest.approx(waited, rel=1e-9, abs=1e-12)
+        for stats in result.report.to_dict()["ranks"]["wait"].values():
+            assert stats[RECV_WAIT]["count"] == self.RECV_WAITS
+            assert stats[ALLREDUCE_WAIT]["count"] == self.ALLREDUCE_WAITS

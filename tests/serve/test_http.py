@@ -566,6 +566,7 @@ class TestNonFiniteOperator:
             client.metrics_text())
         assert client.health() == {"status": "ok"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_the_client_returns_a_diverged_document(self, server):
         """No patched operator needed: a right-hand side of finite
         numbers whose norm overflows passes validation and has no
