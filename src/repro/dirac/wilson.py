@@ -480,7 +480,8 @@ class WilsonCloverOperator(LatticeOperator):
         """The block solve's MR in one call of the tier, on the matrix of
         :meth:`_apply_sites` in this operator's storage (``convert``: the
         residual rounded to it on the way in), clocking the three leaves of
-        that matrix and the MR step's own."""
+        that matrix and the MR step's own: the call's wall time, shared out
+        by what its threads spent in each."""
         if not self._packed:
             return None
         seconds = np.zeros(4) if timing() else None

@@ -180,7 +180,8 @@ class KernelBackend:
         :func:`repro.linalg.blas.lane_reduce` — ``(z, counts)`` as
         ``LatticeOperator.block_mr`` returns them, or ``None``.
         ``seconds``, unless ``None``, is a float64 quadruple: the three
-        leaves of the apply, then the MR step's reductions and updates."""
+        leaves of the apply, then the MR step's reductions and updates —
+        shares of the call's wall time, however many threads it ran on."""
         return None
 
     def quantize_half(self, array: np.ndarray, leading: bool = False):

@@ -11,7 +11,9 @@ whatever the C entries do not take (a non-contiguous lattice-last field,
 a field wider than the operator).  Around that matrix it runs the Schwarz
 block solve's whole MR recurrence in one call (``wilson_block_mr``), its
 reductions in the order ``repro.linalg.blas.lane_reduce`` spells in
-NumPy.  The tier serves the Wilson family only.
+NumPy, its block lanes side by side on the CPUs the process may use (one
+helper thread per further CPU, bound to it, joined before the call
+returns).  The tier serves the Wilson family only.
 
 The operands are the tier's own.  An operator of this tier holds its
 clover term *Hermitian-packed in site vectors* — ``(L, NB, 2, 36, W)``
@@ -67,8 +69,11 @@ from repro.linalg.gamma import projector_tables
 
 SOURCE = Path(__file__).with_name("wilson_hop.c")
 #: ``-ffp-contract=off`` alone would *lose* bit-identity: NumPy fuses.  The
-#: source calls ``fma()`` where NumPy does and nothing else may fuse.
-FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+#: source calls ``fma()`` where NumPy does and nothing else may fuse.  The
+#: block solve runs its lanes on helper threads (``-pthread``).
+FLAGS = (
+    "-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared", "-fPIC",
+)
 _BOUNDARY_CODES = {"periodic": 0, "antiperiodic": 1, "zero": 2}
 _SUFFIX = {"complex128": "c128", "complex64": "c64"}
 _REAL = {"complex128": "float64", "complex64": "float32"}

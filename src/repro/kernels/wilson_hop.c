@@ -2,8 +2,9 @@
  * the whole Wilson-clover matrix around it -- site-major field in, layout
  * change, storage rounding, hops, site-diagonal tail, rounding, site-major
  * field out -- for complex128 and complex64; the Schwarz block solve's
- * fixed-step MR around that matrix (see "the Schwarz block solve"); and the
- * Krylov solvers' vector updates, each one in-place pass (see "the solvers'
+ * fixed-step MR around that matrix, its block lanes side by side on the
+ * CPUs the process may use (see "the Schwarz block solve"); and the Krylov
+ * solvers' vector updates, each one in-place pass (see "the solvers'
  * vector updates").
  *
  * Built and loaded by repro/kernels/c_backend.py.  Every function evaluates,
@@ -56,8 +57,11 @@
  */
 #ifndef REAL
 
-#define _POSIX_C_SOURCE 199309L
+#define _GNU_SOURCE /* sched_getcpu, CPU_SET, pthread_attr_setaffinity_np */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -144,6 +148,59 @@ static void *aligned_scratch(size_t bytes, void **raw)
 {
     *raw = malloc(bytes + 64);
     return *raw ? (void *)(((uintptr_t)*raw + 63) & ~(uintptr_t)63) : NULL;
+}
+
+/* Where the helper threads of a call with `lanes` independent lanes run:
+ * min(lanes, allowed CPUs) - 1 of them, each bound to an allowed CPU of its
+ * own other than the one the caller is on.  Bound, because a thread left
+ * to the scheduler starts on its creator's CPU and, CPU-bound, may stay
+ * there beside it: on a host whose scheduler does not balance the load it
+ * does.  Returns how many, their CPUs in `cpus`; none where one CPU is
+ * allowed, or one lane given. */
+static int helper_cpus(int64_t lanes, int *cpus)
+{
+    cpu_set_t allowed;
+    if (lanes < 2 || sched_getaffinity(0, sizeof allowed, &allowed)) return 0;
+    const int here = sched_getcpu(), n = CPU_COUNT(&allowed);
+    const int64_t want = (lanes < n ? lanes : n) - 1;
+    int found = 0;
+    for (int cpu = 0; cpu < CPU_SETSIZE && found < want; cpu++)
+        if (CPU_ISSET(cpu, &allowed) && cpu != here) cpus[found++] = cpu;
+    return found;
+}
+
+/* work(slot) for each of 1 + helpers slots of `size` bytes at `slots`:
+ * slot 0 on the calling thread, slot i on a helper thread bound to
+ * cpus[i - 1], started with every signal blocked -- so that a signal for
+ * the process (an alarm, an interrupt) reaches the caller -- and joined
+ * before this returns: no thread outlives the call, and a process may fork
+ * after it.  A helper that cannot be started leaves a slot unrun, and the
+ * work it would have claimed to the others. */
+static void run_team(void *(*work)(void *), void *slots, size_t size,
+                     const int *cpus, int helpers)
+{
+    pthread_t ids[helpers > 0 ? helpers : 1];
+    int started = 0;
+    if (helpers) {
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_sigmask(SIG_BLOCK, &all, &old);
+        for (int i = 0; i < helpers; i++) {
+            pthread_attr_t attr;
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(cpus[i], &one);
+            if (pthread_attr_init(&attr)) break;
+            if (!pthread_attr_setaffinity_np(&attr, sizeof one, &one)
+                && !pthread_create(&ids[started], &attr, work,
+                                   (char *)slots + (size_t)(1 + started) * size))
+                started++;
+            pthread_attr_destroy(&attr);
+        }
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+    }
+    work(slots);
+    for (int i = 0; i < started; i++) pthread_join(ids[i], NULL);
 }
 
 /* Seconds since `*mark`, which moves to now: each interval of a call is
@@ -751,6 +808,25 @@ typedef struct {
     const REAL *inverse;
 } NAME(sites);
 
+/* The sites of the stencil's walk unit (see below) on the lattice n = (X,
+ * Y, Z, T); `*inner` the axes inside it. */
+static int64_t NAME(unit_of)(const int64_t n[4], int *inner)
+{
+    int64_t U = n[0] * n[1];
+    *inner = 2; /* axes mu < inner lie inside the unit */
+    while (*inner < 4 && U * n[*inner] * sizeof(REAL) <= 1024)
+        U *= n[(*inner)++];
+    return U;
+}
+
+/* The walk's scratch on a T Z Y X lattice, in reals. */
+static int64_t NAME(walk_reals)(int64_t T, int64_t Z, int64_t Y, int64_t X)
+{
+    const int64_t n[4] = {X, Y, Z, T};
+    int inner;
+    return 48 * blocks_of(NAME(unit_of)(n, &inner)) * W;
+}
+
 /* The 8-hop stencil core on the site-vector field `xs`, bare (`to` BARE:
  * out = D x, lattice-last) or with a tail behind it (see NAME(sites)), the
  * matrix's being out = round((4 + m) x - D x / 2 + A x): site-major
@@ -760,7 +836,8 @@ typedef struct {
  * half-spinor rows the reconstruction reads -- and `coef` (8, 4) complex:
  * the two projection and the two reconstruction phases.  bc[mu] is the
  * boundary code.  Lanes l with live[l] 0 are skipped (`live` NULL: none).
- * Returns nonzero when the scratch cannot be had.
+ * `scratch` is the walk's (NAME(walk_reals) of them, on a cache line), or
+ * NULL for the stencil's own.  Returns nonzero when that cannot be had.
  *
  * The lattice is walked in units: the (Y, X) plane, grown by Z and then T
  * while the unit's scratch (48 reals a site) stays near the L1 cache, so
@@ -771,20 +848,20 @@ static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
                          const int32_t *spins, const REAL *coef,
                          int64_t nb, int64_t nl, int64_t T, int64_t Z,
                          int64_t Y, int64_t X, const int32_t *bc,
-                         const unsigned char *live,
+                         const unsigned char *live, REAL *scratch,
                          double *seconds, struct timespec *mark)
 {
     const int64_t n[4] = {X, Y, Z, T};
     const int64_t V = T * Z * Y * X, NB = blocks_of(V);
-    int inner = 2; /* axes mu < inner lie inside the unit */
-    int64_t U = X * Y;
-    while (inner < 4 && U * n[inner] * sizeof(REAL) <= 1024) U *= n[inner++];
+    int inner;
+    const int64_t U = NAME(unit_of)(n, &inner);
     const int64_t units = V / U;
     const int64_t R = blocks_of(U) * W; /* scratch row stride: whole vectors */
     const int64_t cs = 2 * nb * nl * V; /* field component stride, reals */
     const int64_t ls = 2 * nl * V;      /* link element stride, reals */
-    void *raw;
-    REAL *h = aligned_scratch((size_t)(48 * R) * sizeof(REAL), &raw);
+    void *raw = NULL;
+    REAL *h = scratch ? scratch
+                      : aligned_scratch((size_t)(48 * R) * sizeof(REAL), &raw);
     if (!h) return 1;
     memset(h, 0, (size_t)(48 * R) * sizeof(REAL));
     REAL *g = h + 12 * R, *acc = g + 12 * R;
@@ -911,7 +988,8 @@ static int NAME(run)(const void *x, int64_t cstride, int64_t sstride,
     if (seconds) seconds[CONVERT] += lap(&mark);
     on.xt = xs;
     int failed = NAME(stencil)(xs, &on, out, to, narrow, half, spins, coef,
-                               nb, nl, T, Z, Y, X, bc, NULL, seconds, &mark);
+                               nb, nl, T, Z, Y, X, bc, NULL, NULL, seconds,
+                               &mark);
     free(raw);
     return failed;
 }
@@ -993,8 +1071,8 @@ static int NAME(hops)(const REAL *xs, const NAME(sites) *on, void *out,
                       double *seconds, struct timespec *mark)
 {
     return NAME(stencil)(xs, on, out, to, narrow, 0, s->spins, s->coef, nb,
-                         s->nl, s->T, s->Z, s->Y, s->X, s->bc, NULL, seconds,
-                         mark);
+                         s->nl, s->T, s->Z, s->Y, s->X, s->bc, NULL, NULL,
+                         seconds, mark);
 }
 
 /* One parity of `lanes` lanes of a full-lattice field -> site vectors on
@@ -1315,6 +1393,119 @@ static void NAME(step_length)(double omega, const double *red, double *c)
     c[1] = (pi - pr * ratio) / denom;
 }
 
+/* One block solve call as its threads read it: the operands; the call's
+ * scratch, rows of F reals (the residual r, the iterate x, q = A r and,
+ * with `half`, the matrix's rounded argument xs; else xs is r) and three
+ * reductions a row; the outputs; and the next block lane no thread has
+ * claimed. */
+typedef struct {
+    const REAL *b, *links, *packed, *coef;
+    double diag, omega;
+    REAL *z, *r, *x, *q, *xs;
+    double *red, *norms;
+    int half, convert;
+    const int32_t *spins, *bc;
+    int64_t nb, nl, T, Z, Y, X, steps;
+    int64_t next;
+} NAME(mr_call);
+
+/* A thread's own: the walk's scratch, a lane mask holding the lane it
+ * runs, the counts of the lanes it ran, and its leaves' laps. */
+typedef struct {
+    NAME(mr_call) *call;
+    REAL *walk;
+    unsigned char *live;
+    int64_t *counts;
+    double seconds[4];
+    int timed;
+} NAME(mr_thread);
+
+/* The whole recurrence of block lane l, its nb rows b * nl + l (see
+ * repro_wilson_mr).  A lane reads and writes its own rows only. */
+static void NAME(mr_lane)(NAME(mr_thread) *t, int64_t l,
+                          struct timespec *mark)
+{
+    const NAME(mr_call) *c = t->call;
+    const int64_t nl = c->nl, rows = c->nb * nl, steps = c->steps;
+    const int64_t V = c->T * c->Z * c->Y * c->X, NB = blocks_of(V);
+    const int64_t F = NB * FIELD_ROWS * W;
+    double *seconds = t->timed ? t->seconds : NULL;
+    for (int64_t row = l; row < rows; row += nl) {
+        memset(c->x + row * F, 0, (size_t)F * sizeof(REAL));
+        memset(c->q + row * F, 0, (size_t)F * sizeof(REAL));
+        NAME(enter)(c->b + 24 * row * V, 0, 1, 12, c->r + row * F, 1, V,
+                    c->half && c->convert);
+    }
+    if (seconds) seconds[CONVERT] += lap(mark);
+    for (int64_t row = l; row < rows; row += nl)
+        c->norms[row] = c->norms[rows + row] = NAME(norm_row)(c->r + row * F, V);
+    if (seconds) seconds[MR_STEP] += lap(mark);
+
+    const NAME(sites) on = {c->links, c->links, -1, c->xs, c->packed, c->diag,
+                            -0.5, NULL};
+    t->live[l] = 1;
+    for (int64_t k = 0; k < steps; k++) {
+        t->counts[k]++;
+        if (c->half) {
+            /* (a block at a time, all W sites: the padding, which no site
+             * reads, rides along in a loop of known length, ~1/4 faster) */
+            for (int64_t row = l; row < rows; row += nl) {
+                memcpy(c->xs + row * F, c->r + row * F,
+                       (size_t)F * sizeof(REAL));
+                for (int64_t j = 0; j < NB; j++)
+                    NAME(quantize_rows)(c->xs + row * F + j * FIELD_ROWS * W,
+                                        W, W);
+            }
+            if (seconds) seconds[CONVERT] += lap(mark);
+        }
+        NAME(stencil)(c->xs, &on, c->q, SITE_VECTORS, 0, c->half, c->spins,
+                      c->coef, c->nb, nl, c->T, c->Z, c->Y, c->X, c->bc,
+                      t->live, t->walk, seconds, mark);
+        int moving = 0;
+        for (int64_t row = l; row < rows; row += nl) {
+            NAME(norm_dot_row)(c->q + row * F, c->r + row * F, V,
+                               c->red + 3 * row);
+            moving |= c->red[3 * row] > 0.0;
+        }
+        if (moving) {
+            t->counts[steps + k]++;
+            for (int64_t row = l; row < rows; row += nl) {
+                double cl[2];
+                NAME(step_length)(c->omega, c->red + 3 * row, cl);
+                const REAL cd[4] = {(REAL)cl[0], (REAL)cl[1], (REAL)-cl[0],
+                                    (REAL)-cl[1]};
+                c->norms[rows + row] = NAME(update_row)(
+                    c->x + row * F, c->r + row * F, c->q + row * F, V, cd);
+            }
+        }
+        if (seconds) seconds[MR_STEP] += lap(mark);
+        if (!moving) break;
+    }
+    t->live[l] = 0;
+
+    for (int64_t row = l; row < rows; row += nl)
+        for (int64_t j = 0; j < NB; j++)
+            NAME(scatter)(c->x + row * F + j * FIELD_ROWS * W, W,
+                          c->z + 24 * (row * V + j * W), 0, 1, 12,
+                          NAME(filled)(j, V));
+    if (seconds) seconds[CONVERT] += lap(mark);
+}
+
+/* A thread of the call: block lanes, one whole lane at a time, until none
+ * is left to claim. */
+static void *NAME(mr_worker)(void *arg)
+{
+    NAME(mr_thread) *t = arg;
+    struct timespec mark;
+    if (t->timed) clock_gettime(CLOCK_MONOTONIC, &mark);
+    for (;;) {
+        const int64_t l = __atomic_fetch_add(&t->call->next, 1,
+                                             __ATOMIC_RELAXED);
+        if (l >= t->call->nl) return NULL;
+        NAME(mr_lane)(t, l, &mark);
+    }
+}
+
 /* The fixed-step MR recurrence of repro.precond.rank_local's
  * schwarz_block_solve for every row of the stack at once -- nb right-hand
  * sides x nl block lanes, row b * nl + l, V = T Z Y X sites each -- on the
@@ -1333,9 +1524,17 @@ static void NAME(step_length)(double omega, const double *red, double *c)
  * is the number of block lanes step k applied the matrix to and
  * counts[steps + k] the number that took the step (0 past the last step
  * run); norms[row] is the first |r|^2 and norms[rows + row] the last, the
- * recurrence's convergence record.  `seconds`, unless NULL, gains the
- * leaves of repro_wilson_apply and the MR step's.  Returns nonzero when the
- * scratch cannot be had. */
+ * recurrence's convergence record.
+ *
+ * The block lanes share nothing -- each has its own reductions, step
+ * lengths and leaving step -- so they run side by side, a whole lane per
+ * thread at a time, on the calling thread and the helpers of run_team: a
+ * lane's bits do not depend on which thread ran it, and the counts are
+ * sums over lanes.  Every thread's scratch is had here, before any starts.
+ * `seconds`, unless NULL, gains the leaves of repro_wilson_apply and the
+ * MR step's: each leaf's share of the threads' summed laps, of the call's
+ * wall time, so that the four still tile the call.  Returns nonzero when
+ * the scratch cannot be had. */
 int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
                           double diag, REAL *z, int half, int convert,
                           const int32_t *spins, const REAL *coef,
@@ -1344,79 +1543,53 @@ int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
                           int64_t steps, double omega, int64_t *counts,
                           double *norms, double *seconds)
 {
-    const int64_t V = T * Z * Y * X, NB = blocks_of(V), rows = nb * nl;
-    const int64_t F = NB * FIELD_ROWS * W; /* reals a row */
+    const int64_t V = T * Z * Y * X, rows = nb * nl;
+    const int64_t F = blocks_of(V) * FIELD_ROWS * W; /* reals a row */
     const int64_t fields = half ? 4 : 3;
-    struct timespec mark;
+    const int64_t H = NAME(walk_reals)(T, Z, Y, X);
+    int cpus[CPU_SETSIZE];
+    const int helpers = helper_cpus(nl, cpus), threads = 1 + helpers;
     void *raw;
-    REAL *r = aligned_scratch((size_t)(fields * rows * F) * sizeof(REAL)
-                              + (size_t)(3 * rows) * sizeof(double)
-                              + (size_t)nl, &raw);
+    REAL *r = aligned_scratch(
+        (size_t)(fields * rows * F + threads * H) * sizeof(REAL)
+        + (size_t)(3 * rows) * sizeof(double)
+        + (size_t)threads * (sizeof(NAME(mr_thread))
+                             + (size_t)(2 * steps) * sizeof(int64_t)
+                             + (size_t)nl), &raw);
     if (!r) return 1;
-    REAL *x = r + rows * F, *q = x + rows * F;
-    REAL *xs = half ? q + rows * F : r; /* what the matrix is applied to */
-    double *red = (double *)(r + fields * rows * F);
-    unsigned char *live = (unsigned char *)(red + 3 * rows);
-    memset(x, 0, (size_t)(2 * rows * F) * sizeof(REAL)); /* x, q */
-    memset(live, 1, (size_t)nl);
-    memset(counts, 0, (size_t)(2 * steps) * sizeof(int64_t));
+    REAL *x = r + rows * F, *q = x + rows * F, *walks = r + fields * rows * F;
+    double *red = (double *)(walks + threads * H);
+    NAME(mr_thread) *team = (NAME(mr_thread) *)(red + 3 * rows);
+    int64_t *tallies = (int64_t *)(team + threads);
+    unsigned char *live = (unsigned char *)(tallies + threads * 2 * steps);
+    memset(tallies, 0, (size_t)(threads * 2 * steps) * sizeof(int64_t));
+    memset(live, 0, (size_t)(threads * nl));
+    NAME(mr_call) call = {b, links, packed, coef, diag, omega, z, r, x, q,
+                          half ? q + rows * F : r, red, norms, half, convert,
+                          spins, bc, nb, nl, T, Z, Y, X, steps, 0};
+    for (int i = 0; i < threads; i++)
+        team[i] = (NAME(mr_thread)){&call, walks + i * H, live + i * nl,
+                                    tallies + i * 2 * steps, {0},
+                                    seconds != NULL};
+    struct timespec mark;
     if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
-    NAME(enter)(b, 0, 1, 12, r, rows, V, half && convert);
-    if (seconds) seconds[CONVERT] += lap(&mark);
-    for (int64_t row = 0; row < rows; row++)
-        norms[row] = NAME(norm_row)(r + row * F, V);
-    if (seconds) seconds[MR_STEP] += lap(&mark);
+    run_team(NAME(mr_worker), team, sizeof *team, cpus, helpers);
 
-    for (int64_t k = 0; k < steps; k++) {
-        for (int64_t l = 0; l < nl; l++) counts[k] += live[l];
-        if (half) {
-            /* (a block at a time, all W sites: the padding, which no site
-             * reads, rides along in a loop of known length, ~1/4 faster) */
-            for (int64_t row = 0; row < rows; row++) {
-                if (!live[row % nl]) continue;
-                memcpy(xs + row * F, r + row * F, (size_t)F * sizeof(REAL));
-                for (int64_t j = 0; j < NB; j++)
-                    NAME(quantize_rows)(xs + row * F + j * FIELD_ROWS * W, W, W);
+    memset(counts, 0, (size_t)(2 * steps) * sizeof(int64_t));
+    for (int i = 0; i < threads; i++)
+        for (int64_t k = 0; k < 2 * steps; k++) counts[k] += team[i].counts[k];
+    if (seconds) {
+        const double wall = lap(&mark);
+        double laps[4] = {0}, total = 0;
+        for (int i = 0; i < threads; i++)
+            for (int leaf = 0; leaf < 4; leaf++) {
+                laps[leaf] += team[i].seconds[leaf];
+                total += team[i].seconds[leaf];
             }
-            if (seconds) seconds[CONVERT] += lap(&mark);
-        }
-        const NAME(sites) on = {links, links, -1, xs, packed, diag, -0.5,
-                                NULL};
-        if (NAME(stencil)(xs, &on, q, SITE_VECTORS, 0, half, spins, coef, nb,
-                          nl, T, Z, Y, X, bc, live, seconds, &mark)) {
-            free(raw);
-            return 1;
-        }
-        for (int64_t row = 0; row < rows; row++)
-            if (live[row % nl])
-                NAME(norm_dot_row)(q + row * F, r + row * F, V, red + 3 * row);
-        for (int64_t l = 0; l < nl; l++) {
-            if (!live[l]) continue;
-            int moving = 0;
-            for (int64_t i = 0; i < nb; i++) moving |= red[3 * (i * nl + l)] > 0.0;
-            live[l] = (unsigned char)moving;
-            counts[steps + k] += moving;
-        }
-        if (counts[steps + k])
-            for (int64_t row = 0; row < rows; row++) {
-                if (!live[row % nl]) continue;
-                double c[2];
-                NAME(step_length)(omega, red + 3 * row, c);
-                const REAL cd[4] = {(REAL)c[0], (REAL)c[1], (REAL)-c[0],
-                                    (REAL)-c[1]};
-                norms[rows + row] = NAME(update_row)(
-                    x + row * F, r + row * F, q + row * F, V, cd);
-            }
-        if (seconds) seconds[MR_STEP] += lap(&mark);
-        if (!counts[steps + k]) break;
+        if (total > 0)
+            for (int leaf = 0; leaf < 4; leaf++)
+                seconds[leaf] += wall * (laps[leaf] / total);
     }
-
-    for (int64_t row = 0; row < rows; row++)
-        for (int64_t j = 0; j < NB; j++)
-            NAME(scatter)(x + row * F + j * FIELD_ROWS * W, W,
-                          z + 24 * (row * V + j * W), 0, 1, 12,
-                          NAME(filled)(j, V));
-    if (seconds) seconds[CONVERT] += lap(&mark);
     free(raw);
     return 0;
 }

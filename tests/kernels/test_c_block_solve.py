@@ -15,6 +15,8 @@ one checks that the NumPy copy is the order the compiled copy is held to.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,27 @@ def test_ras_region_stack():
         results[kernel] = z, t
     assert "block_mr_step" in results["c"][1].kernel_seconds
     assert_same(results["c"], results["numpy"])
+
+
+@needs_c
+@pytest.mark.parametrize("batch", [0, 3])
+def test_leaves_tile_the_call(batch):
+    """The leaves one compiled call records -- the matrix's three and the
+    MR step's, each its share of the summed laps of every thread that ran
+    lanes -- sum to no more than the call's wall time: the solve's
+    unattributed fraction is computed against them."""
+    ops = operators(SHAPES["16-lanes"][0])
+    part = BlockPartition(ops["c"].geometry, ProcessGrid(SHAPES["16-lanes"][1]))
+    block = ops["c"].restrict_to_blocks(part, precision=HALF)
+    r = part.stack(residual(part.geometry, batch, np.complex64), bool(batch))
+    leaves = {
+        "wilson_rounding", "wilson_dslash", "wilson_site_diagonal",
+        "block_mr_step",
+    }
+    for _ in range(3):
+        with tally() as t:
+            start = time.perf_counter()
+            assert block.block_mr(r, 5, 0.9, True) is not None
+            wall = time.perf_counter() - start
+        assert set(t.kernel_seconds) == leaves
+        assert 0 < sum(t.kernel_seconds.values()) <= wall
