@@ -70,7 +70,7 @@ from repro.linalg.gamma import projector_tables
 SOURCE = Path(__file__).with_name("wilson_hop.c")
 #: ``-ffp-contract=off`` alone would *lose* bit-identity: NumPy fuses.  The
 #: source calls ``fma()`` where NumPy does and nothing else may fuse.  The
-#: block solve runs its lanes on helper threads (``-pthread``).
+#: block solve and the even-odd entries run on helper threads (``-pthread``).
 FLAGS = (
     "-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared", "-fPIC",
 )
@@ -719,12 +719,10 @@ class CBackend(KernelBackend):
         )
         z = np.empty_like(r)
         counts = np.empty(2 * steps, np.int64)
-        norms = np.empty(2 * extents[0] * extents[1])
         failed = library.mr[links.dtype.name](
             r.ctypes.data, u, a, diagonal, z.ctypes.data, half, convert,
-            spins, phases, *extents, codes, steps, omega,
-            counts.ctypes.data, norms.ctypes.data,
-            None if seconds is None else seconds.ctypes.data,
+            spins, phases, *extents, codes, steps, omega, counts.ctypes.data,
+            None, None if seconds is None else seconds.ctypes.data,
         )
         return None if failed else (z, counts)
 

@@ -1,11 +1,12 @@
 /* The compiled kernel tier ("c"): the lattice-last Wilson 8-hop core, and
  * the whole Wilson-clover matrix around it -- site-major field in, layout
  * change, storage rounding, hops, site-diagonal tail, rounding, site-major
- * field out -- for complex128 and complex64; the Schwarz block solve's
- * fixed-step MR around that matrix, its block lanes side by side on the
- * CPUs the process may use (see "the Schwarz block solve"); and the Krylov
- * solvers' vector updates, each one in-place pass (see "the solvers'
- * vector updates").
+ * field out -- for complex128 and complex64; the even-odd form's entries,
+ * each call's work split across the CPUs the process may use (see "the
+ * even-odd form"); the Schwarz block solve's fixed-step MR around that
+ * matrix, its block lanes side by side on those CPUs (see "the Schwarz
+ * block solve"); and the Krylov solvers' vector updates, each one in-place
+ * pass (see "the solvers' vector updates").
  *
  * Built and loaded by repro/kernels/c_backend.py.  Every function evaluates,
  * site by site, the IEEE operation sequence of the NumPy code it stands in
@@ -126,18 +127,19 @@ typedef struct {
     int64_t nl, T, Z, Y, X;
 } schur_operands;
 
-/* The sites of `lanes` lanes of a half-lattice site-major field (`bytes` a
- * site) into their places of one parity of a full-lattice one: the solution's
- * even sites, as they were solved for. */
+/* The sites of block k (the W sites from k W) of lane `lane` of a
+ * half-lattice site-major field (`bytes` a site) into their places of one
+ * parity of a full-lattice one: the solution's even sites, as they were
+ * solved for. */
 static void copy_parity(const void *half, void *full, size_t bytes,
-                        int64_t lanes, const schur_operands *s, int parity)
+                        int64_t lane, int64_t k, const schur_operands *s,
+                        int parity)
 {
     const int64_t V = s->T * s->Z * s->Y * s->X;
-    for (int64_t lane = 0; lane < lanes; lane++)
-        for (int64_t g = 0; g < V; g++)
-            memcpy((char *)full + (size_t)(2 * lane * V
-                       + parity_site(g, s->X, s->Y, s->Z, parity)) * bytes,
-                   (const char *)half + (size_t)(lane * V + g) * bytes, bytes);
+    for (int64_t g = k * W; g < V && g < (k + 1) * W; g++)
+        memcpy((char *)full + (size_t)(2 * lane * V
+                   + parity_site(g, s->X, s->Y, s->Z, parity)) * bytes,
+               (const char *)half + (size_t)(lane * V + g) * bytes, bytes);
 }
 
 /* `bytes` of scratch on a cache line, `*raw` the pointer to free.  (Not
@@ -150,13 +152,13 @@ static void *aligned_scratch(size_t bytes, void **raw)
     return *raw ? (void *)(((uintptr_t)*raw + 63) & ~(uintptr_t)63) : NULL;
 }
 
-/* Where the helper threads of a call with `lanes` independent lanes run:
- * min(lanes, allowed CPUs) - 1 of them, each bound to an allowed CPU of its
- * own other than the one the caller is on.  Bound, because a thread left
- * to the scheduler starts on its creator's CPU and, CPU-bound, may stay
- * there beside it: on a host whose scheduler does not balance the load it
- * does.  Returns how many, their CPUs in `cpus`; none where one CPU is
- * allowed, or one lane given. */
+/* Where the helper threads of a call with `lanes` independent lanes (or
+ * work items) run: min(lanes, allowed CPUs) - 1 of them, each bound to an
+ * allowed CPU of its own other than the one the caller is on.  Bound,
+ * because a thread left to the scheduler starts on its creator's CPU and,
+ * CPU-bound, may stay there beside it: on a host whose scheduler does not
+ * balance the load it does.  Returns how many, their CPUs in `cpus`; none
+ * where one CPU is allowed, or one lane given. */
 static int helper_cpus(int64_t lanes, int *cpus)
 {
     cpu_set_t allowed;
@@ -203,6 +205,49 @@ static void run_team(void *(*work)(void *), void *slots, size_t size,
     for (int i = 0; i < started; i++) pthread_join(ids[i], NULL);
 }
 
+/* One phase of a call whose team splits its work items: the next item no
+ * thread has claimed, the items done, and the team's size. */
+typedef struct {
+    int64_t next, done;
+    int threads;
+} phase;
+
+/* Chunks a phase is cut into per thread: several, so that a thread that
+ * starts late or runs slow leaves its part to the others; few, so that a
+ * claim costs nothing beside a chunk's work. */
+enum { SHARES = 4 };
+
+/* The next chunk [*lo, *hi) of a phase of `items` work items for the calling
+ * thread, the one before it counted done; 0 when none is left, once every
+ * item of the phase is done -- the barrier between a phase and the next,
+ * which a thread waits out yielding its CPU.  It counts items, not threads,
+ * so a helper that never started holds nothing up.  Without a team (`p`
+ * NULL) the whole phase is one chunk.  Start with *lo = *hi = 0. */
+static int claim(phase *p, int64_t items, int64_t *lo, int64_t *hi)
+{
+    if (!p) {
+        *lo = *hi;
+        *hi = items;
+        return *lo < *hi;
+    }
+    if (*hi > *lo) __atomic_add_fetch(&p->done, *hi - *lo, __ATOMIC_RELEASE);
+    const int64_t share = items / (SHARES * p->threads);
+    const int64_t chunk = share > 1 ? share : 1;
+    *lo = __atomic_fetch_add(&p->next, chunk, __ATOMIC_RELAXED);
+    if (*lo < items) {
+        *hi = items - *lo < chunk ? items : *lo + chunk;
+        return 1;
+    }
+    *lo = *hi = items;
+    while (__atomic_load_n(&p->done, __ATOMIC_ACQUIRE) < items) sched_yield();
+    return 0;
+}
+
+/* for (i ...): the work items of phase `p` of `items` this thread claims. */
+#define CLAIMED(i, p, items)                                                  \
+    for (int64_t lo_ = 0, hi_ = 0, i; claim((p), (items), &lo_, &hi_);)       \
+        for (i = lo_; i < hi_; i++)
+
 /* Seconds since `*mark`, which moves to now: each interval of a call is
  * charged to exactly one leaf.  A caller that did not ask pays nothing. */
 static double lap(struct timespec *mark)
@@ -213,6 +258,25 @@ static double lap(struct timespec *mark)
         + 1e-9 * (double)(now.tv_nsec - mark->tv_nsec);
     *mark = now;
     return elapsed;
+}
+
+/* seconds[leaf] += leaf's share of the laps of a call's `threads` threads
+ * (a thread's `leaves` laps `stride` bytes after the thread's before it) of
+ * the call's `wall` time: the leaves tile the call however many ran it. */
+static void share_laps(double *seconds, int leaves, const double *laps,
+                       size_t stride, int threads, double wall)
+{
+    double sums[4] = {0}, total = 0;
+    for (int i = 0; i < threads; i++) {
+        const double *own = (const double *)((const char *)laps + i * stride);
+        for (int leaf = 0; leaf < leaves; leaf++) {
+            sums[leaf] += own[leaf];
+            total += own[leaf];
+        }
+    }
+    if (total > 0)
+        for (int leaf = 0; leaf < leaves; leaf++)
+            seconds[leaf] += wall * (sums[leaf] / total);
 }
 
 #define REAL double
@@ -842,14 +906,17 @@ static int64_t NAME(walk_reals)(int64_t T, int64_t Z, int64_t Y, int64_t X)
  * The lattice is walked in units: the (Y, X) plane, grown by Z and then T
  * while the unit's scratch (48 reals a site) stays near the L1 cache, so
  * small blocks are not all loop overhead.  A hop along an axis inside the
- * unit is a shift within it; along an outer axis it reads another unit. */
+ * unit is a shift within it; along an outer axis it reads another unit.
+ * The work items (b, l, unit) write disjoint sites, so a team may split
+ * them: with `work` the phase they are claimed from (see claim), else all
+ * of them in order. */
 static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
                          int to, int narrow, int half,
                          const int32_t *spins, const REAL *coef,
                          int64_t nb, int64_t nl, int64_t T, int64_t Z,
                          int64_t Y, int64_t X, const int32_t *bc,
                          const unsigned char *live, REAL *scratch,
-                         double *seconds, struct timespec *mark)
+                         phase *work, double *seconds, struct timespec *mark)
 {
     const int64_t n[4] = {X, Y, Z, T};
     const int64_t V = T * Z * Y * X, NB = blocks_of(V);
@@ -866,101 +933,98 @@ static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
     memset(h, 0, (size_t)(48 * R) * sizeof(REAL));
     REAL *g = h + 12 * R, *acc = g + 12 * R;
 
-    for (int64_t b = 0; b < nb; b++)
-    for (int64_t l = 0; l < nl; l++) {
+    CLAIMED(item, work, nb * nl * units) {
+        const int64_t unit = item % units, l = item / units % nl;
         if (live && !live[l]) continue;
-        const REAL *xb = xs + (b * nl + l) * NB * FIELD_ROWS * W;
-        const REAL *xt = on->xt ? on->xt + (b * nl + l) * NB * FIELD_ROWS * W
-                                : NULL;
+        const int64_t row = item / units; /* b * nl + l */
+        const REAL *xb = xs + row * NB * FIELD_ROWS * W;
+        const REAL *xt = on->xt ? on->xt + row * NB * FIELD_ROWS * W : NULL;
         const REAL *packed = on->packed
             ? on->packed + l * NB * CLOVER_ROWS * W : NULL;
         const REAL *inverse = on->inverse
             ? on->inverse + l * NB * CLOVER_ROWS * W : NULL;
         const REAL *ul = on->links + 2 * l * V, *ub = on->back + 2 * l * V;
-        for (int64_t unit = 0; unit < units; unit++) {
-            const int64_t here = unit * U;
-            memset(acc, 0, (size_t)(24 * R) * sizeof(REAL));
-            for (int hop = 0; hop < 8; hop++) {
-                const int mu = hop / 2, forward = !(hop % 2);
-                const int32_t *sp = spins + 4 * hop;
-                const REAL *cf = coef + 8 * hop;
-                /* where the hop reads from: this unit (shifted within), or
-                 * the neighbouring one, perhaps across the lattice edge */
-                int64_t from = here, d = 1;
-                int crossed = 0;
-                if (mu < inner) {
-                    for (int nu = 0; nu < mu; nu++) d *= n[nu];
+        const int64_t here = unit * U;
+        memset(acc, 0, (size_t)(24 * R) * sizeof(REAL));
+        for (int hop = 0; hop < 8; hop++) {
+            const int mu = hop / 2, forward = !(hop % 2);
+            const int32_t *sp = spins + 4 * hop;
+            const REAL *cf = coef + 8 * hop;
+            /* where the hop reads from: this unit (shifted within), or
+             * the neighbouring one, perhaps across the lattice edge */
+            int64_t from = here, d = 1;
+            int crossed = 0;
+            if (mu < inner) {
+                for (int nu = 0; nu < mu; nu++) d *= n[nu];
+            } else {
+                for (int nu = inner; nu < mu; nu++) d *= n[nu];
+                int64_t at = unit / d % n[mu] + (forward ? 1 : -1);
+                crossed = at < 0 || at == n[mu];
+                from += (forward ? 1 : -1) * (crossed ? 1 - n[mu] : 1)
+                    * d * U;
+            }
+            const REAL *u = ul + mu * 9 * ls, *uback = ub + mu * 9 * ls;
+            const int halved = mu == 0 && on->parity >= 0;
+            REAL *result;
+            NAME(project)(xb, from, U, R, sp, cf, h);
+            if (forward) {
+                /* U(x) [P psi](x + mu): shift, then multiply */
+                if (halved) {
+                    NAME(shift_half)(g, h, U, R, X, Y, Z, here / X,
+                                     on->parity, 1, bc[0]);
+                    NAME(link_apply)(g, u + 2 * here, ls, U, R, 0,
+                                     result = h);
+                } else if (mu < inner) {
+                    NAME(shift_unit)(g, h, U, R, d, n[mu], 1, bc[mu]);
+                    NAME(link_apply)(g, u + 2 * here, ls, U, R, 0,
+                                     result = h);
                 } else {
-                    for (int nu = inner; nu < mu; nu++) d *= n[nu];
-                    int64_t at = unit / d % n[mu] + (forward ? 1 : -1);
-                    crossed = at < 0 || at == n[mu];
-                    from += (forward ? 1 : -1) * (crossed ? 1 - n[mu] : 1)
-                        * d * U;
-                }
-                const REAL *u = ul + mu * 9 * ls, *uback = ub + mu * 9 * ls;
-                const int halved = mu == 0 && on->parity >= 0;
-                REAL *result;
-                NAME(project)(xb, from, U, R, sp, cf, h);
-                if (forward) {
-                    /* U(x) [P psi](x + mu): shift, then multiply */
-                    if (halved) {
-                        NAME(shift_half)(g, h, U, R, X, Y, Z, here / X,
-                                         on->parity, 1, bc[0]);
-                        NAME(link_apply)(g, u + 2 * here, ls, U, R, 0,
-                                         result = h);
-                    } else if (mu < inner) {
-                        NAME(shift_unit)(g, h, U, R, d, n[mu], 1, bc[mu]);
-                        NAME(link_apply)(g, u + 2 * here, ls, U, R, 0,
-                                         result = h);
-                    } else {
-                        if (crossed) NAME(cross)(h, 12 * R, bc[mu]);
-                        NAME(link_apply)(h, u + 2 * here, ls, U, R, 0,
-                                         result = g);
-                    }
-                } else {
-                    /* U(x - mu)^+ [P psi](x - mu): multiply, then shift */
-                    NAME(link_apply)(h, uback + 2 * from, ls, U, R, 1,
+                    if (crossed) NAME(cross)(h, 12 * R, bc[mu]);
+                    NAME(link_apply)(h, u + 2 * here, ls, U, R, 0,
                                      result = g);
-                    if (halved)
-                        NAME(shift_half)(result = h, g, U, R, X, Y, Z,
-                                         here / X, on->parity, 0, bc[0]);
-                    else if (mu < inner)
-                        NAME(shift_unit)(result = h, g, U, R, d, n[mu], 0,
-                                         bc[mu]);
-                    else if (crossed)
-                        NAME(cross)(g, 12 * R, bc[mu]);
                 }
-                NAME(accumulate)(result, R, sp + 2, cf + 4, acc);
+            } else {
+                /* U(x - mu)^+ [P psi](x - mu): multiply, then shift */
+                NAME(link_apply)(h, uback + 2 * from, ls, U, R, 1,
+                                 result = g);
+                if (halved)
+                    NAME(shift_half)(result = h, g, U, R, X, Y, Z,
+                                     here / X, on->parity, 0, bc[0]);
+                else if (mu < inner)
+                    NAME(shift_unit)(result = h, g, U, R, d, n[mu], 0,
+                                     bc[mu]);
+                else if (crossed)
+                    NAME(cross)(g, 12 * R, bc[mu]);
             }
-            const int64_t site = (b * nl + l) * V + here;
-            if (to != BARE) {
-                if (seconds) seconds[HOPS] += lap(mark);
-                if (on->xt)
-                    NAME(site_tail)(acc, U, R, xt, packed, here, on->diag,
-                                    on->hop);
-                if (inverse) NAME(site_invert)(acc, U, R, inverse, here);
-                if (seconds) seconds[TAIL] += lap(mark);
-                if (to == SITE_VECTORS)
-                    NAME(leave_vectors)(acc, U, R,
-                                        (REAL *)out + (b * nl + l) * NB
-                                            * FIELD_ROWS * W,
-                                        here, half);
-                else
-                    NAME(leave)(acc, U, R,
-                                (char *)out + 24 * site
-                                    * (narrow ? sizeof(float) : sizeof(REAL)),
-                                narrow, half);
-                if (seconds) seconds[CONVERT] += lap(mark);
-                continue;
-            }
-            for (int k = 0; k < 12; k++) {
-                const REAL *restrict ar = acc + 2 * k * R;
-                const REAL *restrict ai = ar + R;
-                REAL *restrict o = (REAL *)out + k * cs + 2 * site;
-                for (int64_t i = 0; i < U; i++) {
-                    o[2 * i] = ar[i];
-                    o[2 * i + 1] = ai[i];
-                }
+            NAME(accumulate)(result, R, sp + 2, cf + 4, acc);
+        }
+        const int64_t site = row * V + here;
+        if (to != BARE) {
+            if (seconds) seconds[HOPS] += lap(mark);
+            if (on->xt)
+                NAME(site_tail)(acc, U, R, xt, packed, here, on->diag,
+                                on->hop);
+            if (inverse) NAME(site_invert)(acc, U, R, inverse, here);
+            if (seconds) seconds[TAIL] += lap(mark);
+            if (to == SITE_VECTORS)
+                NAME(leave_vectors)(acc, U, R,
+                                    (REAL *)out + row * NB * FIELD_ROWS * W,
+                                    here, half);
+            else
+                NAME(leave)(acc, U, R,
+                            (char *)out + 24 * site
+                                * (narrow ? sizeof(float) : sizeof(REAL)),
+                            narrow, half);
+            if (seconds) seconds[CONVERT] += lap(mark);
+            continue;
+        }
+        for (int k = 0; k < 12; k++) {
+            const REAL *restrict ar = acc + 2 * k * R;
+            const REAL *restrict ai = ar + R;
+            REAL *restrict o = (REAL *)out + k * cs + 2 * site;
+            for (int64_t i = 0; i < U; i++) {
+                o[2 * i] = ar[i];
+                o[2 * i + 1] = ai[i];
             }
         }
     }
@@ -988,8 +1052,8 @@ static int NAME(run)(const void *x, int64_t cstride, int64_t sstride,
     if (seconds) seconds[CONVERT] += lap(&mark);
     on.xt = xs;
     int failed = NAME(stencil)(xs, &on, out, to, narrow, half, spins, coef,
-                               nb, nl, T, Z, Y, X, bc, NULL, NULL, seconds,
-                               &mark);
+                               nb, nl, T, Z, Y, X, bc, NULL, NULL, NULL,
+                               seconds, &mark);
     free(raw);
     return failed;
 }
@@ -1051,7 +1115,39 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
  * Y, 2 X, 4, 3), T Z Y X the half lattice of the bound operands `s`; all
  * float complex if `narrow` (widened on the way in, rounded once on the way
  * out).  Each tail is the NumPy pass's it stands for, in its order.  They
- * return nonzero when the scratch cannot be had. */
+ * return nonzero when the scratch cannot be had.
+ *
+ * Each entry is a few phases of independent work items -- the site-vector
+ * blocks (lane, k) of a field, or the stencil's units (b, l, unit) -- run by
+ * ONE team a call, the calling thread and the helpers of run_team: every
+ * thread claims chunks of a phase's items (see claim), and no thread starts
+ * the next phase before every item of this one is done, for a hop reads the
+ * neighbours of its sites, which other threads wrote.  One team, not one a
+ * hop: starting a helper costs about what a phase of a small call does.  An
+ * item's arithmetic does not depend on the thread that runs it and items
+ * write disjoint sites, so the bits are one thread's.  Every thread's
+ * scratch is had before any starts. */
+
+/* One call as its threads read it: the fields in, `x` and `b`, and out,
+ * `out` and `r` (each entry names its own); the call's site-vector fields,
+ * one after the other at `v`; its phases, in the order the entry runs them. */
+typedef struct {
+    const void *x, *b;
+    void *out, *r;
+    int narrow;
+    int64_t nb;
+    const schur_operands *s;
+    REAL *v;
+    phase phases[5];
+} NAME(schur_call);
+
+/* A thread's own: the walk's scratch and its leaves' laps. */
+typedef struct {
+    NAME(schur_call) *call;
+    REAL *walk;
+    double seconds[3];
+    int timed;
+} NAME(schur_thread);
 
 /* The hops from the other parity onto the sites of `parity`, with the tail
  * `xt`, `packed`, `diag`, `hop`, `inverse` behind them (see NAME(sites)). */
@@ -1066,35 +1162,35 @@ static NAME(sites) NAME(onto)(const schur_operands *s, int parity,
     return on;
 }
 
-static int NAME(hops)(const REAL *xs, const NAME(sites) *on, void *out,
-                      int to, int narrow, int64_t nb, const schur_operands *s,
-                      double *seconds, struct timespec *mark)
+/* Thread t's part of the phase `work` of the call's hops. */
+static void NAME(hops)(const NAME(schur_thread) *t, const REAL *xs,
+                       const NAME(sites) *on, void *out, int to, phase *work,
+                       double *seconds, struct timespec *mark)
 {
-    return NAME(stencil)(xs, on, out, to, narrow, 0, s->spins, s->coef, nb,
-                         s->nl, s->T, s->Z, s->Y, s->X, s->bc, NULL, NULL,
-                         seconds, mark);
+    const NAME(schur_call) *c = t->call;
+    const schur_operands *s = c->s;
+    NAME(stencil)(xs, on, out, to, c->narrow, 0, s->spins, s->coef, c->nb,
+                  s->nl, s->T, s->Z, s->Y, s->X, s->bc, NULL, t->walk, work,
+                  seconds, mark);
 }
 
-/* One parity of `lanes` lanes of a full-lattice field -> site vectors on
- * that parity's half lattice (lanes, NB, 12, 2, W), the last block padded
- * with zeros. */
-static void NAME(enter_parity)(const void *x, int narrow, REAL *restrict xs,
-                               int64_t lanes, const schur_operands *s,
-                               int parity)
+/* Block k of lane `lane` of a site-major field -> its site vectors `to`
+ * (12, 2, W), zeros past the field's last site: a half-lattice field
+ * (`parity` -1), or one parity of a full-lattice one. */
+static void NAME(enter_block)(const void *x, int narrow, REAL *restrict to,
+                              int64_t lane, int64_t k,
+                              const schur_operands *s, int parity)
 {
-    const int64_t V = s->T * s->Z * s->Y * s->X, NB = blocks_of(V);
-    for (int64_t lane = 0; lane < lanes; lane++)
-    for (int64_t k = 0; k < NB; k++) {
-        REAL *to = xs + (lane * NB + k) * FIELD_ROWS * W;
-        for (int t = 0; t < W; t++) {
-            const int64_t g = k * W + t;
-            const int64_t at = g < V ? FIELD_ROWS * (2 * lane * V
-                + parity_site(g, s->X, s->Y, s->Z, parity)) : 0;
-            for (int r = 0; r < FIELD_ROWS; r++)
-                to[r * W + t] = g >= V ? 0
-                    : narrow ? (REAL)((const float *)x)[at + r]
-                    : ((const REAL *)x)[at + r];
-        }
+    const int64_t V = s->T * s->Z * s->Y * s->X;
+    for (int t = 0; t < W; t++) {
+        const int64_t g = k * W + t;
+        const int64_t at = g >= V ? 0 : FIELD_ROWS * (parity < 0
+            ? lane * V + g
+            : 2 * lane * V + parity_site(g, s->X, s->Y, s->Z, parity));
+        for (int r = 0; r < FIELD_ROWS; r++)
+            to[r * W + t] = g >= V ? 0
+                : narrow ? (REAL)((const float *)x)[at + r]
+                : ((const REAL *)x)[at + r];
     }
 }
 
@@ -1133,61 +1229,114 @@ static void NAME(residual)(REAL *restrict m, const REAL *restrict b,
     for (int i = 0; i < FIELD_ROWS * W; i++) m[i] = b[i] - m[i];
 }
 
+/* `work` on one team, with `fields` site-vector fields of the call's lanes
+ * its scratch: helpers as many as the stencil's units allow (helper_cpus).
+ * `seconds`, unless NULL, gains each leaf's share of the threads' laps, of
+ * the call's wall time (share_laps). */
+static int NAME(schur_team)(void *(*work)(void *), NAME(schur_call) *call,
+                            int64_t fields, double *seconds)
+{
+    const schur_operands *s = call->s;
+    const int64_t n[4] = {s->X, s->Y, s->Z, s->T};
+    const int64_t V = s->T * s->Z * s->Y * s->X, lanes = call->nb * s->nl;
+    const int64_t F = fields * lanes * blocks_of(V) * FIELD_ROWS * W;
+    const int64_t H = NAME(walk_reals)(s->T, s->Z, s->Y, s->X);
+    int inner, cpus[CPU_SETSIZE];
+    const int64_t units = lanes * (V / NAME(unit_of)(n, &inner));
+    const int helpers = helper_cpus(units, cpus), threads = 1 + helpers;
+    void *raw;
+    REAL *v = aligned_scratch(
+        (size_t)(F + threads * H) * sizeof(REAL)
+        + (size_t)threads * sizeof(NAME(schur_thread)), &raw);
+    if (!v) return 1;
+    NAME(schur_thread) *team = (NAME(schur_thread) *)(v + F + threads * H);
+    call->v = v;
+    for (size_t k = 0; k < sizeof call->phases / sizeof *call->phases; k++)
+        call->phases[k] = (phase){0, 0, threads};
+    for (int i = 0; i < threads; i++)
+        team[i] = (NAME(schur_thread)){call, v + F + i * H, {0},
+                                       seconds != NULL};
+    struct timespec mark;
+    if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
+    run_team(work, team, sizeof *team, cpus, helpers);
+    if (seconds)
+        share_laps(seconds, 3, team->seconds, sizeof *team, threads,
+                   lap(&mark));
+    free(raw);
+    return 0;
+}
+
 /* The Schur complement, EvenOddPreconditionedWilson._apply:
  *     t = C_oo^{-1} D x,    out = (4 + m) x - 1/4 D t + A_ee x
  * on even half-lattice fields, t site vectors from one hop to the other.
  * The -1/4 is the matrix tail's -1/2 with the other power of two: the
- * NumPy body's `out *= -0.25`.  `seconds`, unless NULL, gains the time
- * spent converting (in and out), hopping and in the tails. */
+ * NumPy body's `out *= -0.25`.  Phases: x in, the odd hop, the even hop.
+ * `seconds`, unless NULL, gains the time spent converting (in and out),
+ * hopping and in the tails. */
+static void *NAME(apply_worker)(void *arg)
+{
+    NAME(schur_thread) *t = arg;
+    NAME(schur_call) *c = t->call;
+    const schur_operands *s = c->s;
+    const int64_t NB = blocks_of(s->T * s->Z * s->Y * s->X);
+    const int64_t lanes = c->nb * s->nl, F = lanes * NB * FIELD_ROWS * W;
+    REAL *xs = c->v, *odd = xs + F;
+    double *seconds = t->timed ? t->seconds : NULL;
+    struct timespec mark;
+    if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
+    CLAIMED(i, &c->phases[0], lanes * NB)
+        NAME(enter_block)(c->x, c->narrow, xs + i * FIELD_ROWS * W, i / NB,
+                          i % NB, s, -1);
+    if (seconds) seconds[CONVERT] += lap(&mark);
+    const NAME(sites) onto_odd = NAME(onto)(s, 1, NULL, NULL, 0.0, 0.0,
+                                            s->inverse);
+    const NAME(sites) even = NAME(onto)(s, 0, xs, s->even, s->diag, -0.25,
+                                        NULL);
+    NAME(hops)(t, xs, &onto_odd, odd, SITE_VECTORS, &c->phases[1], seconds,
+               &mark);
+    NAME(hops)(t, odd, &even, c->out, SITE_MAJOR, &c->phases[2], seconds,
+               &mark);
+    return NULL;
+}
+
 int NAME(repro_schur_apply)(const void *x, void *out, int narrow, int64_t nb,
                             const schur_operands *s, double *seconds)
 {
-    const int64_t V = s->T * s->Z * s->Y * s->X, lanes = nb * s->nl;
-    const int64_t F = blocks_of(V) * FIELD_ROWS * W;
-    struct timespec mark;
-    void *raw;
-    REAL *xs = aligned_scratch((size_t)(2 * lanes * F) * sizeof(REAL), &raw);
-    if (!xs) return 1;
-    REAL *t = xs + lanes * F;
-    if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
-    NAME(enter)(x, narrow, 1, 12, xs, lanes, V, 0);
-    if (seconds) seconds[CONVERT] += lap(&mark);
-    const NAME(sites) odd = NAME(onto)(s, 1, NULL, NULL, 0.0, 0.0, s->inverse);
-    const NAME(sites) even = NAME(onto)(s, 0, xs, s->even, s->diag, -0.25,
-                                        NULL);
-    int failed = NAME(hops)(xs, &odd, t, SITE_VECTORS, 0, nb, s, seconds,
-                            &mark)
-        || NAME(hops)(t, &even, out, SITE_MAJOR, narrow, nb, s, seconds,
-                      &mark);
-    free(raw);
-    return failed;
+    NAME(schur_call) call = {x, NULL, out, NULL, narrow, nb, s};
+    return NAME(schur_team)(NAME(apply_worker), &call, 2, seconds);
 }
 
 /* The Schur system's right-hand side, prepare_rhs, of the full-lattice b:
  *     out = 1/2 D (C_oo^{-1} b_o) + 1 b_e
- * an even half-lattice field. */
+ * an even half-lattice field.  Phases: b in (C_oo^{-1} on the odd sites),
+ * the hop. */
+static void *NAME(rhs_worker)(void *arg)
+{
+    NAME(schur_thread) *t = arg;
+    NAME(schur_call) *c = t->call;
+    const schur_operands *s = c->s;
+    const int64_t NB = blocks_of(s->T * s->Z * s->Y * s->X);
+    const int64_t lanes = c->nb * s->nl, F = lanes * NB * FIELD_ROWS * W;
+    REAL *xo = c->v, *xe = xo + F;
+    CLAIMED(i, &c->phases[0], lanes * NB) {
+        const int64_t lane = i / NB, k = i % NB, at = i * FIELD_ROWS * W;
+        NAME(enter_block)(c->b, c->narrow, xo + at, lane, k, s, 1);
+        NAME(site_invert)(xo + at, W, W,
+                          (const REAL *)s->inverse
+                              + lane % s->nl * NB * CLOVER_ROWS * W,
+                          k * W);
+        NAME(enter_block)(c->b, c->narrow, xe + at, lane, k, s, 0);
+    }
+    const NAME(sites) even = NAME(onto)(s, 0, xe, NULL, 1.0, 0.5, NULL);
+    NAME(hops)(t, xo, &even, c->out, SITE_MAJOR, &c->phases[1], NULL, NULL);
+    return NULL;
+}
+
 int NAME(repro_schur_rhs)(const void *b, void *out, int narrow, int64_t nb,
                           const schur_operands *s)
 {
-    const int64_t V = s->T * s->Z * s->Y * s->X, NB = blocks_of(V);
-    const int64_t lanes = nb * s->nl, F = NB * FIELD_ROWS * W;
-    void *raw;
-    REAL *xo = aligned_scratch((size_t)(2 * lanes * F) * sizeof(REAL), &raw);
-    if (!xo) return 1;
-    REAL *xe = xo + lanes * F;
-    NAME(enter_parity)(b, narrow, xo, lanes, s, 1);
-    for (int64_t lane = 0; lane < lanes; lane++)
-        for (int64_t k = 0; k < NB; k++)
-            NAME(site_invert)(xo + (lane * NB + k) * FIELD_ROWS * W, W, W,
-                              (const REAL *)s->inverse
-                                  + lane % s->nl * NB * CLOVER_ROWS * W,
-                              k * W);
-    NAME(enter_parity)(b, narrow, xe, lanes, s, 0);
-    const NAME(sites) even = NAME(onto)(s, 0, xe, NULL, 1.0, 0.5, NULL);
-    int failed = NAME(hops)(xo, &even, out, SITE_MAJOR, narrow, nb, s, NULL,
-                            NULL);
-    free(raw);
-    return failed;
+    NAME(schur_call) call = {NULL, b, out, NULL, narrow, nb, s};
+    return NAME(schur_team)(NAME(rhs_worker), &call, 2, NULL);
 }
 
 /* The full solution x of M x = b from the even half-lattice x_e
@@ -1198,58 +1347,63 @@ int NAME(repro_schur_rhs)(const void *b, void *out, int narrow, int64_t nb,
  *     r_o = b_o - (-1/2 h + diag x_o + A_oo x_o)
  *     r_e = b_e - (-1/2 D x_o + diag x_e + A_ee x_e)
  * x_o read back as x holds it: one odd-site hop serves the back-substitution
- * and the residual. */
+ * and the residual.  Phases: x_e and b_o in, the odd hop, the odd sites out
+ * (x_o, r_o; b_e in where a block's b_o was); then, for r, the even hop and
+ * the even sites of r out. */
+static void *NAME(solution_worker)(void *arg)
+{
+    NAME(schur_thread) *t = arg;
+    NAME(schur_call) *c = t->call;
+    const schur_operands *s = c->s;
+    const int64_t NB = blocks_of(s->T * s->Z * s->Y * s->X);
+    const int64_t lanes = c->nb * s->nl, F = lanes * NB * FIELD_ROWS * W;
+    const REAL *inverse = s->inverse, *odd = s->odd;
+    REAL *ve = c->v, *vb = ve + F, *h = vb + F, *vo = h + F;
+    const size_t bytes = FIELD_ROWS * (c->narrow ? sizeof(float)
+                                                 : sizeof(REAL));
+    CLAIMED(i, &c->phases[0], lanes * NB) {
+        const int64_t at = i * FIELD_ROWS * W;
+        NAME(enter_block)(c->x, c->narrow, ve + at, i / NB, i % NB, s, -1);
+        NAME(enter_block)(c->b, c->narrow, vb + at, i / NB, i % NB, s, 1);
+    }
+    const NAME(sites) onto_odd = NAME(onto)(s, 1, NULL, NULL, 0.0, 0.0, NULL);
+    NAME(hops)(t, ve, &onto_odd, h, SITE_VECTORS, &c->phases[1], NULL, NULL);
+    CLAIMED(i, &c->phases[2], lanes * NB) {
+        const int64_t lane = i / NB, k = i % NB, at = i * FIELD_ROWS * W;
+        const int64_t held = lane % s->nl * NB * CLOVER_ROWS * W;
+        REAL *hk = h + at, *xk = vo + at;
+        memcpy(xk, hk, FIELD_ROWS * W * sizeof(REAL));
+        NAME(site_tail)(xk, W, W, vb + lane * NB * FIELD_ROWS * W, NULL,
+                        k * W, 1.0, 0.5);
+        NAME(site_invert)(xk, W, W, inverse + held, k * W);
+        NAME(narrowed)(xk, c->narrow);
+        NAME(leave_parity)(xk, c->out, c->narrow, lane, k, s, 1);
+        copy_parity(c->x, c->out, bytes, lane, k, s, 0);
+        if (!c->r) continue;
+        NAME(site_tail)(hk, W, W, vo + lane * NB * FIELD_ROWS * W,
+                        odd ? odd + held : NULL, k * W, s->diag, -0.5);
+        NAME(residual)(hk, vb + at, c->narrow);
+        NAME(leave_parity)(hk, c->r, c->narrow, lane, k, s, 1);
+        NAME(enter_block)(c->b, c->narrow, vb + at, lane, k, s, 0);
+    }
+    if (!c->r) return NULL;
+    const NAME(sites) even = NAME(onto)(s, 0, ve, s->even, s->diag, -0.5,
+                                        NULL);
+    NAME(hops)(t, vo, &even, h, SITE_VECTORS, &c->phases[3], NULL, NULL);
+    CLAIMED(i, &c->phases[4], lanes * NB) {
+        const int64_t at = i * FIELD_ROWS * W;
+        NAME(residual)(h + at, vb + at, c->narrow);
+        NAME(leave_parity)(h + at, c->r, c->narrow, i / NB, i % NB, s, 0);
+    }
+    return NULL;
+}
+
 int NAME(repro_schur_solution)(const void *xe, const void *b, void *x,
                                void *r, int narrow, int64_t nb,
                                const schur_operands *s)
 {
-    const int64_t V = s->T * s->Z * s->Y * s->X, NB = blocks_of(V);
-    const int64_t lanes = nb * s->nl, F = NB * FIELD_ROWS * W;
-    const REAL *inverse = s->inverse, *odd = s->odd;
-    void *raw;
-    REAL *ve = aligned_scratch((size_t)(4 * lanes * F) * sizeof(REAL), &raw);
-    if (!ve) return 1;
-    REAL *vb = ve + lanes * F, *h = vb + lanes * F, *vo = h + lanes * F;
-    NAME(enter)(xe, narrow, 1, 12, ve, lanes, V, 0);
-    NAME(enter_parity)(b, narrow, vb, lanes, s, 1);
-    const NAME(sites) onto_odd = NAME(onto)(s, 1, NULL, NULL, 0.0, 0.0, NULL);
-    if (NAME(hops)(ve, &onto_odd, h, SITE_VECTORS, 0, nb, s, NULL, NULL)) {
-        free(raw);
-        return 1;
-    }
-    for (int64_t lane = 0; lane < lanes; lane++)
-    for (int64_t k = 0; k < NB; k++) {
-        const int64_t at = (lane * NB + k) * FIELD_ROWS * W;
-        const int64_t held = lane % s->nl * NB * CLOVER_ROWS * W;
-        REAL *hk = h + at, *xk = vo + at;
-        memcpy(xk, hk, FIELD_ROWS * W * sizeof(REAL));
-        NAME(site_tail)(xk, W, W, vb + lane * F, NULL, k * W, 1.0, 0.5);
-        NAME(site_invert)(xk, W, W, inverse + held, k * W);
-        NAME(narrowed)(xk, narrow);
-        NAME(leave_parity)(xk, x, narrow, lane, k, s, 1);
-        if (!r) continue;
-        NAME(site_tail)(hk, W, W, vo + lane * F, odd ? odd + held : NULL,
-                        k * W, s->diag, -0.5);
-        NAME(residual)(hk, vb + at, narrow);
-        NAME(leave_parity)(hk, r, narrow, lane, k, s, 1);
-    }
-    copy_parity(xe, x, FIELD_ROWS * (narrow ? sizeof(float) : sizeof(REAL)),
-                lanes, s, 0);
-    int failed = 0;
-    if (r) {
-        NAME(enter_parity)(b, narrow, vb, lanes, s, 0);
-        const NAME(sites) even = NAME(onto)(s, 0, ve, s->even, s->diag, -0.5,
-                                            NULL);
-        failed = NAME(hops)(vo, &even, h, SITE_VECTORS, 0, nb, s, NULL, NULL);
-        for (int64_t lane = 0; !failed && lane < lanes; lane++)
-        for (int64_t k = 0; k < NB; k++) {
-            const int64_t at = (lane * NB + k) * FIELD_ROWS * W;
-            NAME(residual)(h + at, vb + at, narrow);
-            NAME(leave_parity)(h + at, r, narrow, lane, k, s, 0);
-        }
-    }
-    free(raw);
-    return failed;
+    NAME(schur_call) call = {xe, b, x, r, narrow, nb, s};
+    return NAME(schur_team)(NAME(solution_worker), &call, 4, NULL);
 }
 
 /* ---- the Schwarz block solve ----------------------------------------- */
@@ -1437,7 +1591,7 @@ static void NAME(mr_lane)(NAME(mr_thread) *t, int64_t l,
                     c->half && c->convert);
     }
     if (seconds) seconds[CONVERT] += lap(mark);
-    for (int64_t row = l; row < rows; row += nl)
+    for (int64_t row = l; c->norms && row < rows; row += nl)
         c->norms[row] = c->norms[rows + row] = NAME(norm_row)(c->r + row * F, V);
     if (seconds) seconds[MR_STEP] += lap(mark);
 
@@ -1460,7 +1614,7 @@ static void NAME(mr_lane)(NAME(mr_thread) *t, int64_t l,
         }
         NAME(stencil)(c->xs, &on, c->q, SITE_VECTORS, 0, c->half, c->spins,
                       c->coef, c->nb, nl, c->T, c->Z, c->Y, c->X, c->bc,
-                      t->live, t->walk, seconds, mark);
+                      t->live, t->walk, NULL, seconds, mark);
         int moving = 0;
         for (int64_t row = l; row < rows; row += nl) {
             NAME(norm_dot_row)(c->q + row * F, c->r + row * F, V,
@@ -1474,8 +1628,9 @@ static void NAME(mr_lane)(NAME(mr_thread) *t, int64_t l,
                 NAME(step_length)(c->omega, c->red + 3 * row, cl);
                 const REAL cd[4] = {(REAL)cl[0], (REAL)cl[1], (REAL)-cl[0],
                                     (REAL)-cl[1]};
-                c->norms[rows + row] = NAME(update_row)(
+                const double norm = NAME(update_row)(
                     c->x + row * F, c->r + row * F, c->q + row * F, V, cd);
+                if (c->norms) c->norms[rows + row] = norm;
             }
         }
         if (seconds) seconds[MR_STEP] += lap(mark);
@@ -1524,7 +1679,7 @@ static void *NAME(mr_worker)(void *arg)
  * is the number of block lanes step k applied the matrix to and
  * counts[steps + k] the number that took the step (0 past the last step
  * run); norms[row] is the first |r|^2 and norms[rows + row] the last, the
- * recurrence's convergence record.
+ * recurrence's convergence record, unless `norms` is NULL (not recorded).
  *
  * The block lanes share nothing -- each has its own reductions, step
  * lengths and leaving step -- so they run side by side, a whole lane per
@@ -1578,18 +1733,9 @@ int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
     memset(counts, 0, (size_t)(2 * steps) * sizeof(int64_t));
     for (int i = 0; i < threads; i++)
         for (int64_t k = 0; k < 2 * steps; k++) counts[k] += team[i].counts[k];
-    if (seconds) {
-        const double wall = lap(&mark);
-        double laps[4] = {0}, total = 0;
-        for (int i = 0; i < threads; i++)
-            for (int leaf = 0; leaf < 4; leaf++) {
-                laps[leaf] += team[i].seconds[leaf];
-                total += team[i].seconds[leaf];
-            }
-        if (total > 0)
-            for (int leaf = 0; leaf < 4; leaf++)
-                seconds[leaf] += wall * (laps[leaf] / total);
-    }
+    if (seconds)
+        share_laps(seconds, 4, team->seconds, sizeof *team, threads,
+                   lap(&mark));
     free(raw);
     return 0;
 }
