@@ -93,9 +93,6 @@ from repro.kernels import (
     kernel_choices,
     resolve_kernel,
 )
-from repro.gauge.heatbath import HeatbathUpdater
-from repro.gauge.hmc import PureGaugeHMC
-from repro.gauge.dynamical import DynamicalHMC
 from repro.util import Tally, tally
 
 __version__ = "1.0.0"
@@ -151,9 +148,6 @@ __all__ = [
     "capability_matrix",
     "kernel_choices",
     "resolve_kernel",
-    "HeatbathUpdater",
-    "PureGaugeHMC",
-    "DynamicalHMC",
     "Tally",
     "tally",
     "__version__",

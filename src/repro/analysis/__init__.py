@@ -1,44 +1,5 @@
-"""Analysis-phase workloads: quark propagators, hadron correlators, and
-stochastic estimators.
+"""Measured-vs-model strong-scaling sweeps (:mod:`repro.analysis.scaling_sweep`).
 
-These play the role Chroma and MILC play in the paper — application code
-driving the solver library — and power the example scripts."""
-
-from repro.analysis.propagator import (
-    staggered_propagator,
-    wilson_propagator,
-)
-from repro.analysis.correlator import (
-    pion_correlator_staggered,
-    pion_correlator_wilson,
-    effective_mass,
-)
-from repro.analysis.mesons import (
-    CHANNELS,
-    channel_correlators,
-    meson_correlator,
-    rho_correlator,
-)
-from repro.analysis.smearing import smearing_radius, wuppertal_smear
-from repro.analysis.stochastic import (
-    TraceEstimate,
-    estimate_trace_inverse,
-    z2_source,
-)
-
-__all__ = [
-    "wilson_propagator",
-    "staggered_propagator",
-    "pion_correlator_wilson",
-    "pion_correlator_staggered",
-    "effective_mass",
-    "CHANNELS",
-    "meson_correlator",
-    "channel_correlators",
-    "rho_correlator",
-    "wuppertal_smear",
-    "smearing_radius",
-    "TraceEstimate",
-    "estimate_trace_inverse",
-    "z2_source",
-]
+Gauge generation and hadron analysis are not part of this library: as in
+the paper, where Chroma and MILC drive QUDA, they belong to the
+application that calls the solver."""

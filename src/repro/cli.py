@@ -5,8 +5,8 @@ test/benchmark executables.  The full subcommand table is generated from
 the registered subparsers (see :func:`build_parser`) and printed by
 ``python -m repro --help`` — it cannot drift from the actual commands.
 The families: ``figN`` regenerate the paper's figure tables from the
-performance model, ``solve``/``generate`` run real numerics on synthetic
-configurations, ``bench``/``bench-multirhs`` time the SPMD execution
+performance model, ``solve`` runs real numerics on a synthetic
+configuration, ``bench``/``bench-multirhs`` time the SPMD execution
 backends and the batched multi-RHS path, ``trace`` captures a Perfetto
 timeline of a distributed solve (docs/observability.md), ``serve`` runs
 the coalescing solve daemon (docs/serving.md), ``bench-serve`` load-tests
@@ -483,35 +483,6 @@ def _cmd_bench_spmd(args) -> int:
         for e in results
     )
     return 0 if ok else 1
-
-
-def _cmd_generate(args) -> int:
-    from repro.gauge.heatbath import HeatbathUpdater
-    from repro.lattice import GaugeField, Geometry
-    from repro import io as repro_io
-
-    geometry = Geometry(tuple(args.dims))
-    start = (
-        GaugeField.hot(geometry, rng=args.seed)
-        if args.start == "hot"
-        else GaugeField.unit(geometry)
-    )
-    updater = HeatbathUpdater(
-        beta=args.beta, or_steps=args.or_steps, rng_seed=args.seed
-    )
-    gauge, history = updater.thermalize(
-        start, sweeps=args.sweeps, measure_every=max(args.sweeps // 8, 1)
-    )
-    print(f"beta={args.beta} {args.start}-start on {geometry!r}")
-    for i, plaq in enumerate(history):
-        print(f"  measurement {i}: plaquette = {plaq:.5f}")
-    if args.output:
-        repro_io.save_gauge(
-            args.output, gauge,
-            extra={"beta": args.beta, "sweeps": args.sweeps},
-        )
-        print(f"saved configuration to {args.output}")
-    return 0
 
 
 def _cmd_report(args) -> int:
@@ -1023,18 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", type=str, default="BENCH_multirhs.json",
                    help="JSON report path")
     p.set_defaults(func=_cmd_bench_multirhs)
-
-    p = add_command("generate", "heatbath gauge generation")
-    p.add_argument("--dims", type=int, nargs=4, default=[4, 4, 4, 8],
-                   metavar=("NX", "NY", "NZ", "NT"))
-    p.add_argument("--beta", type=float, default=5.7)
-    p.add_argument("--sweeps", type=int, default=24)
-    p.add_argument("--or-steps", type=int, default=1)
-    p.add_argument("--start", choices=["hot", "cold"], default="cold")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", type=str, default="",
-                   help="save the final configuration (.npz)")
-    p.set_defaults(func=_cmd_generate)
 
     p = add_command(
         "trace",

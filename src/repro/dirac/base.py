@@ -105,7 +105,7 @@ _STATES_LOCK = threading.Lock()
 
 def configuration_state(gauge) -> DerivedState:
     """The state of a gauge configuration, validated against its links as
-    they are now (the heatbath and the gauge fixing update them in place):
+    they are now (any caller may write a configuration's links in place):
     one sha256 of the field, about a hundredth of a clover build, and a
     state opened on other links is dropped for a fresh one.  An operator
     validates once, at construction, and stands for the configuration as

@@ -1,11 +1,9 @@
-"""Gauge-field sector: Wilson-line path products, observables, smearing,
-and the asqtad fat/long link construction (Sec. 2.3 of the paper)."""
+"""Gauge-field sector: Wilson-line path products, observables, and the
+asqtad fat/long link construction (Sec. 2.3 of the paper)."""
 
 from repro.gauge.paths import path_product, shift_field
 from repro.gauge.observables import average_plaquette, plaquette_field
 from repro.gauge.asqtad import AsqtadLinks, build_asqtad_links
-from repro.gauge.smear import ape_smear
-from repro.gauge.fixing import fix_gauge, gauge_divergence, gauge_functional
 
 __all__ = [
     "path_product",
@@ -14,8 +12,4 @@ __all__ = [
     "plaquette_field",
     "AsqtadLinks",
     "build_asqtad_links",
-    "ape_smear",
-    "fix_gauge",
-    "gauge_functional",
-    "gauge_divergence",
 ]

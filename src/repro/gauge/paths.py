@@ -10,7 +10,7 @@ once, the ordered product of link matrices along the path:
   ``U_mu(p)^dagger``.
 
 These products are the building blocks of the plaquette, the clover-leaf
-field strength, APE smearing, and the asqtad fattening paths.
+field strength and the asqtad fattening paths.
 
 They run *lattice-last*, in an order this module defines: links are read
 as ``(3, 3, T, Z, Y, X)`` slabs, and every 3x3 product is three

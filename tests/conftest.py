@@ -76,11 +76,6 @@ def weak_gauge448(geom448) -> GaugeField:
     return GaugeField.weak(geom448, epsilon=0.3, rng=202)
 
 
-@pytest.fixture(scope="session")
-def hot_gauge(geom44) -> GaugeField:
-    return GaugeField.hot(geom44, rng=303)
-
-
 @pytest.fixture()
 def wilson_vec(geom44, rng) -> np.ndarray:
     return SpinorField.random(geom44, rng=rng).data

@@ -15,7 +15,6 @@ from repro.dirac.clover import (
     invert_hermitian_blocks,
     SingularCloverError,
 )
-from repro.gauge.heatbath import HeatbathUpdater
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.linalg.gamma import GAMMA5
 
@@ -105,16 +104,6 @@ class TestBuiltOncePerGauge:
         gauge.data[0, 1, 2, 3, 0] = gauge.data[1, 1, 2, 3, 0]
         fresh = build_clover_blocks(gauge, csw=1.0)
         assert fresh is not stale and not np.array_equal(fresh, stale)
-        assert np.array_equal(fresh, build_clover_blocks(gauge.copy(), csw=1.0))
-
-    def test_heatbath_sweep_invalidates(self, gauge):
-        """The sweep primitive updates links in place (``sweep`` copies
-        first; HMC-style callers do not have to)."""
-        stale = build_clover_blocks(gauge, csw=1.0)
-        updater = HeatbathUpdater(beta=5.8, rng_seed=3)
-        updater._sweep_links(gauge, updater._heatbath_subgroup)
-        fresh = build_clover_blocks(gauge, csw=1.0)
-        assert fresh is not stale
         assert np.array_equal(fresh, build_clover_blocks(gauge.copy(), csw=1.0))
 
     def test_replaced_link_array_invalidates(self, gauge):

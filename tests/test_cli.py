@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro import io
 
 
 class TestHelp:
@@ -17,7 +16,7 @@ class TestHelp:
         )
         commands = set(sub.choices)
         assert {
-            "solve", "generate", "trace", "report", "info",
+            "solve", "trace", "report", "info",
             "bench-multirhs", "bench",
         } <= commands
         with pytest.raises(SystemExit):
@@ -31,7 +30,7 @@ class TestHelp:
         parser = build_parser()
         lines = parser.epilog.splitlines()[1:]
         table = lines[: lines.index("")]  # the availability note follows
-        assert len(table) == 18  # fig5..fig10 + 12 named commands
+        assert len(table) == 17  # fig5..fig10 + 11 named commands
         for line in table:
             name, _, help_ = line.strip().partition(" ")
             assert help_.strip(), f"command {name} has no help line"
@@ -255,27 +254,6 @@ class TestPrecond:
         assert all(e["converged"] for e in report["results"])
         assert (report["metrics"]["schwarz_iterations"]
                 < report["metrics"]["none_iterations"])
-
-
-class TestGenerate:
-    def test_generate_and_save(self, tmp_path, capsys):
-        out_path = tmp_path / "gen.npz"
-        rc = main([
-            "generate", "--dims", "4", "4", "4", "4", "--beta", "5.7",
-            "--sweeps", "4", "--output", str(out_path),
-        ])
-        assert rc == 0
-        assert "plaquette" in capsys.readouterr().out
-        gauge, extra = io.load_gauge(out_path)
-        assert extra["beta"] == 5.7
-        assert 0.0 < gauge.plaquette() < 1.0
-
-    def test_hot_start(self, capsys):
-        rc = main([
-            "generate", "--dims", "4", "4", "4", "4", "--beta", "1.0",
-            "--sweeps", "2", "--start", "hot",
-        ])
-        assert rc == 0
 
 
 class TestInfo:
