@@ -35,120 +35,41 @@ stencil sweep, one reduction, and one halo message per neighbor serve
 all N systems at once (see docs/api.md).
 """
 
-from repro.lattice import Geometry, GaugeField, SpinorField
-from repro.precision import (
-    DOUBLE,
-    HALF,
-    SINGLE,
-    SINGLE_HALF_HALF,
-    Precision,
-    PrecisionPolicy,
-)
-from repro.dirac import (
-    AsqtadOperator,
-    EvenOddPreconditionedWilson,
-    NaiveStaggeredOperator,
-    StaggeredNormalOperator,
-    WilsonCloverOperator,
-    PERIODIC,
-    PHYSICAL,
-    BoundarySpec,
-)
-from repro.solvers import (
-    BatchedSolverResult,
-    SolverResult,
-    batched_bicgstab,
-    batched_cg,
-    batched_gcr,
-    bicgstab,
-    cg,
-    cgnr,
-    gcr,
-    mr,
-    multishift_cg,
-    multishift_with_refinement,
-)
-from repro.comm import ProcessGrid, choose_grid
-from repro.multigpu import BlockPartition, HaloExchanger
-from repro.dd import (
-    AdditiveSchwarzPreconditioner,
-    OverlappingSchwarzPreconditioner,
-    SAPPreconditioner,
-    TwoLevelSchwarzPreconditioner,
-)
-from repro.core import (
-    GCRDDConfig,
-    GCRDDSolver,
-    SPMDGCRDDSolver,
-    SolveRequest,
-    solve,
-    tune_dslash_partitioning,
-    tune_precision_policy,
-    tune_wilson_solver,
-)
-from repro.kernels import (
-    KernelBackend,
-    KernelUnavailableError,
-    capability_matrix,
-    kernel_choices,
-    resolve_kernel,
-)
-from repro.util import Tally, tally
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Geometry",
-    "GaugeField",
-    "SpinorField",
-    "Precision",
-    "PrecisionPolicy",
-    "DOUBLE",
-    "SINGLE",
-    "HALF",
-    "SINGLE_HALF_HALF",
-    "BoundarySpec",
-    "PERIODIC",
-    "PHYSICAL",
-    "WilsonCloverOperator",
-    "EvenOddPreconditionedWilson",
-    "NaiveStaggeredOperator",
-    "AsqtadOperator",
-    "StaggeredNormalOperator",
-    "SolverResult",
-    "BatchedSolverResult",
-    "cg",
-    "cgnr",
-    "bicgstab",
-    "batched_cg",
-    "batched_bicgstab",
-    "batched_gcr",
-    "mr",
-    "gcr",
-    "multishift_cg",
-    "multishift_with_refinement",
-    "ProcessGrid",
-    "choose_grid",
-    "BlockPartition",
-    "HaloExchanger",
-    "AdditiveSchwarzPreconditioner",
-    "OverlappingSchwarzPreconditioner",
-    "SAPPreconditioner",
-    "TwoLevelSchwarzPreconditioner",
-    "GCRDDConfig",
-    "GCRDDSolver",
-    "SPMDGCRDDSolver",
-    "SolveRequest",
-    "solve",
-    "tune_dslash_partitioning",
-    "tune_wilson_solver",
-    "tune_precision_policy",
-    "KernelBackend",
-    "KernelUnavailableError",
-    "capability_matrix",
-    "kernel_choices",
-    "resolve_kernel",
-    "Tally",
-    "tally",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lattice": ("Geometry", "GaugeField", "SpinorField"),
+    "repro.precision": (
+        "Precision", "PrecisionPolicy", "DOUBLE", "SINGLE", "HALF",
+        "SINGLE_HALF_HALF",
+    ),
+    "repro.dirac": (
+        "BoundarySpec", "PERIODIC", "PHYSICAL", "WilsonCloverOperator",
+        "EvenOddPreconditionedWilson", "NaiveStaggeredOperator",
+        "AsqtadOperator", "StaggeredNormalOperator",
+    ),
+    "repro.solvers": (
+        "SolverResult", "BatchedSolverResult", "cg", "cgnr", "bicgstab",
+        "batched_cg", "batched_bicgstab", "batched_gcr", "mr", "gcr",
+        "multishift_cg", "multishift_with_refinement",
+    ),
+    "repro.comm": ("ProcessGrid", "choose_grid"),
+    "repro.multigpu": ("BlockPartition", "HaloExchanger"),
+    "repro.dd": (
+        "AdditiveSchwarzPreconditioner", "OverlappingSchwarzPreconditioner",
+        "SAPPreconditioner", "TwoLevelSchwarzPreconditioner",
+    ),
+    "repro.core": (
+        "GCRDDConfig", "GCRDDSolver", "SPMDGCRDDSolver", "SolveRequest",
+        "solve", "tune_dslash_partitioning", "tune_wilson_solver",
+        "tune_precision_policy",
+    ),
+    "repro.kernels": (
+        "KernelBackend", "KernelUnavailableError", "capability_matrix",
+        "kernel_choices", "resolve_kernel",
+    ),
+    "repro.util": ("Tally", "tally"),
+})
+__all__.append("__version__")

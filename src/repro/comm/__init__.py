@@ -16,35 +16,18 @@ interchangeable backends (``sequential``, ``threads``, ``processes``)
 that produce bit-identical numerics.
 """
 
-from repro.comm.backends import (
-    DeadlockError,
-    RankOutcome,
-    SPMDError,
-    process_backend_available,
-    run_rank_programs,
-)
-from repro.comm.communicator import (
-    BACKENDS,
-    Communicator,
-    MailboxCommunicator,
-    reduce_in_rank_order,
-)
-from repro.comm.grid import ProcessGrid, choose_grid
-from repro.comm.mailbox import Mailbox
-from repro.comm.shm import ShmCommunicator
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "Communicator",
-    "MailboxCommunicator",
-    "ShmCommunicator",
-    "DeadlockError",
-    "SPMDError",
-    "RankOutcome",
-    "run_rank_programs",
-    "process_backend_available",
-    "reduce_in_rank_order",
-    "ProcessGrid",
-    "choose_grid",
-    "Mailbox",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backends": (
+        "DeadlockError", "RankOutcome", "SPMDError",
+        "process_backend_available", "run_rank_programs",
+    ),
+    ".communicator": (
+        "BACKENDS", "Communicator", "MailboxCommunicator",
+        "reduce_in_rank_order",
+    ),
+    ".grid": ("ProcessGrid", "choose_grid"),
+    ".mailbox": ("Mailbox",),
+    ".shm": ("ShmCommunicator",),
+})

@@ -3,22 +3,14 @@ mixed-precision GCR solver (GCR-DD), the baseline mixed-precision
 BiCGstab, the two-stage asqtad multi-shift solver, and high-level solve
 entry points."""
 
-from repro.core.gcrdd import GCRDDConfig, GCRDDSolver
-from repro.core.spmd import SPMDGCRDDSolver
-from repro.core.api import SolveRequest, solve
-from repro.core.tune import (
-    tune_dslash_partitioning,
-    tune_precision_policy,
-    tune_wilson_solver,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GCRDDConfig",
-    "GCRDDSolver",
-    "SPMDGCRDDSolver",
-    "SolveRequest",
-    "solve",
-    "tune_dslash_partitioning",
-    "tune_wilson_solver",
-    "tune_precision_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".gcrdd": ("GCRDDConfig", "GCRDDSolver"),
+    ".spmd": ("SPMDGCRDDSolver",),
+    ".api": ("SolveRequest", "solve"),
+    ".tune": (
+        "tune_dslash_partitioning", "tune_precision_policy",
+        "tune_wilson_solver",
+    ),
+})

@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.comm.grid import ProcessGrid
-from repro.core.gcrdd import GCRDDConfig, GCRDDSolver
 from repro.dirac.base import BoundarySpec, PERIODIC
 from repro.dirac.evenodd import EvenOddPreconditionedWilson
-from repro.dirac.staggered import AsqtadOperator, StaggeredNormalOperator
 from repro.dirac.wilson import WilsonCloverOperator
-from repro.gauge.asqtad import AsqtadLinks, build_asqtad_links
 from repro.kernels import KernelUnavailableError, resolve_kernel
-from repro.lattice.fields import GaugeField
 from repro.metrics.solve_report import build_solve_report
 from repro.precision import Precision
 from repro.precond import (
@@ -35,7 +30,6 @@ from repro.precond import (
     resolve_precond,
 )
 from repro.solvers.base import SolverResult
-from repro.solvers.mixed import BICGSTAB_INNER_TOL, CG_INNER_TOL
 from repro.solvers.multirhs import (
     BatchedSolverResult,
     batched_bicgstab,
@@ -44,8 +38,18 @@ from repro.solvers.multirhs import (
     batched_pcg,
     solve_lanes,
 )
-from repro.solvers.refine import MultishiftRefineResult, multishift_with_refinement
 from repro.solvers.space import STAGGERED_SPACE, batched_space_for_nspin
+
+# What only some routes run is imported in the branch that runs it, so a
+# Wilson BiCGstab solve (and the serve daemon's boot) compiles no GCR-DD,
+# domain decomposition, staggered, multi-shift or mixed-precision module.
+if TYPE_CHECKING:
+    from repro.comm.grid import ProcessGrid
+    from repro.core.gcrdd import GCRDDConfig
+    from repro.dirac.staggered import AsqtadOperator
+    from repro.gauge.asqtad import AsqtadLinks
+    from repro.lattice.fields import GaugeField
+    from repro.solvers.refine import MultishiftRefineResult
 
 _DEFAULT_TOL = 1e-8
 _MULTISHIFT_TOL = 1e-10
@@ -441,6 +445,8 @@ def _gcrdd_config(request: SolveRequest) -> GCRDDConfig:
     config (via a copy) — passing ``config=`` plus the default
     ``tol=None`` leaves the config's own tolerance in charge.
     """
+    from repro.core.gcrdd import GCRDDConfig
+
     base = request.config or GCRDDConfig()
     overrides = {}
     if request.tol is not None:
@@ -477,6 +483,8 @@ def _solve_wilson(request: SolveRequest):
         boundary=request.boundary, kernel=request.kernel,
     )
     if method == "gcr-dd":
+        from repro.core.gcrdd import GCRDDSolver
+
         return GCRDDSolver(op, request.grid, _gcrdd_config(request)).solve(b)
 
     lead = op.field_lead(b)
@@ -489,6 +497,8 @@ def _solve_wilson(request: SolveRequest):
         # One loop for one right-hand side or many (a single one is the
         # batch of one): a served lane is its solo solve.
         if prec is not None:
+            from repro.solvers.mixed import BICGSTAB_INNER_TOL
+
             return solve_lanes(
                 batched_defect_correction, target_op, rhs, lead=lead,
                 inner_solver=batched_bicgstab, inner_precision=prec, tol=tol,
@@ -529,6 +539,10 @@ def _asqtad_operator(
     u0: float,
     kernel: str = "auto",
 ) -> AsqtadOperator:
+    from repro.dirac.staggered import AsqtadOperator
+    from repro.gauge.asqtad import build_asqtad_links
+    from repro.lattice.fields import GaugeField
+
     links = (
         build_asqtad_links(source, u0=u0)
         if isinstance(source, GaugeField)
@@ -538,6 +552,8 @@ def _asqtad_operator(
 
 
 def _solve_asqtad(request: SolveRequest):
+    from repro.dirac.staggered import StaggeredNormalOperator
+
     op = _asqtad_operator(
         request.gauge, request.mass, request.boundary, request.u0,
         kernel=request.kernel,
@@ -582,6 +598,8 @@ def _solve_asqtad(request: SolveRequest):
         res = solve_lanes(batched_cg, normal.apply, rhs, lead=lead, tol=tol,
                           maxiter=maxiter, space=space)
     else:
+        from repro.solvers.mixed import CG_INNER_TOL
+
         res = solve_lanes(
             batched_defect_correction, normal.apply, rhs, lead=lead,
             inner_solver=batched_cg, inner_precision=prec, tol=tol,
@@ -596,6 +614,9 @@ def _solve_asqtad(request: SolveRequest):
 
 
 def _solve_asqtad_multishift(request: SolveRequest) -> MultishiftRefineResult:
+    from repro.dirac.staggered import StaggeredNormalOperator
+    from repro.solvers.refine import multishift_with_refinement
+
     b = np.asarray(request.rhs)
     op = _asqtad_operator(
         request.gauge, request.mass, request.boundary, request.u0,

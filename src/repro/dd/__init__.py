@@ -8,16 +8,12 @@ Construction normally goes through the :mod:`repro.precond` registry
 (``resolve_precond(...).build(...)``) rather than these classes
 directly."""
 
-from repro.dd.schwarz import AdditiveSchwarzPreconditioner
-from repro.dd.multisplit import MultiSplittingPreconditioner
-from repro.dd.overlapping import OverlappingSchwarzPreconditioner
-from repro.dd.sap import SAPPreconditioner
-from repro.dd.twolevel import TwoLevelSchwarzPreconditioner
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AdditiveSchwarzPreconditioner",
-    "MultiSplittingPreconditioner",
-    "OverlappingSchwarzPreconditioner",
-    "SAPPreconditioner",
-    "TwoLevelSchwarzPreconditioner",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".schwarz": ("AdditiveSchwarzPreconditioner",),
+    ".multisplit": ("MultiSplittingPreconditioner",),
+    ".overlapping": ("OverlappingSchwarzPreconditioner",),
+    ".sap": ("SAPPreconditioner",),
+    ".twolevel": ("TwoLevelSchwarzPreconditioner",),
+})

@@ -2,39 +2,18 @@
 improved staggered (asqtad), with even-odd preconditioned and shifted/normal
 forms (Secs. 2-3 of the paper)."""
 
-from repro.dirac.base import (
-    BoundarySpec,
-    LatticeOperator,
-    NormalOperator,
-    PERIODIC,
-    PHYSICAL,
-    ShiftedOperator,
-    link_apply,
-)
-from repro.dirac.wilson import WilsonCloverOperator
-from repro.dirac.clover import build_clover_field, apply_clover
-from repro.dirac.staggered import (
-    AsqtadOperator,
-    NaiveStaggeredOperator,
-    StaggeredNormalOperator,
-    staggered_phases,
-)
-from repro.dirac.evenodd import EvenOddPreconditionedWilson
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BoundarySpec",
-    "LatticeOperator",
-    "NormalOperator",
-    "ShiftedOperator",
-    "PERIODIC",
-    "PHYSICAL",
-    "link_apply",
-    "WilsonCloverOperator",
-    "build_clover_field",
-    "apply_clover",
-    "AsqtadOperator",
-    "NaiveStaggeredOperator",
-    "StaggeredNormalOperator",
-    "staggered_phases",
-    "EvenOddPreconditionedWilson",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": (
+        "BoundarySpec", "LatticeOperator", "NormalOperator", "PERIODIC",
+        "PHYSICAL", "ShiftedOperator", "link_apply",
+    ),
+    ".wilson": ("WilsonCloverOperator",),
+    ".clover": ("build_clover_field", "apply_clover"),
+    ".staggered": (
+        "AsqtadOperator", "NaiveStaggeredOperator",
+        "StaggeredNormalOperator", "staggered_phases",
+    ),
+    ".evenodd": ("EvenOddPreconditionedWilson",),
+})

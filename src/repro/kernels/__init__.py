@@ -14,47 +14,23 @@ Importing this package registers the built-in tiers:
 the CLI ``--kernel`` flag all resolve through :func:`resolve_kernel`.
 """
 
-from repro.kernels.base import (
-    KernelBackend,
-    KernelCapabilities,
-    KernelUnavailableError,
-    OPERATOR_FAMILIES,
-)
-from repro.kernels.c_backend import CBackend
-from repro.kernels.numpy_backend import NumpyBackend, NumpyReferenceBackend
-from repro.kernels.registry import (
-    AUTO,
-    availability_note,
-    available_backends,
-    backend_names,
-    capability_matrix,
-    convert_field,
-    get_backend,
-    kernel_choices,
-    register_backend,
-    resolve_kernel,
-)
+from repro._exports import lazy_exports
+from repro.kernels import c_backend, numpy_backend, registry
 
-register_backend(NumpyBackend())
-register_backend(NumpyReferenceBackend())
-register_backend(CBackend())
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": (
+        "KernelBackend", "KernelCapabilities", "KernelUnavailableError",
+        "OPERATOR_FAMILIES",
+    ),
+    ".c_backend": ("CBackend",),
+    ".numpy_backend": ("NumpyBackend", "NumpyReferenceBackend"),
+    ".registry": (
+        "AUTO", "availability_note", "available_backends", "backend_names",
+        "capability_matrix", "convert_field", "get_backend",
+        "kernel_choices", "register_backend", "resolve_kernel",
+    ),
+})
 
-__all__ = [
-    "AUTO",
-    "CBackend",
-    "KernelBackend",
-    "KernelCapabilities",
-    "KernelUnavailableError",
-    "NumpyBackend",
-    "NumpyReferenceBackend",
-    "OPERATOR_FAMILIES",
-    "availability_note",
-    "available_backends",
-    "backend_names",
-    "capability_matrix",
-    "convert_field",
-    "get_backend",
-    "kernel_choices",
-    "register_backend",
-    "resolve_kernel",
-]
+registry.register_backend(numpy_backend.NumpyBackend())
+registry.register_backend(numpy_backend.NumpyReferenceBackend())
+registry.register_backend(c_backend.CBackend())

@@ -6,27 +6,10 @@ slowest (array shape ``(T, Z, Y, X)``), directions are numbered
 parity ``(x+y+z+t) mod 2``.
 """
 
-from repro.lattice.geometry import Geometry, X, Y, Z, T, DIRECTIONS
-from repro.lattice.fields import (
-    GaugeField,
-    SpinorField,
-    WILSON_SPINS,
-    STAGGERED_SPINS,
-)
-from repro.lattice.layout import FieldLayout, gauge_layout, spinor_layout
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Geometry",
-    "GaugeField",
-    "SpinorField",
-    "WILSON_SPINS",
-    "STAGGERED_SPINS",
-    "FieldLayout",
-    "spinor_layout",
-    "gauge_layout",
-    "X",
-    "Y",
-    "Z",
-    "T",
-    "DIRECTIONS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".geometry": ("Geometry", "X", "Y", "Z", "T", "DIRECTIONS"),
+    ".fields": ("GaugeField", "SpinorField", "WILSON_SPINS", "STAGGERED_SPINS"),
+    ".layout": ("FieldLayout", "spinor_layout", "gauge_layout"),
+})

@@ -1,6 +1,9 @@
 """Dense per-site linear algebra: SU(3) color algebra, spin (gamma) algebra,
 and the BLAS-like vector layer with cost accounting."""
 
-from repro.linalg import blas, gamma, su3
+from repro._exports import lazy_exports
 
-__all__ = ["blas", "gamma", "su3"]
+# The three names are the submodules themselves, which the surface
+# imports on first access.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {})
+__all__ += ["blas", "gamma", "su3"]

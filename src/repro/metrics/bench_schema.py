@@ -34,6 +34,7 @@ the known kinds.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -128,6 +129,35 @@ register_bench_kind(BenchKind(
 ))
 
 
+def _platform() -> str:
+    """``platform.platform()``, composed without asking for the processor.
+
+    The stdlib resolves ``uname().processor`` by starting ``uname -p``: a
+    child process, and the module that starts it, in the first report of
+    every process.  On Linux that string drops the processor anyway when
+    it is ``unknown`` or equals the machine, so it is spelled here from
+    the system, release, machine and C library; elsewhere the stdlib's
+    own answer stands.
+    """
+    import platform
+
+    uname = platform.uname()
+    if uname.system != "Linux":
+        return platform.platform()
+    lib, version = platform.libc_ver()
+    name = "-".join(
+        part.strip()
+        for part in (uname.system, uname.release, uname.machine, "with",
+                     lib + version)
+        if part
+    )
+    # The stdlib's clean-up of the joined string: filename-safe, no
+    # "unknown", no empty fields.
+    name = re.sub(r'[/\\:;"()]', "-", name.replace(" ", "_"))
+    name = re.sub("-+", "-", name.replace("unknown", ""))
+    return name.rstrip("-")
+
+
 def host_info() -> dict:
     """The host block for a fresh artifact (shared with SolveReport)."""
     import os
@@ -137,7 +167,7 @@ def host_info() -> dict:
 
     return {
         "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
+        "platform": _platform(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "numpy": np.__version__,

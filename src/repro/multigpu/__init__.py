@@ -7,16 +7,12 @@ layout arithmetic (:class:`HaloLayout`); its vector space is
 :class:`HaloExchanger` drives one engine per rank from a single thread,
 for ledgers and timing."""
 
-from repro.multigpu.partition import BlockPartition
-from repro.multigpu.layout import HaloLayout
-from repro.multigpu.halo import HaloExchanger
-from repro.multigpu.rank_halo import RankHaloEngine
-from repro.multigpu.rank_op import RankOperator
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BlockPartition",
-    "HaloLayout",
-    "HaloExchanger",
-    "RankHaloEngine",
-    "RankOperator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".partition": ("BlockPartition",),
+    ".layout": ("HaloLayout",),
+    ".halo": ("HaloExchanger",),
+    ".rank_halo": ("RankHaloEngine",),
+    ".rank_op": ("RankOperator",),
+})

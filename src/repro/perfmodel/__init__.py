@@ -24,33 +24,15 @@ Model structure (one module per physical subsystem):
   GCR-DD and multi-shift CG from the kernel/comm pieces.
 """
 
-from repro.perfmodel.device import GPUSpec, M2050
-from repro.perfmodel.interconnect import InterconnectSpec
-from repro.perfmodel.kernels import KernelModel, OperatorKind
-from repro.perfmodel.machines import EDGE, GPUCluster, CPUMachine, CPU_MACHINES, KRAKEN
-from repro.perfmodel.streams import DslashTimeline, model_dslash_time
-from repro.perfmodel.solver_model import (
-    BiCGstabModel,
-    GCRDDModel,
-    MultishiftModel,
-    SolverWorkload,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GPUSpec",
-    "M2050",
-    "InterconnectSpec",
-    "KernelModel",
-    "OperatorKind",
-    "EDGE",
-    "GPUCluster",
-    "CPUMachine",
-    "CPU_MACHINES",
-    "KRAKEN",
-    "DslashTimeline",
-    "model_dslash_time",
-    "BiCGstabModel",
-    "GCRDDModel",
-    "MultishiftModel",
-    "SolverWorkload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".device": ("GPUSpec", "M2050"),
+    ".interconnect": ("InterconnectSpec",),
+    ".kernels": ("KernelModel", "OperatorKind"),
+    ".machines": ("EDGE", "GPUCluster", "CPUMachine", "CPU_MACHINES", "KRAKEN"),
+    ".streams": ("DslashTimeline", "model_dslash_time"),
+    ".solver_model": (
+        "BiCGstabModel", "GCRDDModel", "MultishiftModel", "SolverWorkload",
+    ),
+})

@@ -16,58 +16,28 @@ Importing this package registers the built-in entries:
 ``--precond`` flag all resolve through :func:`resolve_precond`.
 """
 
-from repro.precond.base import (
-    OPERATOR_FAMILIES,
-    PrecondCapabilities,
-    PrecondEntry,
-    PrecondSettings,
-    PrecondUnavailableError,
-)
-from repro.precond.entries import (
-    MultisplitEntry,
-    NoneEntry,
-    RASEntry,
-    SchwarzEntry,
-    TwoLevelEntry,
-)
-from repro.precond.rank_local import schwarz_block_solve
-from repro.precond.registry import (
-    AUTO,
-    availability_note,
-    available_preconds,
-    capability_matrix,
-    get_precond,
-    precond_choices,
-    precond_names,
-    register_precond,
-    resolve_precond,
-)
+from repro._exports import lazy_exports
+from repro.precond import entries, registry
 
-register_precond(SchwarzEntry())
-register_precond(RASEntry())
-register_precond(TwoLevelEntry())
-register_precond(MultisplitEntry())
-register_precond(NoneEntry())
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": (
+        "OPERATOR_FAMILIES", "PrecondCapabilities", "PrecondEntry",
+        "PrecondSettings", "PrecondUnavailableError",
+    ),
+    ".entries": (
+        "MultisplitEntry", "NoneEntry", "RASEntry", "SchwarzEntry",
+        "TwoLevelEntry",
+    ),
+    ".rank_local": ("schwarz_block_solve",),
+    ".registry": (
+        "AUTO", "availability_note", "available_preconds",
+        "capability_matrix", "get_precond", "precond_choices",
+        "precond_names", "register_precond", "resolve_precond",
+    ),
+})
 
-__all__ = [
-    "AUTO",
-    "MultisplitEntry",
-    "NoneEntry",
-    "OPERATOR_FAMILIES",
-    "PrecondCapabilities",
-    "PrecondEntry",
-    "PrecondSettings",
-    "PrecondUnavailableError",
-    "RASEntry",
-    "SchwarzEntry",
-    "TwoLevelEntry",
-    "availability_note",
-    "available_preconds",
-    "capability_matrix",
-    "get_precond",
-    "precond_choices",
-    "precond_names",
-    "register_precond",
-    "resolve_precond",
-    "schwarz_block_solve",
-]
+registry.register_precond(entries.SchwarzEntry())
+registry.register_precond(entries.RASEntry())
+registry.register_precond(entries.TwoLevelEntry())
+registry.register_precond(entries.MultisplitEntry())
+registry.register_precond(entries.NoneEntry())

@@ -1,5 +1,7 @@
 """Plain-text reporting: ASCII log-log charts and trace timelines."""
 
-from repro.report.ascii_plot import AsciiPlot, loglog_chart, timeline_chart
+from repro._exports import lazy_exports
 
-__all__ = ["AsciiPlot", "loglog_chart", "timeline_chart"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".ascii_plot": ("AsciiPlot", "loglog_chart", "timeline_chart"),
+})

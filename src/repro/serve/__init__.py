@@ -9,54 +9,29 @@ queue/batch/latency metrics through the Prometheus text format.
 Layering (each module documents its own contract):
 
 - :mod:`repro.serve.errors` — the typed 4xx/5xx error vocabulary;
+- :mod:`repro.serve.wire` — the array codec (NumPy and errors only);
 - :mod:`repro.serve.request` — wire schema, validation, fingerprint;
 - :mod:`repro.serve.queue` — bounded priority queue with deadlines;
 - :mod:`repro.serve.coalescer` — the batching window policy;
 - :mod:`repro.serve.service` — dispatcher thread + batched execution;
 - :mod:`repro.serve.http` — the stdlib HTTP/JSONL front;
-- :mod:`repro.serve.client` — the stdlib HTTP client.
+- :mod:`repro.serve.client` — the stdlib HTTP client, on the codec
+  alone: a client process loads no solver.
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.coalescer import CoalesceOutcome, Coalescer
-from repro.serve.errors import (
-    DeadlineExpiredError,
-    QueueFullError,
-    RequestValidationError,
-    ServeError,
-    ServiceClosedError,
-    SolveFailedError,
-    error_from_dict,
-)
-from repro.serve.http import ServeServer
-from repro.serve.queue import QueuedRequest, SolveQueue, Ticket
-from repro.serve.request import (
-    SERVABLE_OPERATORS,
-    ServiceRequest,
-    decode_array,
-    encode_array,
-)
-from repro.serve.service import ServedResult, SolveService
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SERVABLE_OPERATORS",
-    "CoalesceOutcome",
-    "Coalescer",
-    "DeadlineExpiredError",
-    "QueueFullError",
-    "QueuedRequest",
-    "RequestValidationError",
-    "ServeClient",
-    "ServeError",
-    "ServeServer",
-    "ServedResult",
-    "ServiceClosedError",
-    "ServiceRequest",
-    "SolveFailedError",
-    "SolveQueue",
-    "SolveService",
-    "Ticket",
-    "decode_array",
-    "encode_array",
-    "error_from_dict",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".client": ("ServeClient",),
+    ".coalescer": ("CoalesceOutcome", "Coalescer"),
+    ".errors": (
+        "DeadlineExpiredError", "QueueFullError", "RequestValidationError",
+        "ServeError", "ServiceClosedError", "SolveFailedError",
+        "error_from_dict",
+    ),
+    ".http": ("ServeServer",),
+    ".queue": ("QueuedRequest", "SolveQueue", "Ticket"),
+    ".request": ("ServiceRequest",),
+    ".wire": ("SERVABLE_OPERATORS", "decode_array", "encode_array"),
+    ".service": ("ServedResult", "SolveService"),
+})

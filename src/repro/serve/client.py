@@ -18,7 +18,7 @@ The client always asks for the packed array form (``Accept:
 ...;arrays=base64``, docs/serving.md "Arrays on the wire") and returns
 the response documents as received; ``decode_array(doc["solution"])``
 turns either form into the array.  It sends packed too: a nested inline
-``rhs`` goes out re-encoded (:func:`~repro.serve.request.pack_inline_rhs`),
+``rhs`` goes out re-encoded (:func:`~repro.serve.wire.pack_inline_rhs`),
 half the bytes and about a sixth of the client's encoding time.
 """
 
@@ -29,7 +29,7 @@ import urllib.error
 import urllib.request
 
 from repro.serve.errors import ServeError, error_from_dict
-from repro.serve.request import PACKED_ARRAYS, pack_inline_rhs
+from repro.serve.wire import PACKED_ARRAYS, pack_inline_rhs
 from repro.serve.tracing import new_request_id
 
 
@@ -97,7 +97,7 @@ class ServeClient:
             The ``status="ok"`` response dict (converged, iterations,
             residual, batch placement, timing, report, and — when
             ``return_solution`` was set — the solution as a packed wire
-            array for :func:`~repro.serve.request.decode_array`), or
+            array for :func:`~repro.serve.wire.decode_array`), or
             the ``status="diverged"`` one (``residual`` ``None``,
             ``breakdown="non-finite"``, no solution): that is the
             request's outcome, not a failure to serve it.

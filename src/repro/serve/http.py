@@ -39,7 +39,7 @@ packed form with a media-type parameter — ``Accept:
 application/json;arrays=base64`` (``application/jsonl;arrays=base64`` on
 the JSONL route) — in which case every array of the response is
 ``{"b64", "dtype", "shape"}`` and the response ``Content-Type`` echoes
-the parameter (:func:`~repro.serve.request.encode_array`;
+the parameter (:func:`~repro.serve.wire.encode_array`;
 docs/serving.md, "Arrays on the wire").
 
 **Request correlation.**  ``POST /v1/solve`` accepts an
@@ -59,7 +59,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serve.errors import ServeError
-from repro.serve.request import PACKED_ARRAYS
+from repro.serve.wire import PACKED_ARRAYS
 from repro.serve.service import SolveService
 
 #: Upper bound on how long one HTTP handler waits for its ticket; a

@@ -55,7 +55,8 @@ from repro.serve.errors import (
     SolveFailedError,
 )
 from repro.serve.queue import QueuedRequest, SolveQueue, Ticket
-from repro.serve.request import ServiceRequest, block_grid, encode_array
+from repro.serve.request import ServiceRequest, block_grid
+from repro.serve.wire import encode_array
 from repro.serve.tracing import (
     RequestTrace,
     emit_batched_solve,
@@ -137,7 +138,7 @@ class ServedResult:
 
         Args:
             packed: The array form of the solution
-                (:func:`~repro.serve.request.encode_array`); the HTTP
+                (:func:`~repro.serve.wire.encode_array`); the HTTP
                 front takes it from the request's ``Accept`` header.
 
         Returns:

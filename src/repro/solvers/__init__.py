@@ -2,67 +2,29 @@
 Sec. 8: CG / CGNR, BiCGstab, MR, flexible restarted GCR (Algorithm 1),
 multi-shift CG, and defect-correction ("reliable update") wrappers."""
 
-from repro.solvers.base import Operator, PrecisionWrappedOperator, SolverResult
-from repro.solvers.bicgstab import bicgstab
-from repro.solvers.cg import cg, cgnr, pcg
-from repro.solvers.eigen import SpectrumEstimate, estimate_condition_number, lanczos_spectrum
-from repro.solvers.gcr import gcr
-from repro.solvers.mixed import (
-    defect_correction,
-    mixed_precision_bicgstab,
-    mixed_precision_cg,
-)
-from repro.solvers.mr import mr
-from repro.solvers.multirhs import (
-    BatchedSolverResult,
-    batched_bicgstab,
-    batched_cg,
-    batched_defect_correction,
-    batched_gcr,
-    batched_mr,
-    batched_pcg,
-)
-from repro.solvers.multishift import multishift_cg
-from repro.solvers.refine import MultishiftRefineResult, multishift_with_refinement
-from repro.solvers.space import (
-    ArraySpace,
-    BatchedArraySpace,
-    STAGGERED_SPACE,
-    WILSON_SPACE,
-    batched_space_for_nspin,
-    space_for_nspin,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Operator",
-    "PrecisionWrappedOperator",
-    "SolverResult",
-    "BatchedSolverResult",
-    "ArraySpace",
-    "BatchedArraySpace",
-    "WILSON_SPACE",
-    "STAGGERED_SPACE",
-    "space_for_nspin",
-    "batched_space_for_nspin",
-    "batched_cg",
-    "batched_bicgstab",
-    "batched_defect_correction",
-    "batched_mr",
-    "batched_gcr",
-    "cg",
-    "cgnr",
-    "pcg",
-    "batched_pcg",
-    "lanczos_spectrum",
-    "estimate_condition_number",
-    "SpectrumEstimate",
-    "bicgstab",
-    "mr",
-    "gcr",
-    "multishift_cg",
-    "multishift_with_refinement",
-    "MultishiftRefineResult",
-    "defect_correction",
-    "mixed_precision_cg",
-    "mixed_precision_bicgstab",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Operator", "PrecisionWrappedOperator", "SolverResult"),
+    ".bicgstab": ("bicgstab",),
+    ".cg": ("cg", "cgnr", "pcg"),
+    ".eigen": (
+        "SpectrumEstimate", "estimate_condition_number", "lanczos_spectrum",
+    ),
+    ".gcr": ("gcr",),
+    ".mixed": (
+        "defect_correction", "mixed_precision_bicgstab", "mixed_precision_cg",
+    ),
+    ".mr": ("mr",),
+    ".multirhs": (
+        "BatchedSolverResult", "batched_bicgstab", "batched_cg",
+        "batched_defect_correction", "batched_gcr", "batched_mr",
+        "batched_pcg",
+    ),
+    ".multishift": ("multishift_cg",),
+    ".refine": ("MultishiftRefineResult", "multishift_with_refinement"),
+    ".space": (
+        "ArraySpace", "BatchedArraySpace", "STAGGERED_SPACE", "WILSON_SPACE",
+        "batched_space_for_nspin", "space_for_nspin",
+    ),
+})

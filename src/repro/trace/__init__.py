@@ -29,62 +29,20 @@ when disabled.  Enable it with::
     print(trace.format_table(tr.events))
 """
 
-from repro.trace.core import (
-    MODEL_RANK,
-    TraceEvent,
-    Tracer,
-    active_tracer,
-    emit_complete,
-    instant,
-    span,
-    tracing,
-)
-from repro.trace.perfetto import (
-    TraceFormatError,
-    events_to_chrome,
-    load_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.trace.summary import (
-    SpanStat,
-    ascii_tracks,
-    format_table,
-    kind_totals,
-    summarize,
-    timed_kernel_totals,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MODEL_RANK",
-    "TraceEvent",
-    "Tracer",
-    "active_tracer",
-    "emit_complete",
-    "instant",
-    "span",
-    "tracing",
-    "TraceFormatError",
-    "events_to_chrome",
-    "load_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "SpanStat",
-    "ascii_tracks",
-    "format_table",
-    "kind_totals",
-    "summarize",
-    "timed_kernel_totals",
-    "timeline_events",
-]
-
-
-def __getattr__(name):
-    # repro.trace.model imports the perfmodel layer, which (transitively)
-    # imports repro.util.counters — and counters imports this package for
-    # span emission.  Loading model lazily keeps that import acyclic.
-    if name == "timeline_events":
-        from repro.trace.model import timeline_events
-
-        return timeline_events
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (
+        "MODEL_RANK", "TraceEvent", "Tracer", "active_tracer",
+        "emit_complete", "instant", "span", "tracing",
+    ),
+    ".perfetto": (
+        "TraceFormatError", "events_to_chrome", "load_chrome_trace",
+        "validate_chrome_trace", "write_chrome_trace",
+    ),
+    ".summary": (
+        "SpanStat", "ascii_tracks", "format_table", "kind_totals",
+        "summarize", "timed_kernel_totals",
+    ),
+    ".model": ("timeline_events",),
+})

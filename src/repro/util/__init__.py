@@ -1,6 +1,8 @@
 """Shared utilities: flop/byte tallies, deterministic RNG helpers, timers."""
 
-from repro.util.counters import Tally, current_tally, tally
-from repro.util.rng import make_rng
+from repro._exports import lazy_exports
 
-__all__ = ["Tally", "current_tally", "tally", "make_rng"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".counters": ("Tally", "current_tally", "tally"),
+    ".rng": ("make_rng",),
+})

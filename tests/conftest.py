@@ -61,12 +61,6 @@ def geom448() -> Geometry:
 
 
 @pytest.fixture(scope="session")
-def geom_mixed() -> Geometry:
-    """Distinct extents in every direction to catch axis-order bugs."""
-    return Geometry((4, 6, 8, 10))
-
-
-@pytest.fixture(scope="session")
 def weak_gauge(geom44) -> GaugeField:
     return GaugeField.weak(geom44, epsilon=0.3, rng=101)
 
@@ -77,18 +71,5 @@ def weak_gauge448(geom448) -> GaugeField:
 
 
 @pytest.fixture()
-def wilson_vec(geom44, rng) -> np.ndarray:
-    return SpinorField.random(geom44, rng=rng).data
-
-
-@pytest.fixture()
 def staggered_vec(geom44, rng) -> np.ndarray:
     return SpinorField.random(geom44, nspin=1, rng=rng).data
-
-
-def random_wilson(geometry: Geometry, seed: int = 7) -> np.ndarray:
-    return SpinorField.random(geometry, rng=seed).data
-
-
-def random_staggered(geometry: Geometry, seed: int = 7) -> np.ndarray:
-    return SpinorField.random(geometry, nspin=1, rng=seed).data
