@@ -1,10 +1,9 @@
 """Extension bench: the Schwarz variants of the paper's future-work list.
 
 Compares, on real solves, the paper's non-overlapping additive Schwarz
-against restricted additive Schwarz with overlap (Sec. 3.2's tunable),
-multiplicative Schwarz (SAP, the Luscher [20] lineage), and two-level
-blocking — outer iterations, redundant work, and the communication
-character of each.
+against restricted additive Schwarz with overlap (Sec. 3.2's tunable) —
+outer iterations, redundant work, and the communication character of
+each.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from repro.comm import ProcessGrid
 from repro.dd import (
     AdditiveSchwarzPreconditioner,
     OverlappingSchwarzPreconditioner,
-    SAPPreconditioner,
-    TwoLevelSchwarzPreconditioner,
 )
 from repro.dirac import WilsonCloverOperator
 from repro.lattice import GaugeField, Geometry, SpinorField
@@ -47,13 +44,6 @@ def _variants(op, part):
         "RAS overlap=2": OverlappingSchwarzPreconditioner(
             op, part, overlap=2, mr_steps=6, precision=None
         ),
-        "SAP 1 cycle": SAPPreconditioner(
-            op, part, mr_steps=6, cycles=1, precision=None
-        ),
-        "two-level 2x2": TwoLevelSchwarzPreconditioner(
-            op, part, ProcessGrid((1, 1, 2, 2)), inner_mr_steps=4,
-            outer_sweeps=2, precision=None,
-        ),
     }
 
 
@@ -79,9 +69,8 @@ def test_schwarz_variant_comparison(system):
          "local red.", "redundant work"],
         rows,
     )
-    # The paper's qualitative expectations:
+    # The paper's qualitative expectation:
     assert iters["RAS overlap=2"] < iters["additive (paper)"]
-    assert iters["SAP 1 cycle"] <= iters["additive (paper)"]
 
 
 def test_overlap_iteration_monotonicity(system):
@@ -104,14 +93,13 @@ def test_overlap_iteration_monotonicity(system):
 
 
 @pytest.mark.benchmark(group="extension-schwarz")
-@pytest.mark.parametrize("variant", ["additive", "overlap2", "sap"])
+@pytest.mark.parametrize("variant", ["additive", "overlap2"])
 def test_bench_preconditioner_application(benchmark, system, variant):
     geom, op, part, b = system
     k = {
         "additive": AdditiveSchwarzPreconditioner(op, part, mr_steps=6),
         "overlap2": OverlappingSchwarzPreconditioner(op, part, overlap=2,
                                                      mr_steps=6),
-        "sap": SAPPreconditioner(op, part, mr_steps=6),
     }[variant]
     r = SpinorField.random(geom, rng=1).data
     benchmark(k, r)

@@ -59,12 +59,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.multigpu": ("BlockPartition", "HaloExchanger"),
     "repro.dd": (
         "AdditiveSchwarzPreconditioner", "OverlappingSchwarzPreconditioner",
-        "SAPPreconditioner", "TwoLevelSchwarzPreconditioner",
     ),
     "repro.core": (
         "GCRDDConfig", "GCRDDSolver", "SPMDGCRDDSolver", "SolveRequest",
-        "solve", "tune_dslash_partitioning", "tune_wilson_solver",
-        "tune_precision_policy",
+        "solve",
     ),
     "repro.kernels": (
         "KernelBackend", "KernelUnavailableError", "capability_matrix",

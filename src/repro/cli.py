@@ -9,10 +9,10 @@ performance model, ``solve`` runs real numerics on a synthetic
 configuration, ``bench``/``bench-multirhs`` time the SPMD execution
 backends and the batched multi-RHS path, ``trace`` captures a Perfetto
 timeline of a distributed solve (docs/observability.md), ``serve`` runs
-the coalescing solve daemon (docs/serving.md), ``bench-serve`` load-tests
-that daemon, ``scaling-sweep`` runs the measured-vs-model strong-scaling
-sweep (docs/observability.md, "Scaling observatory"), ``report`` draws
-ASCII charts, and ``info`` prints the hardware/calibration summary.
+the coalescing solve daemon (docs/serving.md), ``scaling-sweep`` runs
+the measured-vs-model strong-scaling sweep (docs/observability.md,
+"Scaling observatory"), ``report`` draws ASCII charts, and ``info``
+prints the hardware/calibration summary.
 """
 
 from __future__ import annotations
@@ -741,32 +741,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    """Load-bench the solve daemon: requests/sec and p50/p99 latency vs
-    ``max_batch``, against a real in-process daemon on a loopback port
-    (docs/serving.md, "Load benchmarking")."""
-    import json
-
-    from repro.serve.loadgen import MAX_BATCH_SWEEP, run_load_bench
-
-    report = run_load_bench(
-        dims=tuple(args.dims),
-        max_batch_values=tuple(args.max_batch_values or MAX_BATCH_SWEEP),
-        concurrency=args.concurrency,
-        requests_per_client=args.requests_per_client,
-        max_wait=args.max_wait,
-        seed=args.seed,
-        progress=print,
-    )
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.output}")
-    ok = all(e["errors"] == 0 and e["requests"] > 0
-             for e in report["results"])
-    return 0 if ok else 1
-
-
 def _cmd_scaling_sweep(args) -> int:
     """Measured-vs-model strong-scaling sweep (docs/observability.md,
     "Scaling observatory").
@@ -1060,7 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     from repro.serve.coalescer import DEFAULT_MAX_BATCH
-    from repro.serve.loadgen import MAX_BATCH_SWEEP
 
     p = add_command(
         "serve",
@@ -1084,30 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="per-request access logs on stderr")
     p.set_defaults(func=_cmd_serve)
-
-    p = add_command(
-        "bench-serve",
-        "load-bench the daemon: req/s and latency vs max_batch",
-    )
-    p.add_argument("--dims", type=int, nargs=4, default=[4, 4, 4, 4],
-                   metavar=("X", "Y", "Z", "T"),
-                   help="lattice dims of the served problem "
-                        "(default 4 4 4 4)")
-    p.add_argument("--max-batch", type=int, action="append",
-                   dest="max_batch_values", metavar="N",
-                   help="a max_batch value to sweep (repeatable; default "
-                        + " ".join(map(str, MAX_BATCH_SWEEP)) + ")")
-    p.add_argument("--concurrency", type=int, default=8,
-                   help="concurrent client threads per point (default 8)")
-    p.add_argument("--requests-per-client", type=int, default=4,
-                   help="solves each client issues per point (default 4)")
-    p.add_argument("--max-wait", type=float, default=0.02,
-                   help="coalescing window in seconds (default 0.02)")
-    p.add_argument("--seed", type=int, default=5,
-                   help="gauge/rhs seed of the served problem (default 5)")
-    p.add_argument("--output", type=str, default="BENCH_serve.json",
-                   help="bench artifact path (default BENCH_serve.json)")
-    p.set_defaults(func=_cmd_bench_serve)
 
     p = add_command(
         "scaling-sweep",

@@ -9,8 +9,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".gcrdd": ("GCRDDConfig", "GCRDDSolver"),
     ".spmd": ("SPMDGCRDDSolver",),
     ".api": ("SolveRequest", "solve"),
-    ".tune": (
-        "tune_dslash_partitioning", "tune_precision_policy",
-        "tune_wilson_solver",
-    ),
 })

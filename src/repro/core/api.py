@@ -155,7 +155,7 @@ class SolveRequest:
         highest-priority entry for the operator family — Schwarz for
         ``"gcr-dd"``, none for plain asqtad CG, preserving those paths
         bit-for-bit), or a concrete name — ``"schwarz"``, ``"ras"``,
-        ``"twolevel"``, ``"multisplit"``, ``"none"``.  Only meaningful
+        ``"multisplit"``, ``"none"``.  Only meaningful
         for ``"gcr-dd"`` (Wilson-clover) and ``"cg"`` (asqtad, requires
         ``grid`` for the block partition); other methods accept only
         ``"auto"``/``"none"``.  Requesting an entry that is unavailable

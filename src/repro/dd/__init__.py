@@ -1,8 +1,7 @@
 """Domain decomposition: the non-overlapping additive Schwarz (block
 Jacobi) preconditioner of Secs. 3.2 and 8.1, plus the extensions the
 paper's conclusions anticipate — overlapping (restricted additive)
-Schwarz, weighted multi-splittings, the multiplicative Schwarz
-Alternating Procedure, and two-level blocking.
+Schwarz and weighted multi-splittings.
 
 Construction normally goes through the :mod:`repro.precond` registry
 (``resolve_precond(...).build(...)``) rather than these classes
@@ -14,6 +13,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".schwarz": ("AdditiveSchwarzPreconditioner",),
     ".multisplit": ("MultiSplittingPreconditioner",),
     ".overlapping": ("OverlappingSchwarzPreconditioner",),
-    ".sap": ("SAPPreconditioner",),
-    ".twolevel": ("TwoLevelSchwarzPreconditioner",),
 })

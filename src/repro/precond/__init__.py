@@ -7,7 +7,6 @@ Importing this package registers the built-in entries:
   applies rank-locally under the SPMD execution model,
 * ``"ras"`` — restricted additive Schwarz with tunable overlap
   (``overlap=0`` reduces bitwise to block Jacobi),
-* ``"twolevel"`` — two-level Schwarz blocking,
 * ``"multisplit"`` — overlapping multi-splittings with partition-of-unity
   weights, the natural partner of the flexible-PCG outer solver,
 * ``"none"`` — the identity.
@@ -26,7 +25,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".entries": (
         "MultisplitEntry", "NoneEntry", "RASEntry", "SchwarzEntry",
-        "TwoLevelEntry",
     ),
     ".rank_local": ("schwarz_block_solve",),
     ".registry": (
@@ -38,6 +36,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
 
 registry.register_precond(entries.SchwarzEntry())
 registry.register_precond(entries.RASEntry())
-registry.register_precond(entries.TwoLevelEntry())
 registry.register_precond(entries.MultisplitEntry())
 registry.register_precond(entries.NoneEntry())

@@ -20,7 +20,7 @@ storage precisions its dtype policy admits.
 
 Entries register with :mod:`repro.precond.registry`; the solvers and the
 request validators resolve a name (``"auto"``, ``"schwarz"``, ``"ras"``,
-``"twolevel"``, ``"multisplit"``, ``"none"``) to an entry once and build
+``"multisplit"``, ``"none"``) to an entry once and build
 the live preconditioner through :meth:`PrecondEntry.build`.
 """
 

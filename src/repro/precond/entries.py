@@ -11,7 +11,6 @@ explicitly defers); the identity is last.
 
 from __future__ import annotations
 
-from repro.comm.grid import ProcessGrid, choose_grid
 from repro.precond.base import (
     PrecondCapabilities,
     PrecondEntry,
@@ -75,49 +74,6 @@ class RASEntry(PrecondEntry):
         )
 
 
-class TwoLevelEntry(PrecondEntry):
-    """Two-level Schwarz blocking: per-rank blocks subdivided into
-    sub-blocks, solved by Schwarz-preconditioned Richardson sweeps — the
-    "multiple levels of memory locality" direction of the conclusions.
-
-    ``settings.steps`` sets the inner (sub-block) MR step count; the
-    Richardson damping stays at the entry's tuned 0.9 (``settings.omega``
-    is the MR relaxation knob, which the inner sweeps keep at default).
-    """
-
-    name = "twolevel"
-    priority = 4
-    record_name = "schwarz_precond_two_level"
-    capabilities = PrecondCapabilities(
-        operators=("wilson", "staggered"),
-        batched=True,
-        spmd=False,
-        overlapping=False,
-    )
-
-    @staticmethod
-    def inner_grid_for(partition) -> ProcessGrid:
-        """Sub-division of one rank block: split the largest halvable
-        local extent in two (trivial grid when none can be halved)."""
-        try:
-            return choose_grid(2, (3, 2, 1, 0), partition.local_dims)
-        except ValueError:
-            return ProcessGrid((1, 1, 1, 1))
-
-    def build(self, op, partition, settings: PrecondSettings):
-        from repro.dd.twolevel import TwoLevelSchwarzPreconditioner
-
-        return TwoLevelSchwarzPreconditioner(
-            op,
-            partition,
-            inner_grid=self.inner_grid_for(partition),
-            inner_mr_steps=settings.steps,
-            outer_sweeps=2,
-            omega=0.9,
-            precision=settings.precision,
-        )
-
-
 class MultisplitEntry(PrecondEntry):
     """Multi-splitting: overlapping-domain splittings combined through
     partition-of-unity weights (Osaki–Ishikawa arXiv:1011.3318, Tu et
@@ -170,5 +126,4 @@ __all__ = [
     "NoneEntry",
     "RASEntry",
     "SchwarzEntry",
-    "TwoLevelEntry",
 ]

@@ -145,9 +145,9 @@ class TestAgainstGlobalView:
 
 
 class TestSPMDRejectsRankGlobalEntries:
-    @pytest.mark.parametrize("name", ["ras", "twolevel", "multisplit"])
+    @pytest.mark.parametrize("name", ["ras", "multisplit"])
     def test_non_spmd_precond_raises_with_choices(self, setup, name):
-        """RAS / twolevel / multisplit apply on the global view only;
+        """RAS / multisplit apply on the global view only;
         asking for them in an SPMD solve must fail with a field-named
         error listing the usable choices, not a deadlock."""
         geom, gauge, grid, b = setup

@@ -8,6 +8,7 @@ import pytest
 
 from repro.comm import ProcessGrid
 from repro.core import GCRDDConfig, SolveRequest, solve
+from repro.core.api import SolveRequestError
 from repro.lattice import GaugeField, Geometry, SpinorField
 
 
@@ -45,7 +46,7 @@ class TestWilsonPrecondSelection:
         assert named.extras["precond"] == "schwarz"
         assert np.array_equal(auto.x, named.x)
 
-    @pytest.mark.parametrize("name", ["ras", "twolevel", "multisplit"])
+    @pytest.mark.parametrize("name", ["ras", "multisplit"])
     def test_alternative_preconds_converge(self, wilson_setup, name):
         geom, gauge, b = wilson_setup
         res = solve(gcrdd_request(gauge, b, precond=name))
@@ -80,7 +81,7 @@ class TestAsqtadPrecondSelection:
         ))
         assert np.array_equal(plain.x, auto.x)
 
-    @pytest.mark.parametrize("name", ["ras", "multisplit"])
+    @pytest.mark.parametrize("name", ["schwarz", "ras", "multisplit"])
     def test_preconditioned_cg_fewer_iterations(self, staggered_setup,
                                                 name):
         geom, gauge, b = staggered_setup
@@ -111,6 +112,29 @@ class TestValidation:
         geom, gauge, b = wilson_setup
         with pytest.raises(ValueError, match="SolveRequest.precond"):
             solve(gcrdd_request(gauge, b, precond="ilu"))
+
+    @pytest.mark.parametrize("name", ["sap", "twolevel"])
+    @pytest.mark.parametrize("operator", ["wilson_clover", "asqtad"])
+    def test_a_precond_no_entry_registers_is_refused(
+        self, wilson_setup, staggered_setup, operator, name
+    ):
+        """A name the registry does not hold is the typed error on
+        ``precond``, listing the choices that remain, on either route."""
+        if operator == "wilson_clover":
+            geom, gauge, b = wilson_setup
+            request = gcrdd_request(gauge, b, precond=name)
+        else:
+            geom, gauge, b = staggered_setup
+            request = SolveRequest(
+                operator="asqtad", gauge=gauge, rhs=b, mass=0.2,
+                precond=name, grid=ProcessGrid((1, 1, 2, 2)),
+            )
+        with pytest.raises(SolveRequestError) as exc:
+            solve(request)
+        assert exc.value.field == "precond"
+        assert tuple(exc.value.choices) == (
+            "auto", "schwarz", "ras", "multisplit", "none",
+        )
 
     def test_precond_requires_supporting_method(self, wilson_setup):
         geom, gauge, b = wilson_setup

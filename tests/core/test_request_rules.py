@@ -77,7 +77,7 @@ class TestBatchedPrecond:
             ))
         assert "cannot take a batch" in str(exc.value)
         assert "ras" not in exc.value.choices
-        assert {"schwarz", "twolevel", "multisplit"} <= set(exc.value.choices)
+        assert {"schwarz", "multisplit"} <= set(exc.value.choices)
 
     def test_a_single_asqtad_rhs_still_runs_ras(self, gauge):
         res = solve(SolveRequest(

@@ -1,4 +1,4 @@
-"""Test-only oracle: the five ``dd/`` preconditioners as per-block loops.
+"""Test-only oracle: the three ``dd/`` preconditioners as per-block loops.
 
 These are the ``__call__`` bodies of the Schwarz family exactly as they
 stood in ``src/`` before the block solves became lanes of one stacked MR
@@ -28,7 +28,6 @@ from repro.dirac.staggered import _StaggeredBase
 from repro.lattice import GaugeField, Geometry
 from repro.lattice.geometry import axis_of_mu, extract_region
 from repro.linalg import blas
-from repro.multigpu import BlockPartition
 from repro.solvers import batched_mr, mr
 from repro.solvers.space import ArraySpace, BatchedArraySpace
 from repro.trace import span
@@ -211,75 +210,6 @@ def multisplit(op, partition, r, *, overlap, steps, omega, precision):
     return z
 
 
-def sap(op, partition, b, *, steps, cycles, omega, precision):
-    record_operator("sap_precond")
-    block_ops = [
-        op.restrict_to_block(partition, rank) for rank in range(partition.n_ranks)
-    ]
-    z = np.zeros_like(b)
-    r = b.copy()
-    for _ in range(cycles):
-        for color in (0, 1):
-            for rank, block_op in enumerate(block_ops):
-                if sum(partition.grid.coords(rank)) % 2 != color:
-                    continue
-                sl = partition.slices(rank)
-                z[sl] += block_solve(
-                    block_op, np.ascontiguousarray(r[sl]), steps=steps,
-                    omega=omega, precision=precision,
-                )
-            r = b - op.apply(z)
-    return z
-
-
-def twolevel(op, partition, r, *, inner_grid, inner_steps, outer_sweeps,
-             omega, precision):
-    record_operator("schwarz_precond_two_level")
-    if _lead(op, r):
-        # The pre-lanes code ran the scalar machinery RHS by RHS (one
-        # record per application, not per RHS).
-        return np.stack([
-            _twolevel_single(op, partition, lane, inner_grid, inner_steps,
-                             outer_sweeps, omega, precision)
-            for lane in r
-        ])
-    return _twolevel_single(op, partition, r, inner_grid, inner_steps,
-                            outer_sweeps, omega, precision)
-
-
-def _twolevel_single(op, partition, r, inner_grid, inner_steps, outer_sweeps,
-                     omega, precision):
-    z = np.zeros_like(r)
-    for rank in range(partition.n_ranks):
-        block_op = op.restrict_to_block(partition, rank)
-        sub_part = BlockPartition(block_op.geometry, inner_grid)
-        sub_ops = [
-            block_op.restrict_to_block(sub_part, s) for s in range(sub_part.n_ranks)
-        ]
-
-        def inner(res):
-            out = np.zeros_like(res)
-            for s, sub_op in enumerate(sub_ops):
-                sl = sub_part.slices(s)
-                out[sl] = block_solve(
-                    sub_op, np.ascontiguousarray(res[sl]), steps=inner_steps,
-                    omega=1.0, precision=precision,
-                )
-            return out
-
-        sl = partition.slices(rank)
-        b = np.ascontiguousarray(r[sl])
-        with domain_local():
-            zb = np.zeros_like(b)
-            res = b
-            for _ in range(outer_sweeps):
-                zb = zb + omega * inner(res)
-                res = b - block_op.apply(zb)
-            z[sl] = zb
-    return z
-
-
 __all__ = [
-    "block_solve", "block_solve_pr17", "multisplit", "ras", "region_operator", "sap", "schwarz",
-    "twolevel",
+    "block_solve", "block_solve_pr17", "multisplit", "ras", "region_operator", "schwarz",
 ]

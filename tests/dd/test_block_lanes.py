@@ -17,8 +17,6 @@ from repro.dd import (
     AdditiveSchwarzPreconditioner,
     MultiSplittingPreconditioner,
     OverlappingSchwarzPreconditioner,
-    SAPPreconditioner,
-    TwoLevelSchwarzPreconditioner,
 )
 from repro.dirac import (
     AsqtadOperator,
@@ -62,8 +60,11 @@ def build_operator(kind):
     )
 
 
-@pytest.fixture(scope="module", params=["wilson_clover", "staggered",
-                                        "asqtad_normal"])
+#: The operator families, and the Wilson-clover operator once more on the
+#: ``numpy_ref`` tier: its blocks take the generic storage, not the packed
+#: Wilson one the other tiers' stacks hold.
+@pytest.fixture(scope="module", params=["wilson_clover", "wilson_clover_numpy_ref",
+                                        "staggered", "asqtad_normal"])
 def system(request):
     op = build_operator(request.param)
     return op, BlockPartition(GEOM, GRID)
@@ -98,29 +99,13 @@ FAMILY = {
         lambda op, part, r, p: oracle.multisplit(
             op, part, r, overlap=1, steps=4, omega=0.9, precision=p),
     ),
-    "sap": (
-        lambda op, part, p: SAPPreconditioner(
-            op, part, mr_steps=3, cycles=2, omega=0.9, precision=p),
-        lambda op, part, r, p: oracle.sap(
-            op, part, r, steps=3, cycles=2, omega=0.9, precision=p),
-    ),
-    "twolevel": (
-        lambda op, part, p: TwoLevelSchwarzPreconditioner(
-            op, part, inner_grid=INNER, inner_mr_steps=3, outer_sweeps=2,
-            omega=0.9, precision=p),
-        lambda op, part, r, p: oracle.twolevel(
-            op, part, r, inner_grid=INNER, inner_steps=3, outer_sweeps=2,
-            omega=0.9, precision=p),
-    ),
 }
-#: (member, batch size): batched residuals where the member takes them
-#: (SAP, not a registry entry, takes single residuals only).
+#: (member, batch size): batched residuals where the member takes them.
 CASES = [
     pytest.param(name, batch, id=f"{name}-{'batched' if batch else 'single'}")
     for name in sorted(FAMILY)
     for batch in (0, 2)
-    if not batch
-    or (name != "sap" and resolve_precond(name).capabilities.batched)
+    if not batch or resolve_precond(name).capabilities.batched
 ]
 
 
@@ -183,13 +168,17 @@ def test_point_source_counts(system):
     assert t.reductions == 0
 
 
-def test_all_zero_residual(system):
+@pytest.mark.parametrize("name, batch", CASES)
+def test_all_zero_residual(system, name, batch):
+    """Every block of every member takes the early exit: a zero
+    correction, and the loop's ledger."""
     op, part = system
-    r = np.zeros_like(residual(op, 0))
+    build, loop = FAMILY[name]
+    r = np.zeros_like(residual(op, batch))
     with tally() as t_lanes:
-        z = AdditiveSchwarzPreconditioner(op, part, mr_steps=4)(r)
+        z = build(op, part, HALF)(r)
     with tally() as t_loop:
-        oracle.schwarz(op, part, r, steps=4, omega=1.0, precision=HALF)
+        loop(op, part, r, HALF)
     assert not z.any()
     assert_same_ledger(t_lanes, t_loop)
 
@@ -224,21 +213,32 @@ def test_lane_is_independent_of_the_other_lanes(system, precision):
     assert np.array_equal(alone, base[keep])
 
 
-def test_even_odd_blocks_ride_the_lanes():
-    """The cut Schur complement stacks like the operator it wraps."""
+def even_odd_operator():
     gauge = GaugeField.weak(GEOM, epsilon=0.3, rng=78)
-    eo = EvenOddPreconditionedWilson(
+    return EvenOddPreconditionedWilson(
         WilsonCloverOperator(gauge, mass=0.1, csw=1.0, boundary=PHYSICAL)
     )
+
+
+@pytest.mark.parametrize("precision", sorted(PRECISIONS))
+def test_even_odd_blocks_ride_the_lanes(precision):
+    """The cut Schur complement stacks like the operator it wraps, in
+    every block precision."""
+    eo = even_odd_operator()
     part = BlockPartition(eo.geometry, GRID)  # the Schur system's lattice
+    build, loop = FAMILY["schwarz"]
     r = to_parity(SpinorField.random(GEOM, rng=3).data, 0)
     with tally() as t_lanes:
-        z = AdditiveSchwarzPreconditioner(eo, part, mr_steps=4)(r)
+        z = build(eo, part, PRECISIONS[precision])(r)
     with tally() as t_loop:
-        expected = oracle.schwarz(eo, part, r, steps=4, omega=1.0, precision=HALF)
+        expected = loop(eo, part, r, PRECISIONS[precision])
     assert np.array_equal(z, expected)
     assert_same_ledger(t_lanes, t_loop)
-    # Growing by one site along ONE direction swaps the checkerboards.
+
+
+def test_an_odd_origin_region_of_the_schur_system_is_refused():
+    """Growing by one site along ONE direction swaps the checkerboards."""
+    eo = even_odd_operator()
     odd = BlockPartition(eo.geometry, ProcessGrid((1, 1, 1, 2)))
     with pytest.raises(TypeError, match="odd origin"):
         OverlappingSchwarzPreconditioner(eo, odd, overlap=1)
@@ -301,9 +301,9 @@ def test_stored_is_idempotent_and_memoised(system):
 
 
 def test_storage_follows_lanes_and_restriction(system):
-    """``take_lanes`` (the early exit) and a further restriction (the
-    two-level sub-blocks) of a stored stack are stored, with the bits of
-    the same stack cut in working precision and stored last."""
+    """``take_lanes`` (the early exit) and a further restriction of a
+    stored stack are stored, with the bits of the same stack cut in
+    working precision and stored last."""
     op, part = system
     stack = op.restrict_to_blocks(part, precision=HALF)
     working = op.restrict_to_blocks(part)
@@ -434,9 +434,7 @@ GENERIC = [
 
 
 @pytest.mark.parametrize("kind, precision", GENERIC)
-@pytest.mark.parametrize(
-    "name, batch", [c for c in CASES if not c.values[1] or c.values[0] == "schwarz"]
-)
+@pytest.mark.parametrize("name, batch", CASES)
 def test_generic_storage_keeps_the_pr17_bits(
     kind, precision, name, batch, monkeypatch
 ):
@@ -488,7 +486,7 @@ def test_stored_block_survives_the_trip_to_a_rank_process(system):
 
 @pytest.mark.skipif(not get_backend("c").available, reason="no compiled tier")
 @pytest.mark.parametrize("precision", sorted(PRECISIONS))
-@pytest.mark.parametrize("name", ["schwarz", "ras", "twolevel"])
+@pytest.mark.parametrize("name", sorted(FAMILY))
 def test_compiled_lanes_match_the_numpy_block_loop(name, precision):
     """The loop oracle once more across tiers: the lane stack with
     ``kernel="c"`` named against the per-block loop on ``"numpy"`` — bits

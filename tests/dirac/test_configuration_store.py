@@ -43,7 +43,7 @@ CASES = {
     "bicgstab-full": dict(method="bicgstab", even_odd=False),
     **{
         f"gcr-dd-{precond}": dict(method="gcr-dd", grid=GRID, precond=precond)
-        for precond in ("auto", "ras", "twolevel", "multisplit")
+        for precond in ("auto", "ras", "multisplit")
     },
 }
 LEDGER = ("flops", "bytes_moved", "reductions", "local_reductions",

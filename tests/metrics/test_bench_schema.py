@@ -199,7 +199,6 @@ class TestCommittedReferences:
             "BENCH_multirhs.json",
             "BENCH_hotpath.json",
             "BENCH_precond.json",
-            "BENCH_serve.json",
             "BENCH_scaling.json",
         ],
     )

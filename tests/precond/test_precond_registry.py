@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from repro.comm import ProcessGrid
-from repro.dirac import WilsonCloverOperator
+from repro.dirac import (
+    AsqtadOperator,
+    NaiveStaggeredOperator,
+    StaggeredNormalOperator,
+    WilsonCloverOperator,
+)
 from repro.lattice import GaugeField, Geometry, SpinorField
 from repro.multigpu import BlockPartition
 from repro.precond import (
@@ -19,13 +24,23 @@ from repro.precond import (
 )
 
 
-@pytest.fixture(scope="module")
-def system():
+#: kind -> (the registry's operator family, build the operator).
+OPERATORS = {
+    "wilson_clover": ("wilson", lambda g: WilsonCloverOperator(g, mass=0.2, csw=1.0)),
+    "staggered": ("staggered", lambda g: NaiveStaggeredOperator(g, 0.2)),
+    "asqtad_normal": ("staggered", lambda g: StaggeredNormalOperator(
+        AsqtadOperator.from_gauge(g, 0.2), 0.05)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(OPERATORS))
+def system(request):
+    """Each operator family the entries claim, on one partition."""
     geom = Geometry((4, 4, 4, 8))
     gauge = GaugeField.weak(geom, epsilon=0.25, rng=31)
-    op = WilsonCloverOperator(gauge, mass=0.2, csw=1.0)
+    family, build = OPERATORS[request.param]
     part = BlockPartition(geom, ProcessGrid((1, 1, 2, 2)))
-    return geom, op, part
+    return geom, family, build(gauge), part
 
 
 class TestRegistry:
@@ -33,9 +48,7 @@ class TestRegistry:
         names = precond_names()
         assert names[0] == "schwarz"
         assert names[-1] == "none"
-        assert set(names) == {
-            "schwarz", "ras", "twolevel", "multisplit", "none",
-        }
+        assert set(names) == {"schwarz", "ras", "multisplit", "none"}
 
     def test_choices_lead_with_auto(self):
         choices = precond_choices()
@@ -61,7 +74,7 @@ class TestRegistry:
         assert "schwarz" in err.value.choices
 
     def test_spmd_filters_rank_global_entries(self):
-        for name in ("ras", "twolevel", "multisplit"):
+        for name in ("ras", "multisplit"):
             with pytest.raises(PrecondUnavailableError) as err:
                 resolve_precond(name, operator="wilson", spmd=True)
             assert set(err.value.choices) >= {"auto", "schwarz", "none"}
@@ -85,28 +98,27 @@ class TestRegistry:
 
 
 class TestEntryBuilds:
-    @pytest.mark.parametrize("name", ["schwarz", "ras", "twolevel",
-                                      "multisplit"])
+    @pytest.mark.parametrize("name", ["schwarz", "ras", "multisplit"])
     def test_built_preconditioner_reduces_error(self, system, name):
         """Every registry build must hand back a callable that is a
         useful approximate inverse on its partition."""
-        geom, op, part = system
-        entry = resolve_precond(name, operator="wilson")
+        geom, family, op, part = system
+        entry = resolve_precond(name, operator=family)
         k = entry.build(op, part, PrecondSettings(steps=6))
-        x = SpinorField.random(geom, rng=41).data
+        x = SpinorField.random(geom, nspin=op.nspin, rng=41).data
         z = k(op.apply(x))
         assert np.linalg.norm(z - x) < np.linalg.norm(x)
 
     def test_none_builds_to_none(self, system):
-        geom, op, part = system
-        entry = resolve_precond("none", operator="wilson")
+        geom, family, op, part = system
+        entry = resolve_precond("none", operator=family)
         assert entry.build(op, part, PrecondSettings()) is None
 
     def test_settings_thread_through(self, system):
         """steps/overlap from PrecondSettings must reach the built
         object (the CLI and API rely on this plumbing)."""
-        geom, op, part = system
-        entry = resolve_precond("multisplit", operator="wilson")
+        geom, family, op, part = system
+        entry = resolve_precond("multisplit", operator=family)
         k = entry.build(op, part, PrecondSettings(steps=3, overlap=0))
         assert k.mr_steps == 3
         assert k.overlap == 0

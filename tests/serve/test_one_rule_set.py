@@ -22,6 +22,7 @@ from repro.core.api import (
     DEFAULT_METHOD,
     KERNEL_FAMILY,
     SolveRequest,
+    SolveRequestError,
     resolve_request_precond,
     validate_request,
 )
@@ -40,7 +41,7 @@ from repro.serve.request import (
 
 DIMS = [4, 4, 4, 4]
 METHODS = ("auto", "bicgstab", "cg", "gcr-dd")
-PRECONDS = ("auto", "none", "schwarz", "ras", "twolevel", "multisplit")
+PRECONDS = ("auto", "none", "schwarz", "ras", "twolevel", "multisplit", "sap")
 INNER_PRECISIONS = (None, "single", "half")
 KERNELS = ("auto", "numpy", "c")
 
@@ -121,7 +122,29 @@ class TestDrift:
         assert isinstance(err, RequestValidationError)
         assert err.field == "precond"
         assert "ras" not in err.choices
-        assert {"schwarz", "twolevel", "multisplit"} <= set(err.choices)
+        assert {"schwarz", "multisplit"} <= set(err.choices)
+
+    @pytest.mark.parametrize("name", ["twolevel", "sap"])
+    @pytest.mark.parametrize("operator", ["asqtad", "wilson_clover"])
+    def test_a_precond_the_registry_lacks_is_refused_alike(self, operator, name):
+        """A name no entry registers is the library's typed error and the
+        wire's 400, both on ``precond`` and listing the same choices."""
+        choices = ("auto", "schwarz", "ras", "multisplit", "none")
+        # The library's method that takes a preconditioner on each route;
+        # the service runs no gcr-dd, and refuses the name before the
+        # method matters.
+        method = "gcr-dd" if operator == "wilson_clover" else "cg"
+        err = admit(payload(operator, precond=name))
+        assert isinstance(err, RequestValidationError)
+        assert err.field == "precond" and err.http_status == 400
+        assert tuple(err.choices) == choices
+        with pytest.raises(SolveRequestError) as exc:
+            validate_request(SolveRequest(
+                operator=operator, gauge=None, rhs=None, mass=0.2,
+                method=method, precond=name, grid=block_grid(4, DIMS),
+            ))
+        assert exc.value.field == "precond"
+        assert tuple(exc.value.choices) == choices
 
     def test_both_are_400s_over_http(self):
         server = ServeServer(SolveService().start(), port=0).start()
@@ -130,6 +153,8 @@ class TestDrift:
                 (payload(precond="schwarz", inner_precision="single"),
                  "inner_precision"),
                 (payload(precond="ras"), "precond"),
+                (payload(precond="twolevel"), "precond"),
+                (payload(precond="sap"), "precond"),
             ):
                 req = urllib.request.Request(
                     server.url + "/v1/solve", data=json.dumps(doc).encode(),

@@ -547,9 +547,9 @@ class TestPrecond:
             ServiceRequest.from_wire(
                 asqtad_payload(precond=name)
             ).fingerprint
-            for name in ("none", "schwarz", "twolevel", "multisplit")
+            for name in ("none", "schwarz", "multisplit")
         }
-        assert len(prints) == 4
+        assert len(prints) == 3
 
     def test_precond_knobs_change_fingerprint(self):
         a = ServiceRequest.from_wire(asqtad_payload(precond="multisplit"))

@@ -30,7 +30,7 @@ class TestHelp:
         parser = build_parser()
         lines = parser.epilog.splitlines()[1:]
         table = lines[: lines.index("")]  # the availability note follows
-        assert len(table) == 17  # fig5..fig10 + 11 named commands
+        assert len(table) == 16  # fig5..fig10 + 10 named commands
         for line in table:
             name, _, help_ = line.strip().partition(" ")
             assert help_.strip(), f"command {name} has no help line"
@@ -39,20 +39,15 @@ class TestHelp:
 class TestServeDefaults:
     def test_help_prints_the_one_default_group_size(self, capsys):
         """``--max-batch``'s default and its help line are the
-        coalescer's constant, and the load bench's sweep ends on it."""
+        coalescer's constant."""
         from repro.serve.coalescer import DEFAULT_MAX_BATCH
-        from repro.serve.loadgen import MAX_BATCH_SWEEP
 
         args = build_parser().parse_args(["serve"])
-        assert args.max_batch == DEFAULT_MAX_BATCH == MAX_BATCH_SWEEP[-1]
-        for command, words in (
-            ("serve", f"(default {DEFAULT_MAX_BATCH}:"),
-            ("bench-serve", "default 1 2 4 8 12)"),
-        ):
-            with pytest.raises(SystemExit):
-                main([command, "--help"])
-            out = " ".join(capsys.readouterr().out.split())
-            assert words in out
+        assert args.max_batch == DEFAULT_MAX_BATCH
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"(default {DEFAULT_MAX_BATCH}:" in out
 
 
 class TestFigures:
@@ -225,6 +220,17 @@ class TestPrecond:
         assert rc == 2
         assert "SolveRequest.precond" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["sap", "twolevel"])
+    def test_solve_rejects_a_precond_no_entry_registers(self, name, capsys):
+        rc = main([
+            "solve", "--dims", "4", "4", "4", "8", "--method", "gcr-dd",
+            "--blocks", "4", "--precond", name,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "SolveRequest.precond" in err and repr(name) in err
+        assert "auto, schwarz, ras, multisplit, none" in err
+
     def test_precond_requires_gcr_dd(self, capsys):
         rc = main([
             "solve", "--dims", "4", "4", "4", "8", "--precond", "ras",
@@ -265,3 +271,11 @@ class TestInfo:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_the_load_bench_command_is_gone(self, capsys):
+        """``bench-serve`` left with the daemon's load bench: argparse
+        refuses it like any other unknown command."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-serve"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench-serve'" in capsys.readouterr().err

@@ -59,12 +59,12 @@ assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
 
 #: What no entry point below loads: the routes a Wilson BiCGstab solve
 #: does not take (GCR-DD and its blocks, the SPMD ranks, staggered,
-#: multi-shift, mixed precision), the performance model and the tuner.
+#: multi-shift, mixed precision) and the performance model.
 #: A name stands for itself and everything under it.
 UNUSED = (
     "repro.analysis", "repro.comm.backends", "repro.comm.shm",
     "repro.core.gcrdd", "repro.core.scaling", "repro.core.spmd",
-    "repro.core.tune", "repro.dd", "repro.dirac.staggered",
+    "repro.dd", "repro.dirac.staggered",
     "repro.gauge.asqtad", "repro.multigpu", "repro.perfmodel",
     "repro.solvers.eigen", "repro.solvers.mixed", "repro.solvers.multishift",
     "repro.solvers.refine", "repro.trace.model",
@@ -222,14 +222,12 @@ SURFACE = {
         "GCRDDConfig GCRDDSolver GaugeField Geometry HALF HaloExchanger "
         "KernelBackend KernelUnavailableError NaiveStaggeredOperator "
         "OverlappingSchwarzPreconditioner PERIODIC PHYSICAL Precision "
-        "PrecisionPolicy ProcessGrid SAPPreconditioner SINGLE "
-        "SINGLE_HALF_HALF SPMDGCRDDSolver SolveRequest SolverResult "
-        "SpinorField StaggeredNormalOperator Tally "
-        "TwoLevelSchwarzPreconditioner WilsonCloverOperator __version__ "
+        "PrecisionPolicy ProcessGrid SINGLE SINGLE_HALF_HALF "
+        "SPMDGCRDDSolver SolveRequest SolverResult SpinorField "
+        "StaggeredNormalOperator Tally WilsonCloverOperator __version__ "
         "batched_bicgstab batched_cg batched_gcr bicgstab capability_matrix "
         "cg cgnr choose_grid gcr kernel_choices mr multishift_cg "
-        "multishift_with_refinement resolve_kernel solve tally "
-        "tune_dslash_partitioning tune_precision_policy tune_wilson_solver"
+        "multishift_with_refinement resolve_kernel solve tally"
     ),
     "repro.comm": (
         "BACKENDS Communicator DeadlockError Mailbox MailboxCommunicator "
@@ -237,13 +235,11 @@ SURFACE = {
         "process_backend_available reduce_in_rank_order run_rank_programs"
     ),
     "repro.core": (
-        "GCRDDConfig GCRDDSolver SPMDGCRDDSolver SolveRequest solve "
-        "tune_dslash_partitioning tune_precision_policy tune_wilson_solver"
+        "GCRDDConfig GCRDDSolver SPMDGCRDDSolver SolveRequest solve"
     ),
     "repro.dd": (
         "AdditiveSchwarzPreconditioner MultiSplittingPreconditioner "
-        "OverlappingSchwarzPreconditioner SAPPreconditioner "
-        "TwoLevelSchwarzPreconditioner"
+        "OverlappingSchwarzPreconditioner"
     ),
     "repro.dirac": (
         "AsqtadOperator BoundarySpec EvenOddPreconditionedWilson "
@@ -290,7 +286,7 @@ SURFACE = {
     "repro.precond": (
         "AUTO MultisplitEntry NoneEntry OPERATOR_FAMILIES "
         "PrecondCapabilities PrecondEntry PrecondSettings "
-        "PrecondUnavailableError RASEntry SchwarzEntry TwoLevelEntry "
+        "PrecondUnavailableError RASEntry SchwarzEntry "
         "availability_note available_preconds capability_matrix get_precond "
         "precond_choices precond_names register_precond resolve_precond "
         "schwarz_block_solve"
@@ -324,6 +320,28 @@ SURFACE = {
 }
 
 
+#: Names the surfaces no longer hand out, by the package that did: the
+#: multiplicative and two-level Schwarz variants, the two-level registry
+#: entry, the model-driven tuner and the daemon's load bench.
+REMOVED = {
+    "repro": (
+        "SAPPreconditioner", "TwoLevelSchwarzPreconditioner",
+        "tune_dslash_partitioning", "tune_precision_policy",
+        "tune_wilson_solver",
+    ),
+    "repro.core": (
+        "tune", "tune_dslash_partitioning", "tune_precision_policy",
+        "tune_wilson_solver",
+    ),
+    "repro.dd": (
+        "sap", "twolevel", "SAPPreconditioner",
+        "TwoLevelSchwarzPreconditioner",
+    ),
+    "repro.precond": ("TwoLevelEntry",),
+    "repro.serve": ("loadgen",),
+}
+
+
 def _packages() -> list[str]:
     return ["repro"] + sorted(
         info.name
@@ -348,6 +366,41 @@ def test_every_package_keeps_its_public_names():
     assert exported == {
         name: set(names.split()) for name, names in SURFACE.items()
     }
+
+
+@pytest.mark.parametrize("package", sorted(REMOVED))
+def test_a_removed_name_is_an_attribute_error(package):
+    module = importlib.import_module(package)
+    for name in REMOVED[package]:
+        assert name not in module.__all__ and name not in dir(module), name
+        with pytest.raises(AttributeError, match=repr(name)):
+            getattr(module, name)
+
+
+@pytest.mark.parametrize("module", [
+    "repro.core.tune", "repro.dd.sap", "repro.dd.twolevel",
+    "repro.serve.loadgen",
+])
+def test_a_removed_module_is_not_importable(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_the_cli_parser_loads_no_solve_or_bench_module(run):
+    """Building the parser (every invocation, daemon boot included) takes
+    the serve package's constants and nothing of its solve side."""
+    out = run(
+        "import sys\n"
+        "from repro.cli import build_parser\n"
+        "before = set(sys.modules)\n"
+        "build_parser()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    added = {name for name in out.split() if name.startswith("repro.serve")}
+    assert added <= {
+        "repro.serve", "repro.serve.coalescer", "repro.serve.errors",
+        "repro.serve.queue",
+    }, added
 
 
 def test_a_name_its_module_shares_stays_the_name(run):
