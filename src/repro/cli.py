@@ -277,8 +277,20 @@ def _bench_precond(args) -> int:
     from repro.dirac.wilson import WilsonCloverOperator
     from repro.lattice import GaugeField, Geometry, SpinorField
     from repro.metrics.bench_schema import wrap_bench
-    from repro.precond import resolve_precond
+    from repro.precond import PrecondUnavailableError, resolve_precond
     from repro.util.counters import tally
+
+    names = []
+    for name in args.preconds:
+        try:
+            resolved = resolve_precond(name, operator="wilson").name
+        except PrecondUnavailableError as exc:
+            # the choices line `repro solve --precond` prints
+            print(f"--precond: {exc}; valid choices: "
+                  f"{', '.join(exc.choices)}", file=sys.stderr)
+            return 2
+        if resolved not in names:
+            names.append(resolved)
 
     geometry = Geometry(tuple(args.dims))
     grid = choose_grid(args.ranks, (3, 2, 1, 0), geometry.dims)
@@ -287,12 +299,6 @@ def _bench_precond(args) -> int:
     op = WilsonCloverOperator(
         gauge, mass=args.mass, csw=args.csw, kernel=args.kernel
     )
-
-    names = []
-    for name in args.preconds:
-        resolved = resolve_precond(name, operator="wilson").name
-        if resolved not in names:
-            names.append(resolved)
 
     config = {
         "operator": "wilson_clover",

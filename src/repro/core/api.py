@@ -27,6 +27,7 @@ from repro.precond import (
     AUTO,
     PrecondSettings,
     PrecondUnavailableError,
+    precond_choices,
     resolve_precond,
 )
 from repro.solvers.base import SolverResult
@@ -320,7 +321,13 @@ def validate_request(request: SolveRequest) -> None:
     preconditioned = (
         request.operator == "wilson_clover" and request.method == "gcr-dd"
     ) or (request.operator == "asqtad" and request.method in ("auto", "cg"))
-    if request.precond not in ("auto", "none") and not preconditioned:
+    # A name no entry registers is refused first, whatever the method (the
+    # wire's order): the registry's refusal below names it.
+    if (
+        request.precond in precond_choices()
+        and request.precond not in ("auto", "none")
+        and not preconditioned
+    ):
         raise _invalid(
             "precond",
             f"precond={request.precond!r} is only meaningful for "
@@ -422,20 +429,18 @@ def _rel_residuals(r, b, lead: int):
     """Relative true residual(s) ``|r| / |b|`` of the residual ``r`` of
     the source ``b``: a float, or a ``(B,)`` array if batched.  0 for a
     zero source; NaN for one whose norm is not finite (it overflows, or
-    holds a NaN), which has no relative residual."""
+    holds a NaN), which has no relative residual.  A single source is the
+    batch of one: the norms are NumPy's per-row sums either way, never the
+    host BLAS's dot (whose threads would contend with the solve's)."""
+    nb = b.shape[0] if lead else 1
     # The norms overflow quietly: that lane's answer is the NaN.
     with np.errstate(over="ignore"):
-        if lead:
-            nb = b.shape[0]
-            rn = np.linalg.norm(r.reshape(nb, -1), axis=1)
-            bn = np.linalg.norm(b.reshape(nb, -1), axis=1)
-            usable = np.isfinite(bn) & (bn > 0.0)
-            rel = rn / np.where(usable, bn, 1.0)
-            return np.where(usable, rel, np.where(bn == 0.0, 0.0, np.nan))
-        bn = np.linalg.norm(b)
-        if not np.isfinite(bn):
-            return float("nan")
-        return float(np.linalg.norm(r) / bn) if bn else 0.0
+        rn = np.linalg.norm(r.reshape(nb, -1), axis=1)
+        bn = np.linalg.norm(b.reshape(nb, -1), axis=1)
+        usable = np.isfinite(bn) & (bn > 0.0)
+        rel = rn / np.where(usable, bn, 1.0)
+    rel = np.where(usable, rel, np.where(bn == 0.0, 0.0, np.nan))
+    return rel if lead else float(rel[0])
 
 
 def _gcrdd_config(request: SolveRequest) -> GCRDDConfig:
@@ -522,7 +527,8 @@ def _solve_wilson(request: SolveRequest):
             np.linalg.norm(v.reshape(rows, -1), axis=1) for v in (b, b_hat)
         )
         schur_tol = tol * b_norm / np.where(hat_norm > 0.0, hat_norm, 1.0)
-    res = run(eo.apply, b_hat, schur_tol)
+    # the operator itself, whose fused BiCGstab steps the loop may take
+    res = run(eo, b_hat, schur_tol)
     res.x, r = eo.reconstruct_residual(res.x, b)
     rel = _rel_residuals(r, b, lead)
     if lead:
@@ -675,12 +681,15 @@ def solve(
             field (``SolveRequest.<field>: ...``) and, for closed sets
             (operator, method, backend), the valid choices.
     """
+    from repro.kernels.c_backend import solve_team
     from repro.util.counters import tally
 
     validate_request(request)
     request = replace(request, even_odd=resolve_even_odd(request))
     start = time.perf_counter()
-    with tally() as t:
+    # one team of helper threads for the solve's compiled even-odd calls,
+    # joined before this returns or raises
+    with tally() as t, solve_team():
         result = _DISPATCH[request.operator](request)
     result.report = build_solve_report(
         request, result, t, time.perf_counter() - start

@@ -256,17 +256,23 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         return out
 
     # -- the Schur complement ---------------------------------------------
+    def _timed(self, entry, *args):
+        """``entry(*args, seconds)`` of the bound form, its leaves recorded
+        as the apply's: its result (``None``: not taken)."""
+        seconds = np.zeros(3) if timing() else None
+        start = time.perf_counter()
+        out = entry(*args, seconds)
+        if out is not None and seconds is not None:
+            for leaf, elapsed in zip((_CONVERT, _HOPS, _TAIL), seconds):
+                record_timed(*leaf, start, elapsed)
+                start += elapsed
+        return out
+
     def _apply(self, x: np.ndarray) -> np.ndarray:
         if self._reference:
             return self._apply_reference(x)
-        seconds = np.zeros(3) if timing() else None
-        start = time.perf_counter()
-        out = self._schur and self._schur.apply(x, seconds)
+        out = self._schur and self._timed(self._schur.apply, x)
         if out is not None:
-            if seconds is not None:
-                for leaf, elapsed in zip((_CONVERT, _HOPS, _TAIL), seconds):
-                    record_timed(*leaf, start, elapsed)
-                    start += elapsed
             return out
         batched = bool(self.field_lead(x))
         dtype = self._links.dtype
@@ -286,6 +292,41 @@ class EvenOddPreconditionedWilson(LatticeOperator):
         with timed(*_CONVERT):
             narrower = min(x.dtype, dtype, key=lambda d: d.itemsize)
             return _site_major(out, narrower)
+
+    # -- BiCGstab's fused steps ------------------------------------------------
+    # (repro.solvers.space.BatchedArraySpace's seam: each one compiled call
+    # on the solve's team, the vector pass, the apply and the reductions as
+    # the space's calls compute them, bit for bit; ``coef`` is the pass's
+    # coefficients a right-hand side.  Each returns its reductions,
+    # unrecorded — the space records them and the passes — or ``None``,
+    # nothing written, where the fields are not what the call takes.)
+    @property
+    def fused_steps(self) -> "EvenOddPreconditionedWilson | None":
+        """This operator where its tier binds the even-odd form and it
+        applies in working precision (a stored complement rounds around
+        the apply), else ``None``."""
+        return self if self._schur is not None and self.storage is None else None
+
+    def bicgstab_direction_apply(self, coef, p, r, v, r_hat):
+        """``p = r + b (p + c v)``, ``v = Mhat p``, both in place, and
+        ``(r_hat, v)``: the one application recorded."""
+        denom = self._timed(self._schur.direction, coef, p, r, v, r_hat)
+        if denom is not None:
+            self._record(p)
+        return denom
+
+    def bicgstab_update_apply(self, coef, r, v):
+        """``s = r + a v`` in ``r``, ``t = Mhat s``, ``(t, s)`` and
+        ``|t|^2``: ``(t, ts, t2)``, the one application recorded."""
+        done = self._timed(self._schur.update, coef, r, v)
+        if done is not None:
+            self._record(r)
+        return done
+
+    def bicgstab_closing_reduce(self, coef, p, s, t, x, r_hat):
+        """``x = (x + alpha p) + omega s`` and ``r = s + c t`` in ``s``,
+        then ``(r_hat, r)`` and ``|r|^2``: ``(rho, r2)``."""
+        return self._schur.closing(coef, p, s, t, x, r_hat)
 
     def _apply_dagger(self, x: np.ndarray) -> np.ndarray:
         # Mhat inherits gamma5-Hermiticity from M; gamma5 (a +-1

@@ -55,6 +55,7 @@ does.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -113,6 +114,13 @@ def _check_packed(held: np.ndarray, lattice) -> None:
             f"not a packed clover term on {tuple(lattice)}: "
             f"{held.dtype} {held.shape}"
         )
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex128 array of parts ``re`` and ``im``, exactly."""
+    out = np.empty(len(re), _C128)
+    out.real, out.imag = re, im
+    return out
 
 
 def _address(a: np.ndarray) -> int:
@@ -235,9 +243,17 @@ class _Library:
         self.split = {}
         self.path_sum = {}
         self.passes = {entry: {} for entry in VECTOR_PASSES}
+        self.reduce, self.closing = {}, {}
         # The half format is float32 arithmetic: its one instance.
         self.quantize = lib.repro_quantize_half_c64
         self.quantize.argtypes, self.quantize.restype = (ptr, ptr) + (i64,) * 3, None
+        # A solve's team of helper threads (solve_team).
+        self.team_open = lib.repro_team_open
+        self.team_open.argtypes, self.team_open.restype = (), ptr
+        for name in ("stop", "close"):
+            f = getattr(lib, f"repro_team_{name}")
+            f.argtypes, f.restype = (ptr,), None
+            setattr(self, f"team_{name}", f)
         for name, suffix in _SUFFIX.items():
             f = getattr(lib, f"repro_multiply_{suffix}")
             f.argtypes, f.restype = (i64, ptr, ptr, ptr), None
@@ -252,17 +268,30 @@ class _Library:
             f.argtypes = (ptr,) * 5 + (i64,) * 6 + (ptr, ctypes.c_int)
             f.restype = ctypes.c_int
             self.hop[name] = f
-            # the even-odd form's entries: fields, narrow, batch, operands
+            # the even-odd form's entries: fields, narrow, batch, operands,
+            # (seconds,) team; then the fused BiCGstab steps: fields,
+            # coefficients, batch, operands, seconds, team, reductions
             entries = []
             for entry, fields, tail in (
-                ("apply", 2, (ptr, ptr)), ("rhs", 2, (ptr,)),
-                ("solution", 4, (ptr,)),
+                ("apply", 2, (ptr, ptr, ptr)), ("rhs", 2, (ptr, ptr)),
+                ("solution", 4, (ptr, ptr)),
             ):
                 f = getattr(lib, f"repro_schur_{entry}_{suffix}")
                 f.argtypes = (ptr,) * fields + (ctypes.c_int, i64) + tail
                 f.restype = ctypes.c_int
                 entries.append(f)
+            for entry, fields in (("direction", 4), ("update", 3)):
+                f = getattr(lib, f"repro_schur_{entry}_{suffix}")
+                f.argtypes = (ptr,) * (fields + 1) + (i64,) + (ptr,) * 4
+                f.restype = ctypes.c_int
+                entries.append(f)
             self.schur[np.dtype(name)] = tuple(entries)
+            f = getattr(lib, f"repro_closing_reduce_{suffix}")
+            f.argtypes, f.restype = (i64,) * 2 + (ptr,) * 8, ctypes.c_int
+            self.closing[np.dtype(name)] = f
+            f = getattr(lib, f"repro_lane_reduce_{suffix}")
+            f.argtypes, f.restype = (i64,) * 3 + (ptr,) * 3, None
+            self.reduce[np.dtype(name)] = f
             f = getattr(lib, f"repro_wilson_apply_{suffix}")
             f.argtypes = (
                 (ptr,) * 3 + (ctypes.c_double, ptr) + (ctypes.c_int,) * 2
@@ -330,6 +359,66 @@ class _Library:
                     )
 
 
+#: The solve teams open in this process, each with its library (a handle
+#: is ``repro_team_open``'s pointer); ``_SOLVE.teams``, this thread's solve's.
+_OPEN: dict = {}
+_OPEN_LOCK = threading.Lock()
+_SOLVE = threading.local()
+
+
+@contextlib.contextmanager
+def solve_team():
+    """Run the enclosed solve's compiled even-odd calls — the Schur apply,
+    ``prepare_rhs``, ``reconstruct_residual`` and the fused BiCGstab
+    steps — on ONE team of helper threads (``wilson_hop.c``, "a team that
+    lives for a solve"), started as they first need them, parked between
+    them and joined on the way out, also when the solve raises.  The team is
+    this thread's: two threads solving at once have one each.  Nested, the
+    outer solve's team serves.  Outside one, each call starts and joins
+    its own helpers (no thread outlives a call)."""
+    if getattr(_SOLVE, "teams", None) is not None:
+        yield
+        return
+    _SOLVE.teams = {}
+    try:
+        yield
+    finally:
+        teams, _SOLVE.teams = _SOLVE.teams, None
+        for library, handle in teams.items():
+            # closed under the lock: a fork meets it open, or joined
+            with _OPEN_LOCK:
+                _OPEN.pop(handle, None)
+                library.team_close(handle)
+
+
+def _team(library):
+    """This thread's solve's team on ``library`` (opened on first use), or
+    ``None`` outside a solve."""
+    teams = getattr(_SOLVE, "teams", None)
+    if teams is None:
+        return None
+    handle = teams.get(library)
+    if handle is None:
+        handle = library.team_open()
+        if handle:
+            teams[library] = handle
+            with _OPEN_LOCK:
+                _OPEN[handle] = library
+    return handle
+
+
+def _stop_teams():
+    """Join every open team's helpers (a later call starts them again):
+    none is alive while the process forks."""
+    with _OPEN_LOCK:
+        for handle, library in _OPEN.items():
+            library.team_stop(handle)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_stop_teams)
+
+
 class _SchurOperands(ctypes.Structure):
     """``schur_operands`` of ``wilson_hop.c``: what every entry of the
     even-odd form reads besides its fields."""
@@ -369,7 +458,10 @@ class _BoundSchur:
         self._dtypes = (links.dtype,) + ((_C64,) if links.dtype == _C128 else ())
         self._half = lattice + (4, 3)
         self._full = lattice[:-1] + (2 * lattice[-1], 4, 3)
-        self._apply, self._rhs, self._solution = library.schur[links.dtype]
+        self._library = library
+        (self._apply, self._rhs, self._solution, self._direction,
+         self._update) = library.schur[links.dtype]
+        self._closing = library.closing[links.dtype]
 
     def __reduce__(self):
         # bound again where it is unpickled: the pointers are this process's
@@ -399,8 +491,91 @@ class _BoundSchur:
         failed = self._apply(
             _address(x), _address(out), x.dtype != self._dtypes[0], nb,
             self._at, None if seconds is None else _address(seconds),
+            _team(self._library),
         )
         return None if failed else out
+
+    def _step(self, coefficients, k, *fields):
+        """``(nb, addresses)``: the right-hand sides of a fused step's
+        ``fields`` — half-lattice fields of the operator's dtype (no
+        narrower one: the reductions would not be its), one shape,
+        C-contiguous, writable, pairwise disjoint — and where each starts,
+        ``coefficients`` (``(nb, k)`` of that dtype) last; else ``None``."""
+        nb = self._batch(fields[0], self._half)
+        dtype, shape = self._dtypes[0], fields[0].shape
+        if (
+            nb is None
+            or coefficients.shape != (nb, k)
+            or coefficients.dtype != dtype
+            or not coefficients.flags.c_contiguous
+        ):
+            return None
+        for f in fields:
+            if (f.dtype != dtype or f.shape != shape
+                    or not (f.flags.c_contiguous and f.flags.writeable)):
+                return None
+        at = [_address(f) for f in fields]
+        # contiguous fields of one size are disjoint where their starts are
+        # a field apart
+        starts = sorted(at)
+        if any(b - a < fields[0].nbytes for a, b in zip(starts, starts[1:])):
+            return None
+        return nb, at + [_address(coefficients)]
+
+    def _seconds_team(self, seconds):
+        """A timed entry's last arguments but its reductions'."""
+        return None if seconds is None else _address(seconds), _team(self._library)
+
+    def direction(self, coefficients, p, r, v, r_hat, seconds):
+        """``p = r + b (p + c v)``, ``v = Mhat p`` (both in place) and
+        ``(r_hat, v)`` in one call: the reduction (complex128 ``(nb,)``,
+        unrecorded), or ``None``, nothing written.  ``coefficients`` is
+        ``(c, b)`` a right-hand side, as the ``bicgstab_direction`` pass
+        takes them."""
+        step = self._step(coefficients, 2, p, r, v, r_hat)
+        if step is None:
+            return None
+        nb, at = step
+        red = np.empty(nb, _C128)
+        failed = self._direction(
+            *at, nb, self._at, *self._seconds_team(seconds), _address(red)
+        )
+        return None if failed else red
+
+    def update(self, coefficients, r, v, seconds):
+        """``s = r + a v`` (in ``r``), ``t = Mhat s`` and ``(t, s)``,
+        ``|t|^2`` in one call: ``(t, ts, t2)``, the reductions unrecorded,
+        or ``None``, nothing written."""
+        step = self._step(coefficients, 1, r, v)
+        if step is None:
+            return None
+        nb, (r_at, v_at, coef_at) = step
+        t = np.empty_like(r)
+        red = np.empty((nb, 3))
+        failed = self._update(
+            r_at, v_at, _address(t), coef_at, nb, self._at,
+            *self._seconds_team(seconds), _address(red),
+        )
+        if failed:
+            return None
+        return t, _complex(red[:, 0], red[:, 1]), red[:, 2]
+
+    def closing(self, coefficients, p, s, t, x, r_hat):
+        """``x = (x + alpha p) + omega s`` and ``r = s + c t`` (in ``s``),
+        then ``(r_hat, r)`` and ``|r|^2``, in one call on the team: ``(rho,
+        r2)`` unrecorded, or ``None``, nothing written."""
+        step = self._step(coefficients, 3, p, s, t, x, r_hat)
+        if step is None:
+            return None
+        nb, at = step
+        red = np.empty((nb, 3))
+        failed = self._closing(
+            nb, p.size // (12 * nb), at[-1], *at[:-1], _team(self._library),
+            _address(red),
+        )
+        if failed:
+            return None
+        return _complex(red[:, 0], red[:, 1]), red[:, 2]
 
     def rhs(self, b):
         """``EvenOddPreconditionedWilson.prepare_rhs(b)``."""
@@ -410,7 +585,7 @@ class _BoundSchur:
         out = np.empty(b.shape[:b.ndim - len(self._full)] + self._half, b.dtype)
         failed = self._rhs(
             _address(b), _address(out), b.dtype != self._dtypes[0], nb,
-            self._at,
+            self._at, _team(self._library),
         )
         return None if failed else out
 
@@ -431,7 +606,7 @@ class _BoundSchur:
         failed = self._solution(
             _address(x_e), _address(b), _address(x),
             None if r is None else _address(r), b.dtype != self._dtypes[0],
-            nb, self._at,
+            nb, self._at, _team(self._library),
         )
         return None if failed else (x, r)
 
@@ -885,6 +1060,30 @@ class CBackend(KernelBackend):
         )
         return None if failed else out
 
+    def lane_reduce(self, x, y, components):
+        """``repro.linalg.blas.lane_reduce`` of ``x`` (and ``y``) with
+        ``components`` a site by the library — the same bits, unthreaded —
+        or ``None`` where it is not loaded or the operands are not these: a
+        non-empty field, ``y`` (if any) of its dtype and shape, C-contiguous
+        and aligned."""
+        library = self._library or self._cached()
+        run = library and library.reduce.get(x.dtype)
+        if (
+            not run
+            or not x.size
+            or not (x.flags.c_contiguous and x.flags.aligned)
+            or (y is not None and (
+                y.dtype != x.dtype or y.shape != x.shape
+                or not (y.flags.c_contiguous and y.flags.aligned)
+            ))
+        ):
+            return None
+        rows = x.shape[0]
+        out = np.empty(rows, np.float64 if y is None else _C128)
+        run(rows, x.size // (rows * components), components, _address(x),
+            None if y is None else _address(y), _address(out))
+        return out
+
     def vector_pass(self, entry: str, coefficients, vectors):
         """Run the pass ``VECTOR_PASSES[entry]`` in place and return the
         vectors it wrote — or ``None``, nothing written, where the library
@@ -940,4 +1139,4 @@ class CBackend(KernelBackend):
         return vectors[inputs:]
 
 
-__all__ = ["CBackend", "cache_directories"]
+__all__ = ["CBackend", "cache_directories", "solve_team"]

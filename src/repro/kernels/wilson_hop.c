@@ -82,6 +82,9 @@ enum { CONVERT = 0, HOPS = 1, TAIL = 2, MR_STEP = 3 };
  * matrix to the caller's site-major field; the whole matrix to a
  * site-vector field (the block solve's A r). */
 enum { BARE = 0, SITE_MAJOR = 1, SITE_VECTORS = 2 };
+/* What an even-odd call runs on its way in: the field as it is, or a fused
+ * BiCGstab step's update (see the even-odd form's NAME(enter_step)). */
+enum { APPLY = 0, DIRECTION = 1, UPDATE = 2 };
 /* Sites transposed at a time between a field and 24 rows of reals. */
 enum { BLOCK = 64 };
 /* Sites in a block of the site-vector operands (BLOCK is a multiple). */
@@ -171,6 +174,21 @@ static int helper_cpus(int64_t lanes, int *cpus)
     return found;
 }
 
+/* work(arg) on a new thread bound to `cpu`, its id in *id; nonzero where it
+ * could not be started. */
+static int start_bound(pthread_t *id, int cpu, void *(*work)(void *), void *arg)
+{
+    pthread_attr_t attr;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (pthread_attr_init(&attr)) return 1;
+    const int failed = pthread_attr_setaffinity_np(&attr, sizeof one, &one)
+        || pthread_create(id, &attr, work, arg);
+    pthread_attr_destroy(&attr);
+    return failed;
+}
+
 /* work(slot) for each of 1 + helpers slots of `size` bytes at `slots`:
  * slot 0 on the calling thread, slot i on a helper thread bound to
  * cpus[i - 1], started with every signal blocked -- so that a signal for
@@ -187,22 +205,225 @@ static void run_team(void *(*work)(void *), void *slots, size_t size,
         sigset_t all, old;
         sigfillset(&all);
         pthread_sigmask(SIG_BLOCK, &all, &old);
-        for (int i = 0; i < helpers; i++) {
-            pthread_attr_t attr;
-            cpu_set_t one;
-            CPU_ZERO(&one);
-            CPU_SET(cpus[i], &one);
-            if (pthread_attr_init(&attr)) break;
-            if (!pthread_attr_setaffinity_np(&attr, sizeof one, &one)
-                && !pthread_create(&ids[started], &attr, work,
-                                   (char *)slots + (size_t)(1 + started) * size))
-                started++;
-            pthread_attr_destroy(&attr);
-        }
+        for (int i = 0; i < helpers; i++)
+            started += !start_bound(&ids[started], cpus[i], work,
+                                    (char *)slots + (size_t)(1 + started) * size);
         pthread_sigmask(SIG_SETMASK, &old, NULL);
     }
     work(slots);
     for (int i = 0; i < started; i++) pthread_join(ids[i], NULL);
+}
+
+/* A team that lives for a solve: the helpers of run_team, started by the
+ * first call that needs them, parked between calls and joined by
+ * repro_team_stop (which a later call undoes: it starts them again) or
+ * repro_team_close.  The caller (repro/kernels/c_backend.py, solve_team)
+ * opens one per solve and thread and closes it when the solve ends, also
+ * when it raises, and stops every open team before the process forks: no
+ * helper outlives its solve, and none is alive across a fork.
+ *
+ * A team has as many helpers as its largest call so far could use (a call
+ * of n work items: min(n, allowed CPUs) - 1, as run_team would start), so a
+ * solve whose calls are small keeps no CPU busy it does not use.  A call
+ * locks `call` for its whole length (a stop from another thread waits for
+ * it), posts its work to the helpers it gives a slot -- bumping each one's
+ * own `posted` -- runs slot 0 itself and waits until those count themselves
+ * `done`; the others are not woken, so no helper reads a call it has no
+ * part in.  Between calls a helper spins, yielding its CPU, for up to
+ * SPIN_NS -- longer than the Python between two calls of a Krylov loop --
+ * and then sleeps on `wake`. */
+enum { SPIN_NS = 2000000 };
+/* Site-vector blocks of the closing pass a thread takes at the least (32:
+ * 256 sites, 48 KB of each of its seven complex128 field streams). */
+enum { CLOSING_SHARE = 32 };
+
+typedef struct repro_team repro_team;
+typedef struct {
+    repro_team *team;
+    int index;
+    unsigned long posted; /* calls posted to this helper; 0 when started */
+} team_helper_arg;
+
+struct repro_team {
+    pthread_mutex_t call, lock;
+    pthread_cond_t wake;
+    int helpers; /* started: -1 until a call starts them */
+    int sleepers, quit;
+    int done;
+    void *(*work)(void *);
+    void *slots;
+    size_t size;
+    pthread_t ids[CPU_SETSIZE];
+    team_helper_arg args[CPU_SETSIZE];
+    int cpu[CPU_SETSIZE]; /* each helper's CPU */
+    int home;             /* the caller's: no helper is bound to it */
+};
+
+static double since_ns(const struct timespec *start)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return 1e9 * (double)(now.tv_sec - start->tv_sec)
+        + (double)(now.tv_nsec - start->tv_nsec);
+}
+
+static void *team_helper(void *arg)
+{
+    team_helper_arg *me = arg;
+    repro_team *team = me->team;
+    unsigned long seen = 0;
+    for (;;) {
+        struct timespec start;
+        clock_gettime(CLOCK_MONOTONIC, &start);
+        unsigned long g;
+        for (int spins = 1;; spins++) {
+            g = __atomic_load_n(&me->posted, __ATOMIC_ACQUIRE);
+            if (g != seen) break;
+            if (spins % 64 == 0 && since_ns(&start) > SPIN_NS) {
+                pthread_mutex_lock(&team->lock);
+                team->sleepers++;
+                while ((g = me->posted) == seen)
+                    pthread_cond_wait(&team->wake, &team->lock);
+                team->sleepers--;
+                pthread_mutex_unlock(&team->lock);
+                break;
+            }
+            sched_yield();
+        }
+        seen = g;
+        if (team->quit) return NULL;
+        team->work((char *)team->slots + (size_t)(1 + me->index) * team->size);
+        __atomic_add_fetch(&team->done, 1, __ATOMIC_RELEASE);
+    }
+}
+
+/* Wake the first n helpers for what the caller set up: a call, or the quit. */
+static void team_post(repro_team *team, int n)
+{
+    pthread_mutex_lock(&team->lock);
+    for (int i = 0; i < n; i++)
+        __atomic_add_fetch(&team->args[i].posted, 1, __ATOMIC_RELEASE);
+    if (team->sleepers) pthread_cond_broadcast(&team->wake);
+    pthread_mutex_unlock(&team->lock);
+}
+
+repro_team *repro_team_open(void)
+{
+    repro_team *team = calloc(1, sizeof *team);
+    if (!team) return NULL;
+    pthread_mutex_init(&team->call, NULL);
+    pthread_mutex_init(&team->lock, NULL);
+    pthread_cond_init(&team->wake, NULL);
+    team->helpers = -1;
+    return team;
+}
+
+/* Join the helpers, if started; the next call starts them again. */
+void repro_team_stop(repro_team *team)
+{
+    pthread_mutex_lock(&team->call);
+    if (team->helpers > 0) {
+        team->quit = 1;
+        team_post(team, team->helpers);
+        for (int i = 0; i < team->helpers; i++) pthread_join(team->ids[i], NULL);
+        team->quit = 0;
+    }
+    team->helpers = -1;
+    pthread_mutex_unlock(&team->call);
+}
+
+void repro_team_close(repro_team *team)
+{
+    repro_team_stop(team);
+    pthread_mutex_destroy(&team->call);
+    pthread_mutex_destroy(&team->lock);
+    pthread_cond_destroy(&team->wake);
+    free(team);
+}
+
+/* Start helpers on the CPUs of cpus[0, n) that none has, until the team has
+ * `want` of them. */
+static void team_grow(repro_team *team, const int *cpus, int n, int want)
+{
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_BLOCK, &all, &old);
+    for (int i = 0; i < n && team->helpers < want; i++) {
+        int taken = 0;
+        for (int j = 0; j < team->helpers; j++) taken |= team->cpu[j] == cpus[i];
+        if (taken) continue;
+        const int k = team->helpers;
+        team->args[k] = (team_helper_arg){team, k, 0};
+        team->cpu[k] = cpus[i];
+        team->helpers += !start_bound(&team->ids[k], cpus[i], team_helper,
+                                      &team->args[k]);
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+}
+
+/* The start of a call of `items` independent work items on `team`: locks it
+ * and returns how many helpers the call has -- those of the team, more
+ * started now where the call could use them (helper_cpus(items), each
+ * bound to its CPU), up to items - 1.  Without a team (NULL),
+ * helper_cpus(items) for run_team, their CPUs in `cpus`.  End the call with
+ * team_run. */
+static int team_acquire(repro_team *team, int64_t items, int *cpus)
+{
+    if (!team) return helper_cpus(items, cpus);
+    pthread_mutex_lock(&team->call);
+    const int here = sched_getcpu();
+    if (team->helpers < 0) {
+        team->helpers = 0;
+        team->home = here;
+    }
+    /* the caller moved onto a helper's CPU: as run_team would bind it now,
+     * that helper takes the CPU the caller left */
+    for (int i = 0; i < team->helpers && here != team->home; i++) {
+        if (team->cpu[i] != here) continue;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(team->home, &one);
+        if (!pthread_setaffinity_np(team->ids[i], sizeof one, &one)) {
+            team->cpu[i] = team->home;
+            team->home = here;
+        }
+    }
+    const int want = helper_cpus(items, cpus);
+    if (want > team->helpers)
+        team_grow(team, cpus, helper_cpus(INT64_MAX, cpus), want);
+    return items - 1 < team->helpers ? (int)(items > 0 ? items - 1 : 0)
+                                     : team->helpers;
+}
+
+/* work(slot) for each of 1 + helpers slots (team_acquire's count) of `size`
+ * bytes at `slots`, on the team -- slot 0 on the calling thread, slot i on
+ * helper i - 1 -- and the call's end: the team is unlocked.  Without a team,
+ * run_team. */
+static void team_run(repro_team *team, void *(*work)(void *), void *slots,
+                     size_t size, const int *cpus, int helpers)
+{
+    if (!team) {
+        run_team(work, slots, size, cpus, helpers);
+        return;
+    }
+    if (helpers) {
+        team->work = work;
+        team->slots = slots;
+        team->size = size;
+        team->done = 0;
+        team_post(team, helpers);
+    }
+    work(slots);
+    if (helpers)
+        while (__atomic_load_n(&team->done, __ATOMIC_ACQUIRE) < helpers)
+            sched_yield();
+    pthread_mutex_unlock(&team->call);
+}
+
+/* A call that ends before it runs (its scratch could not be had). */
+static void team_cancel(repro_team *team)
+{
+    if (team) pthread_mutex_unlock(&team->call);
 }
 
 /* One phase of a call whose team splits its work items: the next item no
@@ -854,6 +1075,174 @@ static void NAME(leave_vectors)(REAL *restrict acc, int64_t U, int64_t R,
     }
 }
 
+/* ---- the reductions ---------------------------------------------------- */
+
+/* Every reduction here -- the block solve's, the even-odd form's fused
+ * steps', the Krylov loops' complex128 ones -- runs in ONE order the
+ * repository defines, stated on (row, site, component) indices -- so no
+ * layout, no BLAS build and no thread count moves it -- and written once
+ * more in NumPy (repro.linalg.blas.lane_reduce, the reference and the
+ * fallback):
+ *
+ *   - a term is re(a) re(b) + im(a) im(b) (the real part of conj(a) b) and
+ *     re(a) im(b) - im(a) re(b) (its imaginary part), in double: a complex64
+ *     field's reals are widened first, so their products are exact;
+ *   - a site's sum is its 12 terms added in component order, from the
+ *     first;
+ *   - slot t < W sums the sites t, W + t, 2W + t, ... in site order, from
+ *     the first (a slot no site falls in is +0): the W sites of a site
+ *     vector are the W slots;
+ *   - the W slot sums fold in halves: ((s0 + s4) + (s2 + s6)) + ((s1 + s5)
+ *     + (s3 + s7)). */
+typedef double NAME(dvec) __attribute__((
+    vector_size(W * sizeof(double)), aligned(sizeof(double)), may_alias));
+#define DVEC NAME(dvec)
+
+static inline DVEC NAME(widen)(VEC v) { return __builtin_convertvector(v, DVEC); }
+
+/* Block k's site sums `s`, of which the first n are sites, into the slots. */
+static inline void NAME(slot_add)(DVEC *acc, DVEC s, int64_t k, int64_t n)
+{
+    if (n == W) {
+        if (k) *acc += s;
+        else *acc = s;
+        return;
+    }
+    for (int t = 0; t < W; t++)
+        if (t < n) (*acc)[t] = k ? (*acc)[t] + s[t] : s[t];
+        else if (!k) (*acc)[t] = 0;
+}
+
+static inline double NAME(fold)(DVEC a)
+{
+    double h[W / 2], q[W / 4];
+    for (int t = 0; t < W / 2; t++) h[t] = a[t] + a[t + W / 2];
+    for (int t = 0; t < W / 4; t++) q[t] = h[t] + h[t + W / 4];
+    return q[0] + q[1];
+}
+
+/* Sites of block k of a V-site field that are sites, not padding. */
+static inline int64_t NAME(filled)(int64_t k, int64_t V)
+{
+    return V - k * W < W ? V - k * W : W;
+}
+
+/* The order splits over a team without moving a bit: a site's sum (its
+ * terms in component order) is the same whichever thread computes it, and
+ * the slot chains and the fold then run on one thread over the site sums.
+ *
+ * Where a field's elements lie for them: component c of site t has its
+ * real part at at[t site + c comp] and its imaginary part `imag` reals
+ * after it. */
+typedef struct {
+    const REAL *at;
+    int64_t site, comp, imag;
+} NAME(span);
+
+/* k components a site, site-major, interleaved complex, from `at`. */
+static inline NAME(span) NAME(interleaved)(const REAL *at, int64_t k)
+{
+    return (NAME(span)){at, 2 * k, 2, 1};
+}
+
+/* The reals of m <= W sites from p, `stride` apart, a lane a site (the
+ * lanes past m +0). */
+static inline DVEC NAME(lanes_of)(const REAL *p, int64_t stride, int64_t m)
+{
+    DVEC v = {0};
+    if (m == W)
+        for (int t = 0; t < W; t++) v[t] = p[t * stride];
+    else
+        for (int64_t t = 0; t < m; t++) v[t] = p[t * stride];
+    return v;
+}
+
+/* The site sums of a run of n sites of k components: the terms of <a, b> --
+ * re into sr, im into si -- or, b.at NULL, of |a|^2 into sr.  W sites at a
+ * time, a lane a site: each lane's chain is its site's terms in component
+ * order. */
+static inline void NAME(site_terms)(NAME(span) a, NAME(span) b, int64_t k,
+                                    int64_t n, double *sr, double *si)
+{
+    for (int64_t first = 0; first < n; first += W) {
+        const int64_t m = n - first < W ? n - first : W;
+        DVEC re = {0}, im = {0};
+        for (int64_t c = 0; c < k; c++) {
+            const REAL *x = a.at + first * a.site + c * a.comp;
+            const DVEC ar = NAME(lanes_of)(x, a.site, m);
+            const DVEC ai = NAME(lanes_of)(x + a.imag, a.site, m);
+            DVEC tr, ti = {0};
+            if (b.at) {
+                const REAL *y = b.at + first * b.site + c * b.comp;
+                const DVEC br = NAME(lanes_of)(y, b.site, m);
+                const DVEC bi = NAME(lanes_of)(y + b.imag, b.site, m);
+                tr = ar * br + ai * bi;
+                ti = ar * bi - ai * br;
+            } else {
+                tr = ar * ar + ai * ai;
+            }
+            if (c) {
+                re += tr;
+                im += ti;
+            } else {
+                re = tr;
+                im = ti;
+            }
+        }
+        for (int64_t t = 0; t < m; t++) {
+            sr[first + t] = re[t];
+            if (b.at) si[first + t] = im[t];
+        }
+    }
+}
+
+/* The slot chains and the fold of `parts` reductions of `rows` rows, each
+ * S site sums at sums[(part * rows + row) * SP] (SP >= S a multiple of W):
+ * out[row * parts + part]. */
+static void NAME(chains)(const double *sums, int parts, int64_t rows,
+                         int64_t S, int64_t SP, double *out)
+{
+    for (int64_t row = 0; row < rows; row++)
+        for (int part = 0; part < parts; part++) {
+            const double *v = sums + (part * rows + row) * SP;
+            DVEC acc = {0};
+            for (int64_t k = 0; k < blocks_of(S); k++)
+                NAME(slot_add)(&acc, *(const DVEC *)(v + k * W), k,
+                               NAME(filled)(k, S));
+            out[row * parts + part] = NAME(fold)(acc);
+        }
+}
+
+/* repro.linalg.blas.lane_reduce, unthreaded: per row of `rows` rows of S
+ * sites of k components (site-major, interleaved complex), <x, y> into
+ * out[2 row] + i out[2 row + 1] or, `y` NULL, |x|^2 into out[row]. */
+void NAME(repro_lane_reduce)(int64_t rows, int64_t S, int64_t k,
+                             const REAL *x, const REAL *y, double *out)
+{
+    for (int64_t row = 0; row < rows; row++) {
+        DVEC re = {0}, im = {0};
+        for (int64_t j = 0; j < blocks_of(S); j++) {
+            const int64_t n = NAME(filled)(j, S), at = 2 * k * (row * S + j * W);
+            double sr[W] = {0}, si[W] = {0};
+            NAME(site_terms)(NAME(interleaved)(x + at, k),
+                             NAME(interleaved)(y ? y + at : NULL, k), k, n,
+                             sr, si);
+            DVEC vr, vi;
+            memcpy(&vr, sr, sizeof vr);
+            NAME(slot_add)(&re, vr, j, n);
+            if (!y) continue;
+            memcpy(&vi, si, sizeof vi);
+            NAME(slot_add)(&im, vi, j, n);
+        }
+        if (y) {
+            out[2 * row] = NAME(fold)(re);
+            out[2 * row + 1] = NAME(fold)(im);
+        } else {
+            out[row] = NAME(fold)(re);
+        }
+    }
+}
+
 /* What a stencil call reads besides its field: the links the forward hop
  * reads (at the target sites) and those the backward hop reads (at the
  * source sites; on the full lattice the same array), both (2, mu, b, a,
@@ -870,7 +1259,34 @@ typedef struct {
     const REAL *xt, *packed;
     double diag, hop;
     const REAL *inverse;
+    /* The way-out reductions (SITE_MAJOR only; `sums` NULL: none), see
+     * NAME(site_sums): row b's site g at sums[b SP + g]. */
+    const REAL *with;
+    int conj_out, norm;
+    double *sums;
+    int64_t SP, stride;
 } NAME(sites);
+
+/* The way-out reductions of a unit: per site of the U sites of the result
+ * from the unit's first, as its split accumulator rows `acc` (stride R) hold
+ * them, the sum of the terms of <with, out> -- <out, with> if `conj_out` --
+ * and then of |out|^2 if `norm` (see "the reductions"), into `sums` and the
+ * parts after it, `stride` apart; `with` the caller's site-major field at
+ * the unit's first site, or NULL: |out|^2 alone. */
+static void NAME(site_sums)(const REAL *acc, int64_t U, int64_t R,
+                            const REAL *with, int conj_out, int norm,
+                            double *sums, int64_t stride)
+{
+    const NAME(span) out = {acc, 1, 2 * R, R};
+    if (with) {
+        const NAME(span) w = NAME(interleaved)(with, 12);
+        NAME(site_terms)(conj_out ? out : w, conj_out ? w : out, 12, U, sums,
+                         sums + stride);
+        sums += 2 * stride;
+    }
+    if (norm)
+        NAME(site_terms)(out, NAME(interleaved)(NULL, 12), 12, U, sums, NULL);
+}
 
 /* The sites of the stencil's walk unit (see below) on the lattice n = (X,
  * Y, Z, T); `*inner` the axes inside it. */
@@ -1005,6 +1421,11 @@ static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
                 NAME(site_tail)(acc, U, R, xt, packed, here, on->diag,
                                 on->hop);
             if (inverse) NAME(site_invert)(acc, U, R, inverse, here);
+            if (on->sums)
+                NAME(site_sums)(acc, U, R, on->with ? on->with + 24 * site : NULL,
+                                on->conj_out, on->norm,
+                                on->sums + row / nl * on->SP + row % nl * V
+                                    + here, on->stride);
             if (seconds) seconds[TAIL] += lap(mark);
             if (to == SITE_VECTORS)
                 NAME(leave_vectors)(acc, U, R,
@@ -1130,7 +1551,11 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
 
 /* One call as its threads read it: the fields in, `x` and `b`, and out,
  * `out` and `r` (each entry names its own); the call's site-vector fields,
- * one after the other at `v`; its phases, in the order the entry runs them. */
+ * one after the other at `v`; its phases, in the order the entry runs them.
+ * A fused BiCGstab step (`step`, see NAME(enter_step)) also writes `x`,
+ * reads `u` and `y` and the coefficients `coef` on the way in, and makes the
+ * way-out reductions of `out` with `with` (see NAME(site_sums)) into `sums`,
+ * SP a row. */
 typedef struct {
     const void *x, *b;
     void *out, *r;
@@ -1139,6 +1564,11 @@ typedef struct {
     const schur_operands *s;
     REAL *v;
     phase phases[5];
+    int step;
+    const REAL *u, *y, *coef, *with;
+    int conj_out, norm;
+    double *sums;
+    int64_t SP;
 } NAME(schur_call);
 
 /* A thread's own: the walk's scratch and its leaves' laps. */
@@ -1229,12 +1659,13 @@ static void NAME(residual)(REAL *restrict m, const REAL *restrict b,
     for (int i = 0; i < FIELD_ROWS * W; i++) m[i] = b[i] - m[i];
 }
 
-/* `work` on one team, with `fields` site-vector fields of the call's lanes
- * its scratch: helpers as many as the stencil's units allow (helper_cpus).
+/* `work` on one team -- the solve's `team`, or one of the call's own if
+ * that is NULL -- with `fields` site-vector fields of the call's lanes its
+ * scratch: helpers as many as the stencil's units allow (team_acquire).
  * `seconds`, unless NULL, gains each leaf's share of the threads' laps, of
  * the call's wall time (share_laps). */
 static int NAME(schur_team)(void *(*work)(void *), NAME(schur_call) *call,
-                            int64_t fields, double *seconds)
+                            int64_t fields, double *seconds, repro_team *team)
 {
     const schur_operands *s = call->s;
     const int64_t n[4] = {s->X, s->Y, s->Z, s->T};
@@ -1243,27 +1674,73 @@ static int NAME(schur_team)(void *(*work)(void *), NAME(schur_call) *call,
     const int64_t H = NAME(walk_reals)(s->T, s->Z, s->Y, s->X);
     int inner, cpus[CPU_SETSIZE];
     const int64_t units = lanes * (V / NAME(unit_of)(n, &inner));
-    const int helpers = helper_cpus(units, cpus), threads = 1 + helpers;
+    const int helpers = team_acquire(team, units, cpus), threads = 1 + helpers;
     void *raw;
     REAL *v = aligned_scratch(
         (size_t)(F + threads * H) * sizeof(REAL)
         + (size_t)threads * sizeof(NAME(schur_thread)), &raw);
-    if (!v) return 1;
-    NAME(schur_thread) *team = (NAME(schur_thread) *)(v + F + threads * H);
+    if (!v) {
+        team_cancel(team);
+        return 1;
+    }
+    NAME(schur_thread) *slots = (NAME(schur_thread) *)(v + F + threads * H);
     call->v = v;
     for (size_t k = 0; k < sizeof call->phases / sizeof *call->phases; k++)
         call->phases[k] = (phase){0, 0, threads};
     for (int i = 0; i < threads; i++)
-        team[i] = (NAME(schur_thread)){call, v + F + i * H, {0},
-                                       seconds != NULL};
+        slots[i] = (NAME(schur_thread)){call, v + F + i * H, {0},
+                                        seconds != NULL};
     struct timespec mark;
     if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
-    run_team(work, team, sizeof *team, cpus, helpers);
+    team_run(team, work, slots, sizeof *slots, cpus, helpers);
     if (seconds)
-        share_laps(seconds, 3, team->seconds, sizeof *team, threads,
+        share_laps(seconds, 3, slots->seconds, sizeof *slots, threads,
                    lap(&mark));
     free(raw);
     return 0;
+}
+
+/* The way in of a fused BiCGstab step, on block k of lane `lane` of `x`:
+ * per site and component the vector pass it stands for --
+ *     DIRECTION (coefficients c, b):  x = y + b (x + c u)   (bicgstab_direction)
+ *     UPDATE    (coefficient a):      x = x + a u           (update)
+ * in the caller's site-major `x` -- then the result's site vectors `to`, as
+ * enter_block; the coefficients are the lane's row's (see "the solvers'
+ * vector updates"). */
+static void NAME(enter_step)(const NAME(schur_call) *c, REAL *restrict to,
+                             int64_t lane, int64_t k)
+{
+    const schur_operands *s = c->s;
+    const int64_t V = s->T * s->Z * s->Y * s->X;
+    const int direction = c->step == DIRECTION;
+    const REAL *cf = c->coef + (direction ? 4 : 2) * (lane / s->nl);
+    for (int t = 0; t < W; t++) {
+        const int64_t g = k * W + t;
+        if (g >= V) {
+            for (int r = 0; r < FIELD_ROWS; r++) to[r * W + t] = 0;
+            continue;
+        }
+        const int64_t at = FIELD_ROWS * (lane * V + g);
+        REAL *x = (REAL *)c->x + at;
+        const REAL *u = c->u + at, *y = c->y ? c->y + at : NULL;
+        for (int e = 0; e < 24; e += 2) {
+            const REAL ur = u[e], ui = u[e + 1];
+            REAL re, im;
+            if (direction) {
+                const REAL tr = x[e] + CMUL_RE(cf[0], cf[1], ur, ui);
+                const REAL ti = x[e + 1] + CMUL_IM(cf[0], cf[1], ur, ui);
+                re = y[e] + CMUL_RE(cf[2], cf[3], tr, ti);
+                im = y[e + 1] + CMUL_IM(cf[2], cf[3], tr, ti);
+            } else {
+                re = x[e] + CMUL_RE(cf[0], cf[1], ur, ui);
+                im = x[e + 1] + CMUL_IM(cf[0], cf[1], ur, ui);
+            }
+            x[e] = re;
+            x[e + 1] = im;
+            to[e * W + t] = re;
+            to[(e + 1) * W + t] = im;
+        }
+    }
 }
 
 /* The Schur complement, EvenOddPreconditionedWilson._apply:
@@ -1284,14 +1761,23 @@ static void *NAME(apply_worker)(void *arg)
     double *seconds = t->timed ? t->seconds : NULL;
     struct timespec mark;
     if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
-    CLAIMED(i, &c->phases[0], lanes * NB)
-        NAME(enter_block)(c->x, c->narrow, xs + i * FIELD_ROWS * W, i / NB,
-                          i % NB, s, -1);
+    CLAIMED(i, &c->phases[0], lanes * NB) {
+        if (c->step)
+            NAME(enter_step)(c, xs + i * FIELD_ROWS * W, i / NB, i % NB);
+        else
+            NAME(enter_block)(c->x, c->narrow, xs + i * FIELD_ROWS * W,
+                              i / NB, i % NB, s, -1);
+    }
     if (seconds) seconds[CONVERT] += lap(&mark);
     const NAME(sites) onto_odd = NAME(onto)(s, 1, NULL, NULL, 0.0, 0.0,
                                             s->inverse);
-    const NAME(sites) even = NAME(onto)(s, 0, xs, s->even, s->diag, -0.25,
-                                        NULL);
+    NAME(sites) even = NAME(onto)(s, 0, xs, s->even, s->diag, -0.25, NULL);
+    even.with = c->with;
+    even.conj_out = c->conj_out;
+    even.norm = c->norm;
+    even.sums = c->sums;
+    even.SP = c->SP;
+    even.stride = c->nb * c->SP;
     NAME(hops)(t, xs, &onto_odd, odd, SITE_VECTORS, &c->phases[1], seconds,
                &mark);
     NAME(hops)(t, odd, &even, c->out, SITE_MAJOR, &c->phases[2], seconds,
@@ -1300,10 +1786,70 @@ static void *NAME(apply_worker)(void *arg)
 }
 
 int NAME(repro_schur_apply)(const void *x, void *out, int narrow, int64_t nb,
-                            const schur_operands *s, double *seconds)
+                            const schur_operands *s, double *seconds,
+                            repro_team *team)
 {
     NAME(schur_call) call = {x, NULL, out, NULL, narrow, nb, s};
-    return NAME(schur_team)(NAME(apply_worker), &call, 2, seconds);
+    return NAME(schur_team)(NAME(apply_worker), &call, 2, seconds, team);
+}
+
+/* A fused step: the apply of `call`, its way in the step's, and the way-out
+ * reductions' slot chains and folds into red[row * parts + part]. */
+static int NAME(schur_step)(NAME(schur_call) *call, int parts,
+                            double *seconds, repro_team *team, double *red)
+{
+    const schur_operands *s = call->s;
+    const int64_t S = s->nl * s->T * s->Z * s->Y * s->X;
+    call->SP = blocks_of(S) * W;
+    void *raw;
+    call->sums = aligned_scratch(
+        (size_t)(parts * call->nb * call->SP) * sizeof(double), &raw);
+    if (!call->sums) return 1;
+    const int failed = NAME(schur_team)(NAME(apply_worker), call, 2, seconds,
+                                        team);
+    if (!failed) NAME(chains)(call->sums, parts, call->nb, S, call->SP, red);
+    free(raw);
+    return failed;
+}
+
+/* BiCGstab's new direction and its apply, with the reduction behind it:
+ *     p = r + b (p + c v),   v = Mhat p,   red = <rhat, v>
+ * p and v in place (the old v is read on the way in, the new one written on
+ * the way out), coefficients (c, b) a row as the bicgstab_direction pass
+ * takes them, red re and im a row.  Fields of the operator's dtype. */
+int NAME(repro_schur_direction)(REAL *p, const REAL *r, REAL *v,
+                                const REAL *rhat, const REAL *coef,
+                                int64_t nb, const schur_operands *s,
+                                double *seconds, repro_team *team,
+                                double *red)
+{
+    NAME(schur_call) call = {p, NULL, v, NULL, 0, nb, s};
+    call.step = DIRECTION;
+    call.u = v;
+    call.y = r;
+    call.coef = coef;
+    call.with = rhat;
+    return NAME(schur_step)(&call, 2, seconds, team, red);
+}
+
+/* BiCGstab's half step and the apply of its result, with the reductions
+ * behind it:
+ *     s = r + a v  (in r),   t = Mhat s,   red = <t, s>, |t|^2
+ * the coefficient a (-alpha) a row as the update pass takes it, red re, im
+ * and the norm a row.  Fields of the operator's dtype. */
+int NAME(repro_schur_update)(REAL *r, const REAL *v, REAL *t,
+                             const REAL *coef, int64_t nb,
+                             const schur_operands *s, double *seconds,
+                             repro_team *team, double *red)
+{
+    NAME(schur_call) call = {r, NULL, t, NULL, 0, nb, s};
+    call.step = UPDATE;
+    call.u = v;
+    call.coef = coef;
+    call.with = r;
+    call.conj_out = 1;
+    call.norm = 1;
+    return NAME(schur_step)(&call, 3, seconds, team, red);
 }
 
 /* The Schur system's right-hand side, prepare_rhs, of the full-lattice b:
@@ -1333,10 +1879,10 @@ static void *NAME(rhs_worker)(void *arg)
 }
 
 int NAME(repro_schur_rhs)(const void *b, void *out, int narrow, int64_t nb,
-                          const schur_operands *s)
+                          const schur_operands *s, repro_team *team)
 {
     NAME(schur_call) call = {NULL, b, out, NULL, narrow, nb, s};
-    return NAME(schur_team)(NAME(rhs_worker), &call, 2, NULL);
+    return NAME(schur_team)(NAME(rhs_worker), &call, 2, NULL, team);
 }
 
 /* The full solution x of M x = b from the even half-lattice x_e
@@ -1400,61 +1946,88 @@ static void *NAME(solution_worker)(void *arg)
 
 int NAME(repro_schur_solution)(const void *xe, const void *b, void *x,
                                void *r, int narrow, int64_t nb,
-                               const schur_operands *s)
+                               const schur_operands *s, repro_team *team)
 {
     NAME(schur_call) call = {xe, b, x, r, narrow, nb, s};
-    return NAME(schur_team)(NAME(solution_worker), &call, 4, NULL);
+    return NAME(schur_team)(NAME(solution_worker), &call, 4, NULL, team);
+}
+
+/* BiCGstab's closing updates and the next iteration's reductions of the r
+ * they write, over `rows` rows of S Wilson sites (site-major, 12 components
+ * a site), on the solve's `team` (or the call's own, NULL):
+ *     x = (x + alpha p) + omega s,   r = s + c t  (in s),
+ *     red = <rhat, r>, |r|^2
+ * coefficients (alpha, omega, c) a row as the bicgstab_closing pass takes
+ * them, red re, im and the norm a row.  The work items are the rows' blocks
+ * of W sites; every thread sums its sites, the calling one then runs the
+ * slot chains (see "the reductions").  Returns nonzero when the scratch
+ * cannot be had. */
+typedef struct {
+    int64_t rows, S, SP;
+    const REAL *coef, *p, *t, *rhat;
+    REAL *s, *x;
+    double *sums;
+    phase work;
+} NAME(closing_call);
+
+static void *NAME(closing_worker)(void *arg)
+{
+    NAME(closing_call) *c = *(NAME(closing_call) **)arg;
+    const int64_t NB = blocks_of(c->S), plane = c->rows * c->SP;
+    CLAIMED(i, &c->work, c->rows * NB) {
+        const int64_t row = i / NB, k = i % NB, n = NAME(filled)(k, c->S);
+        const REAL *cf = c->coef + 6 * row;
+        const int64_t at = 24 * (row * c->S + k * W);
+        for (int64_t e = at; e < at + 24 * n; e += 2) {
+            const REAL pr = c->p[e], pi = c->p[e + 1];
+            const REAL sr = c->s[e], si = c->s[e + 1];
+            const REAL tr = c->t[e], ti = c->t[e + 1];
+            const REAL yr = c->x[e] + CMUL_RE(cf[0], cf[1], pr, pi);
+            const REAL yi = c->x[e + 1] + CMUL_IM(cf[0], cf[1], pr, pi);
+            c->x[e] = yr + CMUL_RE(cf[2], cf[3], sr, si);
+            c->x[e + 1] = yi + CMUL_IM(cf[2], cf[3], sr, si);
+            c->s[e] = sr + CMUL_RE(cf[4], cf[5], tr, ti);
+            c->s[e + 1] = si + CMUL_IM(cf[4], cf[5], tr, ti);
+        }
+        double *sums = c->sums + row * c->SP + k * W;
+        NAME(site_terms)(NAME(interleaved)(c->rhat + at, 12),
+                         NAME(interleaved)(c->s + at, 12), 12, n, sums,
+                         sums + plane);
+        NAME(site_terms)(NAME(interleaved)(c->s + at, 12),
+                         NAME(interleaved)(NULL, 12), 12, n, sums + 2 * plane,
+                         NULL);
+    }
+    return NULL;
+}
+
+int NAME(repro_closing_reduce)(int64_t rows, int64_t S, const REAL *coef,
+                               const REAL *p, REAL *s, const REAL *t, REAL *x,
+                               const REAL *rhat, repro_team *team, double *red)
+{
+    int cpus[CPU_SETSIZE];
+    /* a thread for every CLOSING_SHARE blocks: below that a helper's
+     * hand-over costs more than its share of the pass saves */
+    const int helpers = team_acquire(team, rows * blocks_of(S) / CLOSING_SHARE,
+                                     cpus);
+    const int threads = 1 + helpers;
+    NAME(closing_call) call = {rows, S, blocks_of(S) * W, coef, p, t, rhat, s,
+                               x, NULL, {0, 0, threads}};
+    void *raw;
+    call.sums = aligned_scratch(
+        (size_t)(3 * rows * call.SP) * sizeof(double), &raw);
+    if (!call.sums) {
+        team_cancel(team);
+        return 1;
+    }
+    NAME(closing_call) *slots[CPU_SETSIZE + 1];
+    for (int i = 0; i < threads; i++) slots[i] = &call;
+    team_run(team, NAME(closing_worker), slots, sizeof *slots, cpus, helpers);
+    NAME(chains)(call.sums, 3, rows, S, call.SP, red);
+    free(raw);
+    return 0;
 }
 
 /* ---- the Schwarz block solve ----------------------------------------- */
-
-/* The block solve's reductions run in ONE order the repository defines,
- * stated on (row, site, component) indices -- so no layout and no BLAS
- * build moves it -- and written once more in NumPy
- * (repro.linalg.blas.lane_reduce, the reference and the fallback):
- *
- *   - a term is re(a) re(b) + im(a) im(b) (the real part of conj(a) b) and
- *     re(a) im(b) - im(a) re(b) (its imaginary part), in double: a complex64
- *     field's reals are widened first, so their products are exact;
- *   - a site's sum is its 12 terms added in component order, from the
- *     first;
- *   - slot t < W sums the sites t, W + t, 2W + t, ... in site order, from
- *     the first (a slot no site falls in is +0): the W sites of a site
- *     vector are the W slots;
- *   - the W slot sums fold in halves: ((s0 + s4) + (s2 + s6)) + ((s1 + s5)
- *     + (s3 + s7)). */
-typedef double NAME(dvec) __attribute__((
-    vector_size(W * sizeof(double)), aligned(sizeof(double)), may_alias));
-#define DVEC NAME(dvec)
-
-static inline DVEC NAME(widen)(VEC v) { return __builtin_convertvector(v, DVEC); }
-
-/* Block k's site sums `s`, of which the first n are sites, into the slots. */
-static inline void NAME(slot_add)(DVEC *acc, DVEC s, int64_t k, int64_t n)
-{
-    if (n == W) {
-        if (k) *acc += s;
-        else *acc = s;
-        return;
-    }
-    for (int t = 0; t < W; t++)
-        if (t < n) (*acc)[t] = k ? (*acc)[t] + s[t] : s[t];
-        else if (!k) (*acc)[t] = 0;
-}
-
-static inline double NAME(fold)(DVEC a)
-{
-    double h[W / 2], q[W / 4];
-    for (int t = 0; t < W / 2; t++) h[t] = a[t] + a[t + W / 2];
-    for (int t = 0; t < W / 4; t++) q[t] = h[t] + h[t + W / 4];
-    return q[0] + q[1];
-}
-
-/* Sites of block k of a V-site field that are sites, not padding. */
-static inline int64_t NAME(filled)(int64_t k, int64_t V)
-{
-    return V - k * W < W ? V - k * W : W;
-}
 
 /* |v|^2 of one row of a site-vector field. */
 static double NAME(norm_row)(const REAL *v, int64_t V)
@@ -1740,8 +2313,6 @@ int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
     return 0;
 }
 
-#undef DVEC
-
 /* ---- path products ---------------------------------------------------- */
 
 /* out = sum_p w_p P_p for every starting site, P_p the ordered product of
@@ -1960,4 +2531,5 @@ void NAME(repro_update_pair)(int64_t lanes, int64_t n, const REAL *coef,
 }
 
 #undef VEC
+#undef DVEC
 #endif

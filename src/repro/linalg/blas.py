@@ -20,11 +20,15 @@ fallback (every dtype mix, every non-contiguous operand, a process
 without the library).  A BLAS call loads the library from its cache and
 never builds it.  ``out=`` names a vector the caller owns: it receives
 the result where it can hold it bit for bit (the result's dtype and
-shape), and the result is returned either way.  The global reductions
-stay ``np.vdot`` / ``np.vecdot``: the host BLAS's dot kernel, whose
-summation order is its own (docs/performance_model.md, "The Krylov
-updates").  The Schwarz block solves' domain-local ones run in an order
-the repository defines instead (:func:`lane_reduce`).
+shape), and the result is returned either way.
+
+Both families' complex128 reductions, and the Schwarz block solves'
+domain-local ones, run in ONE order the repository defines
+(:func:`lane_reduce`): compiled where the library is loaded
+(:func:`lane_order`), in NumPy otherwise, the same bits either way and
+whatever the host BLAS or its thread count.  The narrower ones stay
+``np.vdot`` / ``np.vecdot``: the host BLAS's dot kernel, whose summation
+order is its own (docs/performance_model.md, "The Krylov updates").
 """
 
 from __future__ import annotations
@@ -108,20 +112,41 @@ def update(a, x: np.ndarray, y: np.ndarray, out=None, per_lane: bool = False):
     return np.add(*terms, out=out)
 
 
+def lane_coefficients(values, x: np.ndarray):
+    """``values`` as the compiled passes take them per lane of ``x``'s
+    leading axis: ``(lanes, k)`` in the field's dtype (``None`` where they
+    are not one a lane)."""
+    return _coefficients(values, x, per_lane=True)
+
+
 def fused(entry: str, coefficients, vectors, per_lane: bool = False) -> bool:
     """The compiled tier's fused pass ``entry`` (``VECTOR_PASSES`` of
     :mod:`repro.kernels.c_backend`) in place on ``vectors``, recorded as
-    the updates it stands for — one per coefficient, each what ``caxpy``
-    (``axpy`` for a real scalar) records on these vectors.  ``False``,
+    the updates it stands for (:func:`record_updates`).  ``False``,
     nothing written or recorded, where the pass is not taken: the caller
     then runs those updates."""
     x = vectors[0]
     coef = _coefficients(coefficients, x, per_lane)
     if coef is None or _c_tier().vector_pass(entry, coef, vectors) is None:
         return False
+    record_updates(coefficients, x)
+    return True
+
+
+def record_updates(coefficients, x: np.ndarray) -> None:
+    """Record the updates a fused pass on fields like ``x`` stands for: one
+    per coefficient, each what ``caxpy`` (``axpy`` for a real scalar)
+    records on them."""
     flops = sum(_update_flops(a) for a in coefficients)
     record(flops=flops * x.size, bytes_moved=3 * len(coefficients) * x.nbytes)
-    return True
+
+
+def record_reduction(flops: int, *vectors: np.ndarray, reductions: int = 1):
+    """Record a reduction over ``vectors`` at ``flops`` an element of the
+    first — what a fused step made is recorded where the loop uses it, as
+    the call it stands for records it."""
+    record(flops=flops * vectors[0].size, bytes_moved=_nbytes(*vectors),
+           reductions=reductions)
 
 
 def _update_flops(a) -> int:
@@ -131,26 +156,37 @@ def _update_flops(a) -> int:
     return 8 if np.iscomplexobj(a) else 4
 
 
-def norm2(x: np.ndarray) -> float:
-    """Squared 2-norm ||x||^2 (a global reduction)."""
+def row_product(x: np.ndarray, y: np.ndarray | None, site_axes: int = 2):
+    """The scalar family's ``<x, y>`` (``|x|^2`` where ``y`` is ``None``),
+    unrecorded: a complex128 one in :func:`lane_reduce`'s order — the
+    batched family's row —, a narrower one ``np.vdot``'s."""
+    if x.size and _ordered(x, x if y is None else y):
+        return lane_order(x[None], None if y is None else y[None], site_axes)[0]
+    return np.vdot(x, x if y is None else y)
+
+
+def norm2(x: np.ndarray, site_axes: int = 2) -> float:
+    """Squared 2-norm ||x||^2 (a global reduction); ``site_axes`` the
+    trailing per-site axes, which the order of a complex128 field reads
+    (:func:`row_product`)."""
     with span("norm2", kind="reduction"):
-        val = float(np.vdot(x, x).real)
+        val = float(row_product(x, None, site_axes).real)
     record(flops=4 * x.size, bytes_moved=_nbytes(x), reductions=1)
     return val
 
 
-def cdot(x: np.ndarray, y: np.ndarray) -> complex:
+def cdot(x: np.ndarray, y: np.ndarray, site_axes: int = 2) -> complex:
     """Complex inner product <x, y> = sum conj(x) * y (a global reduction)."""
     with span("cdot", kind="reduction"):
-        val = complex(np.vdot(x, y))
+        val = complex(row_product(x, y, site_axes))
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=1)
     return val
 
 
-def rdot(x: np.ndarray, y: np.ndarray) -> float:
+def rdot(x: np.ndarray, y: np.ndarray, site_axes: int = 2) -> float:
     """Real part of <x, y> (a global reduction)."""
     with span("rdot", kind="reduction"):
-        val = float(np.vdot(x, y).real)
+        val = float(row_product(x, y, site_axes).real)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=1)
     return val
 
@@ -244,9 +280,9 @@ def zero_like(x: np.ndarray) -> np.ndarray:
 
 
 def _quiet():
-    """``np.vecdot`` flags a NaN or an infinity it meets, where
-    ``np.vdot`` (the scalar family's) does not: the loops read a
-    non-finite reduction themselves."""
+    """``np.vecdot`` and the NumPy :func:`lane_reduce` flag a NaN or an
+    infinity they meet, where ``np.vdot`` and the compiled order do not:
+    the loops read a non-finite reduction themselves."""
     return np.errstate(invalid="ignore", over="ignore")
 
 
@@ -261,25 +297,44 @@ def _bcoeff(a, x: np.ndarray, dtype=None) -> np.ndarray:
     return a.reshape(a.shape + (1,) * (x.ndim - a.ndim))
 
 
-def bnorm2(x: np.ndarray, reductions: int = 1) -> np.ndarray:
-    """Per-RHS squared 2-norms, float64 ``(B,)`` (ONE global reduction)."""
-    with span("bnorm2", kind="reduction", batch=x.shape[0]):
-        flat = _bflat(x)
+def _ordered(*fields: np.ndarray) -> bool:
+    """Whether a reduction over ``fields`` is a complex128 one: in
+    :func:`lane_reduce`'s order."""
+    return np.result_type(*fields) == np.complex128
+
+
+def lane_products(x: np.ndarray, y: np.ndarray | None, site_axes: int):
+    """This rank's or the global view's per-row reduction of ``x`` (with
+    ``y``), unrecorded: :func:`lane_order` for a complex128 one, else
+    ``np.vecdot``'s ``<x_b, y_b>`` (``|x_b|^2`` as ``<x_b, x_b>``) in the
+    fields' dtype, as silent on a NaN."""
+    if x.size and _ordered(x, x if y is None else y):
+        return lane_order(x, y, site_axes)
+    flat = _bflat(x)
+    with _quiet():
         # vecdot conjugates its first operand internally — no
         # materialized conj() pass over the field.
-        with _quiet():
-            val = np.vecdot(flat, flat).real.astype(np.float64, copy=False)
+        return np.vecdot(flat, flat if y is None else _bflat(y))
+
+
+def bnorm2(x: np.ndarray, reductions: int = 1, site_axes: int = 2) -> np.ndarray:
+    """Per-RHS squared 2-norms, float64 ``(B,)`` (ONE global reduction);
+    ``site_axes`` the trailing per-site axes, which the order of a
+    complex128 field reads (:func:`lane_products`)."""
+    with span("bnorm2", kind="reduction", batch=x.shape[0]):
+        val = lane_products(x, None, site_axes).real.astype(
+            np.float64, copy=False
+        )
     record(flops=4 * x.size, bytes_moved=_nbytes(x), reductions=reductions)
     return val
 
 
-def bcdot(x: np.ndarray, y: np.ndarray, reductions: int = 1) -> np.ndarray:
+def bcdot(
+    x: np.ndarray, y: np.ndarray, reductions: int = 1, site_axes: int = 2
+) -> np.ndarray:
     """Per-RHS inner products ``<x_b, y_b>``, complex128 (ONE reduction)."""
     with span("bcdot", kind="reduction", batch=x.shape[0]):
-        with _quiet():
-            val = np.vecdot(_bflat(x), _bflat(y)).astype(
-                np.complex128, copy=False
-            )
+        val = lane_products(x, y, site_axes).astype(np.complex128, copy=False)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=reductions)
     return val
 
@@ -292,12 +347,14 @@ _SLOTS = 8
 def lane_reduce(x: np.ndarray, y: np.ndarray | None = None, site_axes: int = 2):
     """Per row of the leading axis, ``<x_r, y_r> = sum conj(x_r) y_r`` —
     ``|x_r|^2`` when ``y`` is ``None`` — in the ONE order the repository
-    defines for the Schwarz block solves, unrecorded.
+    defines for its complex128 and block-solve reductions, unrecorded: the
+    NumPy copy, the bitwise reference and the fallback of the compiled one
+    (:func:`lane_order`).
 
     The order is stated on (row, site, component) indices, the component
-    axes being the trailing ``site_axes``, so no memory layout and no BLAS
-    build moves it (``wilson_hop.c``, "the Schwarz block solve", is the
-    compiled copy, bit for bit):
+    axes being the trailing ``site_axes``, so no memory layout, no BLAS
+    build and no thread count moves it (``wilson_hop.c``, "the
+    reductions", is the compiled copy, bit for bit):
 
     * a term is ``re(x) re(y) + im(x) im(y)`` and ``re(x) im(y) - im(x)
       re(y)`` in double (complex64 reals widened first: exact products);
@@ -307,50 +364,77 @@ def lane_reduce(x: np.ndarray, y: np.ndarray | None = None, site_axes: int = 2):
     * the slots fold in halves, ``((s0 + s4) + (s2 + s6)) + ((s1 + s5) +
       (s3 + s7))``.
 
-    ``np.add.accumulate`` is the sequential sum here: its ``r[i] = r[i-1]
-    + a[i]`` is the order, where ``np.sum`` pairs as it likes.  Returns
-    float64 norms or complex128 products, one per row.
+    The site sums run as a Python loop over the components, each step one
+    vectorised add over every site; ``np.add.accumulate`` is the slot
+    chains' sequential sum: its ``r[i] = r[i-1] + a[i]`` is the order,
+    where ``np.sum`` pairs as it likes.  Returns float64 norms or
+    complex128 products, one per row.
     """
     rows = x.shape[0]
-    k = math.prod(x.shape[x.ndim - site_axes:])
+    k = _components(x, site_axes)
 
     def parts(v):
         v = np.ascontiguousarray(v).reshape(rows, -1, k)
-        return v.view(v.real.dtype).reshape(v.shape + (2,)).astype(np.float64)
+        v = v.view(v.real.dtype).reshape(v.shape + (2,))
+        return v.astype(np.float64, copy=False)
 
     a = parts(x)
+    ar, ai = a[..., 0], a[..., 1]
     if y is None:
-        terms = (a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1])[..., None]
+        terms = [ar * ar]
+        terms[0] += ai * ai
     else:
         b = parts(y)
-        terms = np.stack([
-            a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ], axis=-1)
-    sites = np.add.accumulate(terms, axis=2)[:, :, -1]  # (rows, V, parts)
-    full = sites.shape[1] - sites.shape[1] % _SLOTS
-    slots = np.zeros((rows, _SLOTS, sites.shape[2]))
+        br, bi = b[..., 0], b[..., 1]
+        re, im = ar * br, ar * bi
+        re += ai * bi
+        im -= ai * br
+        terms = [re, im]
+    # (part, row, site): a site's terms in component order, from the first
+    sites = np.empty((len(terms), rows, a.shape[1]))
+    for part, term in zip(sites, terms):
+        part[...] = term[:, :, 0]
+        for c in range(1, k):
+            part += term[:, :, c]
+    full = sites.shape[2] - sites.shape[2] % _SLOTS
+    slots = np.zeros(sites.shape[:2] + (_SLOTS,))
     if full:
-        blocks = sites[:, :full].reshape(rows, -1, _SLOTS, sites.shape[2])
-        slots = np.add.accumulate(blocks, axis=1)[:, -1]
-    tail = sites[:, full:]
-    if tail.shape[1]:
-        n = tail.shape[1]
-        slots[:, :n] = slots[:, :n] + tail if full else tail
-    while slots.shape[1] > 1:
-        half = slots.shape[1] // 2
-        slots = slots[:, :half] + slots[:, half:]
+        blocks = sites[:, :, :full].reshape(sites.shape[:2] + (-1, _SLOTS))
+        slots = np.add.accumulate(blocks, axis=2)[:, :, -1]
+    n = sites.shape[2] - full
+    if n:
+        tail = sites[:, :, full:]
+        slots[:, :, :n] = slots[:, :, :n] + tail if full else tail
+    while slots.shape[2] > 1:
+        half = slots.shape[2] // 2
+        slots = slots[:, :, :half] + slots[:, :, half:]
     if y is None:
-        return slots[:, 0, 0]
+        return slots[0, :, 0]
     out = np.empty(rows, np.complex128)
-    out.real, out.imag = slots[:, 0, 0], slots[:, 0, 1]
+    out.real, out.imag = slots[0, :, 0], slots[1, :, 0]
     return out
+
+
+def _components(x: np.ndarray, site_axes: int) -> int:
+    """The components of a site of ``x``: its trailing ``site_axes`` axes,
+    or all but the leading one where it has no more."""
+    return math.prod(x.shape[max(1, x.ndim - site_axes):])
+
+
+def lane_order(x: np.ndarray, y: np.ndarray | None = None, site_axes: int = 2):
+    """:func:`lane_reduce`, by the compiled tier where its library is
+    loaded and takes the operands (the same bits), unrecorded."""
+    done = _c_tier().lane_reduce(x, y, _components(x, site_axes))
+    if done is not None:
+        return done
+    with _quiet():
+        return lane_reduce(x, y, site_axes)
 
 
 def lane_norm2(x: np.ndarray, site_axes: int = 2, reductions: int = 1) -> np.ndarray:
     """:func:`lane_reduce` norms, recorded as :func:`bnorm2` records them."""
     with span("lane_norm2", kind="reduction", batch=x.shape[0]):
-        val = lane_reduce(x, None, site_axes)
+        val = lane_order(x, None, site_axes)
     record(flops=4 * x.size, bytes_moved=_nbytes(x), reductions=reductions)
     return val
 
@@ -360,18 +444,17 @@ def lane_cdot(
 ) -> np.ndarray:
     """:func:`lane_reduce` products, recorded as :func:`bcdot` records them."""
     with span("lane_cdot", kind="reduction", batch=x.shape[0]):
-        val = lane_reduce(x, y, site_axes)
+        val = lane_order(x, y, site_axes)
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=reductions)
     return val
 
 
-def brdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def brdot(x: np.ndarray, y: np.ndarray, site_axes: int = 2) -> np.ndarray:
     """Real parts of the per-RHS inner products (ONE reduction)."""
     with span("brdot", kind="reduction", batch=x.shape[0]):
-        with _quiet():
-            val = np.vecdot(_bflat(x), _bflat(y)).real.astype(
-                np.float64, copy=False
-            )
+        val = lane_products(x, y, site_axes).real.astype(
+            np.float64, copy=False
+        )
     record(flops=8 * x.size, bytes_moved=_nbytes(x, y), reductions=1)
     return val
 

@@ -109,15 +109,6 @@ register_bench_kind(BenchKind(
     results_required=True,
 ))
 register_bench_kind(BenchKind(
-    "serve",
-    required_config=("dims", "max_batch_values", "concurrency"),
-    required_result_keys=(
-        "max_batch", "requests_per_second",
-        "p50_latency_seconds", "p99_latency_seconds",
-    ),
-    results_required=True,
-))
-register_bench_kind(BenchKind(
     "scaling",
     required_config=("dims", "ranks", "backend"),
     required_result_keys=(

@@ -100,10 +100,17 @@ def _lane(value, i: int):
 def one_lane(f: Operator | None) -> Operator | None:
     """``f`` as a batched loop applies it to a batch of one: on the single
     field, the batch axis given back to its result, so a single-RHS solve
-    applies its operators, preconditioners included, as it always did."""
+    applies its operators, preconditioners included, as it always did.
+    The fused steps ``f`` binds (``f.fused_steps``) go with it: they take
+    the batch of one as it is."""
     if f is None:
         return None
-    return lambda v: f(v[0])[None]
+
+    def lane(v):
+        return f(v[0])[None]
+
+    lane.fused_steps = getattr(f, "fused_steps", None)
+    return lane
 
 
 #: The keywords by which a batched loop takes an operator besides ``op``.
@@ -136,6 +143,13 @@ def batch_of_one(solver, op: Operator, b, x0=None, space=None, **kwargs) -> Solv
 def _safe(z: np.ndarray) -> np.ndarray:
     """Replace zeros by ones so masked divisions never warn."""
     return np.where(z == 0, np.ones_like(z), z)
+
+
+def _source_scale(b_norm2: np.ndarray) -> np.ndarray:
+    """The divisor of the relative residuals, ``|b|^2``: 1 for a zero
+    source (its residuals are 0) and NaN for one whose norm is not finite
+    (it has none), so the quotients never warn."""
+    return np.where(np.isfinite(b_norm2), _safe(b_norm2), np.nan)
 
 
 def _lanewise(f, lanes: np.ndarray, *columns: np.ndarray) -> np.ndarray:
@@ -209,10 +223,11 @@ class _LiveLanes:
     def retire(self, keep: np.ndarray, *arrays: np.ndarray) -> tuple:
         """Write the rows ``keep`` drops of the live results (the first
         ``len(results)`` of ``arrays``, in order) into the full batch and
-        return ``arrays`` cut to the rows ``keep`` keeps."""
+        return ``arrays`` cut to the rows ``keep`` keeps (``None`` stays
+        ``None``)."""
         self._store(~keep, arrays)
         self.index = self.index[keep]
-        return tuple(a[keep] for a in arrays)
+        return tuple(None if a is None else a[keep] for a in arrays)
 
     def residuals(self, r2: np.ndarray) -> np.ndarray:
         """The full batch's squared residual norms: ``r2`` on the live
@@ -257,7 +272,7 @@ def batched_cg(
     if (b_norm2 == 0.0).all():
         return _all_zero(space, b)
     nb = len(b_norm2)
-    safe_b = _safe(b_norm2)
+    safe_b = _source_scale(b_norm2)
     target = tol * tol * b_norm2
 
     x, r, matvecs = _start(op, b, x0, space)
@@ -305,7 +320,7 @@ def batched_cg(
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
     residuals = np.sqrt(space.norm2(true_r) / safe_b)
-    converged = (r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)
+    converged = ((r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)) & ~poisoned
     return BatchedSolverResult(
         x,
         converged=converged,
@@ -345,7 +360,7 @@ def batched_pcg(
     if (b_norm2 == 0.0).all():
         return _all_zero(space, b)
     nb = len(b_norm2)
-    safe_b = _safe(b_norm2)
+    safe_b = _source_scale(b_norm2)
     target = tol * tol * b_norm2
 
     x, r, matvecs = _start(op, b, x0, space)
@@ -402,7 +417,7 @@ def batched_pcg(
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
     residuals = np.sqrt(space.norm2(true_r) / safe_b)
-    converged = (r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)
+    converged = ((r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)) & ~poisoned
     return BatchedSolverResult(
         x,
         converged=converged,
@@ -435,13 +450,19 @@ def batched_bicgstab(
     infinite, within the iteration (``extras["breakdown"]`` says
     ``"non-finite"`` for it): the checks ride the reductions already
     made, and no batch-mate's bits move.
+
+    An iteration is the space's three BiCGstab steps
+    (:class:`~repro.solvers.space.VectorSpace`): one compiled call each
+    where ``op`` binds them, the space's calls otherwise — the same bits
+    and the same ledger.  The closing step may make the next iteration's
+    ``rho`` too; it is recorded where the loop uses it.
     """
     space = space or BatchedArraySpace()
     b_norm2 = space.norm2(b)
     if (b_norm2 == 0.0).all():
         return _all_zero(space, b)
     nb = len(b_norm2)
-    safe_b = _safe(b_norm2)
+    safe_b = _source_scale(b_norm2)
     target = tol * tol * b_norm2
 
     x, r, matvecs = _start(op, b, x0, space)
@@ -454,20 +475,24 @@ def batched_bicgstab(
     r2 = space.norm2(r)
     history = [np.sqrt(r2 / safe_b)]
     iterations = np.zeros(nb, dtype=np.int64)
-    # a lane whose r2 is not a number iterates until a reduction says so
-    active = ~(r2 <= target) & (b_norm2 != 0.0)
+    # a lane whose r2 is not finite iterates until a reduction says so
+    active = ~(np.isfinite(r2) & (r2 <= target)) & (b_norm2 != 0.0)
     broke_down = np.zeros(nb, dtype=bool)
     poisoned = np.zeros(nb, dtype=bool)  # a non-finite reduction
     lanes = _LiveLanes(x, r2, iterations, broke_down, poisoned)
+    rho_next = None  # the last closing step's (r_hat, r), unrecorded
 
     it = 0
     while active.any() and it < maxiter:
         if not active.all():  # the lanes that are done leave the batch
-            (x, r2, iterations, broke_down, poisoned,
-             r, r_hat, v, p, rho, alpha, omega, target, active) = lanes.retire(
+            (x, r2, iterations, broke_down, poisoned, r, r_hat, v, p, rho,
+             alpha, omega, target, rho_next, active) = lanes.retire(
                 active, x, r2, iterations, broke_down, poisoned,
-                r, r_hat, v, p, rho, alpha, omega, target, active)
-        rho_new = space.dot(r_hat, r)
+                r, r_hat, v, p, rho, alpha, omega, target, rho_next, active)
+        if rho_next is None:
+            rho_new = space.dot(r_hat, r)
+        else:
+            rho_new = space.dot(r_hat, r, value=rho_next)
         active = _stop(active, rho_new, broke_down, poisoned)
         if not active.any():
             break
@@ -476,31 +501,34 @@ def batched_bicgstab(
             active, rho_new, rho, alpha, omega,
         )
         rho = np.where(active, rho_new, rho)
-        # p = r + beta*(p - omega*v), frozen lanes collapse to p = r.
-        p = space.bicgstab_direction(p, r, v, beta, np.where(active, -omega, 0.0))
-        v = op(p)
+        # p = r + beta*(p - omega*v), frozen lanes collapse to p = r; v = A p
+        p, v, denom = space.bicgstab_direction_apply(
+            op, p, r, v, beta, np.where(active, -omega, 0.0), r_hat
+        )
         matvecs += 1
-        denom = space.dot(r_hat, v)
         active = _stop(active, denom, broke_down, poisoned)
         if not active.any():
             break
         alpha_new = _lanewise(lambda rho, d: rho / d, active, rho, denom)
-        s = space.axpy(-alpha_new, v, r, out=r)  # r is not read again
-        t = op(s)
+        # s = r - alpha v in r's storage (r is not read again), t = A s
+        s, t, t2, ts = space.bicgstab_update_apply(op, r, v, -alpha_new)
         matvecs += 1
-        t2 = space.norm2(t)
         # t2 == 0: s is an exact solution update, and the lane stops on
         # r = s whether or not that converged.
         exact = active & (t2 == 0.0)
         closing = active & ~exact
         if closing.any():
-            omega_new = _lanewise(lambda d, n: d / n, closing, space.dot(t, s), t2)
-            x, r = space.bicgstab_closing(x, p, s, t, alpha_new, omega_new)
+            ts = space.dot(t, s) if ts is None else space.dot(t, s, value=ts)
+            omega_new = _lanewise(lambda d, n: d / n, closing, ts, t2)
+            x, r, r2, rho_next = space.bicgstab_closing_reduce(
+                op, x, p, s, t, alpha_new, omega_new, r_hat
+            )
         else:
             omega_new = np.zeros_like(omega)
             x = space.axpy(alpha_new, p, x, out=x)
             r = s
-        r2 = space.norm2(r)
+            r2 = space.norm2(r)
+            rho_next = None
         iterations += active
         it += 1
         history.append(np.sqrt(lanes.residuals(r2) / safe_b))
@@ -517,7 +545,7 @@ def batched_bicgstab(
     true_r = compute_residual(op, x, b, space)
     matvecs += 1
     residuals = np.sqrt(space.norm2(true_r) / safe_b)
-    converged = (r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)
+    converged = ((r2 <= tol * tol * b_norm2) | (b_norm2 == 0.0)) & ~poisoned
     return BatchedSolverResult(
         x,
         converged=converged,
@@ -569,7 +597,7 @@ def batched_mr(
     x, r, _ = _start(op, b, x0, space)
     b_norm2 = space.norm2(b)
     nb = len(b_norm2)
-    safe_b = _safe(b_norm2)
+    safe_b = _source_scale(b_norm2)
     poisoned = ~np.isfinite(b_norm2)  # a non-finite reduction
     live = ~poisoned
     iterations = np.zeros(nb, dtype=np.int64)
@@ -639,7 +667,7 @@ def batched_defect_correction(
     if (b_norm2 == 0.0).all():
         return _all_zero(space, b)
     nb = len(b_norm2)
-    safe_b = _safe(b_norm2)
+    safe_b = _source_scale(b_norm2)
 
     inner_tol = max(inner_tol, 10 * inner_precision.eps)
     x, r, matvecs = _start(op, b, x0, space)
@@ -752,7 +780,7 @@ def batched_gcr(
     if (b_norm2 == 0.0).all():
         return _all_zero(space, b)
     nb = len(b_norm2)
-    safe_b = _safe(b_norm2)
+    safe_b = _source_scale(b_norm2)
     # A tolerance below the outer precision's rounding cannot be resolved;
     # clamp it ("the inherent noise present in the Monte Carlo gauge
     # generation process is such that single-precision accuracy is
@@ -808,10 +836,14 @@ def batched_gcr(
             with span("orthogonalize", kind="blas", cycle=restarts, k=k):
                 # Classical Gram-Schmidt, all B bases at once (the first
                 # update copies the operator's result, the rest write it).
+                # A non-finite z_k poisons its lane at gamma2 below; the
+                # infinite projections it makes first do so quietly.
                 for i in range(k):
                     b_ik = space.dot(z_basis[i], z_k)
                     betas[i, k] = b_ik
-                    z_k = space.axpy(-b_ik, z_basis[i], z_k, out=z_k if i else None)
+                    with np.errstate(invalid="ignore"):
+                        z_k = space.axpy(-b_ik, z_basis[i], z_k,
+                                         out=z_k if i else None)
             gamma2 = space.norm2(z_k)
             poisoned |= ~np.isfinite(gamma2)
             if not ((gamma2 > 0.0) & ~poisoned).any():

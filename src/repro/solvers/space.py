@@ -16,6 +16,14 @@ A solver writes only into vectors it owns — ones a space call handed it —
 and says so with ``out=`` on ``axpy`` / ``xpay`` and through the grouped
 updates of :class:`VectorSpace`, which a space with a fused pass runs as
 one.
+
+BiCGstab's iteration is three *steps* of :class:`VectorSpace`, each an
+update, perhaps an operator application, and the reductions behind them.
+Composed of the space's own calls they are the reference and the
+fallback; where the operator binds them (``op.fused_steps``, the even-odd
+Schur complement on the compiled tier) and they compute what the space's
+calls do, :class:`BatchedArraySpace` runs each as ONE compiled call, its
+ledger the composed calls' (docs/architecture.md, "The solve's team").
 """
 
 from __future__ import annotations
@@ -71,6 +79,30 @@ class VectorSpace:
         x = self.axpy(omega, s, x, out=x)
         return x, self.axpy(-omega, t, s, out=s)
 
+    # -- BiCGstab's steps (module docstring) -------------------------------
+    def bicgstab_direction_apply(self, op, p, r, v, beta, c, r_hat):
+        """:meth:`bicgstab_direction`, then ``v = op(p)`` and ``(r_hat,
+        v)``: ``(p, v, denom)``, the reduction recorded."""
+        p = self.bicgstab_direction(p, r, v, beta, c)
+        v = op(p)
+        return p, v, self.dot(r_hat, v)
+
+    def bicgstab_update_apply(self, op, r, v, a):
+        """``s = r + a*v`` in ``r``'s storage, ``t = op(s)`` and ``|t|^2``:
+        ``(s, t, t2, ts)``, ``t2`` recorded; ``ts`` is ``(t, s)`` where the
+        step made it, unrecorded (the loop records it if it uses it), else
+        ``None``."""
+        s = self.axpy(a, v, r, out=r)
+        t = op(s)
+        return s, t, self.norm2(t), None
+
+    def bicgstab_closing_reduce(self, op, x, p, s, t, alpha, omega, r_hat):
+        """:meth:`bicgstab_closing`, then ``|r|^2``: ``(x, r, r2, rho)``,
+        ``r2`` recorded; ``rho`` is the next iteration's ``(r_hat, r)``
+        where the step made it, unrecorded, else ``None``."""
+        x, r = self.bicgstab_closing(x, p, s, t, alpha, omega)
+        return x, r, self.norm2(r), None
+
 
 def _global_sum(comm: Communicator, part, flops: int, *vectors):
     """The sum over ranks of this rank's partial ``part`` of a reduction
@@ -81,14 +113,6 @@ def _global_sum(comm: Communicator, part, flops: int, *vectors):
     record(flops=flops * vectors[0].size,
            bytes_moved=sum(v.nbytes for v in vectors))
     return comm.allreduce_sum(part)
-
-
-def _lane_parts(x, y) -> np.ndarray:
-    """This rank's ``(B,)`` per-RHS partials ``<x_b, y_b>``, in the
-    blocks' dtype: the ``np.vecdot`` of :func:`repro.linalg.blas.bcdot`,
-    as silent on a NaN."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.vecdot(x.reshape(len(x), -1), y.reshape(len(y), -1))
 
 
 class ArraySpace(VectorSpace):
@@ -109,20 +133,26 @@ class ArraySpace(VectorSpace):
         self.comm = comm
 
     # -- reductions -----------------------------------------------------
+    # A complex128 reduction — the global view's, or this rank's partial —
+    # runs in the repository's order, a narrower one as ``np.vdot``
+    # (:func:`repro.linalg.blas.row_product`).
     def dot(self, x, y) -> complex:
         if self.comm is None:
-            return blas.cdot(x, y)
-        return complex(_global_sum(self.comm, np.vdot(x, y), 8, x, y))
+            return blas.cdot(x, y, self.site_axes)
+        part = blas.row_product(x, y, self.site_axes)
+        return complex(_global_sum(self.comm, part, 8, x, y))
 
     def rdot(self, x, y) -> float:
         if self.comm is None:
-            return blas.rdot(x, y)
-        return float(_global_sum(self.comm, np.vdot(x, y).real, 8, x, y))
+            return blas.rdot(x, y, self.site_axes)
+        part = blas.row_product(x, y, self.site_axes).real
+        return float(_global_sum(self.comm, part, 8, x, y))
 
     def norm2(self, x) -> float:
         if self.comm is None:
-            return blas.norm2(x)
-        return float(_global_sum(self.comm, np.vdot(x, x).real, 4, x))
+            return blas.norm2(x, self.site_axes)
+        part = blas.row_product(x, None, self.site_axes).real
+        return float(_global_sum(self.comm, part, 4, x))
 
     # -- updates ---------------------------------------------------------
     def axpy(self, a, x, y, out=None):
@@ -183,22 +213,33 @@ class BatchedArraySpace(VectorSpace):
         return x.shape[0]
 
     # -- reductions (one allreduce carrying B scalars) -------------------
-    def dot(self, x, y) -> np.ndarray:
+    # A complex128 reduction — the global view's, or this rank's partial —
+    # runs in the repository's order (:func:`repro.linalg.blas.lane_reduce`),
+    # a narrower one as ``np.vecdot`` (:func:`repro.linalg.blas.lane_products`).
+    # ``value`` is what a fused step already made: recorded here, where the
+    # loop uses it, as the call it stands for records it.
+    def dot(self, x, y, value=None) -> np.ndarray:
+        if value is not None:
+            blas.record_reduction(8, x, y)
+            return value
         if self.comm is None:
-            return blas.bcdot(x, y)
-        part = _lane_parts(x, y)
+            return blas.bcdot(x, y, site_axes=self.site_axes)
+        part = blas.lane_products(x, y, self.site_axes)
         return _global_sum(self.comm, part, 8, x, y).astype(np.complex128)
 
     def rdot(self, x, y) -> np.ndarray:
         if self.comm is None:
-            return blas.brdot(x, y)
-        part = _lane_parts(x, y).real
+            return blas.brdot(x, y, site_axes=self.site_axes)
+        part = blas.lane_products(x, y, self.site_axes).real
         return _global_sum(self.comm, part, 8, x, y).astype(np.float64)
 
-    def norm2(self, x) -> np.ndarray:
+    def norm2(self, x, value=None) -> np.ndarray:
+        if value is not None:
+            blas.record_reduction(4, x)
+            return value
         if self.comm is None:
-            return blas.bnorm2(x)
-        part = _lane_parts(x, x).real
+            return blas.bnorm2(x, site_axes=self.site_axes)
+        part = blas.lane_products(x, None, self.site_axes).real
         return _global_sum(self.comm, part, 4, x).astype(np.float64)
 
     # -- updates (per-RHS coefficients) ----------------------------------
@@ -214,6 +255,52 @@ class BatchedArraySpace(VectorSpace):
 
     def _fused(self, entry, coefficients, vectors):
         return blas.fused(entry, coefficients, vectors, per_lane=True)
+
+    # -- BiCGstab's steps, each one compiled call where ``op`` binds it ----
+    def _steps(self, op, x):
+        """The fused steps ``op`` binds where they compute what this
+        space's calls do — the global view of complex128 Wilson fields,
+        whose reductions are in the order the steps make theirs — else
+        ``None``."""
+        if self.comm is not None or self.site_axes != 2 or x.dtype != np.complex128:
+            return None
+        return getattr(op, "fused_steps", None)
+
+    def bicgstab_direction_apply(self, op, p, r, v, beta, c, r_hat):
+        steps = self._steps(op, p)
+        coef = steps and blas.lane_coefficients((c, beta), p)
+        denom = None if coef is None else steps.bicgstab_direction_apply(
+            coef, p, r, v, r_hat
+        )
+        if denom is None:
+            return super().bicgstab_direction_apply(op, p, r, v, beta, c, r_hat)
+        blas.record_updates((c, beta), p)
+        return p, v, self.dot(r_hat, v, value=denom)
+
+    def bicgstab_update_apply(self, op, r, v, a):
+        steps = self._steps(op, r)
+        coef = steps and blas.lane_coefficients((a,), r)
+        done = None if coef is None else steps.bicgstab_update_apply(coef, r, v)
+        if done is None:
+            return super().bicgstab_update_apply(op, r, v, a)
+        t, ts, t2 = done
+        blas.record_updates((a,), r)
+        return r, t, self.norm2(t, value=t2), ts
+
+    def bicgstab_closing_reduce(self, op, x, p, s, t, alpha, omega, r_hat):
+        steps = self._steps(op, x)
+        coefficients = (alpha, omega, -omega)
+        coef = steps and blas.lane_coefficients(coefficients, x)
+        done = None if coef is None else steps.bicgstab_closing_reduce(
+            coef, p, s, t, x, r_hat
+        )
+        if done is None:
+            return super().bicgstab_closing_reduce(
+                op, x, p, s, t, alpha, omega, r_hat
+            )
+        rho, r2 = done
+        blas.record_updates(coefficients, x)
+        return x, s, self.norm2(s, value=r2), rho
 
     def scale(self, a, x, dtype=None):
         return blas.bscale(a, x, dtype)

@@ -49,7 +49,8 @@ for array in (build_clover_blocks(gauge, 1.0, get_backend("numpy")),
 #: One Schwarz preconditioner application (10 MR steps in half precision,
 #: four blocks) on saved bytes; ``blas`` runs the parent's reductions —
 #: ``np.vecdot``, OpenBLAS ``cdotc`` on these complex64 rows — in place of
-#: the repository's order, on the NumPy tier.
+#: the repository's order (its NumPy copy and the dispatcher that would
+#: hand it to the compiled tier), on the NumPy tier.
 SCHWARZ = """
 import hashlib, sys, numpy as np
 from repro import GaugeField, Geometry, ProcessGrid
@@ -64,7 +65,8 @@ if kernel == "blas":
         if y is None:
             return np.vecdot(x, x).real.astype(np.float64)
         return np.vecdot(x, y.reshape(len(y), -1)).astype(np.complex128)
-    blas.lane_reduce, kernel = vecdot, "numpy"
+    blas.lane_reduce = blas.lane_order = vecdot
+    kernel = "numpy"
 gauge = GaugeField(Geometry(data.shape[1:5][::-1]), data)
 op = WilsonCloverOperator(gauge, mass=0.1, csw=1.0, boundary=PHYSICAL, kernel=kernel)
 part = BlockPartition(gauge.geometry, ProcessGrid((1, 1, 2, 2)))

@@ -94,8 +94,9 @@ class TestKindRegistry:
 
     def test_known_kinds_registered(self):
         for kind in ("spmd", "multirhs", "precond", "wilson_dslash_hotpath",
-                     "serve", "scaling"):
+                     "scaling"):
             assert kind in BENCH_KINDS
+        assert "serve" not in BENCH_KINDS
 
     def test_unknown_kind_is_a_violation(self):
         doc = _spmd_doc(bench="made_up_kind")
@@ -131,21 +132,6 @@ class TestKindRegistry:
         doc["results"].append("oops")
         problems = validate_bench(doc)
         assert any("must be an object" in p for p in problems)
-
-    def test_serve_kind_requirements(self):
-        doc = wrap_bench(
-            "serve",
-            config={"dims": [4, 4, 4, 4], "max_batch_values": [1, 2],
-                    "concurrency": 4},
-            metrics={"rps_max_batch_1": 2.0},
-            results=[{
-                "max_batch": 1, "requests_per_second": 2.0,
-                "p50_latency_seconds": 0.5, "p99_latency_seconds": 0.9,
-            }],
-        )
-        assert validate_bench(doc) == []
-        del doc["results"][0]["p99_latency_seconds"]
-        assert validate_bench(doc) != []
 
     def test_scaling_kind_requirements(self):
         entry = {

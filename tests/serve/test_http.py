@@ -507,25 +507,63 @@ class TestNonFiniteOperator:
         yield srv
         srv.stop()
 
-    def test_a_poisoned_lane_ends_alone(self, server, monkeypatch):
+    @pytest.mark.parametrize("seam", ["composed", "fused"])
+    def test_a_poisoned_lane_ends_alone(self, server, monkeypatch, seam):
         # A served Wilson-clover BiCGstab solve runs the even-odd Schur
-        # complement: that is the operator the lane's NaN comes out of.
+        # complement: that is the operator the lane's NaN comes out of —
+        # through its applies where the loop composes its steps, and
+        # through BiCGstab's fused steps (an apply and its reductions in
+        # one compiled call) where the tier binds them, as it does on "c".
         import repro.dirac.evenodd as evenodd
 
-        inner = evenodd.EvenOddPreconditionedWilson._apply
-        armed = {"applications": 0}
+        EvenOdd = evenodd.EvenOddPreconditionedWilson
+        armed = {"applications": 0, "fused": 0}
+
+        def arm():
+            armed["applications"] += 1
+            return armed["applications"] == 4
+
+        inner = EvenOdd._apply
 
         def poisoned(self, x):
             out = inner(self, x)
-            if armed is not None and x.ndim == 7:  # a batch of lanes
-                armed["applications"] += 1
-                if armed["applications"] == 4:
-                    out[1, 0, 0, 0, 0, 0, 0] = np.nan
+            if armed is not None and x.ndim == 7 and arm():  # a batch of lanes
+                out[1, 0, 0, 0, 0, 0, 0] = np.nan
             return out
 
-        monkeypatch.setattr(
-            evenodd.EvenOddPreconditionedWilson, "_apply", poisoned
-        )
+        monkeypatch.setattr(EvenOdd, "_apply", poisoned)
+        if seam == "composed":
+            monkeypatch.setattr(EvenOdd, "fused_steps", None)
+        else:
+            # the step's apply wrote NaN into the lane's v (t), and its
+            # reductions over that lane are NaN, as the call makes them
+            direction, update = (EvenOdd.bicgstab_direction_apply,
+                                 EvenOdd.bicgstab_update_apply)
+            nan = complex(np.nan, np.nan)
+
+            def poisoned_direction(self, coef, p, r, v, r_hat):
+                denom = direction(self, coef, p, r, v, r_hat)
+                if armed is not None and denom is not None:
+                    armed["fused"] += 1
+                    if arm():
+                        v[1, 0, 0, 0, 0, 0, 0] = np.nan
+                        denom[1] = nan
+                return denom
+
+            def poisoned_update(self, coef, r, v):
+                done = update(self, coef, r, v)
+                if armed is not None and done is not None:
+                    armed["fused"] += 1
+                    if arm():
+                        t, ts, t2 = done
+                        t[1, 0, 0, 0, 0, 0, 0] = np.nan
+                        ts[1], t2[1] = nan, np.nan
+                return done
+
+            monkeypatch.setattr(EvenOdd, "bicgstab_direction_apply",
+                                poisoned_direction)
+            monkeypatch.setattr(EvenOdd, "bicgstab_update_apply",
+                                poisoned_update)
         posts = [
             payload(seed=s, id=f"w{s}", operator="wilson_clover", mass=0.1,
                     csw=1.0, gauge={"kind": "weak", "dims": DIMS, "seed": 3},
@@ -534,7 +572,9 @@ class TestNonFiniteOperator:
         ]
         status, _, text = post(server, "/v1/solve/jsonl", jsonl(posts),
                                f"application/jsonl;{PACKED}")
-        armed = None
+        fused, armed = armed["fused"], None
+        if seam == "fused" and not fused:
+            pytest.skip("no tier binds the fused steps here")
         client = ServeClient(server.url)
         clean = client.solve_many(posts)
         # Every line, the poisoned one and its report included, is JSON

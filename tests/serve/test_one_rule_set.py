@@ -125,16 +125,20 @@ class TestDrift:
         assert {"schwarz", "multisplit"} <= set(err.choices)
 
     @pytest.mark.parametrize("name", ["twolevel", "sap"])
-    @pytest.mark.parametrize("operator", ["asqtad", "wilson_clover"])
-    def test_a_precond_the_registry_lacks_is_refused_alike(self, operator, name):
+    @pytest.mark.parametrize("operator, method", [
+        ("asqtad", "cg"), ("wilson_clover", "gcr-dd"),
+        ("wilson_clover", "bicgstab"),
+    ])
+    def test_a_precond_the_registry_lacks_is_refused_alike(
+        self, operator, method, name
+    ):
         """A name no entry registers is the library's typed error and the
-        wire's 400, both on ``precond`` and listing the same choices."""
+        wire's 400, both on ``precond`` and listing the same choices:
+        refused before the method matters, on a method that takes a
+        preconditioner and on one that does not."""
         choices = ("auto", "schwarz", "ras", "multisplit", "none")
-        # The library's method that takes a preconditioner on each route;
-        # the service runs no gcr-dd, and refuses the name before the
-        # method matters.
-        method = "gcr-dd" if operator == "wilson_clover" else "cg"
-        err = admit(payload(operator, precond=name))
+        err = admit(payload(operator, precond=name, method=(
+            None if method == "gcr-dd" else method)))
         assert isinstance(err, RequestValidationError)
         assert err.field == "precond" and err.http_status == 400
         assert tuple(err.choices) == choices
@@ -145,6 +149,7 @@ class TestDrift:
             ))
         assert exc.value.field == "precond"
         assert tuple(exc.value.choices) == choices
+        assert "unknown" in str(err) and "unknown" in str(exc.value)
 
     def test_both_are_400s_over_http(self):
         server = ServeServer(SolveService().start(), port=0).start()

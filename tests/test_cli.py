@@ -239,6 +239,17 @@ class TestPrecond:
         err = capsys.readouterr().err
         assert "SolveRequest.precond" in err and "gcr-dd" in err
 
+    @pytest.mark.parametrize("name", ["twolevel", "ilu"])
+    def test_bench_refuses_a_precond_no_entry_registers(self, name, capsys):
+        rc = main([
+            "bench", "--dims", "4", "4", "4", "8", "--ranks", "4",
+            "--precond", "none", "--precond", name,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert repr(name) in err and "Traceback" not in err
+        assert "valid choices: auto, schwarz, ras, multisplit, none" in err
+
     def test_bench_precond_sweep_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "bench_precond.json"
         rc = main([
