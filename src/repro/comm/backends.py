@@ -38,6 +38,7 @@ and collectives fold contributions in fixed rank order
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import traceback
@@ -245,15 +246,28 @@ def describe_error(exc: BaseException) -> str:
     return "".join(traceback.format_exception_only(type(exc), exc)).strip()
 
 
-def run_rank_job(program, comm, payload, tracer):
+def run_rank_job(program, comm, payload, tracer, at_once: int | None = None):
     """Run one rank program under its own tally — when ``tracer`` is
-    given, under it inside a ``rank_program`` span.  Both the thread and
-    the process backends run their ranks through here.  Never raises:
-    returns ``(value, tally, exception-or-None)``."""
+    given, under it inside a ``rank_program`` span.  Every backend runs
+    its ranks through here.  Never raises: returns ``(value, tally,
+    exception-or-None)``.
+
+    ``at_once`` ranks run at the same time (``comm.size`` unless said:
+    the ``sequential`` backend runs one), and the rank program's compiled
+    calls share ONE team of at most its share of the allowed CPUs
+    (:func:`repro.kernels.c_backend.solve_team`), joined when it returns:
+    two ranks on two CPUs start no helper thread, one rank at a time
+    uses them all."""
+    from repro.kernels.c_backend import solve_team
     from repro.trace import span, tracing
 
+    cpus = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    share = max(1, cpus // (at_once or comm.size))
     value = error = None
-    with tally() as t:
+    with tally() as t, solve_team(threads=share):
         try:
             if tracer is None:
                 value = program(comm, payload)
@@ -318,7 +332,8 @@ def _run_in_threads(
             if scheduler is not None:
                 scheduler.start(rank)
             outcome.value, outcome.tally, error = run_rank_job(
-                program, comm, payloads[rank], tracer
+                program, comm, payloads[rank], tracer,
+                at_once=1 if sequential else size,
             )
             if error is not None:
                 raise error

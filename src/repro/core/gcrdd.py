@@ -22,7 +22,7 @@ from repro.dirac.base import LatticeOperator
 from repro.multigpu.partition import BlockPartition
 from repro.precision import PrecisionPolicy, SINGLE_HALF_HALF
 from repro.precond import PrecondSettings, resolve_precond
-from repro.solvers.base import PrecisionWrappedOperator, SolverResult
+from repro.solvers.base import SolverResult
 from repro.solvers.multirhs import BatchedSolverResult, batched_gcr, solve_lanes
 from repro.solvers.space import BatchedArraySpace
 
@@ -75,9 +75,12 @@ def gcrdd_solve(
     """The GCR-DD program both drivers run: flexible GCR (Algorithm 1,
     :func:`~repro.solvers.multirhs.batched_gcr`) on ``apply`` with
     ``config``'s restart and precision parameters, its inner matvecs at
-    ``config.policy.inner``.  ``space`` is the global view's, or a rank's
-    block space given the rank's communicator; ``lead`` says ``b`` carries
-    the batch axis (a single ``b`` is the batch of one)."""
+    ``config.policy.inner``: ``apply`` itself, between the loop's own
+    roundings of ``p_k`` and ``A p_k`` to that precision (the half format
+    rounds a rounded field to itself, so nothing more is needed).  ``space``
+    is the global view's, or a rank's block space given the rank's
+    communicator; ``lead`` says ``b`` carries the batch axis (a single
+    ``b`` is the batch of one)."""
     return solve_lanes(
         batched_gcr,
         apply,
@@ -91,7 +94,6 @@ def gcrdd_solve(
         maxiter=config.maxiter,
         outer_precision=config.policy.outer,
         inner_precision=config.policy.inner,
-        inner_op=PrecisionWrappedOperator(apply, config.policy.inner, space),
         space=space,
     )
 

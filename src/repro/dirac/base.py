@@ -405,8 +405,7 @@ class LatticeOperator(abc.ABC):
         ``origins`` are the regions' (x, y, z, t) first sites (may be
         negative: regions wrap periodically), ``extents`` their common
         size; the ``cut_dims`` directions get zero boundaries, the rest
-        keep this operator's condition.  Restricting a lane stack cuts
-        every lane, lane-major (the two-level sub-blocks).
+        keep this operator's condition.
 
         ``precision`` is the block-solve precision the stack is stored in
         (see :attr:`storage`); ``None`` keeps this operator's own storage.
@@ -429,16 +428,16 @@ class LatticeOperator(abc.ABC):
     ) -> np.ndarray:
         """Regions of one of this operator's arrays (``lead`` axes in
         front of its lattice axes) as a lane axis in that position, cast
-        to ``dtype`` as they are gathered; a lane stack's own lane axis
-        is merged in, lane-major."""
-        laned = self.lanes is not None
-        out = stack_regions(
-            array, self.geometry, origins, extents, lead=lead + laned,
-            dtype=dtype,
+        to ``dtype`` as they are gathered.  A lane stack is not cut
+        further: restrict the operator it was cut from."""
+        if self.lanes is not None:
+            raise ValueError(
+                f"{type(self).__name__} is a stack of {self.lanes} lanes: "
+                "restricting a lane stack to regions is not supported"
+            )
+        return stack_regions(
+            array, self.geometry, origins, extents, lead=lead, dtype=dtype
         )
-        if laned:
-            out = out.reshape(out.shape[:lead] + (-1,) + out.shape[lead + 2:])
-        return out
 
     def restrict_to_blocks(
         self, partition, ranks=None, precision: Precision | None = None

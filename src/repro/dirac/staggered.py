@@ -216,15 +216,14 @@ class _StaggeredBase(LatticeOperator):
     def _cut_to_regions(self, origins, extents, cut_dims):
         """One lane stack of Dirichlet-cut region operators; every lane
         keeps its own global origin for the Kogut-Susskind phases."""
-        here = [self.origin] if self.lanes is None else self.origin
         return self._restricted(
             Geometry(extents),
             self._region_stack(self.fat, origins, extents, lead=1),
             None if self.long is None
             else self._region_stack(self.long, origins, extents, lead=1),
             self.boundary.with_dirichlet(cut_dims),
-            [tuple(a + b for a, b in zip(base, origin))
-             for base in here for origin in origins],
+            [tuple(a + b for a, b in zip(self.origin, origin))
+             for origin in origins],
         )
 
     def _pick_lanes(self, lanes):

@@ -622,7 +622,12 @@ class WilsonCloverOperator(LatticeOperator):
         # state of an unrounded stack in turn.
         origins = tuple(tuple(origin) for origin in origins)
         regions = self._state.child("regions", (origins, tuple(extents)))
-
+        links = regions.get(
+            ("links", dtype),
+            lambda: self._region_stack(
+                self._soa_links(), origins, extents, 4, dtype
+            ),
+        )
         clover = None
         if self._chiral is not None:
             clover = regions.child("csw", self.csw).get(
@@ -632,17 +637,8 @@ class WilsonCloverOperator(LatticeOperator):
                 ),
             )
         return self._on_links(
-            Geometry(extents),
-            self.boundary.with_dirichlet(cut_dims),
-            regions.get(
-                ("links", dtype),
-                lambda: self._region_stack(
-                    self._soa_links(), origins, extents, 4, dtype
-                ),
-            ),
-            clover,
-            storage,
-            None if rounded else regions,
+            Geometry(extents), self.boundary.with_dirichlet(cut_dims), links,
+            clover, storage, None if rounded else regions,
         )
 
     def take_lanes(self, lanes) -> "WilsonCloverOperator":

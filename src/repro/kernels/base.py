@@ -223,8 +223,8 @@ class KernelBackend:
 
     def clover_regions(self, held, op, origins, extents, dtype) -> np.ndarray:
         """The held form of ``op``'s clover term on same-shape regions of
-        its lattice, side by side as lanes (``op``'s own lanes merged in,
-        lane-major), cast to the complex ``dtype`` (``None``: as held)."""
+        its lattice (``op`` not a lane stack), side by side as lanes, cast
+        to the complex ``dtype`` (``None``: as held)."""
         return op._region_stack(held, origins, extents, 3, dtype)
 
     def clover_parity(

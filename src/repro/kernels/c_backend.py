@@ -11,9 +11,10 @@ whatever the C entries do not take (a non-contiguous lattice-last field,
 a field wider than the operator).  Around that matrix it runs the Schwarz
 block solve's whole MR recurrence in one call (``wilson_block_mr``), its
 reductions in the order ``repro.linalg.blas.lane_reduce`` spells in
-NumPy, its block lanes side by side on the CPUs the process may use (one
-helper thread per further CPU, bound to it, joined before the call
-returns).  The tier serves the Wilson family only.
+NumPy.  The matrix, the block solve and the even-odd entries split each
+call over the CPUs the process may use: one helper thread per further
+CPU, bound to it, on the solve's team (:func:`solve_team`) or joined
+before the call returns.  The tier serves the Wilson family only.
 
 The operands are the tier's own.  An operator of this tier holds its
 clover term *Hermitian-packed in site vectors* — ``(L, NB, 2, 36, W)``
@@ -249,7 +250,7 @@ class _Library:
         self.quantize.argtypes, self.quantize.restype = (ptr, ptr) + (i64,) * 3, None
         # A solve's team of helper threads (solve_team).
         self.team_open = lib.repro_team_open
-        self.team_open.argtypes, self.team_open.restype = (), ptr
+        self.team_open.argtypes, self.team_open.restype = (ctypes.c_int,), ptr
         for name in ("stop", "close"):
             f = getattr(lib, f"repro_team_{name}")
             f.argtypes, f.restype = (ptr,), None
@@ -295,7 +296,7 @@ class _Library:
             f = getattr(lib, f"repro_wilson_apply_{suffix}")
             f.argtypes = (
                 (ptr,) * 3 + (ctypes.c_double, ptr) + (ctypes.c_int,) * 2
-                + (ptr,) * 2 + (i64,) * 6 + (ptr,) * 2
+                + (ptr,) * 2 + (i64,) * 6 + (ptr,) * 3
             )
             f.restype = ctypes.c_int
             self.apply[name] = f
@@ -303,7 +304,7 @@ class _Library:
             f.argtypes = (
                 (ptr,) * 3 + (ctypes.c_double, ptr) + (ctypes.c_int,) * 2
                 + (ptr,) * 2 + (i64,) * 6 + (ptr, i64, ctypes.c_double)
-                + (ptr,) * 3
+                + (ptr,) * 4
             )
             f.restype = ctypes.c_int
             self.mr[name] = f
@@ -319,7 +320,7 @@ class _Library:
             f.argtypes, f.restype = (ptr, i64, i64, ctypes.c_int, ptr), None
             self.unpack[_REAL[name]] = f
             f = getattr(lib, f"repro_clover_gather_{suffix}")
-            f.argtypes = (ptr, i64, ptr, ptr, i64, ptr, ptr, ctypes.c_int)
+            f.argtypes = (ptr, ptr, ptr, i64, ptr, ptr, ctypes.c_int)
             f.restype = None
             self.gather[_REAL[name]] = f
             f = getattr(lib, f"repro_clover_parity_{suffix}")
@@ -360,30 +361,39 @@ class _Library:
 
 
 #: The solve teams open in this process, each with its library (a handle
-#: is ``repro_team_open``'s pointer); ``_SOLVE.teams``, this thread's solve's.
+#: is ``repro_team_open``'s pointer); ``_SOLVE.teams``, this thread's solve's,
+#: and ``_SOLVE.threads`` the most threads a call of theirs may have.
 _OPEN: dict = {}
 _OPEN_LOCK = threading.Lock()
 _SOLVE = threading.local()
 
 
 @contextlib.contextmanager
-def solve_team():
-    """Run the enclosed solve's compiled even-odd calls — the Schur apply,
-    ``prepare_rhs``, ``reconstruct_residual`` and the fused BiCGstab
-    steps — on ONE team of helper threads (``wilson_hop.c``, "a team that
-    lives for a solve"), started as they first need them, parked between
-    them and joined on the way out, also when the solve raises.  The team is
-    this thread's: two threads solving at once have one each.  Nested, the
-    outer solve's team serves.  Outside one, each call starts and joins
-    its own helpers (no thread outlives a call)."""
-    if getattr(_SOLVE, "teams", None) is not None:
+def solve_team(threads: int | None = None):
+    """Run the enclosed solve's compiled calls — the whole matrix, the
+    Schwarz block solve, the Schur apply, ``prepare_rhs``,
+    ``reconstruct_residual`` and the fused BiCGstab steps — on ONE team of
+    helper threads (``wilson_hop.c``, "a team that lives for a solve"),
+    started as they first need them, parked between them and joined on the
+    way out, also when the solve raises.  The team is this thread's: two
+    threads solving at once have one each.  Nested, the outer solve's team
+    serves.  Outside one, each call starts and joins its own helpers (no
+    thread outlives a call).
+
+    ``threads`` caps a call at that many threads, the caller's among them:
+    a rank program's share of the CPUs
+    (:func:`repro.comm.backends.run_rank_job`).  The capped scope is its
+    own, nested or not, and the enclosing one resumes after it."""
+    if threads is None and getattr(_SOLVE, "teams", None) is not None:
         yield
         return
-    _SOLVE.teams = {}
+    outer = getattr(_SOLVE, "teams", None), getattr(_SOLVE, "threads", 0)
+    _SOLVE.teams, _SOLVE.threads = {}, threads or 0
     try:
         yield
     finally:
-        teams, _SOLVE.teams = _SOLVE.teams, None
+        teams = _SOLVE.teams
+        _SOLVE.teams, _SOLVE.threads = outer
         for library, handle in teams.items():
             # closed under the lock: a fork meets it open, or joined
             with _OPEN_LOCK:
@@ -399,7 +409,7 @@ def _team(library):
         return None
     handle = teams.get(library)
     if handle is None:
-        handle = library.team_open()
+        handle = library.team_open(_SOLVE.threads)
         if handle:
             teams[library] = handle
             with _OPEN_LOCK:
@@ -850,7 +860,7 @@ class CBackend(KernelBackend):
         failed = library.apply[links.dtype.name](
             x.ctypes.data, u, a, diagonal, out.ctypes.data,
             x.dtype != links.dtype, half, spins, phases, *extents, codes,
-            None if seconds is None else seconds.ctypes.data,
+            None if seconds is None else seconds.ctypes.data, _team(library),
         )
         return None if failed else out
 
@@ -898,6 +908,7 @@ class CBackend(KernelBackend):
             r.ctypes.data, u, a, diagonal, z.ctypes.data, half, convert,
             spins, phases, *extents, codes, steps, omega, counts.ctypes.data,
             None, None if seconds is None else seconds.ctypes.data,
+            _team(library),
         )
         return None if failed else (z, counts)
 
@@ -953,9 +964,7 @@ class CBackend(KernelBackend):
         return out
 
     def clover_regions(self, held, op, origins, extents, dtype):
-        _check_packed(
-            held, (() if op.lanes is None else (op.lanes,)) + op.geometry.shape
-        )
+        _check_packed(held, op.geometry.shape)
         narrow = (held.dtype.name, dtype) == ("float64", np.complex64)
         dims, starts, sizes = (
             np.ascontiguousarray(v, np.int64)
@@ -964,11 +973,11 @@ class CBackend(KernelBackend):
         if starts.shape != (len(starts), 4) or sizes.shape != (4,):
             raise ValueError("regions are (x, y, z, t) origins and extents")
         out = _site_vectors(
-            (held.shape[0] * len(starts),) + packed_shape(sizes[::-1])[1:],
+            (len(starts),) + packed_shape(sizes[::-1])[1:],
             "float32" if narrow else held.dtype,
         )
         self._loaded().gather[held.dtype.name](
-            held.ctypes.data, held.shape[0], dims.ctypes.data,
+            held.ctypes.data, dims.ctypes.data,
             starts.ctypes.data, len(starts), sizes.ctypes.data,
             out.ctypes.data, narrow,
         )

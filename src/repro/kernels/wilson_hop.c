@@ -1,12 +1,13 @@
 /* The compiled kernel tier ("c"): the lattice-last Wilson 8-hop core, and
  * the whole Wilson-clover matrix around it -- site-major field in, layout
  * change, storage rounding, hops, site-diagonal tail, rounding, site-major
- * field out -- for complex128 and complex64; the even-odd form's entries,
- * each call's work split across the CPUs the process may use (see "the
- * even-odd form"); the Schwarz block solve's fixed-step MR around that
- * matrix, its block lanes side by side on those CPUs (see "the Schwarz
- * block solve"); and the Krylov solvers' vector updates, each one in-place
- * pass (see "the solvers' vector updates").
+ * field out -- for complex128 and complex64; that matrix and the even-odd
+ * form's entries, each call's work split across the CPUs the process may
+ * use (see "the even-odd form and the whole matrix"); the Schwarz block
+ * solve's fixed-step MR around that matrix, its block lanes side by side on
+ * those CPUs (see "the Schwarz block solve"); and the Krylov solvers'
+ * vector updates, each one in-place pass (see "the solvers' vector
+ * updates").
  *
  * Built and loaded by repro/kernels/c_backend.py.  Every function evaluates,
  * site by site, the IEEE operation sequence of the NumPy code it stands in
@@ -224,7 +225,9 @@ static void run_team(void *(*work)(void *), void *slots, size_t size,
  *
  * A team has as many helpers as its largest call so far could use (a call
  * of n work items: min(n, allowed CPUs) - 1, as run_team would start), so a
- * solve whose calls are small keeps no CPU busy it does not use.  A call
+ * solve whose calls are small keeps no CPU busy it does not use; and no
+ * more than its `limit` of threads, the caller's among them, where that is
+ * set (a rank program's share of the CPUs, when several run at once).  A call
  * locks `call` for its whole length (a stop from another thread waits for
  * it), posts its work to the helpers it gives a slot -- bumping each one's
  * own `posted` -- runs slot 0 itself and waits until those count themselves
@@ -257,6 +260,7 @@ struct repro_team {
     team_helper_arg args[CPU_SETSIZE];
     int cpu[CPU_SETSIZE]; /* each helper's CPU */
     int home;             /* the caller's: no helper is bound to it */
+    int limit;            /* threads a call may have; 0: no limit */
 };
 
 static double since_ns(const struct timespec *start)
@@ -307,7 +311,8 @@ static void team_post(repro_team *team, int n)
     pthread_mutex_unlock(&team->lock);
 }
 
-repro_team *repro_team_open(void)
+/* A team whose calls have at most `threads` threads (0: no limit). */
+repro_team *repro_team_open(int threads)
 {
     repro_team *team = calloc(1, sizeof *team);
     if (!team) return NULL;
@@ -315,6 +320,7 @@ repro_team *repro_team_open(void)
     pthread_mutex_init(&team->lock, NULL);
     pthread_cond_init(&team->wake, NULL);
     team->helpers = -1;
+    team->limit = threads > 0 ? threads : 0;
     return team;
 }
 
@@ -364,7 +370,8 @@ static void team_grow(repro_team *team, const int *cpus, int n, int want)
 /* The start of a call of `items` independent work items on `team`: locks it
  * and returns how many helpers the call has -- those of the team, more
  * started now where the call could use them (helper_cpus(items), each
- * bound to its CPU), up to items - 1.  Without a team (NULL),
+ * bound to its CPU, within the team's limit), up to items - 1.  Without a
+ * team (NULL),
  * helper_cpus(items) for run_team, their CPUs in `cpus`.  End the call with
  * team_run. */
 static int team_acquire(repro_team *team, int64_t items, int *cpus)
@@ -388,7 +395,8 @@ static int team_acquire(repro_team *team, int64_t items, int *cpus)
             team->home = here;
         }
     }
-    const int want = helper_cpus(items, cpus);
+    int want = helper_cpus(items, cpus);
+    if (team->limit && want > team->limit - 1) want = team->limit - 1;
     if (want > team->helpers)
         team_grow(team, cpus, helper_cpus(INT64_MAX, cpus), want);
     return items - 1 < team->helpers ? (int)(items > 0 ? items - 1 : 0)
@@ -614,23 +622,20 @@ void NAME(repro_clover_unpack)(const REAL *packed, int64_t L, int64_t V,
 #undef AT
 }
 
-/* Same-shape regions of a packed clover term as the lanes of another: out
- * (L * R, nb, 2, 36, W), a source lane's R regions side by side.  `dims`
- * and `extents` are (X, Y, Z, T); region r starts at origins[4 r ..] = (x,
- * y, z, t), which may be negative, and wraps periodically.  Floats when
+/* Same-shape regions of a packed clover term of one lane as the lanes of
+ * another: out (R, nb, 2, 36, W), the R regions side by side.  `dims` and
+ * `extents` are (X, Y, Z, T); region r starts at origins[4 r ..] = (x, y,
+ * z, t), which may be negative, and wraps periodically.  Floats when
  * `narrow` (a stack stored below the operator's precision: rounded as it is
  * gathered). */
-void NAME(repro_clover_gather)(const REAL *packed, int64_t L,
-                               const int64_t *dims, const int64_t *origins,
-                               int64_t R, const int64_t *extents, void *out,
-                               int narrow)
+void NAME(repro_clover_gather)(const REAL *packed, const int64_t *dims,
+                               const int64_t *origins, int64_t R,
+                               const int64_t *extents, void *out, int narrow)
 {
-    const int64_t NB = blocks_of(dims[0] * dims[1] * dims[2] * dims[3]);
     const int64_t v = extents[0] * extents[1] * extents[2] * extents[3];
     const int64_t nb = blocks_of(v);
-    memset(out, 0, (size_t)(L * R * nb * CLOVER_ROWS * W)
+    memset(out, 0, (size_t)(R * nb * CLOVER_ROWS * W)
            * (narrow ? sizeof(float) : sizeof(REAL)));
-    for (int64_t l = 0; l < L; l++)
     for (int64_t r = 0; r < R; r++)
     for (int64_t i = 0; i < v; i++) {
         /* site i of the region, lattice-last, is site g of the lattice */
@@ -641,8 +646,8 @@ void NAME(repro_clover_gather)(const REAL *packed, int64_t L,
             rest /= extents[mu];
             weight *= dims[mu];
         }
-        const REAL *src = packed + (l * NB + g / W) * CLOVER_ROWS * W + g % W;
-        const int64_t to = ((l * R + r) * nb + i / W) * CLOVER_ROWS * W + i % W;
+        const REAL *src = packed + g / W * CLOVER_ROWS * W + g % W;
+        const int64_t to = (r * nb + i / W) * CLOVER_ROWS * W + i % W;
         for (int e = 0; e < CLOVER_ROWS; e++) {
             if (narrow) ((float *)out)[to + e * W] = (float)src[e * W];
             else ((REAL *)out)[to + e * W] = src[e * W];
@@ -877,18 +882,16 @@ static void NAME(quantize_rows)(REAL *restrict rows, int64_t stride, int64_t n)
 }
 
 /* A block of n <= BLOCK sites of a field -- component c of site s at
- * x[2 * (c * cstride + s * sstride)], floats when `narrow` -- as 24 rows of
- * BLOCK reals, and back. */
-static void NAME(gather)(const void *x, int narrow, int64_t cstride,
-                         int64_t sstride, int64_t n, REAL *restrict block)
+ * x[2 * (c * cstride + s * sstride)] -- as 24 rows of BLOCK reals, and back
+ * (floats out when `narrow`). */
+static void NAME(gather)(const REAL *x, int64_t cstride, int64_t sstride,
+                         int64_t n, REAL *restrict block)
 {
     for (int64_t s = 0; s < n; s++)
         for (int c = 0; c < 12; c++) {
             const int64_t at = 2 * (c * cstride + s * sstride);
             for (int part = 0; part < 2; part++)
-                block[(2 * c + part) * BLOCK + s] = narrow
-                    ? (REAL)((const float *)x)[at + part]
-                    : ((const REAL *)x)[at + part];
+                block[(2 * c + part) * BLOCK + s] = x[at + part];
         }
 }
 
@@ -917,30 +920,28 @@ void NAME(repro_quantize_half)(const REAL *in, REAL *out, int64_t sites,
     REAL block[24 * BLOCK];
     for (int64_t lo = 0; lo < sites; lo += BLOCK) {
         const int64_t n = sites - lo < BLOCK ? sites - lo : BLOCK;
-        NAME(gather)(in + 2 * lo * sstride, 0, cstride, sstride, n, block);
+        NAME(gather)(in + 2 * lo * sstride, cstride, sstride, n, block);
         NAME(quantize_rows)(block, BLOCK, n);
         NAME(scatter)(block, BLOCK, out + 2 * lo * sstride, 0, cstride,
                       sstride, n);
     }
 }
 
-/* The way in: a field of `lanes` lanes of V sites (layout as for gather;
- * floats when `narrow`, widened exactly) -> the body's own site-vector copy
+/* The way in of the bare hop and of the block solve: a field of `lanes`
+ * lanes of V sites (layout as for gather) -> the body's own site-vector copy
  * (lanes, NB, 12, 2, W), each site rounded to the half format on the way if
  * `half`.  BLOCK sites are transposed in a small buffer and leave as whole
  * blocks of W, one after the other. */
-static void NAME(enter)(const void *x, int narrow, int64_t cstride,
-                        int64_t sstride, REAL *restrict xs, int64_t lanes,
-                        int64_t V, int half)
+static void NAME(enter)(const REAL *x, int64_t cstride, int64_t sstride,
+                        REAL *restrict xs, int64_t lanes, int64_t V, int half)
 {
     REAL block[24 * BLOCK];
-    const size_t width = narrow ? sizeof(float) : sizeof(REAL);
     const int64_t NB = blocks_of(V);
     for (int64_t lane = 0; lane < lanes; lane++)
     for (int64_t lo = 0; lo < V; lo += BLOCK) {
         const int64_t n = V - lo < BLOCK ? V - lo : BLOCK;
-        NAME(gather)((const char *)x + 2 * (lane * V + lo) * sstride * width,
-                     narrow, cstride, sstride, n, block);
+        NAME(gather)(x + 2 * (lane * V + lo) * sstride, cstride, sstride, n,
+                     block);
         if (half) NAME(quantize_rows)(block, BLOCK, n);
         REAL *to = xs + (lane * NB + lo / W) * FIELD_ROWS * W;
         for (int64_t q = 0; q < n; q += W)
@@ -1453,32 +1454,6 @@ static int NAME(stencil)(const REAL *xs, const NAME(sites) *on, void *out,
     return 0;
 }
 
-/* Both entries: the field into the body's own site-vector copy (`cstride`,
- * `sstride`: its layout, as for gather), then the stencil on that (the tail,
- * if any, reading that copy). */
-static int NAME(run)(const void *x, int64_t cstride, int64_t sstride,
-                     NAME(sites) on, void *out, int to, int narrow,
-                     int half, const int32_t *spins, const REAL *coef,
-                     int64_t nb, int64_t nl, int64_t T, int64_t Z,
-                     int64_t Y, int64_t X, const int32_t *bc, double *seconds)
-{
-    const int64_t V = T * Z * Y * X;
-    struct timespec mark;
-    void *raw;
-    REAL *xs = aligned_scratch(
-        (size_t)(nb * nl * blocks_of(V) * FIELD_ROWS * W) * sizeof(REAL), &raw);
-    if (!xs) return 1;
-    if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
-    NAME(enter)(x, narrow, cstride, sstride, xs, nb * nl, V, half);
-    if (seconds) seconds[CONVERT] += lap(&mark);
-    on.xt = xs;
-    int failed = NAME(stencil)(xs, &on, out, to, narrow, half, spins, coef,
-                               nb, nl, T, Z, Y, X, bc, NULL, NULL, NULL,
-                               seconds, &mark);
-    free(raw);
-    return failed;
-}
-
 /* Reals of one parity's links (mu, b, a, lane, sites) in the even-odd
  * form's forward links split by parity (parity, mu, b, a, lane, sites). */
 static inline int64_t NAME(parity_links)(int64_t nl, int64_t V)
@@ -1489,46 +1464,34 @@ static inline int64_t NAME(parity_links)(int64_t nl, int64_t V)
 /* out = D x on lattice-last fields (repro.dirac.wilson.hop_sites): on the
  * full lattice (parity -1, links (2, mu, b, a, lane, sites)), or from the
  * other parity onto the sites of `parity` of a half lattice T Z Y X (the
- * forward links split by parity, (parity, mu, b, a, lane, sites)). */
+ * forward links split by parity, (parity, mu, b, a, lane, sites)).  On the
+ * calling thread alone: only rank programs and NumPy fallbacks call it.
+ * Returns nonzero when the scratch cannot be had. */
 int NAME(repro_wilson_hop)(const REAL *x, const REAL *links, REAL *out,
                            const int32_t *spins, const REAL *coef,
                            int64_t nb, int64_t nl, int64_t T, int64_t Z,
                            int64_t Y, int64_t X, const int32_t *bc,
                            int parity)
 {
-    const int64_t P = NAME(parity_links)(nl, T * Z * Y * X);
+    const int64_t V = T * Z * Y * X, P = NAME(parity_links)(nl, V);
     const NAME(sites) on = {
         parity < 0 ? links : links + parity * P,
         parity < 0 ? links : links + (1 - parity) * P,
         parity, NULL, NULL, 0.0, 0.0, NULL,
     };
-    return NAME(run)(x, nb * nl * T * Z * Y * X, 1, on, out, BARE, 0, 0,
-                     spins, coef, nb, nl, T, Z, Y, X, bc, NULL);
+    void *raw;
+    REAL *xs = aligned_scratch(
+        (size_t)(nb * nl * blocks_of(V) * FIELD_ROWS * W) * sizeof(REAL), &raw);
+    if (!xs) return 1;
+    NAME(enter)(x, nb * nl * V, 1, xs, nb * nl, V, 0);
+    const int failed = NAME(stencil)(xs, &on, out, BARE, 0, 0, spins, coef,
+                                     nb, nl, T, Z, Y, X, bc, NULL, NULL, NULL,
+                                     NULL, NULL);
+    free(raw);
+    return failed;
 }
 
-/* The whole matrix, WilsonCloverOperator._apply_sites, on the caller's
- * site-major fields (nb, nl, T, Z, Y, X, 4, 3):
- *     out = round(diag * x' - 1/2 D x' + A x'),   x' = round(x)
- * with `packed` the packed clover term (nl, NB, 2, 36, W) or NULL, the
- * rounding the half format if `half` and none otherwise, and x / out float
- * complex if `narrow` (a field narrower than the operator: widened on the
- * way in, rounded once on the way out).  `seconds`, unless NULL, gains the
- * time spent converting (in and out), hopping and in the tail.  Returns
- * nonzero when the scratch cannot be had. */
-int NAME(repro_wilson_apply)(const void *x, const REAL *links,
-                             const REAL *packed, double diag, void *out,
-                             int narrow, int half,
-                             const int32_t *spins, const REAL *coef,
-                             int64_t nb, int64_t nl, int64_t T, int64_t Z,
-                             int64_t Y, int64_t X, const int32_t *bc,
-                             double *seconds)
-{
-    const NAME(sites) on = {links, links, -1, NULL, packed, diag, -0.5, NULL};
-    return NAME(run)(x, 1, 12, on, out, SITE_MAJOR, narrow, half, spins, coef,
-                     nb, nl, T, Z, Y, X, bc, seconds);
-}
-
-/* ---- the even-odd form ------------------------------------------------ */
+/* ---- the even-odd form and the whole matrix --------------------------- */
 
 /* EvenOddPreconditionedWilson's compiled entries, on the caller's site-major
  * fields: half-lattice ones of the even parity (nb, nl, T, Z, Y, X, 4, 3)
@@ -1536,14 +1499,16 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
  * Y, 2 X, 4, 3), T Z Y X the half lattice of the bound operands `s`; all
  * float complex if `narrow` (widened on the way in, rounded once on the way
  * out).  Each tail is the NumPy pass's it stands for, in its order.  They
- * return nonzero when the scratch cannot be had.
+ * return nonzero when the scratch cannot be had.  The whole matrix on the
+ * full lattice, repro_wilson_apply, is built the same way.
  *
  * Each entry is a few phases of independent work items -- the site-vector
  * blocks (lane, k) of a field, or the stencil's units (b, l, unit) -- run by
- * ONE team a call, the calling thread and the helpers of run_team: every
- * thread claims chunks of a phase's items (see claim), and no thread starts
- * the next phase before every item of this one is done, for a hop reads the
- * neighbours of its sites, which other threads wrote.  One team, not one a
+ * ONE team a call, the solve's (see team_acquire) or the call's own, the
+ * calling thread and the helpers of run_team: every thread claims chunks of
+ * a phase's items (see claim), and no thread starts the next phase before
+ * every item of this one is done, for a hop reads the neighbours of its
+ * sites, which other threads wrote.  One team, not one a
  * hop: starting a helper costs about what a phase of a small call does.  An
  * item's arithmetic does not depend on the thread that runs it and items
  * write disjoint sites, so the bits are one thread's.  Every thread's
@@ -1555,7 +1520,8 @@ int NAME(repro_wilson_apply)(const void *x, const REAL *links,
  * A fused BiCGstab step (`step`, see NAME(enter_step)) also writes `x`,
  * reads `u` and `y` and the coefficients `coef` on the way in, and makes the
  * way-out reductions of `out` with `with` (see NAME(site_sums)) into `sums`,
- * SP a row. */
+ * SP a row.  `half`: the whole apply's storage rounding (see
+ * repro_wilson_apply), in and out. */
 typedef struct {
     const void *x, *b;
     void *out, *r;
@@ -1569,6 +1535,7 @@ typedef struct {
     int conj_out, norm;
     double *sums;
     int64_t SP;
+    int half;
 } NAME(schur_call);
 
 /* A thread's own: the walk's scratch and its leaves' laps. */
@@ -1599,9 +1566,9 @@ static void NAME(hops)(const NAME(schur_thread) *t, const REAL *xs,
 {
     const NAME(schur_call) *c = t->call;
     const schur_operands *s = c->s;
-    NAME(stencil)(xs, on, out, to, c->narrow, 0, s->spins, s->coef, c->nb,
-                  s->nl, s->T, s->Z, s->Y, s->X, s->bc, NULL, t->walk, work,
-                  seconds, mark);
+    NAME(stencil)(xs, on, out, to, c->narrow, c->half, s->spins, s->coef,
+                  c->nb, s->nl, s->T, s->Z, s->Y, s->X, s->bc, NULL, t->walk,
+                  work, seconds, mark);
 }
 
 /* Block k of lane `lane` of a site-major field -> its site vectors `to`
@@ -1791,6 +1758,57 @@ int NAME(repro_schur_apply)(const void *x, void *out, int narrow, int64_t nb,
 {
     NAME(schur_call) call = {x, NULL, out, NULL, narrow, nb, s};
     return NAME(schur_team)(NAME(apply_worker), &call, 2, seconds, team);
+}
+
+/* The whole matrix, WilsonCloverOperator._apply_sites, its operands `s` on
+ * the FULL lattice T Z Y X: the links (2, mu, b, a, lane, sites) in `links`,
+ * the packed clover term in `even` (or NULL for none), no `odd` or
+ * `inverse`.  Phases: x in (rounded to the half format if `half`), then the
+ * hops with the tail and the way out behind them. */
+static void *NAME(matrix_worker)(void *arg)
+{
+    NAME(schur_thread) *t = arg;
+    NAME(schur_call) *c = t->call;
+    const schur_operands *s = c->s;
+    const int64_t NB = blocks_of(s->T * s->Z * s->Y * s->X);
+    double *seconds = t->timed ? t->seconds : NULL;
+    struct timespec mark;
+    if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
+    CLAIMED(i, &c->phases[0], c->nb * s->nl * NB) {
+        REAL *to = c->v + i * FIELD_ROWS * W;
+        NAME(enter_block)(c->x, c->narrow, to, i / NB, i % NB, s, -1);
+        if (c->half) NAME(quantize_rows)(to, W, W);
+    }
+    if (seconds) seconds[CONVERT] += lap(&mark);
+    const NAME(sites) on = {s->links, s->links, -1, c->v, s->even, s->diag,
+                            -0.5, NULL};
+    NAME(hops)(t, c->v, &on, c->out, SITE_MAJOR, &c->phases[1], seconds,
+               &mark);
+    return NULL;
+}
+
+/* On the caller's site-major fields (nb, nl, T, Z, Y, X, 4, 3):
+ *     out = round(diag * x' - 1/2 D x' + A x'),   x' = round(x)
+ * with `packed` the packed clover term (nl, NB, 2, 36, W) or NULL, the
+ * rounding the half format if `half` and none otherwise, and x / out float
+ * complex if `narrow` (a field narrower than the operator: widened on the
+ * way in, rounded once on the way out) -- on the solve's `team`, or on one
+ * of the call's own (NULL), as the even-odd entries run.  `seconds`, unless
+ * NULL, gains the time spent converting (in and out), hopping and in the
+ * tail.  Returns nonzero when the scratch cannot be had. */
+int NAME(repro_wilson_apply)(const void *x, const REAL *links,
+                             const REAL *packed, double diag, void *out,
+                             int narrow, int half,
+                             const int32_t *spins, const REAL *coef,
+                             int64_t nb, int64_t nl, int64_t T, int64_t Z,
+                             int64_t Y, int64_t X, const int32_t *bc,
+                             double *seconds, repro_team *team)
+{
+    const schur_operands s = {links, packed, NULL, NULL, diag, spins, coef,
+                              bc, nl, T, Z, Y, X};
+    NAME(schur_call) call = {x, NULL, out, NULL, narrow, nb, &s};
+    call.half = half;
+    return NAME(schur_team)(NAME(matrix_worker), &call, 1, seconds, team);
 }
 
 /* A fused step: the apply of `call`, its way in the step's, and the way-out
@@ -2160,7 +2178,7 @@ static void NAME(mr_lane)(NAME(mr_thread) *t, int64_t l,
     for (int64_t row = l; row < rows; row += nl) {
         memset(c->x + row * F, 0, (size_t)F * sizeof(REAL));
         memset(c->q + row * F, 0, (size_t)F * sizeof(REAL));
-        NAME(enter)(c->b + 24 * row * V, 0, 1, 12, c->r + row * F, 1, V,
+        NAME(enter)(c->b + 24 * row * V, 1, 12, c->r + row * F, 1, V,
                     c->half && c->convert);
     }
     if (seconds) seconds[CONVERT] += lap(mark);
@@ -2256,9 +2274,10 @@ static void *NAME(mr_worker)(void *arg)
  *
  * The block lanes share nothing -- each has its own reductions, step
  * lengths and leaving step -- so they run side by side, a whole lane per
- * thread at a time, on the calling thread and the helpers of run_team: a
- * lane's bits do not depend on which thread ran it, and the counts are
- * sums over lanes.  Every thread's scratch is had here, before any starts.
+ * thread at a time, on the solve's `team` (or on one of the call's own,
+ * NULL): a lane's bits do not depend on which thread ran it, and the counts
+ * are sums over lanes.  Every thread's scratch is had here, before any
+ * starts.
  * `seconds`, unless NULL, gains the leaves of repro_wilson_apply and the
  * MR step's: each leaf's share of the threads' summed laps, of the call's
  * wall time, so that the four still tile the call.  Returns nonzero when
@@ -2269,14 +2288,14 @@ int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
                           int64_t nb, int64_t nl, int64_t T, int64_t Z,
                           int64_t Y, int64_t X, const int32_t *bc,
                           int64_t steps, double omega, int64_t *counts,
-                          double *norms, double *seconds)
+                          double *norms, double *seconds, repro_team *team)
 {
     const int64_t V = T * Z * Y * X, rows = nb * nl;
     const int64_t F = blocks_of(V) * FIELD_ROWS * W; /* reals a row */
     const int64_t fields = half ? 4 : 3;
     const int64_t H = NAME(walk_reals)(T, Z, Y, X);
     int cpus[CPU_SETSIZE];
-    const int helpers = helper_cpus(nl, cpus), threads = 1 + helpers;
+    const int helpers = team_acquire(team, nl, cpus), threads = 1 + helpers;
     void *raw;
     REAL *r = aligned_scratch(
         (size_t)(fields * rows * F + threads * H) * sizeof(REAL)
@@ -2284,11 +2303,14 @@ int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
         + (size_t)threads * (sizeof(NAME(mr_thread))
                              + (size_t)(2 * steps) * sizeof(int64_t)
                              + (size_t)nl), &raw);
-    if (!r) return 1;
+    if (!r) {
+        team_cancel(team);
+        return 1;
+    }
     REAL *x = r + rows * F, *q = x + rows * F, *walks = r + fields * rows * F;
     double *red = (double *)(walks + threads * H);
-    NAME(mr_thread) *team = (NAME(mr_thread) *)(red + 3 * rows);
-    int64_t *tallies = (int64_t *)(team + threads);
+    NAME(mr_thread) *slots = (NAME(mr_thread) *)(red + 3 * rows);
+    int64_t *tallies = (int64_t *)(slots + threads);
     unsigned char *live = (unsigned char *)(tallies + threads * 2 * steps);
     memset(tallies, 0, (size_t)(threads * 2 * steps) * sizeof(int64_t));
     memset(live, 0, (size_t)(threads * nl));
@@ -2296,18 +2318,18 @@ int NAME(repro_wilson_mr)(const REAL *b, const REAL *links, const REAL *packed,
                           half ? q + rows * F : r, red, norms, half, convert,
                           spins, bc, nb, nl, T, Z, Y, X, steps, 0};
     for (int i = 0; i < threads; i++)
-        team[i] = (NAME(mr_thread)){&call, walks + i * H, live + i * nl,
-                                    tallies + i * 2 * steps, {0},
-                                    seconds != NULL};
+        slots[i] = (NAME(mr_thread)){&call, walks + i * H, live + i * nl,
+                                     tallies + i * 2 * steps, {0},
+                                     seconds != NULL};
     struct timespec mark;
     if (seconds) clock_gettime(CLOCK_MONOTONIC, &mark);
-    run_team(NAME(mr_worker), team, sizeof *team, cpus, helpers);
+    team_run(team, NAME(mr_worker), slots, sizeof *slots, cpus, helpers);
 
     memset(counts, 0, (size_t)(2 * steps) * sizeof(int64_t));
     for (int i = 0; i < threads; i++)
-        for (int64_t k = 0; k < 2 * steps; k++) counts[k] += team[i].counts[k];
+        for (int64_t k = 0; k < 2 * steps; k++) counts[k] += slots[i].counts[k];
     if (seconds)
-        share_laps(seconds, 4, team->seconds, sizeof *team, threads,
+        share_laps(seconds, 4, slots->seconds, sizeof *slots, threads,
                    lap(&mark));
     free(raw);
     return 0;

@@ -5,7 +5,7 @@ multi-shift CG, and defect-correction ("reliable update") wrappers."""
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".base": ("Operator", "PrecisionWrappedOperator", "SolverResult"),
+    ".base": ("Operator", "SolverResult"),
     ".bicgstab": ("bicgstab",),
     ".cg": ("cg", "cgnr", "pcg"),
     ".eigen": (

@@ -1,12 +1,10 @@
-"""Common solver infrastructure: results, stopping criteria, precision
-wrapping of operators."""
+"""Common solver infrastructure: results and residuals."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.precision import Precision
 from repro.solvers.space import ArraySpace
 
 #: An operator is any callable mapping a vector to a vector.
@@ -52,31 +50,6 @@ class SolverResult:
     restarts: int = 0
     extras: dict = field(default_factory=dict)
     report: object = None
-
-
-class PrecisionWrappedOperator:
-    """Apply an operator in a reduced storage precision.
-
-    Emulates running the matvec kernel in low precision: the input vector is
-    rounded to the target format, the operator applied, and the output
-    rounded again.  With ``precision=None`` this is a transparent wrapper.
-    """
-
-    def __init__(
-        self,
-        op: Operator,
-        precision: Precision | None = None,
-        space: ArraySpace | None = None,
-    ):
-        self.op = op
-        self.precision = precision
-        self.space = space or ArraySpace()
-
-    def __call__(self, x):
-        if self.precision is None:
-            return self.op(x)
-        xq = self.space.convert(x, self.precision)
-        return self.space.convert(self.op(xq), self.precision)
 
 
 def compute_residual(op: Operator, x, b, space: ArraySpace):

@@ -301,27 +301,19 @@ def test_stored_is_idempotent_and_memoised(system):
 
 
 def test_storage_follows_lanes_and_restriction(system):
-    """``take_lanes`` (the early exit) and a further restriction of a
-    stored stack are stored, with the bits of the same stack cut in
-    working precision and stored last."""
+    """``take_lanes`` (the early exit) of a stored stack is stored, with
+    the stack's bits; a lane stack is not restricted further, and says
+    so."""
     op, part = system
     stack = op.restrict_to_blocks(part, precision=HALF)
-    working = op.restrict_to_blocks(part)
     x = part.stack(residual(op, 0))
     some = stack.take_lanes([2, 0])
     assert some.storage is HALF and some.lanes == 2
     assert np.array_equal(some.apply(x[[2, 0]]), stack.apply(x)[[2, 0]])
     inner = BlockPartition(part.local_geometry, INNER)
-    sub = stack.restrict_to_blocks(inner)
-    assert sub.storage is HALF and sub.lanes == part.n_ranks * inner.n_ranks
-    xs = inner.stack(x, lead=1).reshape((sub.lanes,) + sub.geometry.shape + x.shape[5:])
-    expected = working.restrict_to_blocks(inner, precision=HALF).apply(xs)
-    assert np.array_equal(sub.apply(xs), expected)
-    assert np.array_equal(
-        working.restrict_to_blocks(inner).stored(HALF).apply(xs), expected
-    )
-    # An explicit precision wins over the stack's own.
-    assert stack.restrict_to_blocks(inner, precision=SINGLE).storage is SINGLE
+    for precision in (None, SINGLE):
+        with pytest.raises(ValueError, match="lane stack"):
+            stack.restrict_to_blocks(inner, precision=precision)
 
 
 def test_wilson_stack_lives_in_the_storage_dtype():

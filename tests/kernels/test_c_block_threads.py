@@ -103,7 +103,7 @@ def block_call(block, r):
         failed = library.mr[links.dtype.name](
             r.ctypes.data, u, a, block.diagonal_coefficient, z.ctypes.data,
             half, True, spins, phases, *extents, codes, STEPS, OMEGA,
-            counts.ctypes.data, norms.ctypes.data, None,
+            counts.ctypes.data, norms.ctypes.data, None, None,  # its own team
         )
     assert not failed
     return z, counts, norms

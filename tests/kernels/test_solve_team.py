@@ -1,10 +1,10 @@
 """A solve's team of helper threads lives for the solve and no longer.
 
-The compiled even-odd calls of one ``solve()`` — the Schur apply,
-``prepare_rhs``, ``reconstruct_residual`` and BiCGstab's fused steps — run
-on ONE team (``c_backend.solve_team``): its helpers start with the first
-call, park between calls and are joined before ``solve()`` returns, also
-when it raises.  The team is the solving thread's, so two Python threads
+The compiled calls of one ``solve()`` — the Schur apply, ``prepare_rhs``,
+``reconstruct_residual`` and BiCGstab's fused steps; GCR-DD's whole matrix
+and its Schwarz block solves — run on ONE team (``c_backend.solve_team``):
+its helpers start with the first call, park between calls and are joined
+before ``solve()`` returns, also when it raises.  The team is the solving thread's, so two Python threads
 solving on one configuration at once each have their own, and the
 process's fork handler joins every open team's helpers first, so a fork
 in the middle of a solve copies no helper.
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from _c_grid import needs_c
-from repro import GaugeField, Geometry, SolveRequest, SpinorField, solve
+from repro import GaugeField, Geometry, ProcessGrid, SolveRequest, SpinorField, solve
 from repro.dirac import EvenOddPreconditionedWilson, WilsonCloverOperator
 from repro.kernels import c_backend
 from repro.solvers import multirhs
@@ -213,4 +213,64 @@ def test_two_threads_solving_at_once(gauge, alone):
     deadline = time.monotonic() + 5
     while not threads() <= before and time.monotonic() < deadline:
         time.sleep(0.01)
+    assert threads() <= before
+
+
+def gcrdd_request(gauge):
+    """The benchmark's GCR-DD request (Schwarz blocks 1x1x2x2) on this
+    lattice: the whole matrix and the block solves, no even-odd call."""
+    return SolveRequest(
+        operator="wilson_clover", gauge=gauge,
+        rhs=SpinorField.random(GEOMETRY, rng=1).data, mass=0.1, csw=1.0,
+        tol=1e-6, method="gcr-dd", grid=ProcessGrid((1, 1, 2, 2)),
+        precond="auto",
+    )
+
+
+@pytest.fixture(scope="module")
+def gcrdd_alone(gauge):
+    return solve(gcrdd_request(gauge)).x.tobytes()
+
+
+@pytest.fixture
+def compiled_calls(monkeypatch):
+    """Call ``hook`` at the start of every compiled team call (where it
+    asks for the solve's team), with the thread listing seen there
+    recorded."""
+    seen, hooks = [], []
+    real = c_backend._team
+
+    def team(library):
+        seen.append(threads())
+        for hook in hooks:
+            hook(len(seen))
+        return real(library)
+
+    monkeypatch.setattr(c_backend, "_team", team)
+    return seen, hooks
+
+
+def test_a_gcrdd_solve_starts_its_helpers_once(gauge, gcrdd_alone, compiled_calls):
+    """Every whole-matrix apply and every block solve of a GCR-DD solve
+    runs on the same helpers, started by the first call that needs them,
+    and none is left when the solve returns."""
+    seen, _ = compiled_calls
+    before = threads()
+    result = solve(gcrdd_request(gauge))
+    assert result.x.tobytes() == gcrdd_alone
+    helpers = set().union(*(inside - before for inside in seen))
+    assert len(seen) > 40  # 25 applies and 20 block solves, or about
+    assert 1 <= len(helpers) <= len(os.sched_getaffinity(0)) - 1
+    assert all(inside - before == helpers for inside in seen[2:])
+    assert threads() <= before
+
+
+def test_a_gcrdd_team_stopped_between_every_two_calls(gauge, gcrdd_alone, compiled_calls):
+    """The helpers joined (as before a fork) before every compiled call of
+    a GCR-DD solve and started again by that call: the same bits."""
+    _, hooks = compiled_calls
+    before = threads()
+    hooks.append(lambda calls: c_backend._stop_teams())
+    for _ in range(2):
+        assert solve(gcrdd_request(gauge)).x.tobytes() == gcrdd_alone
     assert threads() <= before

@@ -5,7 +5,7 @@ import pytest
 
 from repro.precision import DOUBLE, HALF, SINGLE
 from repro.solvers import gcr, mr
-from repro.solvers.base import PrecisionWrappedOperator
+from repro.solvers.space import WILSON_SPACE
 
 
 class TestPlainGCR:
@@ -74,33 +74,58 @@ class TestPreconditionedGCR:
         assert res.converged
 
 
+def rounded(apply, precision):
+    """``apply`` with its argument and its result rounded to ``precision``
+    (what GCR's loop already does around its inner matvec)."""
+    def inner(x):
+        x = WILSON_SPACE.convert(x, precision)
+        return WILSON_SPACE.convert(apply(x), precision)
+
+    return inner
+
+
 class TestMixedPrecision:
+    """The inner matvec is the operator itself: the loop rounds ``p_k``
+    and ``A p_k`` to the inner precision."""
+
     def test_single_inner(self, wilson, b_wilson):
-        inner = PrecisionWrappedOperator(wilson.apply, SINGLE)
         res = gcr(
-            wilson.apply, b_wilson, inner_op=inner, inner_precision=SINGLE,
+            wilson.apply, b_wilson, inner_precision=SINGLE,
             outer_precision=DOUBLE, tol=1e-10, maxiter=600,
         )
         assert res.converged
         assert res.residual < 1e-9  # outer restarts recover full accuracy
 
     def test_half_inner_reaches_single_accuracy(self, wilson, b_wilson):
-        inner = PrecisionWrappedOperator(wilson.apply, HALF)
         res = gcr(
-            wilson.apply, b_wilson, inner_op=inner, inner_precision=HALF,
+            wilson.apply, b_wilson, inner_precision=HALF,
             outer_precision=SINGLE, tol=1e-6, delta=0.1, maxiter=800,
         )
         assert res.converged
         assert res.residual < 2e-6
+
+    @pytest.mark.parametrize("inner", [SINGLE, HALF], ids=lambda p: p.name)
+    def test_rounding_around_the_inner_matvec_again_moves_no_bit(
+        self, wilson, b_wilson, inner
+    ):
+        """Rounding the inner matvec's argument and result once more (as
+        a precision wrapper around the operator did) gives the same
+        solve, bit for bit: each format rounds a rounded field to
+        itself."""
+        kwargs = dict(inner_precision=inner, outer_precision=SINGLE,
+                      tol=1e-6, kmax=8, maxiter=300)
+        bare = gcr(wilson.apply, b_wilson, **kwargs)
+        again = gcr(wilson.apply, b_wilson,
+                    inner_op=rounded(wilson.apply, inner), **kwargs)
+        assert bare.x.tobytes() == again.x.tobytes()
+        assert bare.residual_history == again.residual_history
 
     def test_tolerance_clamped_to_outer_precision(self, wilson, b_wilson):
         """Asking single-precision GCR for 1e-12 must not spin forever:
         the effective tolerance is clamped to the representable level."""
         res = gcr(
             wilson.apply, b_wilson, outer_precision=SINGLE,
-            inner_precision=SINGLE,
-            inner_op=PrecisionWrappedOperator(wilson.apply, SINGLE),
-            tol=1e-14, maxiter=500,
+            inner_precision=SINGLE, tol=1e-14, maxiter=500,
         )
         assert res.converged
         assert res.residual < 5e-6
@@ -135,7 +160,6 @@ class TestResidualHistory:
         values must match an independent recomputation."""
         res = gcr(
             wilson.apply, b_wilson, inner_precision=SINGLE,
-            inner_op=PrecisionWrappedOperator(wilson.apply, SINGLE),
             tol=1e-6, kmax=8, maxiter=400,
         )
         assert res.converged

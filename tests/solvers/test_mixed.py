@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.precision import HALF, SINGLE
+from repro.precision import DOUBLE, HALF, SINGLE
 from repro.solvers import mixed_precision_bicgstab, mixed_precision_cg
-from repro.solvers.base import PrecisionWrappedOperator
-from repro.solvers.space import STAGGERED_SPACE
+from repro.solvers.space import STAGGERED_SPACE, WILSON_SPACE
 
 
 class TestMixedBiCGstab:
@@ -63,20 +62,26 @@ class TestMixedCG:
         assert res.converged
 
 
-class TestPrecisionWrappedOperator:
-    def test_none_is_transparent(self, wilson, b_wilson):
-        wrapped = PrecisionWrappedOperator(wilson.apply)
-        assert np.array_equal(wrapped(b_wilson), wilson.apply(b_wilson))
+def rounded_apply(op, x, precision):
+    """``op.apply`` on ``x`` rounded to ``precision``, its result rounded
+    again: a matvec in a reduced storage precision."""
+    rounded = WILSON_SPACE.convert(x, precision)
+    return WILSON_SPACE.convert(op.apply(rounded), precision)
+
+
+class TestRoundedApply:
+    def test_double_is_transparent(self, wilson, b_wilson):
+        out = rounded_apply(wilson, b_wilson, DOUBLE)
+        assert np.array_equal(out, wilson.apply(b_wilson))
 
     def test_single_rounds(self, wilson, b_wilson):
-        wrapped = PrecisionWrappedOperator(wilson.apply, SINGLE)
-        out = wrapped(b_wilson)
+        out = rounded_apply(wilson, b_wilson, SINGLE)
         assert out.dtype == np.complex64
         ref = wilson.apply(b_wilson)
         assert np.abs(out - ref).max() < 1e-4 * np.abs(ref).max()
 
     def test_half_rounds_more(self, wilson, b_wilson):
-        half = PrecisionWrappedOperator(wilson.apply, HALF)(b_wilson)
-        single = PrecisionWrappedOperator(wilson.apply, SINGLE)(b_wilson)
+        half = rounded_apply(wilson, b_wilson, HALF)
+        single = rounded_apply(wilson, b_wilson, SINGLE)
         ref = wilson.apply(b_wilson)
         assert np.abs(half - ref).max() > np.abs(single - ref).max()

@@ -301,7 +301,7 @@ SURFACE = {
     ),
     "repro.solvers": (
         "ArraySpace BatchedArraySpace BatchedSolverResult "
-        "MultishiftRefineResult Operator PrecisionWrappedOperator "
+        "MultishiftRefineResult Operator "
         "STAGGERED_SPACE SolverResult SpectrumEstimate WILSON_SPACE "
         "batched_bicgstab batched_cg batched_defect_correction batched_gcr "
         "batched_mr batched_pcg batched_space_for_nspin bicgstab cg cgnr "
@@ -322,7 +322,8 @@ SURFACE = {
 
 #: Names the surfaces no longer hand out, by the package that did: the
 #: multiplicative and two-level Schwarz variants, the two-level registry
-#: entry, the model-driven tuner and the daemon's load bench.
+#: entry, the model-driven tuner, the daemon's load bench and the
+#: precision wrapper GCR's inner matvec no longer needs.
 REMOVED = {
     "repro": (
         "SAPPreconditioner", "TwoLevelSchwarzPreconditioner",
@@ -339,6 +340,7 @@ REMOVED = {
     ),
     "repro.precond": ("TwoLevelEntry",),
     "repro.serve": ("loadgen",),
+    "repro.solvers": ("PrecisionWrappedOperator",),
 }
 
 
